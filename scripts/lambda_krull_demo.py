@@ -33,7 +33,9 @@ def main() -> int:
     print(f"cross-checks agree: {scan.agree}")
     print(f"degeneracy locus: {[w[0] for w in scan.lambda_points()]}")
 
-    krull = krull_stabilize(fam, weight, grid, args.n_max, degree=args.degree)
+    krull = krull_stabilize(
+        fam, weight, grid, args.n_max, degree=args.degree, scan=scan
+    )
     sizes = {N: len(s.lambda_psi) for N, s in krull.per_n.items()}
     print(f"locus size per jet order: {sizes}")
     print(f"nested: {krull.nested}  stabilized at N = {krull.stabilized_at}")

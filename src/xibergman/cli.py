@@ -2,8 +2,10 @@
 lambda scans, and extension checks, with JSON/CSV outputs.
 
 Exit codes: 0 success, 1 verification failure (submean violation or
-cross-check mismatch), 2 usage or configuration error.  Reruns under a fixed
-seed produce identical files except for the timestamp header line.
+cross-check mismatch), 2 usage or configuration error, 3 numerical failure
+(no nonsingular pivot block; the record goes to ``error.json``).  Reruns
+under a fixed seed produce identical files except for the timestamp header
+line.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import bergman, extension, family, fiberwise, functional, ideal, weights
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
 
 
 class ConfigError(ValueError):
@@ -137,10 +140,21 @@ def _quad(cfg: dict) -> bergman.QuadSpec:
     )
 
 
-def _grid_points(obj) -> list[complex]:
+def _grid_points(obj, m: int = 1) -> list:
+    """Base grid: complex numbers when m = 1, m-tuples of them otherwise.
+
+    The object form ``{halfWidth, count}`` is a square grid and needs m = 1;
+    the list form gives the points, each a list of m ``[re, im]`` pairs when
+    m > 1.
+    """
     if isinstance(obj, dict):
+        if m != 1:
+            raise ConfigError(
+                f"grid: the {{halfWidth, count}} form needs wArity 1, not {m}; "
+                "list the points"
+            )
         return fiberwise.square_grid(float(obj["halfWidth"]), int(obj["count"]))
-    return [_cx(p) for p in obj]
+    return [_cx(p) for p in obj] if m == 1 else [_point(p) for p in obj]
 
 
 def _timestamp() -> str:
@@ -270,7 +284,12 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int, threads: int) -> int:
 
 def _cmd_annihilate(cfg: dict, out: Path, seed: int, threads: int) -> int:
     fam = ideal.ideal_from_json(cfg["ideal"])
-    grid = _grid_points(cfg.get("wGrid", {"halfWidth": 0.6, "count": 5}))
+    # the witness grid; with m > 1 base variables it defaults to (0.3, ..., 0.3)
+    default = (
+        {"halfWidth": 0.6, "count": 5} if fam.w_arity == 1
+        else [[[0.3, 0.0]] * fam.w_arity]
+    )
+    grid = _grid_points(cfg.get("wGrid", default), fam.w_arity)
     res = ideal.build_annihilator(fam, grid, seed=seed)
     _write_json(out / "annihilator.json", _json_safe(ideal.annihilator_to_json(res)))
     return EXIT_OK
@@ -279,7 +298,7 @@ def _cmd_annihilate(cfg: dict, out: Path, seed: int, threads: int) -> int:
 def _cmd_lambda(cfg: dict, out: Path, seed: int, threads: int) -> int:
     fam = ideal.ideal_from_json(cfg["ideal"])
     wt = weights.weight_from_json(cfg["weight"])
-    grid = _grid_points(cfg["grid"])
+    grid = _grid_points(cfg["grid"], fam.w_arity)
     fiber_domain = (
         _domain(cfg["fiberDomain"]) if "fiberDomain" in cfg
         else weights.Polydisc((1.0,) * fam.z_arity)
@@ -291,10 +310,16 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int, threads: int) -> int:
     rows = []
     for i, pt in enumerate(scan.points):
         rows.append(
-            (pt.w[0].real, pt.w[0].imag if fam.w_arity == 1 else 0.0,
-             int(i in scan.lambda_psi), pt.psi if pt.flag != "outside_U" else "nan")
+            tuple(x for c in pt.w for x in (c.real, c.imag))
+            + (int(i in scan.lambda_psi),
+               pt.psi if pt.flag != "outside_U" else "nan")
         )
-    _write_csv(out / "lambda.csv", ["w_re", "w_im", "in_Lambda", "PsiN"], rows)
+    if fam.w_arity == 1:
+        coords = ["w_re", "w_im"]
+    else:
+        coords = [f"w{i}_{part}" for i in range(1, fam.w_arity + 1)
+                  for part in ("re", "im")]
+    _write_csv(out / "lambda.csv", coords + ["in_Lambda", "PsiN"], rows)
     payload = {
         "rank": scan.res.r,
         "functionalCount": scan.res.s,
@@ -305,7 +330,8 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int, threads: int) -> int:
     }
     if n_max > fam.truncation:
         krull = ideal.krull_stabilize(
-            fam, wt, grid, n_max, fiber_domain, degree, quad, seed=seed
+            fam, wt, grid, n_max, fiber_domain, degree, quad, seed=seed,
+            scan=scan,
         )
         payload["krull"] = {
             "nested": krull.nested,
@@ -381,6 +407,13 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ideal.DegenerateInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _write_json(
+            out / "error.json",
+            {"error": type(exc).__name__, "message": str(exc)},
+        )
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -9,10 +9,29 @@ functionals that cut out the truncated ideal on the open set U where the
 pivot determinant does not vanish.  Scanning the sup of the log-kernels of
 these functionals over a base grid locates the inclusion locus of the
 multiplier ideal.
+
+The pivot determinant det C(w) and the cofactors are found by
+evaluation-interpolation.  K_i - 1, the sum over a block's rows of the
+largest entry degree in w_i, bounds every minor's degree in w_i.  The
+pivoted matrix is sampled on the tensor grid of K_i-th roots of unity in
+each base variable, scaled to a torus of radii (rho_1, ..., rho_m); batched
+``np.linalg.det`` calls give every minor at every sample, and an
+m-dimensional FFT returns the coefficients, exact up to rounding.  One torus
+resolves a coefficient only to eps times the largest sampled value over its
+own size there, which loses the small coefficients of a determinant such as
+(1 + 8w)^14 on the unit circle.  So the radii walk out and in along each
+axis by factors of RADIUS_STEP, then over the product of those ladders when
+m > 1, and each coefficient keeps the estimate with the smallest error
+bound, eps (r + 1) times the Hadamard bound over rho^alpha; parts below that
+bound are rounding noise and set to zero, so exact zeros stay zero.  An
+r x r minor costs O(prod(K_i) * r**3) per torus, polynomial in r, where
+Laplace expansion costs O(2**r); a dense pair at jet order 5 takes about
+six tori.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,6 +57,24 @@ DETC_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
 ORACLE_RESIDUAL_TOL = 1e-8
 KERNEL_ZERO_TOL = 1e-14
+#: LU rounding error of a sampled r x r minor, per unit of (r + 1) times its
+#: Hadamard bound; an interpolated coefficient part below the resulting
+#: error bound is noise and is set to 0
+DET_NOISE_REL = 8 * np.finfo(float).eps
+#: ratio of consecutive sampling radii, and the most radii tried on each side
+#: of the unit torus
+RADIUS_STEP = 4.0
+MAX_RADIUS_STEPS = 16
+#: most matrix entries (samples x rows x columns, summed over tori) sampled in
+#: the product of the axis ladders (m > 1); the ladders are thinned to fit
+MAX_PRODUCT_ENTRIES = 1 << 23
+#: largest number of matrix entries sampled into one batched det call
+_BLOCK_ENTRIES = 1 << 21
+#: largest sampled matrix (samples x max(rows x columns, monomials)) before
+#: the input is refused
+MAX_SAMPLE_ENTRIES = 1 << 22
+#: sampling radii keep minors and rescaled coefficients within e^+-_LOG_RANGE
+_LOG_RANGE = 600.0
 
 
 class OutsideUError(ValueError):
@@ -45,7 +82,7 @@ class OutsideUError(ValueError):
 
 
 class DegenerateInputError(RuntimeError):
-    """No nonsingular pivot block could be found after repeated witnesses."""
+    """No nonsingular pivot block was found, or the block is too large to sample."""
 
 
 @dataclass
@@ -169,35 +206,189 @@ def _as_w(w, m: int) -> tuple[complex, ...]:
     return tuple(complex(x) for x in w)
 
 
-def _sym_det(M: list[list[PolyW]], arity: int) -> PolyW:
-    """Exact determinant of a square polynomial matrix by minor expansion."""
-    r = len(M)
-    one = PolyW.constant(1.0, arity)
-    if r == 0:
-        return one
-    zero = PolyW(arity, {})
-    memo: dict[tuple[int, ...], PolyW] = {}
+def _torus_sampler(M: list[list[PolyW]], ks: np.ndarray, K: tuple[int, ...]):
+    """Values of a polynomial matrix on tori of K-th roots of unity.
 
-    def rec(rows: tuple[int, ...]) -> PolyW:
-        if not rows:
-            return one
-        if rows in memo:
-            return memo[rows]
-        col = r - len(rows)
-        total = zero
-        for idx, row in enumerate(rows):
-            e = M[row][col]
-            if not e.coeffs:
-                continue
-            sub = rec(rows[:idx] + rows[idx + 1 :])
-            term = e * sub
-            if idx % 2:
-                term = -term
-            total = total + term
-        memo[rows] = total
-        return total
+    Returns a function of the log radii s (one per base variable) giving an
+    array of shape (len(ks), rows, cols) whose sample t is M at the point
+    (e^s_1 omega_1^k_1, ..., e^s_m omega_m^k_m), k = ks[t],
+    omega_i = exp(2 pi i / K_i).
+    """
+    rows, cols = len(M), len(M[0]) if M else 0
+    exps = sorted({a for row in M for e in row for a in e.coeffs})
+    if not exps:
+        return lambda s: np.zeros((len(ks), rows, cols), dtype=complex)
+    col_of = {a: t for t, a in enumerate(exps)}
+    coef = np.zeros((len(exps), rows * cols), dtype=complex)
+    for i, row in enumerate(M):
+        for j, e in enumerate(row):
+            for a, c in e.coeffs.items():
+                coef[col_of[a], i * cols + j] = c
+    E = np.array(exps, dtype=np.int64).reshape(len(exps), -1)
+    # omega^(k . alpha), each axis reduced mod K_i so large exponents stay exact
+    turns = np.zeros((len(ks), len(exps)))
+    for i, Ki in enumerate(K):
+        turns += np.outer(ks[:, i], E[:, i]) % Ki / Ki
+    unit = np.exp(2j * np.pi * turns)
+    return lambda s: ((unit * np.exp(E @ s)) @ coef).reshape(-1, rows, cols)
 
-    return rec(tuple(range(r)))
+
+def _sample_minors(
+    V: np.ndarray, picks: np.ndarray, signs: np.ndarray, K: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled coefficients and error scale of every minor of the samples V.
+
+    Minor u keeps rows picks[u] of V, with sign signs[u].  Returns the
+    coefficients of w -> minor_u(e^s w) in the C order of the sample grid
+    (shape (samples, minors)), from an m-dimensional FFT; each variable's
+    degree is below its K_i, so there is no aliasing.  Also returns the log
+    of each minor's largest Hadamard bound over the samples: the LU rounding
+    error of a sampled minor is a small multiple of eps times that bound.
+    """
+    S, n, r = V.shape[0], len(picks), picks.shape[1]
+    vals = np.empty((S, n), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // max(1, S * r * r))
+    for t in range(0, n, step):
+        blocks = V[:, picks[t : t + step], :]
+        vals[:, t : t + step] = np.linalg.det(blocks) * signs[t : t + step]
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(np.linalg.norm(V, axis=-1))
+    log_bound = log_rows[:, picks].sum(axis=-1).max(axis=0)
+    coeffs = np.fft.fftn(vals.reshape(K + (n,)), axes=tuple(range(len(K))))
+    return coeffs.reshape(S, n) / S, log_bound
+
+
+def _det_and_cofactors(
+    M: list[list[PolyW]], m: int
+) -> tuple[PolyW, list[list[PolyW]]]:
+    """det C and the bordered cofactor rows of a p x r polynomial matrix.
+
+    C is the top r x r block of M.  For each row l >= r the (r+1) x r block
+    [C; M_l] has the left null row X_l with X_l[l] = det C and X_l[k]
+    (k < r) the signed r-minor that omits row k; every other entry is 0.
+    All minors share each sampling of M and each FFT (see the module
+    docstring); each costs O(prod(K) * r**3) per torus.
+    """
+    p, r = len(M), len(M[0]) if M else 0
+
+    def minor_bound(row_degs: list[int]) -> int:
+        # a minor takes r rows of [C; M_l]: all of C's but one, plus M_l
+        return sum(row_degs[:r]) + max(row_degs[r:], default=0)
+
+    D = minor_bound([max(0, max((e.degree for e in row), default=0)) for row in M])
+    K = tuple(
+        1 + minor_bound(
+            [max((a[i] for e in row for a in e.coeffs), default=0) for row in M]
+        )
+        for i in range(m)
+    )
+    S = math.prod(K)
+    n_exps = len({a for row in M for e in row for a in e.coeffs})
+    if S * max(p * r, n_exps) > MAX_SAMPLE_ENTRIES:
+        raise DegenerateInputError(
+            f"pivot block too large to sample: {S} samples of a {p} x {r} "
+            f"matrix with {n_exps} monomials"
+        )
+    ks = np.indices(K).reshape(m, -1).T
+    sampler = _torus_sampler(M, ks, K)
+    # minor u keeps rows picks[u]; the first is C itself
+    picks = [list(range(r))]
+    signs = [1.0]
+    for l in range(r, p):
+        for k in range(r):
+            picks.append([i for i in range(r) if i != k] + [l])
+            signs.append(-1.0 if (k + r) % 2 else 1.0)
+    picks = np.array(picks, dtype=np.int64).reshape(len(picks), r)
+    signs = np.array(signs)
+    n = len(picks)
+    keep = np.flatnonzero(ks.sum(axis=1) <= D)
+    alpha = ks[keep]
+    log_tau = math.log(DET_NOISE_REL * (r + 1))
+    # per coefficient, the estimate with the smallest error bound so far
+    best = np.zeros((len(keep), n), dtype=complex)
+    log_err = np.full((len(keep), n), np.inf)
+
+    def sample(s: np.ndarray) -> np.ndarray | None:
+        """Sample on the torus of log radii s; None if out of float range."""
+        coeffs, log_bound = _sample_minors(sampler(s), picks, signs, K)
+        if s.any() and not (
+            np.all(np.isfinite(coeffs))
+            and np.all(log_bound <= _LOG_RANGE)
+            and np.all((log_bound >= -_LOG_RANGE) | np.isneginf(log_bound0))
+        ):
+            return None
+        with np.errstate(invalid="ignore"):
+            err = log_tau + log_bound - (alpha @ s)[:, None]
+        better = err < log_err
+        best[better] = (coeffs[keep] * np.exp(-(alpha @ s))[:, None])[better]
+        log_err[better] = err[better]
+        return log_bound
+
+    def visible() -> np.ndarray:
+        fl = np.exp(log_err)
+        return (np.abs(best.real) > fl) | (np.abs(best.imag) > fl)
+
+    # A coefficient w^alpha sampled on the torus of log radii s has error
+    # bound tau * h(s) * e^(-alpha . s), h the Hadamard bound.  log h is
+    # convex in s, its slope along axis i rising from the lowest to the
+    # highest degree in w_i, so going inward along that axis helps the
+    # coefficients with alpha_i below the slope and outward those above it.
+    # Walk each axis each way until its extreme visible degree gains less
+    # than a factor RADIUS_STEP**0.5 per step, then sample the product of
+    # the axis ladders, which coefficients of mixed scale need when m > 1.
+    ln_q = math.log(RADIUS_STEP)
+    steps = 0 if D == 0 else min(MAX_RADIUS_STEPS, int(_LOG_RANGE / (D * ln_q)))
+    log_bound0 = sample(np.zeros(m))
+
+    def walk(axis: int, direction: int) -> int:
+        prev = log_bound0
+        for step in range(1, steps + 1):
+            s = np.zeros(m)
+            s[axis] = direction * step * ln_q
+            cur = sample(s)
+            if cur is None:
+                return step - 1
+            with np.errstate(invalid="ignore"):
+                slope = direction * (cur - prev) / ln_q
+            a = alpha[:, axis : axis + 1]
+            if direction < 0:
+                more = slope > np.where(visible(), a, np.inf).min(axis=0) + 0.5
+            else:
+                more = slope < np.where(visible(), a, -np.inf).max(axis=0) - 0.5
+            if not np.any(more):
+                return step
+            prev = cur
+        return steps
+
+    ladders = [range(-walk(i, -1), walk(i, 1) + 1) for i in range(m)]
+    if m > 1:
+        budget = MAX_PRODUCT_ENTRIES // max(1, S * p * r)
+        for stride in range(1, 1 + max(map(len, ladders))):
+            thinned = [lad[::stride] for lad in ladders]
+            if math.prod(map(len, thinned)) <= budget:
+                for idx in itertools.product(*thinned):
+                    if sum(1 for j in idx if j) > 1:  # not on an axis ladder
+                        sample(np.array(idx) * ln_q)
+                break
+    if not np.all(np.isfinite(best)):
+        raise DegenerateInputError("minor coefficients overflow the float range")
+    fl = np.exp(log_err)
+    best.real[np.abs(best.real) <= fl] = 0.0
+    best.imag[np.abs(best.imag) <= fl] = 0.0
+    exps = [tuple(int(a) for a in ks[t]) for t in keep]
+    polys = [
+        PolyW(m, {exps[t]: complex(best[t, u]) for t in np.flatnonzero(best[:, u])})
+        for u in range(n)
+    ]
+    det_c = polys[0]
+    zero = PolyW(m, {})
+    rows: list[list[PolyW]] = []
+    for j, l in enumerate(range(r, p)):
+        X = [zero] * p
+        X[:r] = polys[1 + j * r : 1 + (j + 1) * r]
+        X[l] = det_c
+        rows.append(X)
+    return det_c, rows
 
 
 @dataclass
@@ -251,9 +442,11 @@ def annihilator(
     """Holomorphic left annihilator via bordered-minor cofactors.
 
     A rank-revealing pivot search at the witness selects the r x r block
-    C(w); for each extra row the bordered (r+1) x (r+1) matrix supplies
+    C(w); for each extra row the bordered (r+1) x r block [C; A_l] supplies
     cofactors forming a row X_j with X_j(w) A(w) = 0 identically (every
-    (r+1)-minor of A vanishes since r is the maximal rank).
+    (r+1)-minor of A vanishes since r is the maximal rank).  The symbolic
+    product B(w) A(w) is then formed in exact PolyW arithmetic as an
+    independent certificate (``product_residual``).
     """
     m = A.fam.w_arity
     p, q = A.p, A.q
@@ -287,27 +480,10 @@ def annihilator(
         )
 
     Ap = [[A.entries[row_perm[i]][col_perm[j]] for j in range(q)] for i in range(p)]
-    C = [[Ap[i][j] for j in range(r)] for i in range(r)]
-    det_c = _sym_det(C, m)
+    pivot_cols = [row[:r] for row in Ap]
+    C = pivot_cols[:r]
+    det_c, rows = _det_and_cofactors(pivot_cols, m)
     zero = PolyW(m, {})
-    rows: list[list[PolyW]] = []
-    for j in range(1, p - r + 1):
-        # bordered matrix: pivot rows/cols plus row r+j and column r+j
-        D = [
-            [Ap[i][c] for c in range(r)] + [Ap[i][r + j - 1]] for i in range(r)
-        ]
-        D.append([Ap[r + j - 1][c] for c in range(r)] + [Ap[r + j - 1][r + j - 1]])
-        X = [zero] * p
-        for k in range(1, r + 1):
-            minor = [
-                [row[c] for c in range(r)]
-                for idx, row in enumerate(D)
-                if idx != k - 1
-            ]
-            sign = -1.0 if (k - 1 + r) % 2 else 1.0
-            X[k - 1] = sign * _sym_det(minor, m)
-        X[r + j - 1] = det_c
-        rows.append(X)
 
     # certify the exact polynomial identity B(w) A(w) = 0
     residual = 0.0
@@ -561,12 +737,21 @@ def krull_stabilize(
     degree: int = 8,
     quad: QuadSpec | None = None,
     seed: int = 0,
+    scan: LambdaScanResult | None = None,
 ) -> KrullResult:
-    """Lambda_N grid sets for N = 2..n_max with the Krull nesting check."""
+    """Lambda_N grid sets for N = 2..n_max with the Krull nesting check.
+
+    ``scan``, when given, is a ``lambda_scan`` already made with these
+    generators, weight, grid and settings; it is reused for its own order
+    instead of scanning that order again.
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     per_n: dict[int, LambdaScanResult] = {}
     for N in range(2, n_max + 1):
+        if scan is not None and scan.res.matrix.fam.truncation == N:
+            per_n[N] = scan
+            continue
         famN = IdealFamily(fam.z_arity, fam.w_arity, fam.generators, N)
         per_n[N] = lambda_scan(
             famN, phi_joint, w_grid, fiber_domain, degree, quad, seed=seed

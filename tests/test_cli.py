@@ -102,6 +102,49 @@ class TestAnnihilateCommand:
         assert len(out["rows"]) == 2
 
 
+class TestTwoBaseCoordinates:
+    IDEAL = {
+        "zArity": 2, "wArity": 2, "truncation": 2,
+        "generators": [[{"beta": [1, 0, 0, 0], "re": 1.0, "im": 0.0},
+                        {"beta": [0, 1, 1, 0], "re": -1.0, "im": 0.0}]],
+    }
+
+    def test_annihilate_without_grid(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"ideal": self.IDEAL}))
+        assert run("annihilate", path, tmp_path / "o") == 0
+        out = payload(tmp_path / "o" / "annihilator.json")
+        assert out["rank"] == 1 and out["productResidual"] < 1e-10
+
+    def test_square_grid_form_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(
+            {"ideal": self.IDEAL, "wGrid": {"halfWidth": 0.6, "count": 5}}
+        ))
+        assert run("annihilate", path, tmp_path / "o") == cli.EXIT_CONFIG
+        assert "halfWidth" in capsys.readouterr().err
+
+
+class TestAnnihilateNumericalFailure:
+    def test_degenerate_input_exits_3_with_error_record(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from xibergman import ideal
+
+        def degenerate(*args, **kwargs):
+            raise ideal.DegenerateInputError("no nonsingular pivot block")
+
+        monkeypatch.setattr(ideal, "build_annihilator", degenerate)
+        code = run("annihilate", CONFIGS / "annihilate_pencil.json", tmp_path)
+        assert code == cli.EXIT_NUMERICAL == 3
+        assert "no nonsingular pivot block" in capsys.readouterr().err
+        assert payload(tmp_path / "error.json") == {
+            "error": "DegenerateInputError",
+            "message": "no nonsingular pivot block",
+        }
+        assert not (tmp_path / "annihilator.json").exists()
+
+
 class TestLambdaCommand:
     def test_pstar_lambda_is_origin_with_krull(self, tmp_path):
         code = run("lambda", CONFIGS / "lambda_pstar.json", tmp_path)
@@ -116,6 +159,56 @@ class TestLambdaCommand:
         assert lines[1] == "w_re,w_im,in_Lambda,PsiN"
         in_lambda = [l.split(",")[2] for l in lines[2:]]
         assert in_lambda.count("1") == 1
+
+    def test_two_base_coordinates_in_csv(self, tmp_path):
+        # I = (z1) over w in C^2 with weight 2 log|z1 - w1 z2|: the fiber
+        # multiplier ideal (z1 - w1 z2) lies in I + m^2 exactly when w1 = 0
+        cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
+        cfg["ideal"] = {
+            "zArity": 2, "wArity": 2, "truncation": 2,
+            "generators": [[{"beta": [1, 0, 0, 0], "re": 1.0, "im": 0.0}]],
+        }
+        cfg["weight"]["arity"] = 4
+        cfg["weight"]["g"] = [
+            {"beta": [1, 0, 0, 0], "re": 1.0, "im": 0.0},
+            {"beta": [0, 1, 1, 0], "re": -1.0, "im": 0.0},
+        ]
+        cfg["grid"] = [[[0.0, 0.0], [0.3, 0.1]], [[0.4, 0.0], [0.0, -0.2]],
+                       [[0.1, -0.2], [0.2, 0.0]]]
+        del cfg["nMax"]
+        path = tmp_path / "lambda2.json"
+        path.write_text(json.dumps(cfg))
+        assert run("lambda", path, tmp_path / "o") == 0
+        out = payload(tmp_path / "o" / "lambda.json")
+        assert out["agree"] is True
+        assert out["lambdaPsi"] == [[[0.0, 0.0], [0.3, 0.1]]]
+        lines = (tmp_path / "o" / "lambda.csv").read_text().splitlines()
+        assert lines[1] == "w1_re,w1_im,w2_re,w2_im,in_Lambda,PsiN"
+        rows = [l.split(",") for l in lines[2:]]
+        assert [[float(x) for x in r[:4]] for r in rows] == [
+            [0.0, 0.0, 0.3, 0.1], [0.4, 0.0, 0.0, -0.2], [0.1, -0.2, 0.2, 0.0]
+        ]
+        assert [r[4] for r in rows] == ["1", "0", "0"]
+
+    def test_nmax_reuses_the_first_scan(self, tmp_path, monkeypatch):
+        from xibergman import ideal
+
+        orders = []
+        real_scan = ideal.lambda_scan
+
+        def counting_scan(fam, *args, **kwargs):
+            orders.append(fam.truncation)
+            return real_scan(fam, *args, **kwargs)
+
+        monkeypatch.setattr(ideal, "lambda_scan", counting_scan)
+        cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
+        cfg["nMax"] = 4
+        path = tmp_path / "lambda4.json"
+        path.write_text(json.dumps(cfg))
+        assert run("lambda", path, tmp_path / "o") == 0
+        assert orders == [2, 3, 4]
+        krull = payload(tmp_path / "o" / "lambda.json")["krull"]
+        assert krull["perN"] == {"2": 1, "3": 1, "4": 1}
 
 
 class TestExtendCommand:

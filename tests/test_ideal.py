@@ -10,16 +10,21 @@ Frozen oracles (hand expansions):
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.fiberwise import square_grid, submean_check
 from xibergman.functional import multi_indices_upto
 from xibergman.ideal import (
+    DegenerateInputError,
     IdealFamily,
     OutsideUError,
+    _det_and_cofactors,
     annihilator,
     annihilator_to_json,
     build_annihilator,
@@ -191,6 +196,246 @@ class TestAnnihilator:
         obj = annihilator_to_json(res)
         assert obj["rank"] == 1 and obj["s"] == 2 and obj["p"] == 3
         assert len(obj["rows"]) == 2 and len(obj["rows"][0]) == 3
+
+
+def laplace_det(M: list[list[PolyW]], m: int) -> PolyW:
+    """Reference determinant: first-column Laplace expansion in PolyW."""
+    if not M:
+        return PolyW.constant(1.0, m)
+    total = PolyW(m, {})
+    for i, row in enumerate(M):
+        if row[0].coeffs:
+            minor = [other[1:] for k, other in enumerate(M) if k != i]
+            term = row[0] * laplace_det(minor, m)
+            total = total + (-term if i % 2 else term)
+    return total
+
+
+def assert_same_poly(got: PolyW, want: PolyW, scale: float):
+    # integer inputs make the reference exact; an exact zero must stay zero
+    assert set(got.coeffs) == set(want.coeffs)
+    for a, c in want.coeffs.items():
+        assert abs(got.coeffs[a] - c) <= 1e-12 * scale
+
+
+def check_against_laplace(M: list[list[PolyW]], m: int):
+    """det C and every bordered cofactor agree with the reference."""
+    p, r = len(M), len(M[0]) if M else 0
+    det_c, rows = _det_and_cofactors(M, m)
+    ref_det = laplace_det(M[:r], m)
+    entries = [abs(c) for row in M for e in row for c in e.coeffs.values()]
+    scale = max(1.0, max(entries, default=0.0)) ** (r + 1) * math.factorial(r + 1)
+    assert_same_poly(det_c, ref_det, scale)
+    assert len(rows) == p - r
+    for l, X in zip(range(r, p), rows):
+        assert len(X) == p
+        bordered = M[:r] + [M[l]]
+        for k in range(r):
+            minor = [row for i, row in enumerate(bordered) if i != k]
+            want = laplace_det(minor, m)
+            assert_same_poly(X[k], want if (k + r) % 2 == 0 else -want, scale)
+        assert_same_poly(X[l], ref_det, scale)
+        assert all(not X[i].coeffs for i in range(r, p) if i != l)
+
+
+@st.composite
+def sparse_poly_matrices(draw):
+    """p x r matrices, r <= 6, of sparse integer polynomials in m <= 2 vars."""
+    m = draw(st.sampled_from([1, 2]))
+    r = draw(st.integers(0, 6))
+    p = r + draw(st.integers(0, 2))
+    mono = st.tuples(*[st.integers(0, 2)] * m)
+    coeff = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    entry = st.one_of(
+        st.just({}),
+        st.dictionaries(mono, coeff, max_size=3),
+    ).map(lambda d: PolyW(m, d))
+    M = [[draw(entry) for _ in range(r)] for _ in range(p)]
+    return M, m
+
+
+@st.composite
+def wide_range_triangular(draw):
+    """Row-permuted upper-triangular matrices whose det spans many decades.
+
+    The diagonal entries are 1 + a w^beta with a a power of two in
+    [2^-10, 2^10], so det = +-prod(1 + a w^beta) has positive coefficients
+    over up to twelve decades (within what PolyW keeps, 1e-14 of the
+    largest); the entries above the diagonal, when drawn, are small sparse
+    integer polynomials that do not change the determinant.
+    """
+    m = draw(st.sampled_from([1, 2]))
+    r = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 2)] * m).filter(any)
+    diag = [
+        PolyW(m, {(0,) * m: 1.0, draw(mono): 2.0 ** draw(st.integers(-10, 10))})
+        for _ in range(r)
+    ]
+    coeff = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    upper = st.dictionaries(mono, coeff, max_size=2).map(lambda d: PolyW(m, d))
+    zero = PolyW(m, {})
+    fill = draw(st.booleans())
+    entry = upper if fill else st.just(zero)
+    T = [
+        [diag[i] if j == i else (draw(entry) if j > i else zero) for j in range(r)]
+        for i in range(r)
+    ]
+    perm = draw(st.permutations(range(r)))
+    sign = 1.0
+    for i in range(r):
+        for j in range(i + 1, r):
+            if perm[i] > perm[j]:
+                sign = -sign
+    want = PolyW.constant(sign, m)
+    for h in diag:
+        want = want * h
+    return [T[k] for k in perm], m, want, fill
+
+
+def torus_error(got: PolyW, want: PolyW) -> float:
+    """Largest coefficient error over the largest term, on tori 2^-60..2^60."""
+    keys = sorted(set(got.coeffs) | set(want.coeffs))
+    A = np.array(keys, dtype=float).reshape(len(keys), want.arity)
+    c = np.array([abs(want.coeffs.get(a, 0)) for a in keys])
+    e = np.array([abs(got.coeffs.get(a, 0) - want.coeffs.get(a, 0)) for a in keys])
+    axis = np.arange(-60, 60.5, 0.5)  # log2 of each radius
+    S = np.stack(np.meshgrid(*[axis] * want.arity, indexing="ij"), -1)
+    S = S.reshape(-1, want.arity)
+    with np.errstate(divide="ignore"):
+        terms = np.log2(c) + S @ A.T
+        errs = np.log2(e) + S @ A.T
+    return float(2.0 ** (errs.max(axis=1) - terms.max(axis=1)).max())
+
+
+def power(h: PolyW, k: int) -> PolyW:
+    out = PolyW.constant(1.0, h.arity)
+    for _ in range(k):
+        out = out * h
+    return out
+
+
+class TestDeterminant:
+    @given(wide_range_triangular())
+    @settings(max_examples=100, deadline=None)
+    def test_wide_dynamic_range(self, case):
+        # No sampling resolves a coefficient far below the Newton polygon
+        # better than its neighbours allow, so the claim is the one that
+        # evaluation needs: on every torus the coefficient errors stay small
+        # against the largest term.  The error bound is Hadamard's, which
+        # entries above the diagonal inflate (3000 draws reached 2e-8);
+        # without them it is the determinant's own size (2.3e-13 at most),
+        # where the unit torus alone reaches 2e-6
+        M, m, want, fill = case
+        det_c, _ = _det_and_cofactors(M, m)
+        assert set(det_c.coeffs) <= set(want.coeffs)
+        assert torus_error(det_c, want) < (1e-7 if fill else 1e-11)
+
+    @pytest.mark.parametrize(
+        "gens, n, N",
+        [
+            # one generator z (1 + 8w), N = 15: C is a permuted diag(h)
+            ([PolyW(2, {(1, 0): 1.0, (1, 1): 8.0})], 1, 15),
+            # the pair z1 h, z2 h at N = 5, the benchmark's shape (r = 14)
+            ([PolyW(3, {(1, 0, 0): 1.0, (1, 0, 1): 8.0}),
+              PolyW(3, {(0, 1, 0): 1.0, (0, 1, 1): 8.0})], 2, 5),
+        ],
+    )
+    def test_det_spanning_thirteen_decades(self, gens, n, N):
+        # det C = +-(1 + 8w)^14, coefficients from 1 to ~6e12: the constant
+        # term must survive, so w = 0 stays inside U
+        res = build_annihilator(IdealFamily(n, 1, gens, N))
+        assert res.r == 14
+        h14 = power(PolyW(1, {(0,): 1.0, (1,): 8.0}), 14)
+        sign = 1.0 if res.det_c.coeffs[(14,)].real > 0 else -1.0
+        assert set(res.det_c.coeffs) == set(h14.coeffs)
+        for a, c in h14.coeffs.items():
+            assert res.det_c.coeffs[a] == pytest.approx(sign * c, rel=1e-12, abs=0)
+        assert res.det_c.coeffs[(0,)] == pytest.approx(sign, rel=1e-12)
+        assert res.in_U(0.0)
+        assert res.product_residual < 1e-10
+
+    def test_mixed_scales_in_two_variables(self):
+        # det = (1 + 100 w2)^4 (1 + w1 / 100)^4: w1^4 w2^0 needs a large
+        # radius in w1 and a small one in w2 at once
+        m = 2
+        diag = [PolyW(m, {(0, 0): 1.0, (0, 1): 100.0})] * 4 + [
+            PolyW(m, {(0, 0): 1.0, (1, 0): 0.01})
+        ] * 4
+        zero = PolyW(m, {})
+        M = [[h if i == j else zero for j in range(8)] for i, h in enumerate(diag)]
+        want = PolyW.constant(1.0, m)
+        for h in diag:
+            want = want * h
+        det_c, _ = _det_and_cofactors(M, m)
+        assert set(det_c.coeffs) == set(want.coeffs)
+        for a, c in want.coeffs.items():
+            assert det_c.coeffs[a] == pytest.approx(c, rel=1e-12, abs=0)
+
+    def test_sample_count_is_per_axis(self):
+        # entries 1 + (w1 w2 w3 w4)^5: total degree 60 but 15 per axis, so
+        # 16^4 samples rather than 61^4
+        m = 4
+        t = PolyW(m, {(5,) * m: 1.0})
+        one, zero = PolyW.constant(1.0, m), PolyW(m, {})
+        h = one + t
+        M = [[h, one, zero], [zero, h, one], [one, zero, h]]
+        check_against_laplace(M, m)
+
+    def test_oversized_block_is_refused(self):
+        # 121^4 samples would exhaust memory; refused before any is taken
+        m = 4
+        h = PolyW(m, {(0,) * m: 1.0, (40,) * m: 1.0})
+        zero = PolyW(m, {})
+        M = [[h if i == j else zero for j in range(3)] for i in range(3)]
+        with pytest.raises(DegenerateInputError, match="too large"):
+            _det_and_cofactors(M, m)
+
+    @given(sparse_poly_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_laplace_expansion(self, case):
+        check_against_laplace(*case)
+
+    def test_zero_row(self):
+        w = PolyW(1, {(1,): 1.0})
+        one = PolyW.constant(1.0, 1)
+        zero = PolyW(1, {})
+        M = [[w, one, one], [zero, zero, zero], [one, w, one], [one, one, w]]
+        check_against_laplace(M, 1)
+        det_c, rows = _det_and_cofactors(M, 1)
+        assert not det_c.coeffs
+
+    def test_constant_entries(self):
+        M = [[PolyW.constant(c, 2) for c in row]
+             for row in ([2, 1, 0], [1, 3, 1], [0, 1, 4], [1, 1, 1])]
+        check_against_laplace(M, 2)
+        det_c, _ = _det_and_cofactors(M, 2)
+        assert det_c.coeffs.keys() == {(0, 0)}
+        assert det_c.coeffs[(0, 0)] == pytest.approx(18.0, abs=1e-12)
+
+    def test_empty_block(self):
+        M = [[], []]
+        det_c, rows = _det_and_cofactors(M, 1)
+        assert det_c.coeffs == {(0,): 1.0}
+        assert [[e.coeffs for e in X] for X in rows] == [
+            [{(0,): 1.0}, {}], [{}, {(0,): 1.0}]
+        ]
+
+    def test_dense_order_six_pair(self):
+        # two generic generators of degree <= 2 in (z1, z2, w) vanishing on
+        # z = 0: p = 21 jets, r = 20; Laplace expansion took ~100 s here
+        rng = np.random.default_rng(6)
+        monos = [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 2, 0),
+                 (1, 0, 1), (0, 1, 1)]
+        gens = [
+            PolyW(3, {a: complex(*rng.normal(size=2)) for a in monos})
+            for _ in range(2)
+        ]
+        t0 = time.perf_counter()
+        res = build_annihilator(IdealFamily(2, 1, gens, 6))
+        elapsed = time.perf_counter() - t0
+        assert res.p == 21 and res.r == 20
+        assert res.product_residual < 1e-10
+        assert elapsed < 10.0
 
 
 class TestMembership:
