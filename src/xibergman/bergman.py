@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import comb
+from scipy.special import comb, gammainc, gammaln
 
 from .family import PolyW
 from .functional import Functional, MultiIndex, multi_indices_upto
@@ -28,7 +28,6 @@ from .weights import (
     UnsupportedWeightError,
     ZeroWeight,
     monomial_moment,
-    separable_radial_parts,
 )
 
 EIG_CUTOFF_REL = 1e-12
@@ -71,9 +70,14 @@ class GramModel:
     rank: int | None = None
     eigenvalues: np.ndarray | None = None
     # flattened basis terms for vectorized functional action
-    _flat_exps: np.ndarray = field(default=None, repr=False)
-    _flat_coeffs: np.ndarray = field(default=None, repr=False)
-    _flat_seg: np.ndarray = field(default=None, repr=False)
+    _flat_exps: np.ndarray = field(init=False, repr=False)
+    _flat_coeffs: np.ndarray = field(init=False, repr=False)
+    _flat_seg: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._flat_exps, self._flat_coeffs, self._flat_seg = _flatten_basis(
+            self.basis, self.arity
+        )
 
     @property
     def arity(self) -> int:
@@ -128,35 +132,82 @@ def _local_monomial(alpha: MultiIndex, center: tuple[complex, ...]) -> PolyW:
     return out
 
 
-def _log_monomial_exponents(weight, arity: int) -> tuple[float, ...]:
-    """Aggregate log-monomial exponent vector across a (sum) weight."""
-    if isinstance(weight, LogMonomialWeight):
-        return weight.coeffs
+def _radial_parts(weight, domain: Polydisc):
+    """(q, c, shift, radial) of a catalog weight on a polydisc.
+
+    psi = sum_i q_i |z_i - a_i|^2 + 2 sum_i c_i log|z_i| + shift, where c
+    keeps only the log exponents whose pole z_i = 0 is the local origin (the
+    domain center): those alone decide which (z - center)^alpha are square
+    integrable.  radial says that every part is zero, a constant, a quadratic
+    centered on the domain center, or a log-monomial with its poles at the
+    local origin, so that e^{-psi} is a product of functions of |z_i - center_i|.
+    """
+    n = domain.arity
     if isinstance(weight, SumWeight):
-        total = [0.0] * arity
-        for p in weight.parts:
-            for i, c in enumerate(_log_monomial_exponents(p, arity)):
-                total[i] += c
-        return tuple(total)
-    return (0.0,) * arity
-
-
-def _has_closed_form(weight, domain: Polydisc) -> bool:
-    if isinstance(weight, (ZeroWeight, ConstantWeight)):
-        return True
-    if isinstance(weight, LogMonomialWeight):
-        return all(c == 0 for c in domain.center)
-    if isinstance(weight, SumWeight):
-        return all(_has_closed_form(p, domain) for p in weight.parts)
-    return False
-
-
-def _constant_shift(weight) -> float:
+        parts = [_radial_parts(p, domain) for p in weight.parts]
+        return (
+            [sum(p[0][i] for p in parts) for i in range(n)],
+            [sum(p[1][i] for p in parts) for i in range(n)],
+            sum(p[2] for p in parts),
+            all(p[3] for p in parts),
+        )
+    q, c = [0.0] * n, [0.0] * n
     if isinstance(weight, ConstantWeight):
-        return weight.value
-    if isinstance(weight, SumWeight):
-        return sum(_constant_shift(p) for p in weight.parts)
-    return 0.0
+        return q, c, weight.value, True
+    if isinstance(weight, QuadraticWeight):
+        pairs = list(zip(weight.coeffs, weight.center, domain.center))
+        radial = all(qi == 0 or ai == ci for qi, ai, ci in pairs)
+        return [qi for qi, _, _ in pairs], c, 0.0, radial
+    if isinstance(weight, LogMonomialWeight):
+        pairs = list(zip(weight.coeffs, domain.center))
+        c = [ci if center == 0 else 0.0 for ci, center in pairs]
+        return q, c, 0.0, all(ci == 0 or center == 0 for ci, center in pairs)
+    return q, c, 0.0, isinstance(weight, ZeroWeight)
+
+
+def _radial_moment(e: float, q: float, R: float) -> float:
+    """Integral of |z|^(2e - 2) exp(-q |z|^2) over the disc |z| < R.
+
+    Equals pi Gamma(e) P(e, q R^2) / q^e (DLMF 8.2.4), and pi R^(2e) / e at
+    q = 0; +inf when e <= 0.
+    """
+    if e <= 0:
+        return math.inf
+    x = q * R * R
+    if x >= e:
+        # past the mean of the Gamma(e) law P(e, x) > 1/2: no underflow
+        return math.pi * math.exp(
+            gammaln(e) + math.log(gammainc(e, x)) - e * math.log(q)
+        )
+    # DLMF 8.7.1: Gamma(e) P(e, x) = x^e e^{-x} sum_k x^k / (e (e+1) ... (e+k));
+    # gammainc itself underflows to 0 here (P(50, 1e-6) < 1e-300)
+    total, term, k = 1.0, 1.0, 0
+    while term > 1e-17 * total:
+        k += 1
+        term *= x / (e + k)
+        total += term
+    return math.pi * R ** (2.0 * e) / e * math.exp(-x) * total
+
+
+def radial_moments(weight, domain: Polydisc, labels) -> np.ndarray | None:
+    """Diagonal Gram entries of the (z - center)^alpha, alpha in labels.
+
+    When the weight is radial about the domain center (zero, constants,
+    quadratics centered there, log-monomials with their poles at the local
+    origin, and sums of these) the Gram matrix is diagonal with entries
+    e^{-shift} prod_i pi Gamma(e_i) P(e_i, q_i R_i^2) / q_i^{e_i}, where
+    e_i = alpha_i - c_i + 1.  Returns None for any other weight.
+    """
+    q, c, shift, radial = _radial_parts(weight, domain)
+    if not radial:
+        return None
+    labels = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
+    diag = np.ones(len(labels))
+    for i, (R, qi, ci) in enumerate(zip(domain.radii, q, c)):
+        top = int(labels[:, i].max(initial=0))
+        table = np.array([_radial_moment(k - ci + 1.0, qi, R) for k in range(top + 1)])
+        diag *= table[labels[:, i]]
+    return diag * math.exp(-shift)
 
 
 def _radial_quadrature_axes(domain: Polydisc, quad: QuadSpec, max_deg: int):
@@ -174,29 +225,24 @@ def _radial_quadrature_axes(domain: Polydisc, quad: QuadSpec, max_deg: int):
 
 
 def _separable_quadrature_gram(domain, weight, labels, quad):
-    dec = separable_radial_parts(weight, domain.arity)
-    pre, dens = dec
-    if isinstance(weight, QuadraticWeight) and weight.center != domain.center:
-        raise UnsupportedWeightError("quadratic center must match domain center")
+    """Gram of a radial weight by one polar Gauss-Legendre grid per coordinate."""
+    q, c, shift, _ = _radial_parts(weight, domain)
     d = max((max(a) for a in labels), default=0)
     axes = _radial_quadrature_axes(domain, quad, d)
+    k = np.arange(d + 1)
     mats = []
-    for i, (r, wr, theta) in enumerate(axes):
-        # M[a, b] = int disc (re^{it})^a conj^b f_i(r) r dr dt
+    for (r, wr, theta), qi, ci in zip(axes, q, c):
+        # M[a, b] = int disc (re^{it})^a conj^b e^{-q r^2} r^{-2c} r dr dt
+        dens = np.exp(-qi * r**2) * r ** (-2.0 * ci)
         radial = np.array(
-            [[np.sum(r ** (a + b + 1) * dens[i](r) * wr) for b in range(d + 1)]
-             for a in range(d + 1)]
+            [[np.sum(r ** (a + b + 1) * dens * wr) for b in k] for a in k]
         )
-        na = len(theta)
-        k = np.arange(d + 1)
-        ang = np.zeros((d + 1, d + 1))
         diff = k[:, None] - k[None, :]
         ang = np.real(np.exp(1j * np.outer(diff.ravel(), theta)).sum(axis=1)).reshape(
             d + 1, d + 1
-        ) * (2.0 * math.pi / na)
+        ) * (2.0 * math.pi / len(theta))
         mats.append(radial * ang)
-    p = len(labels)
-    G = np.ones((p, p), dtype=complex) * pre
+    G = np.full((len(labels), len(labels)), math.exp(-shift), dtype=complex)
     for i in range(domain.arity):
         ai = np.array([a[i] for a in labels])
         G = G * mats[i][np.ix_(ai, ai)]
@@ -213,7 +259,7 @@ def _tensor_quadrature_gram(domain, weight, basis, quad):
     node_count = math.prod(len(r) * len(th) for r, _, th in axes)
     if node_count * max(len(basis), 1) > 5e7:
         raise UnsupportedWeightError(
-            "tensor quadrature grid too large; use a separable weight or lower degree"
+            "tensor quadrature grid too large; use a radial weight or lower degree"
         )
     # build full grids of points and weights
     grids = []
@@ -251,20 +297,30 @@ def assemble_gram(
     degree: int,
     quad: QuadSpec | None = None,
     method: str = "auto",
+    labels: Sequence[MultiIndex] | None = None,
 ) -> GramModel:
     """Build a truncated weighted-Bergman model on a polydisc.
 
-    method: "auto" uses closed-form moments when exact (zero, log-monomial,
-    constant shifts) and the divisor-factored basis for log-divisor weights;
-    "quadrature" forces numerical integration; "closed" forces the moment
-    formula (error when unavailable).
+    The basis is (z - center)^alpha for alpha in labels (default: every
+    |alpha| <= degree), times g for a log-divisor weight 2 log|g|; labels
+    whose monomial is not square integrable at a log pole are dropped.
+    method: "auto" takes the divisor-factored basis for log-divisor weights,
+    the exact moments of ``radial_moments`` for weights radial about the
+    domain center (zero, constants, centered quadratics, log-monomials with
+    their poles at the local origin, and sums of these), and tensor
+    Gauss-Legendre quadrature for every other weight; "quadrature" integrates
+    numerically, with one polar grid per coordinate for radial weights;
+    "closed" forces the exact moments (UnsupportedWeightError when the weight
+    is not radial).
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValueError(f"unknown Gram method {method!r}")
     quad = quad or QuadSpec()
     quad.validate_for(domain)
     n = domain.arity
-    labels = multi_indices_upto(n, degree)
+    labels = multi_indices_upto(n, degree) if labels is None else list(labels)
 
     if isinstance(weight, LogDivisorWeight):
         if method == "closed":
@@ -278,48 +334,28 @@ def assemble_gram(
         basis = [weight.g * _local_monomial(a, domain.center) for a in labels]
         diag = np.array([monomial_moment(domain.radii, a) for a in labels])
         G = np.diag(diag).astype(complex)
-        model = GramModel(domain, weight, degree, basis, labels, G)
-        model._flat_exps, model._flat_coeffs, model._flat_seg = _flatten_basis(
-            basis, n
-        )
-        return model
+        return GramModel(domain, weight, degree, basis, labels, G)
 
     # analytic exclusion of non-square-integrable monomials
-    cvec = _log_monomial_exponents(weight, n)
+    cvec = _radial_parts(weight, domain)[1]
     labels = [
         a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
     ]
     basis = [_local_monomial(a, domain.center) for a in labels]
     if not labels:
         G = np.zeros((0, 0), dtype=complex)
-        model = GramModel(domain, weight, degree, [], [], G)
-        model._flat_exps, model._flat_coeffs, model._flat_seg = _flatten_basis([], n)
-        return model
+        return GramModel(domain, weight, degree, [], [], G)
 
-    closed_ok = _has_closed_form(weight, domain)
-    if method == "closed" and not closed_ok:
+    moments = radial_moments(weight, domain, labels)
+    if method == "closed" and moments is None:
         raise UnsupportedWeightError("closed-form moments unavailable for this weight")
-
-    if method in ("auto", "closed") and closed_ok:
-        shift = _constant_shift(weight)
-        diag = np.array(
-            [
-                monomial_moment(domain.radii, a, cvec) * math.exp(-shift)
-                for a in labels
-            ]
-        )
-        G = np.diag(diag).astype(complex)
+    if moments is None:
+        G = _tensor_quadrature_gram(domain, weight, basis, quad)
+    elif method == "quadrature":
+        G = _separable_quadrature_gram(domain, weight, labels, quad)
     else:
-        if separable_radial_parts(weight, n) is not None and not (
-            isinstance(weight, QuadraticWeight) and weight.center != domain.center
-        ):
-            G = _separable_quadrature_gram(domain, weight, labels, quad)
-        else:
-            G = _tensor_quadrature_gram(domain, weight, basis, quad)
-
-    model = GramModel(domain, weight, degree, basis, labels, G)
-    model._flat_exps, model._flat_coeffs, model._flat_seg = _flatten_basis(basis, n)
-    return model
+        G = np.diag(moments).astype(complex)
+    return GramModel(domain, weight, degree, basis, labels, G)
 
 
 def orthonormalize(model: GramModel) -> GramModel:

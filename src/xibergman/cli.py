@@ -15,7 +15,6 @@ import datetime
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -116,13 +115,22 @@ def validate_config(cfg: dict, command: str) -> None:
 # Config decoding helpers
 # ---------------------------------------------------------------------------
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _cx(pair) -> complex:
-    if isinstance(pair, (int, float)):
+    """A complex number given as a real number or as an ``[re, im]`` pair."""
+    if _is_real(pair):
         return complex(pair)
-    return complex(pair[0], pair[1])
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair)):
+        return complex(pair[0], pair[1])
+    raise ConfigError(f"expected a number or an [re, im] pair, got {pair!r}")
 
 
 def _point(seq) -> tuple[complex, ...]:
+    if not isinstance(seq, (list, tuple)):
+        raise ConfigError(f"expected a list of coordinates, got {seq!r}")
     return tuple(_cx(p) for p in seq)
 
 
@@ -203,7 +211,7 @@ def _json_safe(x):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_kernel(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def _cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
     domain = _domain(cfg["domain"])
     wt = weights.weight_from_json(cfg["weight"])
     xi = functional.functional_from_json(cfg["functional"])
@@ -226,7 +234,7 @@ def _cmd_kernel(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_scan_psh(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
     fiber_domain = _domain(cfg["fiberDomain"])
     base_domain = _domain(cfg["baseDomain"])
     wt = weights.weight_from_json(cfg["weight"])
@@ -266,23 +274,17 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int, threads: int) -> int:
         any_fail = any_fail or not rep.passed
 
     if "grid" in cfg:
-        pts = _grid_points(cfg["grid"])
-
-        def cell(w):
-            return (w.real, w.imag, fiberwise.log_kernel_on_fiber(problem, (w,), z))
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                rows = list(ex.map(cell, pts))
-        else:
-            rows = [cell(w) for w in pts]
+        rows = [
+            (w.real, w.imag, fiberwise.log_kernel_on_fiber(problem, (w,), z))
+            for w in _grid_points(cfg["grid"])
+        ]
         _write_csv(out / "scan.csv", ["w_re", "w_im", "logK"], rows)
 
     _write_json(out / "psh_report.json", _json_safe({"reports": reports}))
     return EXIT_VERIFY_FAIL if any_fail else EXIT_OK
 
 
-def _cmd_annihilate(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def _cmd_annihilate(cfg: dict, out: Path, seed: int) -> int:
     fam = ideal.ideal_from_json(cfg["ideal"])
     # the witness grid; with m > 1 base variables it defaults to (0.3, ..., 0.3)
     default = (
@@ -295,7 +297,7 @@ def _cmd_annihilate(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_lambda(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
     fam = ideal.ideal_from_json(cfg["ideal"])
     wt = weights.weight_from_json(cfg["weight"])
     grid = _grid_points(cfg["grid"], fam.w_arity)
@@ -346,7 +348,7 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK if payload["agree"] else EXIT_VERIFY_FAIL
 
 
-def _cmd_extend(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
     fiber_domain = _domain(cfg["fiberDomain"])
     wt = weights.weight_from_json(cfg["weight"])
     fobj = cfg["f"]
@@ -391,7 +393,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -402,7 +403,7 @@ def main(argv=None) -> int:
         cfg = json.loads(Path(args.config).read_text())
         validate_config(cfg, args.command)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.seed, max(1, args.threads))
+        return _COMMANDS[args.command](cfg, out, args.seed)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

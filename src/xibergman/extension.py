@@ -2,10 +2,14 @@
 
 Given a polynomial datum f on the fiber over w0 of a polydisc-times-disc
 product, the minimizer of the joint weighted norm among truncated-basis
-functions restricting to f on the fiber is found by null-space constrained
-quadratic minimization.  The optimal-constant check compares the joint norm
-per unit base area against the fiber norm: the ratio is at most 1 (with
-equality for base-independent weights), which is the sharp constant pi r^2.
+functions restricting to f on the fiber is found by a Schur-complement
+solve: restriction to w = w0 fixes the coefficients b of the w-constant basis
+elements to those of f, and the free ones solve G_FF y = -G_FC b.  The joint
+Gram matrix comes from ``assemble_gram`` on the product domain, so a joint
+weight radial about (center, w0) takes exact moments.  The optimal-constant
+check compares the joint norm per unit base area against the fiber norm: the
+ratio is at most 1 (with equality for base-independent weights), which is the
+sharp constant pi r^2.
 """
 
 from __future__ import annotations
@@ -20,12 +24,6 @@ from .bergman import (
     EIG_CUTOFF_REL,
     GramModel,
     QuadSpec,
-    _flatten_basis,
-    _has_closed_form,
-    _local_monomial,
-    _log_monomial_exponents,
-    _separable_quadrature_gram,
-    _tensor_quadrature_gram,
     assemble_gram,
     extremal_function,
     orthonormalize,
@@ -38,14 +36,7 @@ from .functional import (
     multi_indices_upto,
     recenter,
 )
-from .weights import (
-    Polydisc,
-    QuadraticWeight,
-    eval_weight,
-    monomial_moment,
-    separable_radial_parts,
-    substitute_base,
-)
+from .weights import Polydisc, eval_weight, substitute_base
 
 KKT_TOL = 1e-9
 RESTRICTION_TOL = 1e-12
@@ -122,30 +113,13 @@ class ExtensionProblem:
 
 def _joint_gram(prob: ExtensionProblem) -> GramModel:
     """Gram model on the product domain with the (dz, dw) bidegree basis."""
-    domain = prob.joint_domain()
-    labels = [a + (k,) for a, k in prob.joint_labels()]
     weight = prob.joint_weight.as_product_weight()
     if weight is None:
         weight = _JointView(prob.joint_weight, prob.n)
-    basis = [_local_monomial(a, domain.center) for a in labels]
-    arity = domain.arity
-    if _has_closed_form(weight, domain):
-        cvec = _log_monomial_exponents(weight, arity)
-        diag = np.array([monomial_moment(domain.radii, a, cvec) for a in labels])
-        G = np.diag(diag).astype(complex)
-    elif (
-        separable_radial_parts(weight, arity) is not None
-        and not any(c != 0 for c in domain.center)
-        and not (isinstance(weight, QuadraticWeight) and weight.center != domain.center)
-    ):
-        G = _separable_quadrature_gram(domain, weight, labels, prob.quad)
-    else:
-        G = _tensor_quadrature_gram(domain, weight, basis, prob.quad)
-    model = GramModel(domain, weight, prob.dz + prob.dw, basis, labels, G)
-    model._flat_exps, model._flat_coeffs, model._flat_seg = _flatten_basis(
-        basis, arity
+    labels = [a + (k,) for a, k in prob.joint_labels()]
+    return assemble_gram(
+        prob.joint_domain(), weight, prob.dz + prob.dw, prob.quad, labels=labels
     )
-    return model
 
 
 @dataclass
@@ -154,7 +128,7 @@ class ExtensionResult:
     model: GramModel  # joint Gram model
     coeffs: np.ndarray  # joint coefficient vector in the local basis
     kkt_residual: float
-    null_basis: np.ndarray  # constraint null space (columns)
+    null_basis: np.ndarray  # columns spanning the free (k > 0) coefficients
 
     def joint_poly(self) -> PolyW:
         return self.model.poly_from_coeffs(self.coeffs)
@@ -167,64 +141,39 @@ class ExtensionResult:
         return self.model.norm_sq(self.coeffs)
 
 
-def _restriction_map(prob: ExtensionProblem):
-    """Rows: fiber monomials in (z - center); columns: joint basis.
-
-    The joint basis is local at (center, w0), so restriction to w = w0 keeps
-    exactly the k = 0 columns.
-    """
-    fiber_labels = multi_indices_upto(prob.n, prob.dz)
-    row_of = {a: i for i, a in enumerate(fiber_labels)}
-    pairs = prob.joint_labels()
-    R = np.zeros((len(fiber_labels), len(pairs)), dtype=complex)
-    for j, (a, k) in enumerate(pairs):
-        if k == 0:
-            R[row_of[a], j] = 1.0
-    return fiber_labels, R
-
-
-def _fiber_coeff_vector(prob: ExtensionProblem, fiber_labels) -> np.ndarray:
-    """Coefficients of f in the local fiber monomials (z - center)^alpha."""
-    local = recenter(_as_taylor(prob.f), prob.fiber_domain.center)
-    b = np.zeros(len(fiber_labels), dtype=complex)
-    index = {a: i for i, a in enumerate(fiber_labels)}
-    for a, c in local.coeffs.items():
-        if a not in index:
-            raise InconsistentConstraintError(
-                f"fiber datum has monomial {a} beyond degree {prob.dz}"
-            )
-        b[index[a]] = c
-    return b
-
-
 def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
     """Minimize the joint weighted norm subject to exact fiber restriction.
 
-    Null-space method: with c = c0 + N y over the affine constraint set,
-    the minimizer solves (N* G N) y = -N* G c0.
+    The joint basis is local at (center, w0), so restriction to w = w0 keeps
+    exactly the basis elements with k = 0 (the fixed set C), and fixes their
+    coefficients b to those of f in (z - center)^alpha.  The free coefficients
+    y minimize the norm: G_FF y = -G_FC b (Schur complement).
     """
     model = _joint_gram(prob)
-    fiber_labels, R = _restriction_map(prob)
-    b = _fiber_coeff_vector(prob, fiber_labels)
-    c0, residuals, rank, _ = np.linalg.lstsq(R, b, rcond=None)
-    if np.linalg.norm(R @ c0 - b) > 1e-10 * max(1.0, np.linalg.norm(b)):
-        raise InconsistentConstraintError("restriction system has no solution")
-    # orthonormal basis of the null space of R
-    _, s, Vh = np.linalg.svd(R)
-    r = int(np.sum(s > 1e-12 * (s[0] if len(s) else 1.0)))
-    N = Vh[r:].conj().T
+    fixed = {a[:-1]: j for j, a in enumerate(model.basis_labels) if a[-1] == 0}
+    c = np.zeros(model.size, dtype=complex)
+    local = recenter(_as_taylor(prob.f), prob.fiber_domain.center)
+    for a, v in local.coeffs.items():
+        if a in fixed:
+            c[fixed[a]] = v
+        elif v != 0:
+            raise InconsistentConstraintError(
+                f"fiber datum monomial {a} outside the joint model span"
+                f" (degree {prob.dz})"
+            )
+    free = np.array(
+        [j for j, a in enumerate(model.basis_labels) if a[-1] != 0], dtype=int
+    )
     G = 0.5 * (model.gram + np.conj(model.gram).T)
-    if N.shape[1] > 0:
-        H = np.conj(N).T @ G @ N
-        g = np.conj(N).T @ (G @ c0)
-        y, *_ = np.linalg.lstsq(H, -g, rcond=EIG_CUTOFF_REL)
-        c = c0 + N @ y
-    else:
-        c = c0
-    grad = G @ c
-    proj = np.conj(N).T @ grad if N.shape[1] else np.zeros(0)
+    if len(free):
+        # c is still zero on F, so G[F] @ c is G_FC b
+        y, *_ = np.linalg.lstsq(
+            G[np.ix_(free, free)], -G[free] @ c, rcond=EIG_CUTOFF_REL
+        )
+        c[free] = y
     scale = max(1.0, float(np.linalg.norm(G, ord=2)) * float(np.linalg.norm(c)))
-    kkt = float(np.linalg.norm(proj)) / scale
+    kkt = float(np.linalg.norm(G[free] @ c)) / scale
+    N = np.eye(model.size, dtype=complex)[:, free]
     return ExtensionResult(prob, model, c, kkt, N)
 
 

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xibergman.bergman import (
     KernelZeroError,
     QuadSpec,
+    _tensor_quadrature_gram,
     assemble_gram,
     basis_action,
     boundedness_constant,
@@ -62,8 +65,15 @@ class TestGramAssembly:
         assert np.max(np.abs(mc.gram - mq.gram)) <= 1e-8 * scale
 
     def test_closed_form_unavailable_raises(self):
+        # a quadratic centered off the domain center is not radial
         with pytest.raises(UnsupportedWeightError):
-            assemble_gram(Polydisc((1.0,)), QuadraticWeight((1.0,)), 4, method="closed")
+            assemble_gram(
+                Polydisc((1.0,)), QuadraticWeight((1.0,), (0.3,)), 4, method="closed"
+            )
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown Gram method"):
+            assemble_gram(Polydisc((1.0,)), ZeroWeight(1), 4, method="quadratur")
 
     def test_analytic_exclusion_log_monomial(self):
         # c = 1.5 excludes the constant and linear... only alpha > 0.5 stays
@@ -91,11 +101,78 @@ class TestGramAssembly:
         with pytest.raises(UnsupportedWeightError):
             assemble_gram(Polydisc((1.0,)), LogDivisorWeight(g, c=2.0), 3)
 
+    def test_closed_form_matches_separable_quadrature_gaussian(self):
+        D = Polydisc((0.9, 1.2))
+        wt = SumWeight((QuadraticWeight((1.5, 0.7)), ConstantWeight(2, -0.4)))
+        mc = assemble_gram(D, wt, 8)
+        mq = assemble_gram(D, wt, 8, method="quadrature")
+        scale = np.sqrt(np.outer(np.diag(mc.gram), np.diag(mc.gram))).real
+        assert np.all(np.abs(mc.gram - mq.gram) <= 1e-12 * scale)
+
     def test_quad_spec_validation(self):
         with pytest.raises(ValueError):
             QuadSpec(radial_nodes=2)
         with pytest.raises(ValueError):
             QuadSpec(inner_cutoff=0.5).validate_for(Polydisc((1.0,)))
+
+
+@st.composite
+def radial_problems(draw):
+    """A disc, a weight radial about its center, and a degree."""
+    centered = draw(st.booleans())
+    center = 0j if centered else complex(
+        draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    )
+    parts = []
+    if draw(st.booleans()):
+        parts.append(ConstantWeight(1, draw(st.floats(-1.0, 1.0))))
+    if draw(st.booleans()):
+        parts.append(QuadraticWeight((draw(st.floats(0.0, 2.0)),), (center,)))
+    if centered and draw(st.booleans()):
+        c = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+        parts.append(LogMonomialWeight((c,)))
+    weight = SumWeight(tuple(parts)) if parts else ZeroWeight(1)
+    domain = Polydisc((draw(st.floats(0.5, 1.5)),), (center,))
+    return domain, weight, draw(st.integers(0, 6))
+
+
+class TestRadialMoments:
+    @settings(max_examples=100, deadline=None)
+    @given(radial_problems())
+    def test_closed_form_matches_tensor_quadrature(self, problem):
+        # the integrands are polynomials in r times exp(-q r^2): Gauss-Legendre
+        # resolves them to rounding, so the two paths agree closely
+        domain, weight, degree = problem
+        m = assemble_gram(domain, weight, degree, method="closed")
+        G = _tensor_quadrature_gram(domain, weight, m.basis, QuadSpec())
+        d = np.diag(m.gram).real
+        assert np.all(d > 0)
+        assert np.all(np.abs(G - m.gram) <= 1e-10 * np.sqrt(np.outer(d, d)))
+
+    def test_off_center_log_monomial_takes_tensor_path(self):
+        # the pole of log|z| lies outside the disc |z - 0.6| < 0.5: the
+        # weight is bounded there and not radial about the center
+        D = Polydisc((0.5,), (0.6,))
+        wt = LogMonomialWeight((0.5,))
+        m = orthonormalize(assemble_gram(D, wt, 10))
+        G = _tensor_quadrature_gram(D, wt, m.basis, QuadSpec())
+        assert np.max(np.abs(m.gram - G)) <= 1e-10 * np.max(np.abs(G))
+        assert m.gram[0, 0].real == pytest.approx(1.471939350755606, rel=1e-10)
+        assert xi_kernel(m, DIRAC1, (0.6,)) == pytest.approx(0.76394, abs=1e-5)
+        with pytest.raises(UnsupportedWeightError):
+            assemble_gram(D, wt, 10, method="closed")
+
+    def test_off_center_pole_does_not_exclude(self):
+        m = assemble_gram(Polydisc((0.5,), (0.6,)), LogMonomialWeight((1.5,)), 4)
+        assert (0,) in m.basis_labels and m.size == 5
+
+    def test_small_quadratic_at_high_degree(self):
+        # gammainc(e, 1e-6) underflows to 0 for large e; the series does not
+        m = assemble_gram(Polydisc((1.0,)), QuadraticWeight((1e-6,)), 60)
+        d = np.diag(m.gram).real
+        e = np.array([a[0] + 1.0 for a in m.basis_labels])
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
+        assert np.all(np.abs(d / (math.pi / e) - 1.0) <= 1e-5)
 
 
 class TestBasisAction:

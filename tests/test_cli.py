@@ -227,10 +227,46 @@ class TestExtendCommand:
         assert out["ratio"] <= 1.0 + 5e-3
         assert out["jensen"]["holds"] is True
 
+    def test_w_independent_log_monomial_keeps_columns_aligned(self, tmp_path):
+        # c = 1.5 drops every label with no power of z from the joint model;
+        # the restriction must follow the labels the model kept
+        cfg = json.loads((CONFIGS / "extend_windependent.json").read_text())
+        cfg["weight"]["base"] = {"variant": "log_monomial", "coeffs": [1.5]}
+        cfg["f"]["terms"] = [{"beta": [1], "re": 1.0, "im": 0.0}]
+        cfg["dz"] = cfg["dw"] = 4
+        del cfg["jensen"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == 0
+        out = payload(tmp_path / "o" / "extend.json")
+        assert out["ratio"] == pytest.approx(1.0, abs=1e-12)
+        assert out["kktResidual"] < 1e-9
+
 
 class TestArgumentHandling:
     def test_unknown_command_exits_2(self, tmp_path):
         assert cli.main(["frobnicate", "--config", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, name, key, value",
+        [
+            # a grid point that is a list of pairs, not an [re, im] pair
+            ("scan-psh", "scan_pstar.json", "grid", [[[0.1, 0.0], [0.2, 0.0]]]),
+            # a coordinate with one component
+            ("kernel", "kernel_disc_dirac.json", "point", [[0.1]]),
+            # a point that is not a list of coordinates
+            ("kernel", "kernel_disc_dirac.json", "point", 0.1),
+        ],
+    )
+    def test_malformed_complex_number_exits_2(
+        self, tmp_path, capsys, command, name, key, value
+    ):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(command, bad, tmp_path / "o") == 2
+        assert "expected a" in capsys.readouterr().err
 
     def test_validate_rejects_unknown_weight_variant(self):
         with pytest.raises(cli.ConfigError):

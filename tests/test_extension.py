@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from xibergman.bergman import QuadSpec
 from xibergman.extension import (
     ExtensionProblem,
     InconsistentConstraintError,
@@ -17,6 +18,8 @@ from xibergman.extension import (
 )
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.weights import (
+    ConstantWeight,
+    JointPairQuadratic,
     JointQuadraticSplit,
     Polydisc,
     WIndependentJoint,
@@ -84,6 +87,17 @@ class TestMinimalExtension:
         feasible = fiber_norm(prob) * base_mass / math.pi * math.pi
         assert res.joint_norm <= feasible * (1 + 1e-10)
 
+    def test_schur_solve_on_tensor_path(self):
+        # |z - w|^2 is not a product weight: the joint Gram is dense
+        prob = ExtensionProblem(
+            DISC, 0.8, JointPairQuadratic((1.0,)), 0.0,
+            PolyW(1, {(0,): 1.0, (1,): 0.5}), 2, 2, QuadSpec(8, 8),
+        )
+        res = minimal_extension(prob)
+        assert res.kkt_residual < 1e-9
+        ratio = optimal_constant_check(prob, res)
+        assert ratio == pytest.approx(0.82768974113143, rel=1e-12)
+
     def test_inconsistent_datum_rejected(self):
         with pytest.raises(InconsistentConstraintError):
             minimal_extension(problem(f=PolyW(1, {(5,): 1.0}), dz=3))
@@ -94,6 +108,12 @@ class TestOptimalConstant:
         prob = problem()
         ratio = optimal_constant_check(prob, minimal_extension(prob))
         assert abs(ratio - 1.0) <= 1e-10
+
+    def test_constant_shift_cancels(self):
+        # e^{-2} scales the joint and the fiber norm alike
+        prob = problem(weight=WIndependentJoint(ConstantWeight(1, 2.0), 1))
+        ratio = optimal_constant_check(prob, minimal_extension(prob))
+        assert abs(ratio - 1.0) <= 1e-12
 
     def test_gaussian_ratio_below_one(self):
         prob = problem(weight=GAUSSIAN, f=PolyW(1, {(1,): 1.0}))

@@ -42,3 +42,23 @@ class TestPstarSurface:
 
         monkeypatch.setattr(mod, "log_kernel_on_fiber", faulty)
         assert self.run(mod, tmp_path, monkeypatch) == 1
+
+
+class TestExtensionSweep:
+    def run(self, mod, monkeypatch):
+        monkeypatch.setattr(
+            sys, "argv",
+            ["extension_sweep.py", "--radii", "1.0", "0.3", "--degree", "4"],
+        )
+        return mod.main()
+
+    def test_agreement_exits_0(self, monkeypatch):
+        assert self.run(load("extension_sweep"), monkeypatch) == 0
+
+    def test_perturbed_ratio_exits_1(self, monkeypatch):
+        mod = load("extension_sweep")
+        real = mod.optimal_constant_check
+        monkeypatch.setattr(
+            mod, "optimal_constant_check", lambda p, r: real(p, r) + 1e-6
+        )
+        assert self.run(mod, monkeypatch) == 1
