@@ -5,19 +5,29 @@ with the Gram matrix of the weighted inner product.  After eigenvalue
 orthonormalization, the kernel value at z for a functional xi is the squared
 norm of the vector of actions of xi on the orthonormal basis, which equals
 the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
+
+The basis is stored as coefficient arrays over global monomials: exponents
+E (one row per term), coefficients C and the basis element S of each term.
+The shifted monomials (z - center)^alpha are expanded once per (center,
+labels) and cached; on a centered domain they are the identity (E = labels,
+C = 1).  A divisor basis g (z - center)^alpha is an outer sum of exponents
+and an outer product of coefficients with the terms of g.  Both follow the
+rounding and trimming of the PolyW products they replace bit for bit, and
+``GramModel.basis`` materializes PolyW views only on request.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy.special import comb, gammainc, gammaln
 
 from .family import PolyW
-from .functional import Functional, MultiIndex, multi_indices_upto
+from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
 from .weights import (
     ConstantWeight,
     LogDivisorWeight,
@@ -27,7 +37,6 @@ from .weights import (
     SumWeight,
     UnsupportedWeightError,
     ZeroWeight,
-    monomial_moment,
 )
 
 EIG_CUTOFF_REL = 1e-12
@@ -60,24 +69,25 @@ class QuadSpec:
 
 @dataclass
 class GramModel:
+    """A truncated basis, its Gram matrix and (once orthonormalized) V / sqrt(lam).
+
+    Basis element j is the polynomial sum_t coeffs[t] z^exps[t] over the
+    terms t with seg[t] == j; seg is nondecreasing, so the terms of each
+    element are contiguous.  These arrays are the only representation of the
+    basis: ``basis`` materializes them as PolyW on first use.
+    """
+
     domain: Polydisc
     weight: object
     degree: int
-    basis: list[PolyW]
     basis_labels: list[MultiIndex]
+    exps: np.ndarray  # (terms, arity) int
+    coeffs: np.ndarray  # (terms,) complex
+    seg: np.ndarray  # (terms,) int
     gram: np.ndarray
     transform: np.ndarray | None = None
     rank: int | None = None
     eigenvalues: np.ndarray | None = None
-    # flattened basis terms for vectorized functional action
-    _flat_exps: np.ndarray = field(init=False, repr=False)
-    _flat_coeffs: np.ndarray = field(init=False, repr=False)
-    _flat_seg: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._flat_exps, self._flat_coeffs, self._flat_seg = _flatten_basis(
-            self.basis, self.arity
-        )
 
     @property
     def arity(self) -> int:
@@ -85,51 +95,165 @@ class GramModel:
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.basis_labels)
+
+    @cached_property
+    def basis(self) -> tuple[PolyW, ...]:
+        bounds = np.searchsorted(self.seg, np.arange(self.size + 1))
+        E, C = self.exps.tolist(), self.coeffs.tolist()
+        return tuple(
+            PolyW(self.arity, {tuple(E[t]): C[t] for t in range(lo, hi)})
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
 
     def poly_from_coeffs(self, c: Sequence[complex]) -> PolyW:
-        out = PolyW(self.arity, {})
-        for ci, b in zip(c, self.basis):
-            if ci != 0:
-                out = out + ci * b
-        return out
+        """sum_j c_j b_j, summed term by term in basis order."""
+        c = np.asarray(c, dtype=complex)
+        live = c[self.seg] != 0
+        E, S = self.exps[live], self.seg[live]
+        if not len(E):
+            return PolyW(self.arity, {})
+        re, im = _cmul(c[S], self.coeffs[live])
+        first, re, im = _sum_repeated(
+            np.ravel_multi_index(E.T, E.max(axis=0) + 1), re, im
+        )
+        return PolyW(
+            self.arity,
+            {tuple(e): complex(x, y) for e, x, y in zip(E[first].tolist(), re, im)},
+        )
 
     def norm_sq(self, c: Sequence[complex]) -> float:
         c = np.asarray(c, dtype=complex)
         return float(np.real(np.conj(c) @ self.gram @ c))
 
 
-def _flatten_basis(basis: list[PolyW], arity: int):
-    exps, coeffs, seg = [], [], []
-    for j, b in enumerate(basis):
-        for a, v in b.coeffs.items():
-            exps.append(a)
-            coeffs.append(v)
-            seg.append(j)
-    if not exps:
-        return (
-            np.zeros((0, arity), dtype=int),
-            np.zeros(0, dtype=complex),
-            np.zeros(0, dtype=int),
-        )
+def _cmul(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of u * v, rounded as Python's complex product."""
+    return u.real * v.real - u.imag * v.imag, u.real * v.imag + u.imag * v.real
+
+
+def _sum_repeated(code, re, im):
+    """Sum the terms that share a key, each in term order, as PolyW does.
+
+    Returns the index of each key's first term and the sums, in order of
+    first appearance.
+    """
+    keys, first, group = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
     return (
-        np.array(exps, dtype=int),
-        np.array(coeffs, dtype=complex),
-        np.array(seg, dtype=int),
+        first[order],
+        np.bincount(group, re, len(keys))[order],
+        np.bincount(group, im, len(keys))[order],
     )
 
 
-def _local_monomial(alpha: MultiIndex, center: tuple[complex, ...]) -> PolyW:
-    """(z - c)^alpha expanded into global monomials."""
-    out = PolyW.constant(1.0, len(alpha))
-    for i, (ai, ci) in enumerate(zip(alpha, center)):
-        lin = PolyW(len(alpha), {})
-        e = [0] * len(alpha)
-        e[i] = 1
-        lin = PolyW(len(alpha), {tuple(e): 1.0 + 0j, (0,) * len(alpha): -ci})
-        for _ in range(ai):
-            out = out * lin
+def _trim_terms(re, im, seg, size):
+    """Mask of the terms above TRIM_REL_TOL of their element's largest, as PolyW."""
+    mag = np.hypot(re, im)
+    scale = np.zeros(size)
+    np.maximum.at(scale, seg, mag)
+    return mag > scale[seg] * TRIM_REL_TOL
+
+
+#: entries of the dense coefficient boxes expanded at once by _shifted_monomials
+_EXPAND_CHUNK = 1 << 20
+
+
+@lru_cache(maxsize=32)
+def _shifted_monomials(center: tuple[complex, ...], labels: tuple[MultiIndex, ...]):
+    """Terms (E, C, S) of the (z - center)^alpha, alpha in labels, read-only.
+
+    On a centered domain this is the identity.  Otherwise each element is
+    expanded on a dense box of exponents one factor (z_i - c_i) at a time
+    (Pascal's rule), dropping after every factor the terms at or below
+    TRIM_REL_TOL of the element's largest: the rounding, the trimming and
+    the term order (descending lex) are those of the PolyW product.
+    """
+    n = len(center)
+    A = np.array(labels, dtype=int).reshape(len(labels), n)
+    # PolyW drops the constant of z_i - c_i when |c_i| <= TRIM_REL_TOL
+    shift = [c if abs(c) > TRIM_REL_TOL else 0j for c in center]
+    if not any(shift) or not len(A):
+        out = A, np.ones(len(A), dtype=complex), np.arange(len(A))
+    else:
+        dims = tuple(A.max(axis=0, initial=0) + 1)
+        chunk = max(1, _EXPAND_CHUNK // math.prod(dims))
+        parts = [
+            _expand_shifted(A[lo : lo + chunk], shift, dims, lo)
+            for lo in range(0, len(A), chunk)
+        ]
+        out = tuple(np.concatenate(p) for p in zip(*parts))
+    for a in out:
+        a.flags.writeable = False
     return out
+
+
+def _expand_shifted(A, shift, dims, offset):
+    """_shifted_monomials for the labels A, numbered from offset."""
+    L, n = A.shape
+    re = np.zeros((L,) + dims)
+    im = np.zeros((L,) + dims)
+    re[(slice(None),) + (0,) * n] = 1.0
+    for i, c in enumerate(shift):
+        ax = i + 1
+        lead = (slice(None),) * ax
+        for step in range(1, int(A[:, i].max(initial=0)) + 1):
+            rows = np.nonzero(A[:, i] >= step)[0]
+            ur, ui = re[rows], im[rows]
+            # u * (z_i - c_i): u shifted up along axis i, plus u * (-c_i)
+            nr, ni = np.zeros_like(ur), np.zeros_like(ui)
+            nr[lead + (slice(1, None),)] = ur[lead + (slice(None, -1),)]
+            ni[lead + (slice(1, None),)] = ui[lead + (slice(None, -1),)]
+            if c:
+                vr, vi = -c.real, -c.imag
+                nr += ur * vr - ui * vi
+                ni += ur * vi + ui * vr
+                mag = np.hypot(nr, ni)
+                scale = mag.reshape(len(rows), -1).max(axis=1)
+                cut = (scale * TRIM_REL_TOL).reshape((-1,) + (1,) * n)
+                nr[mag <= cut] = 0.0
+                ni[mag <= cut] = 0.0
+            re[rows], im[rows] = nr, ni
+    # C order of the box is ascending lex; read it backwards
+    re = re.reshape(L, -1)[:, ::-1]
+    im = im.reshape(L, -1)[:, ::-1]
+    seg, pos = np.nonzero((re != 0) | (im != 0))
+    E = np.stack(np.unravel_index(math.prod(dims) - 1 - pos, dims), axis=1)
+    C = np.empty(len(seg), dtype=complex)
+    C.real, C.imag = re[seg, pos], im[seg, pos]
+    return E, C, seg + offset
+
+
+def _times_poly(g: PolyW, E, C, S, size):
+    """Terms of g * b_j for every element b_j given by (E, C, S).
+
+    Each product is summed and trimmed as the PolyW product g * b_j: terms
+    in order of first appearance over (term of g, term of b_j), sums over
+    the terms of g in their order.
+    """
+    gE = np.array(list(g.coeffs), dtype=int).reshape(len(g.coeffs), g.arity)
+    gC = np.array(list(g.coeffs.values()), dtype=complex)
+    T = len(gC)
+    # candidate r * T + t: term t of g times term r of the basis
+    cand = (E[:, None, :] + gE[None, :, :]).reshape(-1, g.arity)
+    re, im = (x.ravel() for x in _cmul(gC[None, :], C[:, None]))
+    seg = np.repeat(S, T)
+    if len(C) == size:
+        # one term per element: no key repeats, and the order is already
+        # element, then term of g
+        re, im = re + 0.0, im + 0.0
+    else:
+        # order by element, then term of g, then term of b_j
+        order = np.argsort(seg * T + np.tile(np.arange(T), len(C)), kind="stable")
+        cand, seg, re, im = cand[order], seg[order], re[order], im[order]
+        dims = cand.max(axis=0) + 1
+        code = seg * math.prod(dims) + np.ravel_multi_index(cand.T, dims)
+        first, re, im = _sum_repeated(code, re, im)
+        cand, seg = cand[first], seg[first]
+    keep = _trim_terms(re, im, seg, size)
+    C = np.empty(int(keep.sum()), dtype=complex)
+    C.real, C.imag = re[keep], im[keep]
+    return cand[keep], C, seg[keep]
 
 
 def _radial_parts(weight, domain: Polydisc):
@@ -141,6 +265,10 @@ def _radial_parts(weight, domain: Polydisc):
     integrable.  radial says that every part is zero, a constant, a quadratic
     centered on the domain center, or a log-monomial with its poles at the
     local origin, so that e^{-psi} is a product of functions of |z_i - center_i|.
+    Raises UnsupportedWeightError for a log exponent c_i >= 1 whose pole lies
+    inside the disc away from its center: no (z - center)^alpha vanishes
+    there, so none is square integrable, and quadrature would return a
+    grid-dependent number.
     """
     n = domain.arity
     if isinstance(weight, SumWeight):
@@ -159,6 +287,12 @@ def _radial_parts(weight, domain: Polydisc):
         radial = all(qi == 0 or ai == ci for qi, ai, ci in pairs)
         return [qi for qi, _, _ in pairs], c, 0.0, radial
     if isinstance(weight, LogMonomialWeight):
+        for ci, center, R in zip(weight.coeffs, domain.center, domain.radii):
+            if ci >= 1 and center != 0 and abs(center) < R:
+                raise UnsupportedWeightError(
+                    f"|z_i|^(-2 c_i) with c_i = {ci} >= 1 is not integrable at"
+                    " its pole z_i = 0, which lies inside the disc off its center"
+                )
         pairs = list(zip(weight.coeffs, domain.center))
         c = [ci if center == 0 else 0.0 for ci, center in pairs]
         return q, c, 0.0, all(ci == 0 or center == 0 for ci, center in pairs)
@@ -249,15 +383,14 @@ def _separable_quadrature_gram(domain, weight, labels, quad):
     return G
 
 
-def _tensor_quadrature_gram(domain, weight, basis, quad):
+def _tensor_quadrature_gram(model: GramModel, quad: QuadSpec) -> np.ndarray:
+    """Gram of the model's basis by tensor Gauss-Legendre quadrature."""
+    domain, weight = model.domain, model.weight
     n = domain.arity
-    d = 0
-    for b in basis:
-        for a in b.coeffs:
-            d = max(d, max(a) if a else 0)
+    d = int(model.exps.max(initial=0))
     axes = _radial_quadrature_axes(domain, quad, d)
     node_count = math.prod(len(r) * len(th) for r, _, th in axes)
-    if node_count * max(len(basis), 1) > 5e7:
+    if node_count * max(model.size, 1) > 5e7:
         raise UnsupportedWeightError(
             "tensor quadrature grid too large; use a radial weight or lower degree"
         )
@@ -278,16 +411,13 @@ def _tensor_quadrature_gram(domain, weight, basis, quad):
     W = W.reshape(-1)
     psi = np.array([weight.evaluate(tuple(z)) for z in Z])
     dens = np.where(np.isneginf(psi), 0.0, np.exp(-np.where(np.isneginf(psi), 0.0, psi)))
-    V = np.zeros((len(Z), len(basis)), dtype=complex)
-    for j, b in enumerate(basis):
-        vals = np.zeros(len(Z), dtype=complex)
-        for a, c in b.coeffs.items():
-            term = np.full(len(Z), c, dtype=complex)
-            for i, ai in enumerate(a):
-                if ai:
-                    term = term * Z[:, i] ** ai
-            vals += term
-        V[:, j] = vals
+    V = np.zeros((len(Z), model.size), dtype=complex)
+    for e, c, j in zip(model.exps.tolist(), model.coeffs.tolist(), model.seg):
+        term = np.full(len(Z), c, dtype=complex)
+        for i, ai in enumerate(e):
+            if ai:
+                term = term * Z[:, i] ** ai
+        V[:, j] += term
     return np.conj(V).T @ (V * (W * dens)[:, None])
 
 
@@ -320,7 +450,10 @@ def assemble_gram(
     quad = quad or QuadSpec()
     quad.validate_for(domain)
     n = domain.arity
-    labels = multi_indices_upto(n, degree) if labels is None else list(labels)
+    if labels is None:
+        labels = multi_indices_upto(n, degree)
+    else:
+        labels = [tuple(a) for a in labels]
 
     if isinstance(weight, LogDivisorWeight):
         if method == "closed":
@@ -331,31 +464,34 @@ def assemble_gram(
             )
         if weight.g.arity != n:
             raise ValueError("divisor generator arity mismatch")
-        basis = [weight.g * _local_monomial(a, domain.center) for a in labels]
-        diag = np.array([monomial_moment(domain.radii, a) for a in labels])
+        # |g (z - c)^alpha|^2 e^{-2 log|g|} = |(z - c)^alpha|^2
+        E, C, S = _shifted_monomials(domain.center, tuple(labels))
+        E, C, S = _times_poly(weight.g, E, C, S, len(labels))
+        diag = radial_moments(ZeroWeight(n), domain, labels)
         G = np.diag(diag).astype(complex)
-        return GramModel(domain, weight, degree, basis, labels, G)
+        return GramModel(domain, weight, degree, labels, E, C, S, G)
 
     # analytic exclusion of non-square-integrable monomials
     cvec = _radial_parts(weight, domain)[1]
     labels = [
         a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
     ]
-    basis = [_local_monomial(a, domain.center) for a in labels]
+    E, C, S = _shifted_monomials(domain.center, tuple(labels))
+    model = GramModel(domain, weight, degree, labels, E, C, S, None)
     if not labels:
-        G = np.zeros((0, 0), dtype=complex)
-        return GramModel(domain, weight, degree, [], [], G)
+        model.gram = np.zeros((0, 0), dtype=complex)
+        return model
 
     moments = radial_moments(weight, domain, labels)
     if method == "closed" and moments is None:
         raise UnsupportedWeightError("closed-form moments unavailable for this weight")
     if moments is None:
-        G = _tensor_quadrature_gram(domain, weight, basis, quad)
+        model.gram = _tensor_quadrature_gram(model, quad)
     elif method == "quadrature":
-        G = _separable_quadrature_gram(domain, weight, labels, quad)
+        model.gram = _separable_quadrature_gram(domain, weight, labels, quad)
     else:
-        G = np.diag(moments).astype(complex)
-    return GramModel(domain, weight, degree, basis, labels, G)
+        model.gram = np.diag(moments).astype(complex)
+    return model
 
 
 def orthonormalize(model: GramModel) -> GramModel:
@@ -387,7 +523,7 @@ def basis_action(model: GramModel, xi: Functional, z: Sequence[complex]) -> np.n
     if xi.arity != model.arity:
         raise ValueError("functional arity mismatch")
     z0 = np.asarray([complex(x) for x in z])
-    E, C, S = model._flat_exps, model._flat_coeffs, model._flat_seg
+    E, C, S = model.exps, model.coeffs, model.seg
     u = np.zeros(model.size, dtype=complex)
     if len(E) == 0:
         return u

@@ -26,10 +26,10 @@ from .bergman import (
     QuadSpec,
     assemble_gram,
     extremal_function,
-    orthonormalize,
     xi_kernel,
 )
 from .family import PolyW
+from .fiberwise import FamilyProblem
 from .functional import (
     MultiIndex,
     TaylorData,
@@ -236,14 +236,15 @@ def jensen_diagnostic(
     z0 = tuple(complex(x) for x in z0)
     w0, r = prob_template.w0, prob_template.base_radius
 
-    fmodel = orthonormalize(
-        assemble_gram(
-            prob_template.fiber_domain,
-            prob_template.joint_weight.fiber((w0,)),
-            prob_template.dz,
-            prob_template.quad,
-        )
+    fibers = FamilyProblem(
+        prob_template.fiber_domain,
+        Polydisc((r,), (w0,)),
+        prob_template.joint_weight,
+        family,
+        prob_template.dz,
+        prob_template.quad,
     )
+    fmodel = fibers.fiber_model((w0,))
     xi0 = family.eval((w0,))
     c = extremal_function(fmodel, xi0, z0)
     f = fmodel.poly_from_coeffs(c)
@@ -267,7 +268,6 @@ def jensen_diagnostic(
     wr = 0.5 * r * wt
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
     total, area = 0.0, 0.0
-    fiber_cache: dict[complex, GramModel] = {}
     for rho, wgt in zip(rr, wr):
         for th in thetas:
             w = w0 + rho * complex(math.cos(th), math.sin(th))
@@ -279,18 +279,7 @@ def jensen_diagnostic(
                 v * taylor.coeffs.get(aidx, 0.0)
                 for aidx, v in xiw.coeffs.items()
             )
-            model = fiber_cache.get(w)
-            if model is None:
-                model = orthonormalize(
-                    assemble_gram(
-                        prob.fiber_domain,
-                        prob.joint_weight.fiber((w,)),
-                        prob.dz,
-                        prob.quad,
-                    )
-                )
-                fiber_cache[w] = model
-            K = xi_kernel(model, xiw, z0)
+            K = xi_kernel(fibers.fiber_model((w,)), xiw, z0)
             if abs(act) == 0 or K <= 0:
                 term = -math.inf
             else:

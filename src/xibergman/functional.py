@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
 
@@ -37,8 +38,13 @@ def grlex_key(alpha: MultiIndex) -> tuple:
 
 def multi_indices_upto(arity: int, degree: int) -> list[MultiIndex]:
     """All multi-indices alpha in N^arity with |alpha| <= degree, grlex order."""
+    return list(_multi_indices_upto(arity, degree))
+
+
+@lru_cache(maxsize=64)
+def _multi_indices_upto(arity: int, degree: int) -> tuple[MultiIndex, ...]:
     if degree < 0:
-        return []
+        return ()
     out: list[MultiIndex] = []
     for d in range(degree + 1):
         block = set()
@@ -48,7 +54,7 @@ def multi_indices_upto(arity: int, degree: int) -> list[MultiIndex]:
                 alpha[i] += 1
             block.add(tuple(alpha))
         out.extend(sorted(block))
-    return out
+    return tuple(out)
 
 
 def _check_keys(arity: int, coeffs: Mapping[MultiIndex, complex]) -> None:

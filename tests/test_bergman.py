@@ -144,7 +144,7 @@ class TestRadialMoments:
         # resolves them to rounding, so the two paths agree closely
         domain, weight, degree = problem
         m = assemble_gram(domain, weight, degree, method="closed")
-        G = _tensor_quadrature_gram(domain, weight, m.basis, QuadSpec())
+        G = _tensor_quadrature_gram(m, QuadSpec())
         d = np.diag(m.gram).real
         assert np.all(d > 0)
         assert np.all(np.abs(G - m.gram) <= 1e-10 * np.sqrt(np.outer(d, d)))
@@ -155,7 +155,7 @@ class TestRadialMoments:
         D = Polydisc((0.5,), (0.6,))
         wt = LogMonomialWeight((0.5,))
         m = orthonormalize(assemble_gram(D, wt, 10))
-        G = _tensor_quadrature_gram(D, wt, m.basis, QuadSpec())
+        G = _tensor_quadrature_gram(m, QuadSpec())
         assert np.max(np.abs(m.gram - G)) <= 1e-10 * np.max(np.abs(G))
         assert m.gram[0, 0].real == pytest.approx(1.471939350755606, rel=1e-10)
         assert xi_kernel(m, DIRAC1, (0.6,)) == pytest.approx(0.76394, abs=1e-5)
@@ -165,6 +165,29 @@ class TestRadialMoments:
     def test_off_center_pole_does_not_exclude(self):
         m = assemble_gram(Polydisc((0.5,), (0.6,)), LogMonomialWeight((1.5,)), 4)
         assert (0,) in m.basis_labels and m.size == 5
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            LogMonomialWeight((1.5,)),
+            LogMonomialWeight((1.0,)),
+            SumWeight((ConstantWeight(1, 0.2), LogMonomialWeight((1.5,)))),
+        ],
+    )
+    def test_off_center_pole_inside_disc_raises(self, weight):
+        # z = 0 lies in |z - 0.3| < 0.5: |z|^(-2c) with c >= 1 is not
+        # integrable there, and quadrature returned a grid-dependent Gram
+        D = Polydisc((0.5,), (0.3,))
+        for quad in (QuadSpec(32, 64), QuadSpec(64, 128)):
+            with pytest.raises(UnsupportedWeightError, match="not integrable"):
+                assemble_gram(D, weight, 4, quad)
+
+    def test_off_center_integrable_pole_keeps_tensor_path(self):
+        # c < 1: |z|^(-2c) is integrable at the pole inside the disc
+        D = Polydisc((0.5,), (0.3,))
+        m = assemble_gram(D, LogMonomialWeight((0.5,)), 4)
+        d = np.diag(m.gram).real
+        assert m.size == 5 and np.all(np.isfinite(d)) and np.all(d > 0)
 
     def test_small_quadratic_at_high_degree(self):
         # gammainc(e, 1e-6) underflows to 0 for large e; the series does not
@@ -194,6 +217,87 @@ class TestBasisAction:
         for j, a in enumerate(m.basis_labels):
             expect = (0.4 - 0.1) * (0.4 ** a[0]) * (0.1 ** a[1])
             assert abs(u[j] - expect) < 1e-12
+
+
+def reference_basis(domain, labels, g=None):
+    """g * prod_i (z_i - c_i)^alpha_i for each label, by PolyW products."""
+    n = domain.arity
+    out = []
+    for a in labels:
+        b = PolyW.constant(1.0, n)
+        for i, (ai, ci) in enumerate(zip(a, domain.center)):
+            lin = PolyW.variable(i, n) - PolyW.constant(ci, n)
+            for _ in range(ai):
+                b = b * lin
+        out.append(b if g is None else g * b)
+    return out
+
+
+@st.composite
+def array_basis_problems(draw):
+    """An off-center polydisc, an optional divisor g, a degree <= 5, and data."""
+    n = draw(st.sampled_from([1, 2]))
+    cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    center = tuple(draw(cplx) for _ in range(n))
+    domain = Polydisc(tuple(draw(st.floats(0.5, 1.5)) for _ in range(n)), center)
+    g = None
+    if draw(st.booleans()):
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        g = PolyW(n, draw(st.dictionaries(exps, cplx, min_size=1, max_size=3)))
+        if not g.coeffs:
+            g = None
+    degree = draw(st.integers(0, 5))
+    xi = Functional(
+        n,
+        draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), cplx,
+                             min_size=1, max_size=3)),
+    )
+    z0 = tuple(c + draw(cplx) for c in center)
+    return domain, g, degree, xi, z0, draw(st.randoms(use_true_random=False))
+
+
+class TestArrayBasis:
+    @settings(max_examples=80, deadline=None)
+    @given(array_basis_problems())
+    def test_arrays_match_polyw_reference(self, problem):
+        domain, g, degree, xi, z0, rnd = problem
+        weight = ZeroWeight(domain.arity) if g is None else LogDivisorWeight(g)
+        m = assemble_gram(domain, weight, degree)
+        ref = reference_basis(domain, m.basis_labels, g)
+        assert len(m.basis) == len(ref) == m.size
+        for b, r in zip(m.basis, ref):
+            assert b.equals(r)
+        # basis_action against the binomial Taylor shift of each reference
+        u = basis_action(m, xi, z0)
+        for j, r in enumerate(ref):
+            t = recenter(TaylorData((0.0,) * domain.arity, dict(r.coeffs)), z0)
+            scale = sum(abs(v) for v in xi.coeffs.values()) * sum(
+                abs(v) * (1.0 + max(abs(x) for x in z0)) ** sum(a)
+                for a, v in r.coeffs.items()
+            )
+            assert abs(u[j] - apply(xi, t)) <= 1e-12 * max(1.0, scale)
+        # poly_from_coeffs against the explicit PolyW sum
+        c = [complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1))
+             if rnd.random() < 0.8 else 0j for _ in range(m.size)]
+        p = m.poly_from_coeffs(c)
+        total = PolyW(domain.arity, {})
+        for cj, r in zip(c, ref):
+            total = total + cj * r
+        scale = max(1.0, max((abs(v) for v in total.coeffs.values()), default=0.0))
+        for k in set(p.coeffs) | set(total.coeffs):
+            diff = p.coeffs.get(k, 0.0) - total.coeffs.get(k, 0.0)
+            assert abs(diff) <= 1e-12 * scale
+
+    def test_centered_basis_is_the_identity(self):
+        m = assemble_gram(Polydisc((1.0, 1.0)), ZeroWeight(2), 3)
+        assert m.exps.tolist() == [list(a) for a in m.basis_labels]
+        assert np.all(m.coeffs == 1.0) and m.seg.tolist() == list(range(m.size))
+
+    def test_basis_view_is_read_only(self):
+        m = assemble_gram(Polydisc((0.5,), (0.3,)), ZeroWeight(1), 3)
+        assert isinstance(m.basis, tuple) and m.basis is m.basis
+        with pytest.raises(ValueError):
+            m.coeffs[0] = 2.0
 
 
 class TestClassicalKernel:

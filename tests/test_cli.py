@@ -49,6 +49,20 @@ class TestKernelCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert run("kernel", tmp_path / "nope.json", tmp_path) == 2
 
+    def test_off_center_log_pole_inside_disc_exits_2(self, tmp_path, capsys):
+        # |z|^-3 is not integrable at z = 0, inside the disc |z - 0.3| < 0.5
+        cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
+        cfg["domain"] = {"radii": [0.5], "center": [[0.3, 0.0]]}
+        cfg["weight"] = {"variant": "log_monomial", "coeffs": [1.5]}
+        cfg["point"] = [[0.3, 0.0]]
+        cfg["degree"] = 4
+        bad = tmp_path / "pole.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("kernel", bad, out) == 2
+        assert "not integrable" in capsys.readouterr().err
+        assert not (out / "kernel.json").exists()
+
 
 class TestScanPshCommand:
     def test_pstar_scan_passes_and_matches_closed_form(self, tmp_path):
