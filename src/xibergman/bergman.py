@@ -8,9 +8,9 @@ the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
 
 The basis is stored as coefficient arrays over global monomials: exponents
 E (one row per term), coefficients C and the basis element S of each term.
-The shifted monomials (z - center)^alpha are expanded once per (center,
-labels) and cached; on a centered domain they are the identity (E = labels,
-C = 1).  A divisor basis g (z - center)^alpha is an outer sum of exponents
+The shifted monomials (z - center)^alpha are expanded by Pascal's rule on
+a dense exponent box; on a centered domain they are the identity (E =
+labels, C = 1).  A divisor basis g (z - center)^alpha is an outer sum of exponents
 and an outer product of coefficients with the terms of g.  Both follow the
 rounding and trimming of the PolyW products they replace bit for bit, and
 ``GramModel.basis`` materializes PolyW views only on request.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -155,13 +155,8 @@ def _trim_terms(re, im, seg, size):
     return mag > scale[seg] * TRIM_REL_TOL
 
 
-#: entries of the dense coefficient boxes expanded at once by _shifted_monomials
-_EXPAND_CHUNK = 1 << 20
-
-
-@lru_cache(maxsize=32)
-def _shifted_monomials(center: tuple[complex, ...], labels: tuple[MultiIndex, ...]):
-    """Terms (E, C, S) of the (z - center)^alpha, alpha in labels, read-only.
+def _shifted_monomials(center: tuple[complex, ...], labels: list[MultiIndex]):
+    """Terms (E, C, S) of the (z - center)^alpha, alpha in labels.
 
     On a centered domain this is the identity.  Otherwise each element is
     expanded on a dense box of exponents one factor (z_i - c_i) at a time
@@ -174,30 +169,16 @@ def _shifted_monomials(center: tuple[complex, ...], labels: tuple[MultiIndex, ..
     # PolyW drops the constant of z_i - c_i when |c_i| <= TRIM_REL_TOL
     shift = [c if abs(c) > TRIM_REL_TOL else 0j for c in center]
     if not any(shift) or not len(A):
-        out = A, np.ones(len(A), dtype=complex), np.arange(len(A))
-    else:
-        dims = tuple(A.max(axis=0, initial=0) + 1)
-        chunk = max(1, _EXPAND_CHUNK // math.prod(dims))
-        parts = [
-            _expand_shifted(A[lo : lo + chunk], shift, dims, lo)
-            for lo in range(0, len(A), chunk)
-        ]
-        out = tuple(np.concatenate(p) for p in zip(*parts))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _expand_shifted(A, shift, dims, offset):
-    """_shifted_monomials for the labels A, numbered from offset."""
-    L, n = A.shape
+        return A, np.ones(len(A), dtype=complex), np.arange(len(A))
+    L = len(A)
+    dims = tuple(A.max(axis=0) + 1)
     re = np.zeros((L,) + dims)
     im = np.zeros((L,) + dims)
     re[(slice(None),) + (0,) * n] = 1.0
     for i, c in enumerate(shift):
         ax = i + 1
         lead = (slice(None),) * ax
-        for step in range(1, int(A[:, i].max(initial=0)) + 1):
+        for step in range(1, int(A[:, i].max()) + 1):
             rows = np.nonzero(A[:, i] >= step)[0]
             ur, ui = re[rows], im[rows]
             # u * (z_i - c_i): u shifted up along axis i, plus u * (-c_i)
@@ -221,7 +202,7 @@ def _expand_shifted(A, shift, dims, offset):
     E = np.stack(np.unravel_index(math.prod(dims) - 1 - pos, dims), axis=1)
     C = np.empty(len(seg), dtype=complex)
     C.real, C.imag = re[seg, pos], im[seg, pos]
-    return E, C, seg + offset
+    return E, C, seg
 
 
 def _times_poly(g: PolyW, E, C, S, size):
@@ -265,38 +246,52 @@ def _radial_parts(weight, domain: Polydisc):
     integrable.  radial says that every part is zero, a constant, a quadratic
     centered on the domain center, or a log-monomial with its poles at the
     local origin, so that e^{-psi} is a product of functions of |z_i - center_i|.
-    Raises UnsupportedWeightError for a log exponent c_i >= 1 whose pole lies
-    inside the disc away from its center: no (z - center)^alpha vanishes
-    there, so none is square integrable, and quadrature would return a
-    grid-dependent number.
+    Raises UnsupportedWeightError when the log exponents, summed over all
+    parts, reach 1 at a pole z_i = 0 in the closed disc away from its center:
+    no (z - center)^alpha vanishes there, so none is square integrable, and
+    quadrature would return a grid-dependent number.
     """
+    q, c, p, shift, radial = _weight_parts(weight, domain)
+    for i, pi in enumerate(p):
+        if pi >= 1:
+            raise UnsupportedWeightError(
+                f"|z_{i + 1}|^(-2c) with c = {pi} >= 1 is not integrable at its"
+                " pole, which lies in the disc off its center"
+            )
+    return q, c, shift, radial
+
+
+def _weight_parts(weight, domain: Polydisc):
+    """(q, c, p, shift, radial): _radial_parts together with p, the log
+    exponents of each coordinate whose pole z_i = 0 lies in the closed disc
+    away from its center."""
     n = domain.arity
     if isinstance(weight, SumWeight):
-        parts = [_radial_parts(p, domain) for p in weight.parts]
+        parts = [_weight_parts(p, domain) for p in weight.parts]
         return (
             [sum(p[0][i] for p in parts) for i in range(n)],
             [sum(p[1][i] for p in parts) for i in range(n)],
-            sum(p[2] for p in parts),
-            all(p[3] for p in parts),
+            [sum(p[2][i] for p in parts) for i in range(n)],
+            sum(p[3] for p in parts),
+            all(p[4] for p in parts),
         )
-    q, c = [0.0] * n, [0.0] * n
+    q, c, p = [0.0] * n, [0.0] * n, [0.0] * n
     if isinstance(weight, ConstantWeight):
-        return q, c, weight.value, True
+        return q, c, p, weight.value, True
     if isinstance(weight, QuadraticWeight):
         pairs = list(zip(weight.coeffs, weight.center, domain.center))
         radial = all(qi == 0 or ai == ci for qi, ai, ci in pairs)
-        return [qi for qi, _, _ in pairs], c, 0.0, radial
+        return [qi for qi, _, _ in pairs], c, p, 0.0, radial
     if isinstance(weight, LogMonomialWeight):
-        for ci, center, R in zip(weight.coeffs, domain.center, domain.radii):
-            if ci >= 1 and center != 0 and abs(center) < R:
-                raise UnsupportedWeightError(
-                    f"|z_i|^(-2 c_i) with c_i = {ci} >= 1 is not integrable at"
-                    " its pole z_i = 0, which lies inside the disc off its center"
-                )
-        pairs = list(zip(weight.coeffs, domain.center))
-        c = [ci if center == 0 else 0.0 for ci, center in pairs]
-        return q, c, 0.0, all(ci == 0 or center == 0 for ci, center in pairs)
-    return q, c, 0.0, isinstance(weight, ZeroWeight)
+        triples = list(zip(weight.coeffs, domain.center, domain.radii))
+        c = [ci if center == 0 else 0.0 for ci, center, _ in triples]
+        p = [
+            ci if center != 0 and abs(center) <= R else 0.0
+            for ci, center, R in triples
+        ]
+        radial = all(ci == 0 or center == 0 for ci, center, _ in triples)
+        return q, c, p, 0.0, radial
+    return q, c, p, 0.0, isinstance(weight, ZeroWeight)
 
 
 def _radial_moment(e: float, q: float, R: float) -> float:
@@ -465,7 +460,7 @@ def assemble_gram(
         if weight.g.arity != n:
             raise ValueError("divisor generator arity mismatch")
         # |g (z - c)^alpha|^2 e^{-2 log|g|} = |(z - c)^alpha|^2
-        E, C, S = _shifted_monomials(domain.center, tuple(labels))
+        E, C, S = _shifted_monomials(domain.center, labels)
         E, C, S = _times_poly(weight.g, E, C, S, len(labels))
         diag = radial_moments(ZeroWeight(n), domain, labels)
         G = np.diag(diag).astype(complex)
@@ -476,7 +471,7 @@ def assemble_gram(
     labels = [
         a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
     ]
-    E, C, S = _shifted_monomials(domain.center, tuple(labels))
+    E, C, S = _shifted_monomials(domain.center, labels)
     model = GramModel(domain, weight, degree, labels, E, C, S, None)
     if not labels:
         model.gram = np.zeros((0, 0), dtype=complex)

@@ -26,10 +26,10 @@ from .bergman import (
     QuadSpec,
     assemble_gram,
     extremal_function,
+    orthonormalize,
     xi_kernel,
 )
 from .family import PolyW
-from .fiberwise import FamilyProblem
 from .functional import (
     MultiIndex,
     TaylorData,
@@ -236,15 +236,14 @@ def jensen_diagnostic(
     z0 = tuple(complex(x) for x in z0)
     w0, r = prob_template.w0, prob_template.base_radius
 
-    fibers = FamilyProblem(
-        prob_template.fiber_domain,
-        Polydisc((r,), (w0,)),
-        prob_template.joint_weight,
-        family,
-        prob_template.dz,
-        prob_template.quad,
+    fmodel = orthonormalize(
+        assemble_gram(
+            prob_template.fiber_domain,
+            prob_template.joint_weight.fiber((w0,)),
+            prob_template.dz,
+            prob_template.quad,
+        )
     )
-    fmodel = fibers.fiber_model((w0,))
     xi0 = family.eval((w0,))
     c = extremal_function(fmodel, xi0, z0)
     f = fmodel.poly_from_coeffs(c)
@@ -279,7 +278,15 @@ def jensen_diagnostic(
                 v * taylor.coeffs.get(aidx, 0.0)
                 for aidx, v in xiw.coeffs.items()
             )
-            K = xi_kernel(fibers.fiber_model((w,)), xiw, z0)
+            model = orthonormalize(
+                assemble_gram(
+                    prob.fiber_domain,
+                    prob.joint_weight.fiber((w,)),
+                    prob.dz,
+                    prob.quad,
+                )
+            )
+            K = xi_kernel(model, xiw, z0)
             if abs(act) == 0 or K <= 0:
                 term = -math.inf
             else:

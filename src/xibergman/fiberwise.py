@@ -10,7 +10,6 @@ lines — a direct numerical rendering of log-plurisubharmonicity.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,8 +19,6 @@ from .bergman import GramModel, QuadSpec, assemble_gram, orthonormalize, xi_kern
 from .weights import Polydisc
 
 SUBMEAN_TOL = 1e-3
-#: fiber models a FamilyProblem keeps, least recently used dropped first
-MODEL_CACHE_SIZE = 256
 
 
 @dataclass
@@ -32,26 +29,23 @@ class FamilyProblem:
     family: object  # FunctionalFamily or AntiHolomorphicControl
     degree: int
     quad: QuadSpec = field(default_factory=QuadSpec)
-    _model_cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    _model_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def holomorphic(self) -> bool:
         return getattr(self.family, "holomorphic", True)
 
     def fiber_model(self, w: tuple[complex, ...]) -> GramModel:
-        """The orthonormalized model of the fiber over w, from an LRU cache."""
         key = tuple(complex(x) for x in w)
         model = self._model_cache.get(key)
-        if model is not None:
-            self._model_cache.move_to_end(key)
-            return model
-        fw = self.joint_weight.fiber(key)
-        model = orthonormalize(
-            assemble_gram(self.fiber_domain, fw, self.degree, self.quad)
-        )
-        self._model_cache[key] = model
-        if len(self._model_cache) > MODEL_CACHE_SIZE:
-            self._model_cache.popitem(last=False)
+        if model is None:
+            fw = self.joint_weight.fiber(key)
+            model = orthonormalize(
+                assemble_gram(self.fiber_domain, fw, self.degree, self.quad)
+            )
+            if len(self._model_cache) > 256:
+                self._model_cache.clear()
+            self._model_cache[key] = model
         return model
 
 

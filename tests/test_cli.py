@@ -49,12 +49,32 @@ class TestKernelCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert run("kernel", tmp_path / "nope.json", tmp_path) == 2
 
-    def test_off_center_log_pole_inside_disc_exits_2(self, tmp_path, capsys):
-        # |z|^-3 is not integrable at z = 0, inside the disc |z - 0.3| < 0.5
+    @pytest.mark.parametrize(
+        "center, weight",
+        [
+            (0.3, {"variant": "log_monomial", "coeffs": [1.5]}),
+            (
+                0.3,
+                {
+                    "variant": "sum",
+                    "parts": [
+                        {"variant": "log_monomial", "coeffs": [0.6]},
+                        {"variant": "log_monomial", "coeffs": [0.6]},
+                    ],
+                },
+            ),
+            (0.5, {"variant": "log_monomial", "coeffs": [1.5]}),
+        ],
+    )
+    def test_off_center_log_pole_inside_disc_exits_2(
+        self, tmp_path, capsys, center, weight
+    ):
+        # |z|^-2c with c >= 1 in total is not integrable at z = 0, which
+        # lies in the closed disc |z - center| <= 0.5
         cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
-        cfg["domain"] = {"radii": [0.5], "center": [[0.3, 0.0]]}
-        cfg["weight"] = {"variant": "log_monomial", "coeffs": [1.5]}
-        cfg["point"] = [[0.3, 0.0]]
+        cfg["domain"] = {"radii": [0.5], "center": [[center, 0.0]]}
+        cfg["weight"] = weight
+        cfg["point"] = [[center, 0.0]]
         cfg["degree"] = 4
         bad = tmp_path / "pole.json"
         bad.write_text(json.dumps(cfg))

@@ -61,19 +61,6 @@ class TestKernelOnFiber:
         kernel_on_fiber(prob, (0.3,), (0.1, 0.1))
         assert len(prob._model_cache) == 1
 
-    def test_model_cache_evicts_least_recently_used(self):
-        prob = pstar_problem()
-        ws = [(0.001 * (k + 1),) for k in range(258)]
-        for w in ws:
-            prob.fiber_model(w)
-        assert len(prob._model_cache) == 256
-        assert ws[256] in prob._model_cache and ws[257] in prob._model_cache
-        assert ws[0] not in prob._model_cache
-        # a hit makes the entry the most recent one
-        prob.fiber_model(ws[2])
-        prob.fiber_model((0.5,))
-        assert ws[2] in prob._model_cache and ws[3] not in prob._model_cache
-
 
 class TestSubmeanCheck:
     def test_harmonic_passes_exactly(self):
