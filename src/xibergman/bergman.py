@@ -510,16 +510,20 @@ def orthonormalize(model: GramModel) -> GramModel:
 
 
 def basis_action(model: GramModel, xi: Functional, z: Sequence[complex]) -> np.ndarray:
-    """Vector of actions (xi . b_j)(z) over the stored basis, exactly.
+    """Vector of actions (xi . b_j)(z) over the stored basis, exactly."""
+    if xi.arity != model.arity:
+        raise ValueError("functional arity mismatch")
+    return taylor_action(model.exps, model.coeffs, model.seg, model.size, xi, z)
+
+
+def taylor_action(E, C, S, size: int, xi: Functional, z: Sequence[complex]):
+    """Actions (xi . p_j)(z) on the polynomials p_j = sum_{S[t] = j} C[t] z^E[t].
 
     Uses the binomial Taylor-shift identity: for a monomial z^gamma, the
     coefficient of (z - z0)^alpha is C(gamma, alpha) z0^{gamma - alpha}.
     """
-    if xi.arity != model.arity:
-        raise ValueError("functional arity mismatch")
     z0 = np.asarray([complex(x) for x in z])
-    E, C, S = model.exps, model.coeffs, model.seg
-    u = np.zeros(model.size, dtype=complex)
+    u = np.zeros(size, dtype=complex)
     if len(E) == 0:
         return u
     for alpha, v in xi.coeffs.items():
@@ -529,7 +533,7 @@ def basis_action(model: GramModel, xi: Functional, z: Sequence[complex]) -> np.n
             continue
         Em = E[mask]
         contrib = C[mask] * v
-        for i in range(model.arity):
+        for i in range(len(a)):
             k = Em[:, i] - a[i]
             contrib = contrib * comb(Em[:, i], a[i])
             pw = np.where(k == 0, 1.0 + 0j, z0[i] ** np.maximum(k, 0))

@@ -39,6 +39,10 @@ class PolyW:
         _check_keys(self.arity, self.coeffs)
         self.coeffs = _trim(self.coeffs)
 
+    def __hash__(self) -> int:
+        # agrees with the dataclass __eq__; nothing mutates a PolyW once built
+        return hash((self.arity, frozenset(self.coeffs.items())))
+
     # -- constructors --------------------------------------------------
 
     @staticmethod

@@ -261,6 +261,14 @@ class TestExtendCommand:
         assert out["ratio"] <= 1.0 + 5e-3
         assert out["jensen"]["holds"] is True
 
+    def test_empty_jensen_point_exits_2(self, tmp_path):
+        cfg = json.loads((CONFIGS / "extend_windependent.json").read_text())
+        cfg["jensen"]["z0"] = []
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "extend.json").exists()
+
     def test_w_independent_log_monomial_keeps_columns_aligned(self, tmp_path):
         # c = 1.5 drops every label with no power of z from the joint model;
         # the restriction must follow the labels the model kept

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xibergman.bergman import QuadSpec
+from xibergman.bergman import (
+    QuadSpec,
+    assemble_gram,
+    extremal_function,
+    orthonormalize,
+    xi_kernel,
+)
 from xibergman.extension import (
     ExtensionProblem,
     InconsistentConstraintError,
@@ -17,11 +25,20 @@ from xibergman.extension import (
     optimal_constant_check,
 )
 from xibergman.family import FunctionalFamily, PolyW
+from xibergman.functional import (
+    ArityMismatchError,
+    TaylorData,
+    multi_indices_upto,
+    recenter,
+)
 from xibergman.weights import (
     ConstantWeight,
+    JointLogDivisor,
     JointPairQuadratic,
     JointQuadraticSplit,
+    LogMonomialWeight,
     Polydisc,
+    QuadraticWeight,
     WIndependentJoint,
     ZeroWeight,
     substitute_base,
@@ -160,6 +177,146 @@ class TestJensenDiagnostic:
     def test_off_center_evaluation_point(self):
         out = jensen_diagnostic(problem(), DIRAC_FAMILY, (0.3,))
         assert out["holds"], out
+
+    def test_returns_python_scalars(self):
+        out = jensen_diagnostic(problem(dz=3, dw=3), DIRAC_FAMILY, (0.0,))
+        for key in ("lhs", "rhs", "margin", "areaCheck", "tolerance"):
+            assert type(out[key]) is float, key
+        assert out["holds"] is True
+
+    def test_joint_log_divisor_fibers(self):
+        # every fiber weight 2 log|1 + w/2| is a LogDivisorWeight holding a PolyW
+        weight = JointLogDivisor(PolyW(2, {(0, 0): 1.0, (0, 1): 0.5}), 1)
+        prob = ExtensionProblem(
+            DISC, 1.0, weight, 0.0, PolyW(1, {(0,): 1.0}), 2, 2, QuadSpec(8, 8)
+        )
+        out = jensen_diagnostic(prob, DIRAC_FAMILY, (0.0,))
+        assert out["holds"] is True
+        assert abs(out["margin"]) < 1e-10
+
+    def test_point_outside_fiber_disc_rejected(self):
+        with pytest.raises(ValueError, match="outside domain"):
+            jensen_diagnostic(problem(dz=2, dw=2), DIRAC_FAMILY, (1.5,))
+
+    def test_point_arity_mismatch_rejected(self):
+        with pytest.raises(ArityMismatchError):
+            jensen_diagnostic(problem(dz=2, dw=2), DIRAC_FAMILY, ())
+
+
+def reference_jensen(prob_template, family, z0, radial_nodes, angular_nodes, tol):
+    """The diagnostic node by node: one fiber model and one kernel per node."""
+    n = prob_template.n
+    w0, r = prob_template.w0, prob_template.base_radius
+    fmodel = orthonormalize(
+        assemble_gram(
+            prob_template.fiber_domain,
+            prob_template.joint_weight.fiber((w0,)),
+            prob_template.dz,
+            prob_template.quad,
+        )
+    )
+    f = fmodel.poly_from_coeffs(
+        extremal_function(fmodel, family.eval((w0,)), z0)
+    )
+    prob = ExtensionProblem(
+        prob_template.fiber_domain, r, prob_template.joint_weight, w0, f,
+        prob_template.dz, prob_template.dw, prob_template.quad,
+    )
+    F = minimal_extension(prob).joint_poly()
+    lhs = math.log(fiber_norm(prob))
+    t, wt = np.polynomial.legendre.leggauss(radial_nodes)
+    rr, wr = 0.5 * r * (t + 1.0), 0.5 * r * wt
+    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    total, area = 0.0, 0.0
+    for rho, wgt in zip(rr, wr):
+        for th in thetas:
+            w = w0 + rho * complex(math.cos(th), math.sin(th))
+            da = wgt * rho * (2.0 * math.pi / angular_nodes)
+            Fw = substitute_base(F, n, (w,))
+            xiw = family.eval((w,))
+            taylor = recenter(TaylorData((0.0,) * n, dict(Fw.coeffs)), z0)
+            act = sum(v * taylor.coeffs.get(a, 0.0) for a, v in xiw.coeffs.items())
+            model = orthonormalize(
+                assemble_gram(
+                    prob.fiber_domain, prob.joint_weight.fiber((w,)), prob.dz,
+                    prob.quad,
+                )
+            )
+            K = xi_kernel(model, xiw, z0)
+            if abs(act) == 0 or K <= 0:
+                term = -math.inf
+            else:
+                term = math.log(abs(act) ** 2) - math.log(K)
+            total += da * term
+            area += da
+    rhs = total / (math.pi * r**2)
+    return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs,
+            "areaCheck": area / (math.pi * r**2), "holds": lhs >= rhs - tol}
+
+
+@st.composite
+def jensen_problems(draw):
+    """A Gaussian split weight at w0 = 0, or a w-independent one off the
+    origin, with a w-dependent family of z-order <= 2 and z0 in |z| < 0.7."""
+    n = draw(st.sampled_from([1, 2]))
+    unit = st.floats(0.0, 2.0)
+    cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        weight = JointQuadraticSplit(
+            tuple(draw(unit) for _ in range(n)), (draw(unit),)
+        )
+        w0 = 0.0
+    else:
+        base = draw(st.sampled_from([
+            ZeroWeight(n),
+            ConstantWeight(n, draw(st.floats(-1.0, 1.0))),
+            QuadraticWeight(tuple(draw(unit) for _ in range(n))),
+            LogMonomialWeight(tuple(draw(st.floats(0.0, 0.9)) for _ in range(n))),
+        ]))
+        weight = WIndependentJoint(base, 1)
+        w0 = 0.5 * draw(cplx)
+    coeff = st.dictionaries(st.tuples(st.integers(0, 2)), cplx.filter(bool),
+                            min_size=1, max_size=3)
+    family = FunctionalFamily(n, 1, draw(st.dictionaries(
+        st.sampled_from(multi_indices_upto(n, 2)),
+        coeff.map(lambda d: PolyW(1, d)),
+        min_size=1, max_size=3,
+    )))
+    # a fiber degree below the family's z-order would mostly annihilate xi
+    dz = draw(st.integers(max(0, family.z_degree), 3))
+    dw = draw(st.integers(0, 3))
+    z0 = tuple(
+        draw(st.floats(0.0, 0.7 / math.sqrt(n)))
+        * complex(math.cos(t), math.sin(t))
+        for t in (draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(n))
+    )
+    prob = ExtensionProblem(
+        Polydisc((1.0,) * n), draw(st.floats(0.3, 1.0)), weight, w0,
+        PolyW(n, {}), dz, dw,
+    )
+    return prob, family, z0
+
+
+class TestJensenAgainstNodeLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(jensen_problems())
+    def test_batched_matches_reference(self, case):
+        prob, family, z0 = case
+        args = (prob, family, z0, 4, 8, 1e-3)
+        try:
+            ref = reference_jensen(*args)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                jensen_diagnostic(*args)
+            return
+        out = jensen_diagnostic(*args)
+        assert out["holds"] == ref["holds"]
+        for key in ("lhs", "rhs", "margin", "areaCheck"):
+            a, b = out[key], ref[key]
+            if math.isinf(a) or math.isinf(b):
+                assert a == b, key
+            else:
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (key, a, b)
 
 
 class TestRestrictionConsistency:

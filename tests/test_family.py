@@ -59,6 +59,13 @@ class TestPolyArithmetic:
         with pytest.raises(ArityMismatchError):
             PolyW(1, {(1,): 1.0}) + PolyW(2, {})
 
+    def test_equal_polys_hash_equal(self):
+        p = PolyW(2, {(0, 0): 1.0, (0, 1): 0.5 - 1j, (2, 0): 3.0})
+        q = PolyW(2, {(2, 0): 3.0, (0, 1): 0.5 - 1j, (0, 0): 1.0})
+        assert list(p.coeffs) != list(q.coeffs)
+        assert p == q and hash(p) == hash(q)
+        assert {p: "fiber"}[q] == "fiber"
+
     def test_json_round_trip(self):
         p = PolyW(2, {(1, 0): 1.0 - 2j, (0, 2): 3.0})
         assert poly_from_json(poly_to_json(p), 2).equals(p)
