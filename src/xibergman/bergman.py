@@ -6,6 +6,11 @@ orthonormalization, the kernel value at z for a functional xi is the squared
 norm of the vector of actions of xi on the orthonormal basis, which equals
 the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
 
+Every catalog weight but a divisor has a per-coordinate form
+(``weights.coordinate_form``): its Gram is exact diagonal moments when it is
+radial about the domain center, else an entrywise product of one-disc
+quadrature Grams.  Only joint views take a tensor quadrature.
+
 The basis is stored as coefficient arrays over global monomials: exponents
 E (one row per term), coefficients C and the basis element S of each term.
 The shifted monomials (z - center)^alpha are expanded by Pascal's rule on
@@ -29,21 +34,13 @@ from scipy.special import comb, gammainc, gammaln
 from .family import PolyW
 from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
 from .weights import (
-    ConstantWeight,
     LogDivisorWeight,
-    LogMonomialWeight,
     Polydisc,
-    QuadraticWeight,
-    SumWeight,
     UnsupportedWeightError,
-    ZeroWeight,
+    coordinate_form,
 )
 
 EIG_CUTOFF_REL = 1e-12
-
-
-class EmptyModelError(ValueError):
-    """All basis elements were excluded; the truncated space is {0}."""
 
 
 class KernelZeroError(ValueError):
@@ -237,61 +234,36 @@ def _times_poly(g: PolyW, E, C, S, size):
     return cand[keep], C, seg[keep]
 
 
-def _radial_parts(weight, domain: Polydisc):
-    """(q, c, shift, radial) of a catalog weight on a polydisc.
+def _local_form(weight, domain: Polydisc):
+    """(form, shift, c, radial): ``coordinate_form`` read on a polydisc.
 
-    psi = sum_i q_i |z_i - a_i|^2 + 2 sum_i c_i log|z_i| + shift, where c
-    keeps only the log exponents whose pole z_i = 0 is the local origin (the
-    domain center): those alone decide which (z - center)^alpha are square
-    integrable.  radial says that every part is zero, a constant, a quadratic
-    centered on the domain center, or a log-monomial with its poles at the
-    local origin, so that e^{-psi} is a product of functions of |z_i - center_i|.
-    Raises UnsupportedWeightError when the log exponents, summed over all
-    parts, reach 1 at a pole z_i = 0 in the closed disc away from its center:
-    no (z - center)^alpha vanishes there, so none is square integrable, and
-    quadrature would return a grid-dependent number.
+    form is None for a weight without one.  c keeps the log exponents whose
+    pole z_i = 0 is the domain center: only those exclude (z - center)^alpha
+    from L^2.  radial: e^{-psi} is a product of functions of |z_i - center_i|.
+    A log exponent >= 1 at a pole in the closed disc off its center leaves no
+    (z - center)^alpha square integrable (quadrature would return a
+    grid-dependent number): UnsupportedWeightError.
     """
-    q, c, p, shift, radial = _weight_parts(weight, domain)
-    for i, pi in enumerate(p):
-        if pi >= 1:
+    dec = coordinate_form(weight)
+    if dec is None:
+        return None, 0.0, [0.0] * domain.arity, False
+    form, shift = dec
+    c, radial = [], True
+    for i, ((qi, ai, ci), center, R) in enumerate(
+        zip(form, domain.center, domain.radii)
+    ):
+        if center == 0:
+            c.append(ci)
+        elif ci >= 1 and abs(center) <= R:
             raise UnsupportedWeightError(
-                f"|z_{i + 1}|^(-2c) with c = {pi} >= 1 is not integrable at its"
+                f"|z_{i + 1}|^(-2c) with c = {ci} >= 1 is not integrable at its"
                 " pole, which lies in the disc off its center"
             )
-    return q, c, shift, radial
-
-
-def _weight_parts(weight, domain: Polydisc):
-    """(q, c, p, shift, radial): _radial_parts together with p, the log
-    exponents of each coordinate whose pole z_i = 0 lies in the closed disc
-    away from its center."""
-    n = domain.arity
-    if isinstance(weight, SumWeight):
-        parts = [_weight_parts(p, domain) for p in weight.parts]
-        return (
-            [sum(p[0][i] for p in parts) for i in range(n)],
-            [sum(p[1][i] for p in parts) for i in range(n)],
-            [sum(p[2][i] for p in parts) for i in range(n)],
-            sum(p[3] for p in parts),
-            all(p[4] for p in parts),
-        )
-    q, c, p = [0.0] * n, [0.0] * n, [0.0] * n
-    if isinstance(weight, ConstantWeight):
-        return q, c, p, weight.value, True
-    if isinstance(weight, QuadraticWeight):
-        pairs = list(zip(weight.coeffs, weight.center, domain.center))
-        radial = all(qi == 0 or ai == ci for qi, ai, ci in pairs)
-        return [qi for qi, _, _ in pairs], c, p, 0.0, radial
-    if isinstance(weight, LogMonomialWeight):
-        triples = list(zip(weight.coeffs, domain.center, domain.radii))
-        c = [ci if center == 0 else 0.0 for ci, center, _ in triples]
-        p = [
-            ci if center != 0 and abs(center) <= R else 0.0
-            for ci, center, R in triples
-        ]
-        radial = all(ci == 0 or center == 0 for ci, center, _ in triples)
-        return q, c, p, 0.0, radial
-    return q, c, p, 0.0, isinstance(weight, ZeroWeight)
+        else:
+            c.append(0.0)
+            radial = radial and ci == 0
+        radial = radial and (qi == 0 or ai == center)
+    return form, shift, c, radial
 
 
 def _radial_moment(e: float, q: float, R: float) -> float:
@@ -327,12 +299,15 @@ def radial_moments(weight, domain: Polydisc, labels) -> np.ndarray | None:
     e^{-shift} prod_i pi Gamma(e_i) P(e_i, q_i R_i^2) / q_i^{e_i}, where
     e_i = alpha_i - c_i + 1.  Returns None for any other weight.
     """
-    q, c, shift, radial = _radial_parts(weight, domain)
-    if not radial:
-        return None
+    form, shift, c, radial = _local_form(weight, domain)
+    return _moment_diagonal(domain, labels, form, c, shift) if radial else None
+
+
+def _moment_diagonal(domain: Polydisc, labels, form, c, shift) -> np.ndarray:
+    """The radial_moments diagonal for the q_i of a form, c and a shift."""
     labels = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
     diag = np.ones(len(labels))
-    for i, (R, qi, ci) in enumerate(zip(domain.radii, q, c)):
+    for i, (R, (qi, _, _), ci) in enumerate(zip(domain.radii, form, c)):
         top = int(labels[:, i].max(initial=0))
         table = np.array([_radial_moment(k - ci + 1.0, qi, R) for k in range(top + 1)])
         diag *= table[labels[:, i]]
@@ -353,28 +328,32 @@ def _radial_quadrature_axes(domain: Polydisc, quad: QuadSpec, max_deg: int):
     return axes
 
 
-def _separable_quadrature_gram(domain, weight, labels, quad):
-    """Gram of a radial weight by one polar Gauss-Legendre grid per coordinate."""
-    q, c, shift, _ = _radial_parts(weight, domain)
-    d = max((max(a) for a in labels), default=0)
-    axes = _radial_quadrature_axes(domain, quad, d)
-    k = np.arange(d + 1)
-    mats = []
-    for (r, wr, theta), qi, ci in zip(axes, q, c):
-        # M[a, b] = int disc (re^{it})^a conj^b e^{-q r^2} r^{-2c} r dr dt
-        dens = np.exp(-qi * r**2) * r ** (-2.0 * ci)
-        radial = np.array(
-            [[np.sum(r ** (a + b + 1) * dens * wr) for b in k] for a in k]
-        )
-        diff = k[:, None] - k[None, :]
-        ang = np.real(np.exp(1j * np.outer(diff.ravel(), theta)).sum(axis=1)).reshape(
-            d + 1, d + 1
-        ) * (2.0 * math.pi / len(theta))
-        mats.append(radial * ang)
+def _product_quadrature_gram(domain: Polydisc, labels, form, shift, quad):
+    """Gram of the (z - center)^alpha for a weight with a per-coordinate form.
+
+    e^{-psi} is a product over the discs, so the Gram is e^{-shift} times the
+    entrywise product of the one-disc Grams M_i[alpha_i, beta_i], where
+    M_i = P_i^H diag(w_i dens_i) P_i on the polar Gauss-Legendre nodes of
+    disc i and P_i is the Vandermonde matrix of z_i - center_i.  A node on a
+    pole contributes 0, as on the tensor path.
+    """
+    A = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
+    axes = _radial_quadrature_axes(domain, quad, int(A.max(initial=0)))
     G = np.full((len(labels), len(labels)), math.exp(-shift), dtype=complex)
-    for i in range(domain.arity):
-        ai = np.array([a[i] for a in labels])
-        G = G * mats[i][np.ix_(ai, ai)]
+    for i, ((r, wr, theta), (q, a, c), center) in enumerate(
+        zip(axes, form, domain.center)
+    ):
+        u = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+        wts = (wr[:, None] * r[:, None] * np.ones_like(theta)[None, :]).ravel() * (
+            2.0 * math.pi / len(theta)
+        )
+        z = u + center
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.exp(-q * np.abs(z - a) ** 2) * np.abs(z) ** (-2.0 * c)
+        dens[~np.isfinite(dens)] = 0.0
+        P = np.vander(u, int(A[:, i].max(initial=0)) + 1, increasing=True)
+        M = np.conj(P).T @ (P * (wts * dens)[:, None])
+        G *= M[np.ix_(A[:, i], A[:, i])]
     return G
 
 
@@ -432,11 +411,14 @@ def assemble_gram(
     method: "auto" takes the divisor-factored basis for log-divisor weights,
     the exact moments of ``radial_moments`` for weights radial about the
     domain center (zero, constants, centered quadratics, log-monomials with
-    their poles at the local origin, and sums of these), and tensor
-    Gauss-Legendre quadrature for every other weight; "quadrature" integrates
-    numerically, with one polar grid per coordinate for radial weights;
-    "closed" forces the exact moments (UnsupportedWeightError when the weight
-    is not radial).
+    their poles at the local origin, and sums of these), one polar
+    Gauss-Legendre grid per coordinate for every other weight with a
+    ``coordinate_form`` (off-center quadratics and log poles), and tensor
+    Gauss-Legendre quadrature only for weights without one (the joint views
+    of ``extension``); "quadrature" integrates numerically, on the
+    per-coordinate grids wherever the weight has a per-coordinate form;
+    "closed" forces the exact moments (UnsupportedWeightError when the
+    weight is not radial).
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")
@@ -462,12 +444,12 @@ def assemble_gram(
         # |g (z - c)^alpha|^2 e^{-2 log|g|} = |(z - c)^alpha|^2
         E, C, S = _shifted_monomials(domain.center, labels)
         E, C, S = _times_poly(weight.g, E, C, S, len(labels))
-        diag = radial_moments(ZeroWeight(n), domain, labels)
+        diag = _moment_diagonal(domain, labels, [(0.0, 0j, 0.0)] * n, [0.0] * n, 0.0)
         G = np.diag(diag).astype(complex)
         return GramModel(domain, weight, degree, labels, E, C, S, G)
 
     # analytic exclusion of non-square-integrable monomials
-    cvec = _radial_parts(weight, domain)[1]
+    form, shift, cvec, radial = _local_form(weight, domain)
     labels = [
         a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
     ]
@@ -477,15 +459,15 @@ def assemble_gram(
         model.gram = np.zeros((0, 0), dtype=complex)
         return model
 
-    moments = radial_moments(weight, domain, labels)
-    if method == "closed" and moments is None:
+    if method == "closed" and not radial:
         raise UnsupportedWeightError("closed-form moments unavailable for this weight")
-    if moments is None:
+    if form is None:
         model.gram = _tensor_quadrature_gram(model, quad)
-    elif method == "quadrature":
-        model.gram = _separable_quadrature_gram(domain, weight, labels, quad)
+    elif radial and method != "quadrature":
+        diag = _moment_diagonal(domain, labels, form, cvec, shift)
+        model.gram = np.diag(diag).astype(complex)
     else:
-        model.gram = np.diag(moments).astype(complex)
+        model.gram = _product_quadrature_gram(domain, labels, form, shift, quad)
     return model
 
 

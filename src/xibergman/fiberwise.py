@@ -29,24 +29,16 @@ class FamilyProblem:
     family: object  # FunctionalFamily or AntiHolomorphicControl
     degree: int
     quad: QuadSpec = field(default_factory=QuadSpec)
-    _model_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def holomorphic(self) -> bool:
         return getattr(self.family, "holomorphic", True)
 
     def fiber_model(self, w: tuple[complex, ...]) -> GramModel:
-        key = tuple(complex(x) for x in w)
-        model = self._model_cache.get(key)
-        if model is None:
-            fw = self.joint_weight.fiber(key)
-            model = orthonormalize(
-                assemble_gram(self.fiber_domain, fw, self.degree, self.quad)
-            )
-            if len(self._model_cache) > 256:
-                self._model_cache.clear()
-            self._model_cache[key] = model
-        return model
+        fw = self.joint_weight.fiber(tuple(complex(x) for x in w))
+        return orthonormalize(
+            assemble_gram(self.fiber_domain, fw, self.degree, self.quad)
+        )
 
 
 @dataclass

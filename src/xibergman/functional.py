@@ -165,10 +165,6 @@ def apply(xi: Functional, taylor: TaylorData) -> complex:
     )
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def recenter(poly: TaylorData, new_center: Iterable[complex]) -> TaylorData:
     """Exact binomial Taylor shift of a polynomial to a new center."""
     if poly.truncation_degree is not None:
@@ -185,7 +181,7 @@ def recenter(poly: TaylorData, new_center: Iterable[complex]) -> TaylorData:
             nxt = []
             for prefix, coef in stack:
                 for bi in range(gi + 1):
-                    nxt.append((prefix + (bi,), coef * _binom(gi, bi) * si ** (gi - bi)))
+                    nxt.append((prefix + (bi,), coef * math.comb(gi, bi) * si ** (gi - bi)))
             stack = nxt
         for beta, coef in stack:
             out[beta] = out.get(beta, 0.0) + coef

@@ -101,11 +101,6 @@ class IdealFamily:
             if g.arity != self.z_arity + self.w_arity:
                 raise ValueError("generator arity must be z_arity + w_arity")
 
-    def fiber_generators(self, w: Sequence[complex]) -> list[PolyW]:
-        from .weights import substitute_base
-
-        return [substitute_base(g, self.z_arity, w) for g in self.generators]
-
 
 def _split_generator(g: PolyW, n: int, m: int) -> dict[MultiIndex, PolyW]:
     """Collect a (z, w)-polynomial as z-monomial -> polynomial in w."""
@@ -258,10 +253,9 @@ def _sample_minors(
     return coeffs.reshape(S, n) / S, log_bound
 
 
-def _det_and_cofactors(
-    M: list[list[PolyW]], m: int
-) -> tuple[PolyW, list[list[PolyW]]]:
-    """det C and the bordered cofactor rows of a p x r polynomial matrix.
+def _det_and_cofactors(M: list[list[PolyW]], m: int):
+    """det C, the bordered cofactor rows of a p x r polynomial matrix, and
+    the terms (exponents, coefficients) of det C before PolyW trims them.
 
     C is the top r x r block of M.  For each row l >= r the (r+1) x r block
     [C; M_l] has the left null row X_l with X_l[l] = det C and X_l[k]
@@ -388,7 +382,7 @@ def _det_and_cofactors(
         X[:r] = polys[1 + j * r : 1 + (j + 1) * r]
         X[l] = det_c
         rows.append(X)
-    return det_c, rows
+    return det_c, rows, (alpha, best[:, 0].copy())
 
 
 @dataclass
@@ -399,6 +393,7 @@ class AnnihilatorResult:
     col_perm: list[int]
     rows: list[list[PolyW]]  # s x p annihilator in permuted-row coordinates
     det_c: PolyW
+    det_terms: tuple[np.ndarray, np.ndarray]  # det C untrimmed, read by in_U
     pivot_block: list[list[PolyW]]  # the r x r block C(w)
     product_residual: float  # max relative coefficient of B(w) A(w)
     _families: list[FunctionalFamily] | None = field(default=None, repr=False)
@@ -428,7 +423,10 @@ class AnnihilatorResult:
             abs(e.evaluate(w)) for row in self.pivot_block for e in row if e.coeffs
         ]
         scale = max(1.0, max(cvals, default=0.0)) ** self.r
-        return abs(self.det_c.evaluate(w)) > DETC_TOL * scale
+        # not det_c: its trim can drop the constant term of (1 + 10w)^14
+        exps, coef = self.det_terms
+        det = coef @ np.prod(np.asarray(w) ** exps, axis=1)
+        return abs(det) > DETC_TOL * scale
 
     def functionals(self) -> list[FunctionalFamily]:
         if self._families is None:
@@ -482,7 +480,7 @@ def annihilator(
     Ap = [[A.entries[row_perm[i]][col_perm[j]] for j in range(q)] for i in range(p)]
     pivot_cols = [row[:r] for row in Ap]
     C = pivot_cols[:r]
-    det_c, rows = _det_and_cofactors(pivot_cols, m)
+    det_c, rows, det_terms = _det_and_cofactors(pivot_cols, m)
     zero = PolyW(m, {})
 
     # certify the exact polynomial identity B(w) A(w) = 0
@@ -497,7 +495,9 @@ def annihilator(
                 if X[l].coeffs and Ap[l][c].coeffs:
                     acc = acc + X[l] * Ap[l][c]
             residual = max(residual, acc.max_coeff() / scale)
-    return AnnihilatorResult(A, r, row_perm, col_perm, rows, det_c, C, residual)
+    return AnnihilatorResult(
+        A, r, row_perm, col_perm, rows, det_c, det_terms, C, residual
+    )
 
 
 def functionals_from_annihilator(res: AnnihilatorResult) -> list[FunctionalFamily]:

@@ -4,6 +4,9 @@ Every entry is psh by construction: sums of convex functions of |z_i|,
 2c*log of the modulus of a holomorphic polynomial, and sums thereof.
 User-supplied black-box weights are deliberately not accepted, since the
 verification harness is only meaningful for certified-psh inputs.
+
+``coordinate_form`` is the one decoder of the per-coordinate form of a fiber
+weight; the Gram dispatch of ``bergman`` and the divergence probe read it.
 """
 
 from __future__ import annotations
@@ -347,42 +350,59 @@ def monomial_moment(
     return total
 
 
+def coordinate_form(spec):
+    """(form, shift) with psi = sum_i q_i |z_i - a_i|^2 + 2 c_i log|z_i| + shift.
+
+    form[i] = (q_i, a_i, c_i), plain floats (this runs once per fiber
+    model); None for divisors and joint views.  The quadratics of a sum on
+    one coordinate combine by completing the square, A = sum q_k a_k / Q,
+    with sum q_k |a_k|^2 - Q |A|^2 added to the shift; a coordinate served
+    by one center keeps it exactly and adds nothing.
+    """
+    n = spec.arity
+    if isinstance(spec, ZeroWeight):
+        return [(0.0, 0j, 0.0)] * n, 0.0
+    if isinstance(spec, ConstantWeight):
+        return [(0.0, 0j, 0.0)] * n, spec.value
+    if isinstance(spec, QuadraticWeight):
+        return [(q, a, 0.0) for q, a in zip(spec.coeffs, spec.center)], 0.0
+    if isinstance(spec, LogMonomialWeight):
+        return [(0.0, 0j, c) for c in spec.coeffs], 0.0
+    if not isinstance(spec, SumWeight):
+        return None
+    forms = [coordinate_form(p) for p in spec.parts]
+    if None in forms:
+        return None
+    shift = sum(f[1] for f in forms)
+    form = []
+    for terms in zip(*(f[0] for f in forms)):
+        q = sum(t[0] for t in terms)
+        c = sum(t[2] for t in terms)
+        centers = {t[1] for t in terms if t[0]}
+        if len(centers) <= 1:
+            a = centers.pop() if centers else 0j
+        else:
+            a = sum(t[0] * t[1] for t in terms) / q
+            shift += sum(t[0] * abs(t[1]) ** 2 for t in terms) - q * abs(a) ** 2
+        form.append((q, a, c))
+    return form, shift
+
+
 def separable_radial_parts(spec, arity: int):
     """Decompose e^{-psi} as prefactor * prod_i f_i(|z_i|) when possible.
 
     Returns (prefactor, [f_1, ..., f_n]) with vectorized radial densities,
-    or None when the weight has no per-coordinate radial structure.
+    or None when the weight has no per-coordinate radial structure: no
+    ``coordinate_form``, or a quadratic centered off the origin.  arity is
+    the weight's own, n.
     """
-    if isinstance(spec, ZeroWeight):
-        return 1.0, [lambda r: np.ones_like(r)] * arity
-    if isinstance(spec, ConstantWeight):
-        return math.exp(-spec.value), [lambda r: np.ones_like(r)] * arity
-    if isinstance(spec, QuadraticWeight):
-        if any(a != 0 for a in spec.center):
-            return None
-        return 1.0, [
-            (lambda ci: (lambda r: np.exp(-ci * r**2)))(ci) for ci in spec.coeffs
-        ]
-    if isinstance(spec, LogMonomialWeight):
-        return 1.0, [
-            (lambda ci: (lambda r: r ** (-2.0 * ci)))(ci) for ci in spec.coeffs
-        ]
-    if isinstance(spec, SumWeight):
-        pre = 1.0
-        parts = [[] for _ in range(arity)]
-        for p in spec.parts:
-            dec = separable_radial_parts(p, arity)
-            if dec is None:
-                return None
-            pre *= dec[0]
-            for i, f in enumerate(dec[1]):
-                parts[i].append(f)
-
-        def make(fs):
-            return lambda r: math.prod([f(r) for f in fs], start=np.ones_like(r))
-
-        return pre, [make(fs) for fs in parts]
-    return None
+    dec = coordinate_form(spec)
+    if dec is None or any(q and a for q, a, _ in dec[0]):
+        return None
+    return math.exp(-dec[1]), [
+        (lambda q, c: (lambda r: np.exp(-q * r**2) * r ** (-2.0 * c)))(q, c)
+        for q, _, c in dec[0]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +440,6 @@ def _poly_divides(g: PolyW, f: PolyW, tol: float = 1e-9) -> bool:
     b = np.zeros(len(rows), dtype=complex)
     for k, v in f.coeffs.items():
         b[rows[k]] = v
-    _, res, _, _ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.linalg.norm(A @ np.linalg.lstsq(A, b, rcond=None)[0] - b)
     return resid <= tol * max(1.0, np.linalg.norm(b))
 

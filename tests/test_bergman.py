@@ -1,5 +1,6 @@
 """Unit tests for truncated Gram models and extremal kernels."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xibergman import bergman
 from xibergman.bergman import (
     KernelZeroError,
     QuadSpec,
@@ -149,7 +151,7 @@ class TestRadialMoments:
         assert np.all(d > 0)
         assert np.all(np.abs(G - m.gram) <= 1e-10 * np.sqrt(np.outer(d, d)))
 
-    def test_off_center_log_monomial_takes_tensor_path(self):
+    def test_off_center_log_monomial_takes_product_quadrature(self):
         # the pole of log|z| lies outside the disc |z - 0.6| < 0.5: the
         # weight is bounded there and not radial about the center
         D = Polydisc((0.5,), (0.6,))
@@ -187,7 +189,7 @@ class TestRadialMoments:
             with pytest.raises(UnsupportedWeightError, match="not integrable"):
                 assemble_gram(D, weight, 4, quad)
 
-    def test_off_center_integrable_pole_keeps_tensor_path(self):
+    def test_off_center_integrable_pole_keeps_product_quadrature(self):
         # c < 1: |z|^(-2c) is integrable at the pole inside the disc
         D = Polydisc((0.5,), (0.3,))
         m = assemble_gram(D, LogMonomialWeight((0.5,)), 4)
@@ -201,6 +203,92 @@ class TestRadialMoments:
         e = np.array([a[0] + 1.0 for a in m.basis_labels])
         assert np.all(np.isfinite(d)) and np.all(d > 0)
         assert np.all(np.abs(d / (math.pi / e) - 1.0) <= 1e-5)
+
+
+@st.composite
+def product_problems(draw):
+    """An off-center polydisc (n <= 2), a product weight and a degree <= 6.
+
+    The weights are constants, quadratics with random centers, sums of two
+    quadratics with distinct centers, and log-monomials (plus an optional
+    quadratic) whose pole is the center of its disc, lies inside it with
+    c < 1, or lies outside it.
+    """
+    n = draw(st.sampled_from([1, 2]))
+    cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    radii = tuple(draw(st.floats(0.3, 1.2)) for _ in range(n))
+    kind = draw(st.sampled_from(["constant", "quadratic", "two", "log"]))
+    center = [draw(cplx) for _ in range(n)]
+    coef = st.floats(0.0, 2.0)
+    if kind == "constant":
+        weight = ConstantWeight(n, draw(st.floats(-1.0, 1.0)))
+    elif kind == "quadratic":
+        weight = QuadraticWeight(
+            tuple(draw(coef) for _ in range(n)), tuple(draw(cplx) for _ in range(n))
+        )
+    elif kind == "two":
+        a = tuple(draw(cplx) for _ in range(n))
+        b = tuple(ai + draw(st.sampled_from([0.25, -0.5j, 0.3 + 0.4j])) for ai in a)
+        weight = SumWeight(
+            (
+                QuadraticWeight(tuple(draw(coef) for _ in range(n)), a),
+                QuadraticWeight(tuple(draw(coef) for _ in range(n)), b),
+            )
+        )
+    else:
+        cs = []
+        for i in range(n):
+            # the pole z_i = 0 at distance t R_i from the center of disc i
+            t = draw(st.sampled_from([0.0, draw(st.floats(0.1, 0.9)),
+                                      draw(st.floats(1.05, 1.5))]))
+            center[i] = t * radii[i] * cmath.exp(1j * draw(st.floats(0.0, 6.3)))
+            cs.append(draw(st.floats(0.0, 0.9) if 0 < t < 1 else st.floats(0.0, 3.0)))
+        parts = [LogMonomialWeight(tuple(cs))]
+        if draw(st.booleans()):
+            parts.append(
+                QuadraticWeight(tuple(draw(coef) for _ in range(n)), tuple(center))
+            )
+        weight = SumWeight(tuple(parts))
+    return Polydisc(radii, tuple(center)), weight, draw(st.integers(0, 6))
+
+
+class TestProductQuadrature:
+    @settings(max_examples=60, deadline=None)
+    @given(product_problems(), st.sampled_from([QuadSpec(4, 4), QuadSpec(6, 8)]))
+    def test_matches_tensor_quadrature(self, problem, quad):
+        domain, weight, degree = problem
+        m = assemble_gram(domain, weight, degree, quad, method="quadrature")
+        G = _tensor_quadrature_gram(m, quad)
+        err = np.max(np.abs(m.gram - G), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(G), initial=0.0)
+
+    def test_product_weights_skip_tensor_path(self, monkeypatch):
+        def refuse(model, quad):
+            raise AssertionError("product weight on the tensor path")
+
+        monkeypatch.setattr(bergman, "_tensor_quadrature_gram", refuse)
+        D = Polydisc((0.8, 0.9), (0.2 + 0.1j, -0.3))
+        for wt in [
+            QuadraticWeight((1.0, 0.5), (0.5, 0.1j)),
+            SumWeight((QuadraticWeight((1.0, 0.5), (0.5, 0.1j)), ConstantWeight(2, 0.4))),
+            SumWeight((LogMonomialWeight((0.5, 0.3)), QuadraticWeight((1.0, 0.0)))),
+        ]:
+            m = assemble_gram(D, wt, 6)
+            assert m.size == 28 and np.all(np.diag(m.gram).real > 0)
+
+    def test_two_centers_on_one_coordinate(self):
+        # |z - 0.2|^2 + 2|z + 0.4i|^2 = 3|z - A|^2 + const: the same Gram as
+        # the completed square, which is radial when A is the domain center
+        A = (0.2 + 2 * -0.4j) / 3
+        two = SumWeight(
+            (QuadraticWeight((1.0,), (0.2,)), QuadraticWeight((2.0,), (-0.4j,)))
+        )
+        D = Polydisc((0.7,), (A,))
+        m = assemble_gram(D, two, 6, method="quadrature")
+        closed = assemble_gram(D, QuadraticWeight((3.0,), (A,)), 6)
+        const = 0.04 + 2 * 0.16 - 3 * abs(A) ** 2
+        d = np.diag(closed.gram).real * math.exp(-const)
+        assert np.all(np.abs(m.gram - np.diag(d)) <= 1e-12 * np.sqrt(np.outer(d, d)))
 
 
 class TestBasisAction:

@@ -261,6 +261,21 @@ class TestExtendCommand:
         assert out["ratio"] <= 1.0 + 5e-3
         assert out["jensen"]["holds"] is True
 
+    def test_gaussian_off_center_base_runs(self, tmp_path):
+        # e^{-|z|^2 - |w|^2} over the base disc about w0 = 0.3 is a product
+        # weight but not radial about (0, w0); the tensor rule refused its
+        # default grid (exit 2).  The minimal extension z e^{conj(w0)(w - w0)}
+        # makes the ratio that of w0 = 0, which is 1 - 1/e
+        cfg = json.loads((CONFIGS / "extend_gaussian.json").read_text())
+        cfg["w0"] = [0.3, 0.0]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == 0
+        out = payload(tmp_path / "o" / "extend.json")
+        assert out["ratio"] <= 1.0
+        assert out["ratio"] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert out["jensen"]["holds"] is True
+
     def test_empty_jensen_point_exits_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "extend_windependent.json").read_text())
         cfg["jensen"]["z0"] = []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from xibergman.bergman import (
     QuadSpec,
+    _tensor_quadrature_gram,
     assemble_gram,
     extremal_function,
     orthonormalize,
@@ -16,6 +17,7 @@ from xibergman.bergman import (
 )
 from xibergman.extension import (
     ExtensionProblem,
+    _joint_gram,
     InconsistentConstraintError,
     ZeroFiberNormError,
     extension_report,
@@ -114,6 +116,17 @@ class TestMinimalExtension:
         assert res.kkt_residual < 1e-9
         ratio = optimal_constant_check(prob, res)
         assert ratio == pytest.approx(0.82768974113143, rel=1e-12)
+
+    def test_off_center_base_matches_tensor_reference(self):
+        # the Gaussian joint weight on the base disc about w0 = 0.3: 121
+        # elements on the per-coordinate quadrature against the tensor rule
+        prob = ExtensionProblem(
+            DISC, 1.0, GAUSSIAN, 0.3, PolyW(1, {(1,): 1.0}), 10, 10, QuadSpec(8, 8)
+        )
+        model = _joint_gram(prob)
+        G = _tensor_quadrature_gram(model, prob.quad)
+        assert model.size == 121
+        assert np.max(np.abs(model.gram - G)) <= 1e-12 * np.max(np.abs(G))
 
     def test_inconsistent_datum_rejected(self):
         with pytest.raises(InconsistentConstraintError):

@@ -55,12 +55,6 @@ class TestKernelOnFiber:
         with pytest.raises(ValueError):
             kernel_on_fiber(pstar_problem(), (1.5,), (0.0, 0.0))
 
-    def test_model_cache_reused(self):
-        prob = pstar_problem()
-        kernel_on_fiber(prob, (0.3,), (0.0, 0.0))
-        kernel_on_fiber(prob, (0.3,), (0.1, 0.1))
-        assert len(prob._model_cache) == 1
-
 
 class TestSubmeanCheck:
     def test_harmonic_passes_exactly(self):

@@ -221,7 +221,7 @@ def assert_same_poly(got: PolyW, want: PolyW, scale: float):
 def check_against_laplace(M: list[list[PolyW]], m: int):
     """det C and every bordered cofactor agree with the reference."""
     p, r = len(M), len(M[0]) if M else 0
-    det_c, rows = _det_and_cofactors(M, m)
+    det_c, rows, _ = _det_and_cofactors(M, m)
     ref_det = laplace_det(M[:r], m)
     entries = [abs(c) for row in M for e in row for c in e.coeffs.values()]
     scale = max(1.0, max(entries, default=0.0)) ** (r + 1) * math.factorial(r + 1)
@@ -326,7 +326,7 @@ class TestDeterminant:
         # without them it is the determinant's own size (2.3e-13 at most),
         # where the unit torus alone reaches 2e-6
         M, m, want, fill = case
-        det_c, _ = _det_and_cofactors(M, m)
+        det_c, _, _ = _det_and_cofactors(M, m)
         assert set(det_c.coeffs) <= set(want.coeffs)
         assert torus_error(det_c, want) < (1e-7 if fill else 1e-11)
 
@@ -354,6 +354,17 @@ class TestDeterminant:
         assert res.in_U(0.0)
         assert res.product_residual < 1e-10
 
+    def test_in_u_reads_the_untrimmed_determinant(self):
+        # det C = +-(1 + 10w)^14 spans more than 14 decades: PolyW's trim at
+        # TRIM_REL_TOL drops its constant term, yet det C(0) = +-1
+        res = build_annihilator(
+            IdealFamily(1, 1, [PolyW(2, {(1, 0): 1.0, (1, 1): 10.0})], 15)
+        )
+        assert res.r == 14 and (0,) not in res.det_c.coeffs
+        assert res.in_U(0.0)
+        assert res.in_U(0.05) and res.in_U(-0.2)
+        assert not res.in_U(-0.1)
+
     def test_mixed_scales_in_two_variables(self):
         # det = (1 + 100 w2)^4 (1 + w1 / 100)^4: w1^4 w2^0 needs a large
         # radius in w1 and a small one in w2 at once
@@ -366,7 +377,7 @@ class TestDeterminant:
         want = PolyW.constant(1.0, m)
         for h in diag:
             want = want * h
-        det_c, _ = _det_and_cofactors(M, m)
+        det_c, _, _ = _det_and_cofactors(M, m)
         assert set(det_c.coeffs) == set(want.coeffs)
         for a, c in want.coeffs.items():
             assert det_c.coeffs[a] == pytest.approx(c, rel=1e-12, abs=0)
@@ -401,20 +412,20 @@ class TestDeterminant:
         zero = PolyW(1, {})
         M = [[w, one, one], [zero, zero, zero], [one, w, one], [one, one, w]]
         check_against_laplace(M, 1)
-        det_c, rows = _det_and_cofactors(M, 1)
+        det_c, rows, _ = _det_and_cofactors(M, 1)
         assert not det_c.coeffs
 
     def test_constant_entries(self):
         M = [[PolyW.constant(c, 2) for c in row]
              for row in ([2, 1, 0], [1, 3, 1], [0, 1, 4], [1, 1, 1])]
         check_against_laplace(M, 2)
-        det_c, _ = _det_and_cofactors(M, 2)
+        det_c, _, _ = _det_and_cofactors(M, 2)
         assert det_c.coeffs.keys() == {(0, 0)}
         assert det_c.coeffs[(0, 0)] == pytest.approx(18.0, abs=1e-12)
 
     def test_empty_block(self):
         M = [[], []]
-        det_c, rows = _det_and_cofactors(M, 1)
+        det_c, rows, _ = _det_and_cofactors(M, 1)
         assert det_c.coeffs == {(0,): 1.0}
         assert [[e.coeffs for e in X] for X in rows] == [
             [{(0,): 1.0}, {}], [{}, {(0,): 1.0}]

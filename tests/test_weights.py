@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xibergman.family import PolyW
 from xibergman.weights import (
@@ -19,6 +21,7 @@ from xibergman.weights import (
     UnsupportedWeightError,
     WIndependentJoint,
     ZeroWeight,
+    coordinate_form,
     divergence_probe,
     eval_weight,
     monomial_moment,
@@ -115,6 +118,62 @@ class TestSubstituteBase:
     def test_constant_in_base(self):
         g = PolyW(2, {(2, 0): 3.0})
         assert substitute_base(g, 1, (0.9,)).coeffs == {(2,): 3.0}
+
+
+def form_value(dec, z):
+    form, shift = dec
+    return shift + sum(
+        q * abs(zi - a) ** 2 + 2.0 * c * math.log(abs(zi))
+        for (q, a, c), zi in zip(form, z)
+    )
+
+
+_CPLX = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_OFF_AXES = st.builds(complex, st.floats(0.1, 1.0), st.floats(-1.0, 1.0))
+_PART = st.one_of(
+    st.builds(ConstantWeight, st.just(2), st.floats(-2.0, 2.0)),
+    st.builds(
+        QuadraticWeight,
+        st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+        st.tuples(_CPLX, _CPLX),
+    ),
+    st.builds(LogMonomialWeight, st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))),
+    st.just(ZeroWeight(2)),
+)
+
+
+class TestCoordinateForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_PART, min_size=1, max_size=4), st.tuples(_OFF_AXES, _OFF_AXES))
+    def test_matches_pointwise(self, parts, z):
+        # nested sums too: the square is completed at every level
+        spec = SumWeight((parts[0], SumWeight(tuple(parts[1:]) or (ZeroWeight(2),))))
+        assert form_value(coordinate_form(spec), z) == pytest.approx(
+            eval_weight(spec, z), rel=1e-12, abs=1e-12
+        )
+
+    def test_one_center_kept_exactly(self):
+        a = (0.1 + 0.2j, -0.3)
+        spec = SumWeight(
+            (QuadraticWeight((1.0, 0.0), a), QuadraticWeight((2.0, 0.5), a),
+             ConstantWeight(2, 0.25), LogMonomialWeight((0.5, 0.0)))
+        )
+        form, shift = coordinate_form(spec)
+        assert form == [(3.0, a[0], 0.5), (0.5, a[1], 0.0)]
+        assert shift == 0.25
+
+    def test_distinct_centers_complete_the_square(self):
+        spec = SumWeight(
+            (QuadraticWeight((1.0,), (0.2,)), QuadraticWeight((3.0,), (-0.2,)))
+        )
+        (form, shift) = coordinate_form(spec)
+        assert form[0][0] == 4.0 and form[0][1] == pytest.approx(-0.1)
+        assert shift == pytest.approx(0.04 + 3 * 0.04 - 4 * 0.01)
+
+    def test_divisors_and_joint_weights_have_none(self):
+        g = PolyW(1, {(1,): 1.0, (0,): -0.5})
+        assert coordinate_form(LogDivisorWeight(g)) is None
+        assert coordinate_form(SumWeight((ZeroWeight(1), LogDivisorWeight(g)))) is None
 
 
 class TestSeparability:
