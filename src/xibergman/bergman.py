@@ -9,7 +9,9 @@ the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
 Every catalog weight but a divisor has a per-coordinate form
 (``weights.coordinate_form``): its Gram is exact diagonal moments when it is
 radial about the domain center, else an entrywise product of one-disc
-quadrature Grams.  Only joint views take a tensor quadrature.
+quadrature Grams.  A divisor part 2 log|g| (c = 1) factors out of the basis,
+and the rest of the weight takes that dispatch.  Only joint views take a
+tensor quadrature.
 
 The basis is stored as coefficient arrays over global monomials: exponents
 E (one row per term), coefficients C and the basis element S of each term.
@@ -36,7 +38,9 @@ from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
 from .weights import (
     LogDivisorWeight,
     Polydisc,
+    SumWeight,
     UnsupportedWeightError,
+    ZeroWeight,
     coordinate_form,
 )
 
@@ -224,7 +228,7 @@ def _times_poly(g: PolyW, E, C, S, size):
         # order by element, then term of g, then term of b_j
         order = np.argsort(seg * T + np.tile(np.arange(T), len(C)), kind="stable")
         cand, seg, re, im = cand[order], seg[order], re[order], im[order]
-        dims = cand.max(axis=0) + 1
+        dims = cand.max(axis=0, initial=0) + 1
         code = seg * math.prod(dims) + np.ravel_multi_index(cand.T, dims)
         first, re, im = _sum_repeated(code, re, im)
         cand, seg = cand[first], seg[first]
@@ -406,19 +410,21 @@ def assemble_gram(
     """Build a truncated weighted-Bergman model on a polydisc.
 
     The basis is (z - center)^alpha for alpha in labels (default: every
-    |alpha| <= degree), times g for a log-divisor weight 2 log|g|; labels
-    whose monomial is not square integrable at a log pole are dropped.
-    method: "auto" takes the divisor-factored basis for log-divisor weights,
-    the exact moments of ``radial_moments`` for weights radial about the
-    domain center (zero, constants, centered quadratics, log-monomials with
-    their poles at the local origin, and sums of these), one polar
-    Gauss-Legendre grid per coordinate for every other weight with a
-    ``coordinate_form`` (off-center quadratics and log poles), and tensor
-    Gauss-Legendre quadrature only for weights without one (the joint views
-    of ``extension``); "quadrature" integrates numerically, on the
+    |alpha| <= degree), times g for a weight 2 log|g| + rest with one c = 1
+    divisor part (a log-divisor weight, or a sum with one such part): its
+    Gram is that of the (z - center)^alpha under rest, which takes the
+    dispatch below.  Labels whose monomial is not square integrable at a log
+    pole are dropped.  method: "auto" takes the exact moments of
+    ``radial_moments`` for weights radial about the domain center (zero,
+    constants, centered quadratics, log-monomials with their poles at the
+    local origin, and sums of these), one polar Gauss-Legendre grid per
+    coordinate for every other weight with a ``coordinate_form``
+    (off-center quadratics and log poles), and tensor Gauss-Legendre
+    quadrature only for weights without one (the joint views of
+    ``extension``); "quadrature" integrates numerically, on the
     per-coordinate grids wherever the weight has a per-coordinate form;
     "closed" forces the exact moments (UnsupportedWeightError when the
-    weight is not radial).
+    weight is not radial, and for every divisor weight).
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")
@@ -432,27 +438,62 @@ def assemble_gram(
     else:
         labels = [tuple(a) for a in labels]
 
-    if isinstance(weight, LogDivisorWeight):
+    divisor, rest = _divisor_split(weight)
+    if divisor is not None:
         if method == "closed":
             raise UnsupportedWeightError("no closed form for divisor weights")
-        if abs(weight.c - 1.0) > 1e-12:
+        if abs(divisor.c - 1.0) > 1e-12:
             raise UnsupportedWeightError(
                 "factored divisor basis requires exponent c = 1"
             )
-        if weight.g.arity != n:
+        if divisor.g.arity != n:
             raise ValueError("divisor generator arity mismatch")
-        # |g (z - c)^alpha|^2 e^{-2 log|g|} = |(z - c)^alpha|^2
-        E, C, S = _shifted_monomials(domain.center, labels)
-        E, C, S = _times_poly(weight.g, E, C, S, len(labels))
-        diag = _moment_diagonal(domain, labels, [(0.0, 0j, 0.0)] * n, [0.0] * n, 0.0)
-        G = np.diag(diag).astype(complex)
-        return GramModel(domain, weight, degree, labels, E, C, S, G)
+        # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the Gram of the
+        # (z - c)^alpha under the remaining parts
+        inner = _assemble(domain, rest, degree, quad, method, labels)
+        E, C, S = _times_poly(
+            divisor.g, inner.exps, inner.coeffs, inner.seg, inner.size
+        )
+        return GramModel(
+            domain, weight, degree, inner.basis_labels, E, C, S, inner.gram
+        )
+    return _assemble(domain, weight, degree, quad, method, labels)
 
-    # analytic exclusion of non-square-integrable monomials
+
+def _divisor_split(weight):
+    """(divisor, rest) for weight = 2 log|g| + rest; (None, weight) without one.
+
+    Nested sums are flattened; rest is ZeroWeight when nothing remains.  A sum
+    with two divisor parts has no factored basis: UnsupportedWeightError.
+    """
+    def flat(w):
+        if isinstance(w, SumWeight):
+            return [q for p in w.parts for q in flat(p)]
+        return [w]
+
+    parts = flat(weight)
+    divisors = [p for p in parts if isinstance(p, LogDivisorWeight)]
+    if not divisors:
+        return None, weight
+    if len(divisors) > 1:
+        raise UnsupportedWeightError(
+            "a sum of two divisor weights has no factored basis"
+        )
+    rest = [p for p in parts if not isinstance(p, LogDivisorWeight)]
+    if not rest:
+        return divisors[0], ZeroWeight(weight.arity)
+    return divisors[0], rest[0] if len(rest) == 1 else SumWeight(tuple(rest))
+
+
+def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
+    """assemble_gram for a weight without a divisor part."""
+    # analytic exclusion of non-square-integrable monomials (only a log
+    # exponent c_i >= 1 excludes any)
     form, shift, cvec, radial = _local_form(weight, domain)
-    labels = [
-        a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
-    ]
+    if any(ci >= 1 for ci in cvec):
+        labels = [
+            a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
+        ]
     E, C, S = _shifted_monomials(domain.center, labels)
     model = GramModel(domain, weight, degree, labels, E, C, S, None)
     if not labels:

@@ -254,30 +254,35 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
             raw = [raw]  # single [re, im] pair for a one-dimensional base
         w0 = _point(raw)
         radius = float(c["radius"])
-        if abs(w0[0] - base_domain.center[0]) + radius >= base_domain.radii[0]:
-            raise ConfigError("circle radius exceeds the base domain")
         kind = c.get("kind", "base")
+        if kind not in ("base", "joint"):
+            raise ConfigError(f"unknown circle kind {kind!r}")
+        # the base track of a joint circle has radius radius * |dw_k|
+        step = (
+            _point(c["dw"]) if kind == "joint"
+            else (1.0,) + (0.0,) * (base_domain.arity - 1)
+        )
+        if any(
+            abs(wk - ck) + radius * abs(sk) >= rk
+            for wk, ck, rk, sk in zip(w0, base_domain.center, base_domain.radii, step)
+        ):
+            raise ConfigError("circle radius exceeds the base domain")
         if kind == "base":
             rep = fiberwise.psh_verify_base(
                 problem, _point(c.get("z", cfg["z"])), w0, radius,
                 int(c.get("samples", 64)),
             )
-        elif kind == "joint":
+        else:
             rep = fiberwise.psh_verify_joint(
                 problem, _point(c.get("z", cfg["z"])), w0,
                 _point(c["dz"]), _point(c["dw"]), radius,
                 int(c.get("samples", 64)),
             )
-        else:
-            raise ConfigError(f"unknown circle kind {kind!r}")
         reports.append(rep.to_json())
         any_fail = any_fail or not rep.passed
 
     if "grid" in cfg:
-        rows = [
-            (w.real, w.imag, fiberwise.log_kernel_on_fiber(problem, (w,), z))
-            for w in _grid_points(cfg["grid"])
-        ]
+        rows = fiberwise.scan_base(problem, z, _grid_points(cfg["grid"]))
         _write_csv(out / "scan.csv", ["w_re", "w_im", "logK"], rows)
 
     _write_json(out / "psh_report.json", _json_safe({"reports": reports}))

@@ -10,9 +10,9 @@ weight radial about (center, w0) takes exact moments.  The optimal-constant
 check compares the joint norm per unit base area against the fiber norm: the
 ratio is at most 1 (with equality for base-independent weights), which is the
 sharp constant pi r^2.  The Jensen diagnostic averages over a polar grid of
-base nodes handled as arrays: the family values xi(w) and the Taylor
-coefficients of F_w at z0 are polynomials in w, evaluated by one Vandermonde
-matrix, and nodes that share a fiber weight share one fiber model.
+base nodes handled as arrays: the Taylor coefficients of F_w at z0 are
+polynomials in w, evaluated by one Vandermonde matrix, and the kernels K(w)
+come from one batched ``fiberwise.kernel_on_fiber`` call.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .bergman import (
     GramModel,
     QuadSpec,
     assemble_gram,
-    basis_action,
     extremal_function,
     orthonormalize,
     taylor_action,
 )
 from .family import PolyW
+from .fiberwise import FamilyProblem, kernel_on_fiber
 from .functional import (
     Functional,
     MultiIndex,
@@ -278,38 +278,25 @@ def jensen_diagnostic(
     w = (w0 + rr[:, None] * (np.cos(thetas) + 1j * np.sin(thetas))[None, :]).ravel()
     da = np.repeat(wr * rr * (2.0 * math.pi / angular_nodes), angular_nodes)
 
-    # with powers[node, k] = w^k: xi[node, j] = xi_alpha_j(w), and
-    # (powers @ shift)[node, j] is the alpha_j-th Taylor coefficient of F_w at z0
-    alphas = list(family.terms)
-    units = [Functional(n, {a: 1.0}) for a in alphas]
+    # with powers[node, k] = w^k, (powers @ shift)[node, j] is the alpha_j-th
+    # Taylor coefficient of F_w at z0
     exps = np.array(list(F.coeffs), dtype=int).reshape(len(F.coeffs), n + 1)
     fcoeffs = np.array(list(F.coeffs.values()), dtype=complex)
-    top = int(max(exps[:, n].max(initial=0),
-                  *(p.degree for p in family.terms.values())))
-    coef = np.zeros((top + 1, len(alphas)), dtype=complex)
-    shift = np.zeros((top + 1, len(alphas)), dtype=complex)
-    for j, (a, unit) in enumerate(zip(alphas, units)):
-        for (k,), v in family.terms[a].coeffs.items():
-            coef[k, j] = v
+    top = int(exps[:, n].max(initial=0))
+    shift = np.zeros((top + 1, len(family.terms)), dtype=complex)
+    for j, a in enumerate(family.terms):
         # F's terms summed per power of w
         shift[:, j] = taylor_action(
-            exps[:, :n], fcoeffs, exps[:, n], top + 1, unit, z0
+            exps[:, :n], fcoeffs, exps[:, n], top + 1, Functional(n, {a: 1.0}), z0
         )
     powers = np.vander(w, top + 1, increasing=True)
-    xi = powers @ coef
-    act = np.sum(xi * (powers @ shift), axis=1)
-
-    # one fiber model per distinct fiber weight; K = sum_k |(xi . e_k)(z0)|^2
-    groups: dict[object, list[int]] = {}
-    for i, wi in enumerate(w.tolist()):
-        groups.setdefault(prob.joint_weight.fiber((wi,)), []).append(i)
-    K = np.zeros(len(w))
-    for fw, nodes in groups.items():
-        model = orthonormalize(
-            assemble_gram(prob.fiber_domain, fw, prob.dz, prob.quad)
-        )
-        U = np.array([basis_action(model, u, z0) for u in units])
-        K[nodes] = np.sum(np.abs(xi[nodes] @ U @ model.transform) ** 2, axis=1)
+    act = np.sum(family.values(w[:, None]) * (powers @ shift), axis=1)
+    base = Polydisc((r,), (w0,))
+    K = kernel_on_fiber(
+        FamilyProblem(prob.fiber_domain, base, prob.joint_weight, family,
+                      prob.dz, prob.quad),
+        w[:, None], z0,
+    )
 
     live = (act != 0) & (K > 0)
     terms = np.full(len(w), -math.inf)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .functional import (
     ArityMismatchError,
     Functional,
@@ -174,6 +176,24 @@ class FunctionalFamily:
             self.z_arity, {a: p.evaluate(w) for a, p in self.terms.items()}
         )
 
+    def values(self, W) -> np.ndarray:
+        """xi_alpha(w) at the base points (rows of W), one column per term.
+
+        The columns follow ``terms``; the coefficients are not trimmed.
+        """
+        W = np.asarray(W, dtype=complex)
+        if W.ndim != 2 or W.shape[1] != self.w_arity:
+            raise ArityMismatchError("base point arity mismatch")
+        out = np.zeros((len(W), len(self.terms)), dtype=complex)
+        for j, p in enumerate(self.terms.values()):
+            for beta, c in p.coeffs.items():
+                term = np.full(len(W), c)
+                for i, b in enumerate(beta):
+                    if b:
+                        term *= W[:, i] ** b
+                out[:, j] += term
+        return out
+
     def __add__(self, other: "FunctionalFamily") -> "FunctionalFamily":
         if (self.z_arity, self.w_arity) != (other.z_arity, other.w_arity):
             raise ArityMismatchError("family arities differ")
@@ -239,6 +259,13 @@ class AntiHolomorphicControl:
 
     def eval(self, w: Sequence[complex]) -> Functional:
         return self.base.eval(tuple(complex(x).conjugate() for x in w))
+
+    @property
+    def terms(self) -> dict:
+        return self.base.terms
+
+    def values(self, W) -> np.ndarray:
+        return self.base.values(np.conj(np.asarray(W, dtype=complex)))
 
 
 def anti_holomorphic_control(fam: FunctionalFamily) -> AntiHolomorphicControl:

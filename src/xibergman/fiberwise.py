@@ -1,10 +1,22 @@
 """Fiberwise kernel maps and numerical log-psh verification.
 
-For a family problem, kernel_on_fiber(w, z) assembles the fiber model for
-the restricted weight, evaluates the functional family at w, and returns the
-extremal kernel value.  The verifiers check the submean-value inequality of
-the log-kernel on circles in the base, in the fiber, and along mixed complex
-lines — a direct numerical rendering of log-plurisubharmonicity.
+kernel_on_fiber(problem, W, Z) evaluates the fiberwise xi-Bergman kernel
+K_{xi(w)}(z) at an array of base points W, with one fiber point z shared by
+all of them or one per base point, in one batch.  Base points whose fibers
+share a Gram matrix share one model:
+
+- for a divisor weight 2 log|g(z, w)| (c = 1) every fiber has the Gram of
+  the unweighted moments, since |g_w b|^2 e^{-2 log|g_w|} = |b|^2, and only
+  the basis g(z, w) (z - center)^alpha moves, polynomially in w: one joint
+  basis in (z, w) serves every fiber;
+- any other joint weight gets one fiber model per distinct fiber weight.
+
+The actions of xi(w) on a basis come from the family values at all base
+points and from per-coordinate power tables of z and w, in blocks of at most
+BLOCK points.  The verifiers check the submean-value inequality of the
+log-kernel on circles in the base, in the fiber, and along mixed complex
+lines, one batch per circle: a direct numerical rendering of
+log-plurisubharmonicity.
 """
 
 from __future__ import annotations
@@ -15,10 +27,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bergman import GramModel, QuadSpec, assemble_gram, orthonormalize, xi_kernel
-from .weights import Polydisc
+from .bergman import QuadSpec, _times_poly, assemble_gram, orthonormalize
+from .functional import ArityMismatchError
+from .weights import JointLogDivisor, Polydisc, UnsupportedWeightError, ZeroWeight
 
 SUBMEAN_TOL = 1e-3
+
+#: base points per block of a batched kernel evaluation; keeps every array of
+#: a block (points x basis terms) small
+BLOCK = 64
 
 
 @dataclass
@@ -33,12 +50,6 @@ class FamilyProblem:
     @property
     def holomorphic(self) -> bool:
         return getattr(self.family, "holomorphic", True)
-
-    def fiber_model(self, w: tuple[complex, ...]) -> GramModel:
-        fw = self.joint_weight.fiber(tuple(complex(x) for x in w))
-        return orthonormalize(
-            assemble_gram(self.fiber_domain, fw, self.degree, self.quad)
-        )
 
 
 @dataclass
@@ -84,20 +95,176 @@ def _as_point(x, arity: int) -> tuple[complex, ...]:
     return tuple(complex(v) for v in x)
 
 
-def kernel_on_fiber(problem: FamilyProblem, w, z) -> float:
-    """Kernel of the fiber over w for the functional xi(w), evaluated at z."""
-    wt = _as_point(w, problem.base_domain.arity)
-    zt = _as_point(z, problem.fiber_domain.arity)
-    if not problem.base_domain.contains(wt, slack=1e-9):
-        raise ValueError(f"base point {wt} outside base domain")
-    model = problem.fiber_model(wt)
-    xi = problem.family.eval(wt)
-    return xi_kernel(model, xi, zt)
+def _rows(x, arity: int) -> np.ndarray:
+    """Points as (P, arity) complex rows; a scalar or a 1-D sequence is one."""
+    a = np.asarray(x, dtype=complex)
+    if a.ndim < 2:
+        a = a.reshape(1, -1)
+    if a.ndim != 2 or a.shape[1] != arity:
+        raise ArityMismatchError(
+            f"points of arity {arity} expected, got shape {np.shape(x)}"
+        )
+    return a
 
 
-def log_kernel_on_fiber(problem: FamilyProblem, w, z) -> float:
+def _inside(domain: Polydisc, P: np.ndarray, slack: float = 1e-9) -> np.ndarray:
+    """Row mask of ``domain.contains`` over the points P."""
+    return np.all(
+        np.abs(P - np.array(domain.center)) < np.array(domain.radii) + slack,
+        axis=1,
+    )
+
+
+def kernel_on_fiber(problem: FamilyProblem, w, z):
+    """Kernels K_{xi(w)}(z) of the fibers over the base points w.
+
+    w is one base point or an array of them (P, m); z is one fiber point,
+    shared by every base point, or an array (P, n) of them.  Returns a float
+    when both are single points, else an array of P kernels.
+    """
+    n, m = problem.fiber_domain.arity, problem.base_domain.arity
+    W, Z = _rows(w, m), _rows(z, n)
+    if len(Z) not in (1, len(W)):
+        raise ValueError(f"{len(W)} base points but {len(Z)} fiber points")
+    for P, domain, what in ((W, problem.base_domain, "base point"),
+                            (Z, problem.fiber_domain, "evaluation point")):
+        outside = ~_inside(domain, P)
+        if outside.any():
+            raise ValueError(f"{what} {tuple(P[outside][0])} outside domain")
+    if problem.family.z_arity != n:
+        raise ValueError("functional arity mismatch")
+    X = problem.family.values(W)
+    K = np.zeros(len(W))
+    fixed = len(Z) == 1
+    for basis, members in _fiber_models(problem, W):
+        # with one shared z the z-factors of a basis serve all its models
+        shared = basis.z_factors(Z) if fixed else None
+        for rows, transform in members:
+            K[rows] = basis.kernels(
+                X[rows], transform, W[rows], None if fixed else Z[rows], shared
+            )
+    return float(K[0]) if np.ndim(w) < 2 and np.ndim(z) < 2 else K
+
+
+def _fiber_models(problem: FamilyProblem, W: np.ndarray):
+    """The fiber models over W as (basis, [(rows, transform), ...]).
+
+    A divisor weight has one model for every fiber: the Gram of the
+    unweighted moments and one joint basis in (z, w).  Other joint weights
+    get one model per distinct fiber weight, and models whose terms agree
+    share one ``_Basis``.
+    """
+    jw = problem.joint_weight
+    n, m = problem.fiber_domain.arity, problem.base_domain.arity
+    alphas = list(problem.family.terms)
+    if isinstance(jw, JointLogDivisor):
+        if abs(jw.c - 1.0) > 1e-12:
+            raise UnsupportedWeightError(
+                "factored divisor basis requires exponent c = 1"
+            )
+        if (jw.z_arity, jw.w_arity) != (n, m):
+            raise ArityMismatchError("divisor generator arity mismatch")
+        model = orthonormalize(
+            assemble_gram(problem.fiber_domain, ZeroWeight(n), problem.degree,
+                          problem.quad)
+        )
+        E = np.hstack([model.exps, np.zeros((len(model.exps), m), dtype=int)])
+        E, C, S = _times_poly(jw.g, E, model.coeffs, model.seg, model.size)
+        yield _Basis(alphas, E, C, S, n), [(np.arange(len(W)), model.transform)]
+        return
+    groups: dict[object, list[int]] = {}
+    for i, w in enumerate(W.tolist()):
+        groups.setdefault(jw.fiber(tuple(w)), []).append(i)
+    classes: dict[bytes, tuple] = {}
+    for fw, rows in groups.items():
+        model = orthonormalize(
+            assemble_gram(problem.fiber_domain, fw, problem.degree, problem.quad)
+        )
+        key = model.exps.tobytes() + model.coeffs.tobytes() + model.seg.tobytes()
+        if key not in classes:
+            classes[key] = (_Basis(alphas, model.exps, model.coeffs, model.seg, n), [])
+        classes[key][1].append((np.array(rows), model.transform))
+    yield from classes.values()
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """Table x^k, k = 0 .. top, one row per entry of x."""
+    t = np.ones((len(x), top + 1), dtype=complex)
+    t[:, 1:] = x[:, None]
+    return np.cumprod(t, axis=1)
+
+
+class _Basis:
+    """The basis b_j = sum_{S[t] = j} C[t] z^Ez[t] w^Ew[t] of a class of fibers.
+
+    E holds the exponents (Ez, Ew) of each term; a fiber model's have no Ew.
+
+    For a monomial z^gamma the coefficient of (z - z0)^alpha is
+    C(gamma, alpha) z0^(gamma - alpha), so xi(w) . b_j at z0 is the sum over
+    the terms t of b_j of xi_alpha(w) C[t] C(gamma_t, alpha)
+    z0^(gamma_t - alpha) w^Ew[t], summed over the alpha of the family.
+    """
+
+    def __init__(self, alphas, E, C, S, n: int):
+        self.Ez, self.Ew, self.S = E[:, :n], E[:, n:], S
+        self.ztop = self.Ez.max(axis=0, initial=0)
+        self.wtop = self.Ew.max(axis=0, initial=0)
+        # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha
+        self.shifts = []
+        for alpha in alphas:
+            coef = C.copy()
+            for i, a in enumerate(alpha):
+                coef *= [math.comb(e, a) for e in self.Ez[:, i].tolist()]
+            self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
+
+    def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
+        """Per alpha, C[t] C(gamma_t, alpha) z^(gamma_t - alpha): rows of Z x terms."""
+        tables = [_powers(Z[:, i], top) for i, top in enumerate(self.ztop)]
+        out = []
+        for coef, k in self.shifts:
+            f = coef * tables[0][:, k[:, 0]]
+            for i in range(1, len(tables)):
+                f *= tables[i][:, k[:, i]]
+            out.append(f)
+        return out
+
+    def kernels(self, X, transform, W, Z, shared) -> np.ndarray:
+        """sum_k |(xi(w) . e_k)(z)|^2 per row of W, for e = b transform.
+
+        X holds the family values xi_alpha(w) at the rows of W.  Z has one
+        row per row of W, or is None for one shared z, whose z-factors are
+        ``shared``.  The rows go in blocks of at most BLOCK points; the sum
+        over terms and the transform are one contraction.
+        """
+        TS = transform[self.S]  # (terms, rank)
+        K = np.empty(len(W))
+        for lo in range(0, len(W), BLOCK):
+            hi = lo + BLOCK
+            zf = shared if Z is None else self.z_factors(Z[lo:hi])
+            acc = np.zeros((len(W[lo:hi]), len(TS)), dtype=complex)
+            for j, f in enumerate(zf):
+                acc += X[lo:hi, j, None] * f
+            for i in np.nonzero(self.wtop)[0]:
+                acc *= _powers(W[lo:hi, i], self.wtop[i])[:, self.Ew[:, i]]
+            a = np.einsum("pt,tr->pr", acc, TS)
+            K[lo:hi] = np.sum(a.real**2 + a.imag**2, axis=1)
+        return K
+
+
+def log_kernel_on_fiber(problem: FamilyProblem, w, z):
+    """log of ``kernel_on_fiber``, -inf where the kernel vanishes."""
     K = kernel_on_fiber(problem, w, z)
-    return math.log(K) if K > 0 else -math.inf
+    if np.ndim(K) == 0:
+        return math.log(K) if K > 0 else -math.inf
+    return np.array([math.log(k) if k > 0 else -math.inf for k in K.tolist()])
+
+
+def _circle(radius: float, samples: int) -> list[complex]:
+    """The equispaced circle parameters radius e^{i theta_k}, k < samples."""
+    if samples < 16:
+        raise ValueError("need at least 16 circle samples")
+    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    return [radius * complex(math.cos(t), math.sin(t)) for t in thetas]
 
 
 def submean_check(
@@ -113,11 +280,16 @@ def submean_check(
     possibly -inf.  Conventions: a -inf center passes trivially; -inf circle
     samples against a finite center are a hard FAIL (reported with count).
     """
-    if samples < 16:
-        raise ValueError("need at least 16 circle samples")
-    center_value = fn(0.0 + 0.0j)
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
-    vals = [fn(radius * complex(math.cos(t), math.sin(t))) for t in thetas]
+    ts = _circle(radius, samples)
+    return _submean_verdict(center_label, radius, fn(0.0 + 0.0j),
+                            [fn(t) for t in ts], tol)
+
+
+def _submean_verdict(
+    center_label: tuple, radius: float, center_value: float, vals: list, tol: float
+) -> PshReport:
+    """The submean_check verdict on a center value and the circle samples."""
+    samples = len(vals)
     inf_count = sum(1 for v in vals if v == -math.inf)
     if center_value == -math.inf:
         avg = -math.inf if inf_count == samples else float(
@@ -142,6 +314,12 @@ def submean_check(
     )
 
 
+def _circle_verdict(problem, center_label, radius, tol, W, Z) -> PshReport:
+    """Submean verdict of log K at (W, Z): the center first, then the circle."""
+    lk = log_kernel_on_fiber(problem, W, Z).tolist()
+    return _submean_verdict(center_label, radius, lk[0], lk[1:], tol)
+
+
 def psh_verify_base(
     problem: FamilyProblem,
     z,
@@ -158,14 +336,11 @@ def psh_verify_base(
     if direction is None:
         direction = (1.0,) + (0.0,) * (m - 1)
     dirt = tuple(complex(d) for d in direction)
-
-    def at(t: complex):
-        w = tuple(wi + t * di for wi, di in zip(w0t, dirt))
-        if not problem.base_domain.contains(w, slack=1e-9):
-            raise ValueError("circle leaves the base domain")
-        return log_kernel_on_fiber(problem, w, zt)
-
-    return submean_check(at, zt + w0t, r, samples, tol)
+    ts = [0j] + _circle(r, samples)
+    W = np.array([[wi + t * di for wi, di in zip(w0t, dirt)] for t in ts])
+    if not _inside(problem.base_domain, W).all():
+        raise ValueError("circle leaves the base domain")
+    return _circle_verdict(problem, zt + w0t, r, tol, W, zt)
 
 
 def psh_verify_joint(
@@ -183,17 +358,14 @@ def psh_verify_joint(
     m = problem.base_domain.arity
     z0t, w0t = _as_point(z0, n), _as_point(w0, m)
     dzt, dwt = _as_point(dz, n), _as_point(dw, m)
-
-    def at(t: complex):
-        z = tuple(zi + t * di for zi, di in zip(z0t, dzt))
-        w = tuple(wi + t * di for wi, di in zip(w0t, dwt))
-        if not problem.fiber_domain.contains(z, slack=1e-9):
-            raise ValueError("line leaves the fiber domain")
-        if not problem.base_domain.contains(w, slack=1e-9):
-            raise ValueError("line leaves the base domain")
-        return log_kernel_on_fiber(problem, w, z)
-
-    return submean_check(at, z0t + w0t, radius, samples, tol)
+    ts = [0j] + _circle(radius, samples)
+    Z = np.array([[zi + t * di for zi, di in zip(z0t, dzt)] for t in ts])
+    W = np.array([[wi + t * di for wi, di in zip(w0t, dwt)] for t in ts])
+    if not _inside(problem.fiber_domain, Z).all():
+        raise ValueError("line leaves the fiber domain")
+    if not _inside(problem.base_domain, W).all():
+        raise ValueError("line leaves the base domain")
+    return _circle_verdict(problem, z0t + w0t, radius, tol, W, Z)
 
 
 def usc_spot_check(
@@ -264,11 +436,9 @@ def scan_base(problem: FamilyProblem, z, w_grid) -> list[tuple[float, float, flo
     if problem.base_domain.arity != 1:
         raise ValueError("scan_base requires a one-dimensional base")
     zt = _as_point(z, problem.fiber_domain.arity)
-    rows = []
-    for w in w_grid:
-        wc = complex(w)
-        rows.append((wc.real, wc.imag, log_kernel_on_fiber(problem, (wc,), zt)))
-    return rows
+    ws = [complex(w) for w in w_grid]
+    lk = log_kernel_on_fiber(problem, np.array(ws).reshape(-1, 1), zt)
+    return [(w.real, w.imag, v) for w, v in zip(ws, lk.tolist())]
 
 
 def square_grid(half_width: float, count: int) -> list[complex]:

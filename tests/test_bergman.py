@@ -103,6 +103,41 @@ class TestGramAssembly:
         with pytest.raises(UnsupportedWeightError):
             assemble_gram(Polydisc((1.0,)), LogDivisorWeight(g, c=2.0), 3)
 
+    @pytest.mark.parametrize("quad", [QuadSpec(16, 32), QuadSpec(32, 64)])
+    def test_divisor_plus_constant_is_grid_free(self, quad):
+        # |g b|^2 e^{-2 log|g| - 0.1} = |b|^2 e^{-0.1}, so pi e^{-0.1} for b = g
+        g = PolyW(1, {(1,): 1.0, (0,): -0.2})
+        wt = SumWeight((LogDivisorWeight(g), ConstantWeight(1, 0.1)))
+        m = assemble_gram(Polydisc((1.0,)), wt, 4, quad)
+        assert m.gram[0, 0].real == pytest.approx(
+            math.pi * math.exp(-0.1), rel=1e-14
+        )
+        assert m.basis[0].equals(g) and m.weight == wt
+
+    def test_divisor_sum_takes_the_gram_of_the_rest(self):
+        # an off-center quadratic rest: the product quadrature of that weight
+        g = PolyW(2, {(1, 0): 1.0, (0, 1): -0.5})
+        D = Polydisc((1.0, 0.8), (0.1, -0.2j))
+        rest = QuadraticWeight((1.0, 0.5), (0.3, 0.2j))
+        m = assemble_gram(D, SumWeight((rest, LogDivisorWeight(g))), 3)
+        plain = assemble_gram(D, rest, 3)
+        assert np.array_equal(m.gram, plain.gram)
+        assert m.basis[3].equals(g * plain.basis[3])
+
+    def test_zero_divisor_on_an_off_center_disc_is_the_zero_model(self):
+        # 2 log|0| = -inf: every element g (z - c)^alpha is 0, so is the kernel
+        m = orthonormalize(
+            assemble_gram(Polydisc((1.0,), (0.25,)), LogDivisorWeight(PolyW(1, {})), 2)
+        )
+        assert len(m.coeffs) == 0 and xi_kernel(m, DIRAC1, (0.25,)) == 0.0
+
+    @pytest.mark.parametrize("c", [(1.0, 1.0), (2.0,)])
+    def test_divisor_sum_without_a_factored_basis_refused(self, c):
+        g = PolyW(1, {(1,): 1.0})
+        parts = tuple(LogDivisorWeight(g, ci) for ci in c) + (ConstantWeight(1, 0.1),)
+        with pytest.raises(UnsupportedWeightError):
+            assemble_gram(Polydisc((1.0,)), SumWeight(parts), 3)
+
     def test_closed_form_matches_separable_quadrature_gaussian(self):
         D = Polydisc((0.9, 1.2))
         wt = SumWeight((QuadraticWeight((1.5, 0.7)), ConstantWeight(2, -0.4)))

@@ -84,6 +84,17 @@ class TestKernelCommand:
         assert not (out / "kernel.json").exists()
 
 
+    def test_sum_of_two_divisors_exits_2(self, tmp_path, capsys):
+        g = [{"beta": [1], "re": 1.0, "im": 0.0}, {"beta": [0], "re": -0.2, "im": 0.0}]
+        divisor = {"variant": "log_divisor", "c": 1.0, "arity": 1, "g": g}
+        cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
+        cfg["weight"] = {"variant": "sum", "parts": [divisor, divisor]}
+        bad = tmp_path / "two.json"
+        bad.write_text(json.dumps(cfg))
+        assert run("kernel", bad, tmp_path / "out") == 2
+        assert "two divisor" in capsys.readouterr().err
+
+
 class TestScanPshCommand:
     def test_pstar_scan_passes_and_matches_closed_form(self, tmp_path):
         code = run("scan-psh", CONFIGS / "scan_pstar.json", tmp_path)
@@ -114,6 +125,24 @@ class TestScanPshCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert run("scan-psh", bad, tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("dw, code", [(0.5, 0), (1.0, 2)])
+    def test_joint_circle_bound_uses_its_base_track(self, tmp_path, dw, code):
+        # the base track of a joint circle has radius radius * |dw|: 0.125
+        # about w0 = 0.8 stays in the unit disc, 0.25 does not
+        cfg = json.loads((CONFIGS / "scan_pstar.json").read_text())
+        del cfg["grid"]
+        cfg["circles"] = [{
+            "z": [[0.1, 0.0], [0.2, 0.0]], "w0": [0.8, 0.0], "radius": 0.25,
+            "samples": 64, "kind": "joint", "dz": [[0.5, 0.0], [0.5, 0.0]],
+            "dw": [[dw, 0.0]],
+        }]
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(cfg))
+        assert run("scan-psh", path, tmp_path / "o") == code
+        if code == 0:
+            reports = payload(tmp_path / "o" / "psh_report.json")["reports"]
+            assert [r["verdict"] for r in reports] == ["PASS"]
 
     def test_deterministic_rerun_modulo_timestamp(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xibergman.bergman import QuadSpec, assemble_gram, orthonormalize, xi_kernel
 from xibergman.family import FunctionalFamily, PolyW, anti_holomorphic_control
 from xibergman.fiberwise import (
     FamilyProblem,
@@ -17,10 +20,14 @@ from xibergman.fiberwise import (
     usc_spot_check,
 )
 from xibergman.weights import (
+    ConstantWeight,
     JointLogDivisor,
     JointPairQuadratic,
     JointQuadraticSplit,
+    JointZero,
     Polydisc,
+    QuadraticWeight,
+    UnsupportedWeightError,
     WIndependentJoint,
     ZeroWeight,
 )
@@ -54,6 +61,160 @@ class TestKernelOnFiber:
     def test_base_domain_enforced(self):
         with pytest.raises(ValueError):
             kernel_on_fiber(pstar_problem(), (1.5,), (0.0, 0.0))
+
+
+def reference_kernel(problem, w, z):
+    """The per-point path: a fresh fiber model and xi(w) at one base point."""
+    w = tuple(complex(x) for x in w)
+    fw = problem.joint_weight.fiber(w)
+    model = orthonormalize(
+        assemble_gram(problem.fiber_domain, fw, problem.degree, problem.quad)
+    )
+    return xi_kernel(model, problem.family.eval(w), tuple(z))
+
+
+class TestBatchedKernel:
+    def test_one_point_is_a_float_and_arrays_give_arrays(self):
+        prob = pstar_problem()
+        K = kernel_on_fiber(prob, [[0.3], [0.0], [-0.2j]], (0.0, 0.0))
+        assert K.shape == (3,) and K[1] == 0.0
+        assert isinstance(kernel_on_fiber(prob, (0.3,), (0.0, 0.0)), float)
+        assert K[0] == pytest.approx(kernel_on_fiber(prob, 0.3, (0.0, 0.0)), rel=1e-15)
+        lk = log_kernel_on_fiber(prob, [[0.3], [0.0]], (0.0, 0.0))
+        assert lk[1] == -math.inf
+        assert lk[0] == pytest.approx(pstar_log_kernel(0.3), abs=1e-12)
+
+    def test_one_fiber_point_per_base_point(self):
+        prob = pstar_problem(4)
+        W = [[0.3], [0.1 + 0.2j]]
+        Z = [[0.1, 0.2], [-0.3j, 0.4]]
+        K = kernel_on_fiber(prob, W, Z)
+        for k, w, z in zip(K, W, Z):
+            assert k == pytest.approx(reference_kernel(prob, w, z), rel=1e-12)
+
+    def test_mismatched_point_counts_refused(self):
+        with pytest.raises(ValueError):
+            kernel_on_fiber(pstar_problem(), [[0.1], [0.2]], [[0.0] * 2] * 3)
+
+    def test_fiber_point_outside_refused(self):
+        with pytest.raises(ValueError):
+            kernel_on_fiber(pstar_problem(), [[0.1]], [[1.5, 0.0]])
+
+    def test_divisor_exponent_other_than_one_refused(self):
+        prob = pstar_problem(3)
+        prob.joint_weight = JointLogDivisor(prob.joint_weight.g, 2, c=2.0)
+        with pytest.raises(UnsupportedWeightError):
+            kernel_on_fiber(prob, [[0.3]], (0.0, 0.0))
+
+    def test_one_model_per_call_for_a_divisor_weight(self, monkeypatch):
+        import xibergman.fiberwise as fw
+
+        calls = []
+        real = fw.assemble_gram
+        monkeypatch.setattr(
+            fw, "assemble_gram", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        kernel_on_fiber(pstar_problem(), [[x / 10] for x in range(-5, 6)], (0.0, 0.0))
+        assert len(calls) == 1 and calls[0][1] == ZeroWeight(2)
+
+
+#: lattice values: sums of their products are exact in binary, so a kernel
+#: that vanishes does so exactly on both paths
+LATTICE = st.integers(-8, 8).map(lambda k: k / 4)
+CPLX = st.builds(complex, LATTICE, LATTICE)
+
+
+def lattice_point(draw, domain):
+    """A point of the polydisc on the lattice (a + ib) R / 8, |a + ib| <= 7."""
+    out = []
+    for c, R in zip(domain.center, domain.radii):
+        a, b = draw(
+            st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(
+                lambda t: t[0] ** 2 + t[1] ** 2 <= 49
+            )
+        )
+        out.append(c + complex(a, b) * R / 8)
+    return tuple(out)
+
+
+def poly(draw, arity, degree):
+    exps = st.tuples(*[st.integers(0, degree)] * arity).filter(
+        lambda e: sum(e) <= degree
+    )
+    return PolyW(arity, draw(st.dictionaries(exps, CPLX, max_size=3)))
+
+
+@st.composite
+def batched_problems(draw, variant):
+    """A problem of the given joint-weight variant, base points and z."""
+    n, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    if variant == "pair":
+        n = m
+    center = st.sampled_from([0j, 0.25, -0.125j, 0.25 + 0.25j])
+    fiber = Polydisc(
+        tuple(draw(st.sampled_from([0.75, 1.0])) for _ in range(n)),
+        tuple(draw(center) for _ in range(n)),
+    )
+    base_center = st.sampled_from([0j, 0j, 0.25j])
+    base = Polydisc((1.0,) * m, tuple(draw(base_center) for _ in range(m)))
+    coeff = st.sampled_from([0.0, 0.5, 1.0])
+    if variant == "divisor":
+        g = poly(draw, n + m, 2)
+        if not g.coeffs:
+            g = PolyW.constant(1.0, n + m)
+        weight = JointLogDivisor(g, n)
+    elif variant == "zero":
+        weight = JointZero(n, m)
+    elif variant == "windependent":
+        cz = tuple(draw(coeff) for _ in range(n))
+        part = QuadraticWeight(cz, tuple(draw(center) for _ in range(n)))
+        weight = WIndependentJoint(
+            draw(st.sampled_from([part, ZeroWeight(n), ConstantWeight(n, 0.3)])), m
+        )
+    elif variant == "split":
+        weight = JointQuadraticSplit(
+            tuple(draw(coeff) for _ in range(n)), tuple(draw(coeff) for _ in range(m))
+        )
+    else:
+        weight = JointPairQuadratic(tuple(draw(coeff) for _ in range(n)))
+    alphas = st.tuples(*[st.integers(0, 2)] * n).filter(lambda a: sum(a) <= 2)
+    terms = {a: poly(draw, m, 2) for a in draw(st.sets(alphas, min_size=1, max_size=3))}
+    family = FunctionalFamily(n, m, terms)
+    if draw(st.booleans()):
+        family = anti_holomorphic_control(family)
+    problem = FamilyProblem(
+        fiber, base, weight, family, draw(st.integers(0, 3)), QuadSpec(8, 16)
+    )
+    count = draw(st.integers(1, 6))
+    W = [lattice_point(draw, base) for _ in range(count)]
+    if draw(st.booleans()) and base.center == (0j,) * m:
+        W[0] = (0j,) * m  # the base origin exactly
+    if draw(st.booleans()):
+        Z = lattice_point(draw, fiber)  # one z for every base point
+    else:
+        Z = [lattice_point(draw, fiber) for _ in W]
+    return problem, W, Z
+
+
+class TestBatchedAgainstPerPoint:
+    """The batched kernels against the per-point reference path, to 1e-12."""
+
+    def check(self, problem, W, Z):
+        K = kernel_on_fiber(problem, W, Z)
+        Zs = [Z] * len(W) if isinstance(Z, tuple) else Z
+        ref = [reference_kernel(problem, w, z) for w, z in zip(W, Zs)]
+        assert K.shape == (len(W),)
+        for k, r in zip(K.tolist(), ref):
+            assert (k == 0) == (r == 0), (k, r)
+            assert k == pytest.approx(r, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "variant", ["divisor", "zero", "windependent", "split", "pair"]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_point_path(self, variant, data):
+        self.check(*data.draw(batched_problems(variant)))
 
 
 class TestSubmeanCheck:
