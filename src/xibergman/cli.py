@@ -39,6 +39,7 @@ _QUAD_KEYS = {"radialNodes", "angularNodes", "innerCutoff"}
 _DOMAIN_KEYS = {"radii", "center"}
 _GRID_KEYS = {"halfWidth", "count"}
 _CIRCLE_KEYS = {"z", "w0", "radius", "samples", "kind", "dz", "dw"}
+_JENSEN_KEYS = {"family", "z0"}
 
 _SCHEMAS = {
     "kernel": {"command", "domain", "weight", "functional", "point", "degree",
@@ -109,6 +110,8 @@ def validate_config(cfg: dict, command: str) -> None:
     if "circles" in cfg:
         for i, c in enumerate(cfg["circles"]):
             _require_keys(c, _CIRCLE_KEYS, f"circles[{i}]")
+    if "jensen" in cfg:
+        _require_keys(cfg["jensen"], _JENSEN_KEYS, "jensen")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ check compares the joint norm per unit base area against the fiber norm: the
 ratio is at most 1 (with equality for base-independent weights), which is the
 sharp constant pi r^2.  The Jensen diagnostic averages over a polar grid of
 base nodes handled as arrays: the Taylor coefficients of F_w at z0 are
-polynomials in w, evaluated by one Vandermonde matrix, and the kernels K(w)
-come from one batched ``fiberwise.kernel_on_fiber`` call.
+polynomials in w, evaluated by one Vandermonde matrix, and the log-kernels
+log K(w) come from one batched ``fiberwise.log_kernel_on_fiber`` call, in log
+space throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .bergman import (
     taylor_action,
 )
 from .family import PolyW
-from .fiberwise import FamilyProblem, kernel_on_fiber
+from .fiberwise import FamilyProblem, log_kernel_on_fiber
 from .functional import (
     Functional,
     MultiIndex,
@@ -292,16 +293,18 @@ def jensen_diagnostic(
     powers = np.vander(w, top + 1, increasing=True)
     act = np.sum(family.values(w[:, None]) * (powers @ shift), axis=1)
     base = Polydisc((r,), (w0,))
-    K = kernel_on_fiber(
+    # log K_psi + s(w): a large shift neither underflows a fiber Gram nor
+    # overflows its kernel
+    logK = log_kernel_on_fiber(
         FamilyProblem(prob.fiber_domain, base, prob.joint_weight, family,
                       prob.dz, prob.quad),
         w[:, None], z0,
     )
 
-    live = (act != 0) & (K > 0)
+    live = (act != 0) & (logK > -math.inf)
     terms = np.full(len(w), -math.inf)
     with np.errstate(divide="ignore"):  # |act|^2 may underflow to 0
-        terms[live] = np.log(np.abs(act[live]) ** 2) - np.log(K[live])
+        terms[live] = np.log(np.abs(act[live]) ** 2) - logK[live]
     rhs = float(da @ terms) / (math.pi * r**2)
     return {
         "lhs": lhs,

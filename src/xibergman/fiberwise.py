@@ -3,17 +3,24 @@
 kernel_on_fiber(problem, W, Z) evaluates the fiberwise xi-Bergman kernel
 K_{xi(w)}(z) at an array of base points W, with one fiber point z shared by
 all of them or one per base point, in one batch.  Base points whose fibers
-share a Gram matrix share one model:
+share a Gram matrix, up to a scalar, share one model:
 
 - for a divisor weight 2 log|g(z, w)| (c = 1) every fiber has the Gram of
   the unweighted moments, since |g_w b|^2 e^{-2 log|g_w|} = |b|^2, and only
   the basis g(z, w) (z - center)^alpha moves, polynomially in w: one joint
   basis in (z, w) serves every fiber;
-- any other joint weight gets one fiber model per distinct fiber weight.
+- a joint weight psi(z) + s(w) (``shift_split``: the zero, w-independent
+  and split quadratic weights) has the fiber Gram e^{-s(w)} G_psi, so one
+  model of psi serves every fiber and K_w = e^{s(w)} K_psi: the relative
+  eigenvalue cutoff keeps the same rank and eigenvectors under the scalar;
+- any other joint weight (the pair quadratic, whose centers move with w)
+  gets one fiber model per distinct base point.
 
-The actions of xi(w) on a basis come from the family values at all base
-points and from per-coordinate power tables of z and w, in blocks of at most
-BLOCK points.  The verifiers check the submean-value inequality of the
+``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
+a large shift neither overflows the kernel nor underflows the Gram.  The
+actions of xi(w) on a basis come from the family values at all base points
+and from per-coordinate power tables of z and w, in blocks of at most BLOCK
+points.  The verifiers check the submean-value inequality of the
 log-kernel on circles in the base, in the fiber, and along mixed complex
 lines, one batch per circle: a direct numerical rendering of
 log-plurisubharmonicity.
@@ -115,12 +122,15 @@ def _inside(domain: Polydisc, P: np.ndarray, slack: float = 1e-9) -> np.ndarray:
     )
 
 
-def kernel_on_fiber(problem: FamilyProblem, w, z):
+def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
     """Kernels K_{xi(w)}(z) of the fibers over the base points w.
 
     w is one base point or an array of them (P, m); z is one fiber point,
     shared by every base point, or an array (P, n) of them.  Returns a float
-    when both are single points, else an array of P kernels.
+    when both are single points, else an array of P kernels.  For a joint
+    weight psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where
+    that overflows; with log=True the result is log K_psi + s(w), -inf where
+    K_psi vanishes, and nothing is exponentiated.
     """
     n, m = problem.fiber_domain.arity, problem.base_domain.arity
     W, Z = _rows(w, m), _rows(z, n)
@@ -136,27 +146,43 @@ def kernel_on_fiber(problem: FamilyProblem, w, z):
     X = problem.family.values(W)
     K = np.zeros(len(W))
     fixed = len(Z) == 1
-    for basis, members in _fiber_models(problem, W):
+    models, s = _fiber_models(problem, W)
+    for basis, members in models:
         # with one shared z the z-factors of a basis serve all its models
         shared = basis.z_factors(Z) if fixed else None
         for rows, transform in members:
             K[rows] = basis.kernels(
                 X[rows], transform, W[rows], None if fixed else Z[rows], shared
             )
+    if log:
+        K = np.array([math.log(k) if k > 0 else -math.inf for k in K.tolist()]) + s
+    else:
+        with np.errstate(over="ignore"):
+            K = np.where(K > 0, K * np.exp(s), 0.0)
     return float(K[0]) if np.ndim(w) < 2 and np.ndim(z) < 2 else K
 
 
-def _fiber_models(problem: FamilyProblem, W: np.ndarray):
-    """The fiber models over W as (basis, [(rows, transform), ...]).
+def log_kernel_on_fiber(problem: FamilyProblem, w, z):
+    """log of ``kernel_on_fiber``: log K_psi + s(w), -inf where K_psi vanishes."""
+    return kernel_on_fiber(problem, w, z, log=True)
 
-    A divisor weight has one model for every fiber: the Gram of the
-    unweighted moments and one joint basis in (z, w).  Other joint weights
-    get one model per distinct fiber weight, and models whose terms agree
-    share one ``_Basis``.
+
+def _fiber_models(problem: FamilyProblem, W: np.ndarray):
+    """The fiber models over W, and the shift s(w) of each row.
+
+    The models come as [(basis, [(rows, transform), ...]), ...]; the kernel
+    of row i is e^{s_i} times that of its model.  A divisor weight has one
+    model for every fiber: the Gram of the unweighted moments and one joint
+    basis in (z, w).  A joint weight psi(z) + s(w) has one model, of psi, for
+    every fiber, up to the scalar shift s(w).  Any other joint weight gets one
+    model per distinct row of W, and models whose terms agree share one
+    ``_Basis``.
     """
     jw = problem.joint_weight
     n, m = problem.fiber_domain.arity, problem.base_domain.arity
     alphas = list(problem.family.terms)
+    every = np.arange(len(W))
+    s = np.zeros(len(W))
     if isinstance(jw, JointLogDivisor):
         if abs(jw.c - 1.0) > 1e-12:
             raise UnsupportedWeightError(
@@ -170,21 +196,25 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
         )
         E = np.hstack([model.exps, np.zeros((len(model.exps), m), dtype=int)])
         E, C, S = _times_poly(jw.g, E, model.coeffs, model.seg, model.size)
-        yield _Basis(alphas, E, C, S, n), [(np.arange(len(W)), model.transform)]
-        return
-    groups: dict[object, list[int]] = {}
-    for i, w in enumerate(W.tolist()):
-        groups.setdefault(jw.fiber(tuple(w)), []).append(i)
+        return [(_Basis(alphas, E, C, S, n), [(every, model.transform)])], s
+    if hasattr(jw, "shift_split"):
+        psi, s = jw.shift_split(W)
+        fibers = [(psi, every)]
+    else:
+        groups: dict[tuple, list[int]] = {}
+        for i, w in enumerate(W.tolist()):
+            groups.setdefault(tuple(w), []).append(i)
+        fibers = [(jw.fiber(w), np.array(rows)) for w, rows in groups.items()]
     classes: dict[bytes, tuple] = {}
-    for fw, rows in groups.items():
+    for fw, rows in fibers:
         model = orthonormalize(
             assemble_gram(problem.fiber_domain, fw, problem.degree, problem.quad)
         )
         key = model.exps.tobytes() + model.coeffs.tobytes() + model.seg.tobytes()
         if key not in classes:
             classes[key] = (_Basis(alphas, model.exps, model.coeffs, model.seg, n), [])
-        classes[key][1].append((np.array(rows), model.transform))
-    yield from classes.values()
+        classes[key][1].append((rows, model.transform))
+    return list(classes.values()), s
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
@@ -249,14 +279,6 @@ class _Basis:
             a = np.einsum("pt,tr->pr", acc, TS)
             K[lo:hi] = np.sum(a.real**2 + a.imag**2, axis=1)
         return K
-
-
-def log_kernel_on_fiber(problem: FamilyProblem, w, z):
-    """log of ``kernel_on_fiber``, -inf where the kernel vanishes."""
-    K = kernel_on_fiber(problem, w, z)
-    if np.ndim(K) == 0:
-        return math.log(K) if K > 0 else -math.inf
-    return np.array([math.log(k) if k > 0 else -math.inf for k in K.tolist()])
 
 
 def _circle(radius: float, samples: int) -> list[complex]:

@@ -7,6 +7,9 @@ verification harness is only meaningful for certified-psh inputs.
 
 ``coordinate_form`` is the one decoder of the per-coordinate form of a fiber
 weight; the Gram dispatch of ``bergman`` and the divergence probe read it.
+A joint weight of the form psi(z) + s(w) states that split once, in its
+``shift_split``; ``fiberwise`` builds one fiber model of psi for all of its
+fibers.
 """
 
 from __future__ import annotations
@@ -214,6 +217,10 @@ class JointZero:
     def fiber(self, w):
         return ZeroWeight(self.z_arity)
 
+    def shift_split(self, W: np.ndarray):
+        """(psi, s) with psi(z, w) = psi(z) + s(w), s over the rows of W."""
+        return ZeroWeight(self.z_arity), np.zeros(len(W))
+
     def as_product_weight(self):
         return ZeroWeight(self.z_arity + self.w_arity)
 
@@ -255,11 +262,14 @@ class JointQuadraticSplit:
         return len(self.cw)
 
     def fiber(self, w):
-        shift = sum(c * abs(wi) ** 2 for c, wi in zip(self.cw, w))
-        quad = QuadraticWeight(self.cz)
-        if shift == 0:
+        quad, shift = self.shift_split(np.array([w], dtype=complex))
+        if shift[0] == 0:
             return quad
-        return SumWeight((quad, ConstantWeight(self.z_arity, shift)))
+        return SumWeight((quad, ConstantWeight(self.z_arity, float(shift[0]))))
+
+    def shift_split(self, W: np.ndarray):
+        """(psi, s) with psi(z, w) = psi(z) + s(w), s over the rows of W."""
+        return QuadraticWeight(self.cz), np.sum(np.abs(W) ** 2 * self.cw, axis=1)
 
     def as_product_weight(self):
         return QuadraticWeight(self.cz + self.cw)
@@ -301,6 +311,10 @@ class WIndependentJoint:
 
     def fiber(self, w):
         return self.base
+
+    def shift_split(self, W: np.ndarray):
+        """(psi, s) with psi(z, w) = psi(z) + s(w), s over the rows of W."""
+        return self.base, np.zeros(len(W))
 
     def as_product_weight(self):
         return extend_weight_arity(self.base, self.w_arity)

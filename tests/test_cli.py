@@ -313,6 +313,31 @@ class TestExtendCommand:
         assert run("extend", config, tmp_path / "o") == 2
         assert not (tmp_path / "o" / "extend.json").exists()
 
+    def test_unknown_jensen_key_exits_2(self, tmp_path):
+        cfg = json.loads((CONFIGS / "extend_gaussian.json").read_text())
+        cfg["jensen"]["radialNodes"] = 4
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "extend.json").exists()
+
+    @pytest.mark.parametrize("cw", [1.0, 800.0])
+    def test_gaussian_jensen_margin_at_large_shift(self, tmp_path, cw):
+        # the minimal extension of the extremal datum is constant in w, so
+        # log|act|^2 - log K(w) = lhs - cw |w|^2 and the margin is cw r^2 / 2;
+        # at cw = 800 a fiber Gram e^{-cw |w|^2} G underflows, so the kernels
+        # must be taken in log space
+        cfg = json.loads((CONFIGS / "extend_gaussian.json").read_text())
+        cfg["weight"]["cw"] = [cw]
+        cfg["dz"] = cfg["dw"] = 4
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == 0
+        jensen = payload(tmp_path / "o" / "extend.json")["jensen"]
+        assert isinstance(jensen["rhs"], float)
+        assert jensen["margin"] == pytest.approx(cw / 2, rel=1e-12)
+        assert jensen["holds"] is True
+
     def test_w_independent_log_monomial_keeps_columns_aligned(self, tmp_path):
         # c = 1.5 drops every label with no power of z from the joint model;
         # the restriction must follow the labels the model kept

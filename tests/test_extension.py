@@ -269,20 +269,30 @@ def reference_jensen(prob_template, family, z0, radial_nodes, angular_nodes, tol
 
 @st.composite
 def jensen_problems(draw):
-    """A Gaussian split weight at w0 = 0, or a w-independent one off the
-    origin, with a w-dependent family of z-order <= 2 and z0 in |z| < 0.7."""
+    """A Gaussian split weight at w0 = 0, with a large cw on a fiber disc off
+    its center, or a w-independent one off the origin, with a w-dependent
+    family of z-order <= 2 and z0 within 0.7 of the fiber center."""
     n = draw(st.sampled_from([1, 2]))
     unit = st.floats(0.0, 2.0)
     cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["split", "split_large", "w_independent"]))
+    center = (0j,) * n
+    if kind == "split":
         weight = JointQuadraticSplit(
             tuple(draw(unit) for _ in range(n)), (draw(unit),)
         )
         w0 = 0.0
+    elif kind == "split_large":
+        # shifts cw |w|^2 up to 128: the fiber Grams differ by e^{-128}
+        weight = JointQuadraticSplit(
+            tuple(draw(unit) for _ in range(n)), (draw(st.floats(8.0, 128.0)),)
+        )
+        w0 = 0.0
+        center = tuple(0.25 * draw(cplx) for _ in range(n))
     else:
         base = draw(st.sampled_from([
             ZeroWeight(n),
-            ConstantWeight(n, draw(st.floats(-1.0, 1.0))),
+            ConstantWeight(n, draw(st.floats(-50.0, 50.0))),
             QuadraticWeight(tuple(draw(unit) for _ in range(n))),
             LogMonomialWeight(tuple(draw(st.floats(0.0, 0.9)) for _ in range(n))),
         ]))
@@ -298,13 +308,14 @@ def jensen_problems(draw):
     # a fiber degree below the family's z-order would mostly annihilate xi
     dz = draw(st.integers(max(0, family.z_degree), 3))
     dw = draw(st.integers(0, 3))
+    thetas = [draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(n)]
     z0 = tuple(
-        draw(st.floats(0.0, 0.7 / math.sqrt(n)))
+        c + draw(st.floats(0.0, 0.7 / math.sqrt(n)))
         * complex(math.cos(t), math.sin(t))
-        for t in (draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(n))
+        for c, t in zip(center, thetas)
     )
     prob = ExtensionProblem(
-        Polydisc((1.0,) * n), draw(st.floats(0.3, 1.0)), weight, w0,
+        Polydisc((1.0,) * n, center), draw(st.floats(0.3, 1.0)), weight, w0,
         PolyW(n, {}), dz, dw,
     )
     return prob, family, z0

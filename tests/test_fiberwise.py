@@ -1,5 +1,6 @@
 """Unit tests for fiberwise kernel maps and log-psh verification."""
 
+import cmath
 import math
 
 import pytest
@@ -117,6 +118,31 @@ class TestBatchedKernel:
         kernel_on_fiber(pstar_problem(), [[x / 10] for x in range(-5, 6)], (0.0, 0.0))
         assert len(calls) == 1 and calls[0][1] == ZeroWeight(2)
 
+    def test_one_model_per_call_for_a_shift_split_weight(self, monkeypatch):
+        # every fiber Gram is e^{-|w|^2} times that of |z|^2, so one model of
+        # |z|^2 serves the whole ring
+        import xibergman.fiberwise as fw
+
+        fam = FunctionalFamily(1, 1, {(0,): PolyW(1, {(0,): 1.0, (1,): 0.5})})
+        prob = FamilyProblem(
+            Polydisc((1.0,)), Polydisc((1.0,)),
+            JointQuadraticSplit((1.0,), (1.0,)), fam, 3,
+        )
+        ring = [
+            [rho * cmath.exp(2j * math.pi * k / 32)]
+            for rho in (0.2, 0.45, 0.7, 0.95) for k in range(32)
+        ]
+        calls = []
+        real = fw.assemble_gram
+        monkeypatch.setattr(
+            fw, "assemble_gram", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        K = kernel_on_fiber(prob, ring, (0.1,))
+        assert len(calls) == 1 and calls[0][1] == QuadraticWeight((1.0,))
+        for i in range(0, len(ring), 13):
+            ref = reference_kernel(prob, ring[i], (0.1,))
+            assert K[i] == pytest.approx(ref, rel=1e-12)
+
 
 #: lattice values: sums of their products are exact in binary, so a kernel
 #: that vanishes does so exactly on both paths
@@ -171,9 +197,23 @@ def batched_problems(draw, variant):
         weight = WIndependentJoint(
             draw(st.sampled_from([part, ZeroWeight(n), ConstantWeight(n, 0.3)])), m
         )
+    elif variant == "constant":
+        weight = WIndependentJoint(
+            ConstantWeight(n, draw(st.sampled_from([-2.0, 0.3, 40.0]))), m
+        )
     elif variant == "split":
         weight = JointQuadraticSplit(
             tuple(draw(coeff) for _ in range(n)), tuple(draw(coeff) for _ in range(m))
+        )
+    elif variant == "split_large":
+        # shifts s(w) up to ~200 on a fiber domain off its center, where the
+        # Gram takes the per-coordinate quadrature
+        fiber = Polydisc(fiber.radii, tuple(
+            draw(st.sampled_from([0.25, -0.125j, 0.25 + 0.25j])) for _ in range(n)
+        ))
+        weight = JointQuadraticSplit(
+            tuple(draw(coeff) for _ in range(n)),
+            tuple(draw(st.sampled_from([16.0, 64.0, 128.0])) for _ in range(m)),
         )
     else:
         weight = JointPairQuadratic(tuple(draw(coeff) for _ in range(n)))
@@ -199,22 +239,31 @@ def batched_problems(draw, variant):
 class TestBatchedAgainstPerPoint:
     """The batched kernels against the per-point reference path, to 1e-12."""
 
-    def check(self, problem, W, Z):
-        K = kernel_on_fiber(problem, W, Z)
+    def check(self, problem, W, Z, log=False):
+        K = (log_kernel_on_fiber if log else kernel_on_fiber)(problem, W, Z)
         Zs = [Z] * len(W) if isinstance(Z, tuple) else Z
         ref = [reference_kernel(problem, w, z) for w, z in zip(W, Zs)]
+        if log:
+            ref = [math.log(r) if r > 0 else -math.inf for r in ref]
         assert K.shape == (len(W),)
         for k, r in zip(K.tolist(), ref):
-            assert (k == 0) == (r == 0), (k, r)
-            assert k == pytest.approx(r, rel=1e-12, abs=0)
+            if r == 0 or math.isinf(r):
+                assert k == r
+            else:
+                assert k == pytest.approx(r, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
-        "variant", ["divisor", "zero", "windependent", "split", "pair"]
+        "variant", ["divisor", "zero", "windependent", "constant", "split", "pair"]
     )
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_the_per_point_path(self, variant, data):
         self.check(*data.draw(batched_problems(variant)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_large_shifts_match_in_log_space(self, data):
+        self.check(*data.draw(batched_problems("split_large")), log=True)
 
 
 class TestSubmeanCheck:
