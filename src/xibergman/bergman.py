@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import comb, gammainc, gammaln
+from scipy.special import gammainc, gammaln
 
 from .family import PolyW
 from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
@@ -558,7 +558,10 @@ def taylor_action(E, C, S, size: int, xi: Functional, z: Sequence[complex]):
         contrib = C[mask] * v
         for i in range(len(a)):
             k = Em[:, i] - a[i]
-            contrib = contrib * comb(Em[:, i], a[i])
+            # exact binomials: scipy's float comb(31, 14) is 265182524.99999997
+            contrib = contrib * np.array(
+                [math.comb(e, a[i]) for e in Em[:, i].tolist()], dtype=float
+            )
             pw = np.where(k == 0, 1.0 + 0j, z0[i] ** np.maximum(k, 0))
             contrib = contrib * pw
         np.add.at(u, S[mask], contrib)

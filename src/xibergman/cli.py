@@ -1,11 +1,11 @@
 """Command-line front end: kernel evaluation, psh scans, annihilators,
 lambda scans, and extension checks, with JSON/CSV outputs.
 
-Exit codes: 0 success, 1 verification failure (submean violation or
-cross-check mismatch), 2 usage or configuration error, 3 numerical failure
-(no nonsingular pivot block; the record goes to ``error.json``).  Reruns
-under a fixed seed produce identical files except for the timestamp header
-line.
+Exit codes: 0 success, 1 verification failure (submean violation,
+cross-check mismatch or a failed Jensen diagnostic), 2 usage or
+configuration error, 3 numerical failure (no nonsingular pivot block; the
+record goes to ``error.json``).  Reruns under a fixed seed produce
+identical files except for the timestamp header line.
 """
 
 from __future__ import annotations
@@ -380,6 +380,8 @@ def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
             prob, fam, _point(j["z0"])
         )
     _write_json(out / "extend.json", _json_safe(payload))
+    if "jensen" in payload and not payload["jensen"]["holds"]:
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

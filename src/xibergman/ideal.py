@@ -2,7 +2,13 @@
 
 Given polynomial generators F_1..F_t on a product polydisc, the truncated
 ideal I_w + m^N on the fiber over w is the column span of a coefficient
-matrix A(w) whose entries are polynomials in w.  A holomorphic left
+matrix A(w) whose entries are polynomials in w.  A(w) is held as one
+coefficient array (``TermMatrix``: the monomials in w and one p x q
+coefficient block each).  Every evaluation of A, of its blocks and of the
+annihilator rows is the product of a Vandermonde matrix in w with such an
+array, over a batch of base points; ``max_rank`` evaluates and rank-tests
+its whole witness grid in one call, and the determinant sampling below
+slices its pivot columns from the same array.  A holomorphic left
 annihilator B(w) with B(w) A(w) = 0 is built from bordered-minor cofactors
 of a nonsingular pivot block; its rows are the coefficient vectors of
 functionals that cut out the truncated ideal on the open set U where the
@@ -40,7 +46,7 @@ import numpy as np
 
 from .bergman import QuadSpec, assemble_gram, orthonormalize, xi_kernel
 from .family import FunctionalFamily, PolyW
-from .functional import MultiIndex, multi_indices_upto
+from .functional import Functional, MultiIndex, multi_indices_upto
 from .weights import (
     ConstantWeight,
     LogDivisorWeight,
@@ -113,12 +119,65 @@ def _split_generator(g: PolyW, n: int, m: int) -> dict[MultiIndex, PolyW]:
     return out
 
 
+@dataclass(frozen=True)
+class TermMatrix:
+    """A matrix of polynomials in w held as one coefficient array.
+
+    Entry (i, j) is sum_t coef[t, i, j] w^exps[t].  The exponents are
+    distinct, in lexicographic order, and each has a nonzero coefficient.
+    """
+
+    exps: np.ndarray  # monomials x m, int64
+    coef: np.ndarray  # monomials x rows x cols, complex
+
+    @staticmethod
+    def from_polys(M: list[list[PolyW]], m: int, cols: int = 0) -> "TermMatrix":
+        """The matrix of the PolyW entries M; ``cols`` sizes a matrix of no rows."""
+        rows, cols = len(M), len(M[0]) if M else cols
+        exps = sorted({a for row in M for e in row for a in e.coeffs})
+        t_of = {a: t for t, a in enumerate(exps)}
+        coef = np.zeros((len(exps), rows, cols), dtype=complex)
+        for i, row in enumerate(M):
+            for j, e in enumerate(row):
+                for a, c in e.coeffs.items():
+                    coef[t_of[a], i, j] = c
+        return TermMatrix(np.array(exps, dtype=np.int64).reshape(-1, m), coef)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.coef.shape[1:]
+
+    def take(self, rows: Sequence[int], cols: Sequence[int]) -> "TermMatrix":
+        """The block of the given rows and columns, in that order."""
+        coef = self.coef[:, rows][:, :, cols]
+        live = coef.any(axis=(1, 2))
+        return TermMatrix(self.exps[live], coef[live])
+
+    def max_coeff(self) -> float:
+        # np.hypot is Python's abs(complex), which PolyW.max_coeff takes
+        return float(np.hypot(self.coef.real, self.coef.imag).max(initial=0.0))
+
+    def values(self, W) -> np.ndarray:
+        """The matrix at each base point (row of W): points x rows x cols."""
+        W = np.asarray(W, dtype=complex).reshape(-1, self.exps.shape[1])
+        flat = self.coef.reshape(len(self.coef), math.prod(self.shape))
+        # einsum, not BLAS: it adds the terms in exponent order with plain
+        # multiplies and adds, as PolyW.evaluate does, so an entry whose
+        # terms PolyW holds in that order gets the same bits; the
+        # column-pivoted QR in ``annihilator`` breaks exact ties between
+        # shifted columns by those bits
+        powers = np.prod(W[:, None, :] ** self.exps[None, :, :], axis=2)
+        V = np.einsum("pt,tk->pk", powers, flat)
+        return V.reshape(len(W), *self.shape)
+
+
 @dataclass
 class CoeffMatrixA:
     fam: IdealFamily
     basis: list[MultiIndex]  # row labels, grlex, |alpha| <= N-1
     cols: list[tuple[MultiIndex, int]]  # (beta, generator index)
-    entries: list[list[PolyW]]  # p x q, polynomials in w
+    entries: list[list[PolyW]]  # p x q, for the exact certificate
+    terms: TermMatrix  # the same p x q matrix, read by every evaluation
 
     @property
     def p(self) -> int:
@@ -128,14 +187,12 @@ class CoeffMatrixA:
     def q(self) -> int:
         return len(self.cols)
 
+    def values(self, W) -> np.ndarray:
+        """A at each base point (row of W): points x p x q."""
+        return self.terms.values(W)
+
     def evaluate(self, w: Sequence[complex]) -> np.ndarray:
-        w = tuple(complex(x) for x in w)
-        A = np.zeros((self.p, self.q), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if e.coeffs:
-                    A[i, j] = e.evaluate(w)
-        return A
+        return self.values([_as_w(w, self.fam.w_arity)])[0]
 
 
 def build_coeff_matrix(fam: IdealFamily) -> CoeffMatrixA:
@@ -157,22 +214,17 @@ def build_coeff_matrix(fam: IdealFamily) -> CoeffMatrixA:
                     col[alpha] = col[alpha] + pw
             for a in basis:
                 entries[row_of[a]].append(col[a])
-    return CoeffMatrixA(fam, basis, cols, entries)
-
-
-def _numerical_rank(A: np.ndarray) -> int:
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+    return CoeffMatrixA(fam, basis, cols, entries, TermMatrix.from_polys(entries, m))
 
 
 def max_rank(
     A: CoeffMatrixA, w_grid: Sequence, seed: int = 0, n_random: int = 12
 ) -> tuple[int, tuple[complex, ...]]:
-    """Max numerical rank over the grid plus automatic generic perturbations."""
+    """Max numerical rank over the grid plus automatic generic perturbations.
+
+    All points are evaluated and rank-tested in one batch; the witness is
+    the first point of maximal rank.
+    """
     m = A.fam.w_arity
     pts = [_as_w(w, m) for w in w_grid]
     if not pts:
@@ -187,12 +239,10 @@ def max_rank(
                 )
             )
         )
-    best_r, witness = -1, pts[0]
-    for w in pts:
-        r = _numerical_rank(A.evaluate(w))
-        if r > best_r:
-            best_r, witness = r, w
-    return best_r, witness
+    s = np.linalg.svd(A.values(pts), compute_uv=False)
+    ranks = np.sum(s > RANK_TOL * s[:, :1], axis=1)
+    best = int(np.argmax(ranks))
+    return int(ranks[best]), pts[best]
 
 
 def _as_w(w, m: int) -> tuple[complex, ...]:
@@ -201,7 +251,7 @@ def _as_w(w, m: int) -> tuple[complex, ...]:
     return tuple(complex(x) for x in w)
 
 
-def _torus_sampler(M: list[list[PolyW]], ks: np.ndarray, K: tuple[int, ...]):
+def _torus_sampler(M: TermMatrix, ks: np.ndarray, K: tuple[int, ...]):
     """Values of a polynomial matrix on tori of K-th roots of unity.
 
     Returns a function of the log radii s (one per base variable) giving an
@@ -209,19 +259,13 @@ def _torus_sampler(M: list[list[PolyW]], ks: np.ndarray, K: tuple[int, ...]):
     (e^s_1 omega_1^k_1, ..., e^s_m omega_m^k_m), k = ks[t],
     omega_i = exp(2 pi i / K_i).
     """
-    rows, cols = len(M), len(M[0]) if M else 0
-    exps = sorted({a for row in M for e in row for a in e.coeffs})
-    if not exps:
+    rows, cols = M.shape
+    E = M.exps
+    if not len(E):
         return lambda s: np.zeros((len(ks), rows, cols), dtype=complex)
-    col_of = {a: t for t, a in enumerate(exps)}
-    coef = np.zeros((len(exps), rows * cols), dtype=complex)
-    for i, row in enumerate(M):
-        for j, e in enumerate(row):
-            for a, c in e.coeffs.items():
-                coef[col_of[a], i * cols + j] = c
-    E = np.array(exps, dtype=np.int64).reshape(len(exps), -1)
+    coef = M.coef.reshape(len(E), rows * cols)
     # omega^(k . alpha), each axis reduced mod K_i so large exponents stay exact
-    turns = np.zeros((len(ks), len(exps)))
+    turns = np.zeros((len(ks), len(E)))
     for i, Ki in enumerate(K):
         turns += np.outer(ks[:, i], E[:, i]) % Ki / Ki
     unit = np.exp(2j * np.pi * turns)
@@ -253,31 +297,33 @@ def _sample_minors(
     return coeffs.reshape(S, n) / S, log_bound
 
 
-def _det_and_cofactors(M: list[list[PolyW]], m: int):
+def _det_and_cofactors(M: list[list[PolyW]] | TermMatrix, m: int):
     """det C, the bordered cofactor rows of a p x r polynomial matrix, and
-    the terms (exponents, coefficients) of det C before PolyW trims them.
+    det C before PolyW trims it (a 1 x 1 ``TermMatrix``).
 
+    M is a ``TermMatrix`` or a list of rows of PolyW entries.
     C is the top r x r block of M.  For each row l >= r the (r+1) x r block
     [C; M_l] has the left null row X_l with X_l[l] = det C and X_l[k]
     (k < r) the signed r-minor that omits row k; every other entry is 0.
     All minors share each sampling of M and each FFT (see the module
     docstring); each costs O(prod(K) * r**3) per torus.
     """
-    p, r = len(M), len(M[0]) if M else 0
+    if not isinstance(M, TermMatrix):
+        M = TermMatrix.from_polys(M, m)
+    p, r = M.shape
 
-    def minor_bound(row_degs: list[int]) -> int:
+    def minor_bound(row_degs: np.ndarray) -> int:
         # a minor takes r rows of [C; M_l]: all of C's but one, plus M_l
-        return sum(row_degs[:r]) + max(row_degs[r:], default=0)
+        return int(row_degs[:r].sum() + row_degs[r:].max(initial=0))
 
-    D = minor_bound([max(0, max((e.degree for e in row), default=0)) for row in M])
-    K = tuple(
-        1 + minor_bound(
-            [max((a[i] for e in row for a in e.coeffs), default=0) for row in M]
-        )
-        for i in range(m)
-    )
+    # per row, the largest total degree and the largest degree in each w_i
+    in_row = M.coef.any(axis=2)[:, :, None]  # monomials x p x 1
+    degs = np.where(in_row, np.c_[M.exps.sum(axis=1), M.exps][:, None, :], 0)
+    degs = degs.max(axis=0, initial=0)  # p x (1 + m)
+    D = minor_bound(degs[:, 0])
+    K = tuple(1 + minor_bound(degs[:, 1 + i]) for i in range(m))
     S = math.prod(K)
-    n_exps = len({a for row in M for e in row for a in e.coeffs})
+    n_exps = len(M.exps)
     if S * max(p * r, n_exps) > MAX_SAMPLE_ENTRIES:
         raise DegenerateInputError(
             f"pivot block too large to sample: {S} samples of a {p} x {r} "
@@ -382,7 +428,8 @@ def _det_and_cofactors(M: list[list[PolyW]], m: int):
         X[:r] = polys[1 + j * r : 1 + (j + 1) * r]
         X[l] = det_c
         rows.append(X)
-    return det_c, rows, (alpha, best[:, 0].copy())
+    live = best[:, 0] != 0
+    return det_c, rows, TermMatrix(alpha[live], best[live, :1, None])
 
 
 @dataclass
@@ -393,9 +440,10 @@ class AnnihilatorResult:
     col_perm: list[int]
     rows: list[list[PolyW]]  # s x p annihilator in permuted-row coordinates
     det_c: PolyW
-    det_terms: tuple[np.ndarray, np.ndarray]  # det C untrimmed, read by in_U
-    pivot_block: list[list[PolyW]]  # the r x r block C(w)
+    det_terms: TermMatrix  # det C untrimmed, read by in_U
+    pivot_block: TermMatrix  # the r x r block C(w)
     product_residual: float  # max relative coefficient of B(w) A(w)
+    b_terms: TermMatrix  # the rows as one coefficient array, read by eval_B
     _families: list[FunctionalFamily] | None = field(default=None, repr=False)
 
     @property
@@ -407,25 +455,15 @@ class AnnihilatorResult:
         return len(self.rows)
 
     def eval_B(self, w) -> np.ndarray:
-        w = _as_w(w, self.matrix.fam.w_arity)
-        B = np.zeros((self.s, self.p), dtype=complex)
-        for k, row in enumerate(self.rows):
-            for l, e in enumerate(row):
-                if e.coeffs:
-                    B[k, l] = e.evaluate(w)
-        return B
+        return self.b_terms.values([_as_w(w, self.matrix.fam.w_arity)])[0]
 
     def in_U(self, w) -> bool:
-        w = _as_w(w, self.matrix.fam.w_arity)
         if self.r == 0:
             return True
-        cvals = [
-            abs(e.evaluate(w)) for row in self.pivot_block for e in row if e.coeffs
-        ]
-        scale = max(1.0, max(cvals, default=0.0)) ** self.r
+        w = [_as_w(w, self.matrix.fam.w_arity)]
+        scale = max(1.0, np.abs(self.pivot_block.values(w)).max()) ** self.r
         # not det_c: its trim can drop the constant term of (1 + 10w)^14
-        exps, coef = self.det_terms
-        det = coef @ np.prod(np.asarray(w) ** exps, axis=1)
+        det = self.det_terms.values(w)[0, 0, 0]
         return abs(det) > DETC_TOL * scale
 
     def functionals(self) -> list[FunctionalFamily]:
@@ -477,17 +515,16 @@ def annihilator(
             "no nonsingular pivot block found after 10 witnesses"
         )
 
-    Ap = [[A.entries[row_perm[i]][col_perm[j]] for j in range(q)] for i in range(p)]
-    pivot_cols = [row[:r] for row in Ap]
-    C = pivot_cols[:r]
-    det_c, rows, det_terms = _det_and_cofactors(pivot_cols, m)
-    zero = PolyW(m, {})
+    det_c, rows, det_terms = _det_and_cofactors(
+        A.terms.take(row_perm, col_perm[:r]), m
+    )
+    B = TermMatrix.from_polys(rows, m, cols=p)
 
     # certify the exact polynomial identity B(w) A(w) = 0
+    Ap = [[A.entries[i][j] for j in col_perm] for i in row_perm]
+    zero = PolyW(m, {})
     residual = 0.0
-    scale = max(
-        max((e.max_coeff() for row in Ap for e in row), default=0.0), 1.0
-    ) * max(max((e.max_coeff() for row in rows for e in row), default=0.0), 1.0)
+    scale = max(A.terms.max_coeff(), 1.0) * max(B.max_coeff(), 1.0)
     for X in rows:
         for c in range(q):
             acc = zero
@@ -495,8 +532,9 @@ def annihilator(
                 if X[l].coeffs and Ap[l][c].coeffs:
                     acc = acc + X[l] * Ap[l][c]
             residual = max(residual, acc.max_coeff() / scale)
+    C = A.terms.take(row_perm[:r], col_perm[:r])
     return AnnihilatorResult(
-        A, r, row_perm, col_perm, rows, det_c, det_terms, C, residual
+        A, r, row_perm, col_perm, rows, det_c, det_terms, C, residual, B
     )
 
 
@@ -522,9 +560,13 @@ def membership_by_functionals(res: AnnihilatorResult, w, f: PolyW) -> bool:
     w = _as_w(w, res.matrix.fam.w_arity)
     if not res.in_U(w):
         raise OutsideUError(f"base point {w} outside U (pivot determinant ~ 0)")
+    return _annihilated(f, [fam.eval(w) for fam in res.functionals()])
+
+
+def _annihilated(f: PolyW, xis: list[Functional]) -> bool:
+    """Every functional xi(w) of the annihilator vanishes on the jet of f."""
     fscale = max(1.0, f.max_coeff())
-    for fam in res.functionals():
-        xi = fam.eval(w)
+    for xi in xis:
         val = sum(v * f.coeffs.get(a, 0.0) for a, v in xi.coeffs.items())
         xscale = max(1.0, max((abs(v) for v in xi.coeffs.values()), default=0.0))
         if abs(val) > MEMBERSHIP_TOL * xscale * fscale:
@@ -601,6 +643,8 @@ class PsiPoint:
     flag: str  # "ok" | "minus_inf" | "outside_U"
     psi: float  # -inf when flagged minus_inf; nan when outside U
     kernels: list[float]
+    # the annihilator functionals at w; empty outside U
+    functionals: list[Functional] = field(default_factory=list, repr=False)
 
 
 def psi_at(
@@ -622,16 +666,15 @@ def psi_at(
         assemble_gram(fiber_domain, phi_joint.fiber(w), degree, quad or QuadSpec())
     )
     origin = (0.0,) * fam.z_arity
-    kernels = [
-        xi_kernel(model, f.eval(w), origin) for f in res.functionals()
-    ]
+    xis = [f.eval(w) for f in res.functionals()]
+    kernels = [xi_kernel(model, xi, origin) for xi in xis]
     if not kernels:
         # vacuous annihilator: I_w + m^N is everything, inclusion always holds
         return PsiPoint(w, "minus_inf", -math.inf, [])
     top = max(kernels)
     if top <= KERNEL_ZERO_TOL:
-        return PsiPoint(w, "minus_inf", -math.inf, kernels)
-    return PsiPoint(w, "ok", math.log(top), kernels)
+        return PsiPoint(w, "minus_inf", -math.inf, kernels, xis)
+    return PsiPoint(w, "ok", math.log(top), kernels, xis)
 
 
 def psi_scan(
@@ -683,7 +726,8 @@ def lambda_scan(
 
     (a) Psi_N flags from the kernel sup; (b) direct membership of every
     oracle generator of the fiber multiplier ideal (times jet monomials)
-    under the annihilator functionals.  Both must coincide on U.
+    under the annihilator functionals.  Both must coincide on U.  Each base
+    point's test of U and its functionals come from ``psi_at``, once.
     """
     res, pts = psi_scan(
         fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed
@@ -698,7 +742,7 @@ def lambda_scan(
         in_a = pt.flag == "minus_inf"
         gens = multiplier_generators(phi_joint.fiber(pt.w))
         in_b = all(
-            membership_by_functionals(res, pt.w, g * PolyW.monomial(beta))
+            _annihilated(g * PolyW.monomial(beta), pt.functionals)
             for g in gens
             for beta in betas
         )

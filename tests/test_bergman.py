@@ -346,6 +346,17 @@ class TestBasisAction:
             expect = (0.4 - 0.1) * (0.4 ** a[0]) * (0.1 ** a[1])
             assert abs(u[j] - expect) < 1e-12
 
+    def test_taylor_action_uses_exact_binomials(self):
+        # the 14th derivative of z^31 / 14! at z = 1 is C(31, 14) = 265182525;
+        # a float binomial gives 265182524.99999997
+        E = np.array([[31], [31]])
+        u = bergman.taylor_action(
+            E, np.array([1.0, 1.0j]), np.array([0, 1]), 2,
+            Functional(1, {(14,): 1.0}), (1.0,),
+        )
+        assert u[0] == 265182525.0 == math.comb(31, 14)
+        assert u[1] == 265182525.0j
+
 
 def reference_basis(domain, labels, g=None):
     """g * prod_i (z_i - c_i)^alpha_i for each label, by PolyW products."""

@@ -338,6 +338,17 @@ class TestExtendCommand:
         assert jensen["margin"] == pytest.approx(cw / 2, rel=1e-12)
         assert jensen["holds"] is True
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failed_jensen_diagnostic_exits_1(self, tmp_path):
+        # a diagnostic that reports FAIL is exit 1.  Here the FAIL comes
+        # from |act|^2 overflowing at some base nodes (rhs is inf); taken as
+        # 2 log|act| the margin is about +1, so this input fails only while
+        # that overflow stands
+        code = run("extend", CONFIGS / "extend_gaussian_steep.json", tmp_path)
+        assert code == 1
+        jensen = payload(tmp_path / "extend.json")["jensen"]
+        assert jensen["holds"] is False
+
     def test_w_independent_log_monomial_keeps_columns_aligned(self, tmp_path):
         # c = 1.5 drops every label with no power of z from the joint model;
         # the restriction must follow the labels the model kept

@@ -14,13 +14,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.fiberwise import square_grid, submean_check
 from xibergman.functional import multi_indices_upto
 from xibergman.ideal import (
+    AnnihilatorResult,
     DegenerateInputError,
     IdealFamily,
     OutsideUError,
@@ -106,6 +107,93 @@ class TestCoeffMatrix:
             assert A.p == p == math.comb(N - 1 + n, n)
 
 
+def reference_evaluate(A, w) -> np.ndarray:
+    """A(w) entry by entry from its PolyW entries."""
+    M = np.zeros((A.p, A.q), dtype=complex)
+    for i, row in enumerate(A.entries):
+        for j, e in enumerate(row):
+            if e.coeffs:
+                M[i, j] = e.evaluate(w)
+    return M
+
+
+def reference_max_rank(A, w_grid, seed=0, n_random=12):
+    """The per-point rank search that ``max_rank`` batches."""
+    m = A.fam.w_arity
+    pts = [(w,) if m == 1 and np.isscalar(w) else tuple(w) for w in w_grid]
+    pts = [tuple(complex(x) for x in w) for w in pts]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        pts.append(
+            tuple(
+                complex(a, b)
+                for a, b in zip(
+                    0.6 * rng.uniform(-1, 1, m), 0.6 * rng.uniform(-1, 1, m)
+                )
+            )
+        )
+    best_r, witness = -1, pts[0]
+    for w in pts:
+        s = np.linalg.svd(reference_evaluate(A, w), compute_uv=False)
+        r = 0 if s[0] == 0 else int(np.sum(s > 1e-9 * s[0]))
+        if r > best_r:
+            best_r, witness = r, w
+    return best_r, witness
+
+
+ALL_ZERO = IdealFamily(2, 2, [PolyW(4, {})], 2)
+
+
+@st.composite
+def ideal_families(draw):
+    """Sparse small-integer generators in (z, w), n and m in {1, 2}, N <= 3,
+    times a common power of two far from 1 or 1 (ranks are relative).
+
+    A generator may be 0, and so may all of them (an all-zero A).
+    """
+    n, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    mono = st.tuples(*[st.integers(0, 2)] * (n + m))
+    unit = draw(st.sampled_from([1.0, 2.0**-40, 2.0**40]))
+    coeff = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda c: unit * c
+    )
+    gen = st.dictionaries(mono, coeff, max_size=4).map(lambda d: PolyW(n + m, d))
+    gens = draw(st.lists(gen, min_size=1, max_size=2))
+    return IdealFamily(n, m, gens, draw(st.integers(1, 3)))
+
+
+def dyadic_points(m: int):
+    """Base points on the lattice (Z + iZ) / 8, where A(w) is exact."""
+    c = st.builds(complex, *[st.integers(-6, 6).map(lambda k: k / 8)] * 2)
+    return st.lists(st.tuples(*[c] * m), min_size=1, max_size=6)
+
+
+class TestArrayEvaluator:
+    @given(ideal_families(), st.data())
+    @example(ALL_ZERO, None)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_polyw_entries(self, fam, data):
+        A = build_coeff_matrix(fam)
+        m = fam.w_arity
+        if data is None:
+            W = [(0.3 - 0.2j,) * m, (0.0,) * m]
+        else:
+            # 0 or at least 1e-3 in size: products of subnormals underflow
+            # in an order that depends on how the terms are grouped
+            x = st.floats(-1.5, 1.5).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+            c = st.builds(complex, x, x)
+            W = data.draw(st.lists(st.tuples(*[c] * m), min_size=1, max_size=5))
+        got = A.values(W)
+        assert got.shape == (len(W), A.p, A.q)
+        for k, w in enumerate(W):
+            want = reference_evaluate(A, w)
+            scale = np.abs(want).max()
+            assert np.abs(got[k] - want).max() <= 1e-13 * scale
+            assert np.array_equal(A.evaluate(w), got[k])
+        if all(not g.coeffs for g in fam.generators):
+            assert not got.any()
+
+
 class TestMaxRank:
     def test_examples(self):
         assert max_rank(build_coeff_matrix(Z1), GRID)[0] == 1
@@ -116,6 +204,39 @@ class TestMaxRank:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             max_rank(build_coeff_matrix(Z1), [])
+
+    @pytest.mark.parametrize("fam", [Z1, PENCIL, SHIFT], ids=["Z1", "PENCIL", "SHIFT"])
+    def test_matches_the_per_point_search(self, fam):
+        A = build_coeff_matrix(fam)
+        for grid in (GRID, [0.0], [0.0, 0.3]):
+            assert max_rank(A, grid) == reference_max_rank(A, grid)
+
+    @given(ideal_families(), st.data(), st.integers(0, 3))
+    @example(ALL_ZERO, None, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_batched_search_matches_the_per_point_search(self, fam, data, seed):
+        A = build_coeff_matrix(fam)
+        m = fam.w_arity
+        grid = [(0.0,) * m] if data is None else data.draw(dyadic_points(m))
+        assert max_rank(A, grid, seed=seed) == reference_max_rank(A, grid, seed)
+
+    def test_two_base_variables(self):
+        # f = w1 z - w2, N = 2: A = [[-w2, 0], [w1, -w2]], det A = w2^2, so
+        # the rank is 2 off w2 = 0, 1 on it away from 0, and 0 at w = 0
+        fam = IdealFamily(1, 2, [PolyW(3, {(1, 1, 0): 1.0, (0, 0, 1): -1.0})], 2)
+        A = build_coeff_matrix(fam)
+        assert np.array_equal(
+            A.evaluate((0.5, 0.25)), np.array([[-0.25, 0.0], [0.5, -0.25]])
+        )
+        grid = [(0.0, 0.0), (0.5, 0.0), (0.3, 0.2), (0.1, 0.4)]
+        assert max_rank(A, grid) == (2, (0.3 + 0j, 0.2 + 0j))
+        # no grid point reaches rank 2: the first generic point is the witness
+        r, wit = max_rank(A, grid[:2])
+        assert (r, wit) == reference_max_rank(A, grid[:2])
+        assert r == 2 and wit not in grid
+        res = build_annihilator(fam, grid)
+        assert res.r == 2 and res.s == 0
+        assert res.in_U((0.3, 0.2)) and not res.in_U((0.5, 0.0))
 
 
 class TestAnnihilator:
@@ -562,6 +683,27 @@ class TestPsiAndLambda:
         scan = lambda_scan(unit, PSTAR_WEIGHT, grid, degree=6)
         assert scan.agree
         assert len(scan.lambda_psi) == len(grid)
+
+    def test_lambda_scan_evaluates_once_per_point(self, monkeypatch):
+        # U and the functionals are evaluated once per base point, not once
+        # per (generator, beta) pair of the membership check
+        calls = {"in_U": 0, "eval": 0}
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(AnnihilatorResult, "in_U")
+        counted(FunctionalFamily, "eval")
+        grid = square_grid(0.6, 3)
+        scan = lambda_scan(PENCIL, PSTAR_WEIGHT, grid, degree=4)
+        assert scan.agree and not scan.skipped
+        assert calls == {"in_U": len(grid), "eval": len(grid) * scan.res.s}
 
     def test_psi_scan_wraps_points(self):
         res, pts = psi_scan(Z1, PSTAR_WEIGHT, [0.3, 0.0], degree=6)
