@@ -2,7 +2,8 @@
 lambda scans, and extension checks, with JSON/CSV outputs.
 
 Exit codes: 0 success, 1 verification failure (submean violation,
-cross-check mismatch or a failed Jensen diagnostic), 2 usage or
+cross-check mismatch, a failed Jensen diagnostic or an extension ratio above
+the sharp bound 1), 2 usage or
 configuration error, 3 numerical failure (no nonsingular pivot block; the
 record goes to ``error.json``).  Reruns under a fixed seed produce
 identical files except for the timestamp header line.
@@ -380,9 +381,14 @@ def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
             prob, fam, _point(j["z0"])
         )
     _write_json(out / "extend.json", _json_safe(payload))
+    code = EXIT_OK
+    if payload["ratio"] > 1.0 + extension.RATIO_SLACK:
+        print(f"FAIL: optimal-constant ratio {payload['ratio']!r} exceeds the "
+              f"sharp bound 1", file=sys.stderr)
+        code = EXIT_VERIFY_FAIL
     if "jensen" in payload and not payload["jensen"]["holds"]:
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+        code = EXIT_VERIFY_FAIL
+    return code
 
 
 _COMMANDS = {

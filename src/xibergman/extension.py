@@ -45,6 +45,8 @@ from .functional import (
 from .weights import Polydisc, eval_weight, substitute_base
 
 KKT_TOL = 1e-9
+#: an optimal-constant ratio above 1 + RATIO_SLACK breaks the sharp bound 1
+RATIO_SLACK = 5e-3
 RESTRICTION_TOL = 1e-12
 
 
@@ -177,8 +179,12 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
             G[np.ix_(free, free)], -G[free] @ c, rcond=EIG_CUTOFF_REL
         )
         c[free] = y
-    scale = max(1.0, float(np.linalg.norm(G, ord=2)) * float(np.linalg.norm(c)))
-    kkt = float(np.linalg.norm(G[free] @ c)) / scale
+    # the residual of c over its largest modulus: the norms of a steep
+    # extension (|c| ~ 1e285) overflow
+    top = np.abs(c).max(initial=0.0)
+    u = c / top if top > 0 else c
+    scale = max(1.0, float(np.linalg.norm(G, ord=2)) * float(np.linalg.norm(u)))
+    kkt = float(np.linalg.norm(G[free] @ u)) / scale
     N = np.eye(model.size, dtype=complex)[:, free]
     return ExtensionResult(prob, model, c, kkt, N)
 
@@ -303,8 +309,8 @@ def jensen_diagnostic(
 
     live = (act != 0) & (logK > -math.inf)
     terms = np.full(len(w), -math.inf)
-    with np.errstate(divide="ignore"):  # |act|^2 may underflow to 0
-        terms[live] = np.log(np.abs(act[live]) ** 2) - logK[live]
+    # 2 log|act|, not log |act|^2: the square overflows beyond |act| ~ 1e154
+    terms[live] = 2 * np.log(np.abs(act[live])) - logK[live]
     rhs = float(da @ terms) / (math.pi * r**2)
     return {
         "lhs": lhs,

@@ -2,19 +2,21 @@
 
 Given polynomial generators F_1..F_t on a product polydisc, the truncated
 ideal I_w + m^N on the fiber over w is the column span of a coefficient
-matrix A(w) whose entries are polynomials in w.  A(w) is held as one
-coefficient array (``TermMatrix``: the monomials in w and one p x q
-coefficient block each).  Every evaluation of A, of its blocks and of the
-annihilator rows is the product of a Vandermonde matrix in w with such an
+matrix A(w) whose entries are polynomials in w.  A(w), the annihilator
+B(w) and the pivot determinant det C(w) are each held once, as a coefficient
+array (``TermMatrix``: the monomials in w and one coefficient block each).
+Every evaluation is the product of a Vandermonde matrix in w with such an
 array, over a batch of base points; ``max_rank`` evaluates and rank-tests
-its whole witness grid in one call, and the determinant sampling below
-slices its pivot columns from the same array.  A holomorphic left
-annihilator B(w) with B(w) A(w) = 0 is built from bordered-minor cofactors
-of a nonsingular pivot block; its rows are the coefficient vectors of
-functionals that cut out the truncated ideal on the open set U where the
-pivot determinant does not vanish.  Scanning the sup of the log-kernels of
-these functionals over a base grid locates the inclusion locus of the
-multiplier ideal.
+its whole witness grid in one call, the determinant sampling below slices
+its pivot columns from A's array, and the certificate B(w) A(w) = 0 is one
+product of two arrays.  A holomorphic left annihilator B(w) is built from
+bordered-minor cofactors of a nonsingular pivot block; its rows are the
+coefficient vectors of functionals that cut out the truncated ideal on the
+open set U where the pivot determinant does not vanish.  Scanning the sup of
+the log-kernels of these functionals over a base grid locates the inclusion
+locus of the multiplier ideal.  PolyW appears only where a polynomial leaves
+this layer: in ``annihilator_to_json`` and the ``rows``, ``det_c`` and
+``functionals()`` views of an ``AnnihilatorResult``.
 
 The pivot determinant det C(w) and the cofactors are found by
 evaluation-interpolation.  K_i - 1, the sum over a block's rows of the
@@ -46,7 +48,7 @@ import numpy as np
 
 from .bergman import QuadSpec, assemble_gram, orthonormalize, xi_kernel
 from .family import FunctionalFamily, PolyW
-from .functional import Functional, MultiIndex, multi_indices_upto
+from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
 from .weights import (
     ConstantWeight,
     LogDivisorWeight,
@@ -108,17 +110,6 @@ class IdealFamily:
                 raise ValueError("generator arity must be z_arity + w_arity")
 
 
-def _split_generator(g: PolyW, n: int, m: int) -> dict[MultiIndex, PolyW]:
-    """Collect a (z, w)-polynomial as z-monomial -> polynomial in w."""
-    out: dict[MultiIndex, PolyW] = {}
-    for exps, c in g.coeffs.items():
-        alpha, beta = exps[:n], exps[n:]
-        p = out.get(alpha)
-        add = PolyW(m, {beta: c})
-        out[alpha] = p + add if p is not None else add
-    return out
-
-
 @dataclass(frozen=True)
 class TermMatrix:
     """A matrix of polynomials in w held as one coefficient array.
@@ -130,28 +121,13 @@ class TermMatrix:
     exps: np.ndarray  # monomials x m, int64
     coef: np.ndarray  # monomials x rows x cols, complex
 
-    @staticmethod
-    def from_polys(M: list[list[PolyW]], m: int, cols: int = 0) -> "TermMatrix":
-        """The matrix of the PolyW entries M; ``cols`` sizes a matrix of no rows."""
-        rows, cols = len(M), len(M[0]) if M else cols
-        exps = sorted({a for row in M for e in row for a in e.coeffs})
-        t_of = {a: t for t, a in enumerate(exps)}
-        coef = np.zeros((len(exps), rows, cols), dtype=complex)
-        for i, row in enumerate(M):
-            for j, e in enumerate(row):
-                for a, c in e.coeffs.items():
-                    coef[t_of[a], i, j] = c
-        return TermMatrix(np.array(exps, dtype=np.int64).reshape(-1, m), coef)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.coef.shape[1:]
 
     def take(self, rows: Sequence[int], cols: Sequence[int]) -> "TermMatrix":
         """The block of the given rows and columns, in that order."""
-        coef = self.coef[:, rows][:, :, cols]
-        live = coef.any(axis=(1, 2))
-        return TermMatrix(self.exps[live], coef[live])
+        return _live(self.exps, self.coef[:, rows][:, :, cols])
 
     def max_coeff(self) -> float:
         # np.hypot is Python's abs(complex), which PolyW.max_coeff takes
@@ -170,14 +146,47 @@ class TermMatrix:
         V = np.einsum("pt,tk->pk", powers, flat)
         return V.reshape(len(W), *self.shape)
 
+    def trimmed(self) -> "TermMatrix":
+        """Each entry without its coefficients at or below TRIM_REL_TOL times
+        its largest, the trim PolyW applies to a polynomial."""
+        mod = np.hypot(self.coef.real, self.coef.imag)
+        keep = mod > TRIM_REL_TOL * mod.max(axis=0, initial=0.0)
+        return _live(self.exps, np.where(keep, self.coef, 0))
+
+    def __matmul__(self, other: "TermMatrix") -> "TermMatrix":
+        """The product of polynomial matrices, untrimmed: the exponents add
+        pairwise, the coefficient blocks multiply, and the products of equal
+        exponent are summed."""
+        m = self.exps.shape[1]
+        exps = (self.exps[:, None] + other.exps[None]).reshape(-1, m)
+        blocks = self.coef[:, None] @ other.coef[None]
+        uniq, inv = np.unique(exps, axis=0, return_inverse=True)
+        coef = np.zeros((len(uniq), self.shape[0], other.shape[1]), dtype=complex)
+        np.add.at(coef, inv.reshape(-1), blocks.reshape(len(exps), *coef.shape[1:]))
+        return _live(uniq, coef)
+
+    def polys(self) -> list[list[PolyW]]:
+        """The entries as PolyW, for output."""
+        E = [tuple(e) for e in self.exps.tolist()]
+        rows, cols = self.shape
+        out: list[list[dict]] = [[{} for _ in range(cols)] for _ in range(rows)]
+        for t, i, j in zip(*np.nonzero(self.coef)):
+            out[i][j][E[t]] = complex(self.coef[t, i, j])
+        return [[PolyW(self.exps.shape[1], d) for d in row] for row in out]
+
+
+def _live(exps: np.ndarray, coef: np.ndarray) -> TermMatrix:
+    """The matrix of the monomials that have a nonzero coefficient."""
+    live = coef.any(axis=(1, 2))
+    return TermMatrix(exps[live], coef[live])
+
 
 @dataclass
 class CoeffMatrixA:
     fam: IdealFamily
     basis: list[MultiIndex]  # row labels, grlex, |alpha| <= N-1
     cols: list[tuple[MultiIndex, int]]  # (beta, generator index)
-    entries: list[list[PolyW]]  # p x q, for the exact certificate
-    terms: TermMatrix  # the same p x q matrix, read by every evaluation
+    terms: TermMatrix  # the p x q matrix
 
     @property
     def p(self) -> int:
@@ -196,25 +205,29 @@ class CoeffMatrixA:
 
 
 def build_coeff_matrix(fam: IdealFamily) -> CoeffMatrixA:
-    """Coefficient matrix of {z^beta f_i mod m^N} in the jet monomial basis."""
+    """Coefficient matrix of {z^beta f_i mod m^N} in the jet monomial basis.
+
+    The term c z^gamma w^b of f_i lands in row gamma + beta of column
+    (beta, i), at the monomial w^b.  An entry holds some of the terms of
+    f_i, which PolyW trimmed against f_i's largest, so no entry needs a trim.
+    """
     n, m, N = fam.z_arity, fam.w_arity, fam.truncation
     basis = multi_indices_upto(n, N - 1)
     row_of = {a: i for i, a in enumerate(basis)}
-    zero = PolyW(m, {})
-    splits = [_split_generator(g, n, m) for g in fam.generators]
-    cols: list[tuple[MultiIndex, int]] = []
-    entries: list[list[PolyW]] = [[] for _ in basis]
-    for i in range(len(fam.generators)):
-        for beta in basis:
-            cols.append((beta, i))
-            col = {a: zero for a in basis}
-            for gamma, pw in splits[i].items():
-                alpha = tuple(bi + gi for bi, gi in zip(beta, gamma))
-                if sum(alpha) <= N - 1:
-                    col[alpha] = col[alpha] + pw
-            for a in basis:
-                entries[row_of[a]].append(col[a])
-    return CoeffMatrixA(fam, basis, cols, entries, TermMatrix.from_polys(entries, m))
+    p = len(basis)
+    cols = [(beta, i) for i in range(len(fam.generators)) for beta in basis]
+    w_exps = sorted({e[n:] for g in fam.generators for e in g.coeffs})
+    t_of = {b: t for t, b in enumerate(w_exps)}
+    coef = np.zeros((len(w_exps), p, len(cols)), dtype=complex)
+    for i, g in enumerate(fam.generators):
+        for e, c in g.coeffs.items():
+            gamma, t = e[:n], t_of[e[n:]]
+            for j, beta in enumerate(basis):
+                row = row_of.get(tuple(bi + gi for bi, gi in zip(beta, gamma)))
+                if row is not None:
+                    coef[t, row, i * p + j] += c
+    exps = np.array(w_exps, dtype=np.int64).reshape(-1, m)
+    return CoeffMatrixA(fam, basis, cols, _live(exps, coef))
 
 
 def max_rank(
@@ -297,20 +310,18 @@ def _sample_minors(
     return coeffs.reshape(S, n) / S, log_bound
 
 
-def _det_and_cofactors(M: list[list[PolyW]] | TermMatrix, m: int):
-    """det C, the bordered cofactor rows of a p x r polynomial matrix, and
-    det C before PolyW trims it (a 1 x 1 ``TermMatrix``).
+def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
+    """det C, untrimmed (1 x 1), and the (p - r) x p cofactor rows B of a
+    p x r polynomial matrix M, each entry of B trimmed as PolyW trims.
 
-    M is a ``TermMatrix`` or a list of rows of PolyW entries.
     C is the top r x r block of M.  For each row l >= r the (r+1) x r block
     [C; M_l] has the left null row X_l with X_l[l] = det C and X_l[k]
     (k < r) the signed r-minor that omits row k; every other entry is 0.
     All minors share each sampling of M and each FFT (see the module
     docstring); each costs O(prod(K) * r**3) per torus.
     """
-    if not isinstance(M, TermMatrix):
-        M = TermMatrix.from_polys(M, m)
     p, r = M.shape
+    m = M.exps.shape[1]
 
     def minor_bound(row_degs: np.ndarray) -> int:
         # a minor takes r rows of [C; M_l]: all of C's but one, plus M_l
@@ -415,21 +426,13 @@ def _det_and_cofactors(M: list[list[PolyW]] | TermMatrix, m: int):
     fl = np.exp(log_err)
     best.real[np.abs(best.real) <= fl] = 0.0
     best.imag[np.abs(best.imag) <= fl] = 0.0
-    exps = [tuple(int(a) for a in ks[t]) for t in keep]
-    polys = [
-        PolyW(m, {exps[t]: complex(best[t, u]) for t in np.flatnonzero(best[:, u])})
-        for u in range(n)
-    ]
-    det_c = polys[0]
-    zero = PolyW(m, {})
-    rows: list[list[PolyW]] = []
-    for j, l in enumerate(range(r, p)):
-        X = [zero] * p
-        X[:r] = polys[1 + j * r : 1 + (j + 1) * r]
-        X[l] = det_c
-        rows.append(X)
-    live = best[:, 0] != 0
-    return det_c, rows, TermMatrix(alpha[live], best[live, :1, None])
+    det_c = _live(alpha, best[:, :1, None])
+    # row j of B borders C with row l = r + j: the minors, then det C at l
+    coef = np.zeros((len(alpha), p - r, p), dtype=complex)
+    coef[:, :, :r] = best[:, 1:].reshape(len(alpha), p - r, r)
+    j = np.arange(p - r)
+    coef[:, j, r + j] = best[:, :1]
+    return det_c, TermMatrix(alpha, coef).trimmed()
 
 
 @dataclass
@@ -438,13 +441,10 @@ class AnnihilatorResult:
     r: int
     row_perm: list[int]  # permuted row i of the pivoted matrix = original row_perm[i]
     col_perm: list[int]
-    rows: list[list[PolyW]]  # s x p annihilator in permuted-row coordinates
-    det_c: PolyW
     det_terms: TermMatrix  # det C untrimmed, read by in_U
     pivot_block: TermMatrix  # the r x r block C(w)
     product_residual: float  # max relative coefficient of B(w) A(w)
-    b_terms: TermMatrix  # the rows as one coefficient array, read by eval_B
-    _families: list[FunctionalFamily] | None = field(default=None, repr=False)
+    b_terms: TermMatrix  # the s x p annihilator B(w), permuted-row coordinates
 
     @property
     def p(self) -> int:
@@ -452,7 +452,16 @@ class AnnihilatorResult:
 
     @property
     def s(self) -> int:
-        return len(self.rows)
+        return self.b_terms.shape[0]
+
+    @property
+    def rows(self) -> list[list[PolyW]]:
+        return self.b_terms.polys()
+
+    @property
+    def det_c(self) -> PolyW:
+        # PolyW trims what in_U reads untrimmed
+        return self.det_terms.polys()[0][0]
 
     def eval_B(self, w) -> np.ndarray:
         return self.b_terms.values([_as_w(w, self.matrix.fam.w_arity)])[0]
@@ -467,9 +476,7 @@ class AnnihilatorResult:
         return abs(det) > DETC_TOL * scale
 
     def functionals(self) -> list[FunctionalFamily]:
-        if self._families is None:
-            self._families = functionals_from_annihilator(self)
-        return self._families
+        return functionals_from_annihilator(self)
 
 
 def annihilator(
@@ -480,8 +487,8 @@ def annihilator(
     A rank-revealing pivot search at the witness selects the r x r block
     C(w); for each extra row the bordered (r+1) x r block [C; A_l] supplies
     cofactors forming a row X_j with X_j(w) A(w) = 0 identically (every
-    (r+1)-minor of A vanishes since r is the maximal rank).  The symbolic
-    product B(w) A(w) is then formed in exact PolyW arithmetic as an
+    (r+1)-minor of A vanishes since r is the maximal rank).  The polynomial
+    product B(w) A(w) of the two coefficient arrays is then formed as an
     independent certificate (``product_residual``).
     """
     m = A.fam.w_arity
@@ -515,40 +522,30 @@ def annihilator(
             "no nonsingular pivot block found after 10 witnesses"
         )
 
-    det_c, rows, det_terms = _det_and_cofactors(
-        A.terms.take(row_perm, col_perm[:r]), m
-    )
-    B = TermMatrix.from_polys(rows, m, cols=p)
-
+    det_terms, B = _det_and_cofactors(A.terms.take(row_perm, col_perm[:r]))
     # certify the exact polynomial identity B(w) A(w) = 0
-    Ap = [[A.entries[i][j] for j in col_perm] for i in row_perm]
-    zero = PolyW(m, {})
-    residual = 0.0
     scale = max(A.terms.max_coeff(), 1.0) * max(B.max_coeff(), 1.0)
-    for X in rows:
-        for c in range(q):
-            acc = zero
-            for l in range(p):
-                if X[l].coeffs and Ap[l][c].coeffs:
-                    acc = acc + X[l] * Ap[l][c]
-            residual = max(residual, acc.max_coeff() / scale)
+    residual = (B @ A.terms.take(row_perm, col_perm)).max_coeff() / scale
     C = A.terms.take(row_perm[:r], col_perm[:r])
-    return AnnihilatorResult(
-        A, r, row_perm, col_perm, rows, det_c, det_terms, C, residual, B
-    )
+    return AnnihilatorResult(A, r, row_perm, col_perm, det_terms, C, residual, B)
 
 
 def functionals_from_annihilator(res: AnnihilatorResult) -> list[FunctionalFamily]:
     """One holomorphic functional family per annihilator row, deg <= N-1."""
     n, m = res.matrix.fam.z_arity, res.matrix.fam.w_arity
-    fams = []
-    for row in res.rows:
-        terms = {}
-        for l, e in enumerate(row):
-            if e.coeffs:
-                terms[res.matrix.basis[res.row_perm[l]]] = e
-        fams.append(FunctionalFamily(n, m, terms))
-    return fams
+    labels = [res.matrix.basis[i] for i in res.row_perm]
+    return [
+        FunctionalFamily(n, m, {a: e for a, e in zip(labels, row) if e.coeffs})
+        for row in res.rows
+    ]
+
+
+def _functionals_at(res: AnnihilatorResult, w) -> list[Functional]:
+    """The annihilator functionals at w, from one evaluation of B(w)."""
+    labels = [res.matrix.basis[i] for i in res.row_perm]
+    n = res.matrix.fam.z_arity
+    # Python complex, whose abs the trim compares, as PolyW.evaluate returns
+    return [Functional(n, dict(zip(labels, row))) for row in res.eval_B(w).tolist()]
 
 
 def _truncated_coeff_vector(f: PolyW, basis: list[MultiIndex]) -> np.ndarray:
@@ -560,7 +557,7 @@ def membership_by_functionals(res: AnnihilatorResult, w, f: PolyW) -> bool:
     w = _as_w(w, res.matrix.fam.w_arity)
     if not res.in_U(w):
         raise OutsideUError(f"base point {w} outside U (pivot determinant ~ 0)")
-    return _annihilated(f, [fam.eval(w) for fam in res.functionals()])
+    return _annihilated(f, _functionals_at(res, w))
 
 
 def _annihilated(f: PolyW, xis: list[Functional]) -> bool:
@@ -666,7 +663,7 @@ def psi_at(
         assemble_gram(fiber_domain, phi_joint.fiber(w), degree, quad or QuadSpec())
     )
     origin = (0.0,) * fam.z_arity
-    xis = [f.eval(w) for f in res.functionals()]
+    xis = _functionals_at(res, w)
     kernels = [xi_kernel(model, xi, origin) for xi in xis]
     if not kernels:
         # vacuous annihilator: I_w + m^N is everything, inclusion always holds

@@ -338,16 +338,33 @@ class TestExtendCommand:
         assert jensen["margin"] == pytest.approx(cw / 2, rel=1e-12)
         assert jensen["holds"] is True
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_failed_jensen_diagnostic_exits_1(self, tmp_path):
-        # a diagnostic that reports FAIL is exit 1.  Here the FAIL comes
-        # from |act|^2 overflowing at some base nodes (rhs is inf); taken as
-        # 2 log|act| the margin is about +1, so this input fails only while
-        # that overflow stands
+    def test_failed_jensen_diagnostic_exits_1(self, tmp_path, capsys):
+        # the degree-4 w-basis cannot follow the minimal extension, about
+        # e^{720 (w - w0)}, so the ratio breaks the sharp bound 1 and the
+        # command fails on it; the Jensen diagnostic, its |act| ~ 1e300 taken
+        # as 2 log|act| without overflow, holds with a margin of about +1
         code = run("extend", CONFIGS / "extend_gaussian_steep.json", tmp_path)
         assert code == 1
-        jensen = payload(tmp_path / "extend.json")["jensen"]
-        assert jensen["holds"] is False
+        out = payload(tmp_path / "extend.json")
+        assert out["ratio"] > 1e22
+        assert out["kktResidual"] == 0.0
+        assert f"ratio {out['ratio']!r}" in capsys.readouterr().err
+        jensen = out["jensen"]
+        assert jensen["holds"] is True
+        assert jensen["margin"] == pytest.approx(1.0194, abs=1e-3)
+
+    def test_jensen_reporting_false_exits_1(self, tmp_path, monkeypatch):
+        # a diagnostic that reports FAIL is exit 1, also when the ratio holds
+        real = cli.extension.jensen_diagnostic
+
+        def failing(*args, **kwargs):
+            return {**real(*args, **kwargs), "holds": False}
+
+        monkeypatch.setattr(cli.extension, "jensen_diagnostic", failing)
+        code = run("extend", CONFIGS / "extend_gaussian.json", tmp_path)
+        assert code == 1
+        out = payload(tmp_path / "extend.json")
+        assert out["ratio"] <= 1.0 and out["jensen"]["holds"] is False
 
     def test_w_independent_log_monomial_keeps_columns_aligned(self, tmp_path):
         # c = 1.5 drops every label with no power of z from the joint model;

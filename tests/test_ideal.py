@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xibergman.family import FunctionalFamily, PolyW
@@ -25,6 +25,7 @@ from xibergman.ideal import (
     DegenerateInputError,
     IdealFamily,
     OutsideUError,
+    TermMatrix,
     _det_and_cofactors,
     annihilator,
     annihilator_to_json,
@@ -108,12 +109,21 @@ class TestCoeffMatrix:
 
 
 def reference_evaluate(A, w) -> np.ndarray:
-    """A(w) entry by entry from its PolyW entries."""
-    M = np.zeros((A.p, A.q), dtype=complex)
-    for i, row in enumerate(A.entries):
-        for j, e in enumerate(row):
-            if e.coeffs:
-                M[i, j] = e.evaluate(w)
+    """A(w) rebuilt from the generators, not from ``build_coeff_matrix``:
+    column (beta, i) holds the jet coefficients of z^beta f_i(z, w)."""
+    fam = A.fam
+    n = fam.z_arity
+    basis = multi_indices_upto(n, fam.truncation - 1)
+    row = {a: k for k, a in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis) * len(fam.generators)), dtype=complex)
+    for i, g in enumerate(fam.generators):
+        for j, beta in enumerate(basis):
+            for e, c in g.coeffs.items():
+                alpha = tuple(b + a for b, a in zip(beta, e[:n]))
+                if alpha in row:
+                    M[row[alpha], i * len(basis) + j] += c * np.prod(
+                        [complex(x) ** k for x, k in zip(w, e[n:])]
+                    )
     return M
 
 
@@ -172,7 +182,7 @@ class TestArrayEvaluator:
     @given(ideal_families(), st.data())
     @example(ALL_ZERO, None)
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_polyw_entries(self, fam, data):
+    def test_matches_the_generators(self, fam, data):
         A = build_coeff_matrix(fam)
         m = fam.w_arity
         if data is None:
@@ -239,11 +249,76 @@ class TestMaxRank:
         assert res.in_U((0.3, 0.2)) and not res.in_U((0.5, 0.0))
 
 
+def reference_product_residual(res) -> float:
+    """The certificate B(w) A(w) multiplied out in PolyW arithmetic, entry by
+    entry: its largest coefficient over the scale of ``product_residual``."""
+    A = res.matrix
+    P = A.terms.polys()
+    Ap = [[P[i][j] for j in res.col_perm] for i in res.row_perm]
+    zero = PolyW(A.fam.w_arity, {})
+    scale = max(A.terms.max_coeff(), 1.0) * max(res.b_terms.max_coeff(), 1.0)
+    residual = 0.0
+    for X in res.rows:
+        for c in range(A.q):
+            acc = zero
+            for l in range(A.p):
+                if X[l].coeffs and Ap[l][c].coeffs:
+                    acc = acc + X[l] * Ap[l][c]
+            residual = max(residual, acc.max_coeff() / scale)
+    return residual
+
+
+@st.composite
+def non_integer_ideals(draw):
+    """Ideals in (z1, z2) over m in {1, 2} base variables, N in {2, 3}.
+
+    Each generator has the terms z1 a w^b and z2 c w^d with a, c non-integer,
+    plus up to two more terms divisible by some z_i, so the annihilator has
+    rows with several non-integer entries whose products round.
+    """
+    m = draw(st.sampled_from([1, 2]))
+    wmono = st.tuples(*[st.integers(0, 2)] * m)
+    coeff = st.builds(
+        lambda a, b: complex(a / 7, b / 5), st.integers(1, 6), st.integers(-6, 6)
+    )
+    zmono = st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = {(1, 0) + draw(wmono): draw(coeff), (0, 1) + draw(wmono): draw(coeff)}
+        for _ in range(draw(st.integers(0, 2))):
+            terms[draw(zmono) + draw(wmono)] = draw(coeff)
+        gens.append(PolyW(2 + m, terms))
+    return IdealFamily(2, m, gens, draw(st.integers(2, 3)))
+
+
+def non_integer(B: np.ndarray) -> np.ndarray:
+    """Entries (rows x cols) of a coefficient array with a non-integer part."""
+    return ((B.real != np.round(B.real)) | (B.imag != np.round(B.imag))).any(axis=0)
+
+
 class TestAnnihilator:
     def test_exact_polynomial_identity(self):
         for fam in (Z1, PENCIL, SHIFT):
             res = build_annihilator(fam, GRID)
             assert res.product_residual < 1e-10
+            assert res.product_residual == reference_product_residual(res)
+
+    @given(non_integer_ideals())
+    @example(IdealFamily(2, 1, [PolyW(3, {(1, 0, 0): 3 / 7 + 0.2j,
+                                          (0, 1, 1): 5 / 7 - 0.4j})], 2))
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_the_polyw_certificate(self, fam):
+        # rows with two or more non-integer entries round in B(w) A(w), so
+        # the residual is not 0 by construction, as it is on integer inputs
+        res = build_annihilator(fam)
+        assume((non_integer(res.b_terms.coef).sum(axis=1) >= 2).any())
+        # the arrays hold what their PolyW views hold
+        m = fam.w_arity
+        assert_same_terms(res.matrix.terms, term_matrix(res.matrix.terms.polys(), m))
+        assert_same_terms(res.b_terms, term_matrix(res.rows, m, res.p))
+        ref = reference_product_residual(res)
+        assert res.product_residual <= 1e-10 and ref <= 1e-10
+        assert abs(res.product_residual - ref) <= 1e-13
 
     def test_z1_functionals(self):
         res = build_annihilator(Z1, GRID)
@@ -319,6 +394,31 @@ class TestAnnihilator:
         assert len(obj["rows"]) == 2 and len(obj["rows"][0]) == 3
 
 
+def term_matrix(M: list[list[PolyW]], m: int, cols: int = 0) -> TermMatrix:
+    """The matrix of the PolyW entries M; ``cols`` sizes a matrix of no rows."""
+    rows, cols = len(M), len(M[0]) if M else cols
+    exps = sorted({a for row in M for e in row for a in e.coeffs})
+    t_of = {a: t for t, a in enumerate(exps)}
+    coef = np.zeros((len(exps), rows, cols), dtype=complex)
+    for i, row in enumerate(M):
+        for j, e in enumerate(row):
+            for a, c in e.coeffs.items():
+                coef[t_of[a], i, j] = c
+    return TermMatrix(np.array(exps, dtype=np.int64).reshape(-1, m), coef)
+
+
+def assert_same_terms(got: TermMatrix, want: TermMatrix):
+    assert np.array_equal(got.exps, want.exps)
+    assert np.array_equal(got.coef, want.coef)
+
+
+def det_and_cofactors(M: list[list[PolyW]], m: int):
+    """``_det_and_cofactors`` on PolyW rows: det C, trimmed as
+    ``AnnihilatorResult.det_c`` is, and the cofactor rows, as PolyW."""
+    det, B = _det_and_cofactors(term_matrix(M, m))
+    return det.polys()[0][0], B.polys()
+
+
 def laplace_det(M: list[list[PolyW]], m: int) -> PolyW:
     """Reference determinant: first-column Laplace expansion in PolyW."""
     if not M:
@@ -342,7 +442,7 @@ def assert_same_poly(got: PolyW, want: PolyW, scale: float):
 def check_against_laplace(M: list[list[PolyW]], m: int):
     """det C and every bordered cofactor agree with the reference."""
     p, r = len(M), len(M[0]) if M else 0
-    det_c, rows, _ = _det_and_cofactors(M, m)
+    det_c, rows = det_and_cofactors(M, m)
     ref_det = laplace_det(M[:r], m)
     entries = [abs(c) for row in M for e in row for c in e.coeffs.values()]
     scale = max(1.0, max(entries, default=0.0)) ** (r + 1) * math.factorial(r + 1)
@@ -447,7 +547,7 @@ class TestDeterminant:
         # without them it is the determinant's own size (2.3e-13 at most),
         # where the unit torus alone reaches 2e-6
         M, m, want, fill = case
-        det_c, _, _ = _det_and_cofactors(M, m)
+        det_c, _ = det_and_cofactors(M, m)
         assert set(det_c.coeffs) <= set(want.coeffs)
         assert torus_error(det_c, want) < (1e-7 if fill else 1e-11)
 
@@ -483,6 +583,10 @@ class TestDeterminant:
         )
         assert res.r == 14 and (0,) not in res.det_c.coeffs
         assert res.in_U(0.0)
+        # B's array is trimmed as its PolyW view is: its det C entry has no
+        # constant term either
+        assert (0,) not in res.rows[0][14].coeffs
+        assert_same_terms(res.b_terms, term_matrix(res.rows, 1, res.p))
         assert res.in_U(0.05) and res.in_U(-0.2)
         assert not res.in_U(-0.1)
 
@@ -498,7 +602,7 @@ class TestDeterminant:
         want = PolyW.constant(1.0, m)
         for h in diag:
             want = want * h
-        det_c, _, _ = _det_and_cofactors(M, m)
+        det_c, _ = det_and_cofactors(M, m)
         assert set(det_c.coeffs) == set(want.coeffs)
         for a, c in want.coeffs.items():
             assert det_c.coeffs[a] == pytest.approx(c, rel=1e-12, abs=0)
@@ -520,7 +624,7 @@ class TestDeterminant:
         zero = PolyW(m, {})
         M = [[h if i == j else zero for j in range(3)] for i in range(3)]
         with pytest.raises(DegenerateInputError, match="too large"):
-            _det_and_cofactors(M, m)
+            _det_and_cofactors(term_matrix(M, m))
 
     @given(sparse_poly_matrices())
     @settings(max_examples=150, deadline=None)
@@ -533,20 +637,20 @@ class TestDeterminant:
         zero = PolyW(1, {})
         M = [[w, one, one], [zero, zero, zero], [one, w, one], [one, one, w]]
         check_against_laplace(M, 1)
-        det_c, rows, _ = _det_and_cofactors(M, 1)
+        det_c, rows = det_and_cofactors(M, 1)
         assert not det_c.coeffs
 
     def test_constant_entries(self):
         M = [[PolyW.constant(c, 2) for c in row]
              for row in ([2, 1, 0], [1, 3, 1], [0, 1, 4], [1, 1, 1])]
         check_against_laplace(M, 2)
-        det_c, _, _ = _det_and_cofactors(M, 2)
+        det_c, _ = det_and_cofactors(M, 2)
         assert det_c.coeffs.keys() == {(0, 0)}
         assert det_c.coeffs[(0, 0)] == pytest.approx(18.0, abs=1e-12)
 
     def test_empty_block(self):
         M = [[], []]
-        det_c, rows, _ = _det_and_cofactors(M, 1)
+        det_c, rows = det_and_cofactors(M, 1)
         assert det_c.coeffs == {(0,): 1.0}
         assert [[e.coeffs for e in X] for X in rows] == [
             [{(0,): 1.0}, {}], [{}, {(0,): 1.0}]
@@ -685,9 +789,10 @@ class TestPsiAndLambda:
         assert len(scan.lambda_psi) == len(grid)
 
     def test_lambda_scan_evaluates_once_per_point(self, monkeypatch):
-        # U and the functionals are evaluated once per base point, not once
-        # per (generator, beta) pair of the membership check
-        calls = {"in_U": 0, "eval": 0}
+        # U and B(w), whose rows are the functionals, are evaluated once per
+        # base point, not once per (generator, beta) pair of the membership
+        # check nor once per functional
+        calls = {"in_U": 0, "eval_B": 0}
 
         def counted(cls, name):
             original = getattr(cls, name)
@@ -699,11 +804,11 @@ class TestPsiAndLambda:
             monkeypatch.setattr(cls, name, wrapper)
 
         counted(AnnihilatorResult, "in_U")
-        counted(FunctionalFamily, "eval")
+        counted(AnnihilatorResult, "eval_B")
         grid = square_grid(0.6, 3)
         scan = lambda_scan(PENCIL, PSTAR_WEIGHT, grid, degree=4)
-        assert scan.agree and not scan.skipped
-        assert calls == {"in_U": len(grid), "eval": len(grid) * scan.res.s}
+        assert scan.agree and not scan.skipped and scan.res.s == 2
+        assert calls == {"in_U": len(grid), "eval_B": len(grid)}
 
     def test_psi_scan_wraps_points(self):
         res, pts = psi_scan(Z1, PSTAR_WEIGHT, [0.3, 0.0], degree=6)
