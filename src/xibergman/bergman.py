@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .family import PolyW
 from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
@@ -280,7 +279,11 @@ def _radial_moment(e: float, q: float, R: float) -> float:
         return math.inf
     x = q * R * R
     if x >= e:
-        # past the mean of the Gamma(e) law P(e, x) > 1/2: no underflow
+        # past the mean of the Gamma(e) law P(e, x) > 1/2: no underflow.
+        # Imported here: scipy.special costs ~0.3 s of start-up, and most
+        # commands never reach this branch
+        from scipy.special import gammainc, gammaln
+
         return math.pi * math.exp(
             gammaln(e) + math.log(gammainc(e, x)) - e * math.log(q)
         )

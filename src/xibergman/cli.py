@@ -3,10 +3,10 @@ lambda scans, and extension checks, with JSON/CSV outputs.
 
 Exit codes: 0 success, 1 verification failure (submean violation,
 cross-check mismatch, a failed Jensen diagnostic or an extension ratio above
-the sharp bound 1), 2 usage or
-configuration error, 3 numerical failure (no nonsingular pivot block; the
-record goes to ``error.json``).  Reruns under a fixed seed produce
-identical files except for the timestamp header line.
+the sharp bound 1), 2 usage or configuration error (also an ``extend``
+fiber datum of zero norm, whose ratio is 0/0), 3 numerical failure (no
+nonsingular pivot block; the record goes to ``error.json``).  Reruns under
+a fixed seed produce identical files except for the timestamp header line.
 """
 
 from __future__ import annotations
@@ -400,17 +400,20 @@ _COMMANDS = {
 }
 
 
+# built once: building takes ~10 times as long as parsing an argv
+_PARSER = argparse.ArgumentParser(
+    prog="xibergman",
+    description="weighted extremal Bergman kernel laboratory",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="JSON config path")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--seed", type=int, default=0)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="xibergman",
-        description="weighted extremal Bergman kernel laboratory",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit:
         return EXIT_CONFIG
 

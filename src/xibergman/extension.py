@@ -209,9 +209,15 @@ def fiber_norm(prob: ExtensionProblem) -> float:
     return fmodel.norm_sq(c)
 
 
-def optimal_constant_check(prob: ExtensionProblem, result: ExtensionResult) -> float:
-    """ratio = joint norm per unit base area over the fiber norm; <= 1 is sharp."""
-    fn = fiber_norm(prob)
+def optimal_constant_check(
+    prob: ExtensionProblem, result: ExtensionResult, fn: float | None = None
+) -> float:
+    """ratio = joint norm per unit base area over the fiber norm; <= 1 is sharp.
+
+    ``fn`` is the fiber norm when it is already known.
+    """
+    if fn is None:
+        fn = fiber_norm(prob)
     if fn <= 0:
         raise ZeroFiberNormError("fiber datum has zero weighted norm")
     area = math.pi * prob.base_radius**2
@@ -220,9 +226,8 @@ def optimal_constant_check(prob: ExtensionProblem, result: ExtensionResult) -> f
 
 def extension_report(prob: ExtensionProblem, result: ExtensionResult) -> dict:
     fn = fiber_norm(prob)
-    area = math.pi * prob.base_radius**2
     return {
-        "ratio": result.joint_norm / (area * fn) if fn > 0 else math.inf,
+        "ratio": optimal_constant_check(prob, result, fn),
         "fiberNorm": fn,
         "jointNorm": result.joint_norm,
         "kktResidual": result.kkt_residual,

@@ -24,17 +24,22 @@ largest entry degree in w_i, bounds every minor's degree in w_i.  The
 pivoted matrix is sampled on the tensor grid of K_i-th roots of unity in
 each base variable, scaled to a torus of radii (rho_1, ..., rho_m); batched
 ``np.linalg.det`` calls give every minor at every sample, and an
-m-dimensional FFT returns the coefficients, exact up to rounding.  One torus
-resolves a coefficient only to eps times the largest sampled value over its
-own size there, which loses the small coefficients of a determinant such as
-(1 + 8w)^14 on the unit circle.  So the radii walk out and in along each
-axis by factors of RADIUS_STEP, then over the product of those ladders when
-m > 1, and each coefficient keeps the estimate with the smallest error
-bound, eps (r + 1) times the Hadamard bound over rho^alpha; parts below that
-bound are rounding noise and set to zero, so exact zeros stay zero.  An
-r x r minor costs O(prod(K_i) * r**3) per torus, polynomial in r, where
-Laplace expansion costs O(2**r); a dense pair at jet order 5 takes about
-six tori.
+m-dimensional FFT returns the coefficients, exact up to rounding.  A minor
+that keeps an identically zero row of the pivoted matrix is an exact zero
+and is not sampled: when every generator vanishes on z = 0 (an ideal inside
+the maximal ideal), the constant-jet row of A(w) is zero and is never a
+pivot row, so its r minors are skipped and its row of B is det C there.
+One torus resolves a coefficient only to eps times the largest sampled
+value over its own size there, which loses the small coefficients of a
+determinant such as (1 + 8w)^14 on the unit circle.  So the radii walk out
+and in along each axis by factors of RADIUS_STEP, then over the product of
+those ladders when m > 1, and each coefficient keeps the estimate with the
+smallest error bound, eps (r + 1) times the Hadamard bound over rho^alpha;
+parts below that bound are rounding noise and set to zero, so exact zeros
+stay zero.  An r x r minor costs O(prod(K_i) * r**3) per torus, polynomial
+in r, where Laplace expansion costs O(2**r); a dense pair at jet order 5
+(r = 14, one bordered row, the zero constant-jet row) samples det C alone,
+on about six tori.
 """
 
 from __future__ import annotations
@@ -318,7 +323,8 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
     [C; M_l] has the left null row X_l with X_l[l] = det C and X_l[k]
     (k < r) the signed r-minor that omits row k; every other entry is 0.
     All minors share each sampling of M and each FFT (see the module
-    docstring); each costs O(prod(K) * r**3) per torus.
+    docstring); each costs O(prod(K) * r**3) per torus.  A minor that keeps
+    an identically zero row of M is 0 and is not sampled.
     """
     p, r = M.shape
     m = M.exps.shape[1]
@@ -350,7 +356,12 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
             picks.append([i for i in range(r) if i != k] + [l])
             signs.append(-1.0 if (k + r) % 2 else 1.0)
     picks = np.array(picks, dtype=np.int64).reshape(len(picks), r)
-    signs = np.array(signs)
+    # a minor that keeps an identically zero row (the constant-jet row of an
+    # ideal inside the maximal ideal) is exactly 0 with Hadamard bound 0, as
+    # LU gives it: only the others are sampled
+    zero_row = ~M.coef.any(axis=(0, 2))
+    live = np.flatnonzero(~zero_row[picks].any(axis=1))
+    picks, signs = picks[live], np.array(signs)[live]
     n = len(picks)
     keep = np.flatnonzero(ks.sum(axis=1) <= D)
     alpha = ks[keep]
@@ -426,12 +437,14 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
     fl = np.exp(log_err)
     best.real[np.abs(best.real) <= fl] = 0.0
     best.imag[np.abs(best.imag) <= fl] = 0.0
-    det_c = _live(alpha, best[:, :1, None])
+    minors = np.zeros((len(alpha), 1 + (p - r) * r), dtype=complex)
+    minors[:, live] = best
+    det_c = _live(alpha, minors[:, :1, None])
     # row j of B borders C with row l = r + j: the minors, then det C at l
     coef = np.zeros((len(alpha), p - r, p), dtype=complex)
-    coef[:, :, :r] = best[:, 1:].reshape(len(alpha), p - r, r)
+    coef[:, :, :r] = minors[:, 1:].reshape(len(alpha), p - r, r)
     j = np.arange(p - r)
-    coef[:, j, r + j] = best[:, :1]
+    coef[:, j, r + j] = minors[:, :1]
     return det_c, TermMatrix(alpha, coef).trimmed()
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +293,19 @@ class TestExtendCommand:
         assert out["ratio"] <= 1.0 + 5e-3
         assert out["jensen"]["holds"] is True
 
+    def test_zero_fiber_datum_exits_2(self, tmp_path, capsys):
+        # the ratio of a zero datum is 0/0: a configuration error, not a
+        # ratio above the sharp bound
+        cfg = json.loads((CONFIGS / "extend_gaussian.json").read_text())
+        cfg["f"]["terms"] = []
+        del cfg["jensen"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "zero weighted norm" in err and "sharp bound" not in err
+        assert not (tmp_path / "o" / "extend.json").exists()
+
     def test_gaussian_off_center_base_runs(self, tmp_path):
         # e^{-|z|^2 - |w|^2} over the base disc about w0 = 0.3 is a product
         # weight but not radial about (0, w0); the tensor rule refused its
@@ -386,6 +402,15 @@ class TestArgumentHandling:
     def test_unknown_command_exits_2(self, tmp_path):
         assert cli.main(["frobnicate", "--config", "x"]) == 2
 
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        assert run("kernel", CONFIGS / "kernel_disc_dirac.json", tmp_path) == 0
+        assert cli.main(["kernel"]) == cli.EXIT_CONFIG  # no --config
+        assert cli.main(["frobnicate", "--config", "x"]) == cli.EXIT_CONFIG
+
     @pytest.mark.parametrize(
         "command, name, key, value",
         [
@@ -415,3 +440,28 @@ class TestArgumentHandling:
                  "point": [], "degree": 1},
                 "kernel",
             )
+
+
+class TestStartup:
+    def test_scan_psh_never_loads_scipy_special(self, tmp_path):
+        # scipy.special costs ~0.3 s of start-up; only the incomplete-gamma
+        # branch of the radial moments needs it
+        src = Path(cli.__file__).resolve().parent.parent
+        argv = ["scan-psh", "--config", str(CONFIGS / "scan_pstar.json"),
+                "--out", str(tmp_path)]
+        code = (
+            "import sys\n"
+            "import xibergman.cli as cli\n"
+            "assert 'scipy.special' not in sys.modules, 'loaded by the import'\n"
+            f"rc = cli.main({argv!r})\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy.special' not in sys.modules, 'loaded by scan-psh'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

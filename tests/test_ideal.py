@@ -9,14 +9,19 @@ Frozen oracles (hand expansions):
                        annihilator, det C = +-w^2, U = {w != 0}.
 """
 
+import contextlib
+import json
 import math
 import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from xibergman import ideal
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.fiberwise import square_grid, submean_check
 from xibergman.functional import multi_indices_upto
@@ -57,6 +62,7 @@ Z1 = IdealFamily(2, 1, [PolyW(3, {(1, 0, 0): 1.0})], 2)
 PENCIL = IdealFamily(2, 1, [PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0})], 2)
 SHIFT = IdealFamily(1, 1, [PolyW(2, {(1, 0): 1.0, (0, 1): -1.0})], 2)
 GRID = [0.3, -0.2 + 0.1j, 0.5j]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PSTAR_G = PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0})
 PSTAR_WEIGHT = JointLogDivisor(PSTAR_G, 2)
@@ -476,6 +482,34 @@ def sparse_poly_matrices(draw):
 
 
 @st.composite
+def zero_bordered_matrices(draw):
+    """sparse_poly_matrices with r >= 1 and at least one bordered row
+    (row l >= r) identically zero."""
+    M, m = draw(sparse_poly_matrices().filter(lambda c: c[0] and c[0][0]))
+    r = len(M[0])
+    zero = [PolyW(m, {})] * r
+    if len(M) == r:
+        return M + [zero], m
+    for l in draw(st.sets(st.sampled_from(range(r, len(M))), min_size=1)):
+        M[l] = zero
+    return M, m
+
+
+@contextlib.contextmanager
+def sampled_picks():
+    """Record the rows picked for every minor ``_sample_minors`` samples."""
+    seen = []
+    real = ideal._sample_minors
+
+    def spy(V, picks, signs, K):
+        seen.append(picks.tolist())
+        return real(V, picks, signs, K)
+
+    with mock.patch.object(ideal, "_sample_minors", spy):
+        yield seen
+
+
+@st.composite
 def wide_range_triangular(draw):
     """Row-permuted upper-triangular matrices whose det spans many decades.
 
@@ -672,6 +706,38 @@ class TestDeterminant:
         assert res.p == 21 and res.r == 20
         assert res.product_residual < 1e-10
         assert elapsed < 10.0
+
+    @given(zero_bordered_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_no_sampled_minor_keeps_a_zero_row(self, case):
+        # a minor that keeps an identically zero row is an exact 0 and is not
+        # sampled; every other minor is, on every torus
+        M, m = case
+        r = len(M[0])
+        zero = [not any(e.coeffs for e in row) for row in M]
+        every = [list(range(r))] + [
+            [i for i in range(r) if i != k] + [l]
+            for l in range(r, len(M)) for k in range(r)
+        ]
+        live = [pick for pick in every if not any(zero[i] for i in pick)]
+        with sampled_picks() as seen:
+            check_against_laplace(M, m)
+        assert seen and all(picks == live for picks in seen)
+
+    def test_dense_pair_samples_only_det_c(self):
+        # both generators of the shipped dense N = 5 pair vanish on z = 0, so
+        # the constant-jet row of A(w) is zero; it is the one bordered row,
+        # its 14 minors are exact zeros, and only det C is sampled
+        cfg = json.loads((CONFIGS / "annihilate_dense.json").read_text())
+        with sampled_picks() as seen:
+            res = build_annihilator(ideal_from_json(cfg["ideal"]), square_grid(0.6, 5))
+        assert res.p == 15 and res.r == 14 and res.s == 1
+        assert seen and all(picks == [list(range(14))] for picks in seen)
+        assert res.matrix.basis[0] == (0, 0) and res.row_perm[14] == 0
+        row = res.rows[0]
+        assert [l for l, e in enumerate(row) if e.coeffs] == [14]
+        assert row[14].coeffs == res.det_c.coeffs
+        assert res.product_residual < 1e-10
 
 
 class TestMembership:
