@@ -21,6 +21,15 @@ labels, C = 1).  A divisor basis g (z - center)^alpha is an outer sum of exponen
 and an outer product of coefficients with the terms of g.  Both follow the
 rounding and trimming of the PolyW products they replace bit for bit, and
 ``GramModel.basis`` materializes PolyW views only on request.
+
+``TaylorShift`` is the one evaluator of functional actions: on terms
+(E, C, S), which may also carry powers of base variables w, it gives the
+actions of rows of functional coefficients at batches of points by the
+binomial Taylor shift.  ``basis_action``, the fiber kernels of
+``fiberwise`` and the Jensen actions of ``extension`` read it directly;
+``xi_kernel``, ``extremal_function``, ``boundedness_constant`` and Psi_N of
+``ideal`` read it through ``kernels``, which also holds the one zero test
+of a kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +42,13 @@ from typing import Sequence
 import numpy as np
 
 from .family import PolyW
-from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
+from .functional import (
+    TRIM_REL_TOL,
+    ArityMismatchError,
+    Functional,
+    MultiIndex,
+    multi_indices_upto,
+)
 from .weights import (
     LogDivisorWeight,
     Polydisc,
@@ -44,6 +59,12 @@ from .weights import (
 )
 
 EIG_CUTOFF_REL = 1e-12
+#: a kernel is zero when K lam_max <= KERNEL_ZERO_TOL times the squared
+#: bound of its actions (see ``kernels``)
+KERNEL_ZERO_TOL = 1e-14
+#: points per block of a batched ``TaylorShift`` evaluation; keeps every
+#: array of a block (points x basis terms) small
+BLOCK = 64
 
 
 class KernelZeroError(ValueError):
@@ -537,70 +558,170 @@ def orthonormalize(model: GramModel) -> GramModel:
 
 def basis_action(model: GramModel, xi: Functional, z: Sequence[complex]) -> np.ndarray:
     """Vector of actions (xi . b_j)(z) over the stored basis, exactly."""
+    alphas, X = _functional_row(model, xi)
+    shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
+                        model.size)
+    return shift.actions(X, _rows(z, model.arity))[0]
+
+
+def _functional_row(model: GramModel, xi: Functional):
+    """The alphas of xi and its coefficients over them, as one row."""
     if xi.arity != model.arity:
         raise ValueError("functional arity mismatch")
-    return taylor_action(model.exps, model.coeffs, model.seg, model.size, xi, z)
+    return list(xi.coeffs), [list(xi.coeffs.values())]
 
 
-def taylor_action(E, C, S, size: int, xi: Functional, z: Sequence[complex]):
-    """Actions (xi . p_j)(z) on the polynomials p_j = sum_{S[t] = j} C[t] z^E[t].
+def _rows(x, arity: int) -> np.ndarray:
+    """Points as (P, arity) complex rows; a scalar or a 1-D sequence is one."""
+    a = np.asarray(x, dtype=complex)
+    if a.ndim < 2:
+        a = a.reshape(1, -1)
+    if a.ndim != 2 or a.shape[1] != arity:
+        raise ArityMismatchError(
+            f"points of arity {arity} expected, got shape {np.shape(x)}"
+        )
+    return a
 
-    Uses the binomial Taylor-shift identity: for a monomial z^gamma, the
-    coefficient of (z - z0)^alpha is C(gamma, alpha) z0^{gamma - alpha}.
+
+def _inside(domain: Polydisc, P: np.ndarray, slack: float = 1e-9) -> np.ndarray:
+    """Row mask of ``domain.contains`` over the points P."""
+    return np.all(
+        np.abs(P - np.array(domain.center)) < np.array(domain.radii) + slack,
+        axis=1,
+    )
+
+
+def _points_in(domain: Polydisc, x, what: str) -> np.ndarray:
+    """x as (P, arity) rows (``_rows``); ValueError names the first point
+    outside the domain."""
+    P = _rows(x, domain.arity)
+    outside = ~_inside(domain, P)
+    if outside.any():
+        raise ValueError(f"{what} {tuple(P[outside][0])} outside domain")
+    return P
+
+
+class TaylorShift:
+    """Actions of functionals sum_alpha X_alpha e_alpha on the basis
+    b_j = sum_{S[t] = j} C[t] z^Ez[t] w^Ew[t], at batches of points.
+
+    E holds the exponents (Ez, Ew) of each term; a model's terms have no Ew.
+    S may list the elements in any order, and an element may have no term.
+    For a monomial z^gamma the coefficient of (z - z0)^alpha is
+    C(gamma, alpha) z0^(gamma - alpha), so the action of e_alpha on b_j at
+    (z0, w) is the sum over the terms t of b_j of
+    C[t] C(gamma_t, alpha) z0^(gamma_t - alpha) w^Ew[t].  A functional is a
+    row X of coefficients over the alphas (a family's values xi_alpha(w)).
     """
-    z0 = np.asarray([complex(x) for x in z])
-    u = np.zeros(size, dtype=complex)
-    if len(E) == 0:
+
+    def __init__(self, alphas, E, C, S, n: int, size: int):
+        self.Ez, self.Ew, self.S = E[:, :n], E[:, n:], S
+        self.ztop = self.Ez.max(axis=0, initial=0)
+        self.wtop = self.Ew.max(axis=0, initial=0)
+        self.size = size
+        # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha;
+        # exact binomials: scipy's float comb(31, 14) is 265182524.99999997
+        self.shifts = []
+        for alpha in alphas:
+            coef = C.copy()
+            for i, a in enumerate(alpha):
+                comb = [math.comb(e, a) for e in range(self.ztop[i] + 1)]
+                coef *= np.array(comb, dtype=float)[self.Ez[:, i]]
+            self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
+
+    def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
+        """Per alpha, C[t] C(gamma_t, alpha) z^(gamma_t - alpha): rows of Z x terms."""
+        tables = [np.vander(Z[:, i], top + 1, increasing=True)
+                  for i, top in enumerate(self.ztop)]
+        out = []
+        for coef, k in self.shifts:
+            f = coef * tables[0][:, k[:, 0]]
+            for i in range(1, len(tables)):
+                f *= tables[i][:, k[:, i]]
+            out.append(f)
+        return out
+
+    def actions(self, X, Z, W=None) -> np.ndarray:
+        """u[p, j] = (xi_p . b_j)(z_p, w_p) per row p of X.
+
+        Z has one row per row of X, or one row shared by all of them, whose
+        z-factors are then taken once.  The rows go in blocks of at most
+        BLOCK points; acc[p, t] is the action of row p on term t.
+        """
+        X = np.asarray(X, dtype=complex)
+        u = np.empty((len(X), self.size), dtype=complex)
+        shared = self.z_factors(Z) if len(Z) == 1 else None
+        for lo in range(0, len(X), BLOCK):
+            hi = lo + BLOCK
+            zf = shared if shared is not None else self.z_factors(Z[lo:hi])
+            acc = np.zeros((len(X[lo:hi]), len(self.S)), dtype=complex)
+            for j, f in enumerate(zf):
+                acc += X[lo:hi, j, None] * f
+            for i in np.nonzero(self.wtop)[0]:
+                wi = np.vander(W[lo:hi, i], self.wtop[i] + 1, increasing=True)
+                acc *= wi[:, self.Ew[:, i]]
+            u[lo:hi].real = self._sums(acc.real)
+            u[lo:hi].imag = self._sums(acc.imag)
         return u
-    for alpha, v in xi.coeffs.items():
-        a = np.asarray(alpha, dtype=int)
-        mask = np.all(E >= a[None, :], axis=1)
-        if not mask.any():
-            continue
-        Em = E[mask]
-        contrib = C[mask] * v
-        for i in range(len(a)):
-            k = Em[:, i] - a[i]
-            # exact binomials: scipy's float comb(31, 14) is 265182524.99999997
-            contrib = contrib * np.array(
-                [math.comb(e, a[i]) for e in Em[:, i].tolist()], dtype=float
-            )
-            pw = np.where(k == 0, 1.0 + 0j, z0[i] ** np.maximum(k, 0))
-            contrib = contrib * pw
-        np.add.at(u, S[mask], contrib)
-    return u
+
+    def _sums(self, x: np.ndarray) -> np.ndarray:
+        """Per row of x (rows x terms), the sum of the terms of each b_j, in
+        term order."""
+        rows = np.arange(len(x))[:, None] * self.size
+        return np.bincount((rows + self.S).ravel(), x.ravel(), len(x) * self.size
+                           ).reshape(len(x), self.size)
+
+    def action_bound(self, X, Z) -> np.ndarray:
+        """r[p, j] = max_alpha |X[p, alpha]| times the sum over alpha and the
+        terms t of b_j of |C[t] C(gamma_t, alpha) z_p^(gamma_t - alpha)|: a
+        bound on |(xi . b_j)(z_p)| for every functional over the alphas whose
+        coefficients are at most those of row p in modulus (no Ew terms)."""
+        mag = np.zeros((len(Z), len(self.S)))
+        for f in self.z_factors(Z):
+            mag += np.abs(f)
+        return np.abs(X).max(axis=1, initial=0.0)[:, None] * self._sums(mag)
 
 
-def _ensure_transform(model: GramModel) -> None:
+def kernels(model: GramModel, alphas, X, z):
+    """Kernels of the functionals sum_alpha X[p, alpha] e_alpha at z.
+
+    z is one point, shared by every row of X, or one point per row.  Returns
+    K[p] = sum_k |a[p, k]|^2, the actions a[p, k] = (xi_p . e_k)(z_p) on the
+    orthonormal basis e = b transform, and the mask of the kernels that
+    vanish.  This is the one zero test of a kernel:
+    K lam_max <= KERNEL_ZERO_TOL ||r||^2, with r the bound of
+    ``TaylorShift.action_bound`` on the actions u on the stored basis.  Both
+    sides scale as |xi|^2, and neither moves under psi -> psi + c, which
+    scales K by e^c and lam_max by e^-c.  K lam_max is at least the squared
+    norm of u on the kept eigenvectors, so only actions that vanish, or
+    sit at the rounding noise of the coefficients of xi and of the basis,
+    pass.  A point outside the domain raises ValueError.
+    """
+    Z = _points_in(model.domain, z, "evaluation point")
     if model.transform is None:
         orthonormalize(model)
+    shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
+                        model.size)
+    a = shift.actions(X, Z) @ model.transform
+    K = np.sum(a.real**2 + a.imag**2, axis=1)
+    lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
+    r = shift.action_bound(X, Z)
+    return K, a, K * lam_max <= KERNEL_ZERO_TOL * np.sum(r**2, axis=1)
 
 
 def xi_kernel(model: GramModel, xi: Functional, z: Sequence[complex]) -> float:
     """Truncated-space extremal kernel value sum_k |(xi . e_k)(z)|^2."""
-    if not model.domain.contains(z, slack=1e-9):
-        raise ValueError(f"evaluation point {z} outside domain")
-    if model.size == 0:
-        return 0.0
-    _ensure_transform(model)
-    u = basis_action(model, xi, z)
-    a = model.transform.T @ u
-    return float(np.sum(np.abs(a) ** 2))
+    return float(kernels(model, *_functional_row(model, xi), z)[0][0])
 
 
 def extremal_function(
     model: GramModel, xi: Functional, z: Sequence[complex]
 ) -> np.ndarray:
     """Basis coefficients of the extremal F0 attaining the kernel value."""
-    _ensure_transform(model)
-    if model.size == 0:
-        raise KernelZeroError("model is empty; kernel is 0")
-    u = basis_action(model, xi, z)
-    a = model.transform.T @ u
-    K = float(np.sum(np.abs(a) ** 2))
-    if K <= 1e-30:
+    _, a, zero = kernels(model, *_functional_row(model, xi), z)
+    if zero[0]:
         raise KernelZeroError("kernel vanishes: functional annihilates the model")
-    return model.transform @ np.conj(a)
+    return model.transform @ np.conj(a[0])
 
 
 def boundedness_constant(model: GramModel, xi: Functional, grid) -> float:
@@ -608,11 +729,13 @@ def boundedness_constant(model: GramModel, xi: Functional, grid) -> float:
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
-    return max(xi_kernel(model, xi, z) for z in grid)
+    alphas, X = _functional_row(model, xi)
+    return float(kernels(model, alphas, X * len(grid), grid)[0].max())
 
 
 def model_summary_json(model: GramModel) -> dict:
-    _ensure_transform(model)
+    if model.transform is None:
+        orthonormalize(model)
     from .family import poly_to_json
 
     return {

@@ -155,9 +155,9 @@ def _quad(cfg: dict) -> bergman.QuadSpec:
 def _grid_points(obj, m: int = 1) -> list:
     """Base grid: complex numbers when m = 1, m-tuples of them otherwise.
 
-    The object form ``{halfWidth, count}`` is a square grid and needs m = 1;
-    the list form gives the points, each a list of m ``[re, im]`` pairs when
-    m > 1.
+    The object form ``{halfWidth, count}`` is a square grid and needs m = 1
+    and count >= 1; the list form gives the points, each a list of m
+    ``[re, im]`` pairs when m > 1.
     """
     if isinstance(obj, dict):
         if m != 1:
@@ -165,7 +165,10 @@ def _grid_points(obj, m: int = 1) -> list:
                 f"grid: the {{halfWidth, count}} form needs wArity 1, not {m}; "
                 "list the points"
             )
-        return fiberwise.square_grid(float(obj["halfWidth"]), int(obj["count"]))
+        count = int(obj["count"])
+        if count < 1:
+            raise ConfigError(f"grid: count must be >= 1, not {count}")
+        return fiberwise.square_grid(float(obj["halfWidth"]), count)
     return [_cx(p) for p in obj] if m == 1 else [_point(p) for p in obj]
 
 

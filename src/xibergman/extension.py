@@ -10,10 +10,10 @@ weight radial about (center, w0) takes exact moments.  The optimal-constant
 check compares the joint norm per unit base area against the fiber norm: the
 ratio is at most 1 (with equality for base-independent weights), which is the
 sharp constant pi r^2.  The Jensen diagnostic averages over a polar grid of
-base nodes handled as arrays: the Taylor coefficients of F_w at z0 are
-polynomials in w, evaluated by one Vandermonde matrix, and the log-kernels
-log K(w) come from one batched ``fiberwise.log_kernel_on_fiber`` call, in log
-space throughout.
+base nodes handled as arrays: one ``bergman.TaylorShift`` call on the (z, w)
+terms of F gives the Taylor coefficients of F_w at z0 as polynomials in w,
+evaluated by one Vandermonde matrix, and the log-kernels log K(w) come from
+one batched ``fiberwise.log_kernel_on_fiber`` call, in log space throughout.
 """
 
 from __future__ import annotations
@@ -28,15 +28,14 @@ from .bergman import (
     EIG_CUTOFF_REL,
     GramModel,
     QuadSpec,
+    TaylorShift,
     assemble_gram,
     extremal_function,
     orthonormalize,
-    taylor_action,
 )
 from .family import PolyW
 from .fiberwise import FamilyProblem, log_kernel_on_fiber
 from .functional import (
-    Functional,
     MultiIndex,
     TaylorData,
     multi_indices_upto,
@@ -234,6 +233,24 @@ def extension_report(prob: ExtensionProblem, result: ExtensionResult) -> dict:
     }
 
 
+def _jensen_actions(F: PolyW, n: int, family, w: np.ndarray, z0) -> np.ndarray:
+    """xi(w) . F_w at z0 for each base node w, F a polynomial in (z, w).
+
+    One ``TaylorShift`` call takes the actions at z0 of every e_alpha on F's
+    terms, summed per power of w: with powers[node, k] = w^k,
+    (powers @ shift)[node, j] is the alpha_j-th Taylor coefficient of F_w.
+    """
+    E = np.array(list(F.coeffs), dtype=int).reshape(len(F.coeffs), n + 1)
+    C = np.array(list(F.coeffs.values()), dtype=complex)
+    top = int(E[:, n].max(initial=0))
+    alphas = list(family.terms)
+    shift = TaylorShift(alphas, E[:, :n], C, E[:, n], n, top + 1).actions(
+        np.eye(len(alphas)), np.array([z0])
+    )
+    powers = np.vander(w, top + 1, increasing=True)
+    return np.sum(family.values(w[:, None]) * (powers @ shift.T), axis=1)
+
+
 def jensen_diagnostic(
     prob_template: ExtensionProblem,
     family,
@@ -249,12 +266,11 @@ def jensen_diagnostic(
     inequality is the mechanism that transfers the extremal problem across
     fibers.  family is a FunctionalFamily in one base variable.  A z0 of
     the wrong arity (ArityMismatchError) or outside the fiber disc
-    (ValueError) is refused before any work.
+    (ValueError) is refused by ``extremal_function``, before the extension
+    is solved.
     """
     n = prob_template.n
     z0 = tuple(complex(x) for x in z0)
-    if not prob_template.fiber_domain.contains(z0, slack=1e-9):
-        raise ValueError(f"evaluation point {z0} outside domain")
     w0, r = prob_template.w0, prob_template.base_radius
 
     fmodel = orthonormalize(
@@ -290,19 +306,7 @@ def jensen_diagnostic(
     w = (w0 + rr[:, None] * (np.cos(thetas) + 1j * np.sin(thetas))[None, :]).ravel()
     da = np.repeat(wr * rr * (2.0 * math.pi / angular_nodes), angular_nodes)
 
-    # with powers[node, k] = w^k, (powers @ shift)[node, j] is the alpha_j-th
-    # Taylor coefficient of F_w at z0
-    exps = np.array(list(F.coeffs), dtype=int).reshape(len(F.coeffs), n + 1)
-    fcoeffs = np.array(list(F.coeffs.values()), dtype=complex)
-    top = int(exps[:, n].max(initial=0))
-    shift = np.zeros((top + 1, len(family.terms)), dtype=complex)
-    for j, a in enumerate(family.terms):
-        # F's terms summed per power of w
-        shift[:, j] = taylor_action(
-            exps[:, :n], fcoeffs, exps[:, n], top + 1, Functional(n, {a: 1.0}), z0
-        )
-    powers = np.vander(w, top + 1, increasing=True)
-    act = np.sum(family.values(w[:, None]) * (powers @ shift), axis=1)
+    act = _jensen_actions(F, n, family, w, z0)
     base = Polydisc((r,), (w0,))
     # log K_psi + s(w): a large shift neither underflows a fiber Gram nor
     # overflows its kernel

@@ -18,12 +18,12 @@ share a Gram matrix, up to a scalar, share one model:
 
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  The
-actions of xi(w) on a basis come from the family values at all base points
-and from per-coordinate power tables of z and w, in blocks of at most BLOCK
-points.  The verifiers check the submean-value inequality of the
-log-kernel on circles in the base, in the fiber, and along mixed complex
-lines, one batch per circle: a direct numerical rendering of
-log-plurisubharmonicity.
+actions of xi(w) on a basis, from the family values at all base points,
+come from ``bergman.TaylorShift``, one call per fiber model; the kernels are
+their squared norms in the model's orthonormal basis.  The verifiers check
+the submean-value inequality of the log-kernel on circles in the base, in
+the fiber, and along mixed complex lines, one batch per circle: a direct
+numerical rendering of log-plurisubharmonicity.
 """
 
 from __future__ import annotations
@@ -34,15 +34,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bergman import QuadSpec, _times_poly, assemble_gram, orthonormalize
+from .bergman import (
+    QuadSpec,
+    TaylorShift,
+    _inside,
+    _points_in,
+    _times_poly,
+    assemble_gram,
+    orthonormalize,
+)
 from .functional import ArityMismatchError
 from .weights import JointLogDivisor, Polydisc, UnsupportedWeightError, ZeroWeight
 
 SUBMEAN_TOL = 1e-3
-
-#: base points per block of a batched kernel evaluation; keeps every array of
-#: a block (points x basis terms) small
-BLOCK = 64
 
 
 @dataclass
@@ -102,26 +106,6 @@ def _as_point(x, arity: int) -> tuple[complex, ...]:
     return tuple(complex(v) for v in x)
 
 
-def _rows(x, arity: int) -> np.ndarray:
-    """Points as (P, arity) complex rows; a scalar or a 1-D sequence is one."""
-    a = np.asarray(x, dtype=complex)
-    if a.ndim < 2:
-        a = a.reshape(1, -1)
-    if a.ndim != 2 or a.shape[1] != arity:
-        raise ArityMismatchError(
-            f"points of arity {arity} expected, got shape {np.shape(x)}"
-        )
-    return a
-
-
-def _inside(domain: Polydisc, P: np.ndarray, slack: float = 1e-9) -> np.ndarray:
-    """Row mask of ``domain.contains`` over the points P."""
-    return np.all(
-        np.abs(P - np.array(domain.center)) < np.array(domain.radii) + slack,
-        axis=1,
-    )
-
-
 def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
     """Kernels K_{xi(w)}(z) of the fibers over the base points w.
 
@@ -132,28 +116,20 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
     that overflows; with log=True the result is log K_psi + s(w), -inf where
     K_psi vanishes, and nothing is exponentiated.
     """
-    n, m = problem.fiber_domain.arity, problem.base_domain.arity
-    W, Z = _rows(w, m), _rows(z, n)
+    W = _points_in(problem.base_domain, w, "base point")
+    Z = _points_in(problem.fiber_domain, z, "evaluation point")
     if len(Z) not in (1, len(W)):
         raise ValueError(f"{len(W)} base points but {len(Z)} fiber points")
-    for P, domain, what in ((W, problem.base_domain, "base point"),
-                            (Z, problem.fiber_domain, "evaluation point")):
-        outside = ~_inside(domain, P)
-        if outside.any():
-            raise ValueError(f"{what} {tuple(P[outside][0])} outside domain")
-    if problem.family.z_arity != n:
+    if problem.family.z_arity != problem.fiber_domain.arity:
         raise ValueError("functional arity mismatch")
     X = problem.family.values(W)
     K = np.zeros(len(W))
-    fixed = len(Z) == 1
     models, s = _fiber_models(problem, W)
     for basis, members in models:
-        # with one shared z the z-factors of a basis serve all its models
-        shared = basis.z_factors(Z) if fixed else None
         for rows, transform in members:
-            K[rows] = basis.kernels(
-                X[rows], transform, W[rows], None if fixed else Z[rows], shared
-            )
+            u = basis.actions(X[rows], Z if len(Z) == 1 else Z[rows], W[rows])
+            a = u @ transform
+            K[rows] = np.sum(a.real**2 + a.imag**2, axis=1)
     if log:
         K = np.array([math.log(k) if k > 0 else -math.inf for k in K.tolist()]) + s
     else:
@@ -176,7 +152,7 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
     basis in (z, w).  A joint weight psi(z) + s(w) has one model, of psi, for
     every fiber, up to the scalar shift s(w).  Any other joint weight gets one
     model per distinct row of W, and models whose terms agree share one
-    ``_Basis``.
+    ``TaylorShift``.
     """
     jw = problem.joint_weight
     n, m = problem.fiber_domain.arity, problem.base_domain.arity
@@ -196,7 +172,8 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
         )
         E = np.hstack([model.exps, np.zeros((len(model.exps), m), dtype=int)])
         E, C, S = _times_poly(jw.g, E, model.coeffs, model.seg, model.size)
-        return [(_Basis(alphas, E, C, S, n), [(every, model.transform)])], s
+        return [(TaylorShift(alphas, E, C, S, n, model.size),
+                 [(every, model.transform)])], s
     if hasattr(jw, "shift_split"):
         psi, s = jw.shift_split(W)
         fibers = [(psi, every)]
@@ -212,73 +189,10 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
         )
         key = model.exps.tobytes() + model.coeffs.tobytes() + model.seg.tobytes()
         if key not in classes:
-            classes[key] = (_Basis(alphas, model.exps, model.coeffs, model.seg, n), [])
+            classes[key] = (TaylorShift(alphas, model.exps, model.coeffs,
+                                        model.seg, n, model.size), [])
         classes[key][1].append((rows, model.transform))
     return list(classes.values()), s
-
-
-def _powers(x: np.ndarray, top: int) -> np.ndarray:
-    """Table x^k, k = 0 .. top, one row per entry of x."""
-    t = np.ones((len(x), top + 1), dtype=complex)
-    t[:, 1:] = x[:, None]
-    return np.cumprod(t, axis=1)
-
-
-class _Basis:
-    """The basis b_j = sum_{S[t] = j} C[t] z^Ez[t] w^Ew[t] of a class of fibers.
-
-    E holds the exponents (Ez, Ew) of each term; a fiber model's have no Ew.
-
-    For a monomial z^gamma the coefficient of (z - z0)^alpha is
-    C(gamma, alpha) z0^(gamma - alpha), so xi(w) . b_j at z0 is the sum over
-    the terms t of b_j of xi_alpha(w) C[t] C(gamma_t, alpha)
-    z0^(gamma_t - alpha) w^Ew[t], summed over the alpha of the family.
-    """
-
-    def __init__(self, alphas, E, C, S, n: int):
-        self.Ez, self.Ew, self.S = E[:, :n], E[:, n:], S
-        self.ztop = self.Ez.max(axis=0, initial=0)
-        self.wtop = self.Ew.max(axis=0, initial=0)
-        # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha
-        self.shifts = []
-        for alpha in alphas:
-            coef = C.copy()
-            for i, a in enumerate(alpha):
-                coef *= [math.comb(e, a) for e in self.Ez[:, i].tolist()]
-            self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
-
-    def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
-        """Per alpha, C[t] C(gamma_t, alpha) z^(gamma_t - alpha): rows of Z x terms."""
-        tables = [_powers(Z[:, i], top) for i, top in enumerate(self.ztop)]
-        out = []
-        for coef, k in self.shifts:
-            f = coef * tables[0][:, k[:, 0]]
-            for i in range(1, len(tables)):
-                f *= tables[i][:, k[:, i]]
-            out.append(f)
-        return out
-
-    def kernels(self, X, transform, W, Z, shared) -> np.ndarray:
-        """sum_k |(xi(w) . e_k)(z)|^2 per row of W, for e = b transform.
-
-        X holds the family values xi_alpha(w) at the rows of W.  Z has one
-        row per row of W, or is None for one shared z, whose z-factors are
-        ``shared``.  The rows go in blocks of at most BLOCK points; the sum
-        over terms and the transform are one contraction.
-        """
-        TS = transform[self.S]  # (terms, rank)
-        K = np.empty(len(W))
-        for lo in range(0, len(W), BLOCK):
-            hi = lo + BLOCK
-            zf = shared if Z is None else self.z_factors(Z[lo:hi])
-            acc = np.zeros((len(W[lo:hi]), len(TS)), dtype=complex)
-            for j, f in enumerate(zf):
-                acc += X[lo:hi, j, None] * f
-            for i in np.nonzero(self.wtop)[0]:
-                acc *= _powers(W[lo:hi, i], self.wtop[i])[:, self.Ew[:, i]]
-            a = np.einsum("pt,tr->pr", acc, TS)
-            K[lo:hi] = np.sum(a.real**2 + a.imag**2, axis=1)
-        return K
 
 
 def _circle(radius: float, samples: int) -> list[complex]:

@@ -14,9 +14,13 @@ bordered-minor cofactors of a nonsingular pivot block; its rows are the
 coefficient vectors of functionals that cut out the truncated ideal on the
 open set U where the pivot determinant does not vanish.  Scanning the sup of
 the log-kernels of these functionals over a base grid locates the inclusion
-locus of the multiplier ideal.  PolyW appears only where a polynomial leaves
-this layer: in ``annihilator_to_json`` and the ``rows``, ``det_c`` and
-``functionals()`` views of an ``AnnihilatorResult``.
+locus of the multiplier ideal: ``psi_at`` takes the kernels of all s rows of
+B(w) in one ``bergman.kernels`` call, and the membership checks multiply
+B(w) by jet coefficient vectors, so no ``Functional`` is built.  Besides
+the generators and the oracle generators of the membership checks, PolyW
+appears only where a polynomial leaves this layer: in
+``annihilator_to_json`` and the ``rows``, ``det_c`` and ``functionals()``
+views of an ``AnnihilatorResult``.
 
 The pivot determinant det C(w) and the cofactors are found by
 evaluation-interpolation.  K_i - 1, the sum over a block's rows of the
@@ -51,9 +55,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import QuadSpec, assemble_gram, orthonormalize, xi_kernel
+from .bergman import QuadSpec, assemble_gram, kernels, orthonormalize
 from .family import FunctionalFamily, PolyW
-from .functional import TRIM_REL_TOL, Functional, MultiIndex, multi_indices_upto
+from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
 from .weights import (
     ConstantWeight,
     LogDivisorWeight,
@@ -69,7 +73,6 @@ RANK_TOL = 1e-9
 DETC_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
 ORACLE_RESIDUAL_TOL = 1e-8
-KERNEL_ZERO_TOL = 1e-14
 #: LU rounding error of a sampled r x r minor, per unit of (r + 1) times its
 #: Hadamard bound; an interpolated coefficient part below the resulting
 #: error bound is noise and is set to 0
@@ -472,6 +475,11 @@ class AnnihilatorResult:
         return self.b_terms.polys()
 
     @property
+    def labels(self) -> list[MultiIndex]:
+        """The jet monomial of each column of B(w)."""
+        return [self.matrix.basis[i] for i in self.row_perm]
+
+    @property
     def det_c(self) -> PolyW:
         # PolyW trims what in_U reads untrimmed
         return self.det_terms.polys()[0][0]
@@ -546,19 +554,10 @@ def annihilator(
 def functionals_from_annihilator(res: AnnihilatorResult) -> list[FunctionalFamily]:
     """One holomorphic functional family per annihilator row, deg <= N-1."""
     n, m = res.matrix.fam.z_arity, res.matrix.fam.w_arity
-    labels = [res.matrix.basis[i] for i in res.row_perm]
     return [
-        FunctionalFamily(n, m, {a: e for a, e in zip(labels, row) if e.coeffs})
+        FunctionalFamily(n, m, {a: e for a, e in zip(res.labels, row) if e.coeffs})
         for row in res.rows
     ]
-
-
-def _functionals_at(res: AnnihilatorResult, w) -> list[Functional]:
-    """The annihilator functionals at w, from one evaluation of B(w)."""
-    labels = [res.matrix.basis[i] for i in res.row_perm]
-    n = res.matrix.fam.z_arity
-    # Python complex, whose abs the trim compares, as PolyW.evaluate returns
-    return [Functional(n, dict(zip(labels, row))) for row in res.eval_B(w).tolist()]
 
 
 def _truncated_coeff_vector(f: PolyW, basis: list[MultiIndex]) -> np.ndarray:
@@ -570,18 +569,20 @@ def membership_by_functionals(res: AnnihilatorResult, w, f: PolyW) -> bool:
     w = _as_w(w, res.matrix.fam.w_arity)
     if not res.in_U(w):
         raise OutsideUError(f"base point {w} outside U (pivot determinant ~ 0)")
-    return _annihilated(f, _functionals_at(res, w))
+    return _annihilated(res, res.eval_B(w), [f])
 
 
-def _annihilated(f: PolyW, xis: list[Functional]) -> bool:
-    """Every functional xi(w) of the annihilator vanishes on the jet of f."""
-    fscale = max(1.0, f.max_coeff())
-    for xi in xis:
-        val = sum(v * f.coeffs.get(a, 0.0) for a, v in xi.coeffs.items())
-        xscale = max(1.0, max((abs(v) for v in xi.coeffs.values()), default=0.0))
-        if abs(val) > MEMBERSHIP_TOL * xscale * fscale:
-            return False
-    return True
+def _annihilated(res: AnnihilatorResult, B: np.ndarray, polys: list[PolyW]) -> bool:
+    """Every row of B = B(w) vanishes on the jet of every f in polys.
+
+    Row i vanishes on f when |B_i . jet(f)| <= MEMBERSHIP_TOL
+    max(1, max |B_i|) max(1, max |f|).
+    """
+    jets = np.array([_truncated_coeff_vector(f, res.labels) for f in polys]).T
+    fscale = np.array([max(1.0, f.max_coeff()) for f in polys])
+    xscale = np.maximum(1.0, np.abs(B).max(axis=1, initial=0.0))
+    bound = MEMBERSHIP_TOL * xscale[:, None] * fscale[None, :]
+    return bool(np.all(np.abs(B @ jets) <= bound))
 
 
 def membership_oracle(
@@ -653,8 +654,8 @@ class PsiPoint:
     flag: str  # "ok" | "minus_inf" | "outside_U"
     psi: float  # -inf when flagged minus_inf; nan when outside U
     kernels: list[float]
-    # the annihilator functionals at w; empty outside U
-    functionals: list[Functional] = field(default_factory=list, repr=False)
+    # B(w), whose rows are the annihilator functionals at w; None outside U
+    B: np.ndarray | None = field(default=None, repr=False)
 
 
 def psi_at(
@@ -665,7 +666,11 @@ def psi_at(
     degree: int = 8,
     quad: QuadSpec | None = None,
 ) -> PsiPoint:
-    """sup over annihilator functionals of log kernel at the fiber origin."""
+    """sup over annihilator functionals of log kernel at the fiber origin.
+
+    The kernels of all rows of B(w) come from one ``bergman.kernels`` call;
+    Psi_N is -inf when its zero test finds every kernel zero.
+    """
     fam = res.matrix.fam
     w = _as_w(w, fam.w_arity)
     if fiber_domain is None:
@@ -675,16 +680,12 @@ def psi_at(
     model = orthonormalize(
         assemble_gram(fiber_domain, phi_joint.fiber(w), degree, quad or QuadSpec())
     )
-    origin = (0.0,) * fam.z_arity
-    xis = _functionals_at(res, w)
-    kernels = [xi_kernel(model, xi, origin) for xi in xis]
-    if not kernels:
-        # vacuous annihilator: I_w + m^N is everything, inclusion always holds
-        return PsiPoint(w, "minus_inf", -math.inf, [])
-    top = max(kernels)
-    if top <= KERNEL_ZERO_TOL:
-        return PsiPoint(w, "minus_inf", -math.inf, kernels, xis)
-    return PsiPoint(w, "ok", math.log(top), kernels, xis)
+    B = res.eval_B(w)
+    K, _, zero = kernels(model, res.labels, B, (0.0,) * fam.z_arity)
+    # with no functionals (s = 0, I_w + m^N is everything) this holds vacuously
+    if zero.all():
+        return PsiPoint(w, "minus_inf", -math.inf, K.tolist(), B)
+    return PsiPoint(w, "ok", math.log(K[~zero].max()), K.tolist(), B)
 
 
 def psi_scan(
@@ -751,10 +752,8 @@ def lambda_scan(
             continue
         in_a = pt.flag == "minus_inf"
         gens = multiplier_generators(phi_joint.fiber(pt.w))
-        in_b = all(
-            _annihilated(g * PolyW.monomial(beta), pt.functionals)
-            for g in gens
-            for beta in betas
+        in_b = _annihilated(
+            res, pt.B, [g * PolyW.monomial(beta) for g in gens for beta in betas]
         )
         if in_a:
             lam_a.append(i)

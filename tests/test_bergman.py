@@ -346,16 +346,16 @@ class TestBasisAction:
             expect = (0.4 - 0.1) * (0.4 ** a[0]) * (0.1 ** a[1])
             assert abs(u[j] - expect) < 1e-12
 
-    def test_taylor_action_uses_exact_binomials(self):
+    def test_taylor_shift_uses_exact_binomials(self):
         # the 14th derivative of z^31 / 14! at z = 1 is C(31, 14) = 265182525;
         # a float binomial gives 265182524.99999997
         E = np.array([[31], [31]])
-        u = bergman.taylor_action(
-            E, np.array([1.0, 1.0j]), np.array([0, 1]), 2,
-            Functional(1, {(14,): 1.0}), (1.0,),
+        shift = bergman.TaylorShift(
+            [(14,)], E, np.array([1.0, 1.0j]), np.array([0, 1]), 1, 2
         )
-        assert u[0] == 265182525.0 == math.comb(31, 14)
-        assert u[1] == 265182525.0j
+        u = shift.actions([[1.0]], np.array([[1.0]]))
+        assert u[0, 0] == 265182525.0 == math.comb(31, 14)
+        assert u[0, 1] == 265182525.0j
 
 
 def reference_basis(domain, labels, g=None):
@@ -458,8 +458,12 @@ class TestClassicalKernel:
 
     def test_outside_domain_rejected(self):
         m = assemble_gram(Polydisc((1.0,)), ZeroWeight(1), 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside domain"):
             xi_kernel(m, DIRAC1, (1.5,))
+        with pytest.raises(ValueError, match="outside domain"):
+            extremal_function(m, DIRAC1, (1.5,))
+        with pytest.raises(ValueError, match="outside domain"):
+            boundedness_constant(m, DIRAC1, [(0.2,), (1.5,)])
 
 
 class TestExtremalFunction:
@@ -475,6 +479,17 @@ class TestExtremalFunction:
         val = complex(u @ c)
         ratio = abs(val) ** 2 / m.norm_sq(c)
         assert ratio == pytest.approx(K, rel=1e-10)
+
+    def test_constant_shift_keeps_the_extremal_function(self):
+        # psi = -80 scales the kernel by e^-80 ~ 1.8e-35; the extremal
+        # function of the Dirac functional at 0 is the constant K
+        m = orthonormalize(
+            assemble_gram(Polydisc((1.0,)), ConstantWeight(1, -80.0), 4)
+        )
+        K = xi_kernel(m, DIRAC1, (0.0,))
+        assert K == pytest.approx(math.exp(-80.0) / math.pi, rel=1e-12)
+        c = extremal_function(m, DIRAC1, (0.0,))
+        assert c[0] == pytest.approx(K, rel=1e-12) and not c[1:].any()
 
     def test_kernel_zero_raises(self):
         # Dirac at 0 annihilates the divisor-factored model (g(0) = 0)

@@ -147,6 +147,16 @@ class TestScanPshCommand:
             reports = payload(tmp_path / "o" / "psh_report.json")["reports"]
             assert [r["verdict"] for r in reports] == ["PASS"]
 
+    def test_empty_square_grid_exits_2(self, tmp_path, capsys):
+        # as in lambda and annihilate: not a scan.csv with a header and no rows
+        cfg = json.loads((CONFIGS / "scan_pstar.json").read_text())
+        cfg["grid"] = {"halfWidth": 0.6, "count": 0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run("scan-psh", bad, tmp_path / "o") == cli.EXIT_CONFIG
+        assert "count" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "scan.csv").exists()
+
     def test_deterministic_rerun_modulo_timestamp(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("scan-psh", CONFIGS / "scan_pstar.json", a) == 0
@@ -256,6 +266,22 @@ class TestLambdaCommand:
         ]
         assert [r[4] for r in rows] == ["1", "0", "0"]
 
+    @pytest.mark.parametrize("value", [-40.0, 0.0, 40.0])
+    def test_constant_weight_leaves_lambda_empty(self, tmp_path, value):
+        # psi + c scales every kernel by e^-c: whether Psi_N is -inf must
+        # not depend on c (the multiplier ideal of a constant is the unit)
+        cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
+        del cfg["nMax"]
+        cfg["weight"] = {
+            "variant": "w_independent", "wArity": 1,
+            "base": {"variant": "constant", "arity": 2, "value": value},
+        }
+        path = tmp_path / "lambda.json"
+        path.write_text(json.dumps(cfg))
+        assert run("lambda", path, tmp_path / "o") == 0
+        out = payload(tmp_path / "o" / "lambda.json")
+        assert out["agree"] is True and out["lambdaPsi"] == []
+
     def test_nmax_reuses_the_first_scan(self, tmp_path, monkeypatch):
         from xibergman import ideal
 
@@ -284,6 +310,19 @@ class TestExtendCommand:
         out = payload(tmp_path / "extend.json")
         assert out["ratio"] == pytest.approx(1.0, abs=1e-10)
         assert out["kktResidual"] < 1e-9
+        assert out["jensen"]["holds"] is True
+
+    @pytest.mark.parametrize("value", [-80.0, 0.0, 80.0])
+    def test_constant_weight_keeps_the_extremal_function(self, tmp_path, value):
+        # under psi + c the kernel scales by e^-c (e^80 = 5.5e34); the
+        # Dirac functional still has an extremal function
+        cfg = json.loads((CONFIGS / "extend_windependent.json").read_text())
+        cfg["weight"]["base"] = {"variant": "constant", "arity": 1, "value": value}
+        path = tmp_path / "extend.json"
+        path.write_text(json.dumps(cfg))
+        assert run("extend", path, tmp_path / "o") == 0
+        out = payload(tmp_path / "o" / "extend.json")
+        assert out["ratio"] == pytest.approx(1.0, abs=1e-10)
         assert out["jensen"]["holds"] is True
 
     def test_gaussian_ratio_and_jensen(self, tmp_path):

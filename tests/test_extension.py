@@ -17,6 +17,7 @@ from xibergman.bergman import (
 )
 from xibergman.extension import (
     ExtensionProblem,
+    _jensen_actions,
     _joint_gram,
     InconsistentConstraintError,
     ZeroFiberNormError,
@@ -30,6 +31,7 @@ from xibergman.family import FunctionalFamily, PolyW
 from xibergman.functional import (
     ArityMismatchError,
     TaylorData,
+    apply,
     multi_indices_upto,
     recenter,
 )
@@ -259,7 +261,8 @@ def reference_jensen(prob_template, family, z0, radial_nodes, angular_nodes, tol
             if abs(act) == 0 or K <= 0:
                 term = -math.inf
             else:
-                term = math.log(abs(act) ** 2) - math.log(K)
+                # 2 log|act|: |act|^2 underflows for a family of size 1e-92
+                term = 2 * math.log(abs(act)) - math.log(K)
             total += da * term
             area += da
     rhs = total / (math.pi * r**2)
@@ -341,6 +344,45 @@ class TestJensenAgainstNodeLoop:
                 assert a == b, key
             else:
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (key, a, b)
+
+
+@st.composite
+def jensen_action_cases(draw):
+    """A polynomial F in (z, w), a family of z-order <= 2, base nodes in a
+    disc about w0 and a fiber point z0."""
+    n = draw(st.sampled_from([1, 2]))
+    cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    F = PolyW(n + 1, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * (n + 1)), cplx, max_size=8)))
+    family = FunctionalFamily(n, 1, draw(st.dictionaries(
+        st.sampled_from(multi_indices_upto(n, 2)),
+        st.dictionaries(st.tuples(st.integers(0, 2)), cplx, min_size=1,
+                        max_size=3).map(lambda d: PolyW(1, d)),
+        min_size=1, max_size=3,
+    )))
+    w0, r = 0.5 * draw(cplx), draw(st.floats(0.1, 0.5))
+    w = np.array([w0 + r * draw(cplx) for _ in range(draw(st.integers(1, 8)))])
+    z0 = tuple(0.7 * draw(cplx) for _ in range(n))
+    return F, n, family, w, z0
+
+
+class TestJensenActions:
+    @settings(max_examples=60, deadline=None)
+    @given(jensen_action_cases())
+    def test_match_restriction_then_recenter(self, case):
+        F, n, family, w, z0 = case
+        act = _jensen_actions(F, n, family, w, z0)
+        for k, wk in enumerate(w.tolist()):
+            Fw = substitute_base(F, n, (wk,))
+            xi = family.eval((wk,))
+            ref = apply(xi, recenter(TaylorData((0j,) * n, dict(Fw.coeffs)), z0))
+            # the sum over moduli that bounds both: 1e-12 relative to it
+            top = 1.0 + max(abs(x) for x in z0)
+            scale = sum(abs(v) for v in xi.coeffs.values()) * sum(
+                abs(c) * top ** sum(e[:n]) * max(1.0, abs(wk)) ** e[n]
+                for e, c in F.coeffs.items()
+            )
+            assert abs(act[k] - ref) <= 1e-12 * scale
 
 
 class TestRestrictionConsistency:

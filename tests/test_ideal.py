@@ -22,9 +22,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xibergman import ideal
+from xibergman.bergman import assemble_gram, orthonormalize
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.fiberwise import square_grid, submean_check
-from xibergman.functional import multi_indices_upto
+from xibergman.functional import (
+    Functional,
+    TaylorData,
+    apply,
+    multi_indices_upto,
+    recenter,
+)
 from xibergman.ideal import (
     AnnihilatorResult,
     DegenerateInputError,
@@ -50,11 +57,15 @@ from xibergman.ideal import (
 )
 from xibergman.family import lub_check
 from xibergman.weights import (
+    ConstantWeight,
     JointLogDivisor,
+    JointQuadraticSplit,
     JointZero,
     LogDivisorWeight,
     LogMonomialWeight,
+    Polydisc,
     QuadraticWeight,
+    WIndependentJoint,
     ZeroWeight,
 )
 
@@ -875,6 +886,64 @@ class TestPsiAndLambda:
         scan = lambda_scan(PENCIL, PSTAR_WEIGHT, grid, degree=4)
         assert scan.agree and not scan.skipped and scan.res.s == 2
         assert calls == {"in_U": len(grid), "eval_B": len(grid)}
+
+    def test_actions_at_rounding_noise_are_a_zero(self):
+        # g = z1 - (w^2 + 0.3 w) z2 generates its own fiber ideal, but at
+        # w = -0.3 the fiber coefficient w^2 + 0.3 w and an entry of B(w) are
+        # ~1e-17, not 0, so some kernels are ~1e-34 and not exactly 0: still
+        # zeros against the coefficients of order 1 around them
+        g = PolyW(3, {(1, 0, 0): 1.0, (0, 1, 2): -1.0, (0, 1, 1): -0.3})
+        fam = IdealFamily(2, 1, [g], 2)
+        scan = lambda_scan(fam, JointLogDivisor(g, 2), square_grid(0.6, 5), degree=4)
+        assert any(0 < max(p.kernels) < 1e-30 for p in scan.points)
+        assert scan.agree and not scan.skipped
+        assert len(scan.lambda_psi) == 25
+
+    @settings(max_examples=40, deadline=None)
+    @given(ideal_families(), st.data())
+    def test_kernels_match_recentered_functionals(self, fam, data):
+        # psi_at evaluates every row of B(w) in one batch; the reference acts
+        # with one Functional per row on the recentered basis
+        n, m = fam.z_arity, fam.w_arity
+        cplx = st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6))
+        w = tuple(data.draw(cplx) for _ in range(m))
+        z1 = (1,) + (0,) * (n - 1)
+        zn = (0,) * (n - 1) + (1,)
+        weight = data.draw(st.sampled_from([
+            JointZero(n, m),
+            WIndependentJoint(ConstantWeight(n, data.draw(st.floats(-60, 60))), m),
+            JointQuadraticSplit((1.5,) * n, (0.5,) * m),
+            JointLogDivisor(PolyW(n + m, {
+                z1 + (0,) * m: 1.0,
+                zn + (1,) + (0,) * (m - 1): data.draw(cplx),
+                (0,) * (n + m): data.draw(cplx),
+            }), n),
+        ]))
+        degree = data.draw(st.integers(1, 5))
+        try:
+            res = build_annihilator(fam)
+        except DegenerateInputError:
+            assume(False)
+        pt = psi_at(res, weight, w, degree=degree)
+        assume(pt.flag != "outside_U")
+        model = orthonormalize(
+            assemble_gram(Polydisc((1.0,) * n), weight.fiber(w), degree)
+        )
+        origin = (0j,) * n
+        taylors = [recenter(TaylorData(origin, dict(b.coeffs)), origin)
+                   for b in model.basis]
+        labels = [res.matrix.basis[i] for i in res.row_perm]
+        rows = res.eval_B(w)
+        assert len(pt.kernels) == len(rows)
+        T = model.transform
+        for K, row in zip(pt.kernels, rows.tolist()):
+            xi = Functional(n, dict(zip(labels, row)))
+            a = np.array([apply(xi, t) for t in taylors]) @ T
+            # the same sum over moduli: 1e-12 relative to it
+            mod = np.array([sum(abs(v) * abs(t.coeffs.get(al, 0.0))
+                                for al, v in zip(labels, row)) for t in taylors])
+            scale = np.sum((mod @ np.abs(T)) ** 2)
+            assert abs(K - np.sum(np.abs(a) ** 2)) <= 1e-12 * scale
 
     def test_psi_scan_wraps_points(self):
         res, pts = psi_scan(Z1, PSTAR_WEIGHT, [0.3, 0.0], degree=6)
