@@ -537,14 +537,25 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
 
 
 def orthonormalize(model: GramModel) -> GramModel:
-    """Eigendecompose the Gram matrix and retain the numerically stable part."""
+    """Eigendecompose the Gram matrix and retain the numerically stable part.
+
+    A Gram whose off-diagonal is exactly zero (the closed-form and divisor
+    paths) is not passed to ``eigh``: its eigenvalues are its sorted
+    diagonal and V is the permutation that sorts it.  Tied eigenvalues may
+    then come in another order than ``eigh`` gives them.
+    """
     if model.size == 0:
         model.transform = np.zeros((0, 0), dtype=complex)
         model.rank = 0
         model.eigenvalues = np.zeros(0)
         return model
     G = 0.5 * (model.gram + np.conj(model.gram).T)
-    lam, V = np.linalg.eigh(G)
+    d = G.diagonal().real
+    if np.array_equal(G, np.diag(d)):
+        order = np.argsort(d, kind="stable")
+        lam, V = d[order], np.eye(len(d), dtype=complex)[:, order]
+    else:
+        lam, V = np.linalg.eigh(G)
     lmax = float(lam[-1]) if len(lam) else 0.0
     if lmax <= 0:
         keep = np.zeros(0, dtype=bool)

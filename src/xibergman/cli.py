@@ -12,6 +12,7 @@ a fixed seed produce identical files except for the timestamp header line.
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import json
 import math
@@ -124,12 +125,18 @@ def _is_real(x) -> bool:
 
 
 def _cx(pair) -> complex:
-    """A complex number given as a real number or as an ``[re, im]`` pair."""
+    """A finite complex number given as a real number or as an ``[re, im]``
+    pair."""
+    is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
     if _is_real(pair):
-        return complex(pair)
-    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair)):
-        return complex(pair[0], pair[1])
-    raise ConfigError(f"expected a number or an [re, im] pair, got {pair!r}")
+        z = complex(pair)
+    elif is_pair and all(map(_is_real, pair)):
+        z = complex(pair[0], pair[1])
+    else:
+        raise ConfigError(f"expected a number or an [re, im] pair, got {pair!r}")
+    if not cmath.isfinite(z):
+        raise ConfigError(f"expected a finite number, got {pair!r}")
+    return z
 
 
 def _point(seq) -> tuple[complex, ...]:
@@ -155,9 +162,9 @@ def _quad(cfg: dict) -> bergman.QuadSpec:
 def _grid_points(obj, m: int = 1) -> list:
     """Base grid: complex numbers when m = 1, m-tuples of them otherwise.
 
-    The object form ``{halfWidth, count}`` is a square grid and needs m = 1
-    and count >= 1; the list form gives the points, each a list of m
-    ``[re, im]`` pairs when m > 1.
+    The object form ``{halfWidth, count}`` is a square grid and needs m = 1,
+    a finite halfWidth and count >= 1; the list form gives the points, each
+    a list of exactly m ``[re, im]`` pairs when m > 1.
     """
     if isinstance(obj, dict):
         if m != 1:
@@ -165,11 +172,20 @@ def _grid_points(obj, m: int = 1) -> list:
                 f"grid: the {{halfWidth, count}} form needs wArity 1, not {m}; "
                 "list the points"
             )
+        half = float(obj["halfWidth"])
+        if not math.isfinite(half):
+            raise ConfigError(f"grid: halfWidth must be finite, not {half}")
         count = int(obj["count"])
         if count < 1:
             raise ConfigError(f"grid: count must be >= 1, not {count}")
-        return fiberwise.square_grid(float(obj["halfWidth"]), count)
-    return [_cx(p) for p in obj] if m == 1 else [_point(p) for p in obj]
+        return fiberwise.square_grid(half, count)
+    if m == 1:
+        return [_cx(p) for p in obj]
+    pts = [_point(p) for p in obj]
+    for w in pts:
+        if len(w) != m:
+            raise ConfigError(f"grid: point {w} has {len(w)} coordinates, not {m}")
+    return pts
 
 
 def _timestamp() -> str:

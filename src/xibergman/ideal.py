@@ -6,8 +6,10 @@ matrix A(w) whose entries are polynomials in w.  A(w), the annihilator
 B(w) and the pivot determinant det C(w) are each held once, as a coefficient
 array (``TermMatrix``: the monomials in w and one coefficient block each).
 Every evaluation is the product of a Vandermonde matrix in w with such an
-array, over a batch of base points; ``max_rank`` evaluates and rank-tests
-its whole witness grid in one call, the determinant sampling below slices
+array, over a batch of base points; ``max_rank`` rank-tests the first
+witness alone and stops there when it reaches the structural bound
+min(live rows, live columns) of A's array, and otherwise rank-tests the
+whole witness grid in one call; the determinant sampling below slices
 its pivot columns from A's array, and the certificate B(w) A(w) = 0 is one
 product of two arrays.  A holomorphic left annihilator B(w) is built from
 bordered-minor cofactors of a nonsingular pivot block; its rows are the
@@ -241,15 +243,24 @@ def build_coeff_matrix(fam: IdealFamily) -> CoeffMatrixA:
 def max_rank(
     A: CoeffMatrixA, w_grid: Sequence, seed: int = 0, n_random: int = 12
 ) -> tuple[int, tuple[complex, ...]]:
-    """Max numerical rank over the grid plus automatic generic perturbations.
+    """Max numerical rank over the grid plus automatic generic perturbations;
+    the witness is the first point of maximal rank.
 
-    All points are evaluated and rank-tested in one batch; the witness is
-    the first point of maximal rank.
+    A row or column of A that is zero in every coefficient block is zero in
+    A(w) for every w, so no point exceeds min(live rows, live columns).  The
+    first grid point is rank-tested alone, and when it reaches that bound it
+    is the witness.  Otherwise the grid and n_random generic points are
+    evaluated and rank-tested in one batch.
     """
     m = A.fam.w_arity
     pts = [_as_w(w, m) for w in w_grid]
     if not pts:
         raise ValueError("empty grid")
+    live = A.terms.coef.any(axis=0)
+    bound = min(live.any(axis=1).sum(), live.any(axis=0).sum())
+    r0 = _ranks(A.values(pts[:1]))[0]
+    if r0 == bound:
+        return int(r0), pts[0]
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         pts.append(
@@ -260,16 +271,26 @@ def max_rank(
                 )
             )
         )
-    s = np.linalg.svd(A.values(pts), compute_uv=False)
-    ranks = np.sum(s > RANK_TOL * s[:, :1], axis=1)
+    ranks = _ranks(A.values(pts))
     best = int(np.argmax(ranks))
     return int(ranks[best]), pts[best]
 
 
+def _ranks(M: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix of the stack M, relative to its largest
+    singular value."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.sum(s > RANK_TOL * s[:, :1], axis=1)
+
+
 def _as_w(w, m: int) -> tuple[complex, ...]:
+    """A base point as an m-tuple; a scalar is the point (w,)."""
     if np.isscalar(w) or isinstance(w, complex):
-        w = (w,) if m == 1 else w
-    return tuple(complex(x) for x in w)
+        w = (w,)
+    w = tuple(complex(x) for x in w)
+    if len(w) != m:
+        raise ValueError(f"base point {w} has {len(w)} coordinates, not {m}")
+    return w
 
 
 def _torus_sampler(M: TermMatrix, ks: np.ndarray, K: tuple[int, ...]):

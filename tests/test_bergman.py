@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xibergman import bergman
@@ -22,7 +22,13 @@ from xibergman.bergman import (
     xi_kernel,
 )
 from xibergman.family import PolyW
-from xibergman.functional import Functional, TaylorData, apply, recenter
+from xibergman.functional import (
+    Functional,
+    TaylorData,
+    apply,
+    multi_indices_upto,
+    recenter,
+)
 from xibergman.weights import (
     ConstantWeight,
     LogDivisorWeight,
@@ -570,3 +576,77 @@ class TestBoundednessAndSummary:
         s = model_summary_json(m)
         assert s["basisSize"] == 4 and s["rank"] == 4
         assert len(s["eigenvalues"]) == 4
+
+
+def reference_orthonormalize(model):
+    """The eigenvalues, transform and rank that ``np.linalg.eigh`` gives under
+    the ``EIG_CUTOFF_REL`` rule."""
+    lam, V = np.linalg.eigh(0.5 * (model.gram + model.gram.conj().T))
+    keep = lam > bergman.EIG_CUTOFF_REL * lam[-1]
+    return lam, V[:, keep] / np.sqrt(lam[keep]), int(keep.sum())
+
+
+@st.composite
+def diagonal_gram_problems(draw):
+    """A closed-form or divisor model, which has an exactly diagonal Gram,
+    with a functional and a point.  Equal radii tie eigenvalues, and a small
+    radius at a high degree puts some below the cutoff."""
+    n = draw(st.sampled_from([1, 2]))
+    radius = st.sampled_from([0.1, 0.5, 1.0, 1.5])
+    radii = tuple(draw(radius) for _ in range(n))
+    kind = draw(st.sampled_from(["zero", "constant", "quadratic", "log", "divisor"]))
+    if kind == "zero":
+        weight = ZeroWeight(n)
+    elif kind == "constant":
+        weight = ConstantWeight(n, draw(st.floats(-5.0, 5.0)))
+    elif kind == "quadratic":
+        weight = QuadraticWeight(tuple(draw(st.floats(0.0, 4.0)) for _ in range(n)))
+    elif kind == "log":
+        weight = LogMonomialWeight(
+            tuple(draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(n))
+        )
+    else:
+        weight = LogDivisorWeight(PolyW(n, {(1,) + (0,) * (n - 1): 1.0}))
+    degree = draw(st.integers(0, 12 if n == 1 else 6))
+    labels = multi_indices_upto(n, 2)
+    coeffs = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    xi = Functional(n, {a: draw(coeffs) for a in draw(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)
+    )})
+    z = tuple(0.9 * draw(st.floats(-0.7, 0.7)) * r for r in radii)
+    model = assemble_gram(Polydisc(radii), weight, degree)
+    assume(model.size > 0)  # a pole of order 1 excludes every alpha = 0
+    return model, xi, z
+
+
+class TestOrthonormalize:
+    @given(diagonal_gram_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_diagonal_gram_matches_eigh(self, problem):
+        model, xi, z = problem
+        G = model.gram
+        assert np.array_equal(G, np.diag(np.diag(G)))
+        lam, T, rank = reference_orthonormalize(model)
+        orthonormalize(model)
+        assert np.array_equal(model.eigenvalues, lam)
+        assert model.rank == rank
+        assert np.array_equal(
+            np.sort(np.abs(model.transform), axis=1), np.sort(np.abs(T), axis=1)
+        )
+        K = xi_kernel(model, xi, z)
+        model.transform = T
+        want = xi_kernel(model, xi, z)
+        assert abs(K - want) <= 1e-14 * want
+
+    def test_diagonal_gram_skips_eigh(self, monkeypatch):
+        def no_eigh(G):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        m = orthonormalize(assemble_gram(Polydisc((1.0, 1.0)), ZeroWeight(2), 6))
+        assert m.rank == m.size == 28
+        with pytest.raises(AssertionError, match="eigh called"):
+            # off its center a quadratic weight has a full Gram
+            orthonormalize(
+                assemble_gram(Polydisc((1.0,)), QuadraticWeight((1.0,), (0.3,)), 4)
+            )

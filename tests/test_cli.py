@@ -177,6 +177,20 @@ class TestAnnihilateCommand:
         assert out["productResidual"] < 1e-10
         assert len(out["rows"]) == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.3, math.nan], [0.3, math.inf], {"halfWidth": math.inf, "count": 5}],
+        ids=["nan-point", "inf-point", "inf-half-width"],
+    )
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, grid):
+        cfg = json.loads((CONFIGS / "annihilate_pencil.json").read_text())
+        cfg["wGrid"] = grid
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(cfg))
+        assert run("annihilate", path, tmp_path / "o") == cli.EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "annihilator.json").exists()
+
 
 class TestTwoBaseCoordinates:
     IDEAL = {
@@ -199,6 +213,22 @@ class TestTwoBaseCoordinates:
         ))
         assert run("annihilate", path, tmp_path / "o") == cli.EXIT_CONFIG
         assert "halfWidth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[[0.3, 0.0], [0.2, 0.0], [0.1, 0.0], [0.4, 0.0]]],
+            [[[0.3, 0.0], [0.2, 0.0], [0.1, 0.0], [0.4, 0.0]],
+             [[0.3, 0.0], [0.2, 0.0]]],
+        ],
+        ids=["four-coordinates", "four-coordinates-then-good"],
+    )
+    def test_point_with_wrong_coordinate_count_exits_2(self, tmp_path, capsys, grid):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"ideal": self.IDEAL, "wGrid": grid}))
+        assert run("annihilate", path, tmp_path / "o") == cli.EXIT_CONFIG
+        assert "4 coordinates, not 2" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "annihilator.json").exists()
 
 
 class TestAnnihilateNumericalFailure:

@@ -169,6 +169,7 @@ def reference_max_rank(A, w_grid, seed=0, n_random=12):
 
 
 ALL_ZERO = IdealFamily(2, 2, [PolyW(4, {})], 2)
+TWO_BASE = IdealFamily(1, 2, [PolyW(3, {(1, 1, 0): 1.0, (0, 0, 1): -1.0})], 2)
 
 
 @st.composite
@@ -240,17 +241,72 @@ class TestMaxRank:
 
     @given(ideal_families(), st.data(), st.integers(0, 3))
     @example(ALL_ZERO, None, 0)
+    @example(SHIFT, None, 0)
     @settings(max_examples=150, deadline=None)
     def test_batched_search_matches_the_per_point_search(self, fam, data, seed):
+        # both ways out are taken: the first point alone when it reaches
+        # min(live rows, live columns), the whole batch otherwise (SHIFT at 0)
         A = build_coeff_matrix(fam)
         m = fam.w_arity
         grid = [(0.0,) * m] if data is None else data.draw(dyadic_points(m))
         assert max_rank(A, grid, seed=seed) == reference_max_rank(A, grid, seed)
 
+    @staticmethod
+    def spy_points(monkeypatch):
+        """The number of points of each A.values and each SVD call."""
+        calls = {"values": [], "svd": []}
+        values, svd = TermMatrix.values, np.linalg.svd
+
+        def spy_values(self, W):
+            V = values(self, W)
+            calls["values"].append(len(V))
+            return V
+
+        def spy_svd(M, *args, **kwargs):
+            calls["svd"].append(len(M))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(TermMatrix, "values", spy_values)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        return calls
+
+    def test_dense_pair_rank_tests_one_point(self, monkeypatch):
+        # the constant-jet row is zero, so 14 live rows bound the rank, and
+        # the first grid point reaches it
+        from xibergman.cli import _grid_points
+
+        cfg = json.loads((CONFIGS / "annihilate_dense.json").read_text())
+        A = build_coeff_matrix(ideal_from_json(cfg["ideal"]))
+        grid = _grid_points(cfg["wGrid"])
+        want = reference_max_rank(A, grid)
+        calls = self.spy_points(monkeypatch)
+        assert max_rank(A, grid) == want == (14, (grid[0],))
+        assert calls == {"values": [1], "svd": [1]}
+
+    def test_first_point_below_the_bound_takes_the_batch(self, monkeypatch):
+        # A(0) = [[0, 0], [1, 0]] has rank 1 of a possible 2
+        A = build_coeff_matrix(SHIFT)
+        grid = [0.0, 0.3]
+        want = reference_max_rank(A, grid)
+        calls = self.spy_points(monkeypatch)
+        assert max_rank(A, grid) == want == (2, (0.3 + 0j,))
+        assert calls == {"values": [1, 14], "svd": [1, 14]}
+
+    def test_point_of_the_wrong_length_rejected(self):
+        A1, A2 = build_coeff_matrix(Z1), build_coeff_matrix(TWO_BASE)
+        with pytest.raises(ValueError, match="2 coordinates, not 1"):
+            max_rank(A1, [(0.3, 0.2)])
+        with pytest.raises(ValueError, match="1 coordinates, not 2"):
+            max_rank(A2, [0.3])
+        with pytest.raises(ValueError, match="4 coordinates, not 2"):
+            max_rank(A2, [(0.3, 0.2, 0.1, 0.4), (0.3, 0.2)])
+        with pytest.raises(ValueError, match="1 coordinates, not 2"):
+            A2.evaluate(0.3)
+
     def test_two_base_variables(self):
         # f = w1 z - w2, N = 2: A = [[-w2, 0], [w1, -w2]], det A = w2^2, so
         # the rank is 2 off w2 = 0, 1 on it away from 0, and 0 at w = 0
-        fam = IdealFamily(1, 2, [PolyW(3, {(1, 1, 0): 1.0, (0, 0, 1): -1.0})], 2)
+        fam = TWO_BASE
         A = build_coeff_matrix(fam)
         assert np.array_equal(
             A.evaluate((0.5, 0.25)), np.array([[-0.25, 0.0], [0.5, -0.25]])
