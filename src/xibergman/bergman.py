@@ -56,6 +56,7 @@ from .weights import (
     UnsupportedWeightError,
     ZeroWeight,
     coordinate_form,
+    gauss_legendre,
 )
 
 EIG_CUTOFF_REL = 1e-12
@@ -344,7 +345,7 @@ def _moment_diagonal(domain: Polydisc, labels, form, c, shift) -> np.ndarray:
 
 def _radial_quadrature_axes(domain: Polydisc, quad: QuadSpec, max_deg: int):
     """Per-coordinate polar node sets (r, wr, theta)."""
-    t, wt = np.polynomial.legendre.leggauss(quad.radial_nodes)
+    t, wt = gauss_legendre(quad.radial_nodes)
     na = max(quad.angular_nodes, 2 * max_deg + 4)
     theta = 2.0 * math.pi * np.arange(na) / na
     axes = []
@@ -457,6 +458,10 @@ def assemble_gram(
     quad = quad or QuadSpec()
     quad.validate_for(domain)
     n = domain.arity
+    if weight.arity != n:
+        raise ArityMismatchError(
+            f"weight arity {weight.arity} does not match the domain arity {n}"
+        )
     if labels is None:
         labels = multi_indices_upto(n, degree)
     else:
@@ -656,12 +661,20 @@ class TaylorShift:
         """u[p, j] = (xi_p . b_j)(z_p, w_p) per row p of X.
 
         Z has one row per row of X, or one row shared by all of them, whose
-        z-factors are then taken once.  The rows go in blocks of at most
-        BLOCK points; acc[p, t] is the action of row p on term t.
+        z-factors are then taken once.  With a shared row and no Ew terms
+        the actions are linear in X: u = X @ U0, where U0[alpha, j] is the
+        action of e_alpha on b_j.  Otherwise the rows go in blocks of at
+        most BLOCK points; acc[p, t] is the action of row p on term t.
         """
         X = np.asarray(X, dtype=complex)
-        u = np.empty((len(X), self.size), dtype=complex)
         shared = self.z_factors(Z) if len(Z) == 1 else None
+        if shared is not None and not self.wtop.any():
+            f = np.vstack(shared) if shared else np.zeros((0, len(self.S)))
+            U0 = np.empty((len(f), self.size), dtype=complex)
+            U0.real = self._sums(f.real)
+            U0.imag = self._sums(f.imag)
+            return X @ U0
+        u = np.empty((len(X), self.size), dtype=complex)
         for lo in range(0, len(X), BLOCK):
             hi = lo + BLOCK
             zf = shared if shared is not None else self.z_factors(Z[lo:hi])

@@ -397,7 +397,7 @@ def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
         j = cfg["jensen"]
         fam = family.family_from_json(j["family"])
         payload["jensen"] = extension.jensen_diagnostic(
-            prob, fam, _point(j["z0"])
+            prob, fam, _point(j["z0"]), result=result
         )
     _write_json(out / "extend.json", _json_safe(payload))
     code = EXIT_OK

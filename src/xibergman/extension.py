@@ -14,12 +14,19 @@ base nodes handled as arrays: one ``bergman.TaylorShift`` call on the (z, w)
 terms of F gives the Taylor coefficients of F_w at z0 as polynomials in w,
 evaluated by one Vandermonde matrix, and the log-kernels log K(w) come from
 one batched ``fiberwise.log_kernel_on_fiber`` call, in log space throughout.
+
+An ``ExtensionResult`` keeps what its solve used beside the solution: the
+joint model, the Hermitian part of its Gram, the fixed and free index sets
+and the KKT scale.  None depends on the datum, so the diagnostic solves its
+extremal datum against the same joint model (``with_datum``), and the
+result's central fiber model, built once, gives both fiber norms and the
+extremal function: one joint and one central fiber model per command.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +38,6 @@ from .bergman import (
     TaylorShift,
     assemble_gram,
     extremal_function,
-    orthonormalize,
 )
 from .family import PolyW
 from .fiberwise import FamilyProblem, log_kernel_on_fiber
@@ -41,7 +47,7 @@ from .functional import (
     multi_indices_upto,
     recenter,
 )
-from .weights import Polydisc, eval_weight, substitute_base
+from .weights import Polydisc, eval_weight, gauss_legendre, substitute_base
 
 KKT_TOL = 1e-9
 #: an optimal-constant ratio above 1 + RATIO_SLACK breaks the sharp bound 1
@@ -90,8 +96,16 @@ class ExtensionProblem:
     quad: QuadSpec = field(default_factory=QuadSpec)
 
     def __post_init__(self):
-        if self.base_radius <= 0:
-            raise ValueError("base disc radius must be positive")
+        # a NaN radius passes a bare `<= 0` test and fails only in LAPACK
+        if not (math.isfinite(self.base_radius) and self.base_radius > 0):
+            raise ValueError(
+                f"base disc radius must be finite and positive, got"
+                f" {self.base_radius!r}"
+            )
+        if self.dz < 0 or self.dw < 0:
+            raise ValueError(
+                f"joint bidegree must be >= 0, got dz = {self.dz}, dw = {self.dw}"
+            )
         if getattr(self.joint_weight, "w_arity", 1) != 1:
             raise ValueError("extension supports a one-dimensional base only")
         self.w0 = complex(self.w0)
@@ -131,11 +145,23 @@ def _joint_gram(prob: ExtensionProblem) -> GramModel:
 
 @dataclass
 class ExtensionResult:
+    """The minimal extension of a problem's datum, and what its solve used.
+
+    The Hermitian part of the joint Gram, the fixed and free index sets and
+    the KKT scale ||G||_2 depend on the problem but not on its datum, so
+    ``with_datum`` solves another datum on the same fiber against them.  The
+    central fiber model is built on first use and shared with those results.
+    """
+
     problem: ExtensionProblem
     model: GramModel  # joint Gram model
     coeffs: np.ndarray  # joint coefficient vector in the local basis
     kkt_residual: float
-    null_basis: np.ndarray  # columns spanning the free (k > 0) coefficients
+    gram: np.ndarray  # Hermitian part of the joint Gram
+    fixed: dict[MultiIndex, int]  # fiber label alpha -> its k = 0 element
+    free: np.ndarray  # the k > 0 elements
+    gram_norm: float  # ||G||_2, the scale of the KKT residual
+    fiber: GramModel | None = None  # central fiber model, see fiber_model
 
     def joint_poly(self) -> PolyW:
         return self.model.poly_from_coeffs(self.coeffs)
@@ -146,6 +172,22 @@ class ExtensionResult:
     @property
     def joint_norm(self) -> float:
         return self.model.norm_sq(self.coeffs)
+
+    @property
+    def null_basis(self) -> np.ndarray:
+        """Columns spanning the free (k > 0) coefficients."""
+        return np.eye(self.model.size, dtype=complex)[:, self.free]
+
+    def fiber_model(self) -> GramModel:
+        """The model of the fiber weight at w0 in degree dz, built once."""
+        if self.fiber is None:
+            self.fiber = _fiber_gram(self.problem)
+        return self.fiber
+
+    def with_datum(self, f: PolyW) -> ExtensionResult:
+        """The minimal extension of the fiber datum f against this joint model."""
+        return _solve(replace(self.problem, f=f), self.model, self.gram,
+                      self.fixed, self.free, self.gram_norm, self.fiber_model())
 
 
 def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
@@ -158,6 +200,15 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
     """
     model = _joint_gram(prob)
     fixed = {a[:-1]: j for j, a in enumerate(model.basis_labels) if a[-1] == 0}
+    free = np.array(
+        [j for j, a in enumerate(model.basis_labels) if a[-1] != 0], dtype=int
+    )
+    G = 0.5 * (model.gram + np.conj(model.gram).T)
+    return _solve(prob, model, G, fixed, free, float(np.linalg.norm(G, ord=2)))
+
+
+def _solve(prob, model, G, fixed, free, gram_norm, fiber=None) -> ExtensionResult:
+    """The Schur-complement solve of ``minimal_extension`` for prob.f."""
     c = np.zeros(model.size, dtype=complex)
     local = recenter(_as_taylor(prob.f), prob.fiber_domain.center)
     for a, v in local.coeffs.items():
@@ -168,10 +219,6 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
                 f"fiber datum monomial {a} outside the joint model span"
                 f" (degree {prob.dz})"
             )
-    free = np.array(
-        [j for j, a in enumerate(model.basis_labels) if a[-1] != 0], dtype=int
-    )
-    G = 0.5 * (model.gram + np.conj(model.gram).T)
     if len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
         y, *_ = np.linalg.lstsq(
@@ -182,20 +229,29 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
     # extension (|c| ~ 1e285) overflow
     top = np.abs(c).max(initial=0.0)
     u = c / top if top > 0 else c
-    scale = max(1.0, float(np.linalg.norm(G, ord=2)) * float(np.linalg.norm(u)))
+    scale = max(1.0, gram_norm * float(np.linalg.norm(u)))
     kkt = float(np.linalg.norm(G[free] @ u)) / scale
-    N = np.eye(model.size, dtype=complex)[:, free]
-    return ExtensionResult(prob, model, c, kkt, N)
+    return ExtensionResult(prob, model, c, kkt, G, fixed, free, gram_norm, fiber)
 
 
-def fiber_norm(prob: ExtensionProblem) -> float:
-    """Weighted fiber norm of the datum on the central fiber."""
-    fmodel = assemble_gram(
+def _fiber_gram(prob: ExtensionProblem) -> GramModel:
+    """Gram model of the fiber weight at w0 in degree dz."""
+    return assemble_gram(
         prob.fiber_domain,
         prob.joint_weight.fiber((prob.w0,)),
         prob.dz,
         prob.quad,
     )
+
+
+def fiber_norm(prob: ExtensionProblem, fmodel: GramModel | None = None) -> float:
+    """Weighted fiber norm of the datum on the central fiber.
+
+    ``fmodel`` is the central fiber model when it is already built (see
+    ``ExtensionResult.fiber_model``).
+    """
+    if fmodel is None:
+        fmodel = _fiber_gram(prob)
     index = {a: i for i, a in enumerate(fmodel.basis_labels)}
     local = recenter(_as_taylor(prob.f), prob.fiber_domain.center)
     c = np.zeros(fmodel.size, dtype=complex)
@@ -216,7 +272,7 @@ def optimal_constant_check(
     ``fn`` is the fiber norm when it is already known.
     """
     if fn is None:
-        fn = fiber_norm(prob)
+        fn = fiber_norm(prob, result.fiber_model())
     if fn <= 0:
         raise ZeroFiberNormError("fiber datum has zero weighted norm")
     area = math.pi * prob.base_radius**2
@@ -224,7 +280,8 @@ def optimal_constant_check(
 
 
 def extension_report(prob: ExtensionProblem, result: ExtensionResult) -> dict:
-    fn = fiber_norm(prob)
+    """ratio, fiber and joint norms and KKT residual; result extends prob."""
+    fn = fiber_norm(prob, result.fiber_model())
     return {
         "ratio": optimal_constant_check(prob, result, fn),
         "fiberNorm": fn,
@@ -258,48 +315,36 @@ def jensen_diagnostic(
     radial_nodes: int = 16,
     angular_nodes: int = 32,
     tol: float = 1e-3,
+    result: ExtensionResult | None = None,
 ) -> dict:
     """Average of log|xi(w).F_w(z0)|^2 - log K(w) over the base disc.
 
     Takes the extremal fiber datum for xi(w0) at z0, extends it minimally,
     and checks the averaged lower bound against log of the fiber norm.  The
     inequality is the mechanism that transfers the extremal problem across
-    fibers.  family is a FunctionalFamily in one base variable.  A z0 of
-    the wrong arity (ArityMismatchError) or outside the fiber disc
-    (ValueError) is refused by ``extremal_function``, before the extension
-    is solved.
+    fibers.  family is a FunctionalFamily in one base variable.  result is
+    ``minimal_extension(prob_template)``, computed here when omitted: the
+    extremal datum is solved against its joint model, and its central fiber
+    model gives the extremal function and the fiber norm.  A z0 of the wrong
+    arity (ArityMismatchError) or outside the fiber disc (ValueError) is
+    refused by ``extremal_function``, before the datum is extended.
     """
+    if result is None:
+        result = minimal_extension(prob_template)
+    elif result.problem != prob_template:
+        raise ValueError("result is not the extension of prob_template")
     n = prob_template.n
     z0 = tuple(complex(x) for x in z0)
     w0, r = prob_template.w0, prob_template.base_radius
 
-    fmodel = orthonormalize(
-        assemble_gram(
-            prob_template.fiber_domain,
-            prob_template.joint_weight.fiber((w0,)),
-            prob_template.dz,
-            prob_template.quad,
-        )
-    )
-    xi0 = family.eval((w0,))
-    c = extremal_function(fmodel, xi0, z0)
-    f = fmodel.poly_from_coeffs(c)
-
-    prob = ExtensionProblem(
-        prob_template.fiber_domain,
-        r,
-        prob_template.joint_weight,
-        w0,
-        f,
-        prob_template.dz,
-        prob_template.dw,
-        prob_template.quad,
-    )
-    ext = minimal_extension(prob)
+    fmodel = result.fiber_model()
+    c = extremal_function(fmodel, family.eval((w0,)), z0)
+    ext = result.with_datum(fmodel.poly_from_coeffs(c))
+    prob = ext.problem
     F = ext.joint_poly()
-    lhs = math.log(fiber_norm(prob))
+    lhs = math.log(fiber_norm(prob, fmodel))
 
-    t, wt = np.polynomial.legendre.leggauss(radial_nodes)
+    t, wt = gauss_legendre(radial_nodes)
     rr = 0.5 * r * (t + 1.0)
     wr = 0.5 * r * wt
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes

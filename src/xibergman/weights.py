@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -491,6 +492,22 @@ def multiplier_membership_oracle(spec, f: PolyW) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Quadrature rule (shared by the Gram quadratures, the probe and extension)
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    One rule per node count, computed once: ``leggauss(16)`` alone takes
+    about 0.3 ms.  The arrays are shared, so they are read-only.
+    """
+    t, wt = np.polynomial.legendre.leggauss(count)
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
+# ---------------------------------------------------------------------------
 # Numerical divergence probe
 # ---------------------------------------------------------------------------
 
@@ -504,7 +521,7 @@ class ProbeReport:
 
 def _log_gl_nodes(a: float, b: float, count: int):
     """Gauss-Legendre nodes/weights for integral over [a, b] in log radius."""
-    t, wt = np.polynomial.legendre.leggauss(count)
+    t, wt = gauss_legendre(count)
     ta, tb = math.log(a), math.log(b)
     tt = 0.5 * (tb - ta) * t + 0.5 * (tb + ta)
     r = np.exp(tt)

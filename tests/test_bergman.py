@@ -83,6 +83,20 @@ class TestGramAssembly:
         with pytest.raises(ValueError, match="unknown Gram method"):
             assemble_gram(Polydisc((1.0,)), ZeroWeight(1), 4, method="quadratur")
 
+    @pytest.mark.parametrize(
+        "radii, weight",
+        [
+            ((1.0,), QuadraticWeight((1.0, 5.0))),
+            ((1.0, 1.0), ZeroWeight(1)),
+            ((1.0,), LogDivisorWeight(PolyW(2, {(1, 0): 1.0}))),
+        ],
+    )
+    def test_weight_arity_must_match_the_domain(self, radii, weight):
+        # a 2-coefficient quadratic on one disc took its first coefficient
+        # and ignored the second
+        with pytest.raises(ValueError, match="arity"):
+            assemble_gram(Polydisc(radii), weight, 4)
+
     def test_analytic_exclusion_log_monomial(self):
         # c = 1.5 excludes the constant and linear... only alpha > 0.5 stays
         m = assemble_gram(Polydisc((1.0,)), LogMonomialWeight((1.5,)), 4)
@@ -362,6 +376,76 @@ class TestBasisAction:
         u = shift.actions([[1.0]], np.array([[1.0]]))
         assert u[0, 0] == 265182525.0 == math.comb(31, 14)
         assert u[0, 1] == 265182525.0j
+
+
+@st.composite
+def shared_point_cases(draw):
+    """A TaylorShift on random terms without w, P rows of functional
+    coefficients (P crosses BLOCK) and one fiber point.
+
+    Each coordinate and coefficient is 0 or at least 1e-30 in modulus, so no
+    product C z^k reaches the subnormal range: there rounding is absolute,
+    not relative to the bound (a 2e-314 action can differ in its last
+    subnormal bit, 5e-324, while 1e-13 of its bound rounds to 0)."""
+    n = draw(st.sampled_from([1, 2]))
+    part = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-30)
+    cplx = st.builds(complex, part, part)
+    size = draw(st.integers(1, 6))
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 6)] * n), cplx,
+                                    st.integers(0, size - 1)),
+                          min_size=1, max_size=12))
+    E = np.array([e for e, _, _ in terms], dtype=int).reshape(len(terms), n)
+    C = np.array([c for _, c, _ in terms], dtype=complex)
+    S = np.array([j for _, _, j in terms], dtype=int)
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1,
+                           max_size=4, unique=True))
+    # the rows from a drawn seed: a failing case shrinks in few steps
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.sampled_from([1, 2, 63, 64, 65, 140])), len(alphas))
+    X = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    z = np.array([[0.9 * draw(cplx) for _ in range(n)]])
+    return bergman.TaylorShift(alphas, E, C, S, n, size), X, z
+
+
+class TestSharedPointActions:
+    @settings(max_examples=150, deadline=None)
+    @given(shared_point_cases())
+    def test_shared_point_matches_the_per_row_path(self, case):
+        # one shared point takes u = X @ U0; the same point repeated on every
+        # row (plus one, so that a single row also takes the blocks) takes
+        # the per-row blocked path
+        shift, X, z = case
+        u = shift.actions(X, z)
+        rows = np.vstack([X, X[:1]])
+        ref = shift.actions(rows, np.repeat(z, len(rows), axis=0))[:-1]
+        bound = shift.action_bound(X, z)
+        assert u.shape == ref.shape == (len(X), shift.size)
+        assert np.all(np.abs(u - ref) <= 1e-13 * bound)
+
+    def test_functional_without_terms_has_zero_actions(self):
+        # a config may give a functional no terms: no alpha to stack
+        m = orthonormalize(assemble_gram(Polydisc((1.0,)), ZeroWeight(1), 4))
+        assert np.array_equal(basis_action(m, Functional(1, {}), (0.3,)),
+                              np.zeros(m.size))
+        assert xi_kernel(m, Functional(1, {}), (0.3,)) == 0.0
+
+    def test_shared_point_is_one_sums_pass(self, monkeypatch):
+        # the shared-point path sums the terms of every alpha in one pass
+        # (one call per real and imaginary part), whatever the row count
+        E = np.array([[3], [2], [0]])
+        shift = bergman.TaylorShift([(0,), (1,), (2,)], E,
+                                    np.array([1.0, 2.0, 0.5j]),
+                                    np.array([0, 0, 1]), 1, 2)
+        calls = []
+        sums = shift._sums
+        monkeypatch.setattr(shift, "_sums",
+                            lambda x: calls.append(x.shape) or sums(x))
+        X = np.ones((200, 3), dtype=complex)
+        u = shift.actions(X, np.array([[0.5]]))
+        assert calls == [(3, 3), (3, 3)]
+        # z^3 + 2 z^2 and 0.5i: actions of e_0, e_1, e_2 at 0.5, summed
+        expect = [0.125 + 0.5 + 0.75 + 2.0 + 1.5 + 2.0, 0.5j]
+        assert np.allclose(u, np.tile(expect, (200, 1)), rtol=1e-15)
 
 
 def reference_basis(domain, labels, g=None):

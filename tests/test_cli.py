@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,19 @@ class TestKernelCommand:
         assert "not integrable" in capsys.readouterr().err
         assert not (out / "kernel.json").exists()
 
+    def test_weight_arity_mismatch_exits_2(self, tmp_path, capsys):
+        # a 2-coefficient quadratic on one disc: the Gram took the first
+        # coefficient, ignored the second, and the command exited 0
+        cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
+        cfg["weight"] = {"variant": "quadratic", "coeffs": [1, 5]}
+        bad = tmp_path / "arity.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("kernel", bad, out) == 2
+        assert "weight arity 2 does not match the domain arity 1" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "kernel.json").exists()
 
     def test_sum_of_two_divisors_exits_2(self, tmp_path, capsys):
         g = [{"beta": [1], "re": 1.0, "im": 0.0}, {"beta": [0], "re": -0.2, "im": 0.0}]
@@ -333,7 +347,75 @@ class TestLambdaCommand:
         assert krull["perN"] == {"2": 1, "3": 1, "4": 1}
 
 
+def _spy_assemble_gram(monkeypatch):
+    """Record the domain arity of every assemble_gram call, in every module
+    that binds it."""
+    from xibergman import bergman, extension, fiberwise, ideal
+
+    original = bergman.assemble_gram
+    arities = []
+
+    def spy(domain, *args, **kwargs):
+        arities.append(domain.arity)
+        return original(domain, *args, **kwargs)
+
+    for mod in (bergman, extension, fiberwise, ideal):
+        if getattr(mod, "assemble_gram", None) is original:
+            monkeypatch.setattr(mod, "assemble_gram", spy)
+    return arities
+
+
 class TestExtendCommand:
+    @pytest.mark.parametrize("name, code", [("extend_gaussian", 0),
+                                            ("extend_windependent", 0),
+                                            ("extend_gaussian_steep", 1)])
+    def test_one_joint_and_one_central_fiber_model(
+        self, tmp_path, monkeypatch, name, code
+    ):
+        # the joint model, the central fiber model (fiber norms and the
+        # extremal datum) and the model of the Jensen kernels; the Jensen
+        # datum is solved against the same joint model
+        arities = _spy_assemble_gram(monkeypatch)
+        assert run("extend", CONFIGS / f"{name}.json", tmp_path) == code
+        assert sorted(arities) == [1, 1, 2]
+
+    def test_joint_weight_arity_mismatch_exits_2(self, tmp_path, capsys):
+        # cz = [1, 5] on one fiber disc: the joint Gram read cz[1] as the w
+        # coefficient and the command reported ratio 0.1987, exit 0
+        cfg = json.loads((CONFIGS / "extend_gaussian.json").read_text())
+        cfg["weight"]["cz"] = [1.0, 5.0]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == 2
+        assert "weight arity 3 does not match the domain arity 2" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o" / "extend.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("baseRadius", math.nan, "base disc radius must be finite and positive"),
+            ("baseRadius", math.inf, "base disc radius must be finite and positive"),
+            ("dw", -1, "joint bidegree must be >= 0"),
+            ("dz", -1, "joint bidegree must be >= 0"),
+        ],
+    )
+    def test_bad_sizes_exit_2(self, tmp_path, capsys, key, value, message):
+        # a NaN radius reached LAPACK (DLASCL, then "SVD did not converge"),
+        # an infinite one raised a RuntimeWarning, and dw = -1 was blamed
+        # on the datum
+        cfg = json.loads((CONFIGS / "extend_gaussian.json").read_text())
+        cfg[key] = value
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("extend", config, tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert message in err and "datum" not in err
+        assert not (tmp_path / "o" / "extend.json").exists()
+
     def test_w_independent_ratio_one(self, tmp_path):
         code = run("extend", CONFIGS / "extend_windependent.json", tmp_path)
         assert code == 0

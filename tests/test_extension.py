@@ -1,6 +1,7 @@
 """Unit tests for minimum-norm extension and the optimal-constant check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,51 @@ class TestJensenDiagnostic:
             jensen_diagnostic(problem(dz=2, dw=2), DIRAC_FAMILY, ())
 
 
+JENSEN_PROBLEMS = [
+    problem(),
+    problem(weight=GAUSSIAN, f=PolyW(1, {(1,): 1.0}), r=0.7, dz=6, dw=6),
+    ExtensionProblem(DISC, 0.8, JointPairQuadratic((1.0,)), 0.1,
+                     PolyW(1, {(0,): 1.0}), 2, 2, QuadSpec(8, 8)),
+    ExtensionProblem(DISC, 1.0, JointLogDivisor(PolyW(2, {(0, 0): 1.0, (0, 1): 0.5}), 1),
+                     0.0, PolyW(1, {(0,): 1.0}), 2, 2, QuadSpec(8, 8)),
+]
+
+
+class TestOneJointModel:
+    @pytest.mark.parametrize("prob", JENSEN_PROBLEMS)
+    def test_jensen_with_and_without_result_agree(self, prob):
+        alone = jensen_diagnostic(prob, DIRAC_FAMILY, (0.2,))
+        given_result = jensen_diagnostic(
+            prob, DIRAC_FAMILY, (0.2,), result=minimal_extension(prob)
+        )
+        assert alone == given_result
+
+    @pytest.mark.parametrize("prob", JENSEN_PROBLEMS)
+    def test_with_datum_is_the_extension_of_the_datum(self, prob):
+        f = PolyW(1, {(0,): 0.5 - 1j, (1,): 2.0})
+        res = minimal_extension(prob)
+        other = res.with_datum(f)
+        fresh = minimal_extension(replace(prob, f=f))
+        assert other.problem == fresh.problem
+        assert other.model is res.model
+        assert np.array_equal(other.coeffs, fresh.coeffs)
+        assert other.kkt_residual == fresh.kkt_residual
+        assert fiber_norm(other.problem, other.fiber_model()) == fiber_norm(
+            fresh.problem
+        )
+
+    def test_central_fiber_model_is_shared(self):
+        res = minimal_extension(problem(weight=GAUSSIAN))
+        fmodel = res.fiber_model()
+        assert res.fiber_model() is fmodel
+        assert res.with_datum(PolyW(1, {(2,): 1.0})).fiber_model() is fmodel
+
+    def test_result_of_another_problem_rejected(self):
+        res = minimal_extension(problem(r=0.5))
+        with pytest.raises(ValueError, match="not the extension"):
+            jensen_diagnostic(problem(), DIRAC_FAMILY, (0.0,), result=res)
+
+
 def reference_jensen(prob_template, family, z0, radial_nodes, angular_nodes, tol):
     """The diagnostic node by node: one fiber model and one kernel per node."""
     n = prob_template.n
@@ -250,7 +296,13 @@ def reference_jensen(prob_template, family, z0, radial_nodes, angular_nodes, tol
             Fw = substitute_base(F, n, (w,))
             xiw = family.eval((w,))
             taylor = recenter(TaylorData((0.0,) * n, dict(Fw.coeffs)), z0)
-            act = sum(v * taylor.coeffs.get(a, 0.0) for a, v in xiw.coeffs.items())
+            # the untrimmed xi_alpha(w), as the diagnostic takes them: a
+            # Functional drops a term of 1e-92 next to one of size 1, and
+            # when F_w has no other term the action would read 0
+            act = sum(
+                v * taylor.coeffs.get(a, 0.0)
+                for a, v in zip(family.terms, family.values([(w,)])[0])
+            )
             model = orthonormalize(
                 assemble_gram(
                     prob.fiber_domain, prob.joint_weight.fiber((w,)), prob.dz,
@@ -392,6 +444,16 @@ class TestRestrictionConsistency:
         for w in (0.2, -0.5j):
             fw = substitute_base(F, 1, (w,))
             assert fw.arity == 1
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_base_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            problem(r=radius)
+
+    @pytest.mark.parametrize("dz, dw", [(-1, 4), (4, -1)])
+    def test_bidegree_must_be_nonnegative(self, dz, dw):
+        with pytest.raises(ValueError, match="bidegree must be >= 0"):
+            problem(f=PolyW(1, {}), dz=dz, dw=dw)
 
     def test_base_arity_validation(self):
         with pytest.raises(ValueError):

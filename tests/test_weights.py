@@ -24,6 +24,7 @@ from xibergman.weights import (
     coordinate_form,
     divergence_probe,
     eval_weight,
+    gauss_legendre,
     monomial_moment,
     multiplier_membership_oracle,
     separable_radial_parts,
@@ -263,6 +264,24 @@ class TestDivergenceProbe:
             divergence_probe(spec, PolyW(1, {(0,): 1.0}), [0.1, 0.2, 0.05, 0.01])
         with pytest.raises(ValueError):
             divergence_probe(spec, PolyW(1, {(0,): 1.0}), [0.1, 0.05])
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("count", [4, 16, 32, 160])
+    def test_equals_leggauss_and_is_computed_once(self, count):
+        t, wt = gauss_legendre(count)
+        ref_t, ref_wt = np.polynomial.legendre.leggauss(count)
+        assert np.array_equal(t, ref_t) and np.array_equal(wt, ref_wt)
+        again = gauss_legendre(count)
+        assert again[0] is t and again[1] is wt
+
+    def test_shared_rule_refuses_writes(self):
+        t, wt = gauss_legendre(16)
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            wt *= 2.0
+        assert np.array_equal(t, np.polynomial.legendre.leggauss(16)[0])
 
 
 class TestJson:
