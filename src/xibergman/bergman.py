@@ -10,8 +10,9 @@ Every catalog weight but a divisor has a per-coordinate form
 (``weights.coordinate_form``): its Gram is exact diagonal moments when it is
 radial about the domain center, else an entrywise product of one-disc
 quadrature Grams.  A divisor part 2 log|g| (c = 1) factors out of the basis,
-and the rest of the weight takes that dispatch.  Only joint views take a
-tensor quadrature.
+and the rest of the weight takes that dispatch.  A joint weight is a weight
+on the product domain and takes the same dispatch; only the joint weights
+without a per-coordinate form take a tensor quadrature.
 
 The basis is stored as coefficient arrays over global monomials: exponents
 E (one row per term), coefficients C and the basis element S of each term.
@@ -445,11 +446,12 @@ def assemble_gram(
     local origin, and sums of these), one polar Gauss-Legendre grid per
     coordinate for every other weight with a ``coordinate_form``
     (off-center quadratics and log poles), and tensor Gauss-Legendre
-    quadrature only for weights without one (the joint views of
-    ``extension``); "quadrature" integrates numerically, on the
-    per-coordinate grids wherever the weight has a per-coordinate form;
-    "closed" forces the exact moments (UnsupportedWeightError when the
-    weight is not radial, and for every divisor weight).
+    quadrature only for weights without one (the pair quadratic, joint
+    divisors, and w-independent weights on a divisor); "quadrature"
+    integrates numerically, on the per-coordinate grids wherever the weight
+    has a per-coordinate form; "closed" forces the exact moments
+    (UnsupportedWeightError when the weight is not radial, and for every
+    divisor weight).
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")

@@ -5,15 +5,19 @@ product, the minimizer of the joint weighted norm among truncated-basis
 functions restricting to f on the fiber is found by a Schur-complement
 solve: restriction to w = w0 fixes the coefficients b of the w-constant basis
 elements to those of f, and the free ones solve G_FF y = -G_FC b.  The joint
-Gram matrix comes from ``assemble_gram`` on the product domain, so a joint
-weight radial about (center, w0) takes exact moments.  The optimal-constant
-check compares the joint norm per unit base area against the fiber norm: the
-ratio is at most 1 (with equality for base-independent weights), which is the
-sharp constant pi r^2.  The Jensen diagnostic averages over a polar grid of
-base nodes handled as arrays: one ``bergman.TaylorShift`` call on the (z, w)
-terms of F gives the Taylor coefficients of F_w at z0 as polynomials in w,
-evaluated by one Vandermonde matrix, and the log-kernels log K(w) come from
-one batched ``fiberwise.log_kernel_on_fiber`` call, in log space throughout.
+weight is a weight on the product domain (``weights.JointWeight``), so the
+joint Gram matrix is ``assemble_gram`` of the joint weight itself: a joint
+weight radial about (center, w0) takes exact moments, and one without a
+per-coordinate form the tensor rule.  The optimal-constant check compares
+the joint norm per unit base area against the fiber norm: the ratio is at
+most 1 (with equality for base-independent weights), which is the sharp
+constant pi r^2.  The fiber norm reads the datum on the fiber model's basis
+polynomials, g (z - center)^alpha on a divisor fiber.  The Jensen diagnostic
+averages over a polar grid of base nodes handled as arrays: one
+``bergman.TaylorShift`` call on the (z, w) terms of F gives the Taylor
+coefficients of F_w at z0 as polynomials in w, evaluated by one Vandermonde
+matrix, and the log-kernels log K(w) come from one batched
+``fiberwise.log_kernel_on_fiber`` call, in log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets
@@ -36,6 +40,7 @@ from .bergman import (
     GramModel,
     QuadSpec,
     TaylorShift,
+    _divisor_split,
     assemble_gram,
     extremal_function,
 )
@@ -47,48 +52,31 @@ from .functional import (
     multi_indices_upto,
     recenter,
 )
-from .weights import Polydisc, eval_weight, gauss_legendre, substitute_base
+from .weights import (
+    Polydisc,
+    check_joint_weight,
+    gauss_legendre,
+    poly_quotient,
+    substitute_base,
+)
 
-KKT_TOL = 1e-9
 #: an optimal-constant ratio above 1 + RATIO_SLACK breaks the sharp bound 1
 RATIO_SLACK = 5e-3
-RESTRICTION_TOL = 1e-12
-
-
-def _as_taylor(p: PolyW) -> TaylorData:
-    return TaylorData((0.0,) * p.arity, dict(p.coeffs))
 
 
 class InconsistentConstraintError(ValueError):
-    """The fiber datum is not representable in the joint truncated basis."""
+    """The fiber datum is not representable in the joint or fiber basis."""
 
 
 class ZeroFiberNormError(ValueError):
     """The fiber datum has zero weighted norm; the ratio is undefined."""
 
 
-@dataclass(frozen=True)
-class _JointView:
-    """Pointwise view of a joint weight as a weight on the product domain."""
-
-    joint: object
-    z_arity: int
-    variant = "joint_view"
-
-    @property
-    def arity(self) -> int:
-        return self.z_arity + self.joint.w_arity
-
-    def evaluate(self, p: Sequence[complex]) -> float:
-        z, w = tuple(p[: self.z_arity]), tuple(p[self.z_arity :])
-        return eval_weight(self.joint, z, w)
-
-
 @dataclass
 class ExtensionProblem:
     fiber_domain: Polydisc
     base_radius: float
-    joint_weight: object  # joint weight with .fiber(w)
+    joint_weight: object  # a JointWeight on fiber_domain x disc
     w0: complex
     f: PolyW  # fiber datum, polynomial in z
     dz: int
@@ -106,8 +94,7 @@ class ExtensionProblem:
             raise ValueError(
                 f"joint bidegree must be >= 0, got dz = {self.dz}, dw = {self.dw}"
             )
-        if getattr(self.joint_weight, "w_arity", 1) != 1:
-            raise ValueError("extension supports a one-dimensional base only")
+        check_joint_weight(self.joint_weight, self.fiber_domain.arity, 1)
         self.w0 = complex(self.w0)
         if abs(self.w0) != 0 and not math.isfinite(abs(self.w0)):
             raise ValueError("bad base center")
@@ -124,9 +111,10 @@ class ExtensionProblem:
             self.fiber_domain.center + (self.w0,),
         )
 
-    def joint_labels(self) -> list[tuple[MultiIndex, int]]:
+    def joint_labels(self) -> list[MultiIndex]:
+        """The bidegree labels alpha + (k,), |alpha| <= dz and k <= dw."""
         return [
-            (a, k)
+            a + (k,)
             for a in multi_indices_upto(self.n, self.dz)
             for k in range(self.dw + 1)
         ]
@@ -134,13 +122,8 @@ class ExtensionProblem:
 
 def _joint_gram(prob: ExtensionProblem) -> GramModel:
     """Gram model on the product domain with the (dz, dw) bidegree basis."""
-    weight = prob.joint_weight.as_product_weight()
-    if weight is None:
-        weight = _JointView(prob.joint_weight, prob.n)
-    labels = [a + (k,) for a, k in prob.joint_labels()]
-    return assemble_gram(
-        prob.joint_domain(), weight, prob.dz + prob.dw, prob.quad, labels=labels
-    )
+    return assemble_gram(prob.joint_domain(), prob.joint_weight,
+                         prob.dz + prob.dw, prob.quad, labels=prob.joint_labels())
 
 
 @dataclass
@@ -209,16 +192,8 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
 
 def _solve(prob, model, G, fixed, free, gram_norm, fiber=None) -> ExtensionResult:
     """The Schur-complement solve of ``minimal_extension`` for prob.f."""
-    c = np.zeros(model.size, dtype=complex)
-    local = recenter(_as_taylor(prob.f), prob.fiber_domain.center)
-    for a, v in local.coeffs.items():
-        if a in fixed:
-            c[fixed[a]] = v
-        elif v != 0:
-            raise InconsistentConstraintError(
-                f"fiber datum monomial {a} outside the joint model span"
-                f" (degree {prob.dz})"
-            )
+    c = _local_coeffs(prob.f, prob.fiber_domain.center, fixed, model.size,
+                      f"joint model span (degree {prob.dz})")
     if len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
         y, *_ = np.linalg.lstsq(
@@ -248,20 +223,40 @@ def fiber_norm(prob: ExtensionProblem, fmodel: GramModel | None = None) -> float
     """Weighted fiber norm of the datum on the central fiber.
 
     ``fmodel`` is the central fiber model when it is already built (see
-    ``ExtensionResult.fiber_model``).
+    ``ExtensionResult.fiber_model``).  The datum is read on the model's basis
+    polynomials: on a divisor basis g (z - center)^alpha its coefficients are
+    those of f / g, and a datum outside the span raises
+    InconsistentConstraintError.
     """
     if fmodel is None:
         fmodel = _fiber_gram(prob)
-    index = {a: i for i, a in enumerate(fmodel.basis_labels)}
-    local = recenter(_as_taylor(prob.f), prob.fiber_domain.center)
-    c = np.zeros(fmodel.size, dtype=complex)
-    for a, v in local.coeffs.items():
-        if a not in index:
+    f, divisor = prob.f, _divisor_split(fmodel.weight)[0]
+    if divisor is not None:
+        f = poly_quotient(divisor.g, f)
+        if f is None:
             raise InconsistentConstraintError(
-                f"fiber datum monomial {a} outside the fiber model span"
+                "fiber datum outside the span of the divisor basis g (z - center)^alpha"
             )
-        c[index[a]] = v
-    return fmodel.norm_sq(c)
+    index = {a: i for i, a in enumerate(fmodel.basis_labels)}
+    return fmodel.norm_sq(_local_coeffs(f, fmodel.domain.center, index,
+                                        fmodel.size, "fiber model span"))
+
+
+def _local_coeffs(f: PolyW, center, index: dict, size: int, span: str):
+    """The coefficients of f in the (z - center)^alpha, on elements index[alpha].
+
+    A nonzero coefficient outside index raises InconsistentConstraintError.
+    """
+    c = np.zeros(size, dtype=complex)
+    local = recenter(TaylorData((0.0,) * f.arity, dict(f.coeffs)), center)
+    for a, v in local.coeffs.items():
+        if a in index:
+            c[index[a]] = v
+        elif v != 0:
+            raise InconsistentConstraintError(
+                f"fiber datum monomial {a} outside the {span}"
+            )
+    return c
 
 
 def optimal_constant_check(

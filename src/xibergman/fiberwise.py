@@ -43,8 +43,13 @@ from .bergman import (
     assemble_gram,
     orthonormalize,
 )
-from .functional import ArityMismatchError
-from .weights import JointLogDivisor, Polydisc, UnsupportedWeightError, ZeroWeight
+from .weights import (
+    JointLogDivisor,
+    Polydisc,
+    UnsupportedWeightError,
+    ZeroWeight,
+    check_joint_weight,
+)
 
 SUBMEAN_TOL = 1e-3
 
@@ -57,6 +62,11 @@ class FamilyProblem:
     family: object  # FunctionalFamily or AntiHolomorphicControl
     degree: int
     quad: QuadSpec = field(default_factory=QuadSpec)
+
+    def __post_init__(self):
+        check_joint_weight(
+            self.joint_weight, self.fiber_domain.arity, self.base_domain.arity
+        )
 
     @property
     def holomorphic(self) -> bool:
@@ -164,8 +174,6 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
             raise UnsupportedWeightError(
                 "factored divisor basis requires exponent c = 1"
             )
-        if (jw.z_arity, jw.w_arity) != (n, m):
-            raise ArityMismatchError("divisor generator arity mismatch")
         model = orthonormalize(
             assemble_gram(problem.fiber_domain, ZeroWeight(n), problem.degree,
                           problem.quad)

@@ -69,6 +69,7 @@ from .weights import (
     SumWeight,
     UnsupportedWeightError,
     ZeroWeight,
+    check_joint_weight,
 )
 
 RANK_TOL = 1e-9
@@ -761,6 +762,7 @@ def lambda_scan(
     under the annihilator functionals.  Both must coincide on U.  Each base
     point's test of U and its functionals come from ``psi_at``, once.
     """
+    check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
     res, pts = psi_scan(
         fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed
     )

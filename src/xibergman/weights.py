@@ -5,11 +5,16 @@ Every entry is psh by construction: sums of convex functions of |z_i|,
 User-supplied black-box weights are deliberately not accepted, since the
 verification harness is only meaningful for certified-psh inputs.
 
-``coordinate_form`` is the one decoder of the per-coordinate form of a fiber
-weight; the Gram dispatch of ``bergman`` and the divergence probe read it.
-A joint weight of the form psi(z) + s(w) states that split once, in its
-``shift_split``; ``fiberwise`` builds one fiber model of psi for all of its
-fibers.
+A joint weight psi(z, w) (a ``JointWeight``) is one weight on the product
+of the fiber and base polydiscs, of arity z_arity + w_arity, and each fiber
+weight ``fiber(w)`` is its restriction to {w} x fiber.  ``check_joint_weight``
+is the one test that a weight is joint and fits its domains.
+
+``coordinate_form`` is the one decoder of the per-coordinate form of a
+weight, fiber or joint; the Gram dispatch of ``bergman`` and the divergence
+probe read it.  A joint weight of the form psi(z) + s(w) states that split
+once, in its ``shift_split``; ``fiberwise`` builds one fiber model of psi for
+all of its fibers.
 """
 
 from __future__ import annotations
@@ -179,10 +184,10 @@ class SumWeight:
 def eval_weight(spec, z: Sequence[complex], w: Sequence[complex] | None = None) -> float:
     """Pointwise weight value; joint variants require the base point w."""
     z = tuple(complex(x) for x in z)
-    if hasattr(spec, "fiber"):
+    if isinstance(spec, JointWeight):
         if w is None:
             raise ValueError("joint weight requires a base point w")
-        return spec.fiber(tuple(complex(x) for x in w)).evaluate(z)
+        z += tuple(complex(x) for x in w)
     if len(z) != spec.arity:
         raise ArityMismatchError("point arity mismatch")
     return spec.evaluate(z)
@@ -209,8 +214,39 @@ def substitute_base(g: PolyW, n: int, w: Sequence[complex]) -> PolyW:
     return PolyW(n, out)
 
 
+class JointWeight:
+    """A weight on the product of a fiber and a base polydisc.
+
+    Its points are p = z + w, z_arity fiber coordinates then w_arity base
+    coordinates, and its value is that of its fiber over w at z.
+    """
+
+    @property
+    def arity(self) -> int:
+        return self.z_arity + self.w_arity
+
+    def evaluate(self, p: Sequence[complex]) -> float:
+        p, n = tuple(complex(x) for x in p), self.z_arity
+        return self.fiber(p[n:]).evaluate(p[:n])
+
+
+def check_joint_weight(spec, n: int, m: int) -> None:
+    """Refuse all but a joint weight on n fiber and m base coordinates."""
+    if not isinstance(spec, JointWeight):
+        raise ValueError(f"a joint weight is required, not {spec.variant!r}")
+    if spec.arity != n + m:
+        raise ArityMismatchError(
+            f"weight arity {spec.arity} does not match the domain arity {n + m}"
+        )
+    if spec.z_arity != n:
+        raise ArityMismatchError(
+            f"weight fiber arity {spec.z_arity} does not match the fiber"
+            f" domain arity {n}"
+        )
+
+
 @dataclass(frozen=True)
-class JointZero:
+class JointZero(JointWeight):
     z_arity: int
     w_arity: int
     variant = "joint_zero"
@@ -222,12 +258,9 @@ class JointZero:
         """(psi, s) with psi(z, w) = psi(z) + s(w), s over the rows of W."""
         return ZeroWeight(self.z_arity), np.zeros(len(W))
 
-    def as_product_weight(self):
-        return ZeroWeight(self.z_arity + self.w_arity)
-
 
 @dataclass(frozen=True)
-class JointLogDivisor:
+class JointLogDivisor(JointWeight):
     """psi(z, w) = 2c log|g(z, w)| with g polynomial in the joint variables."""
 
     g: PolyW
@@ -242,17 +275,18 @@ class JointLogDivisor:
     def fiber(self, w):
         return LogDivisorWeight(substitute_base(self.g, self.z_arity, w), self.c)
 
-    def as_product_weight(self):
-        return None
-
 
 @dataclass(frozen=True)
-class JointQuadraticSplit:
+class JointQuadraticSplit(JointWeight):
     """psi(z, w) = sum cz_i |z_i|^2 + sum cw_j |w_j|^2."""
 
     cz: tuple[float, ...]
     cw: tuple[float, ...]
     variant = "joint_quadratic_split"
+
+    def __post_init__(self):
+        if any(c < 0 for c in self.cz + self.cw):
+            raise ValueError("quadratic weight coefficients must be >= 0")
 
     @property
     def z_arity(self) -> int:
@@ -272,12 +306,9 @@ class JointQuadraticSplit:
         """(psi, s) with psi(z, w) = psi(z) + s(w), s over the rows of W."""
         return QuadraticWeight(self.cz), np.sum(np.abs(W) ** 2 * self.cw, axis=1)
 
-    def as_product_weight(self):
-        return QuadraticWeight(self.cz + self.cw)
-
 
 @dataclass(frozen=True)
-class JointPairQuadratic:
+class JointPairQuadratic(JointWeight):
     """psi(z, w) = sum c_i |z_i - w_i|^2; requires matching arities."""
 
     coeffs: tuple[float, ...]
@@ -287,19 +318,14 @@ class JointPairQuadratic:
     def z_arity(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def w_arity(self) -> int:
-        return len(self.coeffs)
+    w_arity = z_arity
 
     def fiber(self, w):
         return QuadraticWeight(self.coeffs, tuple(w))
 
-    def as_product_weight(self):
-        return None
-
 
 @dataclass(frozen=True)
-class WIndependentJoint:
+class WIndependentJoint(JointWeight):
     """Joint weight that ignores w entirely: psi(z, w) = base(z)."""
 
     base: object
@@ -316,28 +342,6 @@ class WIndependentJoint:
     def shift_split(self, W: np.ndarray):
         """(psi, s) with psi(z, w) = psi(z) + s(w), s over the rows of W."""
         return self.base, np.zeros(len(W))
-
-    def as_product_weight(self):
-        return extend_weight_arity(self.base, self.w_arity)
-
-
-def extend_weight_arity(spec, extra: int):
-    """View a z-weight as a weight on (z, w) that ignores the extra coords."""
-    if extra == 0:
-        return spec
-    if isinstance(spec, ZeroWeight):
-        return ZeroWeight(spec.arity + extra)
-    if isinstance(spec, ConstantWeight):
-        return ConstantWeight(spec.arity + extra, spec.value)
-    if isinstance(spec, QuadraticWeight):
-        return QuadraticWeight(
-            spec.coeffs + (0.0,) * extra, spec.center + (0.0,) * extra
-        )
-    if isinstance(spec, LogMonomialWeight):
-        return LogMonomialWeight(spec.coeffs + (0.0,) * extra)
-    if isinstance(spec, SumWeight):
-        return SumWeight(tuple(extend_weight_arity(p, extra) for p in spec.parts))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +373,27 @@ def coordinate_form(spec):
     """(form, shift) with psi = sum_i q_i |z_i - a_i|^2 + 2 c_i log|z_i| + shift.
 
     form[i] = (q_i, a_i, c_i), plain floats (this runs once per fiber
-    model); None for divisors and joint views.  The quadratics of a sum on
-    one coordinate combine by completing the square, A = sum q_k a_k / Q,
-    with sum q_k |a_k|^2 - Q |A|^2 added to the shift; a coordinate served
-    by one center keeps it exactly and adds nothing.
+    model).  A joint weight is read on its product domain, z then w: the
+    joint zero as zeros, the split quadratic as cz then cw, a w-independent
+    weight as its base then zeros in w.  None for divisors and the joint
+    weights whose fibers move with w (the pair quadratic and joint
+    divisors).  The quadratics of a sum on one coordinate combine by
+    completing the square, A = sum q_k a_k / Q, with sum q_k |a_k|^2 -
+    Q |A|^2 added to the shift; a coordinate served by one center keeps it
+    exactly and adds nothing.
     """
     n = spec.arity
-    if isinstance(spec, ZeroWeight):
+    if isinstance(spec, (ZeroWeight, JointZero)):
         return [(0.0, 0j, 0.0)] * n, 0.0
     if isinstance(spec, ConstantWeight):
         return [(0.0, 0j, 0.0)] * n, spec.value
     if isinstance(spec, QuadraticWeight):
         return [(q, a, 0.0) for q, a in zip(spec.coeffs, spec.center)], 0.0
+    if isinstance(spec, JointQuadraticSplit):
+        return [(float(q), 0j, 0.0) for q in spec.cz + spec.cw], 0.0
+    if isinstance(spec, WIndependentJoint):
+        dec = coordinate_form(spec.base)
+        return dec and (dec[0] + [(0.0, 0j, 0.0)] * spec.w_arity, dec[1])
     if isinstance(spec, LogMonomialWeight):
         return [(0.0, 0j, c) for c in spec.coeffs], 0.0
     if not isinstance(spec, SumWeight):
@@ -424,14 +437,15 @@ def separable_radial_parts(spec, arity: int):
 # Multiplier-ideal oracles
 # ---------------------------------------------------------------------------
 
-def _poly_divides(g: PolyW, f: PolyW, tol: float = 1e-9) -> bool:
-    """Least-squares test of whether g divides f in the polynomial ring."""
+def poly_quotient(g: PolyW, f: PolyW, tol: float = 1e-9) -> PolyW | None:
+    """h with f = g h in the polynomial ring, by least squares; None when g
+    does not divide f."""
     if not f.coeffs:
-        return True
+        return PolyW(f.arity, {})
     gmin = min(sum(a) for a in g.coeffs)
     hdeg = int(f.degree - gmin)
     if hdeg < 0:
-        return False
+        return None
     from .functional import multi_indices_upto
 
     betas = multi_indices_upto(f.arity, hdeg)
@@ -455,8 +469,10 @@ def _poly_divides(g: PolyW, f: PolyW, tol: float = 1e-9) -> bool:
     b = np.zeros(len(rows), dtype=complex)
     for k, v in f.coeffs.items():
         b[rows[k]] = v
-    resid = np.linalg.norm(A @ np.linalg.lstsq(A, b, rcond=None)[0] - b)
-    return resid <= tol * max(1.0, np.linalg.norm(b))
+    h = np.linalg.lstsq(A, b, rcond=None)[0]
+    if np.linalg.norm(A @ h - b) > tol * max(1.0, np.linalg.norm(b)):
+        return None
+    return PolyW(f.arity, dict(zip(betas, h.tolist())))
 
 
 def multiplier_membership_oracle(spec, f: PolyW) -> bool:
@@ -484,7 +500,7 @@ def multiplier_membership_oracle(spec, f: PolyW) -> bool:
             raise UnsupportedWeightError(
                 "divisor oracle supports c = 1 only; use divergence_probe"
             )
-        return _poly_divides(g, f)
+        return poly_quotient(g, f) is not None
     raise UnsupportedWeightError(
         f"no analytic membership oracle for weight variant {spec.variant!r};"
         " use divergence_probe"

@@ -548,6 +548,127 @@ class TestExtendCommand:
         assert out["ratio"] == pytest.approx(1.0, abs=1e-12)
         assert out["kktResidual"] < 1e-9
 
+    @pytest.mark.parametrize("terms, code", [
+        ([{"beta": [0], "re": 2.0, "im": 0.0}, {"beta": [1], "re": 1.0, "im": 0.0}], 0),
+        ([{"beta": [0], "re": 1.0, "im": 0.0}], 2),
+    ], ids=["g", "one"])
+    def test_divisor_fiber_datum_is_read_on_its_basis(
+        self, tmp_path, capsys, terms, code
+    ):
+        # the fiber basis is g z^alpha with g = 2 + z: the datum g has fiber
+        # norm pi (the ratio read 0.2222) and 1 lies outside the span (the
+        # ratio read 0.2878)
+        g = [{"beta": [0], "re": 2.0, "im": 0.0}, {"beta": [1], "re": 1.0, "im": 0.0}]
+        cfg = json.loads((CONFIGS / "extend_windependent.json").read_text())
+        cfg["weight"]["base"] = {"variant": "log_divisor", "c": 1.0, "arity": 1,
+                                 "g": g}
+        cfg["f"]["terms"] = terms
+        cfg["baseRadius"] = 0.5
+        cfg["dz"] = cfg["dw"] = 3
+        cfg["quadrature"] = {"radialNodes": 8, "angularNodes": 8}
+        del cfg["jensen"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == code
+        if code:
+            assert "outside the span" in capsys.readouterr().err
+            assert not (tmp_path / "o" / "extend.json").exists()
+        else:
+            out = payload(tmp_path / "o" / "extend.json")
+            assert out["fiberNorm"] == pytest.approx(math.pi, rel=1e-12)
+            assert out["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestJointWeightCheck:
+    """scan-psh, lambda and extend take a joint weight that fits the domains."""
+
+    ZERO = {"variant": "zero", "arity": 2}
+    # one fiber disc over a bidisc, the constant functional
+    SCAN2 = {
+        "fiberDomain": {"radii": [1.0]},
+        "baseDomain": {"radii": [1.0, 1.0]},
+        "family": {
+            "zArity": 1, "wArity": 2,
+            "terms": [{"alpha": [0], "poly": [{"beta": [0, 0], "re": 1.0, "im": 0.0}]}],
+        },
+        "degree": 4,
+        "z": [[0.1, 0.0]],
+        "circles": [{"w0": [[0.1, 0.0], [0.2, 0.0]], "radius": 0.2, "samples": 16}],
+    }
+
+    def _run(self, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run(command, path, tmp_path / "o")
+
+    @pytest.mark.parametrize("command, name", [
+        ("scan-psh", "scan_pstar"), ("lambda", "lambda_pstar"),
+        ("extend", "extend_gaussian"),
+    ])
+    def test_fiber_weight_exits_2(self, tmp_path, capsys, command, name):
+        # 'ZeroWeight' object has no attribute 'fiber' (for extend,
+        # 'as_product_weight') escaped cli.main
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["weight"] = self.ZERO
+        assert self._run(tmp_path, command, cfg) == cli.EXIT_CONFIG
+        assert "a joint weight is required" in capsys.readouterr().err
+
+    def test_fitting_joint_weight_on_a_bidisc_base_runs(self, tmp_path):
+        cfg = dict(self.SCAN2, weight={
+            "variant": "joint_quadratic_split", "cz": [1.0], "cw": [1.0, 1.0]})
+        assert self._run(tmp_path, "scan-psh", cfg) == 0
+
+    @pytest.mark.parametrize("weight", [
+        # numpy broadcast cw over both base coordinates
+        {"variant": "joint_quadratic_split", "cz": [1.0], "cw": [1.0]},
+        {"variant": "w_independent", "wArity": 1,
+         "base": {"variant": "zero", "arity": 1}},
+        # its fibers ignored w2
+        {"variant": "joint_pair_quadratic", "coeffs": [1.0]},
+    ], ids=["split", "w_independent", "pair"])
+    def test_scan_psh_base_arity_mismatch_exits_2(self, tmp_path, capsys, weight):
+        assert self._run(tmp_path, "scan-psh", dict(self.SCAN2, weight=weight)) == 2
+        assert "does not match the domain arity 3" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "psh_report.json").exists()
+
+    def test_lambda_arity_mismatch_exits_2(self, tmp_path, capsys):
+        # two base coefficients for the one base variable of the ideal
+        cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
+        cfg["weight"] = {
+            "variant": "joint_quadratic_split", "cz": [1, 1], "cw": [1, 2]}
+        assert self._run(tmp_path, "lambda", cfg) == 2
+        assert "does not match the domain arity 3" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "lambda.json").exists()
+
+    def test_extend_fiber_weight_of_the_joint_arity_exits_2(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "extend_gaussian.json").read_text())
+        cfg["weight"] = {"variant": "quadratic", "coeffs": [1.0, 1.0]}
+        assert self._run(tmp_path, "extend", cfg) == 2
+        assert "a joint weight is required" in capsys.readouterr().err
+
+    def test_kernel_of_a_split_weight_is_that_of_its_product_weight(self, tmp_path):
+        # a joint weight is a weight on its product domain: an AttributeError
+        # before
+        cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
+        cfg["domain"] = {"radii": [1.0, 1.0]}
+        cfg["functional"] = {"arity": 2, "terms": [
+            {"alpha": [0, 0], "re": 1.0, "im": 0.0},
+            {"alpha": [1, 0], "re": 0.5, "im": 0.0}]}
+        cfg["point"] = [[0.1, 0.0], [0.0, 0.2]]
+        cfg["degree"] = 8
+        files = []
+        for i, weight in enumerate([
+            {"variant": "joint_quadratic_split", "cz": [1], "cw": [2]},
+            {"variant": "quadratic", "coeffs": [1, 2]},
+        ]):
+            cfg["weight"] = weight
+            path = tmp_path / f"k{i}.json"
+            path.write_text(json.dumps(cfg))
+            assert run("kernel", path, tmp_path / f"o{i}") == 0
+            files.append((tmp_path / f"o{i}" / "kernel.json").read_text())
+        split, product = (f.splitlines()[2:] for f in files)
+        assert split == product
+
 
 class TestArgumentHandling:
     def test_unknown_command_exits_2(self, tmp_path):

@@ -1,7 +1,9 @@
 """Unit tests for minimum-norm extension and the optimal-constant check."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,12 +43,15 @@ from xibergman.weights import (
     JointLogDivisor,
     JointPairQuadratic,
     JointQuadraticSplit,
+    LogDivisorWeight,
     LogMonomialWeight,
     Polydisc,
     QuadraticWeight,
+    SumWeight,
     WIndependentJoint,
     ZeroWeight,
     substitute_base,
+    weight_from_json,
 )
 
 DISC = Polydisc((1.0,))
@@ -134,6 +139,67 @@ class TestMinimalExtension:
     def test_inconsistent_datum_rejected(self):
         with pytest.raises(InconsistentConstraintError):
             minimal_extension(problem(f=PolyW(1, {(5,): 1.0}), dz=3))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestJointWeightOnTheProductDomain:
+    # the product weight each shipped extend weight was turned into before a
+    # joint weight was a weight on the product domain
+    @pytest.mark.parametrize("name, product", [
+        ("extend_gaussian", QuadraticWeight((1.0,) + (1.0,))),  # cz + cw
+        ("extend_gaussian_steep", QuadraticWeight((1.0,) + (800.0,))),
+        ("extend_windependent", ZeroWeight(2)),
+    ])
+    def test_joint_gram_is_that_of_the_product_weight(self, name, product):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        prob = ExtensionProblem(
+            Polydisc(tuple(cfg["fiberDomain"]["radii"])), cfg["baseRadius"],
+            weight_from_json(cfg["weight"]), complex(*cfg["w0"]),
+            PolyW(1, {(0,): 1.0}), cfg["dz"], cfg["dw"],
+        )
+        expect = assemble_gram(prob.joint_domain(), product, prob.dz + prob.dw,
+                               prob.quad, labels=prob.joint_labels())
+        model = _joint_gram(prob)
+        assert model.weight is prob.joint_weight
+        assert np.array_equal(model.gram, expect.gram)
+
+
+G = PolyW(1, {(0,): 2.0, (1,): 1.0})  # g = 2 + z, no zero in the unit disc
+
+
+class TestDivisorFiberNorm:
+    # the fiber model's basis is g z^alpha: the datum g has fiber norm
+    # ||1||^2 = pi, not ||g^2||^2 = 4.5 pi
+    @pytest.mark.parametrize("weight", [
+        WIndependentJoint(LogDivisorWeight(G), 1),
+        JointLogDivisor(PolyW(2, {(0, 0): 2.0, (1, 0): 1.0}), 1),
+    ], ids=["w_independent", "joint_log_divisor"])
+    def test_ratio_is_one(self, weight):
+        prob = ExtensionProblem(DISC, 0.5, weight, 0.0, G, 3, 3, QuadSpec(16, 32))
+        rep = extension_report(prob, minimal_extension(prob))
+        assert rep["fiberNorm"] == pytest.approx(math.pi, rel=1e-12)
+        assert rep["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_datum_outside_the_span_rejected(self):
+        # 1 is not g times a polynomial; the ratio read 0.2877
+        prob = ExtensionProblem(DISC, 0.5, WIndependentJoint(LogDivisorWeight(G), 1),
+                                0.0, PolyW(1, {(0,): 1.0}), 3, 3, QuadSpec(16, 32))
+        with pytest.raises(InconsistentConstraintError, match="divisor basis"):
+            fiber_norm(prob)
+
+    def test_sum_with_a_divisor_part(self):
+        # the w-independent extension of a sum with a divisor part: the
+        # product weight of its base was None inside a SumWeight
+        base = SumWeight((QuadraticWeight((1.0,)), LogDivisorWeight(G)))
+        prob = ExtensionProblem(DISC, 0.5, WIndependentJoint(base, 1), 0.0, G,
+                                3, 3, QuadSpec(8, 8))
+        rep = extension_report(prob, minimal_extension(prob))
+        assert rep["fiberNorm"] == pytest.approx(
+            math.pi * (1.0 - math.exp(-1.0)), rel=1e-12
+        )
+        assert rep["ratio"] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestOptimalConstant:

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xibergman.family import PolyW
+from xibergman.functional import ArityMismatchError
 from xibergman.weights import (
     ConstantWeight,
     JointLogDivisor,
     JointPairQuadratic,
     JointQuadraticSplit,
+    JointZero,
     LogDivisorWeight,
     LogMonomialWeight,
     Polydisc,
@@ -21,6 +23,7 @@ from xibergman.weights import (
     UnsupportedWeightError,
     WIndependentJoint,
     ZeroWeight,
+    check_joint_weight,
     coordinate_form,
     divergence_probe,
     eval_weight,
@@ -109,6 +112,44 @@ class TestPointwiseEvaluation:
         with pytest.raises(ValueError):
             eval_weight(JointQuadraticSplit((1.0,), (1.0,)), (0.5,))
 
+    def test_joint_point_arity_checked(self):
+        with pytest.raises(ArityMismatchError):
+            eval_weight(JointQuadraticSplit((1.0,), (1.0,)), (0.5,), (0.1, 0.2))
+
+    def test_joint_weight_is_a_weight_on_the_product_domain(self):
+        g = PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0})  # z1 - w z2
+        for spec in (JointLogDivisor(g, 2), JointPairQuadratic((1.0, 2.0)),
+                     JointZero(2, 1), JointQuadraticSplit((1.0, 2.0), (3.0,)),
+                     WIndependentJoint(QuadraticWeight((1.0, 2.0)), 1)):
+            assert spec.arity == spec.z_arity + spec.w_arity
+            z, w = (0.3, 0.5j)[: spec.z_arity], (0.2 - 0.1j,) * spec.w_arity
+            assert spec.evaluate(z + w) == spec.fiber(w).evaluate(z)
+
+    def test_split_quadratic_coefficients_nonnegative(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            JointQuadraticSplit((1.0,), (-1.0,))
+
+
+class TestJointWeightCheck:
+    @pytest.mark.parametrize("spec", [ZeroWeight(2), QuadraticWeight((1.0, 1.0))])
+    def test_fiber_weight_refused(self, spec):
+        with pytest.raises(ValueError, match="joint weight is required"):
+            check_joint_weight(spec, 1, 1)
+
+    @pytest.mark.parametrize("spec, n, m, message", [
+        (JointQuadraticSplit((1.0,), (1.0,)), 1, 2, "domain arity 3"),
+        (JointPairQuadratic((1.0,)), 1, 2, "domain arity 3"),
+        (WIndependentJoint(ZeroWeight(1), 1), 1, 2, "domain arity 3"),
+        (JointZero(2, 1), 1, 2, "fiber domain arity 1"),
+        # z1 - w z2 read with one fiber and two base coordinates
+        (JointLogDivisor(PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0}), 1), 2, 1,
+         "fiber domain arity 2"),
+    ])
+    def test_arity_mismatch_refused(self, spec, n, m, message):
+        with pytest.raises(ArityMismatchError, match=message):
+            check_joint_weight(spec, n, m)
+        check_joint_weight(spec, spec.z_arity, spec.w_arity)
+
 
 class TestSubstituteBase:
     def test_pencil_restriction(self):
@@ -143,7 +184,34 @@ _PART = st.one_of(
 )
 
 
+_JOINT = st.one_of(
+    st.builds(JointZero, st.integers(1, 2), st.integers(1, 2)),
+    st.builds(
+        JointQuadraticSplit,
+        st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+        st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2).map(tuple),
+    ),
+    st.builds(
+        WIndependentJoint,
+        st.one_of(_PART, st.lists(_PART, min_size=1, max_size=3).map(
+            lambda parts: SumWeight(tuple(parts)))),
+        st.integers(1, 2),
+    ),
+)
+
+
 class TestCoordinateForm:
+    @settings(max_examples=100, deadline=None)
+    @given(_JOINT, st.data())
+    def test_joint_form_matches_pointwise(self, spec, data):
+        # the form on the product domain, z then w, against the fiber values
+        p = data.draw(st.tuples(*[_OFF_AXES] * spec.arity))
+        value = eval_weight(spec, p[: spec.z_arity], p[spec.z_arity :])
+        assert spec.evaluate(p) == value
+        assert form_value(coordinate_form(spec), p) == pytest.approx(
+            value, rel=1e-12, abs=1e-12
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_PART, min_size=1, max_size=4), st.tuples(_OFF_AXES, _OFF_AXES))
     def test_matches_pointwise(self, parts, z):
@@ -175,6 +243,11 @@ class TestCoordinateForm:
         g = PolyW(1, {(1,): 1.0, (0,): -0.5})
         assert coordinate_form(LogDivisorWeight(g)) is None
         assert coordinate_form(SumWeight((ZeroWeight(1), LogDivisorWeight(g)))) is None
+        # fibers that move with w other than by a shift
+        assert coordinate_form(JointPairQuadratic((1.0,))) is None
+        pencil = PolyW(2, {(1, 0): 1.0, (0, 1): -0.5})  # z - w/2
+        assert coordinate_form(JointLogDivisor(pencil, 1)) is None
+        assert coordinate_form(WIndependentJoint(LogDivisorWeight(g), 1)) is None
 
 
 class TestSeparability:
