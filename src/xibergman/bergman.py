@@ -9,10 +9,14 @@ the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
 Every catalog weight but a divisor has a per-coordinate form
 (``weights.coordinate_form``): its Gram is exact diagonal moments when it is
 radial about the domain center, else an entrywise product of one-disc
-quadrature Grams.  A divisor part 2 log|g| (c = 1) factors out of the basis,
-and the rest of the weight takes that dispatch.  A joint weight is a weight
-on the product domain and takes the same dispatch; only the joint weights
-without a per-coordinate form take a tensor quadrature.
+quadrature Grams.  A divisor part 2 log|g| (c = 1) factors out of the basis
+(``weights.divisor_split``), and the rest of the weight takes that dispatch.
+A joint weight is a weight on the product domain and takes the same
+dispatch: a joint divisor 2 log|g(z, w)| with c = 1, or a w-independent
+weight over a divisor, gets the basis g(z, w) (z - center)^alpha (w - w0)^k,
+whose Gram is that of the rest: exact moments for the joint divisor.  Only
+the joint weights with neither form, the pair quadratic and joint divisors
+with c != 1, take a tensor quadrature.
 
 The basis is stored as coefficient arrays over global monomials: exponents
 E (one row per term), coefficients C and the basis element S of each term.
@@ -51,12 +55,10 @@ from .functional import (
     multi_indices_upto,
 )
 from .weights import (
-    LogDivisorWeight,
     Polydisc,
-    SumWeight,
     UnsupportedWeightError,
-    ZeroWeight,
     coordinate_form,
+    divisor_split,
     gauss_legendre,
 )
 
@@ -436,8 +438,9 @@ def assemble_gram(
     """Build a truncated weighted-Bergman model on a polydisc.
 
     The basis is (z - center)^alpha for alpha in labels (default: every
-    |alpha| <= degree), times g for a weight 2 log|g| + rest with one c = 1
-    divisor part (a log-divisor weight, or a sum with one such part): its
+    |alpha| <= degree), times g for a weight 2 log|g| + rest that
+    ``weights.divisor_split`` splits (a c = 1 divisor, a sum with one such
+    part, a c = 1 joint divisor, or a w-independent weight over one): its
     Gram is that of the (z - center)^alpha under rest, which takes the
     dispatch below.  Labels whose monomial is not square integrable at a log
     pole are dropped.  method: "auto" takes the exact moments of
@@ -446,12 +449,11 @@ def assemble_gram(
     local origin, and sums of these), one polar Gauss-Legendre grid per
     coordinate for every other weight with a ``coordinate_form``
     (off-center quadratics and log poles), and tensor Gauss-Legendre
-    quadrature only for weights without one (the pair quadratic, joint
-    divisors, and w-independent weights on a divisor); "quadrature"
-    integrates numerically, on the per-coordinate grids wherever the weight
-    has a per-coordinate form; "closed" forces the exact moments
-    (UnsupportedWeightError when the weight is not radial, and for every
-    divisor weight).
+    quadrature only for weights without one (the pair quadratic and joint
+    divisors with c != 1); "quadrature" integrates numerically, on the
+    per-coordinate grids wherever the weight has a per-coordinate form;
+    "closed" forces the exact moments (UnsupportedWeightError when the
+    weight is not radial, and for every divisor weight).
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")
@@ -469,16 +471,10 @@ def assemble_gram(
     else:
         labels = [tuple(a) for a in labels]
 
-    divisor, rest = _divisor_split(weight)
+    divisor, rest = divisor_split(weight)
     if divisor is not None:
         if method == "closed":
             raise UnsupportedWeightError("no closed form for divisor weights")
-        if abs(divisor.c - 1.0) > 1e-12:
-            raise UnsupportedWeightError(
-                "factored divisor basis requires exponent c = 1"
-            )
-        if divisor.g.arity != n:
-            raise ValueError("divisor generator arity mismatch")
         # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the Gram of the
         # (z - c)^alpha under the remaining parts
         inner = _assemble(domain, rest, degree, quad, method, labels)
@@ -489,31 +485,6 @@ def assemble_gram(
             domain, weight, degree, inner.basis_labels, E, C, S, inner.gram
         )
     return _assemble(domain, weight, degree, quad, method, labels)
-
-
-def _divisor_split(weight):
-    """(divisor, rest) for weight = 2 log|g| + rest; (None, weight) without one.
-
-    Nested sums are flattened; rest is ZeroWeight when nothing remains.  A sum
-    with two divisor parts has no factored basis: UnsupportedWeightError.
-    """
-    def flat(w):
-        if isinstance(w, SumWeight):
-            return [q for p in w.parts for q in flat(p)]
-        return [w]
-
-    parts = flat(weight)
-    divisors = [p for p in parts if isinstance(p, LogDivisorWeight)]
-    if not divisors:
-        return None, weight
-    if len(divisors) > 1:
-        raise UnsupportedWeightError(
-            "a sum of two divisor weights has no factored basis"
-        )
-    rest = [p for p in parts if not isinstance(p, LogDivisorWeight)]
-    if not rest:
-        return divisors[0], ZeroWeight(weight.arity)
-    return divisors[0], rest[0] if len(rest) == 1 else SumWeight(tuple(rest))
 
 
 def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:

@@ -3,8 +3,9 @@ lambda scans, and extension checks, with JSON/CSV outputs.
 
 Exit codes: 0 success, 1 verification failure (submean violation,
 cross-check mismatch, a failed Jensen diagnostic or an extension ratio above
-the sharp bound 1), 2 usage or configuration error (also an ``extend``
-fiber datum of zero norm, whose ratio is 0/0), 3 numerical failure (no
+the sharp bound 1), 2 usage or configuration error (also a value of the
+wrong JSON type, and an ``extend`` fiber datum of zero norm, whose ratio is
+0/0), 3 numerical failure (no
 nonsingular pivot block; the record goes to ``error.json``).  Reruns under
 a fixed seed produce identical files except for the timestamp header line.
 """
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+            TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ideal.DegenerateInputError as exc:

@@ -7,12 +7,16 @@ solve: restriction to w = w0 fixes the coefficients b of the w-constant basis
 elements to those of f, and the free ones solve G_FF y = -G_FC b.  The joint
 weight is a weight on the product domain (``weights.JointWeight``), so the
 joint Gram matrix is ``assemble_gram`` of the joint weight itself: a joint
-weight radial about (center, w0) takes exact moments, and one without a
-per-coordinate form the tensor rule.  The optimal-constant check compares
+weight radial about (center, w0) takes exact moments, a joint divisor
+2 log|g(z, w)| (c = 1) or a w-independent weight over a divisor the basis
+g(z, w) (z - center)^alpha (w - w0)^k, and the pair quadratic and joint
+divisors with c != 1 the tensor rule.  The optimal-constant check compares
 the joint norm per unit base area against the fiber norm: the ratio is at
 most 1 (with equality for base-independent weights), which is the sharp
-constant pi r^2.  The fiber norm reads the datum on the fiber model's basis
-polynomials, g (z - center)^alpha on a divisor fiber.  The Jensen diagnostic
+constant pi r^2.  The solve and the fiber norm read the datum alike, on the
+model's basis polynomials: on a divisor basis its coefficients are those of
+f / g(., w0) (``_datum_coeffs``), so the divisor's k = 0 joint elements are
+exactly the fiber model's basis.  The Jensen diagnostic
 averages over a polar grid of base nodes handled as arrays: one
 ``bergman.TaylorShift`` call on the (z, w) terms of F gives the Taylor
 coefficients of F_w at z0 as polynomials in w, evaluated by one Vandermonde
@@ -40,7 +44,6 @@ from .bergman import (
     GramModel,
     QuadSpec,
     TaylorShift,
-    _divisor_split,
     assemble_gram,
     extremal_function,
 )
@@ -55,6 +58,7 @@ from .functional import (
 from .weights import (
     Polydisc,
     check_joint_weight,
+    divisor_split,
     gauss_legendre,
     poly_quotient,
     substitute_base,
@@ -178,7 +182,8 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
 
     The joint basis is local at (center, w0), so restriction to w = w0 keeps
     exactly the basis elements with k = 0 (the fixed set C), and fixes their
-    coefficients b to those of f in (z - center)^alpha.  The free coefficients
+    coefficients b to those of f in (z - center)^alpha, or of f / g(., w0) on
+    a divisor basis g (z - center)^alpha (w - w0)^k.  The free coefficients
     y minimize the norm: G_FF y = -G_FC b (Schur complement).
     """
     model = _joint_gram(prob)
@@ -192,8 +197,7 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
 
 def _solve(prob, model, G, fixed, free, gram_norm, fiber=None) -> ExtensionResult:
     """The Schur-complement solve of ``minimal_extension`` for prob.f."""
-    c = _local_coeffs(prob.f, prob.fiber_domain.center, fixed, model.size,
-                      f"joint model span (degree {prob.dz})")
+    c = _datum_coeffs(prob.f, model, fixed, f"joint model span (degree {prob.dz})")
     if len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
         y, *_ = np.linalg.lstsq(
@@ -224,31 +228,34 @@ def fiber_norm(prob: ExtensionProblem, fmodel: GramModel | None = None) -> float
 
     ``fmodel`` is the central fiber model when it is already built (see
     ``ExtensionResult.fiber_model``).  The datum is read on the model's basis
-    polynomials: on a divisor basis g (z - center)^alpha its coefficients are
-    those of f / g, and a datum outside the span raises
-    InconsistentConstraintError.
+    polynomials (``_datum_coeffs``).
     """
     if fmodel is None:
         fmodel = _fiber_gram(prob)
-    f, divisor = prob.f, _divisor_split(fmodel.weight)[0]
+    index = {a: i for i, a in enumerate(fmodel.basis_labels)}
+    return fmodel.norm_sq(_datum_coeffs(prob.f, fmodel, index, "fiber model span"))
+
+
+def _datum_coeffs(f: PolyW, model: GramModel, index: dict, span: str):
+    """The coefficients of the fiber datum f on the elements index[alpha].
+
+    index maps alpha to the element (z - center)^alpha of a fiber model, or
+    to (z - center)^alpha (w - w0)^0 of a joint model.  On a divisor basis
+    g (z - center)^alpha the datum is read as f / g(., w0), whose
+    restriction to the central fiber is f; a datum outside that span, or
+    with a nonzero coefficient outside index, raises
+    InconsistentConstraintError.
+    """
+    n = f.arity
+    divisor = divisor_split(model.weight)[0]
     if divisor is not None:
-        f = poly_quotient(divisor.g, f)
+        f = poly_quotient(substitute_base(divisor.g, n, model.domain.center[n:]), f)
         if f is None:
             raise InconsistentConstraintError(
                 "fiber datum outside the span of the divisor basis g (z - center)^alpha"
             )
-    index = {a: i for i, a in enumerate(fmodel.basis_labels)}
-    return fmodel.norm_sq(_local_coeffs(f, fmodel.domain.center, index,
-                                        fmodel.size, "fiber model span"))
-
-
-def _local_coeffs(f: PolyW, center, index: dict, size: int, span: str):
-    """The coefficients of f in the (z - center)^alpha, on elements index[alpha].
-
-    A nonzero coefficient outside index raises InconsistentConstraintError.
-    """
-    c = np.zeros(size, dtype=complex)
-    local = recenter(TaylorData((0.0,) * f.arity, dict(f.coeffs)), center)
+    c = np.zeros(model.size, dtype=complex)
+    local = recenter(TaylorData((0.0,) * n, dict(f.coeffs)), model.domain.center[:n])
     for a, v in local.coeffs.items():
         if a in index:
             c[index[a]] = v

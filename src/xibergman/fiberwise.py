@@ -5,10 +5,12 @@ K_{xi(w)}(z) at an array of base points W, with one fiber point z shared by
 all of them or one per base point, in one batch.  Base points whose fibers
 share a Gram matrix, up to a scalar, share one model:
 
-- for a divisor weight 2 log|g(z, w)| (c = 1) every fiber has the Gram of
-  the unweighted moments, since |g_w b|^2 e^{-2 log|g_w|} = |b|^2, and only
-  the basis g(z, w) (z - center)^alpha moves, polynomially in w: one joint
-  basis in (z, w) serves every fiber;
+- a divisor part 2 log|g(z, w)| (c = 1), split off by
+  ``weights.divisor_split`` from a joint divisor or a w-independent weight,
+  leaves every fiber the Gram of the rest, since
+  |g_w b|^2 e^{-2 log|g_w|} = |b|^2; only the factor g(z, w) of the basis
+  g(z, w) (z - center)^alpha moves, polynomially in w.  The rest is modeled
+  as below, and its basis times g is one joint basis in (z, w);
 - a joint weight psi(z) + s(w) (``shift_split``: the zero, w-independent
   and split quadratic weights) has the fiber Gram e^{-s(w)} G_psi, so one
   model of psi serves every fiber and K_w = e^{s(w)} K_psi: the relative
@@ -43,13 +45,7 @@ from .bergman import (
     assemble_gram,
     orthonormalize,
 )
-from .weights import (
-    JointLogDivisor,
-    Polydisc,
-    UnsupportedWeightError,
-    ZeroWeight,
-    check_joint_weight,
-)
+from .weights import Polydisc, check_joint_weight, divisor_split
 
 SUBMEAN_TOL = 1e-3
 
@@ -157,35 +153,22 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
     """The fiber models over W, and the shift s(w) of each row.
 
     The models come as [(basis, [(rows, transform), ...]), ...]; the kernel
-    of row i is e^{s_i} times that of its model.  A divisor weight has one
-    model for every fiber: the Gram of the unweighted moments and one joint
-    basis in (z, w).  A joint weight psi(z) + s(w) has one model, of psi, for
-    every fiber, up to the scalar shift s(w).  Any other joint weight gets one
-    model per distinct row of W, and models whose terms agree share one
-    ``TaylorShift``.
+    of row i is e^{s_i} times that of its model.  A divisor part
+    2 log|g(z, w)| (``weights.divisor_split``) is split off once: the rest
+    is modeled like any other joint weight, and its basis times g(z, w) is
+    one joint basis in (z, w).  A joint weight psi(z) + s(w) has one model,
+    of psi, for every fiber, up to the scalar shift s(w).  Any other joint
+    weight gets one model per distinct row of W, and models whose terms
+    agree share one ``TaylorShift``.
     """
-    jw = problem.joint_weight
     n, m = problem.fiber_domain.arity, problem.base_domain.arity
     alphas = list(problem.family.terms)
-    every = np.arange(len(W))
-    s = np.zeros(len(W))
-    if isinstance(jw, JointLogDivisor):
-        if abs(jw.c - 1.0) > 1e-12:
-            raise UnsupportedWeightError(
-                "factored divisor basis requires exponent c = 1"
-            )
-        model = orthonormalize(
-            assemble_gram(problem.fiber_domain, ZeroWeight(n), problem.degree,
-                          problem.quad)
-        )
-        E = np.hstack([model.exps, np.zeros((len(model.exps), m), dtype=int)])
-        E, C, S = _times_poly(jw.g, E, model.coeffs, model.seg, model.size)
-        return [(TaylorShift(alphas, E, C, S, n, model.size),
-                 [(every, model.transform)])], s
+    divisor, jw = divisor_split(problem.joint_weight)
     if hasattr(jw, "shift_split"):
         psi, s = jw.shift_split(W)
-        fibers = [(psi, every)]
+        fibers = [(psi, np.arange(len(W)))]
     else:
+        s = np.zeros(len(W))
         groups: dict[tuple, list[int]] = {}
         for i, w in enumerate(W.tolist()):
             groups.setdefault(tuple(w), []).append(i)
@@ -195,10 +178,14 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
         model = orthonormalize(
             assemble_gram(problem.fiber_domain, fw, problem.degree, problem.quad)
         )
-        key = model.exps.tobytes() + model.coeffs.tobytes() + model.seg.tobytes()
+        E, C, S = model.exps, model.coeffs, model.seg
+        if divisor is not None:
+            # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the basis g(z, w) b
+            E = np.hstack([E, np.zeros((len(E), m), dtype=int)])
+            E, C, S = _times_poly(divisor.g, E, C, S, model.size)
+        key = E.tobytes() + C.tobytes() + S.tobytes()
         if key not in classes:
-            classes[key] = (TaylorShift(alphas, model.exps, model.coeffs,
-                                        model.seg, n, model.size), [])
+            classes[key] = (TaylorShift(alphas, E, C, S, n, model.size), [])
         classes[key][1].append((rows, model.transform))
     return list(classes.values()), s
 

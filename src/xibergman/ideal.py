@@ -19,7 +19,8 @@ the log-kernels of these functionals over a base grid locates the inclusion
 locus of the multiplier ideal: ``psi_at`` takes the kernels of all s rows of
 B(w) in one ``bergman.kernels`` call, and the membership checks multiply
 B(w) by jet coefficient vectors, so no ``Functional`` is built.  Besides
-the generators and the oracle generators of the membership checks, PolyW
+the generators and the oracle generators of the membership checks
+(``weights.multiplier_generators``), PolyW
 appears only where a polynomial leaves this layer: in
 ``annihilator_to_json`` and the ``rows``, ``det_c`` and ``functionals()``
 views of an ``AnnihilatorResult``.
@@ -60,17 +61,7 @@ import numpy as np
 from .bergman import QuadSpec, assemble_gram, kernels, orthonormalize
 from .family import FunctionalFamily, PolyW
 from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
-from .weights import (
-    ConstantWeight,
-    LogDivisorWeight,
-    LogMonomialWeight,
-    Polydisc,
-    QuadraticWeight,
-    SumWeight,
-    UnsupportedWeightError,
-    ZeroWeight,
-    check_joint_weight,
-)
+from .weights import Polydisc, check_joint_weight, multiplier_generators
 
 RANK_TOL = 1e-9
 DETC_TOL = 1e-8
@@ -637,38 +628,6 @@ def build_annihilator(
 # ---------------------------------------------------------------------------
 # Psi_N and the Lambda scan
 # ---------------------------------------------------------------------------
-
-def multiplier_generators(weight) -> list[PolyW]:
-    """Generators of the multiplier ideal germ at 0 for oracle weights."""
-    if isinstance(weight, (ZeroWeight, ConstantWeight, QuadraticWeight)):
-        return [PolyW.constant(1.0, weight.arity)]
-    if isinstance(weight, SumWeight):
-        parts = [p for p in weight.parts if not isinstance(p, (ZeroWeight, ConstantWeight, QuadraticWeight))]
-        if not parts:
-            return [PolyW.constant(1.0, weight.arity)]
-        if len(parts) == 1:
-            return multiplier_generators(parts[0])
-        raise UnsupportedWeightError("no oracle for mixed singular sums")
-    if isinstance(weight, LogMonomialWeight):
-        a = []
-        for ci in weight.coeffs:
-            t = ci - 1.0
-            ai = int(math.floor(t)) + 1 if abs(t - round(t)) < 1e-12 and t >= 0 else max(
-                0, int(math.ceil(t))
-            )
-            a.append(max(0, ai))
-        return [PolyW.monomial(tuple(a))]
-    if isinstance(weight, LogDivisorWeight):
-        g0 = weight.g.evaluate((0.0,) * weight.g.arity)
-        if abs(g0) > 1e-12 * max(1.0, weight.g.max_coeff()):
-            return [PolyW.constant(1.0, weight.g.arity)]
-        if abs(weight.c - 1.0) > 1e-12:
-            raise UnsupportedWeightError("divisor oracle supports c = 1 only")
-        return [weight.g]
-    raise UnsupportedWeightError(
-        f"no multiplier-ideal oracle for variant {weight.variant!r}"
-    )
-
 
 @dataclass
 class PsiPoint:

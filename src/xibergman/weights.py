@@ -12,7 +12,12 @@ is the one test that a weight is joint and fits its domains.
 
 ``coordinate_form`` is the one decoder of the per-coordinate form of a
 weight, fiber or joint; the Gram dispatch of ``bergman`` and the divergence
-probe read it.  A joint weight of the form psi(z) + s(w) states that split
+probe read it.  ``divisor_split`` is the one rule for a divisor part
+2 log|g| with c = 1, fiber or joint, which factors out of the basis:
+``bergman``, ``fiberwise`` and ``extension`` read it.
+``multiplier_generators`` is the one decoder of the multiplier ideals of
+the catalog: the membership oracle and the Lambda scan of ``ideal`` read
+it.  A joint weight of the form psi(z) + s(w) states that split
 once, in its ``shift_split``; ``fiberwise`` builds one fiber model of psi for
 all of its fibers.
 """
@@ -416,6 +421,57 @@ def coordinate_form(spec):
     return form, shift
 
 
+def divisor_split(weight):
+    """(divisor, rest) for weight = 2 log|g| + rest; (None, weight) without one.
+
+    The one rule for the factored basis g (z - center)^alpha, on fiber and
+    joint weights alike: its Gram is that of the (z - center)^alpha under
+    rest, since |g b|^2 e^{-2 log|g|} = |b|^2.  Nested sums are flattened;
+    rest is ZeroWeight when nothing remains.  A joint weight is read on its
+    product domain, z then w: a joint divisor 2 log|g(z, w)| splits into
+    LogDivisorWeight(g) and the joint zero, and a w-independent weight over
+    a divisor part into that divisor, g read in (z, w) with zero
+    w-exponents, and the w-independent rest.  A joint divisor with c != 1
+    is not split and keeps the tensor rule.  Any other divisor part with
+    c != 1, and a sum with two divisor parts, have no factored basis:
+    UnsupportedWeightError.
+    """
+    if isinstance(weight, JointLogDivisor):
+        split = (LogDivisorWeight(weight.g, weight.c),
+                 JointZero(weight.z_arity, weight.w_arity))
+    elif isinstance(weight, WIndependentJoint):
+        divisor, rest = divisor_split(weight.base)
+        if divisor is None:
+            return None, weight
+        m = weight.w_arity
+        g = PolyW(weight.arity,
+                  {a + (0,) * m: c for a, c in divisor.g.coeffs.items()})
+        return LogDivisorWeight(g, divisor.c), WIndependentJoint(rest, m)
+    else:
+        def flat(w):
+            if isinstance(w, SumWeight):
+                return [q for p in w.parts for q in flat(p)]
+            return [w]
+
+        parts = flat(weight)
+        divisors = [p for p in parts if isinstance(p, LogDivisorWeight)]
+        if not divisors:
+            return None, weight
+        if len(divisors) > 1:
+            raise UnsupportedWeightError(
+                "a sum of two divisor weights has no factored basis"
+            )
+        rest = [p for p in parts if not isinstance(p, LogDivisorWeight)]
+        if not rest:
+            rest = [ZeroWeight(weight.arity)]
+        split = divisors[0], rest[0] if len(rest) == 1 else SumWeight(tuple(rest))
+    if abs(split[0].c - 1.0) > 1e-12:
+        if isinstance(weight, JointLogDivisor):
+            return None, weight
+        raise UnsupportedWeightError("factored divisor basis requires exponent c = 1")
+    return split
+
+
 def separable_radial_parts(spec, arity: int):
     """Decompose e^{-psi} as prefactor * prod_i f_i(|z_i|) when possible.
 
@@ -475,36 +531,60 @@ def poly_quotient(g: PolyW, f: PolyW, tol: float = 1e-9) -> PolyW | None:
     return PolyW(f.arity, dict(zip(betas, h.tolist())))
 
 
-def multiplier_membership_oracle(spec, f: PolyW) -> bool:
-    """Exact germ membership of f in the multiplier ideal of the weight at 0.
+#: the weights whose multiplier ideal is the unit ideal
+_SMOOTH = (ZeroWeight, ConstantWeight, QuadraticWeight)
 
-    Supported subcatalog: log-monomial weights (per-monomial integrability
-    test alpha_i > c_i - 1), log-divisor weights with c = 1 (divisibility),
-    and nonsingular weights (membership is vacuous).
+
+def multiplier_generators(weight) -> list[PolyW]:
+    """Generators of the multiplier ideal germ at 0 for oracle weights.
+
+    The one decoder of the catalog's multiplier ideals: the unit ideal for a
+    smooth weight; (z^e) with e_i = max(0, floor(c_i - 1) + 1) for a
+    log-monomial weight, since |z^alpha|^2 |z_i|^{-2 c_i} is integrable iff
+    alpha_i > c_i - 1; (g) for a divisor 2 log|g| with c = 1 through the
+    origin, and the unit ideal when g(0) != 0; and for a sum, that of its
+    one singular part.
     """
-    if isinstance(spec, (ZeroWeight, ConstantWeight, QuadraticWeight)):
-        return True
-    if isinstance(spec, LogMonomialWeight):
-        if not f.coeffs:
-            return True
-        return all(
-            all(ai > ci - 1.0 for ai, ci in zip(alpha, spec.coeffs))
-            for alpha in f.coeffs
-        )
-    if isinstance(spec, LogDivisorWeight):
-        g = spec.g
-        g0 = g.evaluate((0.0,) * g.arity)
-        if abs(g0) > 1e-12 * max(1.0, g.max_coeff()):
-            return True  # weight bounded near the origin
-        if abs(spec.c - 1.0) > 1e-12:
+    if isinstance(weight, _SMOOTH):
+        return [PolyW.constant(1.0, weight.arity)]
+    if isinstance(weight, SumWeight):
+        parts = [p for p in weight.parts if not isinstance(p, _SMOOTH)]
+        if not parts:
+            return [PolyW.constant(1.0, weight.arity)]
+        if len(parts) == 1:
+            return multiplier_generators(parts[0])
+        raise UnsupportedWeightError("no oracle for mixed singular sums")
+    if isinstance(weight, LogMonomialWeight):
+        return [PolyW.monomial(
+            tuple(max(0, math.floor(c - 1.0) + 1) for c in weight.coeffs)
+        )]
+    if isinstance(weight, LogDivisorWeight):
+        g = weight.g
+        if abs(g.evaluate((0.0,) * g.arity)) > 1e-12 * max(1.0, g.max_coeff()):
+            return [PolyW.constant(1.0, g.arity)]  # bounded near the origin
+        if abs(weight.c - 1.0) > 1e-12:
             raise UnsupportedWeightError(
                 "divisor oracle supports c = 1 only; use divergence_probe"
             )
-        return poly_quotient(g, f) is not None
+        return [g]
     raise UnsupportedWeightError(
-        f"no analytic membership oracle for weight variant {spec.variant!r};"
+        f"no multiplier-ideal oracle for weight variant {weight.variant!r};"
         " use divergence_probe"
     )
+
+
+def multiplier_membership_oracle(spec, f: PolyW) -> bool:
+    """Exact germ membership of f in the multiplier ideal of the weight at 0.
+
+    f is tested against the one generator of ``multiplier_generators``:
+    exponent by exponent against a monomial z^e, by divisibility
+    (``poly_quotient``) against a divisor g.
+    """
+    (gen,) = multiplier_generators(spec)
+    if len(gen.coeffs) == 1:
+        (e,) = gen.coeffs
+        return all(all(a >= b for a, b in zip(alpha, e)) for alpha in f.coeffs)
+    return poly_quotient(gen, f) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,16 @@ class TestExtendCommand:
         assert out["kktResidual"] < 1e-9
         assert out["jensen"]["holds"] is True
 
+    def test_joint_divisor_ratio_one(self, tmp_path):
+        # g = z - w: the datum z is g times 1 on the central fiber, and the
+        # extremal datum of the Jensen block is g z^alpha, outside the
+        # monomial bidegree basis of the tensor rule (exit 2)
+        code = run("extend", CONFIGS / "extend_joint_divisor.json", tmp_path)
+        assert code == 0
+        out = payload(tmp_path / "extend.json")
+        assert out["ratio"] == pytest.approx(1.0, abs=1e-12)
+        assert out["jensen"]["holds"] is True
+
     @pytest.mark.parametrize("value", [-80.0, 0.0, 80.0])
     def test_constant_weight_keeps_the_extremal_function(self, tmp_path, value):
         # under psi + c the kernel scales by e^-c (e^80 = 5.5e34); the
@@ -703,6 +713,28 @@ class TestArgumentHandling:
         bad.write_text(json.dumps(cfg))
         assert run(command, bad, tmp_path / "o") == 2
         assert "expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, edit", [
+        # a number where a base point [re, im] list belongs
+        ("scan-psh", "scan_pstar.json", lambda c: c["circles"][0].update(w0=0.3)),
+        # a number where the grid object belongs
+        ("lambda", "lambda_pstar.json", lambda c: c.update(grid=5)),
+        # a number where the list of term objects belongs
+        ("extend", "extend_gaussian.json",
+         lambda c: c.update(f={"arity": 1, "terms": 5})),
+        # a list where a number belongs
+        ("kernel", "kernel_disc_dirac.json", lambda c: c.update(degree=[3])),
+    ], ids=["circle_w0", "grid", "terms", "degree"])
+    def test_value_of_the_wrong_type_exits_2(
+        self, tmp_path, capsys, command, name, edit
+    ):
+        # each raised TypeError, which escaped main with exit 1
+        cfg = json.loads((CONFIGS / name).read_text())
+        edit(cfg)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(command, bad, tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_validate_rejects_unknown_weight_variant(self):
         with pytest.raises(cli.ConfigError):

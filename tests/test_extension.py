@@ -202,6 +202,62 @@ class TestDivisorFiberNorm:
         assert rep["ratio"] == pytest.approx(1.0, abs=1e-9)
 
 
+Z_MINUS_W = JointLogDivisor(PolyW(2, {(1, 0): 1.0, (0, 1): -1.0}), 1)
+
+
+class TestDivisorJointBasis:
+    # a joint weight with a divisor part 2 log|g| takes the joint basis
+    # g(z, w) z^alpha w^k, whose Gram is that of the rest
+    def test_vanishing_divisor_ratio_is_one_at_every_node_count(self):
+        # 2 log|z - w|: only multiples of z - w have a finite joint norm.  The
+        # tensor rule over the monomial basis read ratio 0.99628, 0.99546 and
+        # 0.99942 at 8, 16 and 32 nodes; F = (z - w) h with h(z, 0) = 1, and
+        # the minimizer is h = 1
+        runs = []
+        for nodes in (8, 16, 32):
+            prob = ExtensionProblem(DISC, 0.5, Z_MINUS_W, 0.0, PolyW(1, {(1,): 1.0}),
+                                    2, 2, QuadSpec(nodes, nodes))
+            res = minimal_extension(prob)
+            runs.append((extension_report(prob, res), res.coeffs))
+        assert runs[0][0]["ratio"] == pytest.approx(1.0, abs=1e-12)
+        for rep, coeffs in runs[1:]:
+            assert rep == runs[0][0]
+            assert np.array_equal(coeffs, runs[0][1])
+
+    @pytest.mark.parametrize("base, rest", [
+        (LogDivisorWeight(G), ZeroWeight(1)),
+        (SumWeight((QuadraticWeight((1.0,)), LogDivisorWeight(G))),
+         QuadraticWeight((1.0,))),
+    ], ids=["divisor", "sum"])
+    def test_w_independent_gram_is_a_kronecker_product(self, base, rest):
+        # the fiber Gram of the rest times the base-disc moments
+        # pi r^(2k+2) / (k + 1); the tensor rule took 2.2 s here
+        r, dz, dw = 0.5, 3, 3
+        prob = ExtensionProblem(DISC, r, WIndependentJoint(base, 1), 0.0, G,
+                                dz, dw, QuadSpec(16, 32))
+        fiber = assemble_gram(DISC, rest, dz, prob.quad)
+        moments = [math.pi * r ** (2 * k + 2) / (k + 1) for k in range(dw + 1)]
+        expect = np.kron(fiber.gram, np.diag(moments))
+        assert np.all(np.abs(_joint_gram(prob).gram - expect)
+                      <= 1e-12 * np.abs(expect))
+        rep = extension_report(prob, minimal_extension(prob))
+        assert rep["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_divisor_weight_takes_the_tensor_rule(self, monkeypatch):
+        import xibergman.bergman as bergman
+
+        def refuse(model, quad):
+            raise AssertionError("divisor weight on the tensor path")
+
+        monkeypatch.setattr(bergman, "_tensor_quadrature_gram", refuse)
+        for weight, f in [(Z_MINUS_W, PolyW(1, {(1,): 1.0})),
+                          (WIndependentJoint(LogDivisorWeight(G), 1), G)]:
+            prob = ExtensionProblem(DISC, 0.5, weight, 0.0, f, 2, 2, QuadSpec(16, 32))
+            res = minimal_extension(prob)
+            assert extension_report(prob, res)["ratio"] == pytest.approx(1.0, abs=1e-12)
+            jensen_diagnostic(prob, DIRAC_FAMILY, (0.3,), result=res)
+
+
 class TestOptimalConstant:
     def test_w_independent_ratio_is_one(self):
         prob = problem()

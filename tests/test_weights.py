@@ -26,6 +26,7 @@ from xibergman.weights import (
     check_joint_weight,
     coordinate_form,
     divergence_probe,
+    divisor_split,
     eval_weight,
     gauss_legendre,
     monomial_moment,
@@ -302,6 +303,62 @@ class TestMultiplierOracle:
         g = PolyW(1, {(1,): 1.0})
         with pytest.raises(UnsupportedWeightError):
             multiplier_membership_oracle(LogDivisorWeight(g, c=2.0), g)
+
+    def test_sum_with_one_singular_part(self):
+        # the multiplier ideal of |z|^2 + 2 log|z1| is (z1); the oracle
+        # refused the sum, which multiplier_generators decoded
+        spec = SumWeight((QuadraticWeight((1.0, 1.0)), LogMonomialWeight((1.0, 0.0))))
+        assert multiplier_membership_oracle(spec, PolyW(2, {(1, 0): 1.0, (2, 1): 3.0}))
+        assert not multiplier_membership_oracle(spec, PolyW(2, {(0, 1): 1.0}))
+        assert not multiplier_membership_oracle(spec, PolyW(2, {(0, 0): 1.0}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 6.0), st.integers(0, 7))
+    def test_log_monomial_generator_is_the_integrability_threshold(self, c, a):
+        # |z^a|^2 |z|^(-2c) is integrable at 0 iff a > c - 1
+        f = PolyW(1, {(a,): 1.0})
+        assert multiplier_membership_oracle(LogMonomialWeight((c,)), f) == (a > c - 1.0)
+
+
+G_2PZ = PolyW(1, {(0,): 2.0, (1,): 1.0})  # 2 + z
+
+
+class TestDivisorSplit:
+    def test_fiber_sum(self):
+        quad = QuadraticWeight((1.0,))
+        assert divisor_split(SumWeight((quad, LogDivisorWeight(G_2PZ)))) == (
+            LogDivisorWeight(G_2PZ), quad)
+        assert divisor_split(LogDivisorWeight(G_2PZ)) == (
+            LogDivisorWeight(G_2PZ), ZeroWeight(1))
+        assert divisor_split(quad) == (None, quad)
+
+    def test_joint_divisor_is_a_divisor_on_the_product_domain(self):
+        g = PolyW(2, {(1, 0): 1.0, (0, 1): -1.0})
+        assert divisor_split(JointLogDivisor(g, 1)) == (
+            LogDivisorWeight(g), JointZero(1, 1))
+
+    def test_w_independent_divisor_reads_g_in_z_and_w(self):
+        base = SumWeight((QuadraticWeight((1.0,)), LogDivisorWeight(G_2PZ)))
+        divisor, rest = divisor_split(WIndependentJoint(base, 2))
+        assert divisor.g == PolyW(3, {(0, 0, 0): 2.0, (1, 0, 0): 1.0})
+        assert rest == WIndependentJoint(QuadraticWeight((1.0,)), 2)
+
+    @pytest.mark.parametrize("weight", [
+        JointLogDivisor(PolyW(2, {(1, 0): 1.0, (0, 1): -1.0}), 1, c=0.5),
+        JointPairQuadratic((1.0,)),
+        WIndependentJoint(ZeroWeight(1), 1),
+    ])
+    def test_unsplit_joint_weights(self, weight):
+        assert divisor_split(weight) == (None, weight)
+
+    @pytest.mark.parametrize("weight", [
+        LogDivisorWeight(G_2PZ, c=2.0),
+        WIndependentJoint(LogDivisorWeight(G_2PZ, c=0.5), 1),
+        SumWeight((LogDivisorWeight(G_2PZ), LogDivisorWeight(G_2PZ))),
+    ])
+    def test_no_factored_basis(self, weight):
+        with pytest.raises(UnsupportedWeightError):
+            divisor_split(weight)
 
 
 class TestDivergenceProbe:
