@@ -18,14 +18,15 @@ whose Gram is that of the rest: exact moments for the joint divisor.  Only
 the joint weights with neither form, the pair quadratic and joint divisors
 with c != 1, take a tensor quadrature.
 
-The basis is stored as coefficient arrays over global monomials: exponents
-E (one row per term), coefficients C and the basis element S of each term.
-The shifted monomials (z - center)^alpha are expanded by Pascal's rule on
-a dense exponent box; on a centered domain they are the identity (E =
-labels, C = 1).  A divisor basis g (z - center)^alpha is an outer sum of exponents
-and an outer product of coefficients with the terms of g.  Both follow the
-rounding and trimming of the PolyW products they replace bit for bit, and
-``GramModel.basis`` materializes PolyW views only on request.
+The basis is stored as coefficient arrays in the domain's local
+coordinates u = z - center: exponents E (one row per term), coefficients C
+and the basis element S of each term.  The monomials u^alpha are the
+identity (E = labels, C = 1) on every domain, and a divisor basis
+g_loc(u) u^alpha, g_loc(u) = g(u + center), takes the terms of g_loc, one
+``recenter`` of g, once per element.  Every consumer moves its points
+instead: the kernels evaluate at z - center and the tensor rule on the
+local nodes.  ``GramModel.basis`` and ``poly_from_coeffs`` give global
+PolyW views only on request.
 
 ``TaylorShift`` is the one evaluator of functional actions: on terms
 (E, C, S), which may also carry powers of base variables w, it gives the
@@ -48,11 +49,12 @@ import numpy as np
 
 from .family import PolyW
 from .functional import (
-    TRIM_REL_TOL,
     ArityMismatchError,
     Functional,
     MultiIndex,
+    TaylorData,
     multi_indices_upto,
+    recenter,
 )
 from .weights import (
     Polydisc,
@@ -96,10 +98,13 @@ class QuadSpec:
 class GramModel:
     """A truncated basis, its Gram matrix and (once orthonormalized) V / sqrt(lam).
 
-    Basis element j is the polynomial sum_t coeffs[t] z^exps[t] over the
-    terms t with seg[t] == j; seg is nondecreasing, so the terms of each
-    element are contiguous.  These arrays are the only representation of the
-    basis: ``basis`` materializes them as PolyW on first use.
+    Basis element j is the polynomial sum_t coeffs[t] u^exps[t] over the
+    terms t with seg[t] == j, in the local coordinates u = z - center of the
+    domain; seg is nondecreasing, so the terms of each element are
+    contiguous.  Without a divisor the basis is the u^alpha themselves:
+    exps = labels, coeffs = 1.  These arrays are the only representation of
+    the basis: ``basis`` and ``poly_from_coeffs`` give global PolyW views,
+    in powers of z, on request.
     """
 
     domain: Polydisc
@@ -127,12 +132,15 @@ class GramModel:
         bounds = np.searchsorted(self.seg, np.arange(self.size + 1))
         E, C = self.exps.tolist(), self.coeffs.tolist()
         return tuple(
-            PolyW(self.arity, {tuple(E[t]): C[t] for t in range(lo, hi)})
+            self._global(
+                PolyW(self.arity, {tuple(E[t]): C[t] for t in range(lo, hi)})
+            )
             for lo, hi in zip(bounds[:-1], bounds[1:])
         )
 
-    def poly_from_coeffs(self, c: Sequence[complex]) -> PolyW:
-        """sum_j c_j b_j, summed term by term in basis order."""
+    def local_poly(self, c: Sequence[complex]) -> PolyW:
+        """sum_j c_j b_j in powers of u = z - center, summed term by term in
+        basis order."""
         c = np.asarray(c, dtype=complex)
         live = c[self.seg] != 0
         E, S = self.exps[live], self.seg[live]
@@ -146,6 +154,13 @@ class GramModel:
             self.arity,
             {tuple(e): complex(x, y) for e, x, y in zip(E[first].tolist(), re, im)},
         )
+
+    def poly_from_coeffs(self, c: Sequence[complex]) -> PolyW:
+        """sum_j c_j b_j in powers of z."""
+        return self._global(self.local_poly(c))
+
+    def _global(self, p: PolyW) -> PolyW:
+        return _recentered(p, self.domain.center, (0j,) * self.arity)
 
     def norm_sq(self, c: Sequence[complex]) -> float:
         c = np.asarray(c, dtype=complex)
@@ -172,94 +187,27 @@ def _sum_repeated(code, re, im):
     )
 
 
-def _trim_terms(re, im, seg, size):
-    """Mask of the terms above TRIM_REL_TOL of their element's largest, as PolyW."""
-    mag = np.hypot(re, im)
-    scale = np.zeros(size)
-    np.maximum.at(scale, seg, mag)
-    return mag > scale[seg] * TRIM_REL_TOL
+def _recentered(p: PolyW, old, new) -> PolyW:
+    """p, in powers of z - old, in powers of z - new (``recenter``).
 
-
-def _shifted_monomials(center: tuple[complex, ...], labels: list[MultiIndex]):
-    """Terms (E, C, S) of the (z - center)^alpha, alpha in labels.
-
-    On a centered domain this is the identity.  Otherwise each element is
-    expanded on a dense box of exponents one factor (z_i - c_i) at a time
-    (Pascal's rule), dropping after every factor the terms at or below
-    TRIM_REL_TOL of the element's largest: the rounding, the trimming and
-    the term order (descending lex) are those of the PolyW product.
+    The identity when the centers agree, so a centered domain keeps the
+    terms of p in their order.
     """
-    n = len(center)
-    A = np.array(labels, dtype=int).reshape(len(labels), n)
-    # PolyW drops the constant of z_i - c_i when |c_i| <= TRIM_REL_TOL
-    shift = [c if abs(c) > TRIM_REL_TOL else 0j for c in center]
-    if not any(shift) or not len(A):
-        return A, np.ones(len(A), dtype=complex), np.arange(len(A))
-    L = len(A)
-    dims = tuple(A.max(axis=0) + 1)
-    re = np.zeros((L,) + dims)
-    im = np.zeros((L,) + dims)
-    re[(slice(None),) + (0,) * n] = 1.0
-    for i, c in enumerate(shift):
-        ax = i + 1
-        lead = (slice(None),) * ax
-        for step in range(1, int(A[:, i].max()) + 1):
-            rows = np.nonzero(A[:, i] >= step)[0]
-            ur, ui = re[rows], im[rows]
-            # u * (z_i - c_i): u shifted up along axis i, plus u * (-c_i)
-            nr, ni = np.zeros_like(ur), np.zeros_like(ui)
-            nr[lead + (slice(1, None),)] = ur[lead + (slice(None, -1),)]
-            ni[lead + (slice(1, None),)] = ui[lead + (slice(None, -1),)]
-            if c:
-                vr, vi = -c.real, -c.imag
-                nr += ur * vr - ui * vi
-                ni += ur * vi + ui * vr
-                mag = np.hypot(nr, ni)
-                scale = mag.reshape(len(rows), -1).max(axis=1)
-                cut = (scale * TRIM_REL_TOL).reshape((-1,) + (1,) * n)
-                nr[mag <= cut] = 0.0
-                ni[mag <= cut] = 0.0
-            re[rows], im[rows] = nr, ni
-    # C order of the box is ascending lex; read it backwards
-    re = re.reshape(L, -1)[:, ::-1]
-    im = im.reshape(L, -1)[:, ::-1]
-    seg, pos = np.nonzero((re != 0) | (im != 0))
-    E = np.stack(np.unravel_index(math.prod(dims) - 1 - pos, dims), axis=1)
-    C = np.empty(len(seg), dtype=complex)
-    C.real, C.imag = re[seg, pos], im[seg, pos]
-    return E, C, seg
+    if tuple(old) == tuple(new):
+        return p
+    return PolyW(p.arity, recenter(TaylorData(tuple(old), p.coeffs), new).coeffs)
 
 
-def _times_poly(g: PolyW, E, C, S, size):
-    """Terms of g * b_j for every element b_j given by (E, C, S).
+def _times_poly(g: PolyW, A: np.ndarray):
+    """Terms (E, C, S) of the basis g u^alpha, one element per row alpha of A.
 
-    Each product is summed and trimmed as the PolyW product g * b_j: terms
-    in order of first appearance over (term of g, term of b_j), sums over
-    the terms of g in their order.
+    g is in the basis coordinates u; element j takes the terms of g in their
+    order, times u^A[j].
     """
     gE = np.array(list(g.coeffs), dtype=int).reshape(len(g.coeffs), g.arity)
     gC = np.array(list(g.coeffs.values()), dtype=complex)
-    T = len(gC)
-    # candidate r * T + t: term t of g times term r of the basis
-    cand = (E[:, None, :] + gE[None, :, :]).reshape(-1, g.arity)
-    re, im = (x.ravel() for x in _cmul(gC[None, :], C[:, None]))
-    seg = np.repeat(S, T)
-    if len(C) == size:
-        # one term per element: no key repeats, and the order is already
-        # element, then term of g
-        re, im = re + 0.0, im + 0.0
-    else:
-        # order by element, then term of g, then term of b_j
-        order = np.argsort(seg * T + np.tile(np.arange(T), len(C)), kind="stable")
-        cand, seg, re, im = cand[order], seg[order], re[order], im[order]
-        dims = cand.max(axis=0, initial=0) + 1
-        code = seg * math.prod(dims) + np.ravel_multi_index(cand.T, dims)
-        first, re, im = _sum_repeated(code, re, im)
-        cand, seg = cand[first], seg[first]
-    keep = _trim_terms(re, im, seg, size)
-    C = np.empty(int(keep.sum()), dtype=complex)
-    C.real, C.imag = re[keep], im[keep]
-    return cand[keep], C, seg[keep]
+    E = (A[:, None, :] + gE[None, :, :]).reshape(-1, g.arity)
+    return E, np.tile(gC, len(A)), np.repeat(np.arange(len(A)), len(gC))
 
 
 def _local_form(weight, domain: Polydisc):
@@ -400,29 +348,29 @@ def _tensor_quadrature_gram(model: GramModel, quad: QuadSpec) -> np.ndarray:
         raise UnsupportedWeightError(
             "tensor quadrature grid too large; use a radial weight or lower degree"
         )
-    # build full grids of points and weights
+    # full grids of local nodes u = z - center and of their weights
     grids = []
-    for i, (r, wr, theta) in enumerate(axes):
-        zi = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    for r, wr, theta in axes:
+        ui = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
         wi = (wr[:, None] * r[:, None] * np.ones_like(theta)[None, :]).ravel() * (
             2.0 * math.pi / len(theta)
         )
-        grids.append((zi + domain.center[i], wi))
-    Z = np.stack(
+        grids.append((ui, wi))
+    U = np.stack(
         np.meshgrid(*[g[0] for g in grids], indexing="ij"), axis=-1
     ).reshape(-1, n)
     W = grids[0][1]
     for g in grids[1:]:
         W = np.multiply.outer(W, g[1])
     W = W.reshape(-1)
-    psi = np.array([weight.evaluate(tuple(z)) for z in Z])
+    psi = np.array([weight.evaluate(tuple(z)) for z in U + np.array(domain.center)])
     dens = np.where(np.isneginf(psi), 0.0, np.exp(-np.where(np.isneginf(psi), 0.0, psi)))
-    V = np.zeros((len(Z), model.size), dtype=complex)
+    V = np.zeros((len(U), model.size), dtype=complex)
     for e, c, j in zip(model.exps.tolist(), model.coeffs.tolist(), model.seg):
-        term = np.full(len(Z), c, dtype=complex)
+        term = np.full(len(U), c, dtype=complex)
         for i, ai in enumerate(e):
             if ai:
-                term = term * Z[:, i] ** ai
+                term = term * U[:, i] ** ai
         V[:, j] += term
     return np.conj(V).T @ (V * (W * dens)[:, None])
 
@@ -478,9 +426,8 @@ def assemble_gram(
         # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the Gram of the
         # (z - c)^alpha under the remaining parts
         inner = _assemble(domain, rest, degree, quad, method, labels)
-        E, C, S = _times_poly(
-            divisor.g, inner.exps, inner.coeffs, inner.seg, inner.size
-        )
+        g = _recentered(divisor.g, (0j,) * n, domain.center)
+        E, C, S = _times_poly(g, inner.exps)
         return GramModel(
             domain, weight, degree, inner.basis_labels, E, C, S, inner.gram
         )
@@ -496,8 +443,9 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
         labels = [
             a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
         ]
-    E, C, S = _shifted_monomials(domain.center, labels)
-    model = GramModel(domain, weight, degree, labels, E, C, S, None)
+    E = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
+    model = GramModel(domain, weight, degree, labels, E,
+                      np.ones(len(E), dtype=complex), np.arange(len(E)), None)
     if not labels:
         model.gram = np.zeros((0, 0), dtype=complex)
         return model
@@ -550,7 +498,7 @@ def basis_action(model: GramModel, xi: Functional, z: Sequence[complex]) -> np.n
     alphas, X = _functional_row(model, xi)
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
-    return shift.actions(X, _rows(z, model.arity))[0]
+    return shift.actions(X, _rows(z, model.arity) - np.array(model.domain.center))[0]
 
 
 def _functional_row(model: GramModel, xi: Functional):
@@ -592,15 +540,17 @@ def _points_in(domain: Polydisc, x, what: str) -> np.ndarray:
 
 class TaylorShift:
     """Actions of functionals sum_alpha X_alpha e_alpha on the basis
-    b_j = sum_{S[t] = j} C[t] z^Ez[t] w^Ew[t], at batches of points.
+    b_j = sum_{S[t] = j} C[t] u^Ez[t] w^Ew[t], at batches of points.
 
-    E holds the exponents (Ez, Ew) of each term; a model's terms have no Ew.
-    S may list the elements in any order, and an element may have no term.
-    For a monomial z^gamma the coefficient of (z - z0)^alpha is
-    C(gamma, alpha) z0^(gamma - alpha), so the action of e_alpha on b_j at
-    (z0, w) is the sum over the terms t of b_j of
-    C[t] C(gamma_t, alpha) z0^(gamma_t - alpha) w^Ew[t].  A functional is a
-    row X of coefficients over the alphas (a family's values xi_alpha(w)).
+    u is the coordinate the terms are written in, z - center for a model's
+    basis, and the points are given in it.  E holds the exponents (Ez, Ew)
+    of each term; a model's terms have no Ew.  S may list the elements in
+    any order, and an element may have no term.  For a monomial u^gamma the
+    coefficient of (u - u0)^alpha is C(gamma, alpha) u0^(gamma - alpha), so
+    the action of e_alpha on b_j at (u0, w) is the sum over the terms t of
+    b_j of C[t] C(gamma_t, alpha) u0^(gamma_t - alpha) w^Ew[t].  A functional
+    is a row X of coefficients over the alphas (a family's values
+    xi_alpha(w)).
     """
 
     def __init__(self, alphas, E, C, S, n: int, size: int):
@@ -619,7 +569,7 @@ class TaylorShift:
             self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
 
     def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
-        """Per alpha, C[t] C(gamma_t, alpha) z^(gamma_t - alpha): rows of Z x terms."""
+        """Per alpha, C[t] C(gamma_t, alpha) u^(gamma_t - alpha): rows of Z x terms."""
         tables = [np.vander(Z[:, i], top + 1, increasing=True)
                   for i, top in enumerate(self.ztop)]
         out = []
@@ -631,7 +581,7 @@ class TaylorShift:
         return out
 
     def actions(self, X, Z, W=None) -> np.ndarray:
-        """u[p, j] = (xi_p . b_j)(z_p, w_p) per row p of X.
+        """u[p, j] = (xi_p . b_j)(u_p, w_p) per row p of X, u_p a row of Z.
 
         Z has one row per row of X, or one row shared by all of them, whose
         z-factors are then taken once.  With a shared row and no Ew terms
@@ -670,8 +620,8 @@ class TaylorShift:
 
     def action_bound(self, X, Z) -> np.ndarray:
         """r[p, j] = max_alpha |X[p, alpha]| times the sum over alpha and the
-        terms t of b_j of |C[t] C(gamma_t, alpha) z_p^(gamma_t - alpha)|: a
-        bound on |(xi . b_j)(z_p)| for every functional over the alphas whose
+        terms t of b_j of |C[t] C(gamma_t, alpha) u_p^(gamma_t - alpha)|: a
+        bound on |(xi . b_j)(u_p)| for every functional over the alphas whose
         coefficients are at most those of row p in modulus (no Ew terms)."""
         mag = np.zeros((len(Z), len(self.S)))
         for f in self.z_factors(Z):
@@ -687,7 +637,8 @@ def kernels(model: GramModel, alphas, X, z):
     orthonormal basis e = b transform, and the mask of the kernels that
     vanish.  This is the one zero test of a kernel:
     K lam_max <= KERNEL_ZERO_TOL ||r||^2, with r the bound of
-    ``TaylorShift.action_bound`` on the actions u on the stored basis.  Both
+    ``TaylorShift.action_bound`` on the actions u on the stored basis, both
+    taken at z - center, the coordinate the basis is stored in.  Both
     sides scale as |xi|^2, and neither moves under psi -> psi + c, which
     scales K by e^c and lam_max by e^-c.  K lam_max is at least the squared
     norm of u on the kept eigenvectors, so only actions that vanish, or
@@ -699,10 +650,11 @@ def kernels(model: GramModel, alphas, X, z):
         orthonormalize(model)
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
-    a = shift.actions(X, Z) @ model.transform
+    U = Z - np.array(model.domain.center)
+    a = shift.actions(X, U) @ model.transform
     K = np.sum(a.real**2 + a.imag**2, axis=1)
     lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
-    r = shift.action_bound(X, Z)
+    r = shift.action_bound(X, U)
     return K, a, K * lam_max <= KERNEL_ZERO_TOL * np.sum(r**2, axis=1)
 
 

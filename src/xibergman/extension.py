@@ -18,10 +18,11 @@ model's basis polynomials: on a divisor basis its coefficients are those of
 f / g(., w0) (``_datum_coeffs``), so the divisor's k = 0 joint elements are
 exactly the fiber model's basis.  The Jensen diagnostic
 averages over a polar grid of base nodes handled as arrays: one
-``bergman.TaylorShift`` call on the (z, w) terms of F gives the Taylor
-coefficients of F_w at z0 as polynomials in w, evaluated by one Vandermonde
-matrix, and the log-kernels log K(w) come from one batched
-``fiberwise.log_kernel_on_fiber`` call, in log space throughout.
+``bergman.TaylorShift`` call on the terms of F in the joint model's local
+coordinates (z - center, w - w0) gives the Taylor coefficients of F_w at z0
+as polynomials in w - w0, evaluated by one Vandermonde matrix, and the
+log-kernels log K(w) come from one batched ``fiberwise.log_kernel_on_fiber``
+call, in log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets
@@ -242,14 +243,24 @@ def _datum_coeffs(f: PolyW, model: GramModel, index: dict, span: str):
     index maps alpha to the element (z - center)^alpha of a fiber model, or
     to (z - center)^alpha (w - w0)^0 of a joint model.  On a divisor basis
     g (z - center)^alpha the datum is read as f / g(., w0), whose
-    restriction to the central fiber is f; a datum outside that span, or
-    with a nonzero coefficient outside index, raises
-    InconsistentConstraintError.
+    restriction to the central fiber is f; a central fiber inside the
+    divisor (g(., w0) = 0), a datum outside that span, or one with a nonzero
+    coefficient outside index, raises InconsistentConstraintError.
     """
     n = f.arity
     divisor = divisor_split(model.weight)[0]
     if divisor is not None:
-        f = poly_quotient(substitute_base(divisor.g, n, model.domain.center[n:]), f)
+        w0 = model.domain.center[n:]
+        g = substitute_base(divisor.g, n, w0)
+        if not g.coeffs:
+            fiber = " w0 = " + ", ".join(
+                f"{w:g}" if w.imag else f"{w.real:g}" for w in w0
+            ) if w0 else ""
+            raise InconsistentConstraintError(
+                f"the central fiber{fiber} lies in the divisor g = 0, where"
+                " every basis element vanishes"
+            )
+        f = poly_quotient(g, f)
         if f is None:
             raise InconsistentConstraintError(
                 "fiber datum outside the span of the divisor basis g (z - center)^alpha"
@@ -292,21 +303,28 @@ def extension_report(prob: ExtensionProblem, result: ExtensionResult) -> dict:
     }
 
 
-def _jensen_actions(F: PolyW, n: int, family, w: np.ndarray, z0) -> np.ndarray:
-    """xi(w) . F_w at z0 for each base node w, F a polynomial in (z, w).
+def _jensen_actions(model: GramModel, coeffs, family, w: np.ndarray,
+                    z0) -> np.ndarray:
+    """xi(w) . F_w at z0 for each base node w, F = sum_j coeffs_j b_j on a
+    joint model.
 
-    One ``TaylorShift`` call takes the actions at z0 of every e_alpha on F's
-    terms, summed per power of w: with powers[node, k] = w^k,
-    (powers @ shift)[node, j] is the alpha_j-th Taylor coefficient of F_w.
+    F is read in the model's local coordinates, u = z - center and
+    v = w - w0.  One ``TaylorShift`` call takes the actions at u0 = z0 - center
+    of every e_alpha on F's terms, summed per power of v: with
+    powers[node, k] = v^k, (powers @ shift)[node, j] is the alpha_j-th Taylor
+    coefficient of F_w.
     """
+    n = model.arity - 1
+    F = model.local_poly(coeffs)
     E = np.array(list(F.coeffs), dtype=int).reshape(len(F.coeffs), n + 1)
     C = np.array(list(F.coeffs.values()), dtype=complex)
     top = int(E[:, n].max(initial=0))
     alphas = list(family.terms)
+    center = np.array(model.domain.center)
     shift = TaylorShift(alphas, E[:, :n], C, E[:, n], n, top + 1).actions(
-        np.eye(len(alphas)), np.array([z0])
+        np.eye(len(alphas)), np.array([z0]) - center[:n]
     )
-    powers = np.vander(w, top + 1, increasing=True)
+    powers = np.vander(w - center[n], top + 1, increasing=True)
     return np.sum(family.values(w[:, None]) * (powers @ shift.T), axis=1)
 
 
@@ -335,7 +353,6 @@ def jensen_diagnostic(
         result = minimal_extension(prob_template)
     elif result.problem != prob_template:
         raise ValueError("result is not the extension of prob_template")
-    n = prob_template.n
     z0 = tuple(complex(x) for x in z0)
     w0, r = prob_template.w0, prob_template.base_radius
 
@@ -343,7 +360,6 @@ def jensen_diagnostic(
     c = extremal_function(fmodel, family.eval((w0,)), z0)
     ext = result.with_datum(fmodel.poly_from_coeffs(c))
     prob = ext.problem
-    F = ext.joint_poly()
     lhs = math.log(fiber_norm(prob, fmodel))
 
     t, wt = gauss_legendre(radial_nodes)
@@ -353,7 +369,7 @@ def jensen_diagnostic(
     w = (w0 + rr[:, None] * (np.cos(thetas) + 1j * np.sin(thetas))[None, :]).ravel()
     da = np.repeat(wr * rr * (2.0 * math.pi / angular_nodes), angular_nodes)
 
-    act = _jensen_actions(F, n, family, w, z0)
+    act = _jensen_actions(ext.model, ext.coeffs, family, w, z0)
     base = Polydisc((r,), (w0,))
     # log K_psi + s(w): a large shift neither underflows a fiber Gram nor
     # overflows its kernel

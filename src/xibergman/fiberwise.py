@@ -10,7 +10,8 @@ share a Gram matrix, up to a scalar, share one model:
   leaves every fiber the Gram of the rest, since
   |g_w b|^2 e^{-2 log|g_w|} = |b|^2; only the factor g(z, w) of the basis
   g(z, w) (z - center)^alpha moves, polynomially in w.  The rest is modeled
-  as below, and its basis times g is one joint basis in (z, w);
+  as below, and its basis times g is one joint basis, in the fiber's local
+  coordinate z - center and in the global w;
 - a joint weight psi(z) + s(w) (``shift_split``: the zero, w-independent
   and split quadratic weights) has the fiber Gram e^{-s(w)} G_psi, so one
   model of psi serves every fiber and K_w = e^{s(w)} K_psi: the relative
@@ -21,8 +22,9 @@ share a Gram matrix, up to a scalar, share one model:
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  The
 actions of xi(w) on a basis, from the family values at all base points,
-come from ``bergman.TaylorShift``, one call per fiber model; the kernels are
-their squared norms in the model's orthonormal basis.  The verifiers check
+come from ``bergman.TaylorShift``, one call per fiber model, at the fiber
+points moved to z - center; the kernels are their squared norms in the
+model's orthonormal basis.  The verifiers check
 the submean-value inequality of the log-kernel on circles in the base, in
 the fiber, and along mixed complex lines, one batch per circle: a direct
 numerical rendering of log-plurisubharmonicity.
@@ -41,6 +43,7 @@ from .bergman import (
     TaylorShift,
     _inside,
     _points_in,
+    _recentered,
     _times_poly,
     assemble_gram,
     orthonormalize,
@@ -129,11 +132,12 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
     if problem.family.z_arity != problem.fiber_domain.arity:
         raise ValueError("functional arity mismatch")
     X = problem.family.values(W)
+    U = Z - np.array(problem.fiber_domain.center)
     K = np.zeros(len(W))
     models, s = _fiber_models(problem, W)
     for basis, members in models:
         for rows, transform in members:
-            u = basis.actions(X[rows], Z if len(Z) == 1 else Z[rows], W[rows])
+            u = basis.actions(X[rows], U if len(U) == 1 else U[rows], W[rows])
             a = u @ transform
             K[rows] = np.sum(a.real**2 + a.imag**2, axis=1)
     if log:
@@ -156,7 +160,7 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
     of row i is e^{s_i} times that of its model.  A divisor part
     2 log|g(z, w)| (``weights.divisor_split``) is split off once: the rest
     is modeled like any other joint weight, and its basis times g(z, w) is
-    one joint basis in (z, w).  A joint weight psi(z) + s(w) has one model,
+    one joint basis, local in z and global in w.  A joint weight psi(z) + s(w) has one model,
     of psi, for every fiber, up to the scalar shift s(w).  Any other joint
     weight gets one model per distinct row of W, and models whose terms
     agree share one ``TaylorShift``.
@@ -164,6 +168,10 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
     n, m = problem.fiber_domain.arity, problem.base_domain.arity
     alphas = list(problem.family.terms)
     divisor, jw = divisor_split(problem.joint_weight)
+    if divisor is not None:
+        # g(z, w) in the fiber's local coordinates u = z - center, w global
+        center = problem.fiber_domain.center + (0j,) * m
+        g = _recentered(divisor.g, (0j,) * (n + m), center)
     if hasattr(jw, "shift_split"):
         psi, s = jw.shift_split(W)
         fibers = [(psi, np.arange(len(W)))]
@@ -181,8 +189,7 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
         E, C, S = model.exps, model.coeffs, model.seg
         if divisor is not None:
             # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the basis g(z, w) b
-            E = np.hstack([E, np.zeros((len(E), m), dtype=int)])
-            E, C, S = _times_poly(divisor.g, E, C, S, model.size)
+            E, C, S = _times_poly(g, np.hstack([E, np.zeros((len(E), m), dtype=int)]))
         key = E.tobytes() + C.tobytes() + S.tobytes()
         if key not in classes:
             classes[key] = (TaylorShift(alphas, E, C, S, n, model.size), [])

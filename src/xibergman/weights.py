@@ -578,8 +578,13 @@ def multiplier_membership_oracle(spec, f: PolyW) -> bool:
 
     f is tested against the one generator of ``multiplier_generators``:
     exponent by exponent against a monomial z^e, by divisibility
-    (``poly_quotient``) against a divisor g.
+    (``poly_quotient``) against a divisor g.  An f of another arity than
+    the weight raises ArityMismatchError.
     """
+    if f.arity != spec.arity:
+        raise ArityMismatchError(
+            f"f has arity {f.arity}, the weight arity {spec.arity}"
+        )
     (gen,) = multiplier_generators(spec)
     if len(gen.coeffs) == 1:
         (e,) = gen.coeffs

@@ -485,6 +485,21 @@ def array_basis_problems(draw):
     return domain, g, degree, xi, z0, draw(st.randoms(use_true_random=False))
 
 
+@st.composite
+def translated_kernel_cases(draw):
+    """Radii, a quadratic's coefficients and a center c, a functional, a
+    degree <= 8 and a point z0 of the polydisc about c."""
+    n = draw(st.sampled_from([1, 2]))
+    cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    radii = tuple(draw(st.floats(0.5, 1.5)) for _ in range(n))
+    q = tuple(draw(st.floats(0.0, 2.0)) for _ in range(n))
+    c = tuple(draw(cplx) for _ in range(n))
+    xi = Functional(n, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n), cplx, min_size=1, max_size=3)))
+    z0 = tuple(ci + 0.6 * R * draw(cplx) for ci, R in zip(c, radii))
+    return radii, q, c, xi, draw(st.integers(0, 8)), z0
+
+
 class TestArrayBasis:
     @settings(max_examples=80, deadline=None)
     @given(array_basis_problems())
@@ -518,9 +533,28 @@ class TestArrayBasis:
             assert abs(diff) <= 1e-12 * scale
 
     def test_centered_basis_is_the_identity(self):
-        m = assemble_gram(Polydisc((1.0, 1.0)), ZeroWeight(2), 3)
-        assert m.exps.tolist() == [list(a) for a in m.basis_labels]
-        assert np.all(m.coeffs == 1.0) and m.seg.tolist() == list(range(m.size))
+        # the basis is stored in u = z - center, off the origin too
+        for domain in Polydisc((1.0, 1.0)), Polydisc((1.0, 0.5), (0.3, -0.2j)):
+            m = assemble_gram(domain, ZeroWeight(2), 3)
+            assert m.exps.tolist() == [list(a) for a in m.basis_labels]
+            assert np.all(m.coeffs == 1.0)
+            assert m.seg.tolist() == list(range(m.size))
+
+    @settings(max_examples=200, deadline=None)
+    @given(translated_kernel_cases())
+    def test_kernel_is_translation_invariant(self, case):
+        # a quadratic centered at c on a polydisc about c, at z0, is the
+        # same weight centered at 0 on a polydisc about 0, at z0 - c: the
+        # same Gram, basis and point, so the same kernel bit for bit
+        radii, q, c, xi, degree, z0 = case
+        moved = orthonormalize(
+            assemble_gram(Polydisc(radii, c), QuadraticWeight(q, c), degree)
+        )
+        home = orthonormalize(
+            assemble_gram(Polydisc(radii), QuadraticWeight(q), degree)
+        )
+        u0 = tuple(z - ci for z, ci in zip(z0, c))
+        assert xi_kernel(moved, xi, z0) == xi_kernel(home, xi, u0)
 
     def test_basis_view_is_read_only(self):
         m = assemble_gram(Polydisc((0.5,), (0.3,)), ZeroWeight(1), 3)

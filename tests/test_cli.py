@@ -467,6 +467,20 @@ class TestExtendCommand:
         assert "zero weighted norm" in err and "sharp bound" not in err
         assert not (tmp_path / "o" / "extend.json").exists()
 
+    def test_central_fiber_inside_the_divisor_exits_2(self, tmp_path, capsys):
+        # g = w vanishes on the whole central fiber w0 = 0, so every joint
+        # basis element does: the datum was refused with the bare
+        # "min() arg is an empty sequence"
+        cfg = json.loads((CONFIGS / "extend_joint_divisor.json").read_text())
+        cfg["weight"]["g"] = [{"beta": [0, 1], "re": 1.0, "im": 0.0}]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert run("extend", config, tmp_path / "o") == cli.EXIT_CONFIG
+        assert "the central fiber w0 = 0 lies in the divisor g = 0" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o" / "extend.json").exists()
+
     def test_gaussian_off_center_base_runs(self, tmp_path):
         # e^{-|z|^2 - |w|^2} over the base disc about w0 = 0.3 is a product
         # weight but not radial about (0, w0); the tensor rule refused its

@@ -522,30 +522,45 @@ class TestJensenAgainstNodeLoop:
 
 @st.composite
 def jensen_action_cases(draw):
-    """A polynomial F in (z, w), a family of z-order <= 2, base nodes in a
-    disc about w0 and a fiber point z0."""
+    """A joint model on a polydisc about (center, w0), centered or not, with
+    the basis (z - center)^alpha (w - w0)^k or g times it, coefficients on
+    up to 8 of its elements, a family of z-order <= 2, base nodes in a disc
+    about w0 and a fiber point z0 near the center."""
     n = draw(st.sampled_from([1, 2]))
     cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-    F = PolyW(n + 1, draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * (n + 1)), cplx, max_size=8)))
+    center = (0j,) * (n + 1)
+    if draw(st.booleans()):
+        center = tuple(0.5 * draw(cplx) for _ in range(n + 1))
+    weight = ZeroWeight(n + 1)
+    if draw(st.booleans()):
+        weight = LogDivisorWeight(PolyW(n + 1, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 1)] * (n + 1)), cplx, min_size=1,
+            max_size=3))))
+    coeffs = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * (n + 1)),
+                                  cplx, max_size=8))
+    labels = list(coeffs) or [(0,) * (n + 1)]
+    model = assemble_gram(Polydisc((1.0,) * (n + 1), center), weight,
+                          max(map(sum, labels)), labels=labels)
+    c = [coeffs.get(a, 0j) for a in model.basis_labels]
     family = FunctionalFamily(n, 1, draw(st.dictionaries(
         st.sampled_from(multi_indices_upto(n, 2)),
         st.dictionaries(st.tuples(st.integers(0, 2)), cplx, min_size=1,
                         max_size=3).map(lambda d: PolyW(1, d)),
         min_size=1, max_size=3,
     )))
-    w0, r = 0.5 * draw(cplx), draw(st.floats(0.1, 0.5))
+    w0, r = center[n], draw(st.floats(0.1, 0.5))
     w = np.array([w0 + r * draw(cplx) for _ in range(draw(st.integers(1, 8)))])
-    z0 = tuple(0.7 * draw(cplx) for _ in range(n))
-    return F, n, family, w, z0
+    z0 = tuple(ci + 0.7 * draw(cplx) for ci in center[:n])
+    return model, c, n, family, w, z0
 
 
 class TestJensenActions:
     @settings(max_examples=60, deadline=None)
     @given(jensen_action_cases())
     def test_match_restriction_then_recenter(self, case):
-        F, n, family, w, z0 = case
-        act = _jensen_actions(F, n, family, w, z0)
+        model, c, n, family, w, z0 = case
+        act = _jensen_actions(model, c, family, w, z0)
+        F = model.poly_from_coeffs(c)
         for k, wk in enumerate(w.tolist()):
             Fw = substitute_base(F, n, (wk,))
             xi = family.eval((wk,))

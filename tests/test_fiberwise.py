@@ -184,7 +184,12 @@ def batched_problems(draw, variant):
     base_center = st.sampled_from([0j, 0j, 0.25j])
     base = Polydisc((1.0,) * m, tuple(draw(base_center) for _ in range(m)))
     coeff = st.sampled_from([0.0, 0.5, 1.0])
-    if variant == "divisor":
+    if variant.startswith("divisor"):
+        if variant == "divisor_off_center":
+            fiber = Polydisc(fiber.radii, tuple(
+                draw(st.sampled_from([0.25, -0.125j, 0.25 + 0.25j]))
+                for _ in range(n)
+            ))
         g = poly(draw, n + m, 2)
         if not g.coeffs:
             g = PolyW.constant(1.0, n + m)
@@ -252,8 +257,11 @@ class TestBatchedAgainstPerPoint:
             else:
                 assert k == pytest.approx(r, rel=1e-12, abs=0)
 
+    # divisor_off_center: the joint basis g(z, w) b, local in z and global
+    # in w, on fiber discs that are all off their centers
     @pytest.mark.parametrize(
-        "variant", ["divisor", "zero", "windependent", "constant", "split", "pair"]
+        "variant", ["divisor", "divisor_off_center", "zero", "windependent",
+                    "constant", "split", "pair"]
     )
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -304,6 +304,16 @@ class TestMultiplierOracle:
         with pytest.raises(UnsupportedWeightError):
             multiplier_membership_oracle(LogDivisorWeight(g, c=2.0), g)
 
+    @pytest.mark.parametrize("spec, f", [
+        (LogMonomialWeight((1.5,)), PolyW(2, {(1, 0): 1.0})),
+        (ZeroWeight(3), PolyW(1, {(0,): 1.0})),
+    ])
+    def test_arity_mismatch_refused(self, spec, f):
+        # the exponent test zipped f's exponents with the generator's and
+        # answered True for both
+        with pytest.raises(ArityMismatchError):
+            multiplier_membership_oracle(spec, f)
+
     def test_sum_with_one_singular_part(self):
         # the multiplier ideal of |z|^2 + 2 log|z1| is (z1); the oracle
         # refused the sum, which multiplier_generators decoded
