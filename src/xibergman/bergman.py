@@ -57,6 +57,7 @@ from .functional import (
     recenter,
 )
 from .weights import (
+    JointLogDivisor,
     Polydisc,
     UnsupportedWeightError,
     coordinate_form,
@@ -118,6 +119,7 @@ class GramModel:
     transform: np.ndarray | None = None
     rank: int | None = None
     eigenvalues: np.ndarray | None = None
+    quad: QuadSpec | None = None  # the rule assemble_gram was given
 
     @property
     def arity(self) -> int:
@@ -240,6 +242,35 @@ def _local_form(weight, domain: Polydisc):
             radial = radial and ci == 0
         radial = radial and (qi == 0 or ai == center)
     return form, shift, c, radial
+
+
+def _refuse_divisor_zeros(weight, domain: Polydisc) -> None:
+    """Refuse a joint divisor 2c log|g| that may vanish on the closed domain
+    where |g|^(-2c) may not be integrable.
+
+    Across a zero of g of multiplicity mu, |g|^(-2c) is integrable when
+    c mu < 1, and mu <= deg g; where it is not, no basis element is square
+    integrable and the tensor rule would return a grid-dependent number:
+    UnsupportedWeightError.  So c deg g < 1 passes, and so does the
+    certificate that g has no zero there: in the local coordinates
+    u = z - center, the constant term dominates,
+    |g_0| > sum_{beta != 0} |g_beta| R^beta.  (A c = 1 divisor takes the
+    factored basis and never reaches the tensor rule.)
+    """
+    if not isinstance(weight, JointLogDivisor):
+        return
+    g = _recentered(weight.g, (0j,) * domain.arity, domain.center).coeffs
+    deg = max((sum(beta) for beta, v in g.items() if v != 0), default=0)
+    if weight.c * deg < 1:
+        return
+    bound = sum(abs(v) * math.prod(R**b for R, b in zip(domain.radii, beta))
+                for beta, v in g.items() if any(beta))
+    if not abs(g.get((0,) * domain.arity, 0)) > bound:
+        raise UnsupportedWeightError(
+            f"|g|^(-2c) with c = {weight.c} and deg g = {deg} (c deg g >= 1)"
+            " may not be integrable where g vanishes, and g may vanish in the"
+            " closed domain"
+        )
 
 
 def _radial_moment(e: float, q: float, R: float) -> float:
@@ -428,10 +459,13 @@ def assemble_gram(
         inner = _assemble(domain, rest, degree, quad, method, labels)
         g = _recentered(divisor.g, (0j,) * n, domain.center)
         E, C, S = _times_poly(g, inner.exps)
-        return GramModel(
+        model = GramModel(
             domain, weight, degree, inner.basis_labels, E, C, S, inner.gram
         )
-    return _assemble(domain, weight, degree, quad, method, labels)
+    else:
+        model = _assemble(domain, weight, degree, quad, method, labels)
+    model.quad = quad
+    return model
 
 
 def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
@@ -453,6 +487,7 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
     if method == "closed" and not radial:
         raise UnsupportedWeightError("closed-form moments unavailable for this weight")
     if form is None:
+        _refuse_divisor_zeros(weight, domain)
         model.gram = _tensor_quadrature_gram(model, quad)
     elif radial and method != "quadrature":
         diag = _moment_diagonal(domain, labels, form, cvec, shift)
@@ -462,31 +497,38 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
     return model
 
 
-def orthonormalize(model: GramModel) -> GramModel:
-    """Eigendecompose the Gram matrix and retain the numerically stable part.
+def hermitian_eig(G: np.ndarray):
+    """(lam, V, keep) of a Hermitian G: the eigenvalues ascending, their
+    eigenvectors, and the mask of the kept eigenvalues,
+    lam > EIG_CUTOFF_REL lam_max (none when lam_max <= 0).
 
-    A Gram whose off-diagonal is exactly zero (the closed-form and divisor
-    paths) is not passed to ``eigh``: its eigenvalues are its sorted
-    diagonal and V is the permutation that sorts it.  Tied eigenvalues may
-    then come in another order than ``eigh`` gives them.
+    The one eigendecomposition of a Gram matrix: ``orthonormalize`` and the
+    Schur solve of ``extension`` read it.  On a PSD matrix, whose singular
+    values are its eigenvalues, the cutoff is lstsq's rcond.  A G whose
+    off-diagonal is exactly zero (the closed-form and divisor paths) is not
+    passed to ``eigh``: its eigenvalues are its sorted diagonal and V is the
+    permutation that sorts it.  Tied eigenvalues may then come in another
+    order than ``eigh`` gives them.
     """
-    if model.size == 0:
-        model.transform = np.zeros((0, 0), dtype=complex)
-        model.rank = 0
-        model.eigenvalues = np.zeros(0)
-        return model
-    G = 0.5 * (model.gram + np.conj(model.gram).T)
     d = G.diagonal().real
     if np.array_equal(G, np.diag(d)):
         order = np.argsort(d, kind="stable")
-        lam, V = d[order], np.eye(len(d), dtype=complex)[:, order]
+        lam, V = d[order], np.zeros(G.shape, dtype=complex)
+        V[order, np.arange(len(d))] = 1.0
     else:
         lam, V = np.linalg.eigh(G)
     lmax = float(lam[-1]) if len(lam) else 0.0
-    if lmax <= 0:
-        keep = np.zeros(0, dtype=bool)
-    else:
-        keep = lam > EIG_CUTOFF_REL * lmax
+    return lam, V, lam > max(EIG_CUTOFF_REL * lmax, 0.0)
+
+
+def orthonormalize(model: GramModel) -> GramModel:
+    """Eigendecompose the Gram matrix and retain the numerically stable part.
+
+    The eigenpairs of the Hermitian part of the Gram and the kept ones come
+    from ``hermitian_eig``, the helper the Schur solve of ``extension``
+    shares, with its exactly diagonal shortcut.
+    """
+    lam, V, keep = hermitian_eig(0.5 * (model.gram + np.conj(model.gram).T))
     model.eigenvalues = lam
     model.transform = V[:, keep] / np.sqrt(lam[keep])[None, :]
     model.rank = int(keep.sum())

@@ -25,11 +25,16 @@ log-kernels log K(w) come from one batched ``fiberwise.log_kernel_on_fiber``
 call, in log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
-joint model, the Hermitian part of its Gram, the fixed and free index sets
-and the KKT scale.  None depends on the datum, so the diagnostic solves its
-extremal datum against the same joint model (``with_datum``), and the
+joint model, the Hermitian part of its Gram, the fixed and free index sets,
+the factorization of the free block G_FF (its eigenpairs above the
+EIG_CUTOFF_REL cutoff, from ``bergman.hermitian_eig``) and the KKT scale.
+None depends on the datum, so the diagnostic solves its extremal datum
+against the same joint model and factorization (``with_datum``).  The
 result's central fiber model, built once, gives both fiber norms and the
-extremal function: one joint and one central fiber model per command.
+extremal function, and serves the Jensen kernels too where their fiber
+weight is its weight (a w-independent weight, or a split quadratic at
+w0 = 0): one joint Gram, one factorization and one central fiber model per
+command.
 """
 
 from __future__ import annotations
@@ -41,21 +46,17 @@ from typing import Sequence
 import numpy as np
 
 from .bergman import (
-    EIG_CUTOFF_REL,
     GramModel,
     QuadSpec,
     TaylorShift,
+    _recentered,
     assemble_gram,
     extremal_function,
+    hermitian_eig,
 )
 from .family import PolyW
 from .fiberwise import FamilyProblem, log_kernel_on_fiber
-from .functional import (
-    MultiIndex,
-    TaylorData,
-    multi_indices_upto,
-    recenter,
-)
+from .functional import MultiIndex, multi_indices_upto
 from .weights import (
     Polydisc,
     check_joint_weight,
@@ -135,10 +136,11 @@ def _joint_gram(prob: ExtensionProblem) -> GramModel:
 class ExtensionResult:
     """The minimal extension of a problem's datum, and what its solve used.
 
-    The Hermitian part of the joint Gram, the fixed and free index sets and
-    the KKT scale ||G||_2 depend on the problem but not on its datum, so
-    ``with_datum`` solves another datum on the same fiber against them.  The
-    central fiber model is built on first use and shared with those results.
+    The Hermitian part of the joint Gram, the fixed and free index sets, the
+    kept eigenpairs of the free block G_FF and the KKT scale depend on the
+    problem but not on its datum, so ``with_datum`` solves another datum on
+    the same fiber against them, with no second factorization.  The central
+    fiber model is built on first use and shared with those results.
     """
 
     problem: ExtensionProblem
@@ -148,7 +150,8 @@ class ExtensionResult:
     gram: np.ndarray  # Hermitian part of the joint Gram
     fixed: dict[MultiIndex, int]  # fiber label alpha -> its k = 0 element
     free: np.ndarray  # the k > 0 elements
-    gram_norm: float  # ||G||_2, the scale of the KKT residual
+    factor: tuple[np.ndarray, np.ndarray]  # kept eigenpairs (lam, V) of G_FF
+    gram_norm: float  # max |lambda(G)| = ||G||_2, the scale of the KKT residual
     fiber: GramModel | None = None  # central fiber model, see fiber_model
 
     def joint_poly(self) -> PolyW:
@@ -175,7 +178,8 @@ class ExtensionResult:
     def with_datum(self, f: PolyW) -> ExtensionResult:
         """The minimal extension of the fiber datum f against this joint model."""
         return _solve(replace(self.problem, f=f), self.model, self.gram,
-                      self.fixed, self.free, self.gram_norm, self.fiber_model())
+                      self.fixed, self.free, self.factor, self.gram_norm,
+                      self.fiber_model())
 
 
 def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
@@ -185,7 +189,10 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
     exactly the basis elements with k = 0 (the fixed set C), and fixes their
     coefficients b to those of f in (z - center)^alpha, or of f / g(., w0) on
     a divisor basis g (z - center)^alpha (w - w0)^k.  The free coefficients
-    y minimize the norm: G_FF y = -G_FC b (Schur complement).
+    y minimize the norm: G_FF y = -G_FC b (Schur complement), solved on the
+    kept eigenpairs of G_FF (``_pinv_factor``), which the result keeps for
+    ``with_datum``.  The KKT scale is max |lambda(G)|, the largest modulus
+    of the diagonal when G is diagonal.
     """
     model = _joint_gram(prob)
     fixed = {a[:-1]: j for j, a in enumerate(model.basis_labels) if a[-1] == 0}
@@ -193,25 +200,42 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
         [j for j, a in enumerate(model.basis_labels) if a[-1] != 0], dtype=int
     )
     G = 0.5 * (model.gram + np.conj(model.gram).T)
-    return _solve(prob, model, G, fixed, free, float(np.linalg.norm(G, ord=2)))
+    gram_norm = float(np.abs(hermitian_eig(G)[0]).max(initial=0.0))
+    return _solve(prob, model, G, fixed, free, _pinv_factor(G[np.ix_(free, free)]),
+                  gram_norm)
 
 
-def _solve(prob, model, G, fixed, free, gram_norm, fiber=None) -> ExtensionResult:
+def _pinv_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs (lam, V) of a Hermitian G that ``hermitian_eig`` keeps.
+
+    V diag(1 / lam) V^H is the pseudo-inverse of G with the eigenvalues at
+    or below EIG_CUTOFF_REL lam_max dropped: lstsq's rcond on a PSD G.
+    """
+    lam, V, keep = hermitian_eig(G)
+    return lam[keep], V[:, keep]
+
+
+def _pinv_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of G y = rhs on G's factor."""
+    lam, V = factor
+    return V @ ((np.conj(V).T @ rhs) / lam)
+
+
+def _solve(prob, model, G, fixed, free, factor, gram_norm,
+           fiber=None) -> ExtensionResult:
     """The Schur-complement solve of ``minimal_extension`` for prob.f."""
     c = _datum_coeffs(prob.f, model, fixed, f"joint model span (degree {prob.dz})")
     if len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
-        y, *_ = np.linalg.lstsq(
-            G[np.ix_(free, free)], -G[free] @ c, rcond=EIG_CUTOFF_REL
-        )
-        c[free] = y
+        c[free] = _pinv_solve(factor, -G[free] @ c)
     # the residual of c over its largest modulus: the norms of a steep
     # extension (|c| ~ 1e285) overflow
     top = np.abs(c).max(initial=0.0)
     u = c / top if top > 0 else c
     scale = max(1.0, gram_norm * float(np.linalg.norm(u)))
     kkt = float(np.linalg.norm(G[free] @ u)) / scale
-    return ExtensionResult(prob, model, c, kkt, G, fixed, free, gram_norm, fiber)
+    return ExtensionResult(prob, model, c, kkt, G, fixed, free, factor, gram_norm,
+                           fiber)
 
 
 def _fiber_gram(prob: ExtensionProblem) -> GramModel:
@@ -266,7 +290,8 @@ def _datum_coeffs(f: PolyW, model: GramModel, index: dict, span: str):
                 "fiber datum outside the span of the divisor basis g (z - center)^alpha"
             )
     c = np.zeros(model.size, dtype=complex)
-    local = recenter(TaylorData((0.0,) * n, dict(f.coeffs)), model.domain.center[:n])
+    # the identity on a centered domain
+    local = _recentered(f, (0j,) * n, model.domain.center[:n])
     for a, v in local.coeffs.items():
         if a in index:
             c[index[a]] = v
@@ -376,7 +401,7 @@ def jensen_diagnostic(
     logK = log_kernel_on_fiber(
         FamilyProblem(prob.fiber_domain, base, prob.joint_weight, family,
                       prob.dz, prob.quad),
-        w[:, None], z0,
+        w[:, None], z0, fmodel,
     )
 
     live = (act != 0) & (logK > -math.inf)

@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bergman import (
+    GramModel,
     QuadSpec,
     TaylorShift,
     _inside,
@@ -115,7 +116,8 @@ def _as_point(x, arity: int) -> tuple[complex, ...]:
     return tuple(complex(v) for v in x)
 
 
-def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
+def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
+                    model: GramModel | None = None):
     """Kernels K_{xi(w)}(z) of the fibers over the base points w.
 
     w is one base point or an array of them (P, m); z is one fiber point,
@@ -123,7 +125,10 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
     when both are single points, else an array of P kernels.  For a joint
     weight psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where
     that overflows; with log=True the result is log K_psi + s(w), -inf where
-    K_psi vanishes, and nothing is exponentiated.
+    K_psi vanishes, and nothing is exponentiated.  model is a fiber model
+    already built by ``assemble_gram`` with its default labels and method,
+    which serves in place of a new one where it is the same (see
+    ``_fiber_models``).
     """
     W = _points_in(problem.base_domain, w, "base point")
     Z = _points_in(problem.fiber_domain, z, "evaluation point")
@@ -134,7 +139,7 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
     X = problem.family.values(W)
     U = Z - np.array(problem.fiber_domain.center)
     K = np.zeros(len(W))
-    models, s = _fiber_models(problem, W)
+    models, s = _fiber_models(problem, W, model)
     for basis, members in models:
         for rows, transform in members:
             u = basis.actions(X[rows], U if len(U) == 1 else U[rows], W[rows])
@@ -148,12 +153,14 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False):
     return float(K[0]) if np.ndim(w) < 2 and np.ndim(z) < 2 else K
 
 
-def log_kernel_on_fiber(problem: FamilyProblem, w, z):
+def log_kernel_on_fiber(problem: FamilyProblem, w, z,
+                        model: GramModel | None = None):
     """log of ``kernel_on_fiber``: log K_psi + s(w), -inf where K_psi vanishes."""
-    return kernel_on_fiber(problem, w, z, log=True)
+    return kernel_on_fiber(problem, w, z, log=True, model=model)
 
 
-def _fiber_models(problem: FamilyProblem, W: np.ndarray):
+def _fiber_models(problem: FamilyProblem, W: np.ndarray,
+                  given: GramModel | None = None):
     """The fiber models over W, and the shift s(w) of each row.
 
     The models come as [(basis, [(rows, transform), ...]), ...]; the kernel
@@ -163,7 +170,10 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
     one joint basis, local in z and global in w.  A joint weight psi(z) + s(w) has one model,
     of psi, for every fiber, up to the scalar shift s(w).  Any other joint
     weight gets one model per distinct row of W, and models whose terms
-    agree share one ``TaylorShift``.
+    agree share one ``TaylorShift``.  A given model (the central fiber model
+    of ``extension``) replaces the one a fiber weight would get when its
+    weight, domain, degree and quadrature are those of that fiber: the
+    Gram would be assembled and orthonormalized again, identically.
     """
     n, m = problem.fiber_domain.arity, problem.base_domain.arity
     alphas = list(problem.family.terms)
@@ -182,10 +192,14 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray):
             groups.setdefault(tuple(w), []).append(i)
         fibers = [(jw.fiber(w), np.array(rows)) for w, rows in groups.items()]
     classes: dict[bytes, tuple] = {}
+    same = given is not None and (given.domain, given.degree, given.quad) == (
+        problem.fiber_domain, problem.degree, problem.quad)
     for fw, rows in fibers:
-        model = orthonormalize(
-            assemble_gram(problem.fiber_domain, fw, problem.degree, problem.quad)
-        )
+        if same and given.weight == fw:
+            model = given if given.transform is not None else orthonormalize(given)
+        else:
+            model = orthonormalize(assemble_gram(
+                problem.fiber_domain, fw, problem.degree, problem.quad))
         E, C, S = model.exps, model.coeffs, model.seg
         if divisor is not None:
             # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the basis g(z, w) b

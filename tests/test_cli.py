@@ -366,18 +366,41 @@ def _spy_assemble_gram(monkeypatch):
 
 
 class TestExtendCommand:
-    @pytest.mark.parametrize("name, code", [("extend_gaussian", 0),
-                                            ("extend_windependent", 0),
-                                            ("extend_gaussian_steep", 1)])
+    @pytest.mark.parametrize("name, code, expect", [
+        ("extend_gaussian", 0, [1, 2]),
+        ("extend_windependent", 0, [1, 2]),
+        ("extend_gaussian_steep", 1, [1, 1, 2]),
+        ("extend_joint_divisor", 0, [1, 1, 2]),
+    ], ids=["extend_gaussian-0", "extend_windependent-0", "extend_gaussian_steep-1",
+            "extend_joint_divisor-0"])
     def test_one_joint_and_one_central_fiber_model(
-        self, tmp_path, monkeypatch, name, code
+        self, tmp_path, monkeypatch, name, code, expect
     ):
-        # the joint model, the central fiber model (fiber norms and the
-        # extremal datum) and the model of the Jensen kernels; the Jensen
-        # datum is solved against the same joint model
+        # the joint model and the central fiber model (fiber norms and the
+        # extremal datum); the Jensen datum is solved against the same joint
+        # model, and the Jensen kernels reuse the central model where their
+        # fiber weight is its weight.  Off w0 = 0 the Gaussian's kernels
+        # model psi without the shift |w0|^2, and a joint divisor's model
+        # the rest of the weight: one model more
         arities = _spy_assemble_gram(monkeypatch)
         assert run("extend", CONFIGS / f"{name}.json", tmp_path) == code
-        assert sorted(arities) == [1, 1, 2]
+        assert sorted(arities) == expect
+
+    def test_joint_divisor_with_c_above_one_refused_at_its_joint_gram(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 2c log|z - w| with c = 1.5: no joint basis element is square
+        # integrable, and the tensor rule read a grid-dependent joint norm
+        # before the fiber model refused c != 1
+        cfg = json.loads((CONFIGS / "extend_joint_divisor.json").read_text())
+        cfg["weight"]["c"] = 1.5
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        arities = _spy_assemble_gram(monkeypatch)
+        assert run("extend", config, tmp_path / "o") == 2
+        assert "may not be integrable where g vanishes" in capsys.readouterr().err
+        assert arities == [2]
+        assert not (tmp_path / "o" / "extend.json").exists()
 
     def test_joint_weight_arity_mismatch_exits_2(self, tmp_path, capsys):
         # cz = [1, 5] on one fiber disc: the joint Gram read cz[1] as the w

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xibergman.bergman import (
+    EIG_CUTOFF_REL,
     QuadSpec,
     _tensor_quadrature_gram,
     assemble_gram,
@@ -22,6 +23,8 @@ from xibergman.extension import (
     ExtensionProblem,
     _jensen_actions,
     _joint_gram,
+    _pinv_factor,
+    _pinv_solve,
     InconsistentConstraintError,
     ZeroFiberNormError,
     extension_report,
@@ -31,6 +34,7 @@ from xibergman.extension import (
     optimal_constant_check,
 )
 from xibergman.family import FunctionalFamily, PolyW
+from xibergman.fiberwise import FamilyProblem, log_kernel_on_fiber
 from xibergman.functional import (
     ArityMismatchError,
     TaylorData,
@@ -48,6 +52,7 @@ from xibergman.weights import (
     Polydisc,
     QuadraticWeight,
     SumWeight,
+    UnsupportedWeightError,
     WIndependentJoint,
     ZeroWeight,
     substitute_base,
@@ -243,6 +248,40 @@ class TestDivisorJointBasis:
         rep = extension_report(prob, minimal_extension(prob))
         assert rep["ratio"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("g, c", [
+        (Z_MINUS_W.g, 1.5),
+        (Z_MINUS_W.g, 2.0),
+        # |z - w|^(-3): c < 1, but c deg g = 1.5
+        (PolyW(2, {(2, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0}), 0.75),
+    ], ids=["c1.5", "c2", "square_c0.75"])
+    @pytest.mark.parametrize("nodes", [8, 16])
+    def test_divisor_not_integrable_where_it_vanishes_refused(self, g, c, nodes):
+        # |g|^(-2c) is integrable nowhere near z = w: the tensor rule read
+        # the joint norm 5.0617 and 4.8871 at 8 and 16 nodes for c = 1.5, and
+        # 32.78 and 41.21 for c = 2
+        prob = ExtensionProblem(DISC, 0.5, JointLogDivisor(g, 1, c), 0.0,
+                                PolyW(1, {(1,): 1.0}), 2, 2, QuadSpec(nodes, nodes))
+        with pytest.raises(UnsupportedWeightError,
+                           match="may vanish in the closed domain"):
+            minimal_extension(prob)
+
+    @pytest.mark.parametrize("g, c, w0, r", [
+        # |2| > |1| 1 + |-0.5| 0.5 on the centered product domain
+        (PolyW(2, {(0, 0): 2.0, (1, 0): 1.0, (0, 1): -0.5}), 1.5, 0.0, 0.5),
+        # g = w has no constant term, but g = 0.9 + (w - 0.9) about w0 = 0.9
+        (PolyW(2, {(0, 1): 1.0}), 1.5, 0.9, 0.05),
+        # g = z - w vanishes in the domain, but |g|^(-1) is integrable there
+        (Z_MINUS_W.g, 0.5, 0.0, 0.5),
+    ], ids=["centered", "off_center", "c_deg_below_one"])
+    def test_divisor_integrable_or_without_zeros_keeps_the_tensor_rule(
+        self, g, c, w0, r
+    ):
+        prob = ExtensionProblem(DISC, r, JointLogDivisor(g, 1, c), w0,
+                                PolyW(1, {(1,): 1.0}), 2, 2, QuadSpec(8, 8))
+        res = minimal_extension(prob)
+        assert res.kkt_residual < 1e-9
+        assert 0 < res.joint_norm < math.inf
+
     def test_no_divisor_weight_takes_the_tensor_rule(self, monkeypatch):
         import xibergman.bergman as bergman
 
@@ -384,6 +423,103 @@ class TestOneJointModel:
         res = minimal_extension(problem(r=0.5))
         with pytest.raises(ValueError, match="not the extension"):
             jensen_diagnostic(problem(), DIRAC_FAMILY, (0.0,), result=res)
+
+
+@st.composite
+def psd_cases(draw):
+    """A Hermitian PSD matrix of rank r <= size, exactly diagonal or dense,
+    with kept eigenvalues in [0.1, 1] times a scale and the others 0, and
+    two right-hand sides.  A diagonal one may also hold 1e-11 and 1e-13
+    times its largest eigenvalue, on either side of the cutoff."""
+    size = draw(st.integers(1, 12))
+    rank = draw(st.integers(0, size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ev = np.zeros(size)
+    ev[:rank] = rng.uniform(0.1, 1.0, rank) * 10.0 ** draw(st.integers(-6, 6))
+    diagonal = draw(st.booleans())
+    if diagonal and rank and draw(st.booleans()):
+        ev[rank:rank + 2] = [1e-11 * ev.max(), 1e-13 * ev.max()][:size - rank]
+    ev = rng.permutation(ev)
+    if diagonal:
+        G = np.diag(ev).astype(complex)
+    else:
+        Q, _ = np.linalg.qr(rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size)))
+        G = (Q * ev) @ np.conj(Q).T
+        G = 0.5 * (G + np.conj(G).T)
+    rhs = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+    return G, rhs
+
+
+class TestSharedFactorization:
+    @settings(max_examples=80, deadline=None)
+    @given(psd_cases())
+    def test_solves_match_lstsq_and_separate_factorizations(self, case):
+        G, rhs = case
+        factor = _pinv_factor(G)
+        for b in rhs:
+            y = _pinv_solve(factor, b)
+            ref = np.linalg.lstsq(G, b, rcond=EIG_CUTOFF_REL)[0]
+            assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+            # a second datum on one factorization is its own solve
+            assert np.array_equal(y, _pinv_solve(_pinv_factor(G), b))
+
+    @pytest.mark.parametrize("prob", JENSEN_PROBLEMS)
+    def test_with_datum_factors_nothing(self, prob, monkeypatch):
+        import xibergman.extension as extension
+
+        sizes = []
+        original = extension.hermitian_eig
+
+        def spy(G, **kwargs):
+            sizes.append(len(G))
+            return original(G, **kwargs)
+
+        monkeypatch.setattr(extension, "hermitian_eig", spy)
+        res = minimal_extension(prob)
+        # G for the KKT scale, and G_FF
+        assert sizes == [res.model.size, len(res.free)]
+        res.with_datum(PolyW(1, {(0,): 0.5 - 1j, (1,): 2.0}))
+        assert len(sizes) == 2
+
+
+class TestCentralModelInJensenKernels:
+    @pytest.mark.parametrize("weight, w0, quad, built", [
+        (GAUSSIAN, 0.0, QuadSpec(8, 8), 0),
+        (WIndependentJoint(QuadraticWeight((2.0,), (0.1j,)), 1), 0.3,
+         QuadSpec(8, 8), 0),
+        # the fiber at w0 = 0.3 carries the shift |w0|^2, psi does not
+        (GAUSSIAN, 0.3, QuadSpec(8, 8), 1),
+        # the kernels model the rest of the weight, not the divisor
+        (Z_MINUS_W, 0.0, QuadSpec(8, 8), 1),
+        (GAUSSIAN, 0.0, QuadSpec(8, 12), 1),
+    ], ids=["gaussian", "w_independent", "gaussian_off_zero", "joint_divisor",
+            "other_quadrature"])
+    def test_kernels_equal_and_the_model_reused_only_where_the_same(
+        self, monkeypatch, weight, w0, quad, built
+    ):
+        import xibergman.fiberwise as fiberwise
+
+        prob = ExtensionProblem(DISC, 0.5, weight, w0, PolyW(1, {(1,): 1.0}),
+                                3, 3, QuadSpec(8, 8))
+        fmodel = minimal_extension(prob).fiber_model()
+        family = FunctionalFamily(1, 1, {(0,): PolyW(1, {(0,): 1.0}),
+                                         (1,): PolyW(1, {(1,): 0.5j})})
+        fam = FamilyProblem(DISC, Polydisc((0.5,), (w0,)), weight, family, 3, quad)
+        W = (w0 + 0.4 * np.exp(2j * np.pi * np.arange(7) / 7))[:, None]
+        alone = log_kernel_on_fiber(fam, W, (0.2 - 0.1j,))
+
+        calls = []
+        original = fiberwise.assemble_gram
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fiberwise, "assemble_gram", spy)
+        given = log_kernel_on_fiber(fam, W, (0.2 - 0.1j,), fmodel)
+        assert np.array_equal(given, alone)
+        assert len(calls) == built
 
 
 def reference_jensen(prob_template, family, z0, radial_nodes, angular_nodes, tol):
