@@ -12,7 +12,7 @@ import sys
 
 from xibergman.family import PolyW
 from xibergman.fiberwise import square_grid
-from xibergman.ideal import IdealFamily, krull_stabilize, lambda_scan
+from xibergman.ideal import IdealFamily, krull_stabilize
 from xibergman.weights import JointLogDivisor
 
 
@@ -28,14 +28,12 @@ def main() -> int:
     weight = JointLogDivisor(PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0}), 2)
     grid = square_grid(args.half_width, args.count)
 
-    scan = lambda_scan(fam, weight, grid, degree=args.degree)
+    krull = krull_stabilize(fam, weight, grid, args.n_max, degree=args.degree)
+    scan = krull.per_n[fam.truncation]  # the scan at N = 2, one of its orders
     print(f"grid points: {len(grid)}  skipped (outside U): {len(scan.skipped)}")
     print(f"cross-checks agree: {scan.agree}")
     print(f"degeneracy locus: {[w[0] for w in scan.lambda_points()]}")
 
-    krull = krull_stabilize(
-        fam, weight, grid, args.n_max, degree=args.degree, scan=scan
-    )
     sizes = {N: len(s.lambda_psi) for N, s in krull.per_n.items()}
     print(f"locus size per jet order: {sizes}")
     print(f"nested: {krull.nested}  stabilized at N = {krull.stabilized_at}")

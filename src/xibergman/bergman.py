@@ -622,19 +622,22 @@ class TaylorShift:
             out.append(f)
         return out
 
-    def actions(self, X, Z, W=None) -> np.ndarray:
+    def actions(self, X, Z, W=None, zf=None) -> np.ndarray:
         """u[p, j] = (xi_p . b_j)(u_p, w_p) per row p of X, u_p a row of Z.
 
         Z has one row per row of X, or one row shared by all of them, whose
-        z-factors are then taken once.  With a shared row and no Ew terms
-        the actions are linear in X: u = X @ U0, where U0[alpha, j] is the
-        action of e_alpha on b_j.  Otherwise the rows go in blocks of at
+        z-factors are then taken once.  ``zf``, when given, is
+        ``z_factors(Z)``, taken by the caller.  With a shared row and no Ew
+        terms the actions are linear in X: u = X @ U0, where U0[alpha, j] is
+        the action of e_alpha on b_j.  Otherwise the rows go in blocks of at
         most BLOCK points; acc[p, t] is the action of row p on term t.
         """
         X = np.asarray(X, dtype=complex)
-        shared = self.z_factors(Z) if len(Z) == 1 else None
-        if shared is not None and not self.wtop.any():
-            f = np.vstack(shared) if shared else np.zeros((0, len(self.S)))
+        shared = len(Z) == 1
+        if zf is None and shared:
+            zf = self.z_factors(Z)
+        if shared and not self.wtop.any():
+            f = np.vstack(zf) if zf else np.zeros((0, len(self.S)))
             U0 = np.empty((len(f), self.size), dtype=complex)
             U0.real = self._sums(f.real)
             U0.imag = self._sums(f.imag)
@@ -642,9 +645,14 @@ class TaylorShift:
         u = np.empty((len(X), self.size), dtype=complex)
         for lo in range(0, len(X), BLOCK):
             hi = lo + BLOCK
-            zf = shared if shared is not None else self.z_factors(Z[lo:hi])
+            if shared:
+                block = zf
+            elif zf is not None:
+                block = [f[lo:hi] for f in zf]
+            else:
+                block = self.z_factors(Z[lo:hi])
             acc = np.zeros((len(X[lo:hi]), len(self.S)), dtype=complex)
-            for j, f in enumerate(zf):
+            for j, f in enumerate(block):
                 acc += X[lo:hi, j, None] * f
             for i in np.nonzero(self.wtop)[0]:
                 wi = np.vander(W[lo:hi, i], self.wtop[i] + 1, increasing=True)
@@ -660,13 +668,14 @@ class TaylorShift:
         return np.bincount((rows + self.S).ravel(), x.ravel(), len(x) * self.size
                            ).reshape(len(x), self.size)
 
-    def action_bound(self, X, Z) -> np.ndarray:
+    def action_bound(self, X, zf) -> np.ndarray:
         """r[p, j] = max_alpha |X[p, alpha]| times the sum over alpha and the
         terms t of b_j of |C[t] C(gamma_t, alpha) u_p^(gamma_t - alpha)|: a
         bound on |(xi . b_j)(u_p)| for every functional over the alphas whose
-        coefficients are at most those of row p in modulus (no Ew terms)."""
-        mag = np.zeros((len(Z), len(self.S)))
-        for f in self.z_factors(Z):
+        coefficients are at most those of row p in modulus (no Ew terms).
+        ``zf`` is ``z_factors(Z)``, taken by the caller."""
+        mag = np.zeros((len(zf[0]) if zf else 1, len(self.S)))
+        for f in zf:
             mag += np.abs(f)
         return np.abs(X).max(axis=1, initial=0.0)[:, None] * self._sums(mag)
 
@@ -693,10 +702,11 @@ def kernels(model: GramModel, alphas, X, z):
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
     U = Z - np.array(model.domain.center)
-    a = shift.actions(X, U) @ model.transform
+    zf = shift.z_factors(U)  # shared by the actions and their bound
+    a = shift.actions(X, U, zf=zf) @ model.transform
     K = np.sum(a.real**2 + a.imag**2, axis=1)
     lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
-    r = shift.action_bound(X, U)
+    r = shift.action_bound(X, zf)
     return K, a, K * lam_max <= KERNEL_ZERO_TOL * np.sum(r**2, axis=1)
 
 

@@ -194,11 +194,10 @@ def _timestamp() -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    body = json.dumps(payload, indent=2, sort_keys=True)
     # timestamp on its own header line so reruns differ only there
     path.write_text(
         "{\n  \"generatedAt\": \"%s\",\n  \"payload\": %s\n}\n"
-        % (_timestamp(), body.replace("\n", "\n  "))
+        % (_timestamp(), _json_text(payload, "  "))
     )
 
 
@@ -217,18 +216,51 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_safe(x):
-    if isinstance(x, np.generic):
-        x = x.item()
-    if isinstance(x, float) and not math.isfinite(x):
-        return "-inf" if x < 0 else ("inf" if x > 0 else "nan")
-    if isinstance(x, complex):
-        return [x.real, x.imag]
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it: repr, or NaN / Infinity / -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _json_text(x, indent: str) -> str:
+    """x as ``json.dumps(x, indent=2, sort_keys=True)`` writes it nested at
+    ``indent``, in one pass, except that a numpy scalar is its Python value,
+    a complex number is the list [re, im], and a non-finite float outside a
+    complex number is the string "inf", "-inf" or "nan".  Keys are strings.
+    The commonest types are tested first."""
+    if isinstance(x, float):  # np.float64 too: float.__repr__ is its repr
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return '"-inf"' if x < 0 else ('"inf"' if x > 0 else '"nan"')
+    if x is None or x is True or x is False:
+        return "null" if x is None else ("true" if x else "false")
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return _encode_str(x)
+    inner = indent + "  "
+    sep = ",\n" + inner
     if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
+        if not x:
+            return "{}"
+        # _encode_str raises TypeError on a key that is not a string
+        body = sep.join(
+            [f"{_encode_str(k)}: {_json_text(x[k], inner)}" for k in sorted(x)]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    return x
+        if not x:
+            return "[]"
+        body = sep.join([_json_text(v, inner) for v in x])
+    elif isinstance(x, np.generic):
+        return _json_text(x.item(), indent)
+    elif isinstance(x, complex):
+        body = _json_float(x.real) + sep + _json_float(x.imag)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +286,7 @@ def _cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
         "logK": math.log(K) if K > 0 else "-inf",
         "modelRank": model.rank,
     }
-    _write_json(out / "kernel.json", _json_safe(payload))
+    _write_json(out / "kernel.json", payload)
     return EXIT_OK
 
 
@@ -309,7 +341,7 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
         rows = fiberwise.scan_base(problem, z, _grid_points(cfg["grid"]))
         _write_csv(out / "scan.csv", ["w_re", "w_im", "logK"], rows)
 
-    _write_json(out / "psh_report.json", _json_safe({"reports": reports}))
+    _write_json(out / "psh_report.json", {"reports": reports})
     return EXIT_VERIFY_FAIL if any_fail else EXIT_OK
 
 
@@ -322,7 +354,7 @@ def _cmd_annihilate(cfg: dict, out: Path, seed: int) -> int:
     )
     grid = _grid_points(cfg.get("wGrid", default), fam.w_arity)
     res = ideal.build_annihilator(fam, grid, seed=seed)
-    _write_json(out / "annihilator.json", _json_safe(ideal.annihilator_to_json(res)))
+    _write_json(out / "annihilator.json", ideal.annihilator_to_json(res))
     return EXIT_OK
 
 
@@ -337,7 +369,15 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
     degree = int(cfg.get("degree", 8))
     quad = _quad(cfg)
     n_max = int(cfg.get("nMax", fam.truncation))
-    scan = ideal.lambda_scan(fam, wt, grid, fiber_domain, degree, quad, seed=seed)
+    krull = None
+    if n_max > fam.truncation:
+        krull = ideal.krull_stabilize(
+            fam, wt, grid, n_max, fiber_domain, degree, quad, seed=seed
+        )
+    # the Krull scans include this order unless N = 1
+    scan = krull.per_n.get(fam.truncation) if krull else None
+    if scan is None:
+        scan = ideal.lambda_scan(fam, wt, grid, fiber_domain, degree, quad, seed=seed)
     rows = []
     for i, pt in enumerate(scan.points):
         rows.append(
@@ -354,16 +394,12 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
     payload = {
         "rank": scan.res.r,
         "functionalCount": scan.res.s,
-        "lambdaPsi": [list(map(_json_safe, scan.points[i].w)) for i in scan.lambda_psi],
+        "lambdaPsi": [list(scan.points[i].w) for i in scan.lambda_psi],
         "skipped": scan.skipped,
-        "mismatches": [list(map(_json_safe, scan.points[i].w)) for i in scan.mismatches],
+        "mismatches": [list(scan.points[i].w) for i in scan.mismatches],
         "agree": scan.agree,
     }
-    if n_max > fam.truncation:
-        krull = ideal.krull_stabilize(
-            fam, wt, grid, n_max, fiber_domain, degree, quad, seed=seed,
-            scan=scan,
-        )
+    if krull is not None:
         payload["krull"] = {
             "nested": krull.nested,
             "stabilizedAt": krull.stabilized_at,
@@ -373,7 +409,7 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
         }
         if not krull.nested:
             payload["agree"] = False
-    _write_json(out / "lambda.json", _json_safe(payload))
+    _write_json(out / "lambda.json", payload)
     return EXIT_OK if payload["agree"] else EXIT_VERIFY_FAIL
 
 
@@ -400,7 +436,7 @@ def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
         payload["jensen"] = extension.jensen_diagnostic(
             prob, fam, _point(j["z0"]), result=result
         )
-    _write_json(out / "extend.json", _json_safe(payload))
+    _write_json(out / "extend.json", payload)
     code = EXIT_OK
     if payload["ratio"] > 1.0 + extension.RATIO_SLACK:
         print(f"FAIL: optimal-constant ratio {payload['ratio']!r} exceeds the "

@@ -21,9 +21,9 @@ B(w) in one ``bergman.kernels`` call, and the membership checks multiply
 B(w) by jet coefficient vectors, so no ``Functional`` is built.  Besides
 the generators and the oracle generators of the membership checks
 (``weights.multiplier_generators``), PolyW
-appears only where a polynomial leaves this layer: in
-``annihilator_to_json`` and the ``rows``, ``det_c`` and ``functionals()``
-views of an ``AnnihilatorResult``.
+appears only in the ``rows``, ``det_c`` and ``functionals()`` views of an
+``AnnihilatorResult``; ``annihilator_to_json`` writes the terms straight
+from the coefficient arrays.
 
 The pivot determinant det C(w) and the cofactors are found by
 evaluation-interpolation.  K_i - 1, the sum over a block's rows of the
@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import QuadSpec, assemble_gram, kernels, orthonormalize
+from .bergman import GramModel, QuadSpec, assemble_gram, kernels, orthonormalize
 from .family import FunctionalFamily, PolyW
 from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
 from .weights import Polydisc, check_joint_weight, multiplier_generators
@@ -210,26 +210,51 @@ def build_coeff_matrix(fam: IdealFamily) -> CoeffMatrixA:
     """Coefficient matrix of {z^beta f_i mod m^N} in the jet monomial basis.
 
     The term c z^gamma w^b of f_i lands in row gamma + beta of column
-    (beta, i), at the monomial w^b.  An entry holds some of the terms of
-    f_i, which PolyW trimmed against f_i's largest, so no entry needs a trim.
+    (beta, i), at the monomial w^b: one broadcast over all the terms and
+    all the beta, with the rows from ``_grlex_rank``.  No two terms of f_i
+    share a cell, and an entry holds some of the terms of f_i, which PolyW
+    trimmed against f_i's largest, so no entry needs a trim.
     """
     n, m, N = fam.z_arity, fam.w_arity, fam.truncation
     basis = multi_indices_upto(n, N - 1)
-    row_of = {a: i for i, a in enumerate(basis)}
     p = len(basis)
     cols = [(beta, i) for i in range(len(fam.generators)) for beta in basis]
     w_exps = sorted({e[n:] for g in fam.generators for e in g.coeffs})
     t_of = {b: t for t, b in enumerate(w_exps)}
+    terms = [
+        (i, e, c) for i, g in enumerate(fam.generators) for e, c in g.coeffs.items()
+    ]
+    gen = np.array([i for i, _, _ in terms], dtype=np.int64)
+    t = np.array([t_of[e[n:]] for _, e, _ in terms], dtype=np.int64)
+    vals = np.array([c for _, _, c in terms], dtype=complex)
+    gamma = np.array([e[:n] for _, e, _ in terms], dtype=np.int64).reshape(-1, n)
+    alpha = gamma[:, None, :] + np.array(basis, dtype=np.int64).reshape(p, n)
+    k, j = np.nonzero(alpha.sum(axis=2) <= N - 1)  # term k meets column beta_j
     coef = np.zeros((len(w_exps), p, len(cols)), dtype=complex)
-    for i, g in enumerate(fam.generators):
-        for e, c in g.coeffs.items():
-            gamma, t = e[:n], t_of[e[n:]]
-            for j, beta in enumerate(basis):
-                row = row_of.get(tuple(bi + gi for bi, gi in zip(beta, gamma)))
-                if row is not None:
-                    coef[t, row, i * p + j] += c
+    # += onto zeros, as a sum over the terms would: 0 + (-0.0) is +0.0
+    coef[t[k], _grlex_rank(alpha[k, j]), gen[k] * p + j] += vals[k]
     exps = np.array(w_exps, dtype=np.int64).reshape(-1, m)
     return CoeffMatrixA(fam, basis, cols, _live(exps, coef))
+
+
+def _grlex_rank(alpha: np.ndarray) -> np.ndarray:
+    """The index of each row of alpha in ``multi_indices_upto`` order: the
+    C(d - 1 + n, n) multi-indices of degree below d = |alpha|, plus those of
+    degree d lexicographically below alpha, which for each coordinate i < n - 1
+    are the C(R_i + n-1-i, n-1-i) - C(R_(i+1) + n-1-i, n-1-i) that agree with
+    alpha before i and are smaller at i, R_i = d - alpha_0 - ... - alpha_(i-1)."""
+    n = alpha.shape[1]
+    d = alpha.sum(axis=1)
+    top = int(d.max(initial=0)) + n
+    comb = np.array(
+        [[math.comb(a, b) for b in range(n + 1)] for a in range(top + 1)],
+        dtype=np.int64,
+    )
+    R = d[:, None] - np.cumsum(alpha, axis=1) + alpha  # R[:, i] = R_i
+    k = np.arange(n - 1, 0, -1)  # n - 1 - i for i < n - 1
+    below = comb[R[:, :-1] + k, k] - comb[R[:, 1:] + k, k]
+    # C(d - 1 + n, n) is 0 at d = 0, which also covers n = 0
+    return comb[np.maximum(d + n - 1, 0), n] * (d > 0) + below.sum(axis=1)
 
 
 def max_rank(
@@ -395,10 +420,11 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
             and np.all((log_bound >= -_LOG_RANGE) | np.isneginf(log_bound0))
         ):
             return None
+        shift = alpha @ s
         with np.errstate(invalid="ignore"):
-            err = log_tau + log_bound - (alpha @ s)[:, None]
+            err = log_tau + log_bound - shift[:, None]
         better = err < log_err
-        best[better] = (coeffs[keep] * np.exp(-(alpha @ s))[:, None])[better]
+        best[better] = (coeffs[keep] * np.exp(-shift)[:, None])[better]
         log_err[better] = err[better]
         return log_bound
 
@@ -646,11 +672,14 @@ def psi_at(
     fiber_domain: Polydisc | None = None,
     degree: int = 8,
     quad: QuadSpec | None = None,
+    model: GramModel | None = None,
 ) -> PsiPoint:
     """sup over annihilator functionals of log kernel at the fiber origin.
 
     The kernels of all rows of B(w) come from one ``bergman.kernels`` call;
-    Psi_N is -inf when its zero test finds every kernel zero.
+    Psi_N is -inf when its zero test finds every kernel zero.  ``model``,
+    when given, is the orthonormalized fiber model at w under these
+    settings, which does not depend on the jet order; otherwise it is built.
     """
     fam = res.matrix.fam
     w = _as_w(w, fam.w_arity)
@@ -658,15 +687,28 @@ def psi_at(
         fiber_domain = Polydisc((1.0,) * fam.z_arity)
     if not res.in_U(w):
         return PsiPoint(w, "outside_U", math.nan, [])
-    model = orthonormalize(
-        assemble_gram(fiber_domain, phi_joint.fiber(w), degree, quad or QuadSpec())
-    )
+    if model is None:
+        model = _fiber_model(phi_joint, w, fiber_domain, degree, quad)
     B = res.eval_B(w)
     K, _, zero = kernels(model, res.labels, B, (0.0,) * fam.z_arity)
     # with no functionals (s = 0, I_w + m^N is everything) this holds vacuously
     if zero.all():
         return PsiPoint(w, "minus_inf", -math.inf, K.tolist(), B)
     return PsiPoint(w, "ok", math.log(K[~zero].max()), K.tolist(), B)
+
+
+def _fiber_model(
+    phi_joint,
+    w: tuple[complex, ...],
+    fiber_domain: Polydisc,
+    degree: int,
+    quad: QuadSpec | None,
+) -> GramModel:
+    """The orthonormalized model of the fiber weight at w, which ``psi_at``
+    uses at every jet order."""
+    return orthonormalize(
+        assemble_gram(fiber_domain, phi_joint.fiber(w), degree, quad or QuadSpec())
+    )
 
 
 def psi_scan(
@@ -713,18 +755,24 @@ def lambda_scan(
     quad: QuadSpec | None = None,
     res: AnnihilatorResult | None = None,
     seed: int = 0,
+    points: list[PsiPoint] | None = None,
 ) -> LambdaScanResult:
     """Grid section of the inclusion locus, cross-checked two ways.
 
     (a) Psi_N flags from the kernel sup; (b) direct membership of every
     oracle generator of the fiber multiplier ideal (times jet monomials)
     under the annihilator functionals.  Both must coincide on U.  Each base
-    point's test of U and its functionals come from ``psi_at``, once.
+    point's test of U and its functionals come from ``psi_at``, once:
+    ``points``, when given, are those of the grid under ``res``, as
+    ``psi_scan`` makes them.
     """
     check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
-    res, pts = psi_scan(
-        fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed
-    )
+    if points is None:
+        res, pts = psi_scan(
+            fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed
+        )
+    else:
+        pts = points
     n, N = fam.z_arity, fam.truncation
     betas = multi_indices_upto(n, N - 1)
     lam_a, lam_b, skipped, mismatches = [], [], [], []
@@ -772,25 +820,39 @@ def krull_stabilize(
     degree: int = 8,
     quad: QuadSpec | None = None,
     seed: int = 0,
-    scan: LambdaScanResult | None = None,
 ) -> KrullResult:
     """Lambda_N grid sets for N = 2..n_max with the Krull nesting check.
 
-    ``scan``, when given, is a ``lambda_scan`` already made with these
-    generators, weight, grid and settings; it is reused for its own order
-    instead of scanning that order again.
+    A fiber model depends on the weight, the fiber domain, the degree and
+    the quadrature, not on N, so the grid is walked point by point: each
+    point's model is built at the first order that finds the point in U and
+    used at every order, and only that one model is held at a time.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    per_n: dict[int, LambdaScanResult] = {}
-    for N in range(2, n_max + 1):
-        if scan is not None and scan.res.matrix.fam.truncation == N:
-            per_n[N] = scan
-            continue
-        famN = IdealFamily(fam.z_arity, fam.w_arity, fam.generators, N)
-        per_n[N] = lambda_scan(
-            famN, phi_joint, w_grid, fiber_domain, degree, quad, seed=seed
-        )
+    check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
+    if fiber_domain is None:
+        fiber_domain = Polydisc((1.0,) * fam.z_arity)
+    fams = {
+        N: IdealFamily(fam.z_arity, fam.w_arity, fam.generators, N)
+        for N in range(2, n_max + 1)
+    }
+    res = {N: build_annihilator(f, w_grid, seed=seed) for N, f in fams.items()}
+    pts: dict[int, list[PsiPoint]] = {N: [] for N in fams}
+    for w in w_grid:
+        w = _as_w(w, fam.w_arity)
+        model = None
+        for N in fams:
+            if model is None and res[N].in_U(w):
+                model = _fiber_model(phi_joint, w, fiber_domain, degree, quad)
+            pts[N].append(
+                psi_at(res[N], phi_joint, w, fiber_domain, degree, quad, model)
+            )
+    per_n = {
+        N: lambda_scan(f, phi_joint, w_grid, fiber_domain, degree, quad,
+                       res[N], seed, pts[N])
+        for N, f in fams.items()
+    }
     nested = True
     stabilized = None
     prev = None
@@ -829,16 +891,32 @@ def ideal_from_json(obj: dict) -> IdealFamily:
 
 
 def annihilator_to_json(res: AnnihilatorResult) -> dict:
-    from .family import poly_to_json
-
     return {
         "rank": res.r,
         "p": res.p,
         "s": res.s,
         "rowPermutation": list(res.row_perm),
         "columnPermutation": list(res.col_perm),
-        "detC": poly_to_json(res.det_c),
+        "detC": _terms_to_json(res.det_terms)[0][0],
         "productResidual": res.product_residual,
-        "rows": [[poly_to_json(e) for e in row] for row in res.rows],
+        "rows": _terms_to_json(res.b_terms),
         "basis": [list(a) for a in res.matrix.basis],
     }
+
+
+def _terms_to_json(M: TermMatrix) -> list[list[list[dict]]]:
+    """The entries of M as ``poly_to_json`` writes them as PolyW: the terms
+    above TRIM_REL_TOL times the entry's largest, in grlex order, read from
+    the coefficient array."""
+    T = M.trimmed()
+    rows, cols = T.shape
+    order = np.lexsort((*T.exps.T[::-1], T.exps.sum(axis=1)))  # grlex_key
+    coef = T.coef[order]
+    t, i, j = np.nonzero(coef)  # each entry gets its terms in grlex order
+    vals = coef[t, i, j]
+    betas = T.exps[order].tolist()
+    out = [[[] for _ in range(cols)] for _ in range(rows)]
+    for a, b, c, re, im in zip(i.tolist(), j.tolist(), t.tolist(),
+                               vals.real.tolist(), vals.imag.tolist()):
+        out[a][b].append({"beta": list(betas[c]), "re": re, "im": im})
+    return out

@@ -418,7 +418,7 @@ class TestSharedPointActions:
         u = shift.actions(X, z)
         rows = np.vstack([X, X[:1]])
         ref = shift.actions(rows, np.repeat(z, len(rows), axis=0))[:-1]
-        bound = shift.action_bound(X, z)
+        bound = shift.action_bound(X, shift.z_factors(z))
         assert u.shape == ref.shape == (len(X), shift.size)
         assert np.all(np.abs(u - ref) <= 1e-13 * bound)
 

@@ -8,7 +8,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xibergman import cli
 
@@ -345,6 +348,26 @@ class TestLambdaCommand:
         assert orders == [2, 3, 4]
         krull = payload(tmp_path / "o" / "lambda.json")["krull"]
         assert krull["perN"] == {"2": 1, "3": 1, "4": 1}
+
+    def test_nmax_builds_each_fiber_model_once(self, tmp_path, monkeypatch):
+        # a fiber model does not depend on the jet order: the 81 grid points
+        # are assembled once, not once per N = 2, 3, 4
+        from xibergman import ideal
+
+        calls = []
+        real_gram = ideal.assemble_gram
+
+        def counting_gram(*args, **kwargs):
+            calls.append(args[1])
+            return real_gram(*args, **kwargs)
+
+        monkeypatch.setattr(ideal, "assemble_gram", counting_gram)
+        cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
+        cfg["nMax"] = 4
+        path = tmp_path / "lambda4.json"
+        path.write_text(json.dumps(cfg))
+        assert run("lambda", path, tmp_path / "o") == 0
+        assert len(calls) == 81 == len(set(map(repr, calls)))
 
 
 def _spy_assemble_gram(monkeypatch):
@@ -806,3 +829,65 @@ class TestStartup:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def reference_json_safe(x):
+    """The JSON conversion the writer replaced: numpy scalars as Python
+    values, non-finite floats as strings, complex numbers as [re, im]."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return "-inf" if x < 0 else ("inf" if x > 0 else "nan")
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, dict):
+        return {k: reference_json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [reference_json_safe(v) for v in x]
+    return x
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), _FLOATS,
+    st.builds(complex, _FLOATS, _FLOATS),
+    _FLOATS.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9\u2603\U0001f600", "</script>"]),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @given(_PAYLOADS, st.sampled_from(["", "  ", "    "]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps_of_the_safe_payload(self, x, indent):
+        want = json.dumps(reference_json_safe(x), indent=2, sort_keys=True)
+        assert cli._json_text(x, indent) == want.replace("\n", "\n" + indent)
+
+    def test_file_wraps_the_payload_under_a_timestamp(self, tmp_path):
+        x = {"b": [1.5, complex(0.0, -0.0)], "a": {"inf": -math.inf}, "e": []}
+        cli._write_json(tmp_path / "x.json", x)
+        text = (tmp_path / "x.json").read_text()
+        stamp = json.loads(text)["generatedAt"]
+        body = json.dumps(reference_json_safe(x), indent=2, sort_keys=True)
+        assert text == (
+            '{\n  "generatedAt": "%s",\n  "payload": %s\n}\n'
+            % (stamp, body.replace("\n", "\n  "))
+        )
+
+    def test_refuses_arrays_and_non_string_keys(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"a": np.zeros(2)}, "")
+        with pytest.raises(TypeError):
+            cli._json_text({1: 2.0}, "")

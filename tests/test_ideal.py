@@ -55,7 +55,7 @@ from xibergman.ideal import (
     psi_at,
     psi_scan,
 )
-from xibergman.family import lub_check
+from xibergman.family import lub_check, poly_to_json
 from xibergman.weights import (
     ConstantWeight,
     JointLogDivisor,
@@ -123,6 +123,65 @@ class TestCoeffMatrix:
             A = build_coeff_matrix(fam)
             n, N = fam.z_arity, fam.truncation
             assert A.p == p == math.comb(N - 1 + n, n)
+
+
+def reference_coeff_terms(fam: IdealFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents and coefficient array of A by a loop over generators,
+    terms and jet monomials, adding each term into its cell."""
+    n, m, N = fam.z_arity, fam.w_arity, fam.truncation
+    basis = multi_indices_upto(n, N - 1)
+    row_of = {a: i for i, a in enumerate(basis)}
+    p = len(basis)
+    w_exps = sorted({e[n:] for g in fam.generators for e in g.coeffs})
+    t_of = {b: t for t, b in enumerate(w_exps)}
+    coef = np.zeros((len(w_exps), p, p * len(fam.generators)), dtype=complex)
+    for i, g in enumerate(fam.generators):
+        for e, c in g.coeffs.items():
+            gamma, t = e[:n], t_of[e[n:]]
+            for j, beta in enumerate(basis):
+                row = row_of.get(tuple(bi + gi for bi, gi in zip(beta, gamma)))
+                if row is not None:
+                    coef[t, row, i * p + j] += c
+    exps = np.array(w_exps, dtype=np.int64).reshape(-1, m)
+    live = coef.any(axis=(1, 2))
+    return exps[live], coef[live]
+
+
+@st.composite
+def shared_z_ideals(draw):
+    """Ideals with n <= 3, m <= 2 and N <= 5 whose terms draw their z-parts
+    from a pool of at most three, so several terms share a z-part across
+    different w-exponents; coefficients may carry signed zeros."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1,
+                         max_size=3, unique=True))
+    wmono = st.tuples(*[st.integers(0, 2)] * m)
+    coeff = st.builds(complex, st.floats(-2, 2),
+                      st.sampled_from([0.0, -0.0, 1.5, -0.25]))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        keys = draw(st.lists(st.tuples(st.sampled_from(pool), wmono), min_size=1,
+                             max_size=6, unique=True))
+        gens.append(PolyW(n + m, {z + w: draw(coeff) for z, w in keys}))
+    return IdealFamily(n, m, gens, draw(st.integers(1, 5)))
+
+
+class TestCoeffBroadcast:
+    @given(shared_z_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_term_loop(self, fam):
+        A = build_coeff_matrix(fam)
+        exps, coef = reference_coeff_terms(fam)
+        assert np.array_equal(A.terms.exps, exps)
+        assert np.array_equal(A.terms.coef, coef)
+        assert A.terms.coef.tobytes() == coef.tobytes()  # signed zeros too
+
+    def test_ranks_follow_the_jet_basis(self):
+        for n in range(4):
+            for N in range(1, 7):
+                basis = multi_indices_upto(n, N - 1)
+                alpha = np.array(basis, dtype=np.int64).reshape(len(basis), n)
+                assert ideal._grlex_rank(alpha).tolist() == list(range(len(basis)))
 
 
 def reference_evaluate(A, w) -> np.ndarray:
@@ -465,6 +524,65 @@ class TestAnnihilator:
         obj = annihilator_to_json(res)
         assert obj["rank"] == 1 and obj["s"] == 2 and obj["p"] == 3
         assert len(obj["rows"]) == 2 and len(obj["rows"][0]) == 3
+
+
+def reference_annihilator_json(res: AnnihilatorResult) -> dict:
+    """``annihilator_to_json`` by way of PolyW: the trimmed ``det_c`` and
+    ``rows`` views written by ``poly_to_json``."""
+    return {
+        **annihilator_to_json(res),
+        "detC": poly_to_json(res.det_c),
+        "rows": [[poly_to_json(e) for e in row] for row in res.rows],
+    }
+
+
+@st.composite
+def dense_ideals(draw):
+    """One or two generators holding every z-monomial of degree 1 or 2 times
+    every w-monomial of degree at most 1, with coefficients over up to 16
+    decades, N in 2..4."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    zmonos = [a for a in multi_indices_upto(n, 2) if sum(a) > 0]
+    wmonos = multi_indices_upto(m, 1)
+    part = st.floats(-1, 1).filter(lambda x: abs(x) > 1e-3)
+    scale = st.sampled_from([1.0, 1.0, 1e-6, 1e-16])
+    coeff = st.builds(lambda a, b, c: c * complex(a, b), part, part, scale)
+    gens = [
+        PolyW(n + m, {z + w: draw(coeff) for z in zmonos for w in wmonos})
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return IdealFamily(n, m, gens, draw(st.integers(2, 4)))
+
+
+class TestAnnihilatorJson:
+    @pytest.mark.parametrize(
+        "name", ["annihilate_dense", "annihilate_pencil", "lambda_pstar"]
+    )
+    def test_shipped_ideals_match_the_polyw_output(self, name):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        res = build_annihilator(ideal_from_json(cfg["ideal"]), square_grid(0.6, 5))
+        # repr tells the signed zeros apart
+        assert repr(annihilator_to_json(res)) == repr(reference_annihilator_json(res))
+
+    def test_trim_drops_what_polyw_drops(self):
+        # det C = +-(1 + 10w)^14: its constant term is 7e-15 of its largest
+        fam = IdealFamily(1, 1, [PolyW(2, {(1, 0): 1.0, (1, 1): 10.0})], 15)
+        res = build_annihilator(fam)
+        obj = annihilator_to_json(res)
+        assert len(res.det_terms.exps) == 15 and len(obj["detC"]) == 14
+        assert repr(obj) == repr(reference_annihilator_json(res))
+
+    @given(dense_ideals())
+    # det C = (w1 + 2 w2)^2: one entry whose terms grlex orders by w1 first
+    @example(IdealFamily(1, 2, [PolyW(3, {(1, 0, 0): 1.0, (0, 1, 0): -1.0,
+                                          (0, 0, 1): -2.0})], 2))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_ideals_match_the_polyw_output(self, fam):
+        try:
+            res = build_annihilator(fam)
+        except DegenerateInputError:
+            assume(False)
+        assert repr(annihilator_to_json(res)) == repr(reference_annihilator_json(res))
 
 
 def term_matrix(M: list[list[PolyW]], m: int, cols: int = 0) -> TermMatrix:
@@ -1024,6 +1142,33 @@ class TestKrull:
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
             krull_stabilize(Z1, JointZero(2, 1), [0.1], 1)
+
+    def test_shared_fiber_models_change_no_result(self, monkeypatch):
+        # one fiber model per grid point in U, used at N = 2, 3, 4 alike
+        grid = square_grid(0.6, 3)
+        alone = {
+            N: lambda_scan(IdealFamily(2, 1, Z1.generators, N), PSTAR_WEIGHT,
+                           grid, degree=6)
+            for N in (2, 3, 4)
+        }
+        calls = []
+        real_gram = ideal.assemble_gram
+
+        def counting_gram(*args, **kwargs):
+            calls.append(args[1])
+            return real_gram(*args, **kwargs)
+
+        monkeypatch.setattr(ideal, "assemble_gram", counting_gram)
+        out = krull_stabilize(Z1, PSTAR_WEIGHT, grid, 4, degree=6)
+        for N, scan in out.per_n.items():
+            assert repr([(p.flag, p.psi, p.kernels) for p in scan.points]) == repr(
+                [(p.flag, p.psi, p.kernels) for p in alone[N].points]
+            )
+            assert scan.lambda_psi == alone[N].lambda_psi
+            assert scan.lambda_membership == alone[N].lambda_membership
+        in_U = [i for i in range(len(grid))
+                if any(s.points[i].flag != "outside_U" for s in alone.values())]
+        assert len(calls) == len(in_U) == len(set(map(repr, calls)))
 
 
 class TestJson:
