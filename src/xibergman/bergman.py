@@ -15,8 +15,8 @@ A joint weight is a weight on the product domain and takes the same
 dispatch: a joint divisor 2 log|g(z, w)| with c = 1, or a w-independent
 weight over a divisor, gets the basis g(z, w) (z - center)^alpha (w - w0)^k,
 whose Gram is that of the rest: exact moments for the joint divisor.  Only
-the joint weights with neither form, the pair quadratic and joint divisors
-with c != 1, take a tensor quadrature.
+the weights with neither form, the pair quadratic and lone divisors (fiber
+or joint) with c != 1, take a tensor quadrature.
 
 The basis is stored as coefficient arrays in the domain's local
 coordinates u = z - center: exponents E (one row per term), coefficients C
@@ -58,6 +58,7 @@ from .functional import (
 )
 from .weights import (
     JointLogDivisor,
+    LogDivisorWeight,
     Polydisc,
     UnsupportedWeightError,
     coordinate_form,
@@ -245,8 +246,8 @@ def _local_form(weight, domain: Polydisc):
 
 
 def _refuse_divisor_zeros(weight, domain: Polydisc) -> None:
-    """Refuse a joint divisor 2c log|g| that may vanish on the closed domain
-    where |g|^(-2c) may not be integrable.
+    """Refuse a lone divisor 2c log|g|, fiber or joint, that may vanish on the
+    closed domain where |g|^(-2c) may not be integrable.
 
     Across a zero of g of multiplicity mu, |g|^(-2c) is integrable when
     c mu < 1, and mu <= deg g; where it is not, no basis element is square
@@ -257,7 +258,7 @@ def _refuse_divisor_zeros(weight, domain: Polydisc) -> None:
     |g_0| > sum_{beta != 0} |g_beta| R^beta.  (A c = 1 divisor takes the
     factored basis and never reaches the tensor rule.)
     """
-    if not isinstance(weight, JointLogDivisor):
+    if not isinstance(weight, (JointLogDivisor, LogDivisorWeight)):
         return
     g = _recentered(weight.g, (0j,) * domain.arity, domain.center).coeffs
     deg = max((sum(beta) for beta, v in g.items() if v != 0), default=0)
@@ -428,9 +429,10 @@ def assemble_gram(
     local origin, and sums of these), one polar Gauss-Legendre grid per
     coordinate for every other weight with a ``coordinate_form``
     (off-center quadratics and log poles), and tensor Gauss-Legendre
-    quadrature only for weights without one (the pair quadratic and joint
-    divisors with c != 1); "quadrature" integrates numerically, on the
-    per-coordinate grids wherever the weight has a per-coordinate form;
+    quadrature only for weights without one (the pair quadratic and lone
+    divisors with c != 1, fiber or joint); "quadrature" integrates
+    numerically, on the per-coordinate grids wherever the weight has a
+    per-coordinate form;
     "closed" forces the exact moments (UnsupportedWeightError when the
     weight is not radial, and for every divisor weight).
     """

@@ -140,6 +140,20 @@ def _cx(pair) -> complex:
     return z
 
 
+def _int(x, key: str) -> int:
+    """A config integer: a JSON integer, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"{key}: expected an integer, got {x!r}")
+    return x
+
+
+def _real(x, key: str) -> float:
+    """A config real number: a JSON number, not a bool or a string."""
+    if not _is_real(x):
+        raise ConfigError(f"{key}: expected a number, got {x!r}")
+    return float(x)
+
+
 def _point(seq) -> tuple[complex, ...]:
     if not isinstance(seq, (list, tuple)):
         raise ConfigError(f"expected a list of coordinates, got {seq!r}")
@@ -154,9 +168,9 @@ def _domain(obj: dict) -> weights.Polydisc:
 def _quad(cfg: dict) -> bergman.QuadSpec:
     q = cfg.get("quadrature", {})
     return bergman.QuadSpec(
-        radial_nodes=int(q.get("radialNodes", 32)),
-        angular_nodes=int(q.get("angularNodes", 64)),
-        inner_cutoff=float(q.get("innerCutoff", 0.0)),
+        radial_nodes=_int(q.get("radialNodes", 32), "radialNodes"),
+        angular_nodes=_int(q.get("angularNodes", 64), "angularNodes"),
+        inner_cutoff=_real(q.get("innerCutoff", 0.0), "innerCutoff"),
     )
 
 
@@ -173,10 +187,10 @@ def _grid_points(obj, m: int = 1) -> list:
                 f"grid: the {{halfWidth, count}} form needs wArity 1, not {m}; "
                 "list the points"
             )
-        half = float(obj["halfWidth"])
+        half = _real(obj["halfWidth"], "grid: halfWidth")
         if not math.isfinite(half):
             raise ConfigError(f"grid: halfWidth must be finite, not {half}")
-        count = int(obj["count"])
+        count = _int(obj["count"], "grid: count")
         if count < 1:
             raise ConfigError(f"grid: count must be >= 1, not {count}")
         return fiberwise.square_grid(half, count)
@@ -202,9 +216,24 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The rows under a timestamp line and the header, each cell as ``_fmt``
+    writes it.  A grid repeats each coordinate once per row of its square,
+    so each distinct nonzero finite float is formatted once per file; zeros
+    (0.0 and -0.0 are equal keys) and non-finite values go through ``_fmt``
+    every time."""
+    text: dict[float, str] = {}
+
+    def cell(x) -> str:
+        if type(x) is not float or not x or not math.isfinite(x):
+            return _fmt(x)
+        s = text.get(x)
+        if s is None:
+            s = text[x] = repr(x)
+        return s
+
     lines = [f"# generated {_timestamp()}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        lines.append(",".join([cell(x) for x in row]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -273,7 +302,8 @@ def _cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
     xi = functional.functional_from_json(cfg["functional"])
     z = _point(cfg["point"])
     model = bergman.assemble_gram(
-        domain, wt, int(cfg["degree"]), _quad(cfg), cfg.get("method", "auto")
+        domain, wt, _int(cfg["degree"], "degree"), _quad(cfg),
+        cfg.get("method", "auto")
     )
     bergman.orthonormalize(model)
     if model.size == 0:
@@ -298,7 +328,8 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
     if cfg.get("antiHolomorphicControl", False):
         fam = family.anti_holomorphic_control(fam)
     problem = fiberwise.FamilyProblem(
-        fiber_domain, base_domain, wt, fam, int(cfg["degree"]), _quad(cfg)
+        fiber_domain, base_domain, wt, fam, _int(cfg["degree"], "degree"),
+        _quad(cfg)
     )
     z = _point(cfg["z"])
 
@@ -309,7 +340,7 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
         if raw and isinstance(raw[0], (int, float)):
             raw = [raw]  # single [re, im] pair for a one-dimensional base
         w0 = _point(raw)
-        radius = float(c["radius"])
+        radius = _real(c["radius"], "circle radius")
         kind = c.get("kind", "base")
         if kind not in ("base", "joint"):
             raise ConfigError(f"unknown circle kind {kind!r}")
@@ -326,13 +357,13 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
         if kind == "base":
             rep = fiberwise.psh_verify_base(
                 problem, _point(c.get("z", cfg["z"])), w0, radius,
-                int(c.get("samples", 64)),
+                _int(c.get("samples", 64), "circle samples"),
             )
         else:
             rep = fiberwise.psh_verify_joint(
                 problem, _point(c.get("z", cfg["z"])), w0,
                 _point(c["dz"]), _point(c["dw"]), radius,
-                int(c.get("samples", 64)),
+                _int(c.get("samples", 64), "circle samples"),
             )
         reports.append(rep.to_json())
         any_fail = any_fail or not rep.passed
@@ -366,9 +397,9 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
         _domain(cfg["fiberDomain"]) if "fiberDomain" in cfg
         else weights.Polydisc((1.0,) * fam.z_arity)
     )
-    degree = int(cfg.get("degree", 8))
+    degree = _int(cfg.get("degree", 8), "degree")
     quad = _quad(cfg)
-    n_max = int(cfg.get("nMax", fam.truncation))
+    n_max = _int(cfg.get("nMax", fam.truncation), "nMax")
     krull = None
     if n_max > fam.truncation:
         krull = ideal.krull_stabilize(
@@ -417,15 +448,15 @@ def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
     fiber_domain = _domain(cfg["fiberDomain"])
     wt = weights.weight_from_json(cfg["weight"])
     fobj = cfg["f"]
-    f = family.poly_from_json(fobj["terms"], int(fobj["arity"]))
+    f = family.poly_from_json(fobj["terms"], _int(fobj["arity"], "f: arity"))
     prob = extension.ExtensionProblem(
         fiber_domain,
-        float(cfg["baseRadius"]),
+        _real(cfg["baseRadius"], "baseRadius"),
         wt,
         _cx(cfg.get("w0", 0.0)),
         f,
-        int(cfg["dz"]),
-        int(cfg["dw"]),
+        _int(cfg["dz"], "dz"),
+        _int(cfg["dw"], "dw"),
         _quad(cfg),
     )
     result = extension.minimal_extension(prob)

@@ -15,9 +15,12 @@ share a Gram matrix, up to a scalar, share one model:
 - a joint weight psi(z) + s(w) (``shift_split``: the zero, w-independent
   and split quadratic weights) has the fiber Gram e^{-s(w)} G_psi, so one
   model of psi serves every fiber and K_w = e^{s(w)} K_psi: the relative
-  eigenvalue cutoff keeps the same rank and eigenvectors under the scalar;
-- any other joint weight (the pair quadratic, whose centers move with w)
-  gets one fiber model per distinct base point.
+  eigenvalue cutoff keeps the same rank and eigenvectors under the scalar.
+  That model, and its ``TaylorShift``, is built once per ``FamilyProblem``:
+  every circle, line and grid of a problem shares it;
+- any other joint weight (the pair quadratic, whose centers move with w,
+  and joint divisors with c != 1) gets one fiber model per distinct base
+  point in each call, and the problem keeps none of them.
 
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  The
@@ -56,12 +59,19 @@ SUBMEAN_TOL = 1e-3
 
 @dataclass
 class FamilyProblem:
+    """A joint weight and a functional family over a fiber and a base
+    polydisc, for one command.  For a joint weight psi(z) + s(w) it keeps
+    the model of psi that its first kernel call builds (``_fiber_models``).
+    """
+
     fiber_domain: Polydisc
     base_domain: Polydisc
     joint_weight: object
     family: object  # FunctionalFamily or AntiHolomorphicControl
     degree: int
     quad: QuadSpec = field(default_factory=QuadSpec)
+    # (model of psi, (divisor, alphas), TaylorShift): see _fiber_models
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_joint_weight(
@@ -168,12 +178,16 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
     2 log|g(z, w)| (``weights.divisor_split``) is split off once: the rest
     is modeled like any other joint weight, and its basis times g(z, w) is
     one joint basis, local in z and global in w.  A joint weight psi(z) + s(w) has one model,
-    of psi, for every fiber, up to the scalar shift s(w).  Any other joint
+    of psi, for every fiber, up to the scalar shift s(w); the problem keeps
+    it with its ``TaylorShift`` and the divisor part and family terms that
+    shift was built from, and a later call reuses both where its psi passes
+    the test below and those are equal.  Any other joint
     weight gets one model per distinct row of W, and models whose terms
     agree share one ``TaylorShift``.  A given model (the central fiber model
     of ``extension``) replaces the one a fiber weight would get when its
-    weight, domain, degree and quadrature are those of that fiber: the
-    Gram would be assembled and orthonormalized again, identically.
+    weight, domain, degree and quadrature are those of that fiber
+    (``_is_model_of``): the Gram would be assembled and orthonormalized
+    again, identically.
     """
     n, m = problem.fiber_domain.arity, problem.base_domain.arity
     alphas = list(problem.family.terms)
@@ -182,8 +196,13 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
         # g(z, w) in the fiber's local coordinates u = z - center, w global
         center = problem.fiber_domain.center + (0j,) * m
         g = _recentered(divisor.g, (0j,) * (n + m), center)
-    if hasattr(jw, "shift_split"):
+    shared = hasattr(jw, "shift_split")
+    if shared:
         psi, s = jw.shift_split(W)
+        kept = problem._kept
+        if kept and kept[1] == (divisor, alphas) and _is_model_of(
+                kept[0], problem, psi):
+            return [(kept[2], [(np.arange(len(W)), kept[0].transform)])], s
         fibers = [(psi, np.arange(len(W)))]
     else:
         s = np.zeros(len(W))
@@ -192,10 +211,8 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
             groups.setdefault(tuple(w), []).append(i)
         fibers = [(jw.fiber(w), np.array(rows)) for w, rows in groups.items()]
     classes: dict[bytes, tuple] = {}
-    same = given is not None and (given.domain, given.degree, given.quad) == (
-        problem.fiber_domain, problem.degree, problem.quad)
     for fw, rows in fibers:
-        if same and given.weight == fw:
+        if _is_model_of(given, problem, fw):
             model = given if given.transform is not None else orthonormalize(given)
         else:
             model = orthonormalize(assemble_gram(
@@ -208,7 +225,16 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
         if key not in classes:
             classes[key] = (TaylorShift(alphas, E, C, S, n, model.size), [])
         classes[key][1].append((rows, model.transform))
+    if shared:
+        problem._kept = (model, (divisor, alphas), classes[key][0])
     return list(classes.values()), s
+
+
+def _is_model_of(model: GramModel | None, problem: FamilyProblem, weight) -> bool:
+    """Whether model is the one problem's fiber domain, degree and quadrature
+    give the fiber weight: built again, it would be identical."""
+    return model is not None and (model.domain, model.degree, model.quad) == (
+        problem.fiber_domain, problem.degree, problem.quad) and model.weight == weight
 
 
 def _circle(radius: float, samples: int) -> list[complex]:

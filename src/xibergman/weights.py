@@ -431,45 +431,52 @@ def divisor_split(weight):
     product domain, z then w: a joint divisor 2 log|g(z, w)| splits into
     LogDivisorWeight(g) and the joint zero, and a w-independent weight over
     a divisor part into that divisor, g read in (z, w) with zero
-    w-exponents, and the w-independent rest.  A joint divisor with c != 1
-    is not split and keeps the tensor rule.  Any other divisor part with
-    c != 1, and a sum with two divisor parts, have no factored basis:
-    UnsupportedWeightError.
+    w-exponents, and the w-independent rest.  A lone divisor with c != 1,
+    fiber or joint, is not split and keeps the tensor rule.  A divisor part
+    with c != 1 of a sum or of a w-independent weight, and a sum with two
+    divisor parts, have no factored basis: UnsupportedWeightError.
     """
     if isinstance(weight, JointLogDivisor):
         split = (LogDivisorWeight(weight.g, weight.c),
                  JointZero(weight.z_arity, weight.w_arity))
     elif isinstance(weight, WIndependentJoint):
-        divisor, rest = divisor_split(weight.base)
+        divisor, rest = _fiber_divisor_split(weight.base)
         if divisor is None:
             return None, weight
         m = weight.w_arity
         g = PolyW(weight.arity,
                   {a + (0,) * m: c for a, c in divisor.g.coeffs.items()})
-        return LogDivisorWeight(g, divisor.c), WIndependentJoint(rest, m)
+        split = LogDivisorWeight(g, divisor.c), WIndependentJoint(rest, m)
     else:
-        def flat(w):
-            if isinstance(w, SumWeight):
-                return [q for p in w.parts for q in flat(p)]
-            return [w]
-
-        parts = flat(weight)
-        divisors = [p for p in parts if isinstance(p, LogDivisorWeight)]
-        if not divisors:
-            return None, weight
-        if len(divisors) > 1:
-            raise UnsupportedWeightError(
-                "a sum of two divisor weights has no factored basis"
-            )
-        rest = [p for p in parts if not isinstance(p, LogDivisorWeight)]
-        if not rest:
-            rest = [ZeroWeight(weight.arity)]
-        split = divisors[0], rest[0] if len(rest) == 1 else SumWeight(tuple(rest))
+        split = _fiber_divisor_split(weight)
+        if split[0] is None:
+            return split
     if abs(split[0].c - 1.0) > 1e-12:
-        if isinstance(weight, JointLogDivisor):
+        if isinstance(weight, (JointLogDivisor, LogDivisorWeight)):
             return None, weight
         raise UnsupportedWeightError("factored divisor basis requires exponent c = 1")
     return split
+
+
+def _fiber_divisor_split(weight):
+    """``divisor_split`` of a fiber weight, whatever the divisor's c."""
+    def flat(w):
+        if isinstance(w, SumWeight):
+            return [q for p in w.parts for q in flat(p)]
+        return [w]
+
+    parts = flat(weight)
+    divisors = [p for p in parts if isinstance(p, LogDivisorWeight)]
+    if not divisors:
+        return None, weight
+    if len(divisors) > 1:
+        raise UnsupportedWeightError(
+            "a sum of two divisor weights has no factored basis"
+        )
+    rest = [p for p in parts if not isinstance(p, LogDivisorWeight)]
+    if not rest:
+        rest = [ZeroWeight(weight.arity)]
+    return divisors[0], rest[0] if len(rest) == 1 else SumWeight(tuple(rest))
 
 
 def separable_radial_parts(spec, arity: int):

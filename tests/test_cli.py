@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -173,6 +174,17 @@ class TestScanPshCommand:
         assert run("scan-psh", bad, tmp_path / "o") == cli.EXIT_CONFIG
         assert "count" in capsys.readouterr().err
         assert not (tmp_path / "o" / "scan.csv").exists()
+
+    def test_one_fiber_model_per_command(self, tmp_path, monkeypatch):
+        # the two circles, the joint line and the grid share the model of psi
+        import xibergman.fiberwise as fiberwise
+
+        calls = []
+        real = fiberwise.assemble_gram
+        monkeypatch.setattr(fiberwise, "assemble_gram",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert run("scan-psh", CONFIGS / "scan_pstar.json", tmp_path) == 0
+        assert len(calls) == 1
 
     def test_deterministic_rerun_modulo_timestamp(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -796,6 +808,43 @@ class TestArgumentHandling:
         assert run(command, bad, tmp_path / "o") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, name, path, value", [
+        pytest.param(command, name, path, value,
+                     id=f"{command}-{'.'.join(map(str, path))}-{value!r}")
+        for command, name, path, integer in [
+            ("kernel", "kernel_disc_dirac.json", ("degree",), True),
+            ("scan-psh", "scan_pstar.json", ("degree",), True),
+            ("lambda", "lambda_pstar.json", ("degree",), True),
+            ("lambda", "lambda_pstar.json", ("nMax",), True),
+            ("extend", "extend_gaussian.json", ("dz",), True),
+            ("extend", "extend_gaussian.json", ("dw",), True),
+            ("extend", "extend_gaussian.json", ("f", "arity"), True),
+            ("extend", "extend_gaussian.json", ("baseRadius",), False),
+            ("scan-psh", "scan_pstar.json", ("circles", 0, "radius"), False),
+            ("scan-psh", "scan_pstar.json", ("circles", 0, "samples"), True),
+            ("scan-psh", "scan_pstar.json", ("circles", 2, "samples"), True),
+            ("scan-psh", "scan_pstar.json", ("grid", "halfWidth"), False),
+            ("scan-psh", "scan_pstar.json", ("grid", "count"), True),
+            ("scan-psh", "scan_pstar.json", ("quadrature", "radialNodes"), True),
+            ("scan-psh", "scan_pstar.json", ("quadrature", "angularNodes"), True),
+            ("scan-psh", "scan_pstar.json", ("quadrature", "innerCutoff"), False),
+        ]
+        for value in ["6", True] + ([6.5] if integer else [])
+    ])
+    def test_number_of_the_wrong_json_type_exits_2(
+        self, tmp_path, capsys, command, name, path, value
+    ):
+        # a string, a bool or (for an integer) a fraction was read as a number
+        cfg = json.loads((CONFIGS / name).read_text())
+        obj = cfg
+        for key in path[:-1]:
+            obj = obj.setdefault(key, {}) if isinstance(key, str) else obj[key]
+        obj[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(command, bad, tmp_path / "o") == 2
+        assert "expected a" in capsys.readouterr().err
+
     def test_validate_rejects_unknown_weight_variant(self):
         with pytest.raises(cli.ConfigError):
             cli.validate_config(
@@ -866,6 +915,30 @@ _PAYLOADS = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, -2.5e-300]),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4),
+)
+
+
+class TestCsvWriter:
+    @given(st.lists(st.lists(_CELLS, max_size=4), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_cell_writer(self, rows):
+        # the rows repeat cells, as a grid repeats its coordinates
+        rows = rows + rows[::-1]
+        want = "".join(",".join(cli._fmt(x) for x in row) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            cli._write_csv(path, ["a", "b"], rows)
+            text = path.read_bytes()
+        assert text.startswith(b"# generated ")
+        assert text.split(b"\n", 1)[1] == ("a,b\n" + want).encode()
 
 
 class TestJsonWriter:

@@ -282,6 +282,20 @@ class TestDivisorJointBasis:
         assert res.kkt_residual < 1e-9
         assert 0 < res.joint_norm < math.inf
 
+    def test_fiber_of_a_divisor_without_zeros_takes_the_tensor_rule(self):
+        # the central fiber weight 2c log|g(., 0)| with c = 1.5 has no
+        # factored basis and takes the tensor rule as the joint weight does;
+        # divisor_split refused it, so the report and the diagnostic raised
+        g = PolyW(2, {(0, 0): 2.0, (1, 0): 1.0, (0, 1): -0.5})
+        for quad in (QuadSpec(8, 8), QuadSpec(12, 12)):
+            prob = ExtensionProblem(DISC, 0.5, JointLogDivisor(g, 1, 1.5), 0.0,
+                                    PolyW(1, {(0,): 1.0, (1,): 0.5}), 2, 2, quad)
+            res = minimal_extension(prob)
+            ratio = extension_report(prob, res)["ratio"]
+            assert ratio == pytest.approx(1.0, abs=1e-6)
+        assert jensen_diagnostic(prob, DIRAC_FAMILY, (0.3,), result=res,
+                                 radial_nodes=4, angular_nodes=8)["holds"]
+
     def test_no_divisor_weight_takes_the_tensor_rule(self, monkeypatch):
         import xibergman.bergman as bergman
 
@@ -517,7 +531,8 @@ class TestCentralModelInJensenKernels:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(fiberwise, "assemble_gram", spy)
-        given = log_kernel_on_fiber(fam, W, (0.2 - 0.1j,), fmodel)
+        # a fresh problem: fam keeps the model of psi it built
+        given = log_kernel_on_fiber(replace(fam), W, (0.2 - 0.1j,), fmodel)
         assert np.array_equal(given, alone)
         assert len(calls) == built
 

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +362,119 @@ class TestPshVerify:
     def test_circle_leaving_domain_rejected(self):
         with pytest.raises(ValueError):
             psh_verify_base(pstar_problem(), (0.0, 0.0), (0.9,), 0.3, 32)
+
+
+def count_gram_calls(monkeypatch) -> list:
+    """The argument tuples of every fiber-model ``assemble_gram`` call."""
+    import xibergman.fiberwise as fw
+
+    calls = []
+    real = fw.assemble_gram
+    monkeypatch.setattr(
+        fw, "assemble_gram", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    return calls
+
+
+def control_problem():
+    """P* with the anti-holomorphic control family of scan_control.json."""
+    g = PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0})
+    fam = FunctionalFamily(
+        2, 1, {(1, 0): PolyW.constant(1.0, 1), (0, 1): PolyW.variable(0, 1)}
+    )
+    return FamilyProblem(Polydisc((1.0, 1.0)), Polydisc((1.0,)),
+                         JointLogDivisor(g, 2), anti_holomorphic_control(fam), 6)
+
+
+SPLIT = JointQuadraticSplit((1.0,), (1.0,))
+Z_MINUS_W = JointLogDivisor(PolyW(2, {(1, 0): 1.0, (0, 1): -1.0}), 1)
+
+
+def disc_problem(weight):
+    """A problem on the unit disc over the unit disc, QuadSpec(8, 8)."""
+    fam = FunctionalFamily(
+        1, 1, {(0,): PolyW.constant(1.0, 1), (1,): PolyW(1, {(1,): 0.5j})}
+    )
+    return FamilyProblem(Polydisc((1.0,)), Polydisc((1.0,)), weight, fam, 4,
+                         QuadSpec(8, 8))
+
+
+class TestOneModelPerProblem:
+    """A problem builds the model of psi of a joint weight psi(z) + s(w) once,
+    for all its circles, lines and grids, and the results stay those of a
+    fresh problem per call."""
+
+    @staticmethod
+    def command(prob):
+        """Two base circles, a joint line and a grid scan, as scan-psh runs
+        them; prob() gives the problem of each."""
+        n = prob().fiber_domain.arity
+        z = (0.1,) * n
+        reports = [
+            psh_verify_base(prob(), z, (0.3,), 0.2, 32),
+            psh_verify_base(prob(), z, (-0.2 + 0.1j,), 0.15, 32),
+            psh_verify_joint(prob(), z, (0.35,), (0.5,) * n, (0.5,), 0.25, 32),
+        ]
+        return reports, scan_base(prob(), z, square_grid(0.5, 5))
+
+    @pytest.mark.parametrize("make, shared", [
+        (pstar_problem, True),
+        (control_problem, True),
+        (lambda: disc_problem(JointQuadraticSplit((1.0,), (2.0,))), True),
+        # its fibers move with w: one model per distinct base point, held by
+        # no problem
+        (lambda: disc_problem(JointPairQuadratic((1.0,))), False),
+    ], ids=["pstar", "control", "split", "pair"])
+    def test_one_model_and_the_results_of_fresh_problems(
+        self, monkeypatch, make, shared
+    ):
+        calls = count_gram_calls(monkeypatch)
+        one = make()
+        kept = self.command(lambda: one)
+        kept_calls = len(calls)
+        fresh = self.command(make)
+        assert kept == fresh
+        assert kept_calls == (1 if shared else len(calls) - kept_calls)
+        assert len(calls) - kept_calls == (4 if shared else 33 + 33 + 33 + 25)
+
+    def test_usc_spot_check_builds_one_model(self, monkeypatch):
+        calls = count_gram_calls(monkeypatch)
+        args = ((0.1, 0.1), (0.4,), [0.2, 0.1, 0.05, 0.02])
+        out = usc_spot_check(pstar_problem(), *args, seed=3)
+        assert len(calls) == 1
+        fresh = usc_spot_check(
+            pstar_problem(), *args, seed=3,
+            value_fn=lambda z, w: log_kernel_on_fiber(pstar_problem(), w, z),
+        )
+        assert out == fresh
+
+    def test_two_kernel_calls_build_one_model(self, monkeypatch):
+        calls = count_gram_calls(monkeypatch)
+        prob = pstar_problem()
+        kernel_on_fiber(prob, [[0.3], [0.1j]], (0.0, 0.0))
+        kernel_on_fiber(prob, (0.2,), (0.1, 0.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("weight, edit", [
+        (SPLIT, lambda p: setattr(p, "joint_weight",
+                                  JointQuadraticSplit((2.0,), (1.0,)))),
+        (SPLIT, lambda p: setattr(p, "degree", 3)),
+        (SPLIT, lambda p: setattr(p, "quad", QuadSpec(8, 12))),
+        # psi stays the zero weight, but the basis times g changes
+        (Z_MINUS_W, lambda p: setattr(p, "joint_weight", JointLogDivisor(
+            PolyW(2, {(1, 0): 1.0, (0, 1): -0.5, (0, 0): 0.25}), 1))),
+        (Z_MINUS_W, lambda p: setattr(p, "family", FunctionalFamily(
+            1, 1, {(2,): PolyW.constant(1.0, 1)}))),
+    ], ids=["joint_weight", "degree", "quadrature", "divisor", "family"])
+    def test_a_problem_changed_after_first_use(self, monkeypatch, weight, edit):
+        calls = count_gram_calls(monkeypatch)
+        prob = disc_problem(weight)
+        W = [[0.3], [-0.2 + 0.4j]]
+        kernel_on_fiber(prob, W, (0.1,))
+        edit(prob)
+        K = kernel_on_fiber(prob, W, (0.1,))
+        assert len(calls) == 2
+        assert np.array_equal(K, kernel_on_fiber(replace(prob), W, (0.1,)))
 
 
 class TestUscSpotCheck:

@@ -357,12 +357,15 @@ class TestDivisorSplit:
         JointLogDivisor(PolyW(2, {(1, 0): 1.0, (0, 1): -1.0}), 1, c=0.5),
         JointPairQuadratic((1.0,)),
         WIndependentJoint(ZeroWeight(1), 1),
+        # a lone fiber divisor with c != 1 keeps the tensor rule, as a joint
+        # one does
+        LogDivisorWeight(G_2PZ, c=2.0),
     ])
     def test_unsplit_joint_weights(self, weight):
         assert divisor_split(weight) == (None, weight)
 
     @pytest.mark.parametrize("weight", [
-        LogDivisorWeight(G_2PZ, c=2.0),
+        SumWeight((QuadraticWeight((1.0,)), LogDivisorWeight(G_2PZ, c=2.0))),
         WIndependentJoint(LogDivisorWeight(G_2PZ, c=0.5), 1),
         SumWeight((LogDivisorWeight(G_2PZ), LogDivisorWeight(G_2PZ))),
     ])
