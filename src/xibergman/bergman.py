@@ -47,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import Table, integer, real
 from .family import PolyW
 from .functional import (
     ArityMismatchError,
@@ -73,6 +74,8 @@ KERNEL_ZERO_TOL = 1e-14
 #: points per block of a batched ``TaylorShift`` evaluation; keeps every
 #: array of a block (points x basis terms) small
 BLOCK = 64
+#: the ``method`` values of ``assemble_gram``
+GRAM_METHODS = ("auto", "closed", "quadrature")
 
 
 class KernelZeroError(ValueError):
@@ -94,6 +97,12 @@ class QuadSpec:
     def validate_for(self, domain: Polydisc) -> None:
         if self.inner_cutoff >= min(domain.radii) / 10.0:
             raise ValueError("inner cutoff too large for domain")
+
+
+#: the key table of a ``quadrature`` object; an absent key keeps its default
+QUADRATURE = Table({"radialNodes": (integer, QuadSpec.radial_nodes),
+                    "angularNodes": (integer, QuadSpec.angular_nodes),
+                    "innerCutoff": (real, QuadSpec.inner_cutoff)}, QuadSpec)
 
 
 @dataclass
@@ -438,7 +447,7 @@ def assemble_gram(
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")
-    if method not in ("auto", "closed", "quadrature"):
+    if method not in GRAM_METHODS:
         raise ValueError(f"unknown Gram method {method!r}")
     quad = quad or QuadSpec()
     quad.validate_for(domain)

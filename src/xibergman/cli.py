@@ -13,7 +13,6 @@ a fixed seed produce identical files except for the timestamp header line.
 from __future__ import annotations
 
 import argparse
-import cmath
 import datetime
 import json
 import math
@@ -23,6 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bergman, extension, family, fiberwise, functional, ideal, weights
+from .config import (
+    ConfigError, Table, choice, cx, flag, integer, list_of, point, real,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -30,177 +32,104 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# Schema validation (unknown keys rejected)
+# Key tables: one per command; one walk validates and decodes a config
 # ---------------------------------------------------------------------------
 
-_QUAD_KEYS = {"radialNodes", "angularNodes", "innerCutoff"}
-_DOMAIN_KEYS = {"radii", "center"}
-_GRID_KEYS = {"halfWidth", "count"}
-_CIRCLE_KEYS = {"z", "w0", "radius", "samples", "kind", "dz", "dw"}
-_JENSEN_KEYS = {"family", "z0"}
+def _base_point(x) -> tuple[complex, ...]:
+    """A circle's ``w0``: a list of coordinates, or one ``[re, im]`` pair
+    for a one-dimensional base."""
+    if isinstance(x, (list, tuple)) and x and isinstance(x[0], (int, float)):
+        return (cx(x),)
+    return point(x)
 
-_SCHEMAS = {
-    "kernel": {"command", "domain", "weight", "functional", "point", "degree",
-               "quadrature", "method"},
-    "scan-psh": {"command", "fiberDomain", "baseDomain", "weight", "family",
-                 "antiHolomorphicControl", "degree", "z", "grid", "circles",
-                 "quadrature"},
-    "annihilate": {"command", "ideal", "wGrid"},
-    "lambda": {"command", "ideal", "weight", "grid", "degree", "nMax",
-               "fiberDomain", "quadrature"},
-    "extend": {"command", "fiberDomain", "baseRadius", "w0", "weight", "f",
-               "dz", "dw", "quadrature", "jensen"},
+
+def _grid_point(x):
+    """A grid point of ``lambda`` or ``annihilate``: a complex number, or a
+    tuple of them when it is given as a list of ``[re, im]`` pairs."""
+    if isinstance(x, (list, tuple)) and all(isinstance(c, (list, tuple)) for c in x):
+        return point(x)
+    return cx(x)
+
+
+_SQUARE = Table({"halfWidth": real, "count": integer})
+
+
+def _grid(read_point):
+    """The reader of a base grid: a ``{halfWidth, count}`` object, or a list
+    of points that ``read_point`` reads."""
+    read_points = list_of(read_point)
+    return lambda x: _SQUARE(x) if isinstance(x, dict) else read_points(x)
+
+
+_CIRCLE = Table({
+    "z": (point, None), "w0": _base_point, "radius": real,
+    "samples": (integer, 64), "kind": (choice("base", "joint"), "base"),
+    "dz": (point, None), "dw": (point, None),
+})
+_QUADRATURE = (bergman.QUADRATURE, bergman.QuadSpec())
+
+
+def _command(name: str, **keys) -> Table:
+    return Table({"command": (choice(name), name), **keys})
+
+
+_CONFIGS = {
+    "kernel": _command(
+        "kernel", domain=weights.DOMAIN, weight=weights.WEIGHT,
+        functional=functional.FUNCTIONAL, point=point, degree=integer,
+        quadrature=_QUADRATURE,
+        method=(choice(*bergman.GRAM_METHODS), "auto"),
+    ),
+    "scan-psh": _command(
+        "scan-psh", fiberDomain=weights.DOMAIN, baseDomain=weights.DOMAIN,
+        weight=weights.WEIGHT, family=family.FAMILY,
+        antiHolomorphicControl=(flag, False), degree=integer, z=point,
+        grid=(_grid(cx), None), circles=(list_of(_CIRCLE), ()),
+        quadrature=_QUADRATURE,
+    ),
+    "annihilate": _command("annihilate", ideal=ideal.IDEAL,
+                           wGrid=(_grid(_grid_point), None)),
+    "lambda": _command(
+        "lambda", ideal=ideal.IDEAL, weight=weights.WEIGHT, grid=_grid(_grid_point),
+        degree=(integer, 8), nMax=(integer, None),
+        fiberDomain=(weights.DOMAIN, None), quadrature=_QUADRATURE,
+    ),
+    "extend": _command(
+        "extend", fiberDomain=weights.DOMAIN, baseRadius=real,
+        w0=(cx, 0j), weight=weights.WEIGHT, f=family.POLY, dz=integer,
+        dw=integer, quadrature=_QUADRATURE,
+        jensen=(Table({"family": family.FAMILY, "z0": point}), None),
+    ),
 }
 
-_WEIGHT_KEYS = {
-    "zero": {"variant", "arity"},
-    "constant": {"variant", "arity", "value"},
-    "quadratic": {"variant", "coeffs", "center"},
-    "log_monomial": {"variant", "coeffs"},
-    "log_divisor": {"variant", "c", "arity", "g"},
-    "sum": {"variant", "parts"},
-    "joint_zero": {"variant", "zArity", "wArity"},
-    "joint_log_divisor": {"variant", "zArity", "c", "arity", "g"},
-    "joint_quadratic_split": {"variant", "cz", "cw"},
-    "joint_pair_quadratic": {"variant", "coeffs"},
-    "w_independent": {"variant", "wArity", "base"},
-}
 
+def validate_config(cfg: dict, command: str) -> dict:
+    """The config of ``command`` read by one walk of the command's key table:
+    its values by key, decoded, absent optional keys at their defaults.
 
-def _require_keys(obj: dict, allowed: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _validate_weight(obj: dict, where: str) -> None:
-    _require_keys(obj, set().union(*_WEIGHT_KEYS.values()), where)
-    v = obj.get("variant")
-    if v not in _WEIGHT_KEYS:
-        raise ConfigError(f"{where}: unknown weight variant {v!r}")
-    _require_keys(obj, _WEIGHT_KEYS[v], f"{where}({v})")
-    if v == "sum":
-        for i, p in enumerate(obj.get("parts", [])):
-            _validate_weight(p, f"{where}.parts[{i}]")
-    if v == "w_independent":
-        _validate_weight(obj["base"], f"{where}.base")
-
-
-def validate_config(cfg: dict, command: str) -> None:
-    if command not in _SCHEMAS:
-        raise ConfigError(f"unknown command {command!r}")
-    _require_keys(cfg, _SCHEMAS[command], "config")
-    if cfg.get("command", command) != command:
-        raise ConfigError(
-            f"config command {cfg.get('command')!r} does not match {command!r}"
-        )
-    if "quadrature" in cfg:
-        _require_keys(cfg["quadrature"], _QUAD_KEYS, "quadrature")
-    for key in ("domain", "fiberDomain", "baseDomain"):
-        if key in cfg:
-            _require_keys(cfg[key], _DOMAIN_KEYS, key)
-    if "weight" in cfg:
-        _validate_weight(cfg["weight"], "weight")
-    if "grid" in cfg and isinstance(cfg["grid"], dict):
-        _require_keys(cfg["grid"], _GRID_KEYS, "grid")
-    if "circles" in cfg:
-        for i, c in enumerate(cfg["circles"]):
-            _require_keys(c, _CIRCLE_KEYS, f"circles[{i}]")
-    if "jensen" in cfg:
-        _require_keys(cfg["jensen"], _JENSEN_KEYS, "jensen")
-
-
-# ---------------------------------------------------------------------------
-# Config decoding helpers
-# ---------------------------------------------------------------------------
-
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _cx(pair) -> complex:
-    """A finite complex number given as a real number or as an ``[re, im]``
-    pair."""
-    is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
-    if _is_real(pair):
-        z = complex(pair)
-    elif is_pair and all(map(_is_real, pair)):
-        z = complex(pair[0], pair[1])
-    else:
-        raise ConfigError(f"expected a number or an [re, im] pair, got {pair!r}")
-    if not cmath.isfinite(z):
-        raise ConfigError(f"expected a finite number, got {pair!r}")
-    return z
-
-
-def _int(x, key: str) -> int:
-    """A config integer: a JSON integer, not a bool."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"{key}: expected an integer, got {x!r}")
-    return x
-
-
-def _real(x, key: str) -> float:
-    """A config real number: a JSON number, not a bool or a string."""
-    if not _is_real(x):
-        raise ConfigError(f"{key}: expected a number, got {x!r}")
-    return float(x)
-
-
-def _point(seq) -> tuple[complex, ...]:
-    if not isinstance(seq, (list, tuple)):
-        raise ConfigError(f"expected a list of coordinates, got {seq!r}")
-    return tuple(_cx(p) for p in seq)
-
-
-def _domain(obj: dict) -> weights.Polydisc:
-    center = tuple(_cx(c) for c in obj.get("center", []))
-    return weights.Polydisc(tuple(obj["radii"]), center)
-
-
-def _quad(cfg: dict) -> bergman.QuadSpec:
-    q = cfg.get("quadrature", {})
-    return bergman.QuadSpec(
-        radial_nodes=_int(q.get("radialNodes", 32), "radialNodes"),
-        angular_nodes=_int(q.get("angularNodes", 64), "angularNodes"),
-        inner_cutoff=_real(q.get("innerCutoff", 0.0), "innerCutoff"),
-    )
-
-
-def _grid_points(obj, m: int = 1) -> list:
-    """Base grid: complex numbers when m = 1, m-tuples of them otherwise.
-
-    The object form ``{halfWidth, count}`` is a square grid and needs m = 1,
-    a finite halfWidth and count >= 1; the list form gives the points, each
-    a list of exactly m ``[re, im]`` pairs when m > 1.
+    Raises ConfigError, naming the key path, on an unknown command, an
+    unknown or missing key, or a value of the wrong JSON type.
     """
-    if isinstance(obj, dict):
-        if m != 1:
-            raise ConfigError(
-                f"grid: the {{halfWidth, count}} form needs wArity 1, not {m}; "
-                "list the points"
-            )
-        half = _real(obj["halfWidth"], "grid: halfWidth")
-        if not math.isfinite(half):
-            raise ConfigError(f"grid: halfWidth must be finite, not {half}")
-        count = _int(obj["count"], "grid: count")
-        if count < 1:
-            raise ConfigError(f"grid: count must be >= 1, not {count}")
-        return fiberwise.square_grid(half, count)
-    if m == 1:
-        return [_cx(p) for p in obj]
-    pts = [_point(p) for p in obj]
-    for w in pts:
-        if len(w) != m:
-            raise ConfigError(f"grid: point {w} has {len(w)} coordinates, not {m}")
-    return pts
+    if command not in _CONFIGS:
+        raise ConfigError(f"unknown command {command!r}")
+    return _CONFIGS[command](cfg)
+
+
+def _grid_points(grid, m: int = 1) -> list:
+    """The base grid: its listed points (``ideal`` checks that each has m
+    coordinates), or the square grid of a ``{halfWidth, count}`` object,
+    which needs m = 1 and count >= 1."""
+    if not isinstance(grid, dict):
+        return list(grid)
+    if m != 1:
+        raise ConfigError(
+            f"grid: the {{halfWidth, count}} form needs wArity 1, not {m}; "
+            "list the points"
+        )
+    if grid["count"] < 1:
+        raise ConfigError(f"grid: count must be >= 1, not {grid['count']}")
+    return fiberwise.square_grid(grid["halfWidth"], grid["count"])
 
 
 def _timestamp() -> str:
@@ -297,20 +226,16 @@ def _json_text(x, indent: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
-    domain = _domain(cfg["domain"])
-    wt = weights.weight_from_json(cfg["weight"])
-    xi = functional.functional_from_json(cfg["functional"])
-    z = _point(cfg["point"])
     model = bergman.assemble_gram(
-        domain, wt, _int(cfg["degree"], "degree"), _quad(cfg),
-        cfg.get("method", "auto")
+        cfg["domain"], cfg["weight"], cfg["degree"], cfg["quadrature"],
+        cfg["method"]
     )
     bergman.orthonormalize(model)
     if model.size == 0:
         print("warning: truncated space is {0}; kernel is 0", file=sys.stderr)
         K = 0.0
     else:
-        K = bergman.xi_kernel(model, xi, z)
+        K = bergman.xi_kernel(model, cfg["functional"], cfg["point"])
     payload = {
         "K": K,
         "logK": math.log(K) if K > 0 else "-inf",
@@ -321,32 +246,24 @@ def _cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
 
 
 def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
-    fiber_domain = _domain(cfg["fiberDomain"])
-    base_domain = _domain(cfg["baseDomain"])
-    wt = weights.weight_from_json(cfg["weight"])
-    fam = family.family_from_json(cfg["family"])
-    if cfg.get("antiHolomorphicControl", False):
+    base_domain = cfg["baseDomain"]
+    fam = cfg["family"]
+    if cfg["antiHolomorphicControl"]:
         fam = family.anti_holomorphic_control(fam)
     problem = fiberwise.FamilyProblem(
-        fiber_domain, base_domain, wt, fam, _int(cfg["degree"], "degree"),
-        _quad(cfg)
+        cfg["fiberDomain"], base_domain, cfg["weight"], fam, cfg["degree"],
+        cfg["quadrature"]
     )
-    z = _point(cfg["z"])
 
     reports = []
     any_fail = False
-    for c in cfg.get("circles", []):
-        raw = c["w0"]
-        if raw and isinstance(raw[0], (int, float)):
-            raw = [raw]  # single [re, im] pair for a one-dimensional base
-        w0 = _point(raw)
-        radius = _real(c["radius"], "circle radius")
-        kind = c.get("kind", "base")
-        if kind not in ("base", "joint"):
-            raise ConfigError(f"unknown circle kind {kind!r}")
+    for c in cfg["circles"]:
+        w0, radius, kind = c["w0"], c["radius"], c["kind"]
+        if kind == "joint" and (c["dz"] is None or c["dw"] is None):
+            raise ConfigError("a joint circle needs dz and dw")
         # the base track of a joint circle has radius radius * |dw_k|
         step = (
-            _point(c["dw"]) if kind == "joint"
+            c["dw"] if kind == "joint"
             else (1.0,) + (0.0,) * (base_domain.arity - 1)
         )
         if any(
@@ -354,22 +271,18 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
             for wk, ck, rk, sk in zip(w0, base_domain.center, base_domain.radii, step)
         ):
             raise ConfigError("circle radius exceeds the base domain")
+        z = cfg["z"] if c["z"] is None else c["z"]
         if kind == "base":
-            rep = fiberwise.psh_verify_base(
-                problem, _point(c.get("z", cfg["z"])), w0, radius,
-                _int(c.get("samples", 64), "circle samples"),
-            )
+            rep = fiberwise.psh_verify_base(problem, z, w0, radius, c["samples"])
         else:
             rep = fiberwise.psh_verify_joint(
-                problem, _point(c.get("z", cfg["z"])), w0,
-                _point(c["dz"]), _point(c["dw"]), radius,
-                _int(c.get("samples", 64), "circle samples"),
+                problem, z, w0, c["dz"], c["dw"], radius, c["samples"]
             )
         reports.append(rep.to_json())
         any_fail = any_fail or not rep.passed
 
-    if "grid" in cfg:
-        rows = fiberwise.scan_base(problem, z, _grid_points(cfg["grid"]))
+    if cfg["grid"] is not None:
+        rows = fiberwise.scan_base(problem, cfg["z"], _grid_points(cfg["grid"]))
         _write_csv(out / "scan.csv", ["w_re", "w_im", "logK"], rows)
 
     _write_json(out / "psh_report.json", {"reports": reports})
@@ -377,29 +290,21 @@ def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
 
 
 def _cmd_annihilate(cfg: dict, out: Path, seed: int) -> int:
-    fam = ideal.ideal_from_json(cfg["ideal"])
-    # the witness grid; with m > 1 base variables it defaults to (0.3, ..., 0.3)
-    default = (
-        {"halfWidth": 0.6, "count": 5} if fam.w_arity == 1
-        else [[[0.3, 0.0]] * fam.w_arity]
-    )
-    grid = _grid_points(cfg.get("wGrid", default), fam.w_arity)
-    res = ideal.build_annihilator(fam, grid, seed=seed)
+    fam, grid = cfg["ideal"], cfg["wGrid"]
+    if grid is None:  # with m > 1 base variables the witness is (0.3, ..., 0.3)
+        grid = ({"halfWidth": 0.6, "count": 5} if fam.w_arity == 1
+                else [(0.3 + 0j,) * fam.w_arity])
+    res = ideal.build_annihilator(fam, _grid_points(grid, fam.w_arity), seed=seed)
     _write_json(out / "annihilator.json", ideal.annihilator_to_json(res))
     return EXIT_OK
 
 
 def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
-    fam = ideal.ideal_from_json(cfg["ideal"])
-    wt = weights.weight_from_json(cfg["weight"])
+    fam, wt = cfg["ideal"], cfg["weight"]
     grid = _grid_points(cfg["grid"], fam.w_arity)
-    fiber_domain = (
-        _domain(cfg["fiberDomain"]) if "fiberDomain" in cfg
-        else weights.Polydisc((1.0,) * fam.z_arity)
-    )
-    degree = _int(cfg.get("degree", 8), "degree")
-    quad = _quad(cfg)
-    n_max = _int(cfg.get("nMax", fam.truncation), "nMax")
+    fiber_domain = cfg["fiberDomain"] or weights.Polydisc((1.0,) * fam.z_arity)
+    degree, quad = cfg["degree"], cfg["quadrature"]
+    n_max = fam.truncation if cfg["nMax"] is None else cfg["nMax"]
     krull = None
     if n_max > fam.truncation:
         krull = ideal.krull_stabilize(
@@ -445,27 +350,16 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
 
 
 def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
-    fiber_domain = _domain(cfg["fiberDomain"])
-    wt = weights.weight_from_json(cfg["weight"])
-    fobj = cfg["f"]
-    f = family.poly_from_json(fobj["terms"], _int(fobj["arity"], "f: arity"))
     prob = extension.ExtensionProblem(
-        fiber_domain,
-        _real(cfg["baseRadius"], "baseRadius"),
-        wt,
-        _cx(cfg.get("w0", 0.0)),
-        f,
-        _int(cfg["dz"], "dz"),
-        _int(cfg["dw"], "dw"),
-        _quad(cfg),
+        cfg["fiberDomain"], cfg["baseRadius"], cfg["weight"], cfg["w0"],
+        cfg["f"], cfg["dz"], cfg["dw"], cfg["quadrature"],
     )
     result = extension.minimal_extension(prob)
     payload = extension.extension_report(prob, result)
-    if "jensen" in cfg:
+    if cfg["jensen"] is not None:
         j = cfg["jensen"]
-        fam = family.family_from_json(j["family"])
         payload["jensen"] = extension.jensen_diagnostic(
-            prob, fam, _point(j["z0"]), result=result
+            prob, j["family"], j["z0"], result=result
         )
     _write_json(out / "extend.json", payload)
     code = EXIT_OK
@@ -506,8 +400,8 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     try:
-        cfg = json.loads(Path(args.config).read_text())
-        validate_config(cfg, args.command)
+        cfg = validate_config(json.loads(Path(args.config).read_text()),
+                              args.command)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,

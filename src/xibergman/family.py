@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import Table, coefficients, integer, terms
 from .functional import (
     ArityMismatchError,
     Functional,
@@ -135,11 +136,14 @@ def poly_to_json(p: PolyW) -> list[dict]:
     ]
 
 
+#: the reader of a polynomial's terms {beta, re, im}, to {beta: complex}
+POLY_TERMS = coefficients("beta")
+#: the key table of a polynomial: its arity and its terms
+POLY = Table({"arity": integer, "terms": POLY_TERMS}, PolyW)
+
+
 def poly_from_json(terms: list[dict], arity: int) -> PolyW:
-    return PolyW(
-        arity,
-        {tuple(t["beta"]): complex(t["re"], t.get("im", 0.0)) for t in terms},
-    )
+    return PolyW(arity, POLY_TERMS(terms))
 
 
 @dataclass
@@ -285,12 +289,18 @@ def family_to_json(fam: FunctionalFamily) -> dict:
     }
 
 
+#: the key table of a family: its arities and its terms {alpha, poly}
+FAMILY = Table(
+    {"zArity": integer, "wArity": integer,
+     "terms": terms("alpha", {"poly": POLY_TERMS}, lambda poly: poly)},
+    lambda n, m, polys: FunctionalFamily(
+        n, m, {a: PolyW(m, p) for a, p in polys.items()}
+    ),
+)
+
+
 def family_from_json(obj: dict) -> FunctionalFamily:
-    w_arity = int(obj["wArity"])
-    terms = {
-        tuple(t["alpha"]): poly_from_json(t["poly"], w_arity) for t in obj["terms"]
-    }
-    return FunctionalFamily(int(obj["zArity"]), w_arity, terms)
+    return FAMILY(obj)
 
 
 def dumps(fam: FunctionalFamily) -> str:

@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
 
+from .config import Table, coefficients, integer
+
 MultiIndex = tuple[int, ...]
 
 #: coefficients with modulus at or below this (relative to the largest
@@ -229,11 +231,12 @@ def functional_to_json(xi: Functional) -> dict:
     }
 
 
+#: the key table of a functional: its arity and its terms {alpha, re, im}
+FUNCTIONAL = Table({"arity": integer, "terms": coefficients("alpha")}, Functional)
+
+
 def functional_from_json(obj: dict) -> Functional:
-    coeffs = {
-        tuple(t["alpha"]): complex(t["re"], t.get("im", 0.0)) for t in obj["terms"]
-    }
-    return Functional(int(obj["arity"]), coeffs)
+    return FUNCTIONAL(obj)
 
 
 def dumps(xi: Functional) -> str:

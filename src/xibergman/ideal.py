@@ -59,7 +59,8 @@ from typing import Sequence
 import numpy as np
 
 from .bergman import GramModel, QuadSpec, assemble_gram, kernels, orthonormalize
-from .family import FunctionalFamily, PolyW
+from .config import Table, integer, list_of
+from .family import POLY_TERMS, FunctionalFamily, PolyW
 from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
 from .weights import Polydisc, check_joint_weight, multiplier_generators
 
@@ -882,12 +883,17 @@ def ideal_to_json(fam: IdealFamily) -> dict:
     }
 
 
-def ideal_from_json(obj: dict) -> IdealFamily:
-    from .family import poly_from_json
+#: the key table of an ideal family: its arities, jet order and generators
+#: (polynomials in (z, w), each a term list)
+IDEAL = Table(
+    {"zArity": integer, "wArity": integer, "truncation": integer,
+     "generators": list_of(POLY_TERMS)},
+    lambda n, m, N, gens: IdealFamily(n, m, [PolyW(n + m, g) for g in gens], N),
+)
 
-    n, m = int(obj["zArity"]), int(obj["wArity"])
-    gens = [poly_from_json(g, n + m) for g in obj["generators"]]
-    return IdealFamily(n, m, gens, int(obj["truncation"]))
+
+def ideal_from_json(obj: dict) -> IdealFamily:
+    return IDEAL(obj)
 
 
 def annihilator_to_json(res: AnnihilatorResult) -> dict:

@@ -11,15 +11,16 @@ weight ``fiber(w)`` is its restriction to {w} x fiber.  ``check_joint_weight``
 is the one test that a weight is joint and fits its domains.
 
 ``coordinate_form`` is the one decoder of the per-coordinate form of a
-weight, fiber or joint; the Gram dispatch of ``bergman`` and the divergence
-probe read it.  ``divisor_split`` is the one rule for a divisor part
-2 log|g| with c = 1, fiber or joint, which factors out of the basis:
-``bergman``, ``fiberwise`` and ``extension`` read it.
+weight, fiber or joint; the Gram dispatch of ``bergman`` reads it.
+``divisor_split`` is the one rule for a divisor part 2 log|g| with c = 1,
+fiber or joint, which factors out of the basis: ``bergman``, ``fiberwise``
+and ``extension`` read it.
 ``multiplier_generators`` is the one decoder of the multiplier ideals of
 the catalog: the membership oracle and the Lambda scan of ``ideal`` read
 it.  A joint weight of the form psi(z) + s(w) states that split
 once, in its ``shift_split``; ``fiberwise`` builds one fiber model of psi for
-all of its fibers.
+all of its fibers.  ``WEIGHT`` reads a weight from its JSON config object,
+by one key table per variant (see ``config``), and ``DOMAIN`` a polydisc.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .family import PolyW
+from .config import Table, integer, list_of, point, real, reals, variants
+from .family import POLY_TERMS, PolyW, poly_to_json
 from .functional import ArityMismatchError, MultiIndex
 
 
@@ -571,12 +573,12 @@ def multiplier_generators(weight) -> list[PolyW]:
             return [PolyW.constant(1.0, g.arity)]  # bounded near the origin
         if abs(weight.c - 1.0) > 1e-12:
             raise UnsupportedWeightError(
-                "divisor oracle supports c = 1 only; use divergence_probe"
+                f"no multiplier-ideal oracle for a divisor through the origin"
+                f" with c = {weight.c} != 1"
             )
         return [g]
     raise UnsupportedWeightError(
-        f"no multiplier-ideal oracle for weight variant {weight.variant!r};"
-        " use divergence_probe"
+        f"no multiplier-ideal oracle for weight variant {weight.variant!r}"
     )
 
 
@@ -600,7 +602,7 @@ def multiplier_membership_oracle(spec, f: PolyW) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature rule (shared by the Gram quadratures, the probe and extension)
+# Quadrature rule (shared by the Gram quadratures and extension)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -616,158 +618,10 @@ def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Numerical divergence probe
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProbeReport:
-    verdict: str  # CONVERGENT / DIVERGENT / INCONCLUSIVE
-    slope: float
-    values: list[float]
-    radii: list[float]
-
-
-def _log_gl_nodes(a: float, b: float, count: int):
-    """Gauss-Legendre nodes/weights for integral over [a, b] in log radius."""
-    t, wt = gauss_legendre(count)
-    ta, tb = math.log(a), math.log(b)
-    tt = 0.5 * (tb - ta) * t + 0.5 * (tb + ta)
-    r = np.exp(tt)
-    # dr = r dt
-    return r, wt * 0.5 * (tb - ta) * r
-
-
-def _separable_annulus_integral(spec, f: PolyW, eps: float, radii, nodes=160) -> float:
-    dec = separable_radial_parts(spec, f.arity)
-    assert dec is not None
-    pre, dens = dec
-    total = 0.0
-    for alpha, c in f.coeffs.items():
-        term = abs(c) ** 2
-        for i, (ai, Ri) in enumerate(zip(alpha, radii)):
-            r, wr = _log_gl_nodes(eps * Ri, Ri, nodes)
-            term *= 2.0 * math.pi * float(np.sum(r ** (2 * ai + 1) * dens[i](r) * wr))
-        total += term
-    return pre * total
-
-
-def _divisor_point_near_origin(g: PolyW, rng) -> tuple[complex, ...] | None:
-    """A point on {g = 0} at distance ~0.3 from the origin, or None."""
-    n = g.arity
-    for _ in range(40):
-        i0 = int(rng.integers(n))
-        base = 0.3 * np.exp(2j * math.pi * rng.random(n))
-        # univariate polynomial in coordinate i0 with the others frozen
-        maxdeg = max((a[i0] for a in g.coeffs), default=0)
-        if maxdeg == 0:
-            continue
-        coef = np.zeros(maxdeg + 1, dtype=complex)
-        for a, c in g.coeffs.items():
-            val = c
-            for j in range(n):
-                if j != i0:
-                    val *= base[j] ** a[j]
-            coef[a[i0]] += val
-        if np.max(np.abs(coef[1:])) < 1e-14:
-            continue
-        roots = np.roots(coef[::-1])
-        roots = roots[np.abs(roots) < 0.8]
-        if len(roots) == 0:
-            continue
-        z = base.copy()
-        z[i0] = roots[np.argmin(np.abs(roots))]
-        return tuple(z), i0
-    return None
-
-
-def _divisor_transverse_integral(
-    spec: LogDivisorWeight, f: PolyW, eps: float, point, i0, delta=0.05, nodes=120
-) -> float:
-    """Integral of |f|^2 e^{-psi} over a transverse annulus at a divisor point."""
-    r, wr = _log_gl_nodes(eps * delta, delta, nodes)
-    na = 32
-    theta = 2.0 * math.pi * np.arange(na) / na
-    total = 0.0
-    for rr, ww in zip(r, wr):
-        for th in theta:
-            z = list(point)
-            z[i0] = z[i0] + rr * np.exp(1j * th)
-            gz = abs(spec.g.evaluate(tuple(z)))
-            if gz == 0:
-                continue
-            # area element r dr dtheta; ww already carries dr
-            total += (
-                abs(f.evaluate(tuple(z))) ** 2
-                * gz ** (-2.0 * spec.c)
-                * ww
-                * rr
-                * (2.0 * math.pi / na)
-            )
-    return total
-
-
-def divergence_probe(
-    spec,
-    f: PolyW,
-    radii_sequence: Sequence[float],
-    domain_radii: Sequence[float] | None = None,
-    seed: int = 0,
-) -> ProbeReport:
-    """Numerical fallback oracle for multiplier-ideal membership.
-
-    Integrates |f|^2 e^{-psi} over the domain with a shrinking exclusion
-    around the singular locus and classifies the trend of the log-integral
-    against the log of the exclusion radius.
-    """
-    eps_list = [float(e) for e in radii_sequence]
-    if len(eps_list) < 4:
-        raise ValueError("need at least 4 refinement levels")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("radii sequence must be strictly decreasing")
-    if domain_radii is None:
-        domain_radii = (1.0,) * f.arity
-
-    if isinstance(spec, LogDivisorWeight):
-        rng = np.random.default_rng(seed)
-        found = _divisor_point_near_origin(spec.g, rng)
-        if found is None:
-            # divisor misses the neighborhood: weight bounded, integral finite
-            return ProbeReport("CONVERGENT", 0.0, [], eps_list)
-        point, i0 = found
-        values = [
-            _divisor_transverse_integral(spec, f, e, point, i0) for e in eps_list
-        ]
-    else:
-        if separable_radial_parts(spec, f.arity) is None:
-            raise UnsupportedWeightError(
-                f"divergence probe unsupported for variant {spec.variant!r}"
-            )
-        values = [
-            _separable_annulus_integral(spec, f, e, domain_radii) for e in eps_list
-        ]
-
-    if all(v <= 0 for v in values):
-        return ProbeReport("CONVERGENT", 0.0, values, eps_list)
-    logs = np.log(np.maximum(values, 1e-300))
-    x = np.log(eps_list)
-    slope = float(np.polyfit(x, logs, 1)[0])
-    cauchy = abs(values[-1] - values[-2]) <= 1e-2 * max(abs(values[-1]), 1e-300)
-    if slope <= -0.1:
-        verdict = "DIVERGENT"
-    elif abs(slope) < 0.02 and cauchy:
-        verdict = "CONVERGENT"
-    else:
-        verdict = "INCONCLUSIVE"
-    return ProbeReport(verdict, slope, values, eps_list)
-
-
-# ---------------------------------------------------------------------------
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
 def weight_to_json(spec) -> dict:
-    from .family import poly_to_json
-
     v = spec.variant
     if v == "zero":
         return {"variant": v, "arity": spec.arity}
@@ -813,37 +667,29 @@ def weight_to_json(spec) -> dict:
     raise UnsupportedWeightError(f"cannot serialize weight variant {v!r}")
 
 
-def weight_from_json(obj: dict):
-    from .family import poly_from_json
+#: the reader of a weight: one key table per variant
+WEIGHT = variants(
+    zero=Table({"arity": integer}, ZeroWeight),
+    constant=Table({"arity": integer, "value": real}, ConstantWeight),
+    quadratic=Table({"coeffs": reals, "center": (point, ())}, QuadraticWeight),
+    log_monomial=Table({"coeffs": reals}, LogMonomialWeight),
+    log_divisor=Table(
+        {"c": (real, 1.0), "arity": integer, "g": POLY_TERMS},
+        lambda c, n, g: LogDivisorWeight(PolyW(n, g), c)),
+    sum=Table({"parts": list_of(lambda x: WEIGHT(x))}, SumWeight),
+    joint_zero=Table({"zArity": integer, "wArity": integer}, JointZero),
+    joint_log_divisor=Table(
+        {"zArity": integer, "c": (real, 1.0), "arity": integer, "g": POLY_TERMS},
+        lambda n, c, arity, g: JointLogDivisor(PolyW(arity, g), n, c)),
+    joint_quadratic_split=Table({"cz": reals, "cw": reals}, JointQuadraticSplit),
+    joint_pair_quadratic=Table({"coeffs": reals}, JointPairQuadratic),
+    w_independent=Table({"base": lambda x: WEIGHT(x), "wArity": integer},
+                        WIndependentJoint),
+)
 
-    v = obj["variant"]
-    if v == "zero":
-        return ZeroWeight(int(obj["arity"]))
-    if v == "constant":
-        return ConstantWeight(int(obj["arity"]), float(obj["value"]))
-    if v == "quadratic":
-        center = tuple(complex(a, b) for a, b in obj.get("center", []))
-        return QuadraticWeight(tuple(obj["coeffs"]), center)
-    if v == "log_monomial":
-        return LogMonomialWeight(tuple(obj["coeffs"]))
-    if v == "log_divisor":
-        return LogDivisorWeight(
-            poly_from_json(obj["g"], int(obj["arity"])), float(obj.get("c", 1.0))
-        )
-    if v == "sum":
-        return SumWeight(tuple(weight_from_json(p) for p in obj["parts"]))
-    if v == "joint_zero":
-        return JointZero(int(obj["zArity"]), int(obj["wArity"]))
-    if v == "joint_log_divisor":
-        return JointLogDivisor(
-            poly_from_json(obj["g"], int(obj["arity"])),
-            int(obj["zArity"]),
-            float(obj.get("c", 1.0)),
-        )
-    if v == "joint_quadratic_split":
-        return JointQuadraticSplit(tuple(obj["cz"]), tuple(obj["cw"]))
-    if v == "joint_pair_quadratic":
-        return JointPairQuadratic(tuple(obj["coeffs"]))
-    if v == "w_independent":
-        return WIndependentJoint(weight_from_json(obj["base"]), int(obj["wArity"]))
-    raise UnsupportedWeightError(f"unknown weight variant {v!r}")
+#: the key table of a polydisc: its radii and (default the origin) center
+DOMAIN = Table({"radii": reals, "center": (point, ())}, Polydisc)
+
+
+def weight_from_json(obj: dict):
+    return WEIGHT(obj)

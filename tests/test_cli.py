@@ -19,6 +19,33 @@ from xibergman import cli
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+#: the shipped configs, and scan_pstar with the optional quadrature object
+#: that none of them writes
+SHIPPED = {
+    **{p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))},
+    "scan_pstar+quadrature": {
+        **json.loads((CONFIGS / "scan_pstar.json").read_text()),
+        "quadrature": {"radialNodes": 32, "angularNodes": 64, "innerCutoff": 0.0},
+    },
+}
+
+
+def numeric_leaves(x, path=()):
+    """(key path, is an integer) of each number in a JSON value."""
+    if isinstance(x, (dict, list)):
+        for k, v in x.items() if isinstance(x, dict) else enumerate(x):
+            yield from numeric_leaves(v, path + (k,))
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        yield path, isinstance(x, int)
+
+
+def key_path(path) -> str:
+    """A key path as error messages write it: ``weight.g[1].beta[2]``."""
+    return "".join(
+        f"[{k}]" if isinstance(k, int) else f".{k}" for k in path
+    ).lstrip(".")
+
+
 def run(command, config, out, seed=0, extra=()):
     return cli.main(
         [command, "--config", str(config), "--out", str(out), "--seed", str(seed),
@@ -453,8 +480,9 @@ class TestExtendCommand:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("baseRadius", math.nan, "base disc radius must be finite and positive"),
-            ("baseRadius", math.inf, "base disc radius must be finite and positive"),
+            ("baseRadius", math.nan, "baseRadius: expected a finite number"),
+            ("baseRadius", math.inf, "baseRadius: expected a finite number"),
+            ("baseRadius", 0.0, "base disc radius must be finite and positive"),
             ("dw", -1, "joint bidegree must be >= 0"),
             ("dz", -1, "joint bidegree must be >= 0"),
         ],
@@ -808,42 +836,26 @@ class TestArgumentHandling:
         assert run(command, bad, tmp_path / "o") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("command, name, path, value", [
-        pytest.param(command, name, path, value,
-                     id=f"{command}-{'.'.join(map(str, path))}-{value!r}")
-        for command, name, path, integer in [
-            ("kernel", "kernel_disc_dirac.json", ("degree",), True),
-            ("scan-psh", "scan_pstar.json", ("degree",), True),
-            ("lambda", "lambda_pstar.json", ("degree",), True),
-            ("lambda", "lambda_pstar.json", ("nMax",), True),
-            ("extend", "extend_gaussian.json", ("dz",), True),
-            ("extend", "extend_gaussian.json", ("dw",), True),
-            ("extend", "extend_gaussian.json", ("f", "arity"), True),
-            ("extend", "extend_gaussian.json", ("baseRadius",), False),
-            ("scan-psh", "scan_pstar.json", ("circles", 0, "radius"), False),
-            ("scan-psh", "scan_pstar.json", ("circles", 0, "samples"), True),
-            ("scan-psh", "scan_pstar.json", ("circles", 2, "samples"), True),
-            ("scan-psh", "scan_pstar.json", ("grid", "halfWidth"), False),
-            ("scan-psh", "scan_pstar.json", ("grid", "count"), True),
-            ("scan-psh", "scan_pstar.json", ("quadrature", "radialNodes"), True),
-            ("scan-psh", "scan_pstar.json", ("quadrature", "angularNodes"), True),
-            ("scan-psh", "scan_pstar.json", ("quadrature", "innerCutoff"), False),
-        ]
-        for value in ["6", True] + ([6.5] if integer else [])
+    @pytest.mark.parametrize("name, path, integer", [
+        pytest.param(name, path, integer, id=f"{name}:{key_path(path)}")
+        for name, cfg in SHIPPED.items() for path, integer in numeric_leaves(cfg)
     ])
     def test_number_of_the_wrong_json_type_exits_2(
-        self, tmp_path, capsys, command, name, path, value
+        self, tmp_path, capsys, name, path, integer
     ):
-        # a string, a bool or (for an integer) a fraction was read as a number
-        cfg = json.loads((CONFIGS / name).read_text())
-        obj = cfg
-        for key in path[:-1]:
-            obj = obj.setdefault(key, {}) if isinstance(key, str) else obj[key]
-        obj[path[-1]] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(cfg))
-        assert run(command, bad, tmp_path / "o") == 2
-        assert "expected a" in capsys.readouterr().err
+        # a string, a bool, a non-finite number or (for an integer) a fraction
+        # was read as a number; the error names the key path
+        for value in ["6", True, math.nan, math.inf] + ([6.5] if integer else []):
+            cfg = json.loads(json.dumps(SHIPPED[name]))
+            obj = cfg
+            for key in path[:-1]:
+                obj = obj[key]
+            obj[path[-1]] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(cfg))
+            assert run(cfg["command"], bad, tmp_path / "o") == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key_path(path)}: expected a"), err
 
     def test_validate_rejects_unknown_weight_variant(self):
         with pytest.raises(cli.ConfigError):

@@ -140,10 +140,10 @@ class TestTailBound:
 
 
 class TestJson:
-    def test_round_trip(self):
-        xi = Functional(2, {(1, 0): 2.0 - 1j, (0, 3): 0.5})
-        again = fl.loads(fl.dumps(xi))
-        assert again.arity == 2 and again.coeffs == xi.coeffs
+    @given(st.integers(1, 3).flatmap(functionals))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, xi):
+        assert fl.loads(fl.dumps(xi)) == xi
 
     def test_grlex_term_order_in_wire_format(self):
         xi = Functional(1, {(4,): 1.0, (0,): 1.0, (2,): 1.0})

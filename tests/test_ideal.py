@@ -1172,7 +1172,7 @@ class TestKrull:
 
 
 class TestJson:
-    def test_ideal_round_trip(self):
-        again = ideal_from_json(ideal_to_json(PENCIL))
-        assert again.z_arity == 2 and again.truncation == 2
-        assert again.generators[0].equals(PENCIL.generators[0])
+    @given(st.one_of(ideal_families(), shared_z_ideals(), st.just(PENCIL)))
+    @settings(max_examples=100, deadline=None)
+    def test_ideal_round_trip(self, fam):
+        assert ideal_from_json(ideal_to_json(fam)) == fam
