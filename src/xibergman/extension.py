@@ -16,13 +16,18 @@ most 1 (with equality for base-independent weights), which is the sharp
 constant pi r^2.  The solve and the fiber norm read the datum alike, on the
 model's basis polynomials: on a divisor basis its coefficients are those of
 f / g(., w0) (``_datum_coeffs``), so the divisor's k = 0 joint elements are
-exactly the fiber model's basis.  The Jensen diagnostic
-averages over a polar grid of base nodes handled as arrays: one
-``bergman.TaylorShift`` call on the terms of F in the joint model's local
-coordinates (z - center, w - w0) gives the Taylor coefficients of F_w at z0
-as polynomials in w - w0, evaluated by one Vandermonde matrix, and the
-log-kernels log K(w) come from one batched ``fiberwise.log_kernel_on_fiber``
-call, in log space throughout.
+exactly the fiber model's basis.  The Jensen diagnostic stays on
+coefficient arrays, with no PolyW between the extremal function and the
+log-kernels: the extremal coefficient of the fiber label alpha is the
+datum's coefficient on the joint element alpha + (0,), extended by the
+Schur step of every datum (``_fill_free``), and its fiber norm is the
+fiber model's quadratic form on those coefficients.  Over a polar grid of
+base nodes, one ``bergman.TaylorShift`` call on the terms c_j C[t] of F,
+read from the joint model's term arrays in its local coordinates
+(z - center, w - w0) and summed per power of w - w0, gives the Taylor
+coefficients of F_w at z0 as polynomials in w - w0, evaluated by one
+Vandermonde matrix; the log-kernels log K(w) come from one batched
+``fiberwise.log_kernel_on_fiber`` call, in log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets,
@@ -221,13 +226,23 @@ def _pinv_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.nd
     return V @ ((np.conj(V).T @ rhs) / lam)
 
 
-def _solve(prob, model, G, fixed, free, factor, gram_norm,
-           fiber=None) -> ExtensionResult:
-    """The Schur-complement solve of ``minimal_extension`` for prob.f."""
-    c = _datum_coeffs(prob.f, model, fixed, f"joint model span (degree {prob.dz})")
+def _fill_free(c: np.ndarray, G: np.ndarray, free: np.ndarray,
+               factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """c, zero on the free elements F, with c[F] = y solving G_FF y = -G_FC b
+    for its fixed part b: the joint coefficients of the minimal extension."""
     if len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
         c[free] = _pinv_solve(factor, -G[free] @ c)
+    return c
+
+
+def _solve(prob, model, G, fixed, free, factor, gram_norm,
+           fiber=None) -> ExtensionResult:
+    """The Schur-complement solve of ``minimal_extension`` for prob.f."""
+    c = _fill_free(
+        _datum_coeffs(prob.f, model, fixed, f"joint model span (degree {prob.dz})"),
+        G, free, factor,
+    )
     # the residual of c over its largest modulus: the norms of a steep
     # extension (|c| ~ 1e285) overflow
     top = np.abs(c).max(initial=0.0)
@@ -289,10 +304,17 @@ def _datum_coeffs(f: PolyW, model: GramModel, index: dict, span: str):
             raise InconsistentConstraintError(
                 "fiber datum outside the span of the divisor basis g (z - center)^alpha"
             )
-    c = np.zeros(model.size, dtype=complex)
     # the identity on a centered domain
     local = _recentered(f, (0j,) * n, model.domain.center[:n])
-    for a, v in local.coeffs.items():
+    return _placed(local.coeffs.items(), index, model.size, span)
+
+
+def _placed(terms, index: dict, size: int, span: str) -> np.ndarray:
+    """The vector of the given size with v at index[alpha] for each term
+    (alpha, v); a nonzero v on an alpha outside index raises
+    InconsistentConstraintError."""
+    c = np.zeros(size, dtype=complex)
+    for a, v in terms:
         if a in index:
             c[index[a]] = v
         elif v != 0:
@@ -333,16 +355,18 @@ def _jensen_actions(model: GramModel, coeffs, family, w: np.ndarray,
     """xi(w) . F_w at z0 for each base node w, F = sum_j coeffs_j b_j on a
     joint model.
 
-    F is read in the model's local coordinates, u = z - center and
-    v = w - w0.  One ``TaylorShift`` call takes the actions at u0 = z0 - center
-    of every e_alpha on F's terms, summed per power of v: with
+    F's terms c_j C[t] u^Ez[t] v^k[t] come straight from the model's term
+    arrays, in its local coordinates u = z - center and v = w - w0.  One
+    ``TaylorShift`` call takes the actions at u0 = z0 - center of every
+    e_alpha on them, summed per power of v: with
     powers[node, k] = v^k, (powers @ shift)[node, j] is the alpha_j-th Taylor
     coefficient of F_w.
     """
     n = model.arity - 1
-    F = model.local_poly(coeffs)
-    E = np.array(list(F.coeffs), dtype=int).reshape(len(F.coeffs), n + 1)
-    C = np.array(list(F.coeffs.values()), dtype=complex)
+    c = np.asarray(coeffs, dtype=complex)
+    live = c[model.seg] != 0
+    E = model.exps[live]
+    C = c[model.seg[live]] * model.coeffs[live]
     top = int(E[:, n].max(initial=0))
     alphas = list(family.terms)
     center = np.array(model.domain.center)
@@ -368,9 +392,10 @@ def jensen_diagnostic(
     and checks the averaged lower bound against log of the fiber norm.  The
     inequality is the mechanism that transfers the extremal problem across
     fibers.  family is a FunctionalFamily in one base variable.  result is
-    ``minimal_extension(prob_template)``, computed here when omitted: the
-    extremal datum is solved against its joint model, and its central fiber
-    model gives the extremal function and the fiber norm.  A z0 of the wrong
+    ``minimal_extension(prob_template)``, computed here when omitted: its
+    central fiber model gives the extremal function and the fiber norm, and
+    the extremal coefficients, placed on the joint model's k = 0 elements,
+    are extended against its factorization.  A z0 of the wrong
     arity (ArityMismatchError) or outside the fiber disc (ValueError) is
     refused by ``extremal_function``, before the datum is extended.
     """
@@ -383,9 +408,11 @@ def jensen_diagnostic(
 
     fmodel = result.fiber_model()
     c = extremal_function(fmodel, family.eval((w0,)), z0)
-    ext = result.with_datum(fmodel.poly_from_coeffs(c))
-    prob = ext.problem
-    lhs = math.log(fiber_norm(prob, fmodel))
+    lhs = math.log(fmodel.norm_sq(c))
+    # the fiber model's basis is the joint model's k = 0 elements
+    b = _placed(zip(fmodel.basis_labels, c.tolist()), result.fixed,
+                result.model.size, f"joint model span (degree {prob_template.dz})")
+    coeffs = _fill_free(b, result.gram, result.free, result.factor)
 
     t, wt = gauss_legendre(radial_nodes)
     rr = 0.5 * r * (t + 1.0)
@@ -394,13 +421,13 @@ def jensen_diagnostic(
     w = (w0 + rr[:, None] * (np.cos(thetas) + 1j * np.sin(thetas))[None, :]).ravel()
     da = np.repeat(wr * rr * (2.0 * math.pi / angular_nodes), angular_nodes)
 
-    act = _jensen_actions(ext.model, ext.coeffs, family, w, z0)
+    act = _jensen_actions(result.model, coeffs, family, w, z0)
     base = Polydisc((r,), (w0,))
     # log K_psi + s(w): a large shift neither underflows a fiber Gram nor
     # overflows its kernel
     logK = log_kernel_on_fiber(
-        FamilyProblem(prob.fiber_domain, base, prob.joint_weight, family,
-                      prob.dz, prob.quad),
+        FamilyProblem(prob_template.fiber_domain, base, prob_template.joint_weight,
+                      family, prob_template.dz, prob_template.quad),
         w[:, None], z0, fmodel,
     )
 

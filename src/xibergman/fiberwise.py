@@ -134,8 +134,9 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
     shared by every base point, or an array (P, n) of them.  Returns a float
     when both are single points, else an array of P kernels.  For a joint
     weight psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where
-    that overflows; with log=True the result is log K_psi + s(w), -inf where
-    K_psi vanishes, and nothing is exponentiated.  model is a fiber model
+    that overflows; with log=True the result is log K_psi + s(w), taken by
+    one ``np.log`` call over the kernels that are positive, -inf exactly
+    where K_psi vanishes, and nothing is exponentiated.  model is a fiber model
     already built by ``assemble_gram`` with its default labels and method,
     which serves in place of a new one where it is the same (see
     ``_fiber_models``).
@@ -156,7 +157,7 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
             a = u @ transform
             K[rows] = np.sum(a.real**2 + a.imag**2, axis=1)
     if log:
-        K = np.array([math.log(k) if k > 0 else -math.inf for k in K.tolist()]) + s
+        K = np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
     else:
         with np.errstate(over="ignore"):
             K = np.where(K > 0, K * np.exp(s), 0.0)

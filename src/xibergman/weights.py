@@ -106,6 +106,11 @@ class QuadraticWeight:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if any(c < 0 for c in self.coeffs):
             raise ValueError("quadratic weight coefficients must be >= 0")
+        if self.center and len(self.center) != len(self.coeffs):
+            raise ValueError(
+                f"quadratic weight has {len(self.center)} center coordinates for"
+                f" {len(self.coeffs)} coefficient{'s' * (len(self.coeffs) != 1)}"
+            )
         a = self.center if self.center else (0.0,) * len(self.coeffs)
         object.__setattr__(self, "center", tuple(complex(x) for x in a))
 
@@ -479,23 +484,6 @@ def _fiber_divisor_split(weight):
     if not rest:
         rest = [ZeroWeight(weight.arity)]
     return divisors[0], rest[0] if len(rest) == 1 else SumWeight(tuple(rest))
-
-
-def separable_radial_parts(spec, arity: int):
-    """Decompose e^{-psi} as prefactor * prod_i f_i(|z_i|) when possible.
-
-    Returns (prefactor, [f_1, ..., f_n]) with vectorized radial densities,
-    or None when the weight has no per-coordinate radial structure: no
-    ``coordinate_form``, or a quadratic centered off the origin.  arity is
-    the weight's own, n.
-    """
-    dec = coordinate_form(spec)
-    if dec is None or any(q and a for q, a, _ in dec[0]):
-        return None
-    return math.exp(-dec[1]), [
-        (lambda q, c: (lambda r: np.exp(-q * r**2) * r ** (-2.0 * c)))(q, c)
-        for q, _, c in dec[0]
-    ]
 
 
 # ---------------------------------------------------------------------------

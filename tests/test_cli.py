@@ -132,6 +132,24 @@ class TestKernelCommand:
         )
         assert not (out / "kernel.json").exists()
 
+    @pytest.mark.parametrize("center", [
+        [[0.1, 0.0], [0.9, 0.0]], [[0.1, 0.0], [0.2, 0.0]], []])
+    def test_quadratic_center_of_another_length_exits_2(self, tmp_path, capsys,
+                                                        center):
+        # the second center coordinate was dropped: K = 0.50862 whatever it
+        # was, exit 0; an empty center stays the origin
+        cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
+        cfg["weight"] = {"variant": "quadratic", "coeffs": [1.0], "center": center}
+        config = tmp_path / "center.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        if not center:
+            assert run("kernel", config, out) == 0
+            return
+        assert run("kernel", config, out) == 2
+        assert "2 center coordinates for 1 coefficient" in capsys.readouterr().err
+        assert not (out / "kernel.json").exists()
+
     def test_sum_of_two_divisors_exits_2(self, tmp_path, capsys):
         g = [{"beta": [1], "re": 1.0, "im": 0.0}, {"beta": [0], "re": -0.2, "im": 0.0}]
         divisor = {"variant": "log_divisor", "c": 1.0, "arity": 1, "g": g}

@@ -21,6 +21,7 @@ from xibergman.bergman import (
 )
 from xibergman.extension import (
     ExtensionProblem,
+    _fiber_gram,
     _jensen_actions,
     _joint_gram,
     _pinv_factor,
@@ -723,6 +724,62 @@ class TestJensenActions:
                 for e, c in F.coeffs.items()
             )
             assert abs(act[k] - ref) <= 1e-12 * scale
+
+
+def datum_through_a_polynomial(monkeypatch, prob, family, z0):
+    """lhs and rhs of the diagnostic with its extremal datum read as a PolyW:
+    ``with_datum`` of the extremal function's polynomial and its
+    ``fiber_norm``; the average is the diagnostic's own, fed that extension."""
+    import xibergman.extension as extension
+
+    res = minimal_extension(prob)
+    fmodel = res.fiber_model()
+    c = extremal_function(fmodel, family.eval((prob.w0,)), z0)
+    ext = res.with_datum(fmodel.poly_from_coeffs(c))
+    lhs = math.log(fiber_norm(ext.problem, fmodel))
+    actions = extension._jensen_actions
+    with monkeypatch.context() as m:
+        m.setattr(extension, "_jensen_actions",
+                  lambda model, coeffs, *args: actions(model, ext.coeffs, *args))
+        rhs = jensen_diagnostic(prob, family, z0, result=res)["rhs"]
+    return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs}
+
+
+W_FAMILY = FunctionalFamily(1, 1, {(0,): PolyW(1, {(0,): 1.0, (1,): 0.5j}),
+                                   (1,): PolyW(1, {(0,): 0.3})})
+
+
+class TestExtremalDatumFromItsCoefficients:
+    @pytest.mark.parametrize("prob, z0, exact", [
+        (problem(weight=GAUSSIAN, f=PolyW(1, {(1,): 1.0}), dz=6, dw=6),
+         (0.2 - 0.1j,), True),
+        (problem(dz=6, dw=6), (0.3,), True),
+        # the PolyW was recentered to 0 and back
+        (ExtensionProblem(Polydisc((1.0,), (0.3 - 0.2j,)), 0.8, W_INDEP, 0.0,
+                          PolyW(1, {(0,): 1.0}), 6, 6), (0.1 - 0.3j,), False),
+        # the PolyW was g(., w0) times the datum, divided back by least squares
+        (ExtensionProblem(DISC, 0.5, Z_MINUS_W, 0.0, PolyW(1, {(1,): 1.0}), 3, 3,
+                          QuadSpec(8, 8)), (0.3,), False),
+    ], ids=["gaussian", "w_independent", "off_center", "joint_divisor"])
+    def test_matches_the_datum_read_as_a_polynomial(self, monkeypatch, prob, z0,
+                                                     exact):
+        out = jensen_diagnostic(prob, W_FAMILY, z0)
+        ref = datum_through_a_polynomial(monkeypatch, prob, W_FAMILY, z0)
+        for key in ("lhs", "rhs", "margin"):
+            if exact:
+                assert out[key] == ref[key], key
+            else:
+                assert abs(out[key] - ref[key]) <= 1e-13, (key, out[key], ref[key])
+
+    def test_datum_outside_the_joint_span_rejected(self):
+        res = minimal_extension(problem(dz=3, dw=3))
+        with pytest.raises(InconsistentConstraintError, match="joint model span"):
+            res.with_datum(PolyW(1, {(4,): 1.0}))
+        # a central fiber model of higher degree than the joint model's fiber
+        # part: its extremal function has a term outside the fixed set
+        res.fiber = _fiber_gram(problem(dz=4, dw=3))
+        with pytest.raises(InconsistentConstraintError, match="joint model span"):
+            jensen_diagnostic(problem(dz=3, dw=3), DIRAC_FAMILY, (0.3,), result=res)
 
 
 class TestRestrictionConsistency:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,48 @@ class TestKernelOnFiber:
     def test_base_domain_enforced(self):
         with pytest.raises(ValueError):
             kernel_on_fiber(pstar_problem(), (1.5,), (0.0, 0.0))
+
+
+class TestLogKernelInOneCall:
+    """log_kernel_on_fiber takes its logs in one numpy call."""
+
+    W = np.array([[0.0], [0.3], [-0.45 + 0.2j], [0.08j], [0.0], [-0.6]])
+
+    def logs(self, problem, W, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return (kernel_on_fiber(problem, W, z),
+                    log_kernel_on_fiber(problem, W, z))
+
+    @pytest.mark.parametrize("family", [
+        FunctionalFamily(2, 1, {(0, 1): PolyW.constant(1.0, 1)}),
+        # z-order 9 on a basis g z^alpha of degree at most 7: every kernel
+        # vanishes
+        FunctionalFamily(2, 1, {(9, 0): PolyW.constant(1.0, 1)}),
+    ], ids=["vanishing_at_w_0", "annihilating"])
+    def test_minus_inf_exactly_where_the_kernel_vanishes(self, family):
+        prob = replace(pstar_problem(), family=family)
+        K, L = self.logs(prob, self.W, (0.0, 0.0))
+        assert (K == 0).any()
+        assert np.array_equal(L == -math.inf, K == 0)
+        assert np.isfinite(L[K > 0]).all()
+
+    def test_within_two_ulp_of_math_log_plus_the_shift(self):
+        # psi = |z|^2 + s(w) with s(w) = 3 |w|^2; cw = 0 gives K_psi itself
+        fam = FunctionalFamily(1, 1, {(0,): PolyW(1, {(0,): 1.0, (1,): 0.5j}),
+                                      (2,): PolyW(1, {(1,): -2.0})})
+        base = Polydisc((0.9,))
+        rng = np.random.default_rng(7)
+        W = 0.6 * (rng.uniform(-1, 1, (40, 1)) + 1j * rng.uniform(-1, 1, (40, 1)))
+        Z = 0.6 * (rng.uniform(-1, 1, (40, 1)) + 1j * rng.uniform(-1, 1, (40, 1)))
+        unshifted = FamilyProblem(Polydisc((1.0,)), base, JointQuadraticSplit((1.0,), (0.0,)),
+                                  fam, 5)
+        weight = JointQuadraticSplit((1.0,), (3.0,))
+        K, L0 = self.logs(unshifted, W, Z)
+        ref = np.array([math.log(k) for k in K.tolist()])
+        assert (np.abs(L0 - ref) <= 2 * np.spacing(np.abs(ref))).all()
+        _, L = self.logs(replace(unshifted, joint_weight=weight), W, Z)
+        assert np.array_equal(L, L0 + weight.shift_split(W)[1])
 
 
 def reference_kernel(problem, w, z):

@@ -33,7 +33,6 @@ from xibergman.weights import (
     gauss_legendre,
     monomial_moment,
     multiplier_membership_oracle,
-    separable_radial_parts,
     substitute_base,
     weight_from_json,
     weight_to_json,
@@ -253,28 +252,33 @@ class TestCoordinateForm:
         assert coordinate_form(WIndependentJoint(LogDivisorWeight(g), 1)) is None
 
 
+class TestQuadraticCenter:
+    @pytest.mark.parametrize("coeffs, center", [
+        ((1.0,), (0.1, 0.9)), ((1.0, 5.0), (0.1,))])
+    def test_center_of_another_length_refused(self, coeffs, center):
+        # evaluate and coordinate_form zip the two, dropping the extra ones
+        with pytest.raises(ValueError, match="center coordinates for"):
+            QuadraticWeight(coeffs, center)
+
+
 class TestSeparability:
     def test_separable_matches_pointwise(self):
+        # e^{-psi} = e^{-shift} prod_i e^{-q_i |z_i - a_i|^2} |z_i|^{-2 c_i}
         for spec in [
             ZeroWeight(2),
             ConstantWeight(2, 0.7),
             QuadraticWeight((1.0, 2.0)),
+            QuadraticWeight((1.0, 2.0), (0.3, -0.1j)),
             LogMonomialWeight((0.5, 0.0)),
             SumWeight((QuadraticWeight((1.0, 0.5)), ConstantWeight(2, 0.2))),
         ]:
-            pre, dens = separable_radial_parts(spec, 2)
+            form, shift = coordinate_form(spec)
             z = (0.3, 0.6)
-            lhs = pre * math.prod(
-                float(d(np.array([abs(zi)]))[0]) for d, zi in zip(dens, z)
+            lhs = math.exp(-shift) * math.prod(
+                math.exp(-q * abs(zi - a) ** 2) * abs(zi) ** (-2.0 * c)
+                for (q, a, c), zi in zip(form, z)
             )
             assert lhs == pytest.approx(math.exp(-eval_weight(spec, z)))
-
-    def test_off_center_quadratic_not_separable(self):
-        assert separable_radial_parts(QuadraticWeight((1.0,), (0.3,)), 1) is None
-
-    def test_divisor_not_separable(self):
-        g = PolyW(2, {(1, 0): 1.0, (0, 1): -1.0})
-        assert separable_radial_parts(LogDivisorWeight(g), 2) is None
 
 
 class TestMultiplierOracle:
