@@ -633,11 +633,11 @@ class TaylorShift:
             out.append(f)
         return out
 
-    def actions(self, X, Z, W=None, zf=None) -> np.ndarray:
+    def actions(self, X, Z, W=None, zf=None, at=None) -> np.ndarray:
         """u[p, j] = (xi_p . b_j)(u_p, w_p) per row p of X, u_p a row of Z.
 
-        Z has one row per row of X, or one row shared by all of them, whose
-        z-factors are then taken once.  ``zf``, when given, is
+        Z has one row per row of X, or one row shared by all of them; with
+        ``at``, row p of X is at Z[at[p]].  ``zf``, when given, is
         ``z_factors(Z)``, taken by the caller.  With a shared row and no Ew
         terms the actions are linear in X: u = X @ U0, where U0[alpha, j] is
         the action of e_alpha on b_j.  Otherwise the rows go in blocks of at
@@ -645,23 +645,15 @@ class TaylorShift:
         """
         X = np.asarray(X, dtype=complex)
         shared = len(Z) == 1
-        if zf is None and shared:
+        if zf is None:
             zf = self.z_factors(Z)
         if shared and not self.wtop.any():
-            f = np.vstack(zf) if zf else np.zeros((0, len(self.S)))
-            U0 = np.empty((len(f), self.size), dtype=complex)
-            U0.real = self._sums(f.real)
-            U0.imag = self._sums(f.imag)
-            return X @ U0
+            return X @ self.unit_actions(zf, 1)[0]
         u = np.empty((len(X), self.size), dtype=complex)
         for lo in range(0, len(X), BLOCK):
             hi = lo + BLOCK
-            if shared:
-                block = zf
-            elif zf is not None:
-                block = [f[lo:hi] for f in zf]
-            else:
-                block = self.z_factors(Z[lo:hi])
+            rows = slice(lo, hi) if at is None else at[lo:hi]
+            block = zf if shared else [f[rows] for f in zf]
             acc = np.zeros((len(X[lo:hi]), len(self.S)), dtype=complex)
             for j, f in enumerate(block):
                 acc += X[lo:hi, j, None] * f
@@ -671,6 +663,16 @@ class TaylorShift:
             u[lo:hi].real = self._sums(acc.real)
             u[lo:hi].imag = self._sums(acc.imag)
         return u
+
+    def unit_actions(self, zf, count: int) -> np.ndarray:
+        """U0[g, alpha, j], the action of e_alpha on b_j at point g of the
+        ``count`` points whose z-factors are ``zf`` (no Ew terms)."""
+        f = np.stack(zf, axis=1) if zf else np.zeros((count, 0, len(self.S)))
+        f = f.reshape(count * len(zf), len(self.S))
+        U0 = np.empty((len(f), self.size), dtype=complex)
+        U0.real = self._sums(f.real)
+        U0.imag = self._sums(f.imag)
+        return U0.reshape(count, len(zf), self.size)
 
     def _sums(self, x: np.ndarray) -> np.ndarray:
         """Per row of x (rows x terms), the sum of the terms of each b_j, in

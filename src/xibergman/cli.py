@@ -66,7 +66,7 @@ _CIRCLE = Table({
     "z": (point, None), "w0": _base_point, "radius": real,
     "samples": (integer, 64), "kind": (choice("base", "joint"), "base"),
     "dz": (point, None), "dw": (point, None),
-})
+}, fiberwise.Circle)
 _QUADRATURE = (bergman.QUADRATURE, bergman.QuadSpec())
 
 
@@ -144,25 +144,20 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The rows under a timestamp line and the header, each cell as ``_fmt``
-    writes it.  A grid repeats each coordinate once per row of its square,
-    so each distinct nonzero finite float is formatted once per file; zeros
-    (0.0 and -0.0 are equal keys) and non-finite values go through ``_fmt``
-    every time."""
-    text: dict[float, str] = {}
-
-    def cell(x) -> str:
-        if type(x) is not float or not x or not math.isfinite(x):
-            return _fmt(x)
-        s = text.get(x)
-        if s is None:
-            s = text[x] = repr(x)
-        return s
-
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """The columns under a timestamp line and the header, each cell as
+    ``_fmt`` writes it.  A grid repeats each coordinate once per row of its
+    square, so within a column each distinct nonzero finite float is
+    formatted once; zeros (0.0 and -0.0 are equal keys) and other values go
+    through ``_fmt`` every time."""
+    cells = []
+    for col in columns:
+        text = {x: repr(x) for x in set(col)
+                if type(x) is float and x and math.isfinite(x)}
+        cells.append([text[x] if type(x) is float and x in text else _fmt(x)
+                      for x in col])
     lines = [f"# generated {_timestamp()}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join([cell(x) for x in row]))
+    lines += [",".join(row) for row in zip(*cells)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -246,47 +241,21 @@ def _cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
 
 
 def _cmd_scan_psh(cfg: dict, out: Path, seed: int) -> int:
-    base_domain = cfg["baseDomain"]
     fam = cfg["family"]
     if cfg["antiHolomorphicControl"]:
         fam = family.anti_holomorphic_control(fam)
     problem = fiberwise.FamilyProblem(
-        cfg["fiberDomain"], base_domain, cfg["weight"], fam, cfg["degree"],
+        cfg["fiberDomain"], cfg["baseDomain"], cfg["weight"], fam, cfg["degree"],
         cfg["quadrature"]
     )
-
-    reports = []
-    any_fail = False
-    for c in cfg["circles"]:
-        w0, radius, kind = c["w0"], c["radius"], c["kind"]
-        if kind == "joint" and (c["dz"] is None or c["dw"] is None):
-            raise ConfigError("a joint circle needs dz and dw")
-        # the base track of a joint circle has radius radius * |dw_k|
-        step = (
-            c["dw"] if kind == "joint"
-            else (1.0,) + (0.0,) * (base_domain.arity - 1)
-        )
-        if any(
-            abs(wk - ck) + radius * abs(sk) >= rk
-            for wk, ck, rk, sk in zip(w0, base_domain.center, base_domain.radii, step)
-        ):
-            raise ConfigError("circle radius exceeds the base domain")
-        z = cfg["z"] if c["z"] is None else c["z"]
-        if kind == "base":
-            rep = fiberwise.psh_verify_base(problem, z, w0, radius, c["samples"])
-        else:
-            rep = fiberwise.psh_verify_joint(
-                problem, z, w0, c["dz"], c["dw"], radius, c["samples"]
-            )
-        reports.append(rep.to_json())
-        any_fail = any_fail or not rep.passed
-
+    grid = np.array(() if cfg["grid"] is None else _grid_points(cfg["grid"]),
+                    dtype=complex)
+    reports, lk = fiberwise.scan_psh(problem, cfg["z"], cfg["circles"], grid)
     if cfg["grid"] is not None:
-        rows = fiberwise.scan_base(problem, cfg["z"], _grid_points(cfg["grid"]))
-        _write_csv(out / "scan.csv", ["w_re", "w_im", "logK"], rows)
-
-    _write_json(out / "psh_report.json", {"reports": reports})
-    return EXIT_VERIFY_FAIL if any_fail else EXIT_OK
+        _write_csv(out / "scan.csv", ["w_re", "w_im", "logK"],
+                   [grid.real.tolist(), grid.imag.tolist(), lk.tolist()])
+    _write_json(out / "psh_report.json", {"reports": [r.to_json() for r in reports]})
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 
 
 def _cmd_annihilate(cfg: dict, out: Path, seed: int) -> int:
@@ -326,7 +295,7 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
     else:
         coords = [f"w{i}_{part}" for i in range(1, fam.w_arity + 1)
                   for part in ("re", "im")]
-    _write_csv(out / "lambda.csv", coords + ["in_Lambda", "PsiN"], rows)
+    _write_csv(out / "lambda.csv", coords + ["in_Lambda", "PsiN"], list(zip(*rows)))
     payload = {
         "rank": scan.res.r,
         "functionalCount": scan.res.s,

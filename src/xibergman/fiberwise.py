@@ -24,24 +24,23 @@ share a Gram matrix, up to a scalar, share one model:
 
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  The
-actions of xi(w) on a basis, from the family values at all base points,
-come from ``bergman.TaylorShift``, one call per fiber model, at the fiber
-points moved to z - center; the kernels are their squared norms in the
-model's orthonormal basis.  The verifiers check
-the submean-value inequality of the log-kernel on circles in the base, in
-the fiber, and along mixed complex lines, one batch per circle: a direct
-numerical rendering of log-plurisubharmonicity.
+actions of xi(w) come from ``bergman.TaylorShift`` at z - center; the
+kernels are their squared norms in the model's orthonormal basis.
+``scan_psh`` checks the submean-value inequality of the log-kernel on base
+circles and complex lines, and scans a base grid, in one kernel call: a
+direct numerical rendering of log-plurisubharmonicity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bergman import (
+    BLOCK,
     GramModel,
     QuadSpec,
     TaylorShift,
@@ -52,9 +51,12 @@ from .bergman import (
     assemble_gram,
     orthonormalize,
 )
+from .config import ConfigError
 from .weights import Polydisc, check_joint_weight, divisor_split
 
 SUBMEAN_TOL = 1e-3
+#: rows per block of ``kernel_on_fiber``: its arrays do not grow with a batch
+ROWS = 8 * BLOCK
 
 
 @dataclass
@@ -120,12 +122,6 @@ class PshReport:
         }
 
 
-def _as_point(x, arity: int) -> tuple[complex, ...]:
-    if np.isscalar(x) or isinstance(x, complex):
-        x = (x,) if arity == 1 else x
-    return tuple(complex(v) for v in x)
-
-
 def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
                     model: GramModel | None = None):
     """Kernels K_{xi(w)}(z) of the fibers over the base points w.
@@ -139,7 +135,8 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
     where K_psi vanishes, and nothing is exponentiated.  model is a fiber model
     already built by ``assemble_gram`` with its default labels and method,
     which serves in place of a new one where it is the same (see
-    ``_fiber_models``).
+    ``_fiber_models``).  The z-factors are taken once per distinct fiber
+    point; a row is rounded alike whatever rows share its call.
     """
     W = _points_in(problem.base_domain, w, "base point")
     Z = _points_in(problem.fiber_domain, z, "evaluation point")
@@ -148,20 +145,54 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
     if problem.family.z_arity != problem.fiber_domain.arity:
         raise ValueError("functional arity mismatch")
     X = problem.family.values(W)
-    U = Z - np.array(problem.fiber_domain.center)
+    points, at = _distinct(Z - np.array(problem.fiber_domain.center), len(W))
     K = np.zeros(len(W))
     models, s = _fiber_models(problem, W, model)
     for basis, members in models:
+        zf = basis.z_factors(points)
+        U0 = None if basis.wtop.any() else basis.unit_actions(zf, len(points))
         for rows, transform in members:
-            u = basis.actions(X[rows], U if len(U) == 1 else U[rows], W[rows])
-            a = u @ transform
-            K[rows] = np.sum(a.real**2 + a.imag**2, axis=1)
+            for lo in range(0, len(rows), ROWS):
+                r = rows[lo:lo + ROWS]
+                u = (basis.actions(X[r], points, W[r], zf, at[r]) if U0 is None
+                     else _products(X[r], U0, at[r]))
+                a = _matmul(u, transform)
+                K[r] = np.sum(a.real**2 + a.imag**2, axis=1)
     if log:
         K = np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
     else:
         with np.errstate(over="ignore"):
             K = np.where(K > 0, K * np.exp(s), 0.0)
     return float(K[0]) if np.ndim(w) < 2 and np.ndim(z) < 2 else K
+
+
+def _distinct(U: np.ndarray, count: int):
+    """The distinct rows of U (one, or count), and each row's index among them."""
+    if len(U) == 1:
+        return U, np.zeros(count, dtype=np.intp)
+    U = np.ascontiguousarray(U)
+    keys = U.view(np.dtype((np.void, U.itemsize * U.shape[1]))).ravel()
+    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    return U[first], at
+
+
+def _matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M; BLAS rounds a one-row product otherwise, so it takes two."""
+    return X @ M if len(X) != 1 else (np.repeat(X, 2, axis=0) @ M)[:1]
+
+
+def _products(X: np.ndarray, U0: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """u[p] = X[p] @ U0[at[p]], rounded as ``_matmul`` rounds it."""
+    if len(U0) == 1:
+        return _matmul(X, U0[0])
+    u = np.empty((len(X), U0.shape[2]), dtype=complex)
+    counts = np.bincount(at, minlength=len(U0))
+    lone = counts[at] == 1
+    u[lone] = np.matmul(np.repeat(X[lone, None], 2, axis=1), U0[at[lone]])[:, 0]
+    for g in np.flatnonzero(counts > 1):
+        rows = at == g
+        u[rows] = X[rows] @ U0[g]
+    return u
 
 
 def log_kernel_on_fiber(problem: FamilyProblem, w, z,
@@ -238,12 +269,46 @@ def _is_model_of(model: GramModel | None, problem: FamilyProblem, weight) -> boo
         problem.fiber_domain, problem.degree, problem.quad) and model.weight == weight
 
 
-def _circle(radius: float, samples: int) -> list[complex]:
-    """The equispaced circle parameters radius e^{i theta_k}, k < samples."""
+class Circle(NamedTuple):
+    """A ``scan-psh`` circle: (z + t dz, w0 + t dw), or (z, w0 + t) for a
+    base circle, at t = 0 and ``samples`` t with |t| = radius."""
+
+    z: tuple | None
+    w0: tuple
+    radius: float
+    samples: int = 64
+    kind: str = "base"
+    dz: tuple | None = None
+    dw: tuple | None = None
+
+
+def _circle(radius: float, samples: int):
+    """Re and Im of t = 0, then of radius e^{i theta_k}, k < samples."""
     if samples < 16:
-        raise ValueError("need at least 16 circle samples")
+        raise ConfigError("need at least 16 circle samples", ["samples"])
+    if not radius > 0:
+        raise ConfigError(f"must be positive, not {radius!r}", ["radius"])
     thetas = 2.0 * math.pi * np.arange(samples) / samples
-    return [radius * complex(math.cos(t), math.sin(t)) for t in thetas]
+    t = np.zeros((2, samples + 1))
+    t[0, 1:] = radius * np.cos(thetas)
+    t[1, 1:] = radius * np.sin(thetas)
+    return t
+
+
+def _coordinates(x, arity: int, key: str) -> np.ndarray:
+    """A point as an array of its arity complex coordinates."""
+    p = np.atleast_1d(np.asarray(x, dtype=complex))
+    if p.shape != (arity,):
+        raise ConfigError(f"{p.size} coordinates, not {arity}", [key])
+    return p
+
+
+def _line(p0: np.ndarray, d: np.ndarray, tr: np.ndarray, ti: np.ndarray):
+    """The rows p0 + t d, t = tr + i ti, rounded as Python's complex product."""
+    P = np.empty((len(tr), len(p0)), dtype=complex)
+    P.real = p0.real + (tr[:, None] * d.real - ti[:, None] * d.imag)
+    P.imag = p0.imag + (tr[:, None] * d.imag + ti[:, None] * d.real)
+    return P
 
 
 def submean_check(
@@ -259,21 +324,21 @@ def submean_check(
     possibly -inf.  Conventions: a -inf center passes trivially; -inf circle
     samples against a finite center are a hard FAIL (reported with count).
     """
-    ts = _circle(radius, samples)
-    return _submean_verdict(center_label, radius, fn(0.0 + 0.0j),
-                            [fn(t) for t in ts], tol)
+    tr, ti = _circle(radius, samples)
+    vals = [fn(complex(a, b)) for a, b in zip(tr.tolist(), ti.tolist())]
+    return _submean_verdict(center_label, radius, vals[0], vals[1:], tol)
 
 
 def _submean_verdict(
-    center_label: tuple, radius: float, center_value: float, vals: list, tol: float
+    center_label: tuple, radius: float, center_value: float, vals, tol: float
 ) -> PshReport:
     """The submean_check verdict on a center value and the circle samples."""
+    vals = np.asarray(vals, dtype=float)
     samples = len(vals)
-    inf_count = sum(1 for v in vals if v == -math.inf)
+    inf_count = int(np.count_nonzero(vals == -math.inf))
     if center_value == -math.inf:
-        avg = -math.inf if inf_count == samples else float(
-            np.mean([v for v in vals if v != -math.inf] or [-math.inf])
-        )
+        live = vals[vals != -math.inf]
+        avg = float(np.mean(live)) if len(live) else -math.inf
         return PshReport(
             center_label, radius, samples, center_value, avg, -math.inf, inf_count,
             "PASS", tol, "center at -inf: submean holds trivially",
@@ -293,10 +358,62 @@ def _submean_verdict(
     )
 
 
-def _circle_verdict(problem, center_label, radius, tol, W, Z) -> PshReport:
-    """Submean verdict of log K at (W, Z): the center first, then the circle."""
-    lk = log_kernel_on_fiber(problem, W, Z).tolist()
-    return _submean_verdict(center_label, radius, lk[0], lk[1:], tol)
+def _track(problem: FamilyProblem, c: Circle, z: np.ndarray):
+    """A circle's rows (W, Z), center first (Z None: all at z), and label."""
+    fiber, base = problem.fiber_domain, problem.base_domain
+    z0 = z if c.z is None else _coordinates(c.z, fiber.arity, "z")
+    w0 = _coordinates(c.w0, base.arity, "w0")
+    tr, ti = _circle(c.radius, c.samples)
+    if c.kind == "joint":
+        if c.dz is None or c.dw is None:
+            raise ConfigError("a joint circle needs dz and dw")
+        dw = _coordinates(c.dw, base.arity, "dw")
+        Z = _line(z0, _coordinates(c.dz, fiber.arity, "dz"), tr, ti)
+        if not _inside(fiber, Z).all():
+            raise ConfigError("line leaves the fiber domain")
+    else:
+        dw, Z = np.eye(1, base.arity, dtype=complex)[0], None
+    if any(abs(wk - ck) + c.radius * abs(dk) >= rk for wk, dk, ck, rk in zip(
+            w0.tolist(), dw.tolist(), base.center, base.radii)):
+        raise ConfigError("circle radius exceeds the base domain")
+    return _line(w0, dw, tr, ti), Z, tuple(z0.tolist() + w0.tolist())
+
+
+def scan_psh(
+    problem: FamilyProblem,
+    z,
+    circles: Sequence[Circle] = (),
+    grid=(),
+    tol: float = SUBMEAN_TOL,
+) -> tuple[list[PshReport], np.ndarray]:
+    """The circles' reports, and log K at the grid points (m = 1) at z, from
+    one kernel call.  ``ConfigError`` names the key (``circles[1].dz``) of a
+    point of another arity, a radius <= 0 or a track leaving a domain."""
+    n, m = problem.fiber_domain.arity, problem.base_domain.arity
+    z = _coordinates(z, n, "z")
+    grid = np.asarray(grid, dtype=complex).ravel()
+    if len(grid) and m != 1:
+        raise ValueError("a base grid requires a one-dimensional base")
+    tracks = []
+    for i, c in enumerate(circles):
+        try:
+            tracks.append(_track(problem, c, z))
+        except ConfigError as exc:
+            exc.path[:0] = ["circles", i]
+            raise
+    tracks.append((grid.reshape(-1, m), None, None))
+    if any(Z is not None for _, Z, _ in tracks):  # lines: a fiber point per row
+        z = np.vstack([np.broadcast_to(z, (len(W), n)) if Z is None else Z
+                       for W, Z, _ in tracks])
+    W = np.vstack([W for W, _, _ in tracks])
+    lk = log_kernel_on_fiber(problem, W, z) if len(W) else np.zeros(0)
+    reports, lo = [], 0
+    for c, (_, _, label) in zip(circles, tracks):
+        hi = lo + 1 + c.samples
+        reports.append(_submean_verdict(label, c.radius, float(lk[lo]),
+                                        lk[lo + 1:hi], tol))
+        lo = hi
+    return reports, lk[lo:]
 
 
 def psh_verify_base(
@@ -308,18 +425,13 @@ def psh_verify_base(
     direction=None,
     tol: float = SUBMEAN_TOL,
 ) -> PshReport:
-    """Submean check of log K on a base-disc circle at fixed fiber point z."""
-    m = problem.base_domain.arity
-    w0t = _as_point(w0, m)
-    zt = _as_point(z, problem.fiber_domain.arity)
-    if direction is None:
-        direction = (1.0,) + (0.0,) * (m - 1)
-    dirt = tuple(complex(d) for d in direction)
-    ts = [0j] + _circle(r, samples)
-    W = np.array([[wi + t * di for wi, di in zip(w0t, dirt)] for t in ts])
-    if not _inside(problem.base_domain, W).all():
-        raise ValueError("circle leaves the base domain")
-    return _circle_verdict(problem, zt + w0t, r, tol, W, zt)
+    """Submean check of log K on a base-disc circle at fixed fiber point z,
+    along the first base coordinate or along ``direction``."""
+    circle = Circle(None, w0, r, samples)
+    if direction is not None:  # the line of direction (0, direction)
+        circle = circle._replace(kind="joint", dz=(0,) * problem.fiber_domain.arity,
+                                 dw=direction)
+    return scan_psh(problem, z, [circle], tol=tol)[0][0]
 
 
 def psh_verify_joint(
@@ -333,18 +445,8 @@ def psh_verify_joint(
     tol: float = SUBMEAN_TOL,
 ) -> PshReport:
     """Submean check of log K along an arbitrary complex line in (z, w)."""
-    n = problem.fiber_domain.arity
-    m = problem.base_domain.arity
-    z0t, w0t = _as_point(z0, n), _as_point(w0, m)
-    dzt, dwt = _as_point(dz, n), _as_point(dw, m)
-    ts = [0j] + _circle(radius, samples)
-    Z = np.array([[zi + t * di for zi, di in zip(z0t, dzt)] for t in ts])
-    W = np.array([[wi + t * di for wi, di in zip(w0t, dwt)] for t in ts])
-    if not _inside(problem.fiber_domain, Z).all():
-        raise ValueError("line leaves the fiber domain")
-    if not _inside(problem.base_domain, W).all():
-        raise ValueError("line leaves the base domain")
-    return _circle_verdict(problem, z0t + w0t, radius, tol, W, Z)
+    circle = Circle(z0, w0, radius, samples, "joint", dz, dw)
+    return scan_psh(problem, z0, [circle], tol=tol)[0][0]
 
 
 def usc_spot_check(
@@ -360,8 +462,9 @@ def usc_spot_check(
     """limsup spot check of upper-semicontinuity near (z0, w0).
 
     Samples nested random offsets scaled down level by level and compares
-    the per-level max of the log-kernel against the center value.  value_fn
-    may replace the kernel (used by FAIL-path fixtures).
+    the per-level max of the log-kernel against the center value, all from
+    one kernel call.  value_fn, called per point, may replace the kernel
+    (used by FAIL-path fixtures).
     """
     scales = [float(s) for s in scales]
     if len(scales) < 3:
@@ -370,28 +473,28 @@ def usc_spot_check(
         raise ValueError("scales must be strictly decreasing")
     n = problem.fiber_domain.arity
     m = problem.base_domain.arity
-    z0t, w0t = _as_point(z0, n), _as_point(w0, m)
-    if value_fn is None:
-        value_fn = lambda z, w: log_kernel_on_fiber(problem, w, z)
+    z0, w0 = _coordinates(z0, n, "z0"), _coordinates(w0, m, "w0")
     rng = np.random.default_rng(seed)
     # nested offsets: one draw at unit scale, shrunk per level
     offs = rng.standard_normal((samples_per_level, n + m, 2))
     offs = offs[:, :, 0] + 1j * offs[:, :, 1]
     offs /= np.maximum(np.abs(offs).max(axis=1, keepdims=True), 1.0)
-    center = value_fn(z0t, w0t)
-    levels = []
-    for s in scales:
-        best = -math.inf
-        for row in offs:
-            z = tuple(zi + s * d for zi, d in zip(z0t, row[:n]))
-            w = tuple(wi + s * d for wi, d in zip(w0t, row[n:]))
-            if not (
-                problem.fiber_domain.contains(z, slack=0)
-                and problem.base_domain.contains(w, slack=0)
-            ):
-                continue
-            best = max(best, value_fn(z, w))
-        levels.append(best)
+    Z, W, level = [z0[None]], [w0[None]], [-1]
+    for k, s in enumerate(scales):
+        Zs, Ws = z0 + s * offs[:, :n], w0 + s * offs[:, n:]
+        keep = (_inside(problem.fiber_domain, Zs, slack=0)
+                & _inside(problem.base_domain, Ws, slack=0))
+        Z.append(Zs[keep])
+        W.append(Ws[keep])
+        level += [k] * int(keep.sum())
+    Z, W, level = np.vstack(Z), np.vstack(W), np.array(level)
+    if value_fn is None:
+        vals = log_kernel_on_fiber(problem, W, Z)
+    else:
+        vals = np.array([value_fn(z, w) for z, w in zip(Z, W)], dtype=float)
+    center = float(vals[0])
+    levels = [float(vals[level == k].max(initial=-math.inf))
+              for k in range(len(scales))]
     trend_ok = all(b <= a + tol for a, b in zip(levels, levels[1:]))
     if center == -math.inf:
         # limsup must sink toward -inf as the neighborhood shrinks
@@ -412,12 +515,9 @@ def usc_spot_check(
 
 def scan_base(problem: FamilyProblem, z, w_grid) -> list[tuple[float, float, float]]:
     """Log-kernel surface rows (w_re, w_im, logK) over a base grid (m = 1)."""
-    if problem.base_domain.arity != 1:
-        raise ValueError("scan_base requires a one-dimensional base")
-    zt = _as_point(z, problem.fiber_domain.arity)
-    ws = [complex(w) for w in w_grid]
-    lk = log_kernel_on_fiber(problem, np.array(ws).reshape(-1, 1), zt)
-    return [(w.real, w.imag, v) for w, v in zip(ws, lk.tolist())]
+    ws = np.asarray(w_grid, dtype=complex).ravel()
+    lk = scan_psh(problem, z, grid=ws)[1]
+    return list(zip(ws.real.tolist(), ws.imag.tolist(), lk.tolist()))
 
 
 def square_grid(half_width: float, count: int) -> list[complex]:

@@ -231,6 +231,63 @@ class TestScanPshCommand:
         assert run("scan-psh", CONFIGS / "scan_pstar.json", tmp_path) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("config", ["scan_pstar", "scan_control"])
+    def test_one_kernel_call_per_command(self, tmp_path, monkeypatch, config):
+        # every circle and the grid are the rows of one kernel call, whose
+        # fiber models are one pass of _fiber_models
+        import xibergman.fiberwise as fiberwise
+
+        calls = {}
+        for name in ("kernel_on_fiber", "_fiber_models"):
+            real = getattr(fiberwise, name)
+            monkeypatch.setattr(fiberwise, name, lambda *a, _real=real, _name=name,
+                                **k: calls.setdefault(_name, []).append(a)
+                                or _real(*a, **k))
+        run("scan-psh", CONFIGS / f"{config}.json", tmp_path)
+        assert {k: len(v) for k, v in calls.items()} == {
+            "kernel_on_fiber": 1, "_fiber_models": 1}
+
+    @pytest.mark.parametrize("path, value", [
+        # one coordinate too many: it was dropped, yet echoed in "center"
+        (("circles", 2, "dz"), [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]),
+        (("circles", 2, "z"), [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]),
+        (("circles", 2, "dw"), [[0.5, 0.0], [0.1, 0.0]]),
+        (("circles", 0, "w0"), [[0.4, 0.0], [0.1, 0.0]]),
+        (("circles", 1, "z"), [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]),
+        (("z",), [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        # one too few: a numpy shape message named no key
+        (("circles", 2, "dz"), [[0.5, 0.0]]),
+        (("circles", 2, "z"), [[0.1, 0.0]]),
+        (("circles", 2, "dw"), []),
+        (("circles", 0, "w0"), []),
+        (("z",), [[0.0, 0.0]]),
+    ], ids=lambda x: key_path(x) if isinstance(x, tuple) else f"{len(x)}-coordinates")
+    def test_a_point_of_another_arity_exits_2(self, tmp_path, capsys, path, value):
+        cfg = json.loads((CONFIGS / "scan_pstar.json").read_text())
+        *parents, key = path
+        target = cfg
+        for k in parents:
+            target = target[k]
+        target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run("scan-psh", bad, tmp_path / "o") == cli.EXIT_CONFIG
+        arity = 1 if key in ("w0", "dw") else 2
+        assert (f"error: {key_path(path)}: {len(value)} coordinates, not {arity}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o" / "psh_report.json").exists()
+
+    @pytest.mark.parametrize("radius", [0, 0.0, -0.2])
+    def test_a_radius_that_is_not_positive_exits_2(self, tmp_path, capsys, radius):
+        # radius 0 passed trivially at its own center; -0.2 was reported as is
+        cfg = json.loads((CONFIGS / "scan_pstar.json").read_text())
+        cfg["circles"][1]["radius"] = radius
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run("scan-psh", bad, tmp_path / "o") == cli.EXIT_CONFIG
+        assert (f"error: circles[1].radius: must be positive, not {float(radius)!r}"
+                in capsys.readouterr().err)
+
     def test_deterministic_rerun_modulo_timestamp(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("scan-psh", CONFIGS / "scan_pstar.json", a) == 0
@@ -957,15 +1014,17 @@ _CELLS = st.one_of(
 
 
 class TestCsvWriter:
-    @given(st.lists(st.lists(_CELLS, max_size=4), max_size=30))
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=30)))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_cell_writer(self, rows):
-        # the rows repeat cells, as a grid repeats its coordinates
+        # the rows repeat cells, as a grid repeats its coordinates; the
+        # writer takes the columns
         rows = rows + rows[::-1]
         want = "".join(",".join(cli._fmt(x) for x in row) + "\n" for row in rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "x.csv"
-            cli._write_csv(path, ["a", "b"], rows)
+            cli._write_csv(path, ["a", "b"], [list(col) for col in zip(*rows)])
             text = path.read_bytes()
         assert text.startswith(b"# generated ")
         assert text.split(b"\n", 1)[1] == ("a,b\n" + want).encode()

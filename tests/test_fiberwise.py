@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from xibergman.bergman import QuadSpec, assemble_gram, orthonormalize, xi_kernel
 from xibergman.family import FunctionalFamily, PolyW, anti_holomorphic_control
 from xibergman.fiberwise import (
+    Circle,
     FamilyProblem,
     kernel_on_fiber,
     log_kernel_on_fiber,
     psh_verify_base,
     psh_verify_joint,
     scan_base,
+    scan_psh,
     square_grid,
     submean_check,
     usc_spot_check,
@@ -518,6 +520,93 @@ class TestOneModelPerProblem:
         K = kernel_on_fiber(prob, W, (0.1,))
         assert len(calls) == 2
         assert np.array_equal(K, kernel_on_fiber(replace(prob), W, (0.1,)))
+
+
+#: the problems of TestOneModelPerProblem, and whether their fibers share
+#: one model
+SCAN_PROBLEMS = {
+    "pstar": (pstar_problem, True),
+    "control": (control_problem, True),
+    "split": (lambda: disc_problem(JointQuadraticSplit((1.0,), (2.0,))), True),
+    "pair": (lambda: disc_problem(JointPairQuadratic((1.0,))), False),
+}
+#: few values, so that circles, lines and the grid share centers and points
+SCAN_COORD = st.sampled_from([0.0, 0.1, -0.2, 0.25j, 0.1 - 0.1j])
+
+
+@st.composite
+def scans(draw, n):
+    """A fiber point z, base circles and joint circles about it, and a grid."""
+    z = tuple(draw(SCAN_COORD) for _ in range(n))
+    circles = []
+    for _ in range(draw(st.integers(0, 3))):
+        w0 = (draw(SCAN_COORD),)
+        radius = draw(st.sampled_from([0.1, 0.2, 0.3]))
+        samples = draw(st.sampled_from([16, 17, 32]))
+        if draw(st.booleans()):
+            circles.append(Circle(draw(st.sampled_from([None, z])), w0, radius,
+                                  samples))
+        else:
+            z0 = draw(st.sampled_from([z, tuple(draw(SCAN_COORD) for _ in z)]))
+            dz = tuple(draw(st.sampled_from([0.0, 0.5, -0.3j])) for _ in z)
+            dw = (draw(st.sampled_from([0.5, 1.0, 0.5j])),)
+            circles.append(Circle(z0, w0, radius, samples, "joint", dz, dw))
+    return z, circles, draw(st.lists(SCAN_COORD, max_size=5))
+
+
+class TestOneScanCall:
+    """scan_psh takes every circle, line and the grid of a scan through one
+    kernel call, and gives exactly what the per-circle wrappers give on
+    fresh problems."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_PROBLEMS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_per_circle_wrappers(self, name, data):
+        import xibergman.fiberwise as fw
+
+        make, shared = SCAN_PROBLEMS[name]
+        z, circles, grid = data.draw(scans(make().fiber_domain.arity))
+        passes, grams = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, log in (("_fiber_models", passes), ("assemble_gram", grams)):
+                real = getattr(fw, attr)
+                mp.setattr(fw, attr, lambda *a, _real=real, _log=log, **k:
+                           _log.append(a) or _real(*a, **k))
+            reports, lk = scan_psh(make(), z, circles, grid)
+        calls = 1 if circles or grid else 0
+        assert len(passes) == calls
+        if shared:
+            assert len(grams) == calls
+        alone = [
+            psh_verify_base(make(), z if c.z is None else c.z, c.w0, c.radius,
+                            c.samples) if c.kind == "base" else
+            psh_verify_joint(make(), c.z, c.w0, c.dz, c.dw, c.radius, c.samples)
+            for c in circles
+        ]
+        assert reports == alone
+        assert lk.tolist() == [v for _, _, v in scan_base(make(), z, grid)]
+
+
+    def test_an_empty_scan_builds_no_model(self, monkeypatch):
+        calls = count_gram_calls(monkeypatch)
+        reports, lk = scan_psh(pstar_problem(), (0.0, 0.0))
+        assert reports == [] and lk.shape == (0,) and calls == []
+
+    @pytest.mark.parametrize("alphas, size", [(1, 5), (2, 13), (6, 28)])
+    def test_rows_round_alike_whatever_shares_their_point(self, alphas, size):
+        # BLAS rounds a one-row product otherwise than a row of a larger one
+        from xibergman.fiberwise import _matmul, _products
+
+        rng = np.random.default_rng(alphas)
+        X = rng.standard_normal((40, alphas)) + 1j * rng.standard_normal((40, alphas))
+        U0 = rng.standard_normal((9, alphas, size)) * (1 + 0.5j)
+        at = rng.integers(0, 9, 40)
+        at[:5] = 8  # a point shared by five rows, the others mostly alone
+        u = _products(X, U0, at)
+        for p in range(40):
+            assert np.array_equal(u[p], (X[[p, p, p]] @ U0[at[p]])[0])
+            assert np.array_equal(u[p], _matmul(X[[p]], U0[at[p]])[0])
 
 
 class TestUscSpotCheck:
