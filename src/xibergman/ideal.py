@@ -41,7 +41,8 @@ value over its own size there, which loses the small coefficients of a
 determinant such as (1 + 8w)^14 on the unit circle.  So the radii walk out
 and in along each axis by factors of RADIUS_STEP, then over the product of
 those ladders when m > 1, and each coefficient keeps the estimate with the
-smallest error bound, eps (r + 1) times the Hadamard bound over rho^alpha;
+smallest error bound, eps (r + 1) times the smaller of the row and the
+column Hadamard bound over rho^alpha;
 parts below that bound are rounding noise and set to zero, so exact zeros
 stay zero.  An r x r minor costs O(prod(K_i) * r**3) per torus, polynomial
 in r, where Laplace expansion costs O(2**r); a dense pair at jet order 5
@@ -341,18 +342,24 @@ def _sample_minors(
     coefficients of w -> minor_u(e^s w) in the C order of the sample grid
     (shape (samples, minors)), from an m-dimensional FFT; each variable's
     degree is below its K_i, so there is no aliasing.  Also returns the log
-    of each minor's largest Hadamard bound over the samples: the LU rounding
-    error of a sampled minor is a small multiple of eps times that bound.
+    of each minor's largest Hadamard bound over the samples, per sample the
+    smaller of the row and the column bound: the LU rounding error of a
+    sampled minor is a small multiple of eps times either.  Partial pivoting
+    scales a column's rounding with the column, so entries far above the
+    diagonal of a triangular block, which inflate its row bound, leave the
+    column bound near |det|.
     """
     S, n, r = V.shape[0], len(picks), picks.shape[1]
     vals = np.empty((S, n), dtype=complex)
+    log_cols = np.empty((S, n))
     step = max(1, _BLOCK_ENTRIES // max(1, S * r * r))
-    for t in range(0, n, step):
-        blocks = V[:, picks[t : t + step], :]
-        vals[:, t : t + step] = np.linalg.det(blocks) * signs[t : t + step]
     with np.errstate(divide="ignore"):
+        for t in range(0, n, step):
+            blocks = V[:, picks[t : t + step], :]
+            vals[:, t : t + step] = np.linalg.det(blocks) * signs[t : t + step]
+            log_cols[:, t : t + step] = np.log(np.linalg.norm(blocks, axis=-2)).sum(-1)
         log_rows = np.log(np.linalg.norm(V, axis=-1))
-    log_bound = log_rows[:, picks].sum(axis=-1).max(axis=0)
+    log_bound = np.minimum(log_rows[:, picks].sum(axis=-1), log_cols).max(axis=0)
     coeffs = np.fft.fftn(vals.reshape(K + (n,)), axes=tuple(range(len(K))))
     return coeffs.reshape(S, n) / S, log_bound
 
