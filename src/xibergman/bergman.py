@@ -25,8 +25,8 @@ identity (E = labels, C = 1) on every domain, and a divisor basis
 g_loc(u) u^alpha, g_loc(u) = g(u + center), takes the terms of g_loc, one
 ``recenter`` of g, once per element.  Every consumer moves its points
 instead: the kernels evaluate at z - center and the tensor rule on the
-local nodes.  ``GramModel.basis`` and ``poly_from_coeffs`` give global
-PolyW views only on request.
+local nodes.  ``GramModel.basis`` gives global PolyW views of the elements
+only on request, and ``poly_from_coeffs`` sums them.
 
 ``TaylorShift`` is the one evaluator of functional actions: on terms
 (E, C, S), which may also carry powers of base variables w, it gives the
@@ -114,8 +114,8 @@ class GramModel:
     domain; seg is nondecreasing, so the terms of each element are
     contiguous.  Without a divisor the basis is the u^alpha themselves:
     exps = labels, coeffs = 1.  These arrays are the only representation of
-    the basis: ``basis`` and ``poly_from_coeffs`` give global PolyW views,
-    in powers of z, on request.
+    the basis: ``basis`` gives global PolyW views of the elements, in powers
+    of z, on request, and ``poly_from_coeffs`` the PolyW sum of those views.
     """
 
     domain: Polydisc
@@ -150,26 +150,10 @@ class GramModel:
             for lo, hi in zip(bounds[:-1], bounds[1:])
         )
 
-    def local_poly(self, c: Sequence[complex]) -> PolyW:
-        """sum_j c_j b_j in powers of u = z - center, summed term by term in
-        basis order."""
-        c = np.asarray(c, dtype=complex)
-        live = c[self.seg] != 0
-        E, S = self.exps[live], self.seg[live]
-        if not len(E):
-            return PolyW(self.arity, {})
-        re, im = _cmul(c[S], self.coeffs[live])
-        first, re, im = _sum_repeated(
-            np.ravel_multi_index(E.T, E.max(axis=0) + 1), re, im
-        )
-        return PolyW(
-            self.arity,
-            {tuple(e): complex(x, y) for e, x, y in zip(E[first].tolist(), re, im)},
-        )
-
     def poly_from_coeffs(self, c: Sequence[complex]) -> PolyW:
         """sum_j c_j b_j in powers of z."""
-        return self._global(self.local_poly(c))
+        return sum((b * complex(cj) for cj, b in zip(c, self.basis)),
+                   PolyW(self.arity, {}))
 
     def _global(self, p: PolyW) -> PolyW:
         return _recentered(p, self.domain.center, (0j,) * self.arity)
@@ -177,26 +161,6 @@ class GramModel:
     def norm_sq(self, c: Sequence[complex]) -> float:
         c = np.asarray(c, dtype=complex)
         return float(np.real(np.conj(c) @ self.gram @ c))
-
-
-def _cmul(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of u * v, rounded as Python's complex product."""
-    return u.real * v.real - u.imag * v.imag, u.real * v.imag + u.imag * v.real
-
-
-def _sum_repeated(code, re, im):
-    """Sum the terms that share a key, each in term order, as PolyW does.
-
-    Returns the index of each key's first term and the sums, in order of
-    first appearance.
-    """
-    keys, first, group = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return (
-        first[order],
-        np.bincount(group, re, len(keys))[order],
-        np.bincount(group, im, len(keys))[order],
-    )
 
 
 def _recentered(p: PolyW, old, new) -> PolyW:
@@ -681,17 +645,6 @@ class TaylorShift:
         return np.bincount((rows + self.S).ravel(), x.ravel(), len(x) * self.size
                            ).reshape(len(x), self.size)
 
-    def action_bound(self, X, zf) -> np.ndarray:
-        """r[p, j] = max_alpha |X[p, alpha]| times the sum over alpha and the
-        terms t of b_j of |C[t] C(gamma_t, alpha) u_p^(gamma_t - alpha)|: a
-        bound on |(xi . b_j)(u_p)| for every functional over the alphas whose
-        coefficients are at most those of row p in modulus (no Ew terms).
-        ``zf`` is ``z_factors(Z)``, taken by the caller."""
-        mag = np.zeros((len(zf[0]) if zf else 1, len(self.S)))
-        for f in zf:
-            mag += np.abs(f)
-        return np.abs(X).max(axis=1, initial=0.0)[:, None] * self._sums(mag)
-
 
 def kernels(model: GramModel, alphas, X, z):
     """Kernels of the functionals sum_alpha X[p, alpha] e_alpha at z.
@@ -700,11 +653,13 @@ def kernels(model: GramModel, alphas, X, z):
     K[p] = sum_k |a[p, k]|^2, the actions a[p, k] = (xi_p . e_k)(z_p) on the
     orthonormal basis e = b transform, and the mask of the kernels that
     vanish.  This is the one zero test of a kernel:
-    K lam_max <= KERNEL_ZERO_TOL ||r||^2, with r the bound of
-    ``TaylorShift.action_bound`` on the actions u on the stored basis, both
-    taken at z - center, the coordinate the basis is stored in.  Both
-    sides scale as |xi|^2, and neither moves under psi -> psi + c, which
-    scales K by e^c and lam_max by e^-c.  K lam_max is at least the squared
+    K lam_max <= KERNEL_ZERO_TOL ||r||^2, where r bounds the actions u on
+    the stored basis: the actions of max_alpha |X[p, alpha]| on every alpha
+    over the moduli of the terms' z-factors, so |u[p, j]| <= r[p, j] for
+    every functional whose coefficients are at most those of row p in
+    modulus.  Both are taken at z - center, the coordinate the basis is
+    stored in.  Both sides scale as |xi|^2, and neither moves under
+    psi -> psi + c, which scales K by e^c and lam_max by e^-c.  K lam_max is at least the squared
     norm of u on the kept eigenvectors, so only actions that vanish, or
     sit at the rounding noise of the coefficients of xi and of the basis,
     pass.  A point outside the domain raises ValueError.
@@ -719,7 +674,9 @@ def kernels(model: GramModel, alphas, X, z):
     a = shift.actions(X, U, zf=zf) @ model.transform
     K = np.sum(a.real**2 + a.imag**2, axis=1)
     lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
-    r = shift.action_bound(X, zf)
+    top = np.abs(np.asarray(X)).max(axis=1, initial=0.0)
+    r = shift.actions(top[:, None] * np.ones(len(alphas)), U,
+                      zf=[np.abs(f) for f in zf]).real
     return K, a, K * lam_max <= KERNEL_ZERO_TOL * np.sum(r**2, axis=1)
 
 

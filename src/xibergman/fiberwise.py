@@ -16,11 +16,11 @@ share a Gram matrix, up to a scalar, share one model:
   and split quadratic weights) has the fiber Gram e^{-s(w)} G_psi, so one
   model of psi serves every fiber and K_w = e^{s(w)} K_psi: the relative
   eigenvalue cutoff keeps the same rank and eigenvectors under the scalar.
-  That model, and its ``TaylorShift``, is built once per ``FamilyProblem``:
-  every circle, line and grid of a problem shares it;
+  That model, and its ``TaylorShift``, is built once per kernel call, and
+  ``scan_psh`` takes every circle, line and grid of a scan in one call;
 - any other joint weight (the pair quadratic, whose centers move with w,
   and joint divisors with c != 1) gets one fiber model per distinct base
-  point in each call, and the problem keeps none of them.
+  point in each call.
 
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  The
@@ -62,9 +62,8 @@ ROWS = 8 * BLOCK
 @dataclass
 class FamilyProblem:
     """A joint weight and a functional family over a fiber and a base
-    polydisc, for one command.  For a joint weight psi(z) + s(w) it keeps
-    the model of psi that its first kernel call builds (``_fiber_models``).
-    """
+    polydisc.  It holds no model: each kernel call builds its own
+    (``_fiber_models``)."""
 
     fiber_domain: Polydisc
     base_domain: Polydisc
@@ -72,8 +71,6 @@ class FamilyProblem:
     family: object  # FunctionalFamily or AntiHolomorphicControl
     degree: int
     quad: QuadSpec = field(default_factory=QuadSpec)
-    # (model of psi, (divisor, alphas), TaylorShift): see _fiber_models
-    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_joint_weight(
@@ -209,13 +206,10 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
     of row i is e^{s_i} times that of its model.  A divisor part
     2 log|g(z, w)| (``weights.divisor_split``) is split off once: the rest
     is modeled like any other joint weight, and its basis times g(z, w) is
-    one joint basis, local in z and global in w.  A joint weight psi(z) + s(w) has one model,
-    of psi, for every fiber, up to the scalar shift s(w); the problem keeps
-    it with its ``TaylorShift`` and the divisor part and family terms that
-    shift was built from, and a later call reuses both where its psi passes
-    the test below and those are equal.  Any other joint
-    weight gets one model per distinct row of W, and models whose terms
-    agree share one ``TaylorShift``.  A given model (the central fiber model
+    one joint basis, local in z and global in w.  A joint weight
+    psi(z) + s(w) has one model, of psi, for every fiber, up to the scalar
+    shift s(w).  Any other joint weight gets one model per distinct row of
+    W, and models whose terms agree share one ``TaylorShift``.  A given model (the central fiber model
     of ``extension``) replaces the one a fiber weight would get when its
     weight, domain, degree and quadrature are those of that fiber
     (``_is_model_of``): the Gram would be assembled and orthonormalized
@@ -228,13 +222,8 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
         # g(z, w) in the fiber's local coordinates u = z - center, w global
         center = problem.fiber_domain.center + (0j,) * m
         g = _recentered(divisor.g, (0j,) * (n + m), center)
-    shared = hasattr(jw, "shift_split")
-    if shared:
+    if hasattr(jw, "shift_split"):
         psi, s = jw.shift_split(W)
-        kept = problem._kept
-        if kept and kept[1] == (divisor, alphas) and _is_model_of(
-                kept[0], problem, psi):
-            return [(kept[2], [(np.arange(len(W)), kept[0].transform)])], s
         fibers = [(psi, np.arange(len(W)))]
     else:
         s = np.zeros(len(W))
@@ -257,8 +246,6 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
         if key not in classes:
             classes[key] = (TaylorShift(alphas, E, C, S, n, model.size), [])
         classes[key][1].append((rows, model.transform))
-    if shared:
-        problem._kept = (model, (divisor, alphas), classes[key][0])
     return list(classes.values()), s
 
 

@@ -418,7 +418,9 @@ class TestSharedPointActions:
         u = shift.actions(X, z)
         rows = np.vstack([X, X[:1]])
         ref = shift.actions(rows, np.repeat(z, len(rows), axis=0))[:-1]
-        bound = shift.action_bound(X, shift.z_factors(z))
+        # max_alpha |X[p, alpha]| acting on the moduli of the z-factors
+        top = np.abs(X).max(axis=1)[:, None] * np.ones(X.shape[1])
+        bound = shift.actions(top, z, zf=[np.abs(f) for f in shift.z_factors(z)])
         assert u.shape == ref.shape == (len(X), shift.size)
         assert np.all(np.abs(u - ref) <= 1e-13 * bound)
 

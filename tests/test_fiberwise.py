@@ -444,15 +444,16 @@ def disc_problem(weight):
                          QuadSpec(8, 8))
 
 
-class TestOneModelPerProblem:
-    """A problem builds the model of psi of a joint weight psi(z) + s(w) once,
-    for all its circles, lines and grids, and the results stay those of a
-    fresh problem per call."""
+class TestOneModelPerCall:
+    """Each kernel call builds the model of psi of a joint weight
+    psi(z) + s(w) once, and one model per distinct base point of any other
+    joint weight; a problem holds no model, so a problem used for several
+    calls gives the results of a fresh problem per call."""
 
     @staticmethod
     def command(prob):
-        """Two base circles, a joint line and a grid scan, as scan-psh runs
-        them; prob() gives the problem of each."""
+        """Two base circles, a joint line and a grid scan, each its own
+        kernel call; prob() gives the problem of each."""
         n = prob().fiber_domain.arity
         z = (0.1,) * n
         reports = [
@@ -466,21 +467,21 @@ class TestOneModelPerProblem:
         (pstar_problem, True),
         (control_problem, True),
         (lambda: disc_problem(JointQuadraticSplit((1.0,), (2.0,))), True),
-        # its fibers move with w: one model per distinct base point, held by
-        # no problem
+        # its fibers move with w: one model per distinct base point
         (lambda: disc_problem(JointPairQuadratic((1.0,))), False),
     ], ids=["pstar", "control", "split", "pair"])
-    def test_one_model_and_the_results_of_fresh_problems(
+    def test_one_model_per_call_and_the_results_of_fresh_problems(
         self, monkeypatch, make, shared
     ):
         calls = count_gram_calls(monkeypatch)
         one = make()
-        kept = self.command(lambda: one)
-        kept_calls = len(calls)
+        reused = self.command(lambda: one)
+        reused_calls = len(calls)
         fresh = self.command(make)
-        assert kept == fresh
-        assert kept_calls == (1 if shared else len(calls) - kept_calls)
-        assert len(calls) - kept_calls == (4 if shared else 33 + 33 + 33 + 25)
+        assert reused == fresh
+        # four kernel calls; the circles' 33 base points and the grid's 25
+        assert reused_calls == len(calls) - reused_calls == (
+            4 if shared else 33 + 33 + 33 + 25)
 
     def test_usc_spot_check_builds_one_model(self, monkeypatch):
         calls = count_gram_calls(monkeypatch)
@@ -492,13 +493,6 @@ class TestOneModelPerProblem:
             value_fn=lambda z, w: log_kernel_on_fiber(pstar_problem(), w, z),
         )
         assert out == fresh
-
-    def test_two_kernel_calls_build_one_model(self, monkeypatch):
-        calls = count_gram_calls(monkeypatch)
-        prob = pstar_problem()
-        kernel_on_fiber(prob, [[0.3], [0.1j]], (0.0, 0.0))
-        kernel_on_fiber(prob, (0.2,), (0.1, 0.0))
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("weight, edit", [
         (SPLIT, lambda p: setattr(p, "joint_weight",
@@ -522,7 +516,7 @@ class TestOneModelPerProblem:
         assert np.array_equal(K, kernel_on_fiber(replace(prob), W, (0.1,)))
 
 
-#: the problems of TestOneModelPerProblem, and whether their fibers share
+#: the problems of TestOneModelPerCall, and whether their fibers share
 #: one model
 SCAN_PROBLEMS = {
     "pstar": (pstar_problem, True),
