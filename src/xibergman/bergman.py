@@ -251,28 +251,31 @@ def _radial_moment(e: float, q: float, R: float) -> float:
     """Integral of |z|^(2e - 2) exp(-q |z|^2) over the disc |z| < R.
 
     Equals pi Gamma(e) P(e, q R^2) / q^e (DLMF 8.2.4), and pi R^(2e) / e at
-    q = 0; +inf when e <= 0.
+    q = 0; +inf when e <= 0 or when it overflows.
     """
     if e <= 0:
         return math.inf
     x = q * R * R
-    if x >= e:
-        # past the mean of the Gamma(e) law P(e, x) > 1/2: no underflow.
-        # Imported here: scipy.special costs ~0.3 s of start-up, and most
-        # commands never reach this branch
-        from scipy.special import gammainc, gammaln
+    try:
+        if x >= e:
+            # past the mean of the Gamma(e) law P(e, x) > 1/2: no underflow.
+            # Imported here: scipy.special costs ~0.3 s of start-up, and most
+            # commands never reach this branch
+            from scipy.special import gammainc, gammaln
 
-        return math.pi * math.exp(
-            gammaln(e) + math.log(gammainc(e, x)) - e * math.log(q)
-        )
-    # DLMF 8.7.1: Gamma(e) P(e, x) = x^e e^{-x} sum_k x^k / (e (e+1) ... (e+k));
-    # gammainc itself underflows to 0 here (P(50, 1e-6) < 1e-300)
-    total, term, k = 1.0, 1.0, 0
-    while term > 1e-17 * total:
-        k += 1
-        term *= x / (e + k)
-        total += term
-    return math.pi * R ** (2.0 * e) / e * math.exp(-x) * total
+            return math.pi * math.exp(
+                gammaln(e) + math.log(gammainc(e, x)) - e * math.log(q)
+            )
+        # DLMF 8.7.1: Gamma(e) P(e, x) = x^e e^{-x} sum_k x^k / (e (e+1) ... (e+k));
+        # gammainc itself underflows to 0 here (P(50, 1e-6) < 1e-300)
+        total, term, k = 1.0, 1.0, 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= x / (e + k)
+            total += term
+        return math.pi * R ** (2.0 * e) / e * math.exp(-x) * total
+    except OverflowError:
+        return math.inf
 
 
 def radial_moments(weight, domain: Polydisc, labels) -> np.ndarray | None:
@@ -289,14 +292,32 @@ def radial_moments(weight, domain: Polydisc, labels) -> np.ndarray | None:
 
 
 def _moment_diagonal(domain: Polydisc, labels, form, c, shift) -> np.ndarray:
-    """The radial_moments diagonal for the q_i of a form, c and a shift."""
+    """The radial_moments diagonal for the q_i of a form, c and a shift.
+
+    A moment that overflows, or underflows to 0, is outside the float range:
+    UnsupportedWeightError names its monomial and the radii.
+    """
     labels = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
     diag = np.ones(len(labels))
-    for i, (R, (qi, _, _), ci) in enumerate(zip(domain.radii, form, c)):
-        top = int(labels[:, i].max(initial=0))
-        table = np.array([_radial_moment(k - ci + 1.0, qi, R) for k in range(top + 1)])
-        diag *= table[labels[:, i]]
-    return diag * math.exp(-shift)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for i, (R, (qi, _, _), ci) in enumerate(zip(domain.radii, form, c)):
+            top = int(labels[:, i].max(initial=0))
+            table = np.array([_radial_moment(k - ci + 1.0, qi, R)
+                              for k in range(top + 1)])
+            diag *= table[labels[:, i]]
+        try:
+            diag = diag * math.exp(-shift)
+        except OverflowError:
+            diag[:] = math.inf
+    bad = ~((diag > 0) & (diag < math.inf))
+    if bad.any():
+        alpha = tuple(labels[np.argmax(bad)].tolist())
+        raise UnsupportedWeightError(
+            f"the Gram moment of (z - center)^{alpha} (degree {sum(alpha)}) on"
+            f" radii {domain.radii} is {diag[bad][0]}, outside the float range:"
+            " lower the degree"
+        )
+    return diag
 
 
 def _radial_quadrature_axes(domain: Polydisc, quad: QuadSpec, max_deg: int):

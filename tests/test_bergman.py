@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,18 @@ class TestRadialMoments:
         e = np.array([a[0] + 1.0 for a in m.basis_labels])
         assert np.all(np.isfinite(d)) and np.all(d > 0)
         assert np.all(np.abs(d / (math.pi / e) - 1.0) <= 1e-5)
+
+    @pytest.mark.parametrize("radii, weight, alpha", [
+        # each factor is finite; their product overflows
+        ((20.0, 20.0), ZeroWeight(2), "(0, 117)"),
+        ((0.01, 1.0), ZeroWeight(2), "(80, 0)"),
+        # e^{-shift} overflows the whole diagonal
+        ((1.0,), ConstantWeight(1, -800.0), "(0,)"),
+    ])
+    def test_moment_outside_the_float_range_raises(self, radii, weight, alpha):
+        with pytest.raises(UnsupportedWeightError,
+                           match=re.escape(f"(z - center)^{alpha}")):
+            assemble_gram(Polydisc(radii), weight, 118)
 
 
 @st.composite

@@ -161,6 +161,48 @@ class TestKernelCommand:
         assert "two divisor" in capsys.readouterr().err
 
 
+#: a one-dimensional scan-psh of the zero joint weight over a fiber disc of
+#: radius 20, whose moments pi R^(2k + 2) / (k + 1) leave the float range at
+#: k = 118
+SCAN_RADIUS_20 = {
+    "command": "scan-psh", "fiberDomain": {"radii": [20.0]},
+    "baseDomain": {"radii": [1.0]},
+    "weight": {"variant": "joint_zero", "zArity": 1, "wArity": 1},
+    "family": {"zArity": 1, "wArity": 1, "terms": [
+        {"alpha": [0], "poly": [{"beta": [0], "re": 1.0, "im": 0.0}]}]},
+    "degree": 118, "z": [[0.0, 0.0]], "grid": {"halfWidth": 0.1, "count": 2},
+}
+
+
+class TestMomentOutsideTheFloatRange:
+    """A closed-form moment that overflows, or underflows to 0, is refused
+    (exit 2, one error line naming the monomial and the radii); it raised
+    OverflowError, or entered the Gram as 0."""
+
+    @pytest.mark.parametrize("command, edits, alpha, radii", [
+        ("kernel", {"domain": {"radii": [20.0]}, "degree": 118}, 118, 20.0),
+        # the gammainc branch: exp overflows
+        ("kernel", {"domain": {"radii": [20.0]}, "degree": 200,
+                    "weight": {"variant": "quadratic", "coeffs": [1.0]}},
+         171, 20.0),
+        ("scan-psh", SCAN_RADIUS_20, 118, 20.0),
+        # 0.01^(2k + 2) underflows to 0 from k = 80
+        ("kernel", {"domain": {"radii": [0.01]}, "degree": 100}, 80, 0.01),
+    ], ids=["kernel", "kernel_quadratic", "scan_psh", "kernel_underflow"])
+    def test_exits_2(self, tmp_path, capsys, command, edits, alpha, radii):
+        cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
+        cfg = edits if command == "scan-psh" else {**cfg, **edits}
+        path = tmp_path / "moment.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(command, path, out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"(z - center)^({alpha},) (degree {alpha}) on radii ({radii},)" in err
+        assert "outside the float range" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestScanPshCommand:
     def test_pstar_scan_passes_and_matches_closed_form(self, tmp_path):
         code = run("scan-psh", CONFIGS / "scan_pstar.json", tmp_path)
