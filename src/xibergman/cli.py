@@ -274,6 +274,10 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
     fiber_domain = cfg["fiberDomain"] or weights.Polydisc((1.0,) * fam.z_arity)
     degree, quad = cfg["degree"], cfg["quadrature"]
     n_max = fam.truncation if cfg["nMax"] is None else cfg["nMax"]
+    if n_max < fam.truncation:
+        raise ConfigError(
+            f"must be at least the truncation {fam.truncation}, not {n_max}",
+            ["nMax"])
     krull = None
     if n_max > fam.truncation:
         krull = ideal.krull_stabilize(

@@ -485,6 +485,25 @@ class TestLambdaCommand:
         out = payload(tmp_path / "o" / "lambda.json")
         assert out["agree"] is True and out["lambdaPsi"] == []
 
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_nmax_below_the_truncation_exits_2(self, tmp_path, capsys, n_max):
+        # nMax 2 under truncation 3 wrote no krull block and exited 0; nMax
+        # equal to the truncation is a plain scan
+        cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
+        cfg["ideal"]["truncation"] = 3
+        cfg["nMax"] = n_max
+        path = tmp_path / "lambda.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        if n_max == 3:
+            assert run("lambda", path, out) == 0
+            assert "krull" not in payload(out / "lambda.json")
+            return
+        assert run("lambda", path, out) == 2
+        assert capsys.readouterr().err == (
+            "error: nMax: must be at least the truncation 3, not 2\n")
+        assert not any(out.iterdir())
+
     def test_nmax_reuses_the_first_scan(self, tmp_path, monkeypatch):
         from xibergman import ideal
 
