@@ -4,7 +4,10 @@ A GramModel holds a finite monomial (or divisor-factored) basis together
 with the Gram matrix of the weighted inner product.  After eigenvalue
 orthonormalization, the kernel value at z for a functional xi is the squared
 norm of the vector of actions of xi on the orthonormal basis, which equals
-the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
+the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.  The
+eigenvalues are those of the equilibrated Gram D^-1/2 G D^-1/2 (D = diag G),
+so the relative cutoff drops the nearly dependent directions of the basis,
+not the elements of small norm.
 
 Every catalog weight but a divisor has a per-coordinate form
 (``weights.coordinate_form``): its Gram is exact diagonal moments when it is
@@ -116,6 +119,8 @@ class GramModel:
     exps = labels, coeffs = 1.  These arrays are the only representation of
     the basis: ``basis`` gives global PolyW views of the elements, in powers
     of z, on request, and ``poly_from_coeffs`` the PolyW sum of those views.
+    ``eigenvalues`` are those of the equilibrated Gram, and ``transform``
+    orthonormalizes the basis (``orthonormalize``).
     """
 
     domain: Polydisc
@@ -499,10 +504,12 @@ def hermitian_eig(G: np.ndarray):
     lam > EIG_CUTOFF_REL lam_max (none when lam_max <= 0).
 
     The one eigendecomposition of a Gram matrix: ``orthonormalize`` and the
-    Schur solve of ``extension`` read it.  On a PSD matrix, whose singular
-    values are its eigenvalues, the cutoff is lstsq's rcond.  A G whose
-    off-diagonal is exactly zero (the closed-form and divisor paths) is not
-    passed to ``eigh``: its eigenvalues are its sorted diagonal and V is the
+    Schur solve of ``extension`` read it on the equilibrated Gram
+    (``equilibrated_eig``), and the KKT scale of ``extension`` on the Gram
+    itself.  On a PSD matrix, whose singular values are its eigenvalues,
+    the cutoff is lstsq's rcond.  A G whose off-diagonal is exactly zero
+    (the closed-form and divisor paths, equilibrated or not) is not passed
+    to ``eigh``: its eigenvalues are its sorted diagonal and V is the
     permutation that sorts it.  Tied eigenvalues may then come in another
     order than ``eigh`` gives them.
     """
@@ -517,16 +524,42 @@ def hermitian_eig(G: np.ndarray):
     return lam, V, lam > max(EIG_CUTOFF_REL * lmax, 0.0)
 
 
-def orthonormalize(model: GramModel) -> GramModel:
-    """Eigendecompose the Gram matrix and retain the numerically stable part.
+def unit_scale(G: np.ndarray) -> np.ndarray:
+    """s = D^-1/2, D = diag G (0 where D <= 0): s G s, the Gram of the basis
+    scaled to unit norms, is the equilibrated Gram."""
+    d = G.diagonal().real
+    s = np.zeros(len(d))
+    s[d > 0] = 1.0 / np.sqrt(d[d > 0])
+    return s
 
-    The eigenpairs of the Hermitian part of the Gram and the kept ones come
-    from ``hermitian_eig``, the helper the Schur solve of ``extension``
-    shares, with its exactly diagonal shortcut.
+
+def equilibrated_eig(G: np.ndarray):
+    """(lam, W, keep): the ``hermitian_eig`` (lam, V, keep) of the equilibrated
+    s G s, s = ``unit_scale(G)``, with W = s V, so that W^H G W = diag(lam).
+
+    The relative cutoff is taken on s G s, so that elements whose norms span
+    more than 1 / EIG_CUTOFF_REL, each well conditioned (pi R^(2k + 2) /
+    (k + 1) over k <= 40 on a disc of radius 2), are all kept: it drops the
+    nearly dependent directions of the basis, not the elements of small
+    norm.  ``orthonormalize`` and the Schur solve of ``extension`` read it.
     """
-    lam, V, keep = hermitian_eig(0.5 * (model.gram + np.conj(model.gram).T))
+    s = unit_scale(G)
+    lam, V, keep = hermitian_eig(s[:, None] * G * s)
+    return lam, s[:, None] * V, keep
+
+
+def orthonormalize(model: GramModel) -> GramModel:
+    """Eigendecompose the equilibrated Gram and retain its stable part.
+
+    The eigenpairs (lam, W) of the Hermitian part of the Gram and the kept
+    ones come from ``equilibrated_eig``, with the exactly diagonal shortcut
+    of ``hermitian_eig``; W / sqrt(lam) on the kept ones orthonormalizes
+    the basis.  ``eigenvalues`` holds lam, which does not move under
+    psi -> psi + c.
+    """
+    lam, W, keep = equilibrated_eig(0.5 * (model.gram + np.conj(model.gram).T))
     model.eigenvalues = lam
-    model.transform = V[:, keep] / np.sqrt(lam[keep])[None, :]
+    model.transform = W[:, keep] / np.sqrt(lam[keep])[None, :]
     model.rank = int(keep.sum())
     return model
 
@@ -674,16 +707,18 @@ def kernels(model: GramModel, alphas, X, z):
     K[p] = sum_k |a[p, k]|^2, the actions a[p, k] = (xi_p . e_k)(z_p) on the
     orthonormal basis e = b transform, and the mask of the kernels that
     vanish.  This is the one zero test of a kernel:
-    K lam_max <= KERNEL_ZERO_TOL ||r||^2, where r bounds the actions u on
-    the stored basis: the actions of max_alpha |X[p, alpha]| on every alpha
-    over the moduli of the terms' z-factors, so |u[p, j]| <= r[p, j] for
-    every functional whose coefficients are at most those of row p in
-    modulus.  Both are taken at z - center, the coordinate the basis is
-    stored in.  Both sides scale as |xi|^2, and neither moves under
-    psi -> psi + c, which scales K by e^c and lam_max by e^-c.  K lam_max is at least the squared
-    norm of u on the kept eigenvectors, so only actions that vanish, or
-    sit at the rounding noise of the coefficients of xi and of the basis,
-    pass.  A point outside the domain raises ValueError.
+    K lam_max <= KERNEL_ZERO_TOL ||s r||^2.  lam_max is the largest
+    eigenvalue of the equilibrated Gram s G s (``orthonormalize``), and r
+    bounds the actions u on the stored basis: the actions of
+    max_alpha |X[p, alpha]| on every alpha over the moduli of the terms'
+    z-factors, so |u[p, j]| <= r[p, j] for every functional whose
+    coefficients are at most those of row p in modulus.  Both are taken at
+    z - center, the coordinate the basis is stored in.  Both sides scale as
+    |xi|^2, and neither moves under psi -> psi + c, which scales K and
+    s^2 by e^c and leaves lam_max.  K lam_max is at least the squared norm
+    of s u on the kept eigenvectors, so only actions that vanish, or sit at
+    the rounding noise of the coefficients of xi and of the basis, pass.  A
+    point outside the domain raises ValueError.
     """
     Z = _points_in(model.domain, z, "evaluation point")
     if model.transform is None:
@@ -697,7 +732,7 @@ def kernels(model: GramModel, alphas, X, z):
     lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
     top = np.abs(np.asarray(X)).max(axis=1, initial=0.0)
     r = shift.actions(top[:, None] * np.ones(len(alphas)), U,
-                      zf=[np.abs(f) for f in zf]).real
+                      zf=[np.abs(f) for f in zf]).real * unit_scale(model.gram)
     return K, a, K * lam_max <= KERNEL_ZERO_TOL * np.sum(r**2, axis=1)
 
 

@@ -31,8 +31,9 @@ Vandermonde matrix; the log-kernels log K(w) come from one batched
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets,
-the factorization of the free block G_FF (its eigenpairs above the
-EIG_CUTOFF_REL cutoff, from ``bergman.hermitian_eig``) and the KKT scale.
+the factorization of the free block G_FF (the eigenpairs of the
+equilibrated block above the EIG_CUTOFF_REL cutoff, from
+``bergman.equilibrated_eig``) and the KKT scale.
 None depends on the datum, so the diagnostic solves its extremal datum
 against the same joint model and factorization (``with_datum``).  The
 result's central fiber model, built once, gives both fiber norms and the
@@ -56,6 +57,7 @@ from .bergman import (
     TaylorShift,
     _recentered,
     assemble_gram,
+    equilibrated_eig,
     extremal_function,
     hermitian_eig,
 )
@@ -211,13 +213,14 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
 
 
 def _pinv_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs (lam, V) of a Hermitian G that ``hermitian_eig`` keeps.
+    """The eigenpairs (lam, W) of a Hermitian G that ``equilibrated_eig`` keeps.
 
-    V diag(1 / lam) V^H is the pseudo-inverse of G with the eigenvalues at
-    or below EIG_CUTOFF_REL lam_max dropped: lstsq's rcond on a PSD G.
+    W diag(1 / lam) W^H is the pseudo-inverse of G with the eigenvalues of
+    the equilibrated s G s at or below EIG_CUTOFF_REL lam_max dropped:
+    lstsq's rcond on the PSD s G s, in the coordinates y / s.
     """
-    lam, V, keep = hermitian_eig(G)
-    return lam[keep], V[:, keep]
+    lam, W, keep = equilibrated_eig(G)
+    return lam[keep], W[:, keep]
 
 
 def _pinv_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:

@@ -209,8 +209,9 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
     one joint basis, local in z and global in w.  A joint weight
     psi(z) + s(w) has one model, of psi, for every fiber, up to the scalar
     shift s(w).  Any other joint weight gets one model per distinct row of
-    W, and models whose terms agree share one ``TaylorShift``.  A given model (the central fiber model
-    of ``extension``) replaces the one a fiber weight would get when its
+    W, and models whose terms agree share one ``TaylorShift``.  The models
+    live for this call only.  A given model (the central fiber model of
+    ``extension``) replaces the one a fiber weight would get when its
     weight, domain, degree and quadrature are those of that fiber
     (``_is_model_of``): the Gram would be assembled and orthonormalized
     again, identically.

@@ -595,6 +595,22 @@ class TestClassicalKernel:
         K = xi_kernel(m, Functional(1, {(1,): 1.0}), (0.0,))
         assert K == pytest.approx(2.0 / math.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("R, alpha, K", [
+        # only e_0 = 1 / sqrt(pi R^2) is nonzero at 0
+        (1.5, 0, 1.0 / (2.25 * math.pi)),
+        (2.0, 0, 1.0 / (4.0 * math.pi)),
+        # the Taylor coefficient of z^30: 1 / ||z^30||^2 = 31 / (pi R^62)
+        (0.5, 30, 31.0 / (math.pi * 0.5**62)),
+    ], ids=["dirac_R1.5", "dirac_R2", "e30_R0.5"])
+    def test_wide_moment_range_at_degree_40(self, R, alpha, K):
+        # the moments pi R^(2k + 2) / (k + 1) span more than 12 decades; a
+        # cutoff on the unscaled Gram dropped well-conditioned elements and
+        # read K = 0 in each case
+        m = orthonormalize(assemble_gram(Polydisc((R,)), ZeroWeight(1), 40))
+        assert m.rank == 41
+        got = xi_kernel(m, Functional(1, {(alpha,): 1.0}), (0.0,))
+        assert abs(got - K) <= 1e-12 * K
+
     def test_outside_domain_rejected(self):
         m = assemble_gram(Polydisc((1.0,)), ZeroWeight(1), 4)
         with pytest.raises(ValueError, match="outside domain"):
@@ -713,10 +729,12 @@ class TestBoundednessAndSummary:
 
 def reference_orthonormalize(model):
     """The eigenvalues, transform and rank that ``np.linalg.eigh`` gives under
-    the ``EIG_CUTOFF_REL`` rule."""
-    lam, V = np.linalg.eigh(0.5 * (model.gram + model.gram.conj().T))
+    the ``EIG_CUTOFF_REL`` rule on the equilibrated Gram s G s, s = D^-1/2."""
+    G = 0.5 * (model.gram + model.gram.conj().T)
+    s = 1.0 / np.sqrt(G.diagonal().real)
+    lam, V = np.linalg.eigh(s[:, None] * G * s[None, :])
     keep = lam > bergman.EIG_CUTOFF_REL * lam[-1]
-    return lam, V[:, keep] / np.sqrt(lam[keep]), int(keep.sum())
+    return lam, s[:, None] * V[:, keep] / np.sqrt(lam[keep]), int(keep.sum())
 
 
 @st.composite

@@ -445,7 +445,8 @@ def psd_cases(draw):
     """A Hermitian PSD matrix of rank r <= size, exactly diagonal or dense,
     with kept eigenvalues in [0.1, 1] times a scale and the others 0, and
     two right-hand sides.  A diagonal one may also hold 1e-11 and 1e-13
-    times its largest eigenvalue, on either side of the cutoff."""
+    times its largest eigenvalue, which the cutoff on the equilibrated
+    matrix keeps."""
     size = draw(st.integers(1, 12))
     rank = draw(st.integers(0, size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -474,23 +475,41 @@ class TestSharedFactorization:
         factor = _pinv_factor(G)
         for b in rhs:
             y = _pinv_solve(factor, b)
-            ref = np.linalg.lstsq(G, b, rcond=EIG_CUTOFF_REL)[0]
+            # lstsq on the equilibrated s G s, in the coordinates y / s; a
+            # zero diagonal entry (a zero row and column) takes s = 0
+            d = G.diagonal().real
+            s = np.divide(1.0, np.sqrt(np.abs(d)), out=np.zeros(len(d)),
+                          where=d > 0)
+            ref = s * np.linalg.lstsq(s[:, None] * G * s[None, :], s * b,
+                                      rcond=EIG_CUTOFF_REL)[0]
             assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
             # a second datum on one factorization is its own solve
             assert np.array_equal(y, _pinv_solve(_pinv_factor(G), b))
+
+    def test_steep_gaussian_keeps_every_free_direction(self):
+        # the free block's diagonal spans ~60 decades; a cutoff on the
+        # unscaled block kept 15 of its 20 directions
+        cfg = json.loads((CONFIGS / "extend_gaussian_steep.json").read_text())
+        prob = ExtensionProblem(
+            Polydisc((1.0,)), cfg["baseRadius"], weight_from_json(cfg["weight"]),
+            complex(*cfg["w0"]), PolyW(1, {(1,): 1.0}), cfg["dz"], cfg["dw"],
+        )
+        res = minimal_extension(prob)
+        assert len(res.free) == len(res.factor[0]) == 20
 
     @pytest.mark.parametrize("prob", JENSEN_PROBLEMS)
     def test_with_datum_factors_nothing(self, prob, monkeypatch):
         import xibergman.extension as extension
 
         sizes = []
-        original = extension.hermitian_eig
+        for name in ("hermitian_eig", "equilibrated_eig"):
+            original = getattr(extension, name)
 
-        def spy(G, **kwargs):
-            sizes.append(len(G))
-            return original(G, **kwargs)
+            def spy(G, _original=original, **kwargs):
+                sizes.append(len(G))
+                return _original(G, **kwargs)
 
-        monkeypatch.setattr(extension, "hermitian_eig", spy)
+            monkeypatch.setattr(extension, name, spy)
         res = minimal_extension(prob)
         # G for the KKT scale, and G_FF
         assert sizes == [res.model.size, len(res.free)]
