@@ -10,10 +10,11 @@ so the relative cutoff drops the nearly dependent directions of the basis,
 not the elements of small norm.
 
 Every catalog weight but a divisor has a per-coordinate form
-(``weights.coordinate_form``): its Gram is exact diagonal moments when it is
-radial about the domain center, else an entrywise product of one-disc
-quadrature Grams.  A divisor part 2 log|g| (c = 1) factors out of the basis
-(``weights.divisor_split``), and the rest of the weight takes that dispatch.
+(``weights.coordinate_form``): its Gram is an entrywise product of one-disc
+Grams, exact radial moments on a disc whose factor is radial about its
+center and a ``weights.polar_rule`` quadrature elsewhere.  A divisor part
+2 log|g| (c = 1) factors out of the basis (``weights.divisor_split``), and
+the rest of the weight takes that dispatch.
 A joint weight is a weight on the product domain and takes the same
 dispatch: a joint divisor 2 log|g(z, w)| with c = 1, or a w-independent
 weight over a divisor, gets the basis g(z, w) (z - center)^alpha (w - w0)^k,
@@ -67,7 +68,7 @@ from .weights import (
     UnsupportedWeightError,
     coordinate_form,
     divisor_split,
-    gauss_legendre,
+    polar_rule,
 )
 
 EIG_CUTOFF_REL = 1e-12
@@ -192,20 +193,22 @@ def _times_poly(g: PolyW, A: np.ndarray):
 
 
 def _local_form(weight, domain: Polydisc):
-    """(form, shift, c, radial): ``coordinate_form`` read on a polydisc.
+    """(form, shift, c, exact): ``coordinate_form`` read on a polydisc.
 
     form is None for a weight without one.  c keeps the log exponents whose
     pole z_i = 0 is the domain center: only those exclude (z - center)^alpha
-    from L^2.  radial: e^{-psi} is a product of functions of |z_i - center_i|.
-    A log exponent >= 1 at a pole in the closed disc off its center leaves no
+    from L^2.  exact[i]: the factor of disc i is radial about its center
+    (its pole at the center or absent, its quadratic centered there or
+    absent), so its one-disc Gram is the diagonal of ``_radial_moment``.  A
+    log exponent >= 1 at a pole in the closed disc off its center leaves no
     (z - center)^alpha square integrable (quadrature would return a
     grid-dependent number): UnsupportedWeightError.
     """
     dec = coordinate_form(weight)
     if dec is None:
-        return None, 0.0, [0.0] * domain.arity, False
+        return None, 0.0, [0.0] * domain.arity, [False] * domain.arity
     form, shift = dec
-    c, radial = [], True
+    c, exact = [], []
     for i, ((qi, ai, ci), center, R) in enumerate(
         zip(form, domain.center, domain.radii)
     ):
@@ -218,9 +221,8 @@ def _local_form(weight, domain: Polydisc):
             )
         else:
             c.append(0.0)
-            radial = radial and ci == 0
-        radial = radial and (qi == 0 or ai == center)
-    return form, shift, c, radial
+        exact.append((center == 0 or ci == 0) and (qi == 0 or ai == center))
+    return form, shift, c, exact
 
 
 def _refuse_divisor_zeros(weight, domain: Polydisc) -> None:
@@ -290,103 +292,83 @@ def radial_moments(weight, domain: Polydisc, labels) -> np.ndarray | None:
     quadratics centered there, log-monomials with their poles at the local
     origin, and sums of these) the Gram matrix is diagonal with entries
     e^{-shift} prod_i pi Gamma(e_i) P(e_i, q_i R_i^2) / q_i^{e_i}, where
-    e_i = alpha_i - c_i + 1.  Returns None for any other weight.
+    e_i = alpha_i - c_i + 1: the ``_coordinate_gram`` of exact factors.
+    Returns None for any other weight.
     """
-    form, shift, c, radial = _local_form(weight, domain)
-    return _moment_diagonal(domain, labels, form, c, shift) if radial else None
+    form, shift, c, exact = _local_form(weight, domain)
+    if not all(exact):
+        return None
+    A = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
+    G = _coordinate_gram(domain, A, form, c, shift, exact, None)
+    return G.diagonal().real.copy()
 
 
-def _moment_diagonal(domain: Polydisc, labels, form, c, shift) -> np.ndarray:
-    """The radial_moments diagonal for the q_i of a form, c and a shift.
+def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
+    """Gram of the (z - center)^alpha, alpha the rows of A, for a weight with
+    a per-coordinate form.
 
-    A moment that overflows, or underflows to 0, is outside the float range:
+    e^{-psi} is e^{-shift} times a product of one-disc densities, so the Gram
+    is e^{-shift} times the entrywise product of the one-disc Grams
+    M_i[alpha_i, beta_i].  M_i is the diagonal of ``_radial_moment`` where
+    exact[i] (``_local_form``), and otherwise P_i^H diag(w_i dens_i) P_i on
+    the ``polar_rule`` nodes of disc i, P_i the Vandermonde matrix of
+    z_i - center_i; a node on a pole contributes 0, as on the tensor path.
+    When every factor is diagonal the Gram is the diagonal product of the
+    moment vectors.  A diagonal entry that is not finite, or (every factor
+    exact) underflows to 0, is outside the float range:
     UnsupportedWeightError names its monomial and the radii.
     """
-    labels = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
-    diag = np.ones(len(labels))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for i, (R, (qi, _, _), ci) in enumerate(zip(domain.radii, form, c)):
-            top = int(labels[:, i].max(initial=0))
-            table = np.array([_radial_moment(k - ci + 1.0, qi, R)
+    diagonal = all(exact)
+    try:
+        scale = math.exp(-shift)
+    except OverflowError:
+        scale = math.inf
+    G = 1.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                     divide="ignore"):
+        for i, (R, (q, a, ci), center) in enumerate(
+            zip(domain.radii, form, domain.center)
+        ):
+            top = int(A[:, i].max(initial=0))
+            if exact[i]:
+                m = np.array([_radial_moment(k - c[i] + 1.0, q, R)
                               for k in range(top + 1)])
-            diag *= table[labels[:, i]]
-        try:
-            diag = diag * math.exp(-shift)
-        except OverflowError:
-            diag[:] = math.inf
-    bad = ~((diag > 0) & (diag < math.inf))
+                M = m if diagonal else np.diag(m)
+            else:
+                u, w = polar_rule(R, quad.radial_nodes,
+                                  max(quad.angular_nodes, 2 * top + 4),
+                                  quad.inner_cutoff)
+                z = u + center
+                dens = np.exp(-q * np.abs(z - a) ** 2) * np.abs(z) ** (-2.0 * ci)
+                dens[~np.isfinite(dens)] = 0.0
+                P = np.vander(u, top + 1, increasing=True)
+                M = np.conj(P).T @ (P * (w * dens)[:, None])
+            G = G * (M[A[:, i]] if diagonal else M[np.ix_(A[:, i], A[:, i])])
+        G = G * scale
+    diag = G if diagonal else G.diagonal().real
+    bad = ~((diag > 0) & (diag < math.inf)) if diagonal else ~np.isfinite(diag)
     if bad.any():
-        alpha = tuple(labels[np.argmax(bad)].tolist())
+        alpha = tuple(A[np.argmax(bad)].tolist())
         raise UnsupportedWeightError(
             f"the Gram moment of (z - center)^{alpha} (degree {sum(alpha)}) on"
             f" radii {domain.radii} is {diag[bad][0]}, outside the float range:"
             " lower the degree"
         )
-    return diag
-
-
-def _radial_quadrature_axes(domain: Polydisc, quad: QuadSpec, max_deg: int):
-    """Per-coordinate polar node sets (r, wr, theta)."""
-    t, wt = gauss_legendre(quad.radial_nodes)
-    na = max(quad.angular_nodes, 2 * max_deg + 4)
-    theta = 2.0 * math.pi * np.arange(na) / na
-    axes = []
-    for R in domain.radii:
-        a, b = quad.inner_cutoff, R
-        r = 0.5 * (b - a) * t + 0.5 * (b + a)
-        wr = 0.5 * (b - a) * wt
-        axes.append((r, wr, theta))
-    return axes
-
-
-def _product_quadrature_gram(domain: Polydisc, labels, form, shift, quad):
-    """Gram of the (z - center)^alpha for a weight with a per-coordinate form.
-
-    e^{-psi} is a product over the discs, so the Gram is e^{-shift} times the
-    entrywise product of the one-disc Grams M_i[alpha_i, beta_i], where
-    M_i = P_i^H diag(w_i dens_i) P_i on the polar Gauss-Legendre nodes of
-    disc i and P_i is the Vandermonde matrix of z_i - center_i.  A node on a
-    pole contributes 0, as on the tensor path.
-    """
-    A = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
-    axes = _radial_quadrature_axes(domain, quad, int(A.max(initial=0)))
-    G = np.full((len(labels), len(labels)), math.exp(-shift), dtype=complex)
-    for i, ((r, wr, theta), (q, a, c), center) in enumerate(
-        zip(axes, form, domain.center)
-    ):
-        u = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-        wts = (wr[:, None] * r[:, None] * np.ones_like(theta)[None, :]).ravel() * (
-            2.0 * math.pi / len(theta)
-        )
-        z = u + center
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.exp(-q * np.abs(z - a) ** 2) * np.abs(z) ** (-2.0 * c)
-        dens[~np.isfinite(dens)] = 0.0
-        P = np.vander(u, int(A[:, i].max(initial=0)) + 1, increasing=True)
-        M = np.conj(P).T @ (P * (wts * dens)[:, None])
-        G *= M[np.ix_(A[:, i], A[:, i])]
-    return G
+    return np.diag(G).astype(complex) if diagonal else G
 
 
 def _tensor_quadrature_gram(model: GramModel, quad: QuadSpec) -> np.ndarray:
     """Gram of the model's basis by tensor Gauss-Legendre quadrature."""
     domain, weight = model.domain, model.weight
     n = domain.arity
-    d = int(model.exps.max(initial=0))
-    axes = _radial_quadrature_axes(domain, quad, d)
-    node_count = math.prod(len(r) * len(th) for r, _, th in axes)
-    if node_count * max(model.size, 1) > 5e7:
+    na = max(quad.angular_nodes, 2 * int(model.exps.max(initial=0)) + 4)
+    if (quad.radial_nodes * na) ** n * max(model.size, 1) > 5e7:
         raise UnsupportedWeightError(
             "tensor quadrature grid too large; use a radial weight or lower degree"
         )
     # full grids of local nodes u = z - center and of their weights
-    grids = []
-    for r, wr, theta in axes:
-        ui = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-        wi = (wr[:, None] * r[:, None] * np.ones_like(theta)[None, :]).ravel() * (
-            2.0 * math.pi / len(theta)
-        )
-        grids.append((ui, wi))
+    grids = [polar_rule(R, quad.radial_nodes, na, quad.inner_cutoff)
+             for R in domain.radii]
     U = np.stack(
         np.meshgrid(*[g[0] for g in grids], indexing="ij"), axis=-1
     ).reshape(-1, n)
@@ -422,18 +404,17 @@ def assemble_gram(
     part, a c = 1 joint divisor, or a w-independent weight over one): its
     Gram is that of the (z - center)^alpha under rest, which takes the
     dispatch below.  Labels whose monomial is not square integrable at a log
-    pole are dropped.  method: "auto" takes the exact moments of
-    ``radial_moments`` for weights radial about the domain center (zero,
-    constants, centered quadratics, log-monomials with their poles at the
-    local origin, and sums of these), one polar Gauss-Legendre grid per
-    coordinate for every other weight with a ``coordinate_form``
-    (off-center quadratics and log poles), and tensor Gauss-Legendre
-    quadrature only for weights without one (the pair quadratic and lone
-    divisors with c != 1, fiber or joint); "quadrature" integrates
-    numerically, on the per-coordinate grids wherever the weight has a
-    per-coordinate form;
-    "closed" forces the exact moments (UnsupportedWeightError when the
-    weight is not radial, and for every divisor weight).
+    pole are dropped.  method: "auto" takes, for every weight with a
+    ``coordinate_form``, the per-coordinate Gram of ``_coordinate_gram``:
+    exact moments on each disc whose factor is radial about its center (its
+    quadratic centered there or absent, its log pole at the center or
+    absent), so the diagonal ``radial_moments`` for a weight radial about the
+    domain center, and the ``polar_rule`` quadrature on every other disc
+    (off-center quadratics and log poles); tensor Gauss-Legendre quadrature
+    only for weights without one (the pair quadratic and lone divisors with
+    c != 1, fiber or joint).  "quadrature" takes the polar rule on every
+    disc; "closed" forces the exact moments (UnsupportedWeightError when a
+    factor is not radial, and for every divisor weight).
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")
@@ -473,7 +454,7 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
     """assemble_gram for a weight without a divisor part."""
     # analytic exclusion of non-square-integrable monomials (only a log
     # exponent c_i >= 1 excludes any)
-    form, shift, cvec, radial = _local_form(weight, domain)
+    form, shift, cvec, exact = _local_form(weight, domain)
     if any(ci >= 1 for ci in cvec):
         labels = [
             a for a in labels if all(ai - ci + 1.0 > 0 for ai, ci in zip(a, cvec))
@@ -485,16 +466,15 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
         model.gram = np.zeros((0, 0), dtype=complex)
         return model
 
-    if method == "closed" and not radial:
+    if method == "quadrature":
+        exact = [False] * domain.arity
+    elif method == "closed" and not all(exact):
         raise UnsupportedWeightError("closed-form moments unavailable for this weight")
     if form is None:
         _refuse_divisor_zeros(weight, domain)
         model.gram = _tensor_quadrature_gram(model, quad)
-    elif radial and method != "quadrature":
-        diag = _moment_diagonal(domain, labels, form, cvec, shift)
-        model.gram = np.diag(diag).astype(complex)
     else:
-        model.gram = _product_quadrature_gram(domain, labels, form, shift, quad)
+        model.gram = _coordinate_gram(domain, E, form, cvec, shift, exact, quad)
     return model
 
 

@@ -68,8 +68,8 @@ from .weights import (
     Polydisc,
     check_joint_weight,
     divisor_split,
-    gauss_legendre,
     poly_quotient,
+    polar_rule,
     substitute_base,
 )
 
@@ -417,12 +417,8 @@ def jensen_diagnostic(
                 result.model.size, f"joint model span (degree {prob_template.dz})")
     coeffs = _fill_free(b, result.gram, result.free, result.factor)
 
-    t, wt = gauss_legendre(radial_nodes)
-    rr = 0.5 * r * (t + 1.0)
-    wr = 0.5 * r * wt
-    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-    w = (w0 + rr[:, None] * (np.cos(thetas) + 1j * np.sin(thetas))[None, :]).ravel()
-    da = np.repeat(wr * rr * (2.0 * math.pi / angular_nodes), angular_nodes)
+    u, da = polar_rule(r, radial_nodes, angular_nodes)
+    w = w0 + u
 
     act = _jensen_actions(result.model, coeffs, family, w, z0)
     base = Polydisc((r,), (w0,))

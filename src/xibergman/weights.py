@@ -590,7 +590,7 @@ def multiplier_membership_oracle(spec, f: PolyW) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature rule (shared by the Gram quadratures and extension)
+# Quadrature rule: ``polar_rule``, shared by the Gram quadratures and extension
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -603,6 +603,23 @@ def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     t, wt = np.polynomial.legendre.leggauss(count)
     t.flags.writeable = wt.flags.writeable = False
     return t, wt
+
+
+def polar_rule(R: float, radial_nodes: int, angular_nodes: int,
+               inner: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(u, w): the polar Gauss-Legendre rule on the annulus inner < |u| < R.
+
+    Gauss-Legendre radii times equally spaced angles, radius by radius; w
+    carries the area element r dr dtheta, so sum_k w_k f(u_k) approximates
+    the integral of f over the annulus.
+    """
+    t, wt = gauss_legendre(radial_nodes)
+    r = 0.5 * (R - inner) * t + 0.5 * (R + inner)
+    theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    u = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    w = np.repeat(0.5 * (R - inner) * wt * r, angular_nodes) * (
+        2.0 * math.pi / angular_nodes)
+    return u, w
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from xibergman import bergman
 from xibergman.bergman import (
     KernelZeroError,
     QuadSpec,
+    _radial_moment,
     _tensor_quadrature_gram,
     assemble_gram,
     basis_action,
@@ -20,6 +21,7 @@ from xibergman.bergman import (
     extremal_function,
     model_summary_json,
     orthonormalize,
+    radial_moments,
     xi_kernel,
 )
 from xibergman.family import PolyW
@@ -260,12 +262,35 @@ class TestRadialMoments:
         assert np.all(np.isfinite(d)) and np.all(d > 0)
         assert np.all(np.abs(d / (math.pi / e) - 1.0) <= 1e-5)
 
+    def test_radial_moments(self):
+        labels = multi_indices_upto(1, 40)
+        d = radial_moments(ZeroWeight(1), Polydisc((2.0,)), labels)
+        expect = [math.pi * 2.0 ** (2 * k + 2) / (k + 1) for (k,) in labels]
+        assert np.array_equal(d, expect)
+        off = QuadraticWeight((1.0,), (0.2,))
+        assert radial_moments(off, Polydisc((1.0,)), labels) is None
+
+    def test_exact_moments_per_coordinate(self):
+        # z1 is centered on its quadratic, z2 is not: the z1 factor takes
+        # the closed form whatever the rule of the z2 factor
+        D = Polydisc((0.7, 0.9), (0, 0.3))
+        m = assemble_gram(D, QuadraticWeight((1.0, 1.0)), 6, QuadSpec(4, 4))
+        d = np.diag(m.gram).real
+        at = {a: i for i, a in enumerate(m.basis_labels)}
+        for k in range(7):
+            expect = _radial_moment(k + 1, 1, 0.7) / _radial_moment(1, 1, 0.7)
+            assert d[at[(k, 0)]] / d[at[(0, 0)]] == pytest.approx(expect, rel=1e-13)
+
     @pytest.mark.parametrize("radii, weight, alpha", [
         # each factor is finite; their product overflows
         ((20.0, 20.0), ZeroWeight(2), "(0, 117)"),
         ((0.01, 1.0), ZeroWeight(2), "(80, 0)"),
         # e^{-shift} overflows the whole diagonal
         ((1.0,), ConstantWeight(1, -800.0), "(0,)"),
+        # the same on the quadrature path (the quadratic is off center): it
+        # raised OverflowError
+        ((1.0,), SumWeight((QuadraticWeight((1.0,), (0.2,)),
+                            ConstantWeight(1, -800.0))), "(0,)"),
     ])
     def test_moment_outside_the_float_range_raises(self, radii, weight, alpha):
         with pytest.raises(UnsupportedWeightError,

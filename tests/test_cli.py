@@ -188,7 +188,13 @@ class TestMomentOutsideTheFloatRange:
         ("scan-psh", SCAN_RADIUS_20, 118, 20.0),
         # 0.01^(2k + 2) underflows to 0 from k = 80
         ("kernel", {"domain": {"radii": [0.01]}, "degree": 100}, 80, 0.01),
-    ], ids=["kernel", "kernel_quadratic", "scan_psh", "kernel_underflow"])
+        # e^{800} on the quadrature path (the quadratic is off center): it
+        # raised OverflowError, exit 1
+        ("kernel", {"degree": 3, "weight": {"variant": "sum", "parts": [
+            {"variant": "quadratic", "coeffs": [1.0], "center": [[0.2, 0.0]]},
+            {"variant": "constant", "arity": 1, "value": -800.0}]}}, 0, 1.0),
+    ], ids=["kernel", "kernel_quadratic", "scan_psh", "kernel_underflow",
+            "kernel_shift"])
     def test_exits_2(self, tmp_path, capsys, command, edits, alpha, radii):
         cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
         cfg = edits if command == "scan-psh" else {**cfg, **edits}

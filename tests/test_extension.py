@@ -134,10 +134,14 @@ class TestMinimalExtension:
     def test_off_center_base_matches_tensor_reference(self):
         # the Gaussian joint weight on the base disc about w0 = 0.3: 121
         # elements on the per-coordinate quadrature against the tensor rule
+        # on the same nodes (the default method takes the z factor, centered,
+        # in closed form)
         prob = ExtensionProblem(
             DISC, 1.0, GAUSSIAN, 0.3, PolyW(1, {(1,): 1.0}), 10, 10, QuadSpec(8, 8)
         )
-        model = _joint_gram(prob)
+        model = assemble_gram(prob.joint_domain(), prob.joint_weight, 20,
+                              prob.quad, method="quadrature",
+                              labels=prob.joint_labels())
         G = _tensor_quadrature_gram(model, prob.quad)
         assert model.size == 121
         assert np.max(np.abs(model.gram - G)) <= 1e-12 * np.max(np.abs(G))
