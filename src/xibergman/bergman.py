@@ -37,9 +37,10 @@ only on request, and ``poly_from_coeffs`` sums them.
 actions of rows of functional coefficients at batches of points by the
 binomial Taylor shift.  ``basis_action``, the fiber kernels of
 ``fiberwise`` and the Jensen actions of ``extension`` read it directly;
-``xi_kernel``, ``extremal_function``, ``boundedness_constant`` and Psi_N of
-``ideal`` read it through ``kernels``, which also holds the one zero test
-of a kernel.
+``xi_kernel``, ``extremal_function`` and ``boundedness_constant`` read it
+through ``kernels``.  ``zero_kernels`` is the one zero test of a kernel:
+``kernels`` and the fiber kernels of ``fiberwise``, which give Psi_N of
+``ideal``, both apply it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .weights import (
 
 EIG_CUTOFF_REL = 1e-12
 #: a kernel is zero when K lam_max <= KERNEL_ZERO_TOL times the squared
-#: bound of its actions (see ``kernels``)
+#: bound of its actions (see ``zero_kernels``)
 KERNEL_ZERO_TOL = 1e-14
 #: points per block of a batched ``TaylorShift`` evaluation; keeps every
 #: array of a block (points x basis terms) small
@@ -609,6 +610,7 @@ class TaylorShift:
         self.ztop = self.Ez.max(axis=0, initial=0)
         self.wtop = self.Ew.max(axis=0, initial=0)
         self.size = size
+        self.bins = {}  # the bincount bins of ``_sums``, per row count
         # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha;
         # exact binomials: scipy's float comb(31, 14) is 265182524.99999997
         self.shifts = []
@@ -636,30 +638,33 @@ class TaylorShift:
 
         Z has one row per row of X, or one row shared by all of them; with
         ``at``, row p of X is at Z[at[p]].  ``zf``, when given, is
-        ``z_factors(Z)``, taken by the caller.  With a shared row and no Ew
-        terms the actions are linear in X: u = X @ U0, where U0[alpha, j] is
-        the action of e_alpha on b_j.  Otherwise the rows go in blocks of at
-        most BLOCK points; acc[p, t] is the action of row p on term t.
+        ``z_factors(Z)``, taken by the caller.  The actions are real when X
+        and zf are, and W then (the moduli of ``zero_kernels``).  With a
+        shared row and no Ew terms the actions are linear in X: u = X @ U0,
+        where U0[alpha, j] is the action of e_alpha on b_j.  Otherwise the
+        rows go in ceil(P / BLOCK) blocks of near-equal size; acc[p, t] is
+        the action of row p on term t.
         """
-        X = np.asarray(X, dtype=complex)
+        X = np.asarray(X)
         shared = len(Z) == 1
         if zf is None:
             zf = self.z_factors(Z)
         if shared and not self.wtop.any():
             return X @ self.unit_actions(zf, 1)[0]
-        u = np.empty((len(X), self.size), dtype=complex)
-        for lo in range(0, len(X), BLOCK):
-            hi = lo + BLOCK
+        dtype = np.result_type(X, *zf, 0.0)
+        u = np.empty((len(X), self.size), dtype=dtype)
+        blocks = -(-len(X) // BLOCK)
+        bounds = [len(X) * k // blocks for k in range(blocks + 1)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = slice(lo, hi) if at is None else at[lo:hi]
             block = zf if shared else [f[rows] for f in zf]
-            acc = np.zeros((len(X[lo:hi]), len(self.S)), dtype=complex)
+            acc = np.zeros((hi - lo, len(self.S)), dtype=dtype)
             for j, f in enumerate(block):
                 acc += X[lo:hi, j, None] * f
             for i in np.nonzero(self.wtop)[0]:
                 wi = np.vander(W[lo:hi, i], self.wtop[i] + 1, increasing=True)
                 acc *= wi[:, self.Ew[:, i]]
-            u[lo:hi].real = self._sums(acc.real)
-            u[lo:hi].imag = self._sums(acc.imag)
+            self._sums_into(acc, u[lo:hi])
         return u
 
     def unit_actions(self, zf, count: int) -> np.ndarray:
@@ -667,17 +672,67 @@ class TaylorShift:
         ``count`` points whose z-factors are ``zf`` (no Ew terms)."""
         f = np.stack(zf, axis=1) if zf else np.zeros((count, 0, len(self.S)))
         f = f.reshape(count * len(zf), len(self.S))
-        U0 = np.empty((len(f), self.size), dtype=complex)
-        U0.real = self._sums(f.real)
-        U0.imag = self._sums(f.imag)
+        U0 = self._sums_into(f, np.empty((len(f), self.size), dtype=f.dtype))
         return U0.reshape(count, len(zf), self.size)
 
+    def _sums_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = the ``_sums`` of x, one call per part of a complex x."""
+        for part, into in ([(x.real, out.real), (x.imag, out.imag)]
+                           if np.iscomplexobj(x) else [(x, out)]):
+            into[...] = self._sums(part)
+        return out
+
     def _sums(self, x: np.ndarray) -> np.ndarray:
-        """Per row of x (rows x terms), the sum of the terms of each b_j, in
-        term order."""
-        rows = np.arange(len(x))[:, None] * self.size
-        return np.bincount((rows + self.S).ravel(), x.ravel(), len(x) * self.size
-                           ).reshape(len(x), self.size)
+        """Per row of real x (rows x terms), the sum of the terms of each
+        b_j, in term order.  The bins are kept per row count: the parts of
+        a complex block, and the blocks of one call, have at most two."""
+        n = len(x)
+        if n not in self.bins:
+            self.bins[n] = (np.arange(n)[:, None] * self.size + self.S).ravel()
+        return np.bincount(self.bins[n], x.ravel(), n * self.size).reshape(n, self.size)
+
+
+def zero_kernels(model: GramModel, shift: TaylorShift, K, X, Z, zf, W=None,
+                 at=None) -> np.ndarray:
+    """The mask of the kernels K that vanish: the one zero test of a kernel,
+    K lam_max <= KERNEL_ZERO_TOL ||s r||^2.
+
+    K[p] is the kernel of row p of X at its point, from ``shift.actions(X,
+    Z, W, zf, at)`` on a basis whose Gram is that of model, orthonormalized
+    by model's transform: the model's own basis, or that basis times a
+    divisor g(z, w) (``fiberwise``), whose Gram is the same.  lam_max is the
+    largest eigenvalue of the equilibrated Gram s G s (``orthonormalize``),
+    s = ``unit_scale(G)``, and r bounds the actions u on the basis: the
+    actions of max_alpha |X[p, alpha]| on every alpha over the moduli of the
+    terms' z-factors and of w, so |u[p, j]| <= r[p, j] for every functional
+    whose coefficients are at most those of row p in modulus.  Both sides
+    scale as |xi|^2, and neither moves under psi -> psi + c, which scales K
+    and s^2 by e^c and leaves lam_max.  K lam_max is at least the squared
+    norm of s u on the kept eigenvectors, so only actions that vanish, or
+    sit at the rounding noise of the coefficients of xi and of the basis,
+    pass.  r is first taken at the largest modulus of each z-factor and
+    |w_i| of the call, where it is termwise at least that of every row; the
+    rows this bound does not clear take their own.
+    """
+    lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
+    top2 = np.abs(X).max(axis=1, initial=0.0) ** 2
+    d = model.gram.diagonal().real
+    s2 = np.divide(1.0, d, out=np.zeros(len(d)), where=d > 0)  # unit_scale(G)^2
+
+    def vanish(rows, r):
+        return K[rows] * lam_max <= KERNEL_ZERO_TOL * ((r * r) @ s2) * top2[rows]
+
+    peak = sum((np.abs(f).max(axis=0) for f in zf), np.zeros(len(shift.S)))
+    if shift.wtop.any():
+        peak *= np.prod(np.abs(W).max(axis=0, initial=0.0) ** shift.Ew, axis=1)
+    zero = vanish(slice(None), np.bincount(shift.S, peak, shift.size))
+    rows = np.flatnonzero(zero & (K > 0)) if zero.any() else ()
+    if len(rows):  # K = 0 vanishes under any r
+        moduli = sum((np.abs(f) for f in zf), np.zeros((len(Z), len(shift.S))))
+        zero[rows] = vanish(rows, shift.actions(
+            np.ones((len(rows), 1)), Z, None if W is None else np.abs(W[rows]),
+            [moduli], rows if at is None else at[rows]))
+    return zero
 
 
 def kernels(model: GramModel, alphas, X, z):
@@ -686,19 +741,8 @@ def kernels(model: GramModel, alphas, X, z):
     z is one point, shared by every row of X, or one point per row.  Returns
     K[p] = sum_k |a[p, k]|^2, the actions a[p, k] = (xi_p . e_k)(z_p) on the
     orthonormal basis e = b transform, and the mask of the kernels that
-    vanish.  This is the one zero test of a kernel:
-    K lam_max <= KERNEL_ZERO_TOL ||s r||^2.  lam_max is the largest
-    eigenvalue of the equilibrated Gram s G s (``orthonormalize``), and r
-    bounds the actions u on the stored basis: the actions of
-    max_alpha |X[p, alpha]| on every alpha over the moduli of the terms'
-    z-factors, so |u[p, j]| <= r[p, j] for every functional whose
-    coefficients are at most those of row p in modulus.  Both are taken at
-    z - center, the coordinate the basis is stored in.  Both sides scale as
-    |xi|^2, and neither moves under psi -> psi + c, which scales K and
-    s^2 by e^c and leaves lam_max.  K lam_max is at least the squared norm
-    of s u on the kept eigenvectors, so only actions that vanish, or sit at
-    the rounding noise of the coefficients of xi and of the basis, pass.  A
-    point outside the domain raises ValueError.
+    vanish (``zero_kernels``), all taken at z - center, the coordinate the
+    basis is stored in.  A point outside the domain raises ValueError.
     """
     Z = _points_in(model.domain, z, "evaluation point")
     if model.transform is None:
@@ -709,11 +753,7 @@ def kernels(model: GramModel, alphas, X, z):
     zf = shift.z_factors(U)  # shared by the actions and their bound
     a = shift.actions(X, U, zf=zf) @ model.transform
     K = np.sum(a.real**2 + a.imag**2, axis=1)
-    lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
-    top = np.abs(np.asarray(X)).max(axis=1, initial=0.0)
-    r = shift.actions(top[:, None] * np.ones(len(alphas)), U,
-                      zf=[np.abs(f) for f in zf]).real * unit_scale(model.gram)
-    return K, a, K * lam_max <= KERNEL_ZERO_TOL * np.sum(r**2, axis=1)
+    return K, a, zero_kernels(model, shift, K, X, U, zf)
 
 
 def xi_kernel(model: GramModel, xi: Functional, z: Sequence[complex]) -> float:

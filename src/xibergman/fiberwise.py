@@ -25,7 +25,10 @@ share a Gram matrix, up to a scalar, share one model:
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  The
 actions of xi(w) come from ``bergman.TaylorShift`` at z - center; the
-kernels are their squared norms in the model's orthonormal basis.
+kernels are their squared norms in the model's orthonormal basis, and 0
+where ``bergman.zero_kernels``, the zero test of ``bergman.kernels``,
+finds them vanishing.  This is the one fiber-model provider: Psi_N of
+``ideal`` and the Jensen kernels of ``extension`` read it too.
 ``scan_psh`` checks the submean-value inequality of the log-kernel on base
 circles and complex lines, and scans a base grid, in one kernel call: a
 direct numerical rendering of log-plurisubharmonicity.
@@ -50,6 +53,7 @@ from .bergman import (
     _times_poly,
     assemble_gram,
     orthonormalize,
+    zero_kernels,
 )
 from .config import ConfigError
 from .weights import Polydisc, check_joint_weight, divisor_split
@@ -125,7 +129,9 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
 
     w is one base point or an array of them (P, m); z is one fiber point,
     shared by every base point, or an array (P, n) of them.  Returns a float
-    when both are single points, else an array of P kernels.  For a joint
+    when both are single points, else an array of P kernels.  A kernel is 0
+    where ``bergman.zero_kernels`` finds it vanishing, the zero test of
+    ``bergman.kernels``, on its fiber model.  For a joint
     weight psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where
     that overflows; with log=True the result is log K_psi + s(w), taken by
     one ``np.log`` call over the kernels that are positive, -inf exactly
@@ -148,13 +154,16 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
     for basis, members in models:
         zf = basis.z_factors(points)
         U0 = None if basis.wtop.any() else basis.unit_actions(zf, len(points))
-        for rows, transform in members:
+        for rows, fiber in members:
             for lo in range(0, len(rows), ROWS):
                 r = rows[lo:lo + ROWS]
-                u = (basis.actions(X[r], points, W[r], zf, at[r]) if U0 is None
-                     else _products(X[r], U0, at[r]))
-                a = _matmul(u, transform)
-                K[r] = np.sum(a.real**2 + a.imag**2, axis=1)
+                Xr, Wr, ar = X[r], W[r], at[r]
+                u = (basis.actions(Xr, points, Wr, zf, ar) if U0 is None
+                     else _products(Xr, U0, ar))
+                a = _matmul(u, fiber.transform)
+                k = np.sum(a.real**2 + a.imag**2, axis=1)
+                zero = zero_kernels(fiber, basis, k, Xr, points, zf, Wr, ar)
+                K[r] = np.where(zero, 0.0, k)
     if log:
         K = np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
     else:
@@ -202,8 +211,11 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
                   given: GramModel | None = None):
     """The fiber models over W, and the shift s(w) of each row.
 
-    The models come as [(basis, [(rows, transform), ...]), ...]; the kernel
-    of row i is e^{s_i} times that of its model.  A divisor part
+    The models come as [(basis, [(rows, model), ...]), ...], each model
+    orthonormalized: its transform, its largest eigenvalue and the unit
+    scale of its Gram serve the kernels of its rows and their zero test
+    (``bergman.zero_kernels``), and the kernel of row i is e^{s_i} times
+    that of its model.  A divisor part
     2 log|g(z, w)| (``weights.divisor_split``) is split off once: the rest
     is modeled like any other joint weight, and its basis times g(z, w) is
     one joint basis, local in z and global in w.  A joint weight
@@ -246,7 +258,7 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
         key = E.tobytes() + C.tobytes() + S.tobytes()
         if key not in classes:
             classes[key] = (TaylorShift(alphas, E, C, S, n, model.size), [])
-        classes[key][1].append((rows, model.transform))
+        classes[key][1].append((rows, model))
     return list(classes.values()), s
 
 

@@ -16,9 +16,12 @@ bordered-minor cofactors of a nonsingular pivot block; its rows are the
 coefficient vectors of functionals that cut out the truncated ideal on the
 open set U where the pivot determinant does not vanish.  Scanning the sup of
 the log-kernels of these functionals over a base grid locates the inclusion
-locus of the multiplier ideal: ``psi_at`` takes the kernels of all s rows of
-B(w) in one ``bergman.kernels`` call, and the membership checks multiply
-B(w) by jet coefficient vectors, so no ``Functional`` is built.  Besides
+locus of the multiplier ideal: ``psi_scan`` tests U and evaluates B(W) once
+over the grid, and takes the kernels of each of the s rows at every point
+in U from the one fiber-model provider, ``fiberwise.log_kernel_on_fiber``,
+with its zero test; ``psi_at`` reads Psi_N off each point's kernels, and
+the membership checks multiply B(w) by jet coefficient vectors, so no
+``Functional`` is built.  Besides
 the generators and the oracle generators of the membership checks
 (``weights.multiplier_generators``), PolyW
 appears only in the ``rows``, ``det_c`` and ``functionals()`` views of an
@@ -59,9 +62,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import GramModel, QuadSpec, assemble_gram, kernels, orthonormalize
+from .bergman import QuadSpec
 from .config import Table, integer, list_of
 from .family import POLY_TERMS, FunctionalFamily, PolyW
+from .fiberwise import FamilyProblem, log_kernel_on_fiber
 from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
 from .weights import Polydisc, check_joint_weight, multiplier_generators
 
@@ -312,6 +316,11 @@ def _as_w(w, m: int) -> tuple[complex, ...]:
     return w
 
 
+def _base_rows(w, m: int) -> np.ndarray:
+    """One base point (``_as_w``), or an array (P, m) of them, as rows."""
+    return np.asarray(w, dtype=complex) if np.ndim(w) == 2 else np.array([_as_w(w, m)])
+
+
 def _torus_sampler(M: TermMatrix, ks: np.ndarray, K: tuple[int, ...]):
     """Values of a polynomial matrix on tori of K-th roots of unity.
 
@@ -532,16 +541,22 @@ class AnnihilatorResult:
         return self.det_terms.polys()[0][0]
 
     def eval_B(self, w) -> np.ndarray:
-        return self.b_terms.values([_as_w(w, self.matrix.fam.w_arity)])[0]
+        """B(w); at an array (P, m) of base points, P x s x p."""
+        B = self.b_terms.values(_base_rows(w, self.matrix.fam.w_arity))
+        return B if np.ndim(w) == 2 else B[0]
 
-    def in_U(self, w) -> bool:
+    def in_U(self, w):
+        """Whether w is in U, |det C(w)| > DETC_TOL max(1, max |C(w)|)^r; at
+        an array (P, m) of base points, the mask of those in U."""
+        W = _base_rows(w, self.matrix.fam.w_arity)
         if self.r == 0:
-            return True
-        w = [_as_w(w, self.matrix.fam.w_arity)]
-        scale = max(1.0, np.abs(self.pivot_block.values(w)).max()) ** self.r
-        # not det_c: its trim can drop the constant term of (1 + 10w)^14
-        det = self.det_terms.values(w)[0, 0, 0]
-        return abs(det) > DETC_TOL * scale
+            inside = np.ones(len(W), dtype=bool)
+        else:
+            C = np.abs(self.pivot_block.values(W)).max(axis=(1, 2), initial=0.0)
+            # not det_c: its trim can drop the constant term of (1 + 10w)^14
+            det = self.det_terms.values(W)[:, 0, 0]
+            inside = np.abs(det) > DETC_TOL * np.maximum(1.0, C) ** self.r
+        return inside if np.ndim(w) == 2 else bool(inside[0])
 
     def functionals(self) -> list[FunctionalFamily]:
         return functionals_from_annihilator(self)
@@ -673,50 +688,21 @@ class PsiPoint:
     B: np.ndarray | None = field(default=None, repr=False)
 
 
-def psi_at(
-    res: AnnihilatorResult,
-    phi_joint,
-    w,
-    fiber_domain: Polydisc | None = None,
-    degree: int = 8,
-    quad: QuadSpec | None = None,
-    model: GramModel | None = None,
-) -> PsiPoint:
-    """sup over annihilator functionals of log kernel at the fiber origin.
-
-    The kernels of all rows of B(w) come from one ``bergman.kernels`` call;
-    Psi_N is -inf when its zero test finds every kernel zero.  ``model``,
-    when given, is the orthonormalized fiber model at w under these
-    settings, which does not depend on the jet order; otherwise it is built.
+def psi_at(res: AnnihilatorResult, w, B: np.ndarray | None,
+           logk: np.ndarray | None) -> PsiPoint:
+    """Psi_N(w), the sup over the annihilator functionals of the log-kernel
+    at the fiber origin, from B = B(w) and the log-kernels logk of its rows
+    (``psi_scan``).  B is None where w is outside U.  Psi_N is -inf when
+    every kernel vanishes, by the one zero test of ``bergman.zero_kernels``.
     """
-    fam = res.matrix.fam
-    w = _as_w(w, fam.w_arity)
-    if fiber_domain is None:
-        fiber_domain = Polydisc((1.0,) * fam.z_arity)
-    if not res.in_U(w):
+    w = _as_w(w, res.matrix.fam.w_arity)
+    if B is None:
         return PsiPoint(w, "outside_U", math.nan, [])
-    if model is None:
-        model = _fiber_model(phi_joint, w, fiber_domain, degree, quad)
-    B = res.eval_B(w)
-    K, _, zero = kernels(model, res.labels, B, (0.0,) * fam.z_arity)
+    with np.errstate(over="ignore"):
+        kernels = np.exp(logk).tolist()
     # with no functionals (s = 0, I_w + m^N is everything) this holds vacuously
-    if zero.all():
-        return PsiPoint(w, "minus_inf", -math.inf, K.tolist(), B)
-    return PsiPoint(w, "ok", math.log(K[~zero].max()), K.tolist(), B)
-
-
-def _fiber_model(
-    phi_joint,
-    w: tuple[complex, ...],
-    fiber_domain: Polydisc,
-    degree: int,
-    quad: QuadSpec | None,
-) -> GramModel:
-    """The orthonormalized model of the fiber weight at w, which ``psi_at``
-    uses at every jet order."""
-    return orthonormalize(
-        assemble_gram(fiber_domain, phi_joint.fiber(w), degree, quad or QuadSpec())
-    )
+    psi = float(np.max(logk, initial=-math.inf))
+    return PsiPoint(w, "ok" if psi > -math.inf else "minus_inf", psi, kernels, B)
 
 
 def psi_scan(
@@ -729,11 +715,35 @@ def psi_scan(
     res: AnnihilatorResult | None = None,
     seed: int = 0,
 ) -> tuple[AnnihilatorResult, list[PsiPoint]]:
+    """The annihilator (built here when res is None) and Psi_N at every grid
+    point, one ``psi_at`` each.
+
+    U is tested and B(W) evaluated once over the grid.  The log-kernels of
+    each annihilator row (``AnnihilatorResult.functionals``) at every point
+    in U come from one ``fiberwise.log_kernel_on_fiber`` call at the fiber
+    origin, whose fiber models are those of any other kernel call: one
+    model of psi for a joint weight psi(z) + s(w), else one per point.
+    """
     if res is None:
         res = build_annihilator(fam, w_grid, seed=seed)
-    pts = [
-        psi_at(res, phi_joint, w, fiber_domain, degree, quad) for w in w_grid
-    ]
+    n, m = fam.z_arity, fam.w_arity
+    if fiber_domain is None:
+        fiber_domain = Polydisc((1.0,) * n)
+    W = np.array([_as_w(w, m) for w in w_grid], dtype=complex).reshape(-1, m)
+    inside = res.in_U(W)
+    WU = W[inside]
+    B = res.eval_B(WU)
+    logk = np.zeros((len(WU), res.s))
+    if len(WU):
+        # the base polydisc only has to hold the points
+        base = Polydisc(tuple((1.0 + np.abs(WU).max(axis=0)).tolist()))
+        for k, family in enumerate(res.functionals()):
+            problem = FamilyProblem(fiber_domain, base, phi_joint, family, degree,
+                                    quad or QuadSpec())
+            logk[:, k] = log_kernel_on_fiber(problem, WU, (0j,) * n)
+    at = np.cumsum(inside) - 1
+    pts = [psi_at(res, w, B[i], logk[i]) if ok else psi_at(res, w, None, None)
+           for w, ok, i in zip(W, inside, at)]
     return res, pts
 
 
@@ -763,24 +773,16 @@ def lambda_scan(
     quad: QuadSpec | None = None,
     res: AnnihilatorResult | None = None,
     seed: int = 0,
-    points: list[PsiPoint] | None = None,
 ) -> LambdaScanResult:
     """Grid section of the inclusion locus, cross-checked two ways.
 
     (a) Psi_N flags from the kernel sup; (b) direct membership of every
     oracle generator of the fiber multiplier ideal (times jet monomials)
-    under the annihilator functionals.  Both must coincide on U.  Each base
-    point's test of U and its functionals come from ``psi_at``, once:
-    ``points``, when given, are those of the grid under ``res``, as
-    ``psi_scan`` makes them.
+    under the annihilator functionals.  Both must coincide on U.  The test
+    of U and B(w), whose rows are the functionals, come from ``psi_scan``.
     """
     check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
-    if points is None:
-        res, pts = psi_scan(
-            fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed
-        )
-    else:
-        pts = points
+    res, pts = psi_scan(fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed)
     n, N = fam.z_arity, fam.truncation
     betas = multi_indices_upto(n, N - 1)
     lam_a, lam_b, skipped, mismatches = [], [], [], []
@@ -829,37 +831,14 @@ def krull_stabilize(
     quad: QuadSpec | None = None,
     seed: int = 0,
 ) -> KrullResult:
-    """Lambda_N grid sets for N = 2..n_max with the Krull nesting check.
-
-    A fiber model depends on the weight, the fiber domain, the degree and
-    the quadrature, not on N, so the grid is walked point by point: each
-    point's model is built at the first order that finds the point in U and
-    used at every order, and only that one model is held at a time.
-    """
+    """Lambda_N grid sets for N = 2..n_max with the Krull nesting check:
+    one ``lambda_scan``, so one ``psi_scan``, per N."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
-    if fiber_domain is None:
-        fiber_domain = Polydisc((1.0,) * fam.z_arity)
-    fams = {
-        N: IdealFamily(fam.z_arity, fam.w_arity, fam.generators, N)
-        for N in range(2, n_max + 1)
-    }
-    res = {N: build_annihilator(f, w_grid, seed=seed) for N, f in fams.items()}
-    pts: dict[int, list[PsiPoint]] = {N: [] for N in fams}
-    for w in w_grid:
-        w = _as_w(w, fam.w_arity)
-        model = None
-        for N in fams:
-            if model is None and res[N].in_U(w):
-                model = _fiber_model(phi_joint, w, fiber_domain, degree, quad)
-            pts[N].append(
-                psi_at(res[N], phi_joint, w, fiber_domain, degree, quad, model)
-            )
     per_n = {
-        N: lambda_scan(f, phi_joint, w_grid, fiber_domain, degree, quad,
-                       res[N], seed, pts[N])
-        for N, f in fams.items()
+        N: lambda_scan(IdealFamily(fam.z_arity, fam.w_arity, fam.generators, N),
+                       phi_joint, w_grid, fiber_domain, degree, quad, seed=seed)
+        for N in range(2, n_max + 1)
     }
     nested = True
     stabilized = None

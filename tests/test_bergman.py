@@ -488,6 +488,29 @@ class TestSharedPointActions:
         assert np.allclose(u, np.tile(expect, (200, 1)), rtol=1e-15)
 
 
+    def test_row_actions_do_not_depend_on_the_block_split(self, monkeypatch):
+        # P rows go in ceil(P / BLOCK) blocks of near-equal size: 65 rows in
+        # 32 + 33, not 64 + 1.  A row's sums keep their term order, so its
+        # actions are the same bits at 64, 65 and 129 rows
+        rng = np.random.default_rng(7)
+        E = np.array([[3, 0], [2, 1], [0, 2], [1, 0]])  # (z, w) exponents
+        shift = bergman.TaylorShift([(0,), (1,), (2,)], E,
+                                    np.array([1.0, 2.0, 0.5j, -1.0]),
+                                    np.array([0, 0, 1, 1]), 1, 2)
+
+        def draw(*shape):
+            return rng.uniform(-0.6, 0.6, shape) + 1j * rng.uniform(-0.6, 0.6, shape)
+
+        X, Z, W = draw(129, 3), draw(129, 1), draw(129, 1)
+        u = [shift.actions(X[:P], Z[:P], W[:P]) for P in (64, 65, 129)]
+        assert np.array_equal(u[0], u[1][:64]) and np.array_equal(u[1], u[2][:65])
+        rows = []
+        sums = shift._sums
+        monkeypatch.setattr(shift, "_sums", lambda x: rows.append(len(x)) or sums(x))
+        shift.actions(X[:65], Z[:65], W[:65])
+        assert rows == [32, 32, 33, 33]  # the real and imaginary part of each
+
+
 def reference_basis(domain, labels, g=None):
     """g * prod_i (z_i - c_i)^alpha_i for each label, by PolyW products."""
     n = domain.arity

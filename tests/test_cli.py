@@ -546,24 +546,29 @@ class TestLambdaCommand:
         assert krull["perN"] == {"2": 1, "3": 1, "4": 1}
 
     def test_nmax_builds_each_fiber_model_once(self, tmp_path, monkeypatch):
-        # a fiber model does not depend on the jet order: the 81 grid points
-        # are assembled once, not once per N = 2, 3, 4
-        from xibergman import ideal
+        # a fiber model depends on neither the jet order nor the grid point
+        # under P*: one per annihilator row (2 + 3 + 4 at N = 2, 3, 4), not
+        # one per grid point (81)
+        from xibergman import fiberwise
 
         calls = []
-        real_gram = ideal.assemble_gram
+        real_gram = fiberwise.assemble_gram
 
         def counting_gram(*args, **kwargs):
             calls.append(args[1])
             return real_gram(*args, **kwargs)
 
-        monkeypatch.setattr(ideal, "assemble_gram", counting_gram)
+        monkeypatch.setattr(fiberwise, "assemble_gram", counting_gram)
         cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
-        cfg["nMax"] = 4
-        path = tmp_path / "lambda4.json"
-        path.write_text(json.dumps(cfg))
-        assert run("lambda", path, tmp_path / "o") == 0
-        assert len(calls) == 81 == len(set(map(repr, calls)))
+        for n_max, models in ((3, 5), (4, 9)):
+            calls.clear()
+            cfg["nMax"] = n_max
+            path = tmp_path / f"lambda{n_max}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"o{n_max}"
+            assert run("lambda", path, out) == 0
+            assert len(calls) == models and len(set(map(repr, calls))) == 1
+            assert payload(out / "lambda.json")["lambdaPsi"] == [[[0.0, 0.0]]]
 
 
 def _spy_assemble_gram(monkeypatch):

@@ -22,7 +22,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xibergman import ideal
-from xibergman.bergman import assemble_gram, orthonormalize
+from xibergman import fiberwise
+from xibergman.bergman import assemble_gram, kernels, orthonormalize
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.fiberwise import square_grid, submean_check
 from xibergman.functional import (
@@ -52,13 +53,13 @@ from xibergman.ideal import (
     membership_by_functionals,
     membership_oracle,
     multiplier_generators,
-    psi_at,
     psi_scan,
 )
 from xibergman.family import lub_check, poly_to_json
 from xibergman.weights import (
     ConstantWeight,
     JointLogDivisor,
+    JointPairQuadratic,
     JointQuadraticSplit,
     JointZero,
     LogDivisorWeight,
@@ -1002,31 +1003,36 @@ class TestMultiplierGenerators:
         assert gens[0].equals(g)
 
 
+def psi_point(res, weight, w, degree):
+    """The PsiPoint of psi_scan at the one base point w."""
+    return psi_scan(res.matrix.fam, weight, [w], degree=degree, res=res)[1][0]
+
+
 class TestPsiAndLambda:
     def test_psi_matches_pstar_closed_form(self):
         res = build_annihilator(Z1, GRID)
         for w in (0.3, -0.4 + 0.2j):
-            pt = psi_at(res, PSTAR_WEIGHT, w, degree=6)
+            pt = psi_point(res, PSTAR_WEIGHT, w, degree=6)
             assert pt.flag == "ok"
             expect = 2 * math.log(abs(w)) - 2 * math.log(math.pi)
             assert pt.psi == pytest.approx(expect, abs=1e-9)
 
     def test_psi_minus_inf_at_origin(self):
         res = build_annihilator(Z1, GRID)
-        pt = psi_at(res, PSTAR_WEIGHT, 0.0, degree=6)
+        pt = psi_point(res, PSTAR_WEIGHT, 0.0, degree=6)
         assert pt.flag == "minus_inf" and pt.psi == -math.inf
 
     def test_psi_finite_for_trivial_weight(self):
         res = build_annihilator(Z1, GRID)
         for w in (0.0, 0.3):
-            pt = psi_at(res, JointZero(2, 1), w, degree=6)
+            pt = psi_point(res, JointZero(2, 1), w, degree=6)
             assert pt.flag == "ok" and math.isfinite(pt.psi)
 
     def test_psi_submean_off_origin(self):
         res = build_annihilator(Z1, GRID)
 
         def fn(t):
-            return psi_at(res, PSTAR_WEIGHT, 0.4 + t, degree=6).psi
+            return psi_point(res, PSTAR_WEIGHT, 0.4 + t, degree=6).psi
 
         rep = submean_check(fn, ("psi",), 0.2, 32)
         assert rep.passed
@@ -1056,9 +1062,9 @@ class TestPsiAndLambda:
         assert len(scan.lambda_psi) == len(grid)
 
     def test_lambda_scan_evaluates_once_per_point(self, monkeypatch):
-        # U and B(w), whose rows are the functionals, are evaluated once per
-        # base point, not once per (generator, beta) pair of the membership
-        # check nor once per functional
+        # U and B(w), whose rows are the functionals, are evaluated once over
+        # the grid, in one batch each, not once per base point, (generator,
+        # beta) pair of the membership check or functional
         calls = {"in_U": 0, "eval_B": 0}
 
         def counted(cls, name):
@@ -1075,7 +1081,7 @@ class TestPsiAndLambda:
         grid = square_grid(0.6, 3)
         scan = lambda_scan(PENCIL, PSTAR_WEIGHT, grid, degree=4)
         assert scan.agree and not scan.skipped and scan.res.s == 2
-        assert calls == {"in_U": len(grid), "eval_B": len(grid)}
+        assert calls == {"in_U": 1, "eval_B": 1}
 
     def test_actions_at_rounding_noise_are_a_zero(self):
         # g = z1 - (w^2 + 0.3 w) z2 generates its own fiber ideal, but at
@@ -1084,16 +1090,40 @@ class TestPsiAndLambda:
         # zeros against the coefficients of order 1 around them
         g = PolyW(3, {(1, 0, 0): 1.0, (0, 1, 2): -1.0, (0, 1, 1): -0.3})
         fam = IdealFamily(2, 1, [g], 2)
-        scan = lambda_scan(fam, JointLogDivisor(g, 2), square_grid(0.6, 5), degree=4)
-        assert any(0 < max(p.kernels) < 1e-30 for p in scan.points)
+        weight = JointLogDivisor(g, 2)
+        scan = lambda_scan(fam, weight, square_grid(0.6, 5), degree=4)
+        # the premise, on the raw kernels of each point's own fiber model
+        raw = [kernels(orthonormalize(assemble_gram(
+                   Polydisc((1.0, 1.0)), weight.fiber(p.w), 4)),
+                   scan.res.labels, p.B, (0.0, 0.0))[0] for p in scan.points]
+        assert any(0 < max(K) < 1e-30 for K in raw)
         assert scan.agree and not scan.skipped
         assert len(scan.lambda_psi) == 25
+
+    def test_split_zero_test_is_one(self):
+        # g = z1 - z2 (w - a) at w = a (1 + 1e-15): the fiber kernels read
+        # [-inf, -75.13] on the annihilator rows while Psi_N was -inf; the
+        # provider and bergman.kernels now take the same zero test
+        a = 0.1234 + 0.0567j
+        g = PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0, (0, 1, 0): a})
+        weight = JointLogDivisor(g, 2)
+        w = a * (1 + 1e-15)
+        res = build_annihilator(Z1)
+        lk = [fiberwise.log_kernel_on_fiber(fiberwise.FamilyProblem(
+                  Polydisc((1.0, 1.0)), Polydisc((1.0,)), weight, f, 6),
+                  (w,), (0.0, 0.0)) for f in res.functionals()]
+        assert lk == [-math.inf, -math.inf]
+        model = orthonormalize(assemble_gram(Polydisc((1.0, 1.0)),
+                                             weight.fiber((w,)), 6))
+        assert kernels(model, res.labels, res.eval_B(w), (0.0, 0.0))[2].all()
+        pt = psi_point(res, weight, w, degree=6)
+        assert pt.flag == "minus_inf" and pt.kernels == [0.0, 0.0]
 
     @settings(max_examples=40, deadline=None)
     @given(ideal_families(), st.data())
     def test_kernels_match_recentered_functionals(self, fam, data):
-        # psi_at evaluates every row of B(w) in one batch; the reference acts
-        # with one Functional per row on the recentered basis
+        # psi_scan takes every row of B(w) from the fiber-model provider; the
+        # reference acts with one Functional per row on the recentered basis
         n, m = fam.z_arity, fam.w_arity
         cplx = st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6))
         w = tuple(data.draw(cplx) for _ in range(m))
@@ -1108,13 +1138,13 @@ class TestPsiAndLambda:
                 zn + (1,) + (0,) * (m - 1): data.draw(cplx),
                 (0,) * (n + m): data.draw(cplx),
             }), n),
-        ]))
+        ] + [JointPairQuadratic((2.0, 1.0)[:n])] * (n == m)))
         degree = data.draw(st.integers(1, 5))
         try:
             res = build_annihilator(fam)
         except DegenerateInputError:
             assume(False)
-        pt = psi_at(res, weight, w, degree=degree)
+        pt = psi_point(res, weight, w, degree)
         assume(pt.flag != "outside_U")
         model = orthonormalize(
             assemble_gram(Polydisc((1.0,) * n), weight.fiber(w), degree)
@@ -1155,12 +1185,35 @@ class TestKrull:
         assert out.nested
         assert all(not s.lambda_psi for s in out.per_n.values())
 
+    def test_pair_quadratic_takes_a_model_per_point(self, monkeypatch):
+        # sum c_i |z_i - w_i|^2 moves its fiber weight with w: one fiber
+        # model per point in U and annihilator row (2 + 3 rows at N = 2, 3);
+        # Psi_N as the per-point models of bergman.kernels gave it
+        calls = []
+        real_gram = fiberwise.assemble_gram
+        monkeypatch.setattr(fiberwise, "assemble_gram",
+                            lambda *a, **k: calls.append(a[1]) or real_gram(*a, **k))
+        fam = IdealFamily(2, 2, [PolyW(4, {(1, 0, 0, 0): 1.0})], 2)
+        grid = [(0j, 0.3 + 0.1j), (0.4 + 0j, -0.2j), (0.1 - 0.2j, 0.2 + 0j)]
+        out = krull_stabilize(fam, JointPairQuadratic((2.0, 1.0)), grid, 3, degree=6)
+        expect = {
+            2: [0.020946357114509328, 0.25657678880934576, 0.03657681082705259],
+            3: [0.5375239798077915, 0.7620406248209844, 0.5420418726101072],
+        }
+        for N, scan in out.per_n.items():
+            assert scan.agree and not scan.skipped and scan.lambda_psi == []
+            assert [p.psi for p in scan.points] == pytest.approx(expect[N], abs=1e-12)
+        assert out.nested and out.stabilized_at == 2
+        assert len(calls) == (2 + 3) * len(grid)
+        assert len(set(map(repr, calls))) == len(grid)
+
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
             krull_stabilize(Z1, JointZero(2, 1), [0.1], 1)
 
     def test_shared_fiber_models_change_no_result(self, monkeypatch):
-        # one fiber model per grid point in U, used at N = 2, 3, 4 alike
+        # one psi_scan per N, one fiber model per annihilator row: the
+        # weight psi + s(w) of P* has one model for every fiber
         grid = square_grid(0.6, 3)
         alone = {
             N: lambda_scan(IdealFamily(2, 1, Z1.generators, N), PSTAR_WEIGHT,
@@ -1168,13 +1221,13 @@ class TestKrull:
             for N in (2, 3, 4)
         }
         calls = []
-        real_gram = ideal.assemble_gram
+        real_gram = fiberwise.assemble_gram
 
         def counting_gram(*args, **kwargs):
             calls.append(args[1])
             return real_gram(*args, **kwargs)
 
-        monkeypatch.setattr(ideal, "assemble_gram", counting_gram)
+        monkeypatch.setattr(fiberwise, "assemble_gram", counting_gram)
         out = krull_stabilize(Z1, PSTAR_WEIGHT, grid, 4, degree=6)
         for N, scan in out.per_n.items():
             assert repr([(p.flag, p.psi, p.kernels) for p in scan.points]) == repr(
@@ -1182,9 +1235,8 @@ class TestKrull:
             )
             assert scan.lambda_psi == alone[N].lambda_psi
             assert scan.lambda_membership == alone[N].lambda_membership
-        in_U = [i for i in range(len(grid))
-                if any(s.points[i].flag != "outside_U" for s in alone.values())]
-        assert len(calls) == len(in_U) == len(set(map(repr, calls)))
+        assert [scan.res.s for scan in out.per_n.values()] == [2, 3, 4]
+        assert len(calls) == 9 and len(set(map(repr, calls))) == 1
 
 
 class TestJson:
