@@ -324,6 +324,9 @@ def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
         scale = math.exp(-shift)
     except OverflowError:
         scale = math.inf
+    # one angular node count on every disc, from the largest exponent, as
+    # the tensor rule takes it
+    angular = 2 * int(A.max(initial=0)) + 4
     G = 1.0
     with np.errstate(over="ignore", under="ignore", invalid="ignore",
                      divide="ignore"):
@@ -337,7 +340,7 @@ def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
                 M = m if diagonal else np.diag(m)
             else:
                 u, w = polar_rule(R, quad.radial_nodes,
-                                  max(quad.angular_nodes, 2 * top + 4),
+                                  max(quad.angular_nodes, angular),
                                   quad.inner_cutoff)
                 z = u + center
                 dens = np.exp(-q * np.abs(z - a) ** 2) * np.abs(z) ** (-2.0 * ci)

@@ -19,14 +19,17 @@ the log-kernels of these functionals over a base grid locates the inclusion
 locus of the multiplier ideal: ``psi_scan`` tests U and evaluates B(W) once
 over the grid, and takes the kernels of each of the s rows at every point
 in U from the one fiber-model provider, ``fiberwise.log_kernel_on_fiber``,
-with its zero test; ``psi_at`` reads Psi_N off each point's kernels, and
-the membership checks multiply B(w) by jet coefficient vectors, so no
-``Functional`` is built.  Besides
-the generators and the oracle generators of the membership checks
-(``weights.multiplier_generators``), PolyW
-appears only in the ``rows``, ``det_c`` and ``functionals()`` views of an
-``AnnihilatorResult``; ``annihilator_to_json`` writes the terms straight
-from the coefficient arrays.
+with its zero test; ``psi_at`` reads Psi_N off each point's kernels.  The
+membership check reads the oracle generators of the fiber multiplier ideal
+once, as polynomials in (z, w) (``weights.multiplier_generators``), takes
+their jet coefficient matrix J(w) as A(w) is taken, and evaluates the one
+array product P(w) = B(w) J(w) once over the points in U; its common zeros
+there are Lambda_N.  No ``Functional`` is built, and besides the generators,
+PolyW appears only in the ``rows``, ``det_c`` and ``functionals()`` views
+of an ``AnnihilatorResult`` and in the per-point references
+``membership_by_functionals`` and ``membership_oracle``;
+``annihilator_to_json`` writes the terms straight from the coefficient
+arrays.
 
 The pivot determinant det C(w) and the cofactors are found by
 evaluation-interpolation.  K_i - 1, the sum over a block's rows of the
@@ -67,7 +70,15 @@ from .config import Table, integer, list_of
 from .family import POLY_TERMS, FunctionalFamily, PolyW
 from .fiberwise import FamilyProblem, log_kernel_on_fiber
 from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
-from .weights import Polydisc, check_joint_weight, multiplier_generators
+from .weights import (
+    JointLogDivisor,
+    Polydisc,
+    check_joint_weight,
+    divisor_generator,
+    lift,
+    misses_origin,
+    multiplier_generators,
+)
 
 RANK_TOL = 1e-9
 DETC_TOL = 1e-8
@@ -631,20 +642,19 @@ def membership_by_functionals(res: AnnihilatorResult, w, f: PolyW) -> bool:
     w = _as_w(w, res.matrix.fam.w_arity)
     if not res.in_U(w):
         raise OutsideUError(f"base point {w} outside U (pivot determinant ~ 0)")
-    return _annihilated(res, res.eval_B(w), [f])
+    B = res.eval_B(w)
+    jet = _truncated_coeff_vector(f, res.labels)[:, None]
+    return bool(_annihilates(B[None], (B @ jet)[None], np.array([[f.max_coeff()]]))[0])
 
 
-def _annihilated(res: AnnihilatorResult, B: np.ndarray, polys: list[PolyW]) -> bool:
-    """Every row of B = B(w) vanishes on the jet of every f in polys.
-
-    Row i vanishes on f when |B_i . jet(f)| <= MEMBERSHIP_TOL
-    max(1, max |B_i|) max(1, max |f|).
-    """
-    jets = np.array([_truncated_coeff_vector(f, res.labels) for f in polys]).T
-    fscale = np.array([max(1.0, f.max_coeff()) for f in polys])
-    xscale = np.maximum(1.0, np.abs(B).max(axis=1, initial=0.0))
-    bound = MEMBERSHIP_TOL * xscale[:, None] * fscale[None, :]
-    return bool(np.all(np.abs(B @ jets) <= bound))
+def _annihilates(B: np.ndarray, P: np.ndarray, fmax: np.ndarray) -> np.ndarray:
+    """At each point, whether every row of B = B(w) (points x s x p)
+    vanishes on every jet column of F(w), given P = B(w) F(w) (points x s x q)
+    and the largest coefficient modulus fmax (points x q) of each column's
+    polynomial: |P_ij| <= MEMBERSHIP_TOL max(1, max |B_i|) max(1, fmax_j)."""
+    xscale = np.maximum(1.0, np.abs(B).max(axis=2, initial=0.0))
+    bound = MEMBERSHIP_TOL * xscale[:, :, None] * np.maximum(1.0, fmax)[:, None, :]
+    return np.all(np.abs(P) <= bound, axis=(1, 2))
 
 
 def membership_oracle(
@@ -778,30 +788,63 @@ def lambda_scan(
 
     (a) Psi_N flags from the kernel sup; (b) direct membership of every
     oracle generator of the fiber multiplier ideal (times jet monomials)
-    under the annihilator functionals.  Both must coincide on U.  The test
-    of U and B(w), whose rows are the functionals, come from ``psi_scan``.
+    under the annihilator functionals, at every point in U at once
+    (``oracle_membership``).  Both must coincide on U.  The test of U and
+    B(w), whose rows are the functionals, come from ``psi_scan``.
     """
     check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
     res, pts = psi_scan(fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed)
-    n, N = fam.z_arity, fam.truncation
-    betas = multi_indices_upto(n, N - 1)
-    lam_a, lam_b, skipped, mismatches = [], [], [], []
-    for i, pt in enumerate(pts):
-        if pt.flag == "outside_U":
-            skipped.append(i)
-            continue
-        in_a = pt.flag == "minus_inf"
-        gens = multiplier_generators(phi_joint.fiber(pt.w))
-        in_b = _annihilated(
-            res, pt.B, [g * PolyW.monomial(beta) for g in gens for beta in betas]
-        )
-        if in_a:
-            lam_a.append(i)
-        if in_b:
-            lam_b.append(i)
-        if in_a != in_b:
-            mismatches.append(i)
+    skipped = [i for i, pt in enumerate(pts) if pt.flag == "outside_U"]
+    inside = [i for i, pt in enumerate(pts) if pt.flag != "outside_U"]
+    member = np.zeros(len(pts), dtype=bool)
+    if inside:
+        member[inside] = oracle_membership(
+            res, phi_joint, np.array([pts[i].w for i in inside]),
+            np.array([pts[i].B for i in inside]))
+    lam_a = [i for i in inside if pts[i].flag == "minus_inf"]
+    lam_b = [i for i in inside if member[i]]
+    mismatches = [i for i in inside if (pts[i].flag == "minus_inf") != member[i]]
     return LambdaScanResult(res, pts, lam_a, lam_b, skipped, mismatches)
+
+
+def oracle_membership(res: AnnihilatorResult, phi_joint, W: np.ndarray,
+                      B: np.ndarray) -> np.ndarray:
+    """At each base point w of W (rows, all in U), whether the rows of
+    B = B(W) annihilate every oracle generator of the fiber multiplier ideal
+    times every jet monomial, by the rule of ``membership_by_functionals``.
+
+    The generators are read once as polynomials in (z, w): g itself for a
+    joint divisor 2 log|g(z, w)|, and otherwise the fiber's generators
+    (``weights.multiplier_generators``), which do not depend on w, with zero
+    w-exponents.  Their jets times the jet monomials are the coefficient
+    matrix J(w) (``build_coeff_matrix``), its rows in B's column order, and
+    P = B J is one ``TermMatrix`` product, evaluated once over W; its common
+    zeros in U are Lambda_N.  Where a generator misses the fiber origin
+    (``weights.misses_origin``), the fiber ideal is the unit ideal and the
+    rows are tested on B(w) itself.  A weight without an oracle raises
+    UnsupportedWeightError, a joint divisor with c != 1 only when some
+    point of W has g(0, w) = 0.
+    """
+    fam = res.matrix.fam
+    n, m = fam.z_arity, fam.w_arity
+    if isinstance(phi_joint, JointLogDivisor):
+        gens = [phi_joint.g]
+    else:
+        gens = [lift(g, m) for g in multiplier_generators(phi_joint.fiber(W[0]))]
+    # each generator's z-coefficients at each point: its column beta = 0 at a
+    # jet order that holds all of its terms
+    top = 1 + max((sum(e[:n]) for g in gens for e in g.coeffs), default=0)
+    G = build_coeff_matrix(IdealFamily(n, m, gens, top))
+    g_w = G.values(W)[:, :, ::G.p]  # points x z-monomials x generators
+    gmax = np.abs(g_w).max(axis=1)
+    unit = misses_origin(g_w[:, 0], gmax).any(axis=1)
+    if isinstance(phi_joint, JointLogDivisor) and not unit.all():
+        divisor_generator(phi_joint)  # refuses c != 1 through the origin
+    A = build_coeff_matrix(IdealFamily(n, m, gens, fam.truncation))
+    P = (res.b_terms @ A.terms.take(res.row_perm, range(A.q))).values(W)
+    fmax = np.repeat(gmax, res.p, axis=1)  # column (beta, i) holds z^beta g_i
+    return np.where(unit, _annihilates(B, B, np.zeros((len(W), 1))),
+                    _annihilates(B, P, fmax))
 
 
 @dataclass

@@ -451,9 +451,8 @@ def divisor_split(weight):
         if divisor is None:
             return None, weight
         m = weight.w_arity
-        g = PolyW(weight.arity,
-                  {a + (0,) * m: c for a, c in divisor.g.coeffs.items()})
-        split = LogDivisorWeight(g, divisor.c), WIndependentJoint(rest, m)
+        split = (LogDivisorWeight(lift(divisor.g, m), divisor.c),
+                 WIndependentJoint(rest, m))
     else:
         split = _fiber_divisor_split(weight)
         if split[0] is None:
@@ -463,6 +462,11 @@ def divisor_split(weight):
             return None, weight
         raise UnsupportedWeightError("factored divisor basis requires exponent c = 1")
     return split
+
+
+def lift(g: PolyW, m: int) -> PolyW:
+    """A polynomial in z read in (z, w), w of arity m: zero w-exponents."""
+    return PolyW(g.arity + m, {a + (0,) * m: c for a, c in g.coeffs.items()})
 
 
 def _fiber_divisor_split(weight):
@@ -557,17 +561,31 @@ def multiplier_generators(weight) -> list[PolyW]:
         )]
     if isinstance(weight, LogDivisorWeight):
         g = weight.g
-        if abs(g.evaluate((0.0,) * g.arity)) > 1e-12 * max(1.0, g.max_coeff()):
+        if misses_origin(g.evaluate((0.0,) * g.arity), g.max_coeff()):
             return [PolyW.constant(1.0, g.arity)]  # bounded near the origin
-        if abs(weight.c - 1.0) > 1e-12:
-            raise UnsupportedWeightError(
-                f"no multiplier-ideal oracle for a divisor through the origin"
-                f" with c = {weight.c} != 1"
-            )
-        return [g]
+        return [divisor_generator(weight)]
     raise UnsupportedWeightError(
         f"no multiplier-ideal oracle for weight variant {weight.variant!r}"
     )
+
+
+def misses_origin(g0, gmax):
+    """Whether a divisor g with g(0) = g0 and largest coefficient modulus
+    gmax misses the origin, |g0| > 1e-12 max(1, gmax), so that 2c log|g| is
+    bounded near it and its multiplier ideal is the unit ideal; elementwise
+    on arrays."""
+    return np.abs(g0) > 1e-12 * np.maximum(1.0, gmax)
+
+
+def divisor_generator(weight) -> PolyW:
+    """g, the generator of the multiplier ideal of 2c log|g| (fiber or
+    joint) through the origin; UnsupportedWeightError unless c = 1."""
+    if abs(weight.c - 1.0) > 1e-12:
+        raise UnsupportedWeightError(
+            f"no multiplier-ideal oracle for a divisor through the origin"
+            f" with c = {weight.c} != 1"
+        )
+    return weight.g
 
 
 def multiplier_membership_oracle(spec, f: PolyW) -> bool:

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from xibergman import ideal
+from xibergman import ideal, weights
 from xibergman import fiberwise
-from xibergman.bergman import assemble_gram, kernels, orthonormalize
+from xibergman.bergman import QuadSpec, assemble_gram, kernels, orthonormalize
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.fiberwise import square_grid, submean_check
 from xibergman.functional import (
@@ -53,6 +53,7 @@ from xibergman.ideal import (
     membership_by_functionals,
     membership_oracle,
     multiplier_generators,
+    oracle_membership,
     psi_scan,
 )
 from xibergman.family import lub_check, poly_to_json
@@ -66,6 +67,8 @@ from xibergman.weights import (
     LogMonomialWeight,
     Polydisc,
     QuadraticWeight,
+    SumWeight,
+    UnsupportedWeightError,
     WIndependentJoint,
     ZeroWeight,
 )
@@ -78,6 +81,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PSTAR_G = PolyW(3, {(1, 0, 0): 1.0, (0, 1, 1): -1.0})
 PSTAR_WEIGHT = JointLogDivisor(PSTAR_G, 2)
+#: g = z1 + w - 0.3 passes through the fiber origin only over w = 0.3
+OFF_ORIGIN_G = PolyW(3, {(1, 0, 0): 1.0, (0, 0, 1): 1.0, (0, 0, 0): -0.3})
 
 
 def functional_matches(fam: FunctionalFamily, expect: dict, w) -> bool:
@@ -250,10 +255,15 @@ def ideal_families(draw):
     return IdealFamily(n, m, gens, draw(st.integers(1, 3)))
 
 
+def eighths():
+    """Complex numbers on the lattice (Z + iZ) / 8 with |re|, |im| <= 3/4."""
+    k = st.integers(-6, 6).map(lambda k: k / 8)
+    return st.builds(complex, k, k)
+
+
 def dyadic_points(m: int):
     """Base points on the lattice (Z + iZ) / 8, where A(w) is exact."""
-    c = st.builds(complex, *[st.integers(-6, 6).map(lambda k: k / 8)] * 2)
-    return st.lists(st.tuples(*[c] * m), min_size=1, max_size=6)
+    return st.lists(st.tuples(*[eighths()] * m), min_size=1, max_size=6)
 
 
 class TestArrayEvaluator:
@@ -1083,6 +1093,81 @@ class TestPsiAndLambda:
         assert scan.agree and not scan.skipped and scan.res.s == 2
         assert calls == {"in_U": 1, "eval_B": 1}
 
+    def test_membership_work_does_not_grow_with_the_grid(self, monkeypatch):
+        # the oracle generators are read once as polynomials in (z, w), and
+        # P = B J is evaluated once over the grid: no fiber weight, decoding
+        # or PolyW product per base point
+        calls = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(JointLogDivisor, "fiber")
+        counted(weights, "substitute_base")
+        counted(weights, "multiplier_generators")
+        counted(ideal, "multiplier_generators")
+        counted(PolyW, "__mul__")
+        counted(PolyW, "__rmul__")
+        weight = JointLogDivisor(OFF_ORIGIN_G, 2)
+        per_grid = []
+        for count in (3, 9):
+            calls.clear()
+            scan = lambda_scan(Z1, weight, square_grid(0.6, count), degree=2)
+            # w = 0.3 is a point of the 9 x 9 grid only
+            assert scan.agree and len(scan.lambda_psi) == int(count == 9)
+            per_grid.append(dict(calls))
+        assert per_grid[0] == per_grid[1]
+
+    def test_lambda_scan_off_origin_divisor(self):
+        # the fiber ideal of g = z1 + w - 0.3 is (z1) over w = 0.3 and the
+        # unit ideal elsewhere, where the rows are tested on B(w) itself
+        scan = lambda_scan(Z1, JointLogDivisor(OFF_ORIGIN_G, 2),
+                           square_grid(0.6, 9), degree=6)
+        assert scan.agree and not scan.skipped
+        assert scan.lambda_membership == scan.lambda_psi
+        assert [w for (w,) in scan.lambda_points()] == [pytest.approx(0.3)]
+
+    def test_unit_ideal_near_lambda_tests_b_itself(self):
+        # at w = 0.3 + 1e-10, g(0, w) = 1e-10 clears the unit-ideal test
+        # (1e-12): the rows of B(w) are tested themselves and fail, where
+        # B(w) times the jets of g z^beta, 1e-10 below MEMBERSHIP_TOL, passes;
+        # over w = 0.3 the jets are tested
+        res = build_annihilator(Z1)
+        W = np.array([[0.3 + 1e-10], [0.3]])
+        member = oracle_membership(res, JointLogDivisor(OFF_ORIGIN_G, 2), W,
+                                   res.eval_B(W))
+        assert member.tolist() == [False, True]
+
+    def test_fractional_divisor_through_the_origin_is_refused(self):
+        weight = JointLogDivisor(PSTAR_G, 2, c=0.5)
+        with pytest.raises(UnsupportedWeightError,
+                           match=r"no multiplier-ideal oracle .* c = 0\.5 != 1"):
+            lambda_scan(Z1, weight, square_grid(0.6, 3), degree=2,
+                        quad=QuadSpec(4, 4))
+
+    def test_fractional_divisor_off_the_origin_runs(self):
+        # on a 3 x 3 grid g = z1 + w - 0.3 never meets the fiber origin, so
+        # every fiber ideal is the unit ideal and c = 0.5 needs no oracle
+        weight = JointLogDivisor(OFF_ORIGIN_G, 2, c=0.5)
+        scan = lambda_scan(Z1, weight, square_grid(0.6, 3), degree=2,
+                           quad=QuadSpec(4, 4))
+        assert scan.agree and not scan.skipped
+        assert scan.lambda_psi == scan.lambda_membership == []
+
+    def test_mixed_singular_sum_is_refused(self):
+        base = SumWeight((LogMonomialWeight((1.0, 0.0)),
+                          LogDivisorWeight(PolyW(2, {(0, 1): 1.0}))))
+        with pytest.raises(UnsupportedWeightError,
+                           match="no oracle for mixed singular sums"):
+            lambda_scan(Z1, WIndependentJoint(base, 1), square_grid(0.6, 3),
+                        degree=2)
+
     def test_actions_at_rounding_noise_are_a_zero(self):
         # g = z1 - (w^2 + 0.3 w) z2 generates its own fiber ideal, but at
         # w = -0.3 the fiber coefficient w^2 + 0.3 w and an entry of B(w) are
@@ -1168,6 +1253,63 @@ class TestPsiAndLambda:
     def test_psi_scan_wraps_points(self):
         res, pts = psi_scan(Z1, PSTAR_WEIGHT, [0.3, 0.0], degree=6)
         assert [p.flag for p in pts] == ["ok", "minus_inf"]
+
+
+@st.composite
+def oracle_weights(draw, n: int, m: int):
+    """(weight, a): a joint weight on n fiber and m base coordinates of each
+    class with a multiplier-ideal oracle, and a base coordinate a.
+
+    The joint divisor g = z1 + v zn w1 + u (w1 - a) meets the fiber origin
+    over w1 = a; the w-independent weights run over the fiber classes.
+    """
+    z1, zn = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)
+    w0, w1 = (0,) * m, (1,) + (0,) * (m - 1)
+    a, u, v = draw(eighths()), draw(eighths()), draw(eighths())
+    g = PolyW(n + m, {z1 + w0: 1.0, zn + w1: v, (0,) * n + w1: u,
+                      (0,) * (n + m): -u * a})
+    through = PolyW(n, {z1: 1.0, zn: -0.5}) if n > 1 else PolyW(1, {(2,): 1.0})
+    fiber = draw(st.sampled_from([
+        ConstantWeight(n, 0.5),
+        LogMonomialWeight((1.5,) + (0.0,) * (n - 1)),
+        LogDivisorWeight(through),
+        LogDivisorWeight(PolyW(n, {(0,) * n: 0.5, z1: 1.0})),
+        SumWeight((QuadraticWeight((1.0,) * n), LogDivisorWeight(through))),
+    ]))
+    weight = draw(st.sampled_from([
+        JointLogDivisor(g, n),
+        WIndependentJoint(fiber, m),
+        JointZero(n, m),
+        JointQuadraticSplit((1.5,) * n, (0.5,) * m),
+    ] + [JointPairQuadratic((2.0, 1.0)[:n])] * (n == m)))
+    return weight, a
+
+
+class TestOracleMembership:
+    @settings(max_examples=60, deadline=None)
+    @given(ideal_families(), st.data())
+    def test_matches_the_per_point_reference(self, fam, data):
+        # the batched verdicts of lambda_scan against the per-point
+        # reference: membership_by_functionals at each point in U, on each
+        # oracle generator of the fiber times each jet monomial
+        n, m = fam.z_arity, fam.w_arity
+        weight, a = data.draw(oracle_weights(n, m))
+        if isinstance(weight, JointLogDivisor) and data.draw(st.booleans()):
+            # the fiber ideals of g itself: w1 = a lies in Lambda
+            fam = IdealFamily(n, m, [weight.g], fam.truncation)
+        grid = data.draw(dyadic_points(m)) + [(a,) + (0j,) * (m - 1)]
+        try:
+            res = build_annihilator(fam, grid)
+        except DegenerateInputError:
+            assume(False)
+        scan = lambda_scan(fam, weight, grid, degree=1, quad=QuadSpec(4, 4), res=res)
+        betas = multi_indices_upto(n, fam.truncation - 1)
+        want = [
+            i for i, w in enumerate(grid) if res.in_U(w) and all(
+                membership_by_functionals(res, w, g * PolyW.monomial(beta))
+                for g in multiplier_generators(weight.fiber(w)) for beta in betas)
+        ]
+        assert scan.lambda_membership == want
 
 
 class TestKrull:
