@@ -259,7 +259,9 @@ def _radial_moment(e: float, q: float, R: float) -> float:
     """Integral of |z|^(2e - 2) exp(-q |z|^2) over the disc |z| < R.
 
     Equals pi Gamma(e) P(e, q R^2) / q^e (DLMF 8.2.4), and pi R^(2e) / e at
-    q = 0; +inf when e <= 0 or when it overflows.
+    q = 0; +inf when e <= 0 or when it overflows.  Where R^(2e) overflows
+    but e^{-q R^2} brings the series form back into range, the power and
+    the exponential are taken as one exponential.
     """
     if e <= 0:
         return math.inf
@@ -281,7 +283,10 @@ def _radial_moment(e: float, q: float, R: float) -> float:
             k += 1
             term *= x / (e + k)
             total += term
-        return math.pi * R ** (2.0 * e) / e * math.exp(-x) * total
+        try:
+            return math.pi * R ** (2.0 * e) / e * math.exp(-x) * total
+        except OverflowError:  # R^(2e) alone leaves the float range
+            return math.exp(2.0 * e * math.log(R) - x) * math.pi * total / e
     except OverflowError:
         return math.inf
 
@@ -706,18 +711,20 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, Z, zf, W=None,
     divisor g(z, w) (``fiberwise``), whose Gram is the same.  lam_max is the
     largest eigenvalue of the equilibrated Gram s G s (``orthonormalize``),
     s = ``unit_scale(G)``, and r bounds the actions u on the basis: the
-    actions of max_alpha |X[p, alpha]| on every alpha over the moduli of the
-    terms' z-factors and of w, so |u[p, j]| <= r[p, j] for every functional
-    whose coefficients are at most those of row p in modulus.  Both sides
+    actions of max_alpha |X[p, alpha]| on every alpha with
+    X[p, alpha] != 0, over the moduli of the terms' z-factors and of w, so
+    |u[p, j]| <= r[p, j] for every functional whose coefficients are at most
+    those of row p in modulus and vanish where row p does.  Both sides
     scale as |xi|^2, and neither moves under psi -> psi + c, which scales K
     and s^2 by e^c and leaves lam_max.  K lam_max is at least the squared
     norm of s u on the kept eigenvectors, so only actions that vanish, or
     sit at the rounding noise of the coefficients of xi and of the basis,
-    pass.  r is first taken at the largest modulus of each z-factor and
-    |w_i| of the call, where it is termwise at least that of every row; the
-    rows this bound does not clear take their own.
+    pass.  r is first taken on every alpha, at the largest modulus of each
+    z-factor and |w_i| of the call, where it is termwise at least that of
+    every row; the rows this bound does not clear take their own.
     """
     lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
+    X = np.asarray(X)
     top2 = np.abs(X).max(axis=1, initial=0.0) ** 2
     d = model.gram.diagonal().real
     s2 = np.divide(1.0, d, out=np.zeros(len(d)), where=d > 0)  # unit_scale(G)^2
@@ -731,10 +738,9 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, Z, zf, W=None,
     zero = vanish(slice(None), np.bincount(shift.S, peak, shift.size))
     rows = np.flatnonzero(zero & (K > 0)) if zero.any() else ()
     if len(rows):  # K = 0 vanishes under any r
-        moduli = sum((np.abs(f) for f in zf), np.zeros((len(Z), len(shift.S))))
         zero[rows] = vanish(rows, shift.actions(
-            np.ones((len(rows), 1)), Z, None if W is None else np.abs(W[rows]),
-            [moduli], rows if at is None else at[rows]))
+            (X[rows] != 0).astype(float), Z, None if W is None else np.abs(W[rows]),
+            [np.abs(f) for f in zf], rows if at is None else at[rows]))
     return zero
 
 

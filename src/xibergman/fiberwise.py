@@ -1,9 +1,14 @@
 """Fiberwise kernel maps and numerical log-psh verification.
 
-kernel_on_fiber(problem, W, Z) evaluates the fiberwise xi-Bergman kernel
-K_{xi(w)}(z) at an array of base points W, with one fiber point z shared by
-all of them or one per base point, in one batch.  Base points whose fibers
-share a Gram matrix, up to a scalar, share one model:
+fiber_kernels(fiber_domain, joint_weight, degree, quad, alphas, X, W, Z) is
+the one fiber-model provider.  It evaluates, in one batch, the kernel of
+each row p of the coefficient rows X, the functional
+sum_alpha X[p, alpha] e_alpha, at a fiber point (one shared by all rows, or
+one per row) over the base point W[p].  ``kernel_on_fiber(problem, W, Z)``
+is its front for a functional family: it checks the points and passes the
+family's values xi_alpha(W) as the rows; ``ideal.psi_scan`` passes the
+annihilator rows B(w) of every point in U at once.  Base points whose
+fibers share a Gram matrix, up to a scalar, share one model:
 
 - a divisor part 2 log|g(z, w)| (c = 1), split off by
   ``weights.divisor_split`` from a joint divisor or a w-independent weight,
@@ -27,8 +32,8 @@ a large shift neither overflows the kernel nor underflows the Gram.  The
 actions of xi(w) come from ``bergman.TaylorShift`` at z - center; the
 kernels are their squared norms in the model's orthonormal basis, and 0
 where ``bergman.zero_kernels``, the zero test of ``bergman.kernels``,
-finds them vanishing.  This is the one fiber-model provider: Psi_N of
-``ideal`` and the Jensen kernels of ``extension`` read it too.
+finds them vanishing.  Psi_N of ``ideal`` and the Jensen kernels of
+``extension`` read the provider too.
 ``scan_psh`` checks the submean-value inequality of the log-kernel on base
 circles and complex lines, and scans a base grid, in one kernel call: a
 direct numerical rendering of log-plurisubharmonicity.
@@ -129,17 +134,9 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
 
     w is one base point or an array of them (P, m); z is one fiber point,
     shared by every base point, or an array (P, n) of them.  Returns a float
-    when both are single points, else an array of P kernels.  A kernel is 0
-    where ``bergman.zero_kernels`` finds it vanishing, the zero test of
-    ``bergman.kernels``, on its fiber model.  For a joint
-    weight psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where
-    that overflows; with log=True the result is log K_psi + s(w), taken by
-    one ``np.log`` call over the kernels that are positive, -inf exactly
-    where K_psi vanishes, and nothing is exponentiated.  model is a fiber model
-    already built by ``assemble_gram`` with its default labels and method,
-    which serves in place of a new one where it is the same (see
-    ``_fiber_models``).  The z-factors are taken once per distinct fiber
-    point; a row is rounded alike whatever rows share its call.
+    when both are single points, else an array of P kernels.  This checks
+    the points and takes the family's values at them; ``fiber_kernels``
+    does the rest, with the same log and model.
     """
     W = _points_in(problem.base_domain, w, "base point")
     Z = _points_in(problem.fiber_domain, z, "evaluation point")
@@ -147,10 +144,36 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
         raise ValueError(f"{len(W)} base points but {len(Z)} fiber points")
     if problem.family.z_arity != problem.fiber_domain.arity:
         raise ValueError("functional arity mismatch")
-    X = problem.family.values(W)
-    points, at = _distinct(Z - np.array(problem.fiber_domain.center), len(W))
+    K = fiber_kernels(problem.fiber_domain, problem.joint_weight, problem.degree,
+                      problem.quad, list(problem.family.terms),
+                      problem.family.values(W), W, Z, log, model)
+    return float(K[0]) if np.ndim(w) < 2 and np.ndim(z) < 2 else K
+
+
+def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
+                  quad: QuadSpec, alphas, X: np.ndarray, W: np.ndarray,
+                  Z: np.ndarray, log: bool = False,
+                  model: GramModel | None = None) -> np.ndarray:
+    """The kernel of each row p of X, the functional
+    sum_alpha X[p, alpha] e_alpha, at the fiber point Z[p] (or the one row
+    of Z) over the base point W[p]: the core of ``kernel_on_fiber``, on
+    points it has checked.
+
+    A kernel is 0 where ``bergman.zero_kernels``, the zero test of
+    ``bergman.kernels``, finds it vanishing on its fiber model.  For a joint
+    weight psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where
+    that overflows; with log=True the result is log K_psi + s(w), taken by
+    one ``np.log`` call over the kernels that are positive, -inf exactly
+    where K_psi vanishes, and nothing is exponentiated.  model is a fiber
+    model already built by ``assemble_gram`` with its default labels and
+    method, which serves in place of a new one where it is the same (see
+    ``_fiber_models``).  The z-factors are taken once per distinct fiber
+    point; a row is rounded alike whatever rows share its call.
+    """
+    points, at = _distinct(Z - np.array(fiber_domain.center), len(W))
     K = np.zeros(len(W))
-    models, s = _fiber_models(problem, W, model)
+    models, s = _fiber_models(fiber_domain, joint_weight, degree, quad, alphas,
+                              W, model)
     for basis, members in models:
         zf = basis.z_factors(points)
         U0 = None if basis.wtop.any() else basis.unit_actions(zf, len(points))
@@ -165,11 +188,9 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
                 zero = zero_kernels(fiber, basis, k, Xr, points, zf, Wr, ar)
                 K[r] = np.where(zero, 0.0, k)
     if log:
-        K = np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
-    else:
-        with np.errstate(over="ignore"):
-            K = np.where(K > 0, K * np.exp(s), 0.0)
-    return float(K[0]) if np.ndim(w) < 2 and np.ndim(z) < 2 else K
+        return np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
+    with np.errstate(over="ignore"):
+        return np.where(K > 0, K * np.exp(s), 0.0)
 
 
 def _distinct(U: np.ndarray, count: int):
@@ -207,7 +228,8 @@ def log_kernel_on_fiber(problem: FamilyProblem, w, z,
     return kernel_on_fiber(problem, w, z, log=True, model=model)
 
 
-def _fiber_models(problem: FamilyProblem, W: np.ndarray,
+def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
+                  quad: QuadSpec, alphas, W: np.ndarray,
                   given: GramModel | None = None):
     """The fiber models over W, and the shift s(w) of each row.
 
@@ -215,25 +237,24 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
     orthonormalized: its transform, its largest eigenvalue and the unit
     scale of its Gram serve the kernels of its rows and their zero test
     (``bergman.zero_kernels``), and the kernel of row i is e^{s_i} times
-    that of its model.  A divisor part
-    2 log|g(z, w)| (``weights.divisor_split``) is split off once: the rest
-    is modeled like any other joint weight, and its basis times g(z, w) is
-    one joint basis, local in z and global in w.  A joint weight
-    psi(z) + s(w) has one model, of psi, for every fiber, up to the scalar
-    shift s(w).  Any other joint weight gets one model per distinct row of
-    W, and models whose terms agree share one ``TaylorShift``.  The models
-    live for this call only.  A given model (the central fiber model of
-    ``extension``) replaces the one a fiber weight would get when its
+    that of its model.  Each basis acts by the functionals over alphas.  A
+    divisor part 2 log|g(z, w)| (``weights.divisor_split``) is split off
+    once: the rest is modeled like any other joint weight, and its basis
+    times g(z, w) is one joint basis, local in z and global in w.  A joint
+    weight psi(z) + s(w) has one model, of psi, for every fiber, up to the
+    scalar shift s(w).  Any other joint weight gets one model per distinct
+    row of W, and models whose terms agree share one ``TaylorShift``.  The
+    models live for this call only.  A given model (the central fiber model
+    of ``extension``) replaces the one a fiber weight would get when its
     weight, domain, degree and quadrature are those of that fiber
     (``_is_model_of``): the Gram would be assembled and orthonormalized
     again, identically.
     """
-    n, m = problem.fiber_domain.arity, problem.base_domain.arity
-    alphas = list(problem.family.terms)
-    divisor, jw = divisor_split(problem.joint_weight)
+    n, m = fiber_domain.arity, W.shape[1]
+    divisor, jw = divisor_split(joint_weight)
     if divisor is not None:
         # g(z, w) in the fiber's local coordinates u = z - center, w global
-        center = problem.fiber_domain.center + (0j,) * m
+        center = fiber_domain.center + (0j,) * m
         g = _recentered(divisor.g, (0j,) * (n + m), center)
     if hasattr(jw, "shift_split"):
         psi, s = jw.shift_split(W)
@@ -246,11 +267,10 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
         fibers = [(jw.fiber(w), np.array(rows)) for w, rows in groups.items()]
     classes: dict[bytes, tuple] = {}
     for fw, rows in fibers:
-        if _is_model_of(given, problem, fw):
+        if _is_model_of(given, fiber_domain, degree, quad, fw):
             model = given if given.transform is not None else orthonormalize(given)
         else:
-            model = orthonormalize(assemble_gram(
-                problem.fiber_domain, fw, problem.degree, problem.quad))
+            model = orthonormalize(assemble_gram(fiber_domain, fw, degree, quad))
         E, C, S = model.exps, model.coeffs, model.seg
         if divisor is not None:
             # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the basis g(z, w) b
@@ -262,11 +282,12 @@ def _fiber_models(problem: FamilyProblem, W: np.ndarray,
     return list(classes.values()), s
 
 
-def _is_model_of(model: GramModel | None, problem: FamilyProblem, weight) -> bool:
-    """Whether model is the one problem's fiber domain, degree and quadrature
-    give the fiber weight: built again, it would be identical."""
+def _is_model_of(model: GramModel | None, domain: Polydisc, degree: int,
+                 quad: QuadSpec, weight) -> bool:
+    """Whether model is the one the fiber domain, degree and quadrature give
+    the fiber weight: built again, it would be identical."""
     return model is not None and (model.domain, model.degree, model.quad) == (
-        problem.fiber_domain, problem.degree, problem.quad) and model.weight == weight
+        domain, degree, quad) and model.weight == weight
 
 
 class Circle(NamedTuple):

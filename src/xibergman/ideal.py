@@ -17,9 +17,12 @@ coefficient vectors of functionals that cut out the truncated ideal on the
 open set U where the pivot determinant does not vanish.  Scanning the sup of
 the log-kernels of these functionals over a base grid locates the inclusion
 locus of the multiplier ideal: ``psi_scan`` tests U and evaluates B(W) once
-over the grid, and takes the kernels of each of the s rows at every point
-in U from the one fiber-model provider, ``fiberwise.log_kernel_on_fiber``,
-with its zero test; ``psi_at`` reads Psi_N off each point's kernels.  The
+over the grid, and hands the s rows of B(w) at every point in U, as the
+coefficient rows over the jet monomials, to one call of the fiber-model
+provider, ``fiberwise.fiber_kernels``, with its zero test: one fiber model
+in all for a joint weight psi(z) + s(w), else one per point in U;
+``psi_at`` reads Psi_N off each point's kernels.  ``lambda_scan`` decides
+membership on the same B(W) before it takes any kernel.  The
 membership check reads the oracle generators of the fiber multiplier ideal
 once, as polynomials in (z, w) (``weights.multiplier_generators``), takes
 their jet coefficient matrix J(w) as A(w) is taken, and evaluates the one
@@ -65,10 +68,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import QuadSpec
+from .bergman import QuadSpec, _points_in
 from .config import Table, integer, list_of
 from .family import POLY_TERMS, FunctionalFamily, PolyW
-from .fiberwise import FamilyProblem, log_kernel_on_fiber
+from .fiberwise import fiber_kernels
 from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
 from .weights import (
     JointLogDivisor,
@@ -728,33 +731,53 @@ def psi_scan(
     """The annihilator (built here when res is None) and Psi_N at every grid
     point, one ``psi_at`` each.
 
-    U is tested and B(W) evaluated once over the grid.  The log-kernels of
-    each annihilator row (``AnnihilatorResult.functionals``) at every point
-    in U come from one ``fiberwise.log_kernel_on_fiber`` call at the fiber
-    origin, whose fiber models are those of any other kernel call: one
-    model of psi for a joint weight psi(z) + s(w), else one per point.
+    U is tested and B(W) evaluated once over the grid (``_in_U``).  The
+    log-kernels of every row of B(w) at every point in U come from one
+    ``fiberwise.fiber_kernels`` call at the fiber origin (``_psi_points``).
     """
+    check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
+    res, W, inside, B = _in_U(fam, w_grid, res, seed)
+    return res, _psi_points(res, phi_joint, W, inside, B, fiber_domain, degree,
+                            quad)
+
+
+def _in_U(fam: IdealFamily, w_grid: Sequence, res: AnnihilatorResult | None,
+          seed: int):
+    """The annihilator (built when res is None), the grid as rows W, the
+    mask of the rows in U, and B(w) at those rows, evaluated once."""
     if res is None:
         res = build_annihilator(fam, w_grid, seed=seed)
-    n, m = fam.z_arity, fam.w_arity
-    if fiber_domain is None:
-        fiber_domain = Polydisc((1.0,) * n)
+    m = fam.w_arity
     W = np.array([_as_w(w, m) for w in w_grid], dtype=complex).reshape(-1, m)
     inside = res.in_U(W)
+    return res, W, inside, res.eval_B(W[inside])
+
+
+def _psi_points(res: AnnihilatorResult, phi_joint, W: np.ndarray,
+                inside: np.ndarray, B: np.ndarray, fiber_domain: Polydisc | None,
+                degree: int, quad: QuadSpec | None) -> list[PsiPoint]:
+    """``psi_at`` at every row of W, from B = B(W[inside]).
+
+    The rows of B(w) over all the points in U are the coefficient rows of
+    one ``fiberwise.fiber_kernels`` call at the fiber origin, each over its
+    own point, on the jet monomials ``res.labels``: its fiber models are
+    those of any other kernel call, one model of psi for a joint weight
+    psi(z) + s(w), else one per point.
+    """
+    n = res.matrix.fam.z_arity
+    if fiber_domain is None:
+        fiber_domain = Polydisc((1.0,) * n)
     WU = W[inside]
-    B = res.eval_B(WU)
     logk = np.zeros((len(WU), res.s))
-    if len(WU):
-        # the base polydisc only has to hold the points
-        base = Polydisc(tuple((1.0 + np.abs(WU).max(axis=0)).tolist()))
-        for k, family in enumerate(res.functionals()):
-            problem = FamilyProblem(fiber_domain, base, phi_joint, family, degree,
-                                    quad or QuadSpec())
-            logk[:, k] = log_kernel_on_fiber(problem, WU, (0j,) * n)
+    if logk.size:
+        origin = _points_in(fiber_domain, (0j,) * n, "evaluation point")
+        logk = fiber_kernels(
+            fiber_domain, phi_joint, degree, quad or QuadSpec(), res.labels,
+            B.reshape(-1, res.p), np.repeat(WU, res.s, axis=0), origin, log=True,
+        ).reshape(logk.shape)
     at = np.cumsum(inside) - 1
-    pts = [psi_at(res, w, B[i], logk[i]) if ok else psi_at(res, w, None, None)
-           for w, ok, i in zip(W, inside, at)]
-    return res, pts
+    return [psi_at(res, w, B[i], logk[i]) if ok else psi_at(res, w, None, None)
+            for w, ok, i in zip(W, inside, at)]
 
 
 @dataclass
@@ -789,21 +812,22 @@ def lambda_scan(
     (a) Psi_N flags from the kernel sup; (b) direct membership of every
     oracle generator of the fiber multiplier ideal (times jet monomials)
     under the annihilator functionals, at every point in U at once
-    (``oracle_membership``).  Both must coincide on U.  The test of U and
-    B(w), whose rows are the functionals, come from ``psi_scan``.
+    (``oracle_membership``).  Both must coincide on U.  U is tested and
+    B(w), whose rows are the functionals, evaluated once, as ``psi_scan``
+    does; membership is decided first, so a weight without an oracle is
+    refused before any fiber model is built.
     """
     check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
-    res, pts = psi_scan(fam, phi_joint, w_grid, fiber_domain, degree, quad, res, seed)
-    skipped = [i for i, pt in enumerate(pts) if pt.flag == "outside_U"]
-    inside = [i for i, pt in enumerate(pts) if pt.flag != "outside_U"]
-    member = np.zeros(len(pts), dtype=bool)
-    if inside:
-        member[inside] = oracle_membership(
-            res, phi_joint, np.array([pts[i].w for i in inside]),
-            np.array([pts[i].B for i in inside]))
-    lam_a = [i for i in inside if pts[i].flag == "minus_inf"]
-    lam_b = [i for i in inside if member[i]]
-    mismatches = [i for i in inside if (pts[i].flag == "minus_inf") != member[i]]
+    res, W, inside, B = _in_U(fam, w_grid, res, seed)
+    member = np.zeros(len(W), dtype=bool)
+    if inside.any():
+        member[inside] = oracle_membership(res, phi_joint, W[inside], B)
+    pts = _psi_points(res, phi_joint, W, inside, B, fiber_domain, degree, quad)
+    skipped = np.flatnonzero(~inside).tolist()
+    in_u = np.flatnonzero(inside).tolist()
+    lam_a = [i for i in in_u if pts[i].flag == "minus_inf"]
+    lam_b = [i for i in in_u if member[i]]
+    mismatches = [i for i in in_u if (pts[i].flag == "minus_inf") != member[i]]
     return LambdaScanResult(res, pts, lam_a, lam_b, skipped, mismatches)
 
 

@@ -281,6 +281,20 @@ class TestRadialMoments:
             expect = _radial_moment(k + 1, 1, 0.7) / _radial_moment(1, 1, 0.7)
             assert d[at[(k, 0)]] / d[at[(0, 0)]] == pytest.approx(expect, rel=1e-13)
 
+    def test_series_moment_past_the_range_of_its_power(self):
+        # on R = 20 with q = 0.1, 20^238 overflows before e^{-40} brings the
+        # z^118 moment back into range: it was refused as outside the range
+        m = assemble_gram(Polydisc((20.0,)), QuadraticWeight((0.1,)), 118)
+        i = m.basis_labels.index((118,))
+        got = m.gram[i, i]
+        from scipy.special import gammainc, gammaln
+
+        e, q, x = 119, 0.1, 40.0
+        want = math.pi * math.exp(gammaln(e) + math.log(gammainc(e, x))
+                                  - e * math.log(q))
+        assert want == 7.416093145340126e290
+        assert abs(got.real / want - 1.0) <= 1e-12 and got.imag == 0
+
     @pytest.mark.parametrize("radii, weight, alpha", [
         # each factor is finite; their product overflows
         ((20.0, 20.0), ZeroWeight(2), "(0, 117)"),

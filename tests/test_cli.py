@@ -547,8 +547,8 @@ class TestLambdaCommand:
 
     def test_nmax_builds_each_fiber_model_once(self, tmp_path, monkeypatch):
         # a fiber model depends on neither the jet order nor the grid point
-        # under P*: one per annihilator row (2 + 3 + 4 at N = 2, 3, 4), not
-        # one per grid point (81)
+        # under P*: one per jet order (N = 2, 3, 4), shared by the rows of
+        # B(w), not one per grid point (81)
         from xibergman import fiberwise
 
         calls = []
@@ -560,7 +560,7 @@ class TestLambdaCommand:
 
         monkeypatch.setattr(fiberwise, "assemble_gram", counting_gram)
         cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
-        for n_max, models in ((3, 5), (4, 9)):
+        for n_max, models in ((3, 2), (4, 3)):
             calls.clear()
             cfg["nMax"] = n_max
             path = tmp_path / f"lambda{n_max}.json"
@@ -569,6 +569,39 @@ class TestLambdaCommand:
             assert run("lambda", path, out) == 0
             assert len(calls) == models and len(set(map(repr, calls))) == 1
             assert payload(out / "lambda.json")["lambdaPsi"] == [[[0.0, 0.0]]]
+
+    @pytest.mark.parametrize("weight, message", [
+        # P* with c = 0.5 at degree 2 on a 4 x 4 rule: 162 fiber models were
+        # built before the refusal, and minutes of them on the default rule
+        ({"variant": "joint_log_divisor", "zArity": 2, "c": 0.5, "arity": 3,
+          "g": [{"beta": [1, 0, 0], "re": 1.0, "im": 0.0},
+                {"beta": [0, 1, 1], "re": -1.0, "im": 0.0}]},
+         "no multiplier-ideal oracle for a divisor through the origin"
+         " with c = 0.5 != 1"),
+        ({"variant": "w_independent", "wArity": 1, "base": {
+            "variant": "sum", "parts": [
+                {"variant": "log_monomial", "coeffs": [1.0, 0.0]},
+                {"variant": "log_divisor", "c": 1.0, "arity": 2,
+                 "g": [{"beta": [0, 1], "re": 1.0, "im": 0.0}]}]}},
+         "no oracle for mixed singular sums"),
+    ], ids=["divisor_c", "mixed_sum"])
+    def test_no_oracle_exits_2_before_any_fiber_model(self, tmp_path, capsys,
+                                                      monkeypatch, weight,
+                                                      message):
+        from xibergman import fiberwise
+
+        calls = []
+        real_gram = fiberwise.assemble_gram
+        monkeypatch.setattr(fiberwise, "assemble_gram",
+                            lambda *a, **k: calls.append(a[1]) or real_gram(*a, **k))
+        cfg = json.loads((CONFIGS / "lambda_pstar.json").read_text())
+        cfg.update(weight=weight, degree=2,
+                   quadrature={"radialNodes": 4, "angularNodes": 4})
+        path = tmp_path / "lambda.json"
+        path.write_text(json.dumps(cfg))
+        assert run("lambda", path, tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
 
 
 def _spy_assemble_gram(monkeypatch):

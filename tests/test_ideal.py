@@ -1312,6 +1312,51 @@ class TestOracleMembership:
         assert scan.lambda_membership == want
 
 
+class TestStackedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(ideal_families(), st.data())
+    def test_match_one_call_per_row(self, fam, data):
+        # psi_scan hands the rows of B(w) at every point in U to one
+        # fiber_kernels call.  The reference is the per-row path: one call
+        # per row family of res.functionals(), on its own alphas and its own
+        # fiber models.  On the same values of B(w) the log-kernels are the
+        # same floats.  log_kernel_on_fiber takes them from
+        # FunctionalFamily.values, whose products round apart from
+        # TermMatrix.values by an ulp: the same -inf flags, and the same
+        # log-kernels to 1e-12
+        n, m = fam.z_arity, fam.w_arity
+        weight, a = data.draw(oracle_weights(n, m))
+        grid = data.draw(dyadic_points(m)) + [(a,) + (0j,) * (m - 1)]
+        try:
+            res = build_annihilator(fam, grid)
+        except DegenerateInputError:
+            assume(False)
+        degree, quad = data.draw(st.integers(1, 4)), QuadSpec(4, 4)
+        W = np.array(grid, dtype=complex)
+        WU = W[res.in_U(W)]
+        assume(len(WU) and res.s)
+        fiber, origin = Polydisc((1.0,) * n), np.zeros((1, n), dtype=complex)
+        B = res.eval_B(WU)
+        got = fiberwise.fiber_kernels(
+            fiber, weight, degree, quad, res.labels, B.reshape(-1, res.p),
+            np.repeat(WU, res.s, axis=0), origin, log=True).reshape(len(WU), res.s)
+        rows = res.functionals()
+        same_values = [fiberwise.fiber_kernels(
+            fiber, weight, degree, quad, list(f.terms),
+            B[:, k, [res.labels.index(al) for al in f.terms]], WU, origin, log=True)
+            for k, f in enumerate(rows)]
+        assert repr(got.T.tolist()) == repr(np.array(same_values).tolist())
+        base = Polydisc(tuple((1.0 + np.abs(WU).max(axis=0)).tolist()))
+        want = np.array([fiberwise.log_kernel_on_fiber(fiberwise.FamilyProblem(
+            fiber, base, weight, f, degree, quad), WU, origin[0]) for f in rows]).T
+        assert np.array_equal(got == -math.inf, want == -math.inf)
+        live = want > -math.inf
+        assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-12
+        _, pts = psi_scan(fam, weight, grid, degree=degree, quad=quad, res=res)
+        flags = [p.flag == "minus_inf" for p in pts if p.flag != "outside_U"]
+        assert flags == np.all(want == -math.inf, axis=1).tolist()
+
+
 class TestKrull:
     def test_pstar_stabilizes_at_two(self):
         grid = square_grid(0.6, 5)
@@ -1329,8 +1374,8 @@ class TestKrull:
 
     def test_pair_quadratic_takes_a_model_per_point(self, monkeypatch):
         # sum c_i |z_i - w_i|^2 moves its fiber weight with w: one fiber
-        # model per point in U and annihilator row (2 + 3 rows at N = 2, 3);
-        # Psi_N as the per-point models of bergman.kernels gave it
+        # model per point in U and jet order (N = 2, 3), shared by the rows
+        # of B(w); Psi_N as the per-point models of bergman.kernels gave it
         calls = []
         real_gram = fiberwise.assemble_gram
         monkeypatch.setattr(fiberwise, "assemble_gram",
@@ -1346,7 +1391,7 @@ class TestKrull:
             assert scan.agree and not scan.skipped and scan.lambda_psi == []
             assert [p.psi for p in scan.points] == pytest.approx(expect[N], abs=1e-12)
         assert out.nested and out.stabilized_at == 2
-        assert len(calls) == (2 + 3) * len(grid)
+        assert len(calls) == 2 * len(grid)
         assert len(set(map(repr, calls))) == len(grid)
 
     def test_nmax_validation(self):
@@ -1354,8 +1399,8 @@ class TestKrull:
             krull_stabilize(Z1, JointZero(2, 1), [0.1], 1)
 
     def test_shared_fiber_models_change_no_result(self, monkeypatch):
-        # one psi_scan per N, one fiber model per annihilator row: the
-        # weight psi + s(w) of P* has one model for every fiber
+        # one psi_scan per N, one fiber model per psi_scan: the weight
+        # psi + s(w) of P* has one model for every fiber and every row
         grid = square_grid(0.6, 3)
         alone = {
             N: lambda_scan(IdealFamily(2, 1, Z1.generators, N), PSTAR_WEIGHT,
@@ -1378,7 +1423,7 @@ class TestKrull:
             assert scan.lambda_psi == alone[N].lambda_psi
             assert scan.lambda_membership == alone[N].lambda_membership
         assert [scan.res.s for scan in out.per_n.values()] == [2, 3, 4]
-        assert len(calls) == 9 and len(set(map(repr, calls))) == 1
+        assert len(calls) == 3 and len(set(map(repr, calls))) == 1
 
 
 class TestJson:
