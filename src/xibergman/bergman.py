@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import Table, integer, real
-from .family import PolyW
+from .family import PolyW, poly_to_json
 from .functional import (
     ArityMismatchError,
     Functional,
@@ -792,8 +792,6 @@ def boundedness_constant(model: GramModel, xi: Functional, grid) -> float:
 def model_summary_json(model: GramModel) -> dict:
     if model.transform is None:
         orthonormalize(model)
-    from .family import poly_to_json
-
     return {
         "arity": model.arity,
         "degree": model.degree,

@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 verification failure (submean violation,
 cross-check mismatch, a failed Jensen diagnostic or an extension ratio above
 the sharp bound 1), 2 usage or configuration error (also a value of the
 wrong JSON type, and an ``extend`` fiber datum of zero norm, whose ratio is
-0/0), 3 numerical failure (no
-nonsingular pivot block; the record goes to ``error.json``).  Reruns under
-a fixed seed produce identical files except for the timestamp header line.
+0/0), 3 numerical failure (no nonsingular pivot block, recorded in
+``error.json``; an ``extend`` norm or ratio not finite and positive).  Reruns
+under a fixed seed produce identical files except for the timestamp line.
 """
 
 from __future__ import annotations
@@ -329,6 +329,14 @@ def _cmd_extend(cfg: dict, out: Path, seed: int) -> int:
     )
     result = extension.minimal_extension(prob)
     payload = extension.extension_report(prob, result)
+    # no answer: the Jensen diagnostic would extend its datum by the same solve
+    bad = [k for k in ("jointNorm", "fiberNorm", "ratio")
+           if not 0 < payload[k] < math.inf]
+    if bad:
+        print(f"error: {bad[0]} {payload[bad[0]]!r} is not finite and positive",
+              file=sys.stderr)
+        _write_json(out / "extend.json", payload)
+        return EXIT_NUMERICAL
     if cfg["jensen"] is not None:
         j = cfg["jensen"]
         payload["jensen"] = extension.jensen_diagnostic(

@@ -26,8 +26,9 @@ base nodes, one ``bergman.TaylorShift`` call on the terms c_j C[t] of F,
 read from the joint model's term arrays in its local coordinates
 (z - center, w - w0) and summed per power of w - w0, gives the Taylor
 coefficients of F_w at z0 as polynomials in w - w0, evaluated by one
-Vandermonde matrix; the log-kernels log K(w) come from one batched
-``fiberwise.log_kernel_on_fiber`` call, in log space throughout.
+Vandermonde matrix; the family is evaluated at the nodes once, and its
+values serve those actions and one ``fiberwise.fiber_kernels`` call for the
+log-kernels log K(w), in log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets,
@@ -62,7 +63,7 @@ from .bergman import (
     hermitian_eig,
 )
 from .family import PolyW
-from .fiberwise import FamilyProblem, log_kernel_on_fiber
+from .fiberwise import fiber_kernels
 from .functional import MultiIndex, multi_indices_upto
 from .weights import (
     Polydisc,
@@ -353,10 +354,10 @@ def extension_report(prob: ExtensionProblem, result: ExtensionResult) -> dict:
     }
 
 
-def _jensen_actions(model: GramModel, coeffs, family, w: np.ndarray,
-                    z0) -> np.ndarray:
+def _jensen_actions(model: GramModel, coeffs, alphas, xi: np.ndarray,
+                    w: np.ndarray, z0) -> np.ndarray:
     """xi(w) . F_w at z0 for each base node w, F = sum_j coeffs_j b_j on a
-    joint model.
+    joint model, from the family's values xi (nodes x alphas).
 
     F's terms c_j C[t] u^Ez[t] v^k[t] come straight from the model's term
     arrays, in its local coordinates u = z - center and v = w - w0.  One
@@ -371,13 +372,12 @@ def _jensen_actions(model: GramModel, coeffs, family, w: np.ndarray,
     E = model.exps[live]
     C = c[model.seg[live]] * model.coeffs[live]
     top = int(E[:, n].max(initial=0))
-    alphas = list(family.terms)
     center = np.array(model.domain.center)
     shift = TaylorShift(alphas, E[:, :n], C, E[:, n], n, top + 1).actions(
         np.eye(len(alphas)), np.array([z0]) - center[:n]
     )
     powers = np.vander(w - center[n], top + 1, increasing=True)
-    return np.sum(family.values(w[:, None]) * (powers @ shift.T), axis=1)
+    return np.sum(xi * (powers @ shift.T), axis=1)
 
 
 def jensen_diagnostic(
@@ -419,16 +419,14 @@ def jensen_diagnostic(
 
     u, da = polar_rule(r, radial_nodes, angular_nodes)
     w = w0 + u
-
-    act = _jensen_actions(result.model, coeffs, family, w, z0)
-    base = Polydisc((r,), (w0,))
+    # one evaluation of the family at the nodes serves actions and kernels
+    xi = family.values(w[:, None])
+    act = _jensen_actions(result.model, coeffs, family.alphas, xi, w, z0)
     # log K_psi + s(w): a large shift neither underflows a fiber Gram nor
     # overflows its kernel
-    logK = log_kernel_on_fiber(
-        FamilyProblem(prob_template.fiber_domain, base, prob_template.joint_weight,
-                      family, prob_template.dz, prob_template.quad),
-        w[:, None], z0, fmodel,
-    )
+    logK = fiber_kernels(prob_template.fiber_domain, prob_template.joint_weight,
+                         prob_template.dz, prob_template.quad, family.alphas, xi,
+                         w[:, None], np.array([z0]), log=True, model=fmodel)
 
     live = (act != 0) & (logK > -math.inf)
     terms = np.full(len(w), -math.inf)

@@ -86,10 +86,6 @@ class FamilyProblem:
             self.joint_weight, self.fiber_domain.arity, self.base_domain.arity
         )
 
-    @property
-    def holomorphic(self) -> bool:
-        return getattr(self.family, "holomorphic", True)
-
 
 @dataclass
 class PshReport:
@@ -145,7 +141,7 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
     if problem.family.z_arity != problem.fiber_domain.arity:
         raise ValueError("functional arity mismatch")
     K = fiber_kernels(problem.fiber_domain, problem.joint_weight, problem.degree,
-                      problem.quad, list(problem.family.terms),
+                      problem.quad, problem.family.alphas,
                       problem.family.values(W), W, Z, log, model)
     return float(K[0]) if np.ndim(w) < 2 and np.ndim(z) < 2 else K
 

@@ -27,12 +27,11 @@ membership check reads the oracle generators of the fiber multiplier ideal
 once, as polynomials in (z, w) (``weights.multiplier_generators``), takes
 their jet coefficient matrix J(w) as A(w) is taken, and evaluates the one
 array product P(w) = B(w) J(w) once over the points in U; its common zeros
-there are Lambda_N.  No ``Functional`` is built, and besides the generators,
-PolyW appears only in the ``rows``, ``det_c`` and ``functionals()`` views
-of an ``AnnihilatorResult`` and in the per-point references
-``membership_by_functionals`` and ``membership_oracle``;
-``annihilator_to_json`` writes the terms straight from the coefficient
-arrays.
+there are Lambda_N.  No ``Functional`` is built: ``functionals()`` gives
+each row of B(w) as a functional family on a view of B's array, and
+``annihilator_to_json`` writes the terms straight from the arrays.  Besides
+the generators, PolyW appears only in the per-point references
+``membership_by_functionals`` and ``membership_oracle``.
 
 The pivot determinant det C(w) and the cofactors are found by
 evaluation-interpolation.  K_i - 1, the sum over a block's rows of the
@@ -70,9 +69,12 @@ import numpy as np
 
 from .bergman import QuadSpec, _points_in
 from .config import Table, integer, list_of
-from .family import POLY_TERMS, FunctionalFamily, PolyW
+from .family import (
+    POLY_TERMS, FunctionalFamily, PolyW, TermMatrix, _live, _terms_to_json,
+    poly_to_json,
+)
 from .fiberwise import fiber_kernels
-from .functional import TRIM_REL_TOL, MultiIndex, multi_indices_upto
+from .functional import MultiIndex, multi_indices_upto
 from .weights import (
     JointLogDivisor,
     Polydisc,
@@ -130,77 +132,6 @@ class IdealFamily:
         for g in self.generators:
             if g.arity != self.z_arity + self.w_arity:
                 raise ValueError("generator arity must be z_arity + w_arity")
-
-
-@dataclass(frozen=True)
-class TermMatrix:
-    """A matrix of polynomials in w held as one coefficient array.
-
-    Entry (i, j) is sum_t coef[t, i, j] w^exps[t].  The exponents are
-    distinct, in lexicographic order, and each has a nonzero coefficient.
-    """
-
-    exps: np.ndarray  # monomials x m, int64
-    coef: np.ndarray  # monomials x rows x cols, complex
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.coef.shape[1:]
-
-    def take(self, rows: Sequence[int], cols: Sequence[int]) -> "TermMatrix":
-        """The block of the given rows and columns, in that order."""
-        return _live(self.exps, self.coef[:, rows][:, :, cols])
-
-    def max_coeff(self) -> float:
-        # np.hypot is Python's abs(complex), which PolyW.max_coeff takes
-        return float(np.hypot(self.coef.real, self.coef.imag).max(initial=0.0))
-
-    def values(self, W) -> np.ndarray:
-        """The matrix at each base point (row of W): points x rows x cols."""
-        W = np.asarray(W, dtype=complex).reshape(-1, self.exps.shape[1])
-        flat = self.coef.reshape(len(self.coef), math.prod(self.shape))
-        # einsum, not BLAS: it adds the terms in exponent order with plain
-        # multiplies and adds, as PolyW.evaluate does, so an entry whose
-        # terms PolyW holds in that order gets the same bits; the
-        # column-pivoted QR in ``annihilator`` breaks exact ties between
-        # shifted columns by those bits
-        powers = np.prod(W[:, None, :] ** self.exps[None, :, :], axis=2)
-        V = np.einsum("pt,tk->pk", powers, flat)
-        return V.reshape(len(W), *self.shape)
-
-    def trimmed(self) -> "TermMatrix":
-        """Each entry without its coefficients at or below TRIM_REL_TOL times
-        its largest, the trim PolyW applies to a polynomial."""
-        mod = np.hypot(self.coef.real, self.coef.imag)
-        keep = mod > TRIM_REL_TOL * mod.max(axis=0, initial=0.0)
-        return _live(self.exps, np.where(keep, self.coef, 0))
-
-    def __matmul__(self, other: "TermMatrix") -> "TermMatrix":
-        """The product of polynomial matrices, untrimmed: the exponents add
-        pairwise, the coefficient blocks multiply, and the products of equal
-        exponent are summed."""
-        m = self.exps.shape[1]
-        exps = (self.exps[:, None] + other.exps[None]).reshape(-1, m)
-        blocks = self.coef[:, None] @ other.coef[None]
-        uniq, inv = np.unique(exps, axis=0, return_inverse=True)
-        coef = np.zeros((len(uniq), self.shape[0], other.shape[1]), dtype=complex)
-        np.add.at(coef, inv.reshape(-1), blocks.reshape(len(exps), *coef.shape[1:]))
-        return _live(uniq, coef)
-
-    def polys(self) -> list[list[PolyW]]:
-        """The entries as PolyW, for output."""
-        E = [tuple(e) for e in self.exps.tolist()]
-        rows, cols = self.shape
-        out: list[list[dict]] = [[{} for _ in range(cols)] for _ in range(rows)]
-        for t, i, j in zip(*np.nonzero(self.coef)):
-            out[i][j][E[t]] = complex(self.coef[t, i, j])
-        return [[PolyW(self.exps.shape[1], d) for d in row] for row in out]
-
-
-def _live(exps: np.ndarray, coef: np.ndarray) -> TermMatrix:
-    """The matrix of the monomials that have a nonzero coefficient."""
-    live = coef.any(axis=(1, 2))
-    return TermMatrix(exps[live], coef[live])
 
 
 @dataclass
@@ -299,18 +230,16 @@ def max_rank(
     if r0 == bound:
         return int(r0), pts[0]
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        pts.append(
-            tuple(
-                complex(a, b)
-                for a, b in zip(
-                    0.6 * rng.uniform(-1, 1, m), 0.6 * rng.uniform(-1, 1, m)
-                )
-            )
-        )
+    pts += [_generic_point(rng, m) for _ in range(n_random)]
     ranks = _ranks(A.values(pts))
     best = int(np.argmax(ranks))
     return int(ranks[best]), pts[best]
+
+
+def _generic_point(rng: np.random.Generator, m: int) -> tuple[complex, ...]:
+    """A random base point, each coordinate in the square of half-width 0.6."""
+    re, im = 0.6 * rng.uniform(-1, 1, m), 0.6 * rng.uniform(-1, 1, m)
+    return tuple(complex(a, b) for a, b in zip(re, im))
 
 
 def _ranks(M: np.ndarray) -> np.ndarray:
@@ -541,18 +470,9 @@ class AnnihilatorResult:
         return self.b_terms.shape[0]
 
     @property
-    def rows(self) -> list[list[PolyW]]:
-        return self.b_terms.polys()
-
-    @property
     def labels(self) -> list[MultiIndex]:
         """The jet monomial of each column of B(w)."""
         return [self.matrix.basis[i] for i in self.row_perm]
-
-    @property
-    def det_c(self) -> PolyW:
-        # PolyW trims what in_U reads untrimmed
-        return self.det_terms.polys()[0][0]
 
     def eval_B(self, w) -> np.ndarray:
         """B(w); at an array (P, m) of base points, P x s x p."""
@@ -610,10 +530,7 @@ def annihilator(
             row_perm = rsel + [i for i in range(p) if i not in rsel]
             col_perm = csel + [j for j in range(q) if j not in csel]
             break
-        w0 = tuple(
-            complex(a, b)
-            for a, b in zip(0.6 * rng.uniform(-1, 1, m), 0.6 * rng.uniform(-1, 1, m))
-        )
+        w0 = _generic_point(rng, m)
     else:
         raise DegenerateInputError(
             "no nonsingular pivot block found after 10 witnesses"
@@ -628,11 +545,13 @@ def annihilator(
 
 
 def functionals_from_annihilator(res: AnnihilatorResult) -> list[FunctionalFamily]:
-    """One holomorphic functional family per annihilator row, deg <= N-1."""
-    n, m = res.matrix.fam.z_arity, res.matrix.fam.w_arity
+    """One holomorphic functional family per annihilator row, deg <= N-1:
+    the row of ``b_terms`` on its columns that are not identically zero."""
+    n, labels = res.matrix.fam.z_arity, res.labels
     return [
-        FunctionalFamily(n, m, {a: e for a, e in zip(res.labels, row) if e.coeffs})
-        for row in res.rows
+        FunctionalFamily.from_matrix(n, [labels[j] for j in cols],
+                                     res.b_terms.take([i], cols))
+        for i, cols in enumerate(map(np.flatnonzero, res.b_terms.coef.any(axis=0)))
     ]
 
 
@@ -926,8 +845,6 @@ def krull_stabilize(
 # ---------------------------------------------------------------------------
 
 def ideal_to_json(fam: IdealFamily) -> dict:
-    from .family import poly_to_json
-
     return {
         "zArity": fam.z_arity,
         "wArity": fam.w_arity,
@@ -962,20 +879,3 @@ def annihilator_to_json(res: AnnihilatorResult) -> dict:
         "basis": [list(a) for a in res.matrix.basis],
     }
 
-
-def _terms_to_json(M: TermMatrix) -> list[list[list[dict]]]:
-    """The entries of M as ``poly_to_json`` writes them as PolyW: the terms
-    above TRIM_REL_TOL times the entry's largest, in grlex order, read from
-    the coefficient array."""
-    T = M.trimmed()
-    rows, cols = T.shape
-    order = np.lexsort((*T.exps.T[::-1], T.exps.sum(axis=1)))  # grlex_key
-    coef = T.coef[order]
-    t, i, j = np.nonzero(coef)  # each entry gets its terms in grlex order
-    vals = coef[t, i, j]
-    betas = T.exps[order].tolist()
-    out = [[[] for _ in range(cols)] for _ in range(rows)]
-    for a, b, c, re, im in zip(i.tolist(), j.tolist(), t.tolist(),
-                               vals.real.tolist(), vals.imag.tolist()):
-        out[a][b].append({"beta": list(betas[c]), "re": re, "im": im})
-    return out

@@ -697,6 +697,27 @@ class TestExtendCommand:
         assert message in err and "datum" not in err
         assert not (tmp_path / "o" / "extend.json").exists()
 
+    @pytest.mark.parametrize("jensen", [True, False], ids=["jensen", "no_jensen"])
+    @pytest.mark.parametrize("dw", [24, 32])
+    def test_impossible_norm_exits_3(self, tmp_path, capsys, dw, jensen):
+        # cw = 800 about w0 = 0.9 at dw 24 and 32: the solve returns a
+        # negative joint norm and ratio (-2.65e-263 and -1.08e21 at 24).
+        # Without the Jensen block that exited 0, with it 1, on a NaN margin
+        cfg = json.loads((CONFIGS / "extend_gaussian_steep.json").read_text())
+        cfg["dw"] = dw
+        if not jensen:
+            del cfg["jensen"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("extend", config, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: jointNorm -") and err.count("\n") == 1
+        assert "is not finite and positive" in err
+        out = payload(tmp_path / "o" / "extend.json")
+        assert out["jointNorm"] < 0 and out["ratio"] < 0 and "jensen" not in out
+
     def test_w_independent_ratio_one(self, tmp_path):
         code = run("extend", CONFIGS / "extend_windependent.json", tmp_path)
         assert code == 0

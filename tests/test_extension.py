@@ -734,7 +734,8 @@ class TestJensenActions:
     @given(jensen_action_cases())
     def test_match_restriction_then_recenter(self, case):
         model, c, n, family, w, z0 = case
-        act = _jensen_actions(model, c, family, w, z0)
+        values = family.values(w[:, None])
+        act = _jensen_actions(model, c, family.alphas, values, w, z0)
         F = model.poly_from_coeffs(c)
         for k, wk in enumerate(w.tolist()):
             Fw = substitute_base(F, n, (wk,))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,50 @@ class TestFamilyEvaluation:
     @settings(max_examples=100, deadline=None)
     def test_json_round_trip(self, fam):
         assert fm.loads(fm.dumps(fam)) == fam
+
+
+#: an annihilator entry, of z1 (i + (1 - i) w1) at N = 3, and a point where
+#: an array product of its terms rounded the last bit of the imaginary part
+#: apart from a scalar one
+ENTRY = PolyW(1, {(0,): -0.9999999999999998j, (1,): -3 + 3j, (2,): 6 + 0j,
+                  (3,): -2.000000000000001 - 1.999999999999999j})
+ENTRY_AT = 0.5 + 0.125j
+
+
+class TestValuesRoundAlike:
+    @pytest.mark.parametrize("points", [1, 2, 8, 64, 65])
+    def test_pinned_entry_at_every_batch_size(self, points):
+        # values gave ...+0.4882812500000003i once two or more points
+        # shared the call, and PolyW.evaluate gives ...02i
+        fam = FunctionalFamily(1, 1, {(0,): ENTRY})
+        V = fam.values(np.full((points, 1), ENTRY_AT))
+        want = ENTRY.evaluate((ENTRY_AT,))
+        assert repr(want) == "(-0.4882812500000002+0.4882812500000002j)"
+        assert [repr(complex(v)) for v in V[:, 0]] == [repr(want)] * points
+        assert fam.eval((ENTRY_AT,)).coeffs[(0,)] == want
+
+    @given(families(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_at_every_batch_size(self, fam, seed):
+        # the values at 1, 2 and 64 points are those of the same points in a
+        # batch of 65; in one base variable they are PolyW.evaluate with the
+        # terms in exponent order.  With more variables PolyW multiplies the
+        # coefficient by each power in turn, the array takes the monomial
+        # first, so the two agree to rounding
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(-1.5, 1.5, (65, fam.w_arity, 2)) @ np.array([1, 1j])
+        V = fam.values(W)
+        for points in (1, 2, 64):
+            assert fam.values(W[:points]).tobytes() == V[:points].tobytes()
+        for alpha, p in zip(fam.alphas, V.T):
+            ordered = PolyW(fam.w_arity, dict(sorted(fam.terms[alpha].coeffs.items())))
+            want = np.array([ordered.evaluate(tuple(w)) for w in W])
+            if fam.w_arity == 1:
+                assert np.array_equal(p, want)
+            else:
+                size = sum(abs(c) * np.prod(np.abs(W) ** b, axis=1)
+                           for b, c in ordered.coeffs.items())
+                assert np.all(np.abs(p - want) <= 1e-14 * size)
 
 
 class TestLubCheck:
