@@ -32,15 +32,15 @@ instead: the kernels evaluate at z - center and the tensor rule on the
 local nodes.  ``GramModel.basis`` gives global PolyW views of the elements
 only on request, and ``poly_from_coeffs`` sums them.
 
-``TaylorShift`` is the one evaluator of functional actions: on terms
-(E, C, S), which may also carry powers of base variables w, it gives the
-actions of rows of functional coefficients at batches of points by the
-binomial Taylor shift.  ``basis_action``, the fiber kernels of
-``fiberwise`` and the Jensen actions of ``extension`` read it directly;
-``xi_kernel``, ``extremal_function`` and ``boundedness_constant`` read it
-through ``kernels``.  ``zero_kernels`` is the one zero test of a kernel:
-``kernels`` and the fiber kernels of ``fiberwise``, which give Psi_N of
-``ideal``, both apply it.
+``TaylorShift`` is the one evaluator of functional actions, by one rule: its
+``tables`` hold the action of each e_alpha on the w^e_k part of each element
+at each point (the binomial Taylor shift), and a row X of functional
+coefficients at point g over w acts by sum_k w^e_k (X @ U[g, k]).  The fiber
+kernels of ``fiberwise``, ``basis_action`` and ``kernels`` (so ``xi_kernel``,
+``extremal_function`` and ``boundedness_constant``) take the actions alike;
+the Jensen actions of ``extension`` read the tables.  ``zero_kernels`` is the
+one zero test of a kernel: ``kernels`` and the fiber kernels of
+``fiberwise``, which give Psi_N of ``ideal``, both apply it.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ EIG_CUTOFF_REL = 1e-12
 #: a kernel is zero when K lam_max <= KERNEL_ZERO_TOL times the squared
 #: bound of its actions (see ``zero_kernels``)
 KERNEL_ZERO_TOL = 1e-14
-#: points per block of a batched ``TaylorShift`` evaluation; keeps every
-#: array of a block (points x basis terms) small
-BLOCK = 64
 #: the ``method`` values of ``assemble_gram``
 GRAM_METHODS = ("auto", "closed", "quadrature")
 
@@ -558,7 +555,8 @@ def basis_action(model: GramModel, xi: Functional, z: Sequence[complex]) -> np.n
     alphas, X = _functional_row(model, xi)
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
-    return shift.actions(X, _rows(z, model.arity) - np.array(model.domain.center))[0]
+    U = _rows(z, model.arity) - np.array(model.domain.center)
+    return shift.actions(X, shift.tables(shift.z_factors(U), len(U)))[0]
 
 
 def _functional_row(model: GramModel, xi: Functional):
@@ -611,6 +609,10 @@ class TaylorShift:
     b_j of C[t] C(gamma_t, alpha) u0^(gamma_t - alpha) w^Ew[t].  A functional
     is a row X of coefficients over the alphas (a family's values
     xi_alpha(w)).
+
+    ``tables`` sums the terms per point and per w-monomial w^e_k, k the
+    mixed-radix index of e_k on the dense grid up to ``wtop`` (k = 0 alone
+    without Ew terms), and ``actions`` applies the one rule to them.
     """
 
     def __init__(self, alphas, E, C, S, n: int, size: int):
@@ -618,7 +620,10 @@ class TaylorShift:
         self.ztop = self.Ez.max(axis=0, initial=0)
         self.wtop = self.Ew.max(axis=0, initial=0)
         self.size = size
-        self.bins = {}  # the bincount bins of ``_sums``, per row count
+        self.monomials = math.prod(int(top) + 1 for top in self.wtop)
+        self.monomial = np.zeros(len(S), dtype=np.intp)  # k of each term
+        for i, top in enumerate(self.wtop):
+            self.monomial = self.monomial * (top + 1) + self.Ew[:, i]
         # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha;
         # exact binomials: scipy's float comb(31, 14) is 265182524.99999997
         self.shifts = []
@@ -630,88 +635,83 @@ class TaylorShift:
             self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
 
     def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
-        """Per alpha, C[t] C(gamma_t, alpha) u^(gamma_t - alpha): rows of Z x terms."""
+        """Per alpha, C[t] C(gamma_t, alpha) u^(gamma_t - alpha): rows of Z x terms.
+        Each product is of two arrays of its shape: numpy rounds a complex
+        product of one element otherwise when broadcast or in place."""
         tables = [np.vander(Z[:, i], top + 1, increasing=True)
                   for i, top in enumerate(self.ztop)]
         out = []
         for coef, k in self.shifts:
-            f = coef * tables[0][:, k[:, 0]]
+            f = coef[None, :] * tables[0][:, k[:, 0]]
             for i in range(1, len(tables)):
-                f *= tables[i][:, k[:, i]]
+                f = f * tables[i][:, k[:, i]]
             out.append(f)
         return out
 
-    def actions(self, X, Z, W=None, zf=None, at=None) -> np.ndarray:
-        """u[p, j] = (xi_p . b_j)(u_p, w_p) per row p of X, u_p a row of Z.
+    def tables(self, zf, count: int) -> np.ndarray:
+        """U[g, k, alpha, j]: the action of e_alpha on the w^e_k part of b_j at
+        point g of the ``count`` points whose z-factors are ``zf``, summed
+        over the terms in their order; real when zf is (``zero_kernels``)."""
+        f = np.stack(zf, axis=1) if zf else np.zeros((count, 0, len(self.S)))
+        K, A = self.monomials, f.shape[1]
+        # f[g, alpha, t] adds into U[g, k_t, alpha, S_t]
+        bins = (((np.arange(count)[:, None, None] * K + self.monomial) * A
+                 + np.arange(A)[:, None]) * self.size + self.S).ravel()
+        U = np.empty((count, K, A, self.size), dtype=f.dtype)
+        for part, into in ([(f.real, U.real), (f.imag, U.imag)]
+                           if np.iscomplexobj(f) else [(f, U)]):
+            into[...] = np.bincount(bins, part.ravel(), U.size).reshape(U.shape)
+        return U
 
-        Z has one row per row of X, or one row shared by all of them; with
-        ``at``, row p of X is at Z[at[p]].  ``zf``, when given, is
-        ``z_factors(Z)``, taken by the caller.  The actions are real when X
-        and zf are, and W then (the moduli of ``zero_kernels``).  With a
-        shared row and no Ew terms the actions are linear in X: u = X @ U0,
-        where U0[alpha, j] is the action of e_alpha on b_j.  Otherwise the
-        rows go in ceil(P / BLOCK) blocks of near-equal size; acc[p, t] is
-        the action of row p on term t.
-        """
+    def actions(self, X, U, W=None, at=None) -> np.ndarray:
+        """u[p, j] = (xi_p . b_j) = sum_k w_p^e_k (X[p] @ U[at[p], k]) per row p
+        of X, U the ``tables`` (at None: every row at the first point) and W
+        the base points, read only with Ew terms; real when X, U and W are."""
         X = np.asarray(X)
-        shared = len(Z) == 1
-        if zf is None:
-            zf = self.z_factors(Z)
-        if shared and not self.wtop.any():
-            return X @ self.unit_actions(zf, 1)[0]
-        dtype = np.result_type(X, *zf, 0.0)
-        u = np.empty((len(X), self.size), dtype=dtype)
-        blocks = -(-len(X) // BLOCK)
-        bounds = [len(X) * k // blocks for k in range(blocks + 1)]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows = slice(lo, hi) if at is None else at[lo:hi]
-            block = zf if shared else [f[rows] for f in zf]
-            acc = np.zeros((hi - lo, len(self.S)), dtype=dtype)
-            for j, f in enumerate(block):
-                acc += X[lo:hi, j, None] * f
-            for i in np.nonzero(self.wtop)[0]:
-                wi = np.vander(W[lo:hi, i], self.wtop[i] + 1, increasing=True)
-                acc *= wi[:, self.Ew[:, i]]
-            self._sums_into(acc, u[lo:hi])
+        if at is None:
+            at = np.zeros(len(X), dtype=np.intp)
+        u = _products(X, U[:, 0], at)
+        if self.monomials > 1:
+            powers = np.ones((len(W), 1), dtype=W.dtype)
+            for i, top in enumerate(self.wtop):
+                wi = np.vander(W[:, i], top + 1, increasing=True)
+                powers = (powers[:, :, None] * wi[:, None, :]).reshape(len(W), -1)
+            for k in range(1, self.monomials):  # x w: numpy rounds w x otherwise
+                u += _products(X, U[:, k], at) * powers[:, k, None]
         return u
 
-    def unit_actions(self, zf, count: int) -> np.ndarray:
-        """U0[g, alpha, j], the action of e_alpha on b_j at point g of the
-        ``count`` points whose z-factors are ``zf`` (no Ew terms)."""
-        f = np.stack(zf, axis=1) if zf else np.zeros((count, 0, len(self.S)))
-        f = f.reshape(count * len(zf), len(self.S))
-        U0 = self._sums_into(f, np.empty((len(f), self.size), dtype=f.dtype))
-        return U0.reshape(count, len(zf), self.size)
 
-    def _sums_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = the ``_sums`` of x, one call per part of a complex x."""
-        for part, into in ([(x.real, out.real), (x.imag, out.imag)]
-                           if np.iscomplexobj(x) else [(x, out)]):
-            into[...] = self._sums(part)
-        return out
-
-    def _sums(self, x: np.ndarray) -> np.ndarray:
-        """Per row of real x (rows x terms), the sum of the terms of each
-        b_j, in term order.  The bins are kept per row count: the parts of
-        a complex block, and the blocks of one call, have at most two."""
-        n = len(x)
-        if n not in self.bins:
-            self.bins[n] = (np.arange(n)[:, None] * self.size + self.S).ravel()
-        return np.bincount(self.bins[n], x.ravel(), n * self.size).reshape(n, self.size)
+def _matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M; BLAS rounds a one-row product otherwise, so it takes two."""
+    return X @ M if len(X) != 1 else (np.repeat(X, 2, axis=0) @ M)[:1]
 
 
-def zero_kernels(model: GramModel, shift: TaylorShift, K, X, Z, zf, W=None,
+def _products(X: np.ndarray, U0: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """u[p] = X[p] @ U0[at[p]], rounded as ``_matmul`` rounds it."""
+    if len(U0) == 1:
+        return _matmul(X, U0[0])
+    u = np.empty((len(X), U0.shape[2]), dtype=np.result_type(X, U0))
+    counts = np.bincount(at, minlength=len(U0))
+    lone = counts[at] == 1
+    u[lone] = np.matmul(np.repeat(X[lone, None], 2, axis=1), U0[at[lone]])[:, 0]
+    for g in np.flatnonzero(counts > 1):
+        rows = at == g
+        u[rows] = X[rows] @ U0[g]
+    return u
+
+
+def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
                  at=None) -> np.ndarray:
     """The mask of the kernels K that vanish: the one zero test of a kernel,
     K lam_max <= KERNEL_ZERO_TOL ||s r||^2.
 
     K[p] is the kernel of row p of X at its point, from ``shift.actions(X,
-    Z, W, zf, at)`` on a basis whose Gram is that of model, orthonormalized
-    by model's transform: the model's own basis, or that basis times a
-    divisor g(z, w) (``fiberwise``), whose Gram is the same.  lam_max is the
-    largest eigenvalue of the equilibrated Gram s G s (``orthonormalize``),
-    s = ``unit_scale(G)``, and r bounds the actions u on the basis: the
-    actions of max_alpha |X[p, alpha]| on every alpha with
+    shift.tables(zf, ...), W, at)`` on a basis whose Gram is that of model,
+    orthonormalized by model's transform: the model's own basis, or that
+    basis times a divisor g(z, w) (``fiberwise``), whose Gram is the same.
+    lam_max is the largest eigenvalue of the equilibrated Gram s G s
+    (``orthonormalize``), s = ``unit_scale(G)``, and r bounds the actions u
+    on the basis: the actions of max_alpha |X[p, alpha]| on every alpha with
     X[p, alpha] != 0, over the moduli of the terms' z-factors and of w, so
     |u[p, j]| <= r[p, j] for every functional whose coefficients are at most
     those of row p in modulus and vanish where row p does.  Both sides
@@ -721,7 +721,8 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, Z, zf, W=None,
     sit at the rounding noise of the coefficients of xi and of the basis,
     pass.  r is first taken on every alpha, at the largest modulus of each
     z-factor and |w_i| of the call, where it is termwise at least that of
-    every row; the rows this bound does not clear take their own.
+    every row; the rows this bound does not clear take their own, by the
+    one action rule on the ``tables`` of the moduli.
     """
     lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
     X = np.asarray(X)
@@ -737,10 +738,11 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, Z, zf, W=None,
         peak *= np.prod(np.abs(W).max(axis=0, initial=0.0) ** shift.Ew, axis=1)
     zero = vanish(slice(None), np.bincount(shift.S, peak, shift.size))
     rows = np.flatnonzero(zero & (K > 0)) if zero.any() else ()
-    if len(rows):  # K = 0 vanishes under any r
+    if len(rows):  # K = 0 vanishes under any r; K > 0 takes an alpha
+        moduli = [np.abs(f) for f in zf]
         zero[rows] = vanish(rows, shift.actions(
-            (X[rows] != 0).astype(float), Z, None if W is None else np.abs(W[rows]),
-            [np.abs(f) for f in zf], rows if at is None else at[rows]))
+            (X[rows] != 0).astype(float), shift.tables(moduli, len(moduli[0])),
+            None if W is None else np.abs(W[rows]), None if at is None else at[rows]))
     return zero
 
 
@@ -749,25 +751,31 @@ def kernels(model: GramModel, alphas, X, z):
 
     z is one point, shared by every row of X, or one point per row.  Returns
     K[p] = sum_k |a[p, k]|^2, the actions a[p, k] = (xi_p . e_k)(z_p) on the
-    orthonormal basis e = b transform, and the mask of the kernels that
-    vanish (``zero_kernels``), all taken at z - center, the coordinate the
-    basis is stored in.  A point outside the domain raises ValueError.
+    orthonormal basis e = b transform, by the ``TaylorShift`` rule as the
+    fiber kernels take it, and the mask of the kernels that vanish
+    (``zero_kernels``), all taken at z - center, the coordinate the basis is
+    stored in.  Another point count, or a point outside the domain, raises
+    ValueError.
     """
     Z = _points_in(model.domain, z, "evaluation point")
+    if len(Z) not in (1, len(X)):
+        raise ValueError(f"{len(X)} functionals but {len(Z)} evaluation points")
     if model.transform is None:
         orthonormalize(model)
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
-    U = Z - np.array(model.domain.center)
-    zf = shift.z_factors(U)  # shared by the actions and their bound
-    a = shift.actions(X, U, zf=zf) @ model.transform
+    zf = shift.z_factors(Z - np.array(model.domain.center))
+    at = np.arange(len(X)) if len(Z) > 1 else np.zeros(len(X), dtype=np.intp)
+    a = _matmul(shift.actions(X, shift.tables(zf, len(Z)), at=at), model.transform)
     K = np.sum(a.real**2 + a.imag**2, axis=1)
-    return K, a, zero_kernels(model, shift, K, X, U, zf)
+    return K, a, zero_kernels(model, shift, K, X, zf, at=at)
 
 
 def xi_kernel(model: GramModel, xi: Functional, z: Sequence[complex]) -> float:
-    """Truncated-space extremal kernel value sum_k |(xi . e_k)(z)|^2."""
-    return float(kernels(model, *_functional_row(model, xi), z)[0][0])
+    """Truncated-space extremal kernel value sum_k |(xi . e_k)(z)|^2, and 0
+    where ``zero_kernels`` finds it vanishing, as the fiber kernels read it."""
+    K, _, zero = kernels(model, *_functional_row(model, xi), z)
+    return 0.0 if zero[0] else float(K[0])
 
 
 def extremal_function(

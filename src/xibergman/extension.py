@@ -22,7 +22,7 @@ log-kernels: the extremal coefficient of the fiber label alpha is the
 datum's coefficient on the joint element alpha + (0,), extended by the
 Schur step of every datum (``_fill_free``), and its fiber norm is the
 fiber model's quadratic form on those coefficients.  Over a polar grid of
-base nodes, one ``bergman.TaylorShift`` call on the terms c_j C[t] of F,
+base nodes, the ``bergman.TaylorShift`` tables of the terms c_j C[t] of F,
 read from the joint model's term arrays in its local coordinates
 (z - center, w - w0) and summed per power of w - w0, gives the Taylor
 coefficients of F_w at z0 as polynomials in w - w0, evaluated by one
@@ -360,11 +360,11 @@ def _jensen_actions(model: GramModel, coeffs, alphas, xi: np.ndarray,
     joint model, from the family's values xi (nodes x alphas).
 
     F's terms c_j C[t] u^Ez[t] v^k[t] come straight from the model's term
-    arrays, in its local coordinates u = z - center and v = w - w0.  One
-    ``TaylorShift`` call takes the actions at u0 = z0 - center of every
-    e_alpha on them, summed per power of v: with
-    powers[node, k] = v^k, (powers @ shift)[node, j] is the alpha_j-th Taylor
-    coefficient of F_w.
+    arrays, in its local coordinates u = z - center and v = w - w0.  The
+    ``TaylorShift`` tables at u0 = z0 - center, with the power of v as the
+    element of each term, hold the action of every e_alpha on them, summed
+    per power of v: with powers[node, k] = v^k, (powers @ shift.T)[node, j]
+    is the alpha_j-th Taylor coefficient of F_w.
     """
     n = model.arity - 1
     c = np.asarray(coeffs, dtype=complex)
@@ -373,9 +373,8 @@ def _jensen_actions(model: GramModel, coeffs, alphas, xi: np.ndarray,
     C = c[model.seg[live]] * model.coeffs[live]
     top = int(E[:, n].max(initial=0))
     center = np.array(model.domain.center)
-    shift = TaylorShift(alphas, E[:, :n], C, E[:, n], n, top + 1).actions(
-        np.eye(len(alphas)), np.array([z0]) - center[:n]
-    )
+    taylor = TaylorShift(alphas, E[:, :n], C, E[:, n], n, top + 1)
+    shift = taylor.tables(taylor.z_factors(np.array([z0]) - center[:n]), 1)[0, 0]
     powers = np.vander(w - center[n], top + 1, increasing=True)
     return np.sum(xi * (powers @ shift.T), axis=1)
 

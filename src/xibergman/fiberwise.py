@@ -29,11 +29,11 @@ fibers share a Gram matrix, up to a scalar, share one model:
 
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  The
-actions of xi(w) come from ``bergman.TaylorShift`` at z - center; the
-kernels are their squared norms in the model's orthonormal basis, and 0
-where ``bergman.zero_kernels``, the zero test of ``bergman.kernels``,
-finds them vanishing.  Psi_N of ``ideal`` and the Jensen kernels of
-``extension`` read the provider too.
+actions of xi(w) come from the one rule of ``bergman.TaylorShift`` at
+z - center; the kernels are their squared norms in the model's orthonormal
+basis, and 0 where ``bergman.zero_kernels``, the zero test of
+``bergman.kernels``, finds them vanishing.  Psi_N of ``ideal`` and the
+Jensen kernels of ``extension`` read the provider too.
 ``scan_psh`` checks the submean-value inequality of the log-kernel on base
 circles and complex lines, and scans a base grid, in one kernel call: a
 direct numerical rendering of log-plurisubharmonicity.
@@ -48,11 +48,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bergman import (
-    BLOCK,
     GramModel,
     QuadSpec,
     TaylorShift,
     _inside,
+    _matmul,
     _points_in,
     _recentered,
     _times_poly,
@@ -65,7 +65,7 @@ from .weights import Polydisc, check_joint_weight, divisor_split
 
 SUBMEAN_TOL = 1e-3
 #: rows per block of ``kernel_on_fiber``: its arrays do not grow with a batch
-ROWS = 8 * BLOCK
+ROWS = 512
 
 
 @dataclass
@@ -163,8 +163,9 @@ def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
     where K_psi vanishes, and nothing is exponentiated.  model is a fiber
     model already built by ``assemble_gram`` with its default labels and
     method, which serves in place of a new one where it is the same (see
-    ``_fiber_models``).  The z-factors are taken once per distinct fiber
-    point; a row is rounded alike whatever rows share its call.
+    ``_fiber_models``).  The ``TaylorShift`` tables of each basis are taken
+    once per distinct fiber point; a row is rounded alike whatever rows
+    share its call, and as ``bergman.kernels`` rounds it.
     """
     points, at = _distinct(Z - np.array(fiber_domain.center), len(W))
     K = np.zeros(len(W))
@@ -172,16 +173,14 @@ def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
                               W, model)
     for basis, members in models:
         zf = basis.z_factors(points)
-        U0 = None if basis.wtop.any() else basis.unit_actions(zf, len(points))
+        U = basis.tables(zf, len(points))
         for rows, fiber in members:
             for lo in range(0, len(rows), ROWS):
                 r = rows[lo:lo + ROWS]
                 Xr, Wr, ar = X[r], W[r], at[r]
-                u = (basis.actions(Xr, points, Wr, zf, ar) if U0 is None
-                     else _products(Xr, U0, ar))
-                a = _matmul(u, fiber.transform)
+                a = _matmul(basis.actions(Xr, U, Wr, ar), fiber.transform)
                 k = np.sum(a.real**2 + a.imag**2, axis=1)
-                zero = zero_kernels(fiber, basis, k, Xr, points, zf, Wr, ar)
+                zero = zero_kernels(fiber, basis, k, Xr, zf, Wr, ar)
                 K[r] = np.where(zero, 0.0, k)
     if log:
         return np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
@@ -197,25 +196,6 @@ def _distinct(U: np.ndarray, count: int):
     keys = U.view(np.dtype((np.void, U.itemsize * U.shape[1]))).ravel()
     _, first, at = np.unique(keys, return_index=True, return_inverse=True)
     return U[first], at
-
-
-def _matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X @ M; BLAS rounds a one-row product otherwise, so it takes two."""
-    return X @ M if len(X) != 1 else (np.repeat(X, 2, axis=0) @ M)[:1]
-
-
-def _products(X: np.ndarray, U0: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """u[p] = X[p] @ U0[at[p]], rounded as ``_matmul`` rounds it."""
-    if len(U0) == 1:
-        return _matmul(X, U0[0])
-    u = np.empty((len(X), U0.shape[2]), dtype=complex)
-    counts = np.bincount(at, minlength=len(U0))
-    lone = counts[at] == 1
-    u[lone] = np.matmul(np.repeat(X[lone, None], 2, axis=1), U0[at[lone]])[:, 0]
-    for g in np.flatnonzero(counts > 1):
-        rows = at == g
-        u[rows] = X[rows] @ U0[g]
-    return u
 
 
 def log_kernel_on_fiber(problem: FamilyProblem, w, z,

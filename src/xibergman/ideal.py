@@ -74,7 +74,7 @@ from .family import (
     poly_to_json,
 )
 from .fiberwise import fiber_kernels
-from .functional import MultiIndex, multi_indices_upto
+from .functional import ArityMismatchError, MultiIndex, multi_indices_upto
 from .weights import (
     JointLogDivisor,
     Polydisc,
@@ -260,8 +260,13 @@ def _as_w(w, m: int) -> tuple[complex, ...]:
 
 
 def _base_rows(w, m: int) -> np.ndarray:
-    """One base point (``_as_w``), or an array (P, m) of them, as rows."""
-    return np.asarray(w, dtype=complex) if np.ndim(w) == 2 else np.array([_as_w(w, m)])
+    """One base point (``_as_w``), or an array (P, m) of them, as rows;
+    ``ArityMismatchError`` for an array of another column count."""
+    if np.ndim(w) != 2:
+        return np.array([_as_w(w, m)])
+    if np.shape(w)[1] != m:
+        raise ArityMismatchError(f"base points of arity {m}, not {np.shape(w)}")
+    return np.asarray(w, dtype=complex)
 
 
 def _torus_sampler(M: TermMatrix, ks: np.ndarray, K: tuple[int, ...]):

@@ -19,6 +19,7 @@ from xibergman.bergman import (
     basis_action,
     boundedness_constant,
     extremal_function,
+    kernels,
     model_summary_json,
     orthonormalize,
     radial_moments,
@@ -429,15 +430,16 @@ class TestBasisAction:
         shift = bergman.TaylorShift(
             [(14,)], E, np.array([1.0, 1.0j]), np.array([0, 1]), 1, 2
         )
-        u = shift.actions([[1.0]], np.array([[1.0]]))
-        assert u[0, 0] == 265182525.0 == math.comb(31, 14)
-        assert u[0, 1] == 265182525.0j
+        U = shift.tables(shift.z_factors(np.array([[1.0]])), 1)
+        assert U.shape == (1, 1, 1, 2)
+        assert U[0, 0, 0, 0] == 265182525.0 == math.comb(31, 14)
+        assert U[0, 0, 0, 1] == 265182525.0j
 
 
 @st.composite
 def shared_point_cases(draw):
     """A TaylorShift on random terms without w, P rows of functional
-    coefficients (P crosses BLOCK) and one fiber point.
+    coefficients and one fiber point.
 
     Each coordinate and coefficient is 0 or at least 1e-30 in modulus, so no
     product C z^k reaches the subnormal range: there rounding is absolute,
@@ -467,18 +469,29 @@ class TestSharedPointActions:
     @settings(max_examples=150, deadline=None)
     @given(shared_point_cases())
     def test_shared_point_matches_the_per_row_path(self, case):
-        # one shared point takes u = X @ U0; the same point repeated on every
-        # row (plus one, so that a single row also takes the blocks) takes
-        # the per-row blocked path
+        # one shared point takes u = X @ U[0, 0]; the same point repeated on
+        # every row (plus one, so that a single row also has a point of its
+        # own) takes one product per row: the same bits
         shift, X, z = case
-        u = shift.actions(X, z)
+        u = shift.actions(X, shift.tables(shift.z_factors(z), 1))
         rows = np.vstack([X, X[:1]])
-        ref = shift.actions(rows, np.repeat(z, len(rows), axis=0))[:-1]
-        # max_alpha |X[p, alpha]| acting on the moduli of the z-factors
-        top = np.abs(X).max(axis=1)[:, None] * np.ones(X.shape[1])
-        bound = shift.actions(top, z, zf=[np.abs(f) for f in shift.z_factors(z)])
+        Z = np.repeat(z, len(rows), axis=0)
+        ref = shift.actions(rows, shift.tables(shift.z_factors(Z), len(Z)),
+                            at=np.arange(len(rows)))[:-1]
         assert u.shape == ref.shape == (len(X), shift.size)
-        assert np.all(np.abs(u - ref) <= 1e-13 * bound)
+        assert np.array_equal(u, ref)
+
+    def test_kernels_refuse_a_point_count_other_than_one_or_the_rows(self):
+        # one point serves every row, or each row has its own; two points
+        # for one row are not silently cut to the first
+        m = orthonormalize(assemble_gram(Polydisc((1.0,)), ZeroWeight(1), 4))
+        with pytest.raises(ValueError, match="1 functionals but 2 evaluation"):
+            kernels(m, [(0,)], [[1.0]], [(0.1,), (0.2,)])
+        with pytest.raises(ValueError, match="3 functionals but 2 evaluation"):
+            kernels(m, [(0,)], [[1.0]] * 3, [(0.1,), (0.2,)])
+        K = kernels(m, [(0,)], [[1.0]] * 2, [(0.1,), (0.2,)])[0]
+        assert K.tolist() == [kernels(m, [(0,)], [[1.0]], z)[0][0]
+                              for z in [(0.1,), (0.2,)]]
 
     def test_functional_without_terms_has_zero_actions(self):
         # a config may give a functional no terms: no alpha to stack
@@ -487,29 +500,30 @@ class TestSharedPointActions:
                               np.zeros(m.size))
         assert xi_kernel(m, Functional(1, {}), (0.3,)) == 0.0
 
-    def test_shared_point_is_one_sums_pass(self, monkeypatch):
-        # the shared-point path sums the terms of every alpha in one pass
-        # (one call per real and imaginary part), whatever the row count
+    def test_tables_are_one_sums_pass(self, monkeypatch):
+        # the tables sum the terms of every alpha and point in one pass (one
+        # bincount per real and imaginary part), whatever the row count
         E = np.array([[3], [2], [0]])
         shift = bergman.TaylorShift([(0,), (1,), (2,)], E,
                                     np.array([1.0, 2.0, 0.5j]),
                                     np.array([0, 0, 1]), 1, 2)
         calls = []
-        sums = shift._sums
-        monkeypatch.setattr(shift, "_sums",
-                            lambda x: calls.append(x.shape) or sums(x))
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount",
+                            lambda b, x, n: calls.append(x.shape) or bincount(b, x, n))
+        U = shift.tables(shift.z_factors(np.array([[0.5], [0.5]])), 2)
+        assert calls == [(18,), (18,)]  # 2 points x 3 alphas x 3 terms
+        monkeypatch.undo()
         X = np.ones((200, 3), dtype=complex)
-        u = shift.actions(X, np.array([[0.5]]))
-        assert calls == [(3, 3), (3, 3)]
+        u = shift.actions(X, U[:1])
         # z^3 + 2 z^2 and 0.5i: actions of e_0, e_1, e_2 at 0.5, summed
         expect = [0.125 + 0.5 + 0.75 + 2.0 + 1.5 + 2.0, 0.5j]
         assert np.allclose(u, np.tile(expect, (200, 1)), rtol=1e-15)
 
 
-    def test_row_actions_do_not_depend_on_the_block_split(self, monkeypatch):
-        # P rows go in ceil(P / BLOCK) blocks of near-equal size: 65 rows in
-        # 32 + 33, not 64 + 1.  A row's sums keep their term order, so its
-        # actions are the same bits at 64, 65 and 129 rows
+    def test_row_actions_do_not_depend_on_the_row_count(self):
+        # a row's tables keep their term order and its products are its
+        # own, so its actions are the same bits at 64, 65 and 129 rows
         rng = np.random.default_rng(7)
         E = np.array([[3, 0], [2, 1], [0, 2], [1, 0]])  # (z, w) exponents
         shift = bergman.TaylorShift([(0,), (1,), (2,)], E,
@@ -520,13 +534,9 @@ class TestSharedPointActions:
             return rng.uniform(-0.6, 0.6, shape) + 1j * rng.uniform(-0.6, 0.6, shape)
 
         X, Z, W = draw(129, 3), draw(129, 1), draw(129, 1)
-        u = [shift.actions(X[:P], Z[:P], W[:P]) for P in (64, 65, 129)]
+        u = [shift.actions(X[:P], shift.tables(shift.z_factors(Z[:P]), P), W[:P],
+                           np.arange(P)) for P in (64, 65, 129)]
         assert np.array_equal(u[0], u[1][:64]) and np.array_equal(u[1], u[2][:65])
-        rows = []
-        sums = shift._sums
-        monkeypatch.setattr(shift, "_sums", lambda x: rows.append(len(x)) or sums(x))
-        shift.actions(X[:65], Z[:65], W[:65])
-        assert rows == [32, 32, 33, 33]  # the real and imaginary part of each
 
 
 def reference_basis(domain, labels, g=None):

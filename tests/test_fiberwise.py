@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from xibergman.bergman import QuadSpec, assemble_gram, orthonormalize, xi_kernel
 from xibergman.family import FunctionalFamily, PolyW, anti_holomorphic_control
+from xibergman.functional import Functional
 from xibergman.fiberwise import (
     Circle,
     FamilyProblem,
@@ -286,6 +287,37 @@ def batched_problems(draw, variant):
     else:
         Z = [lattice_point(draw, fiber) for _ in W]
     return problem, W, Z
+
+
+@st.composite
+def kernel_path_cases(draw):
+    """A w-independent quadratic weight q sum |z_i|^2, three alphas with
+    constant coefficients, and a fiber and a base point."""
+    n = draw(st.sampled_from([1, 2]))
+    part = st.floats(-0.6, 0.6)
+    cplx = st.builds(complex, part, part)
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=3,
+                           max_size=3, unique=True))
+    coeffs = draw(st.lists(cplx, min_size=3, max_size=3))
+    return (n, draw(st.floats(0.0, 3.0)), draw(st.integers(1, 8)),
+            dict(zip(alphas, coeffs)), tuple(draw(cplx) for _ in range(n)),
+            draw(cplx))
+
+
+class TestKernelPathsAgree:
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_path_cases())
+    def test_xi_kernel_is_the_fiber_kernel_bit_for_bit(self, case):
+        # bergman.kernels and the fiber provider take one action rule
+        n, q, degree, coeffs, z, w = case
+        domain, psi = Polydisc((1.0,) * n), QuadraticWeight((q,) * n)
+        xi = Functional(n, coeffs)  # the family takes the terms xi keeps
+        fam = FunctionalFamily(
+            n, 1, {a: PolyW.constant(c, 1) for a, c in xi.coeffs.items()})
+        problem = FamilyProblem(domain, Polydisc((1.0,)),
+                                WIndependentJoint(psi, 1), fam, degree)
+        model = orthonormalize(assemble_gram(domain, psi, degree))
+        assert xi_kernel(model, xi, z) == kernel_on_fiber(problem, (w,), z)
 
 
 class TestBatchedAgainstPerPoint:
@@ -590,7 +622,7 @@ class TestOneScanCall:
     @pytest.mark.parametrize("alphas, size", [(1, 5), (2, 13), (6, 28)])
     def test_rows_round_alike_whatever_shares_their_point(self, alphas, size):
         # BLAS rounds a one-row product otherwise than a row of a larger one
-        from xibergman.fiberwise import _matmul, _products
+        from xibergman.bergman import _matmul, _products
 
         rng = np.random.default_rng(alphas)
         X = rng.standard_normal((40, alphas)) + 1j * rng.standard_normal((40, alphas))

@@ -27,6 +27,7 @@ from xibergman.bergman import QuadSpec, assemble_gram, kernels, orthonormalize
 from xibergman.family import FunctionalFamily, PolyW
 from xibergman.fiberwise import square_grid, submean_check
 from xibergman.functional import (
+    ArityMismatchError,
     Functional,
     TaylorData,
     apply,
@@ -482,6 +483,18 @@ class TestAnnihilator:
         assert any(
             functional_matches(f, {(1, 0): w, (0, 1): 1.0}, w) for f in fams
         )
+
+    def test_base_points_of_another_arity_are_refused(self):
+        # (z1 - z2 w) at N = 3, m = 1: a point (0.1, 0.2) of two coordinates
+        # is not two points
+        res = build_annihilator(IdealFamily(2, 1, [PSTAR_G], 3), GRID)
+        W = np.array([[0.1, 0.2]])
+        with pytest.raises(ArityMismatchError, match="arity 1"):
+            res.eval_B(W)
+        with pytest.raises(ArityMismatchError, match="arity 1"):
+            res.in_U(W)
+        assert res.eval_B(W[:, :1]).shape == (1, res.s, res.p)
+        assert res.in_U(W[:, :1]).shape == (1,)
 
     def test_shift_empty_annihilator(self):
         res = build_annihilator(SHIFT, GRID)
