@@ -35,12 +35,12 @@ only on request, and ``poly_from_coeffs`` sums them.
 ``TaylorShift`` is the one evaluator of functional actions, by one rule: its
 ``tables`` hold the action of each e_alpha on the w^e_k part of each element
 at each point (the binomial Taylor shift), and a row X of functional
-coefficients at point g over w acts by sum_k w^e_k (X @ U[g, k]).  The fiber
-kernels of ``fiberwise``, ``basis_action`` and ``kernels`` (so ``xi_kernel``,
-``extremal_function`` and ``boundedness_constant``) take the actions alike;
-the Jensen actions of ``extension`` read the tables.  ``zero_kernels`` is the
-one zero test of a kernel: ``kernels`` and the fiber kernels of
-``fiberwise``, which give Psi_N of ``ideal``, both apply it.
+coefficients at point g over w acts by sum_k w^e_k (X @ U[g, k]).
+``_kernel_rows`` is the one kernel body, with ``zero_kernels`` the one zero
+test of a kernel: ``kernels`` (so ``xi_kernel``, ``extremal_function`` and
+``boundedness_constant``) is one call of it, the fiber kernels of
+``fiberwise``, which give Psi_N of ``ideal``, one call per block of rows.
+``basis_action`` and the Jensen actions of ``extension`` read ``actions``.
 """
 
 from __future__ import annotations
@@ -746,16 +746,38 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
     return zero
 
 
+def _distinct(U: np.ndarray, count: int):
+    """The distinct rows of U (one, or count), and each row's index among them."""
+    if len(U) == 1:
+        return U, np.zeros(count, dtype=np.intp)
+    U = np.ascontiguousarray(U)
+    keys = U.view(np.dtype((np.void, U.itemsize * U.shape[1]))).ravel()
+    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    return U[first], at
+
+
+def _kernel_rows(model: GramModel, shift: TaylorShift, X, U, W=None):
+    """The kernel body: (K, a, zero) of the rows of X, as ``kernels`` gives
+    them, on the basis shift acts on, at the points U in its coordinate (one,
+    or one per row) over the base points W; its arrays are those of the
+    rows and the ``tables`` of their distinct points (``_distinct``)."""
+    points, at = _distinct(U, len(X))
+    zf = shift.z_factors(points)
+    a = _matmul(shift.actions(X, shift.tables(zf, len(points)), W, at),
+                model.transform)
+    K = np.sum(a.real**2 + a.imag**2, axis=1)
+    return K, a, zero_kernels(model, shift, K, X, zf, W, at)
+
+
 def kernels(model: GramModel, alphas, X, z):
     """Kernels of the functionals sum_alpha X[p, alpha] e_alpha at z.
 
     z is one point, shared by every row of X, or one point per row.  Returns
     K[p] = sum_k |a[p, k]|^2, the actions a[p, k] = (xi_p . e_k)(z_p) on the
-    orthonormal basis e = b transform, by the ``TaylorShift`` rule as the
-    fiber kernels take it, and the mask of the kernels that vanish
-    (``zero_kernels``), all taken at z - center, the coordinate the basis is
-    stored in.  Another point count, or a point outside the domain, raises
-    ValueError.
+    orthonormal basis e = b transform, and the mask of the kernels that
+    vanish (``zero_kernels``): one ``_kernel_rows`` call, the fiber kernels'
+    body, at z - center.  Another point count, or a point outside the
+    domain, raises ValueError.
     """
     Z = _points_in(model.domain, z, "evaluation point")
     if len(Z) not in (1, len(X)):
@@ -764,11 +786,7 @@ def kernels(model: GramModel, alphas, X, z):
         orthonormalize(model)
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
-    zf = shift.z_factors(Z - np.array(model.domain.center))
-    at = np.arange(len(X)) if len(Z) > 1 else np.zeros(len(X), dtype=np.intp)
-    a = _matmul(shift.actions(X, shift.tables(zf, len(Z)), at=at), model.transform)
-    K = np.sum(a.real**2 + a.imag**2, axis=1)
-    return K, a, zero_kernels(model, shift, K, X, zf, at=at)
+    return _kernel_rows(model, shift, X, Z - np.array(model.domain.center))
 
 
 def xi_kernel(model: GramModel, xi: Functional, z: Sequence[complex]) -> float:

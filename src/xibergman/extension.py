@@ -22,13 +22,13 @@ log-kernels: the extremal coefficient of the fiber label alpha is the
 datum's coefficient on the joint element alpha + (0,), extended by the
 Schur step of every datum (``_fill_free``), and its fiber norm is the
 fiber model's quadratic form on those coefficients.  Over a polar grid of
-base nodes, the ``bergman.TaylorShift`` tables of the terms c_j C[t] of F,
-read from the joint model's term arrays in its local coordinates
-(z - center, w - w0) and summed per power of w - w0, gives the Taylor
-coefficients of F_w at z0 as polynomials in w - w0, evaluated by one
-Vandermonde matrix; the family is evaluated at the nodes once, and its
-values serve those actions and one ``fiberwise.fiber_kernels`` call for the
-log-kernels log K(w), in log space throughout.
+base nodes, the terms c_j C[t] of F, read from the joint model's term
+arrays in its local coordinates (z - center, w - w0), are one element that
+keeps its w-exponents, and ``bergman.TaylorShift.actions``, the rule of
+every kernel, gives the action of xi(w) on F_w at z0 at each node; the
+family is evaluated at the nodes once, and its values serve those actions
+and one ``fiberwise.fiber_kernels`` call for the log-kernels log K(w), in
+log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets,
@@ -359,24 +359,21 @@ def _jensen_actions(model: GramModel, coeffs, alphas, xi: np.ndarray,
     """xi(w) . F_w at z0 for each base node w, F = sum_j coeffs_j b_j on a
     joint model, from the family's values xi (nodes x alphas).
 
-    F's terms c_j C[t] u^Ez[t] v^k[t] come straight from the model's term
-    arrays, in its local coordinates u = z - center and v = w - w0.  The
-    ``TaylorShift`` tables at u0 = z0 - center, with the power of v as the
-    element of each term, hold the action of every e_alpha on them, summed
-    per power of v: with powers[node, k] = v^k, (powers @ shift.T)[node, j]
-    is the alpha_j-th Taylor coefficient of F_w.
+    F is one element whose terms c_j C[t] u^Ez[t] v^Ew[t] come straight
+    from the model's term arrays, in its local coordinates u = z - center
+    and v = w - w0, and keep their w-exponents: ``TaylorShift.actions`` of
+    the rows xi at u0 = z0 - center over the base points v, the rule of
+    every kernel, gives each node's action.
     """
     n = model.arity - 1
     c = np.asarray(coeffs, dtype=complex)
     live = c[model.seg] != 0
-    E = model.exps[live]
-    C = c[model.seg[live]] * model.coeffs[live]
-    top = int(E[:, n].max(initial=0))
     center = np.array(model.domain.center)
-    taylor = TaylorShift(alphas, E[:, :n], C, E[:, n], n, top + 1)
-    shift = taylor.tables(taylor.z_factors(np.array([z0]) - center[:n]), 1)[0, 0]
-    powers = np.vander(w - center[n], top + 1, increasing=True)
-    return np.sum(xi * (powers @ shift.T), axis=1)
+    C = c[model.seg[live]] * model.coeffs[live]
+    shift = TaylorShift(alphas, model.exps[live], C, np.zeros(len(C), dtype=int),
+                        n, 1)
+    U = shift.tables(shift.z_factors(np.array([z0]) - center[:n]), 1)
+    return shift.actions(xi, U, (w - center[n])[:, None])[:, 0]
 
 
 def jensen_diagnostic(

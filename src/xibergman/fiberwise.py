@@ -21,19 +21,17 @@ fibers share a Gram matrix, up to a scalar, share one model:
   and split quadratic weights) has the fiber Gram e^{-s(w)} G_psi, so one
   model of psi serves every fiber and K_w = e^{s(w)} K_psi: the relative
   eigenvalue cutoff keeps the same rank and eigenvectors under the scalar.
-  That model, and its ``TaylorShift``, is built once per kernel call, and
-  ``scan_psh`` takes every circle, line and grid of a scan in one call;
+  That model is built once per kernel call, and ``scan_psh`` takes every
+  circle, line and grid of a scan in one call;
 - any other joint weight (the pair quadratic, whose centers move with w,
   and joint divisors with c != 1) gets one fiber model per distinct base
   point in each call.
 
+Each model has one ``bergman.TaylorShift``, and its rows run the kernel
+body of ``bergman.kernels`` at z - center in blocks of at most ``ROWS``.
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
-a large shift neither overflows the kernel nor underflows the Gram.  The
-actions of xi(w) come from the one rule of ``bergman.TaylorShift`` at
-z - center; the kernels are their squared norms in the model's orthonormal
-basis, and 0 where ``bergman.zero_kernels``, the zero test of
-``bergman.kernels``, finds them vanishing.  Psi_N of ``ideal`` and the
-Jensen kernels of ``extension`` read the provider too.
+a large shift neither overflows the kernel nor underflows the Gram.  Psi_N
+of ``ideal`` and the Jensen kernels of ``extension`` read the provider too.
 ``scan_psh`` checks the submean-value inequality of the log-kernel on base
 circles and complex lines, and scans a base grid, in one kernel call: a
 direct numerical rendering of log-plurisubharmonicity.
@@ -52,19 +50,19 @@ from .bergman import (
     QuadSpec,
     TaylorShift,
     _inside,
-    _matmul,
+    _kernel_rows,
     _points_in,
     _recentered,
     _times_poly,
     assemble_gram,
     orthonormalize,
-    zero_kernels,
 )
 from .config import ConfigError
 from .weights import Polydisc, check_joint_weight, divisor_split
 
 SUBMEAN_TOL = 1e-3
-#: rows per block of ``kernel_on_fiber``: its arrays do not grow with a batch
+#: rows per block of ``fiber_kernels``, each block with the tables of its own
+#: fiber points: its arrays do not grow with a batch
 ROWS = 512
 
 
@@ -155,47 +153,32 @@ def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
     of Z) over the base point W[p]: the core of ``kernel_on_fiber``, on
     points it has checked.
 
-    A kernel is 0 where ``bergman.zero_kernels``, the zero test of
-    ``bergman.kernels``, finds it vanishing on its fiber model.  For a joint
-    weight psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where
-    that overflows; with log=True the result is log K_psi + s(w), taken by
-    one ``np.log`` call over the kernels that are positive, -inf exactly
-    where K_psi vanishes, and nothing is exponentiated.  model is a fiber
-    model already built by ``assemble_gram`` with its default labels and
-    method, which serves in place of a new one where it is the same (see
-    ``_fiber_models``).  The ``TaylorShift`` tables of each basis are taken
-    once per distinct fiber point; a row is rounded alike whatever rows
-    share its call, and as ``bergman.kernels`` rounds it.
+    The rows of each fiber model (``_fiber_models``) run the kernel body of
+    ``bergman.kernels`` (``bergman._kernel_rows``), and are rounded as it
+    rounds them, in blocks of at most ``ROWS`` rows on the tables of their
+    own fiber points; a kernel is 0 where ``bergman.zero_kernels`` finds it
+    vanishing.  For a joint weight psi(z) + s(w) the kernel is
+    e^{s(w)} K_psi, which is inf where that overflows; with log=True the
+    result is log K_psi + s(w), taken by one ``np.log`` call over the
+    kernels that are positive, -inf exactly where K_psi vanishes, and
+    nothing is exponentiated.  model is a fiber model already built by
+    ``assemble_gram`` with its default labels and method, which serves in
+    place of a new one where it is the same (see ``_fiber_models``).
     """
-    points, at = _distinct(Z - np.array(fiber_domain.center), len(W))
+    U = Z - np.array(fiber_domain.center)
     K = np.zeros(len(W))
     models, s = _fiber_models(fiber_domain, joint_weight, degree, quad, alphas,
                               W, model)
-    for basis, members in models:
-        zf = basis.z_factors(points)
-        U = basis.tables(zf, len(points))
-        for rows, fiber in members:
-            for lo in range(0, len(rows), ROWS):
-                r = rows[lo:lo + ROWS]
-                Xr, Wr, ar = X[r], W[r], at[r]
-                a = _matmul(basis.actions(Xr, U, Wr, ar), fiber.transform)
-                k = np.sum(a.real**2 + a.imag**2, axis=1)
-                zero = zero_kernels(fiber, basis, k, Xr, zf, Wr, ar)
-                K[r] = np.where(zero, 0.0, k)
+    for shift, rows, fiber in models:
+        for lo in range(0, len(rows), ROWS):
+            r = rows[lo:lo + ROWS]
+            k, _, zero = _kernel_rows(fiber, shift, X[r],
+                                      U if len(U) == 1 else U[r], W[r])
+            K[r] = np.where(zero, 0.0, k)
     if log:
         return np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
     with np.errstate(over="ignore"):
         return np.where(K > 0, K * np.exp(s), 0.0)
-
-
-def _distinct(U: np.ndarray, count: int):
-    """The distinct rows of U (one, or count), and each row's index among them."""
-    if len(U) == 1:
-        return U, np.zeros(count, dtype=np.intp)
-    U = np.ascontiguousarray(U)
-    keys = U.view(np.dtype((np.void, U.itemsize * U.shape[1]))).ravel()
-    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
-    return U[first], at
 
 
 def log_kernel_on_fiber(problem: FamilyProblem, w, z,
@@ -209,22 +192,20 @@ def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
                   given: GramModel | None = None):
     """The fiber models over W, and the shift s(w) of each row.
 
-    The models come as [(basis, [(rows, model), ...]), ...], each model
-    orthonormalized: its transform, its largest eigenvalue and the unit
-    scale of its Gram serve the kernels of its rows and their zero test
-    (``bergman.zero_kernels``), and the kernel of row i is e^{s_i} times
-    that of its model.  Each basis acts by the functionals over alphas.  A
-    divisor part 2 log|g(z, w)| (``weights.divisor_split``) is split off
-    once: the rest is modeled like any other joint weight, and its basis
-    times g(z, w) is one joint basis, local in z and global in w.  A joint
-    weight psi(z) + s(w) has one model, of psi, for every fiber, up to the
-    scalar shift s(w).  Any other joint weight gets one model per distinct
-    row of W, and models whose terms agree share one ``TaylorShift``.  The
-    models live for this call only.  A given model (the central fiber model
-    of ``extension``) replaces the one a fiber weight would get when its
-    weight, domain, degree and quadrature are those of that fiber
-    (``_is_model_of``): the Gram would be assembled and orthonormalized
-    again, identically.
+    The models come as [(shift, rows, model), ...], one per fiber model:
+    its ``TaylorShift`` over alphas, the rows it serves and the model,
+    orthonormalized; the kernel of row i is e^{s_i} times that of its model
+    (``bergman._kernel_rows``).  A divisor part 2 log|g(z, w)|
+    (``weights.divisor_split``) is split off once: the rest is modeled like
+    any other joint weight, and its basis times g(z, w) is one joint basis,
+    local in z and global in w.  A joint weight psi(z) + s(w) has one model,
+    of psi, for every fiber, up to the scalar shift s(w).  Any other joint
+    weight (the pair quadratic, joint divisors with c != 1) gets one model
+    per distinct row of W.  The models live for this call only.  A given
+    model (the central fiber model of ``extension``) replaces the one a
+    fiber weight would get when its weight, domain, degree and quadrature
+    are those of that fiber (``_is_model_of``): the Gram would be assembled
+    and orthonormalized again, identically.
     """
     n, m = fiber_domain.arity, W.shape[1]
     divisor, jw = divisor_split(joint_weight)
@@ -241,7 +222,7 @@ def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
         for i, w in enumerate(W.tolist()):
             groups.setdefault(tuple(w), []).append(i)
         fibers = [(jw.fiber(w), np.array(rows)) for w, rows in groups.items()]
-    classes: dict[bytes, tuple] = {}
+    models = []
     for fw, rows in fibers:
         if _is_model_of(given, fiber_domain, degree, quad, fw):
             model = given if given.transform is not None else orthonormalize(given)
@@ -251,11 +232,8 @@ def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
         if divisor is not None:
             # |g b|^2 e^{-2 log|g| - rest} = |b|^2 e^{-rest}: the basis g(z, w) b
             E, C, S = _times_poly(g, np.hstack([E, np.zeros((len(E), m), dtype=int)]))
-        key = E.tobytes() + C.tobytes() + S.tobytes()
-        if key not in classes:
-            classes[key] = (TaylorShift(alphas, E, C, S, n, model.size), [])
-        classes[key][1].append((rows, model))
-    return list(classes.values()), s
+        models.append((TaylorShift(alphas, E, C, S, n, model.size), rows, model))
+    return models, s
 
 
 def _is_model_of(model: GramModel | None, domain: Polydisc, degree: int,

@@ -82,21 +82,22 @@ def _trim(coeffs: Mapping[MultiIndex, complex]) -> dict[MultiIndex, complex]:
 
 @dataclass
 class Functional:
-    """Finite-support element of the sequence space acting on Taylor data."""
+    """Finite-support element of the sequence space acting on Taylor data;
+    it keeps every coefficient it is given, as a family's row does."""
 
     arity: int
     coeffs: dict[MultiIndex, complex] = field(default_factory=dict)
 
     def __post_init__(self):
         _check_keys(self.arity, self.coeffs)
-        self.coeffs = _trim(self.coeffs)
+        self.coeffs = {tuple(int(a) for a in k): complex(v)
+                       for k, v in self.coeffs.items()}
 
     @property
     def degree(self) -> float:
-        """Max |alpha| over the support; -inf for the zero functional."""
-        if not self.coeffs:
-            return -math.inf
-        return max(sum(a) for a in self.coeffs)
+        """Max |alpha| over the nonzero support; -inf for the zero functional."""
+        return max((sum(a) for a, v in self.coeffs.items() if v != 0),
+                   default=-math.inf)
 
     def items_grlex(self):
         return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))

@@ -311,13 +311,27 @@ class TestKernelPathsAgree:
         # bergman.kernels and the fiber provider take one action rule
         n, q, degree, coeffs, z, w = case
         domain, psi = Polydisc((1.0,) * n), QuadraticWeight((q,) * n)
-        xi = Functional(n, coeffs)  # the family takes the terms xi keeps
+        xi = Functional(n, coeffs)
         fam = FunctionalFamily(
-            n, 1, {a: PolyW.constant(c, 1) for a, c in xi.coeffs.items()})
+            n, 1, {a: PolyW.constant(c, 1) for a, c in coeffs.items()})
         problem = FamilyProblem(domain, Polydisc((1.0,)),
                                 WIndependentJoint(psi, 1), fam, degree)
         model = orthonormalize(assemble_gram(domain, psi, degree))
         assert xi_kernel(model, xi, z) == kernel_on_fiber(problem, (w,), z)
+
+    def test_one_set_of_coefficients_is_one_functional(self):
+        # the Functional keeps the 2.22e-16 on z^2, as the family row does;
+        # it dropped it, and xi_kernel read 0.3978873577297385 against the
+        # fiber kernel's 0.3978873577297387
+        coeffs = {(0,): 0.0, (1,): 0.5, (2,): 2.22e-16}
+        domain, psi = Polydisc((1.0,)), QuadraticWeight((0.0,))
+        fam = FunctionalFamily(
+            1, 1, {a: PolyW.constant(c, 1) for a, c in coeffs.items()})
+        problem = FamilyProblem(domain, Polydisc((1.0,)),
+                                WIndependentJoint(psi, 1), fam, 2)
+        model = orthonormalize(assemble_gram(domain, psi, 2))
+        K = xi_kernel(model, Functional(1, coeffs), (0.5,))
+        assert K == kernel_on_fiber(problem, (0.0,), (0.5,)) == 0.3978873577297387
 
 
 class TestBatchedAgainstPerPoint:
@@ -351,6 +365,55 @@ class TestBatchedAgainstPerPoint:
     @given(data=st.data())
     def test_large_shifts_match_in_log_space(self, data):
         self.check(*data.draw(batched_problems("split_large")), log=True)
+
+
+class TestRowBlocks:
+    """fiber_kernels runs the kernel body in blocks of ROWS rows, each on the
+    tables of its own fiber points."""
+
+    def test_rows_across_block_boundaries_match_their_own_calls(self):
+        # 1,100 rows, each with its own fiber point, cross the boundaries at
+        # 512 and 1,024; the rows at w = 0 and z = 0 on them vanish
+        from xibergman.fiberwise import ROWS
+
+        rng = np.random.default_rng(11)
+        P = 1100
+        assert 2 * ROWS < P
+        W = 0.6 * (rng.uniform(-1, 1, (P, 1)) + 1j * rng.uniform(-1, 1, (P, 1)))
+        W[[0, 511, 512, 1023, 1024]] = 0.0
+        Z = 0.5 * (rng.uniform(-1, 1, (P, 2)) + 1j * rng.uniform(-1, 1, (P, 2)))
+        Z[[0, 511, 512, 1023, 1024]] = 0.0
+        problem = pstar_problem()
+        problem.family = FunctionalFamily(2, 1, {
+            (0, 1): PolyW.constant(1.0, 1), (1, 1): PolyW(1, {(1,): 0.5})})
+        K = kernel_on_fiber(problem, W, Z)
+        alone = [kernel_on_fiber(problem, tuple(w), tuple(z))
+                 for w, z in zip(W.tolist(), Z.tolist())]
+        assert K.tolist() == alone
+        assert K[[0, 511, 512, 1023, 1024]].tolist() == [0.0] * 5
+
+    def test_a_long_joint_circle_stays_within_its_blocks(self):
+        # a 4,096-sample joint circle has a fiber point per row; with the
+        # tables of all of them taken at once its peak was 75 MiB
+        import tracemalloc
+
+        problem = pstar_problem(degree=10)
+        problem.family = FunctionalFamily(2, 1, {
+            (0, 1): PolyW.constant(1.0, 1), (1, 1): PolyW(1, {(1,): 0.5})})
+
+        def circle(samples):
+            return Circle((0.1, 0.2), (0.35,), 0.25, samples, "joint",
+                          (0.5, 0.5), (0.5,))
+
+        scan_psh(problem, (0.1, 0.2), [circle(16)])  # imports and caches
+        tracemalloc.start()
+        try:
+            report = scan_psh(problem, (0.1, 0.2), [circle(4096)])[0][0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 20 * 2**20
 
 
 class TestSubmeanCheck:

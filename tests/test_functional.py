@@ -116,6 +116,9 @@ class TestDegreeAndNorm:
 
     def test_degree_max_support(self):
         assert Functional(2, {(1, 2): 1.0, (0, 1): 1.0}).degree == 3
+        # every coefficient is kept; the degree reads the nonzero ones
+        xi = Functional(1, {(3,): 0.0, (2,): 1e-20, (1,): 1.0})
+        assert len(xi.coeffs) == 3 and xi.degree == 2
 
     def test_norm_at_rho_weighted_l1(self):
         xi = Functional(1, {(0,): 3.0, (2,): 4.0})
