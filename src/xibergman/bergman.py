@@ -418,9 +418,10 @@ def assemble_gram(
     domain center, and the ``polar_rule`` quadrature on every other disc
     (off-center quadratics and log poles); tensor Gauss-Legendre quadrature
     only for weights without one (the pair quadratic and lone divisors with
-    c != 1, fiber or joint).  "quadrature" takes the polar rule on every
-    disc; "closed" forces the exact moments (UnsupportedWeightError when a
-    factor is not radial, and for every divisor weight).
+    c != 1, fiber or joint).  "quadrature", or a nonzero ``inner_cutoff``
+    (it removes |z_i - center_i| < inner_cutoff), takes the polar rule on
+    every disc; "closed" forces the exact moments (UnsupportedWeightError
+    when a factor is not radial, for a cutoff and for every divisor weight).
     """
     if degree < 0:
         raise ValueError("basis degree must be >= 0")
@@ -472,10 +473,10 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
         model.gram = np.zeros((0, 0), dtype=complex)
         return model
 
-    if method == "quadrature":
-        exact = [False] * domain.arity
-    elif method == "closed" and not all(exact):
-        raise UnsupportedWeightError("closed-form moments unavailable for this weight")
+    if method == "quadrature" or quad.inner_cutoff:
+        exact = [False] * domain.arity  # the cutoff's annulus on every disc
+    if method == "closed" and not all(exact):
+        raise UnsupportedWeightError("no closed form for this weight or inner cutoff")
     if form is None:
         _refuse_divisor_zeros(weight, domain)
         model.gram = _tensor_quadrature_gram(model, quad)

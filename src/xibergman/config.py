@@ -7,8 +7,10 @@ missing keys, and builds the object's meaning from the values read.  Each
 command (``cli``), weight variant (``weights``), polynomial and family
 (``family``), functional (``functional``), ideal (``ideal``) and quadrature
 rule (``bergman``) has one table beside the object it builds, and a config
-is read by one walk of its command's table.  This module imports nothing
-from the package, so every layer can use it.
+is read by one walk of its command's table.  One naming rule ties a key to
+the attribute that holds its value, ``zArity`` to ``z_arity``
+(``_attribute``, and ``_key`` back), so a table also writes its object.
+This module imports nothing from the package, so every layer can use it.
 
 Numbers are strict.  An integer slot takes a JSON integer, and a real slot a
 finite JSON number (an integer too); neither takes a bool or a string.  A
@@ -103,15 +105,27 @@ point = list_of(cx)  # a point: one complex number per coordinate
 multi_index = list_of(integer)
 
 
+def _attribute(key: str) -> str:
+    """The attribute that holds the value of a JSON key: zArity is z_arity."""
+    return "".join("_" + c.lower() if c.isupper() else c for c in key)
+
+
+def _key(attribute: str) -> str:
+    """The JSON key of an attribute, the inverse of ``_attribute``."""
+    head, *rest = attribute.split("_")
+    return head + "".join(map(str.capitalize, rest))
+
+
 class Table:
     """The reader of a JSON object.  ``keys`` maps each key to its reader,
     or, for an optional key, to the pair (reader, value when absent).
     ``build``, if given, makes the object's meaning from the values of the
     keys, in the order of ``keys``; without it the meaning is the dict of
-    the values by key."""
+    the values by key.  ``names`` pairs each key with its attribute."""
 
     def __init__(self, keys: dict, build=None):
         self.order = tuple(keys)
+        self.names = tuple((k, _attribute(k)) for k in keys)
         self.readers = {k: r[0] if isinstance(r, tuple) else r
                         for k, r in keys.items()}
         self.defaults = {k: r[1] for k, r in keys.items() if isinstance(r, tuple)}
@@ -137,9 +151,10 @@ class Table:
 
 def variants(**tables: Table):
     """The reader of a JSON object whose ``"variant"`` key names the table
-    that reads it."""
+    that reads it; ``tables`` holds those tables by variant."""
     for table in tables.values():
         table.readers["variant"] = str  # read below; not passed to build
+        table.names += (("variant", "variant"),)
 
     def read(x):
         name = x.get("variant") if isinstance(x, dict) else None
@@ -147,6 +162,7 @@ def variants(**tables: Table):
             raise ConfigError(f"unknown variant {name!r}: expected an object "
                               f"whose variant is one of {sorted(tables)}")
         return tables[name](x)
+    read.tables = tables
     return read
 
 

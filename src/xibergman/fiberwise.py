@@ -40,7 +40,7 @@ direct numerical rendering of log-plurisubharmonicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .bergman import (
     GramModel,
     QuadSpec,
     TaylorShift,
+    _distinct,
     _inside,
     _kernel_rows,
     _points_in,
@@ -57,8 +58,8 @@ from .bergman import (
     assemble_gram,
     orthonormalize,
 )
-from .config import ConfigError
-from .weights import Polydisc, check_joint_weight, divisor_split
+from .config import ConfigError, _key
+from .weights import Polydisc, _to_json, check_joint_weight, divisor_split
 
 SUBMEAN_TOL = 1e-3
 #: rows per block of ``fiber_kernels``, each block with the tables of its own
@@ -87,6 +88,9 @@ class FamilyProblem:
 
 @dataclass
 class PshReport:
+    """One circle's submean verdict; ``to_json`` writes each field under the
+    camelCase of its name (``config._key``), center_value as centerValue."""
+
     center: tuple
     radius: float
     samples: int
@@ -103,23 +107,10 @@ class PshReport:
         return self.verdict == "PASS"
 
     def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, complex):
-                return [x.real, x.imag]
-            return x
+        return _to_json(self, _REPORT_NAMES)
 
-        return {
-            "center": [enc(c) for c in self.center],
-            "radius": self.radius,
-            "samples": self.samples,
-            "centerValue": self.center_value,
-            "circleAverage": self.circle_average,
-            "maxViolation": self.max_violation,
-            "infinityCount": self.infinity_count,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "diagnostic": self.diagnostic,
-        }
+
+_REPORT_NAMES = tuple((_key(f.name), f.name) for f in fields(PshReport))
 
 
 def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
@@ -201,11 +192,11 @@ def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
     local in z and global in w.  A joint weight psi(z) + s(w) has one model,
     of psi, for every fiber, up to the scalar shift s(w).  Any other joint
     weight (the pair quadratic, joint divisors with c != 1) gets one model
-    per distinct row of W.  The models live for this call only.  A given
-    model (the central fiber model of ``extension``) replaces the one a
-    fiber weight would get when its weight, domain, degree and quadrature
-    are those of that fiber (``_is_model_of``): the Gram would be assembled
-    and orthonormalized again, identically.
+    per distinct row of W (``bergman._distinct``, by bytes).  The models live
+    for this call only.  A given model (the central fiber model of
+    ``extension``) replaces the one a fiber weight would get when its
+    weight, domain, degree and quadrature are those of that fiber: the Gram
+    would be assembled and orthonormalized again, identically.
     """
     n, m = fiber_domain.arity, W.shape[1]
     divisor, jw = divisor_split(joint_weight)
@@ -218,13 +209,13 @@ def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
         fibers = [(psi, np.arange(len(W)))]
     else:
         s = np.zeros(len(W))
-        groups: dict[tuple, list[int]] = {}
-        for i, w in enumerate(W.tolist()):
-            groups.setdefault(tuple(w), []).append(i)
-        fibers = [(jw.fiber(w), np.array(rows)) for w, rows in groups.items()]
+        points, at = _distinct(W, len(W))
+        rows = np.split(np.argsort(at, kind="stable"), np.cumsum(np.bincount(at))[:-1])
+        fibers = [(jw.fiber(w), r) for w, r in zip(points.tolist(), rows)]
     models = []
     for fw, rows in fibers:
-        if _is_model_of(given, fiber_domain, degree, quad, fw):
+        if given is not None and (given.domain, given.degree, given.quad,
+                                  given.weight) == (fiber_domain, degree, quad, fw):
             model = given if given.transform is not None else orthonormalize(given)
         else:
             model = orthonormalize(assemble_gram(fiber_domain, fw, degree, quad))
@@ -234,14 +225,6 @@ def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
             E, C, S = _times_poly(g, np.hstack([E, np.zeros((len(E), m), dtype=int)]))
         models.append((TaylorShift(alphas, E, C, S, n, model.size), rows, model))
     return models, s
-
-
-def _is_model_of(model: GramModel | None, domain: Polydisc, degree: int,
-                 quad: QuadSpec, weight) -> bool:
-    """Whether model is the one the fiber domain, degree and quadrature give
-    the fiber weight: built again, it would be identical."""
-    return model is not None and (model.domain, model.degree, model.quad) == (
-        domain, degree, quad) and model.weight == weight
 
 
 class Circle(NamedTuple):

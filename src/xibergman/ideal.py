@@ -71,13 +71,13 @@ from .bergman import QuadSpec, _points_in
 from .config import Table, integer, list_of
 from .family import (
     POLY_TERMS, FunctionalFamily, PolyW, TermMatrix, _live, _terms_to_json,
-    poly_to_json,
 )
 from .fiberwise import fiber_kernels
 from .functional import ArityMismatchError, MultiIndex, multi_indices_upto
 from .weights import (
     JointLogDivisor,
     Polydisc,
+    _to_json,
     check_joint_weight,
     divisor_generator,
     lift,
@@ -849,22 +849,17 @@ def krull_stabilize(
 # JSON / CSV helpers
 # ---------------------------------------------------------------------------
 
-def ideal_to_json(fam: IdealFamily) -> dict:
-    return {
-        "zArity": fam.z_arity,
-        "wArity": fam.w_arity,
-        "truncation": fam.truncation,
-        "generators": [poly_to_json(g) for g in fam.generators],
-    }
-
-
 #: the key table of an ideal family: its arities, jet order and generators
-#: (polynomials in (z, w), each a term list)
+#: (polynomials in (z, w), each a term list); ``ideal_to_json`` writes it
 IDEAL = Table(
     {"zArity": integer, "wArity": integer, "truncation": integer,
      "generators": list_of(POLY_TERMS)},
     lambda n, m, N, gens: IdealFamily(n, m, [PolyW(n + m, g) for g in gens], N),
 )
+
+
+def ideal_to_json(fam: IdealFamily) -> dict:
+    return _to_json(fam, IDEAL.names)
 
 
 def ideal_from_json(obj: dict) -> IdealFamily:

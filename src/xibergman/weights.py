@@ -19,8 +19,9 @@ and ``extension`` read it.
 the catalog: the membership oracle and the Lambda scan of ``ideal`` read
 it.  A joint weight of the form psi(z) + s(w) states that split
 once, in its ``shift_split``; ``fiberwise`` builds one fiber model of psi for
-all of its fibers.  ``WEIGHT`` reads a weight from its JSON config object,
-by one key table per variant (see ``config``), and ``DOMAIN`` a polydisc.
+all of its fibers.  ``WEIGHT`` is the one schema of a weight's JSON object,
+one key table per variant (see ``config``), which ``weight_to_json`` writes
+as it reads; ``DOMAIN`` reads a polydisc.
 """
 
 from __future__ import annotations
@@ -645,49 +646,30 @@ def polar_rule(R: float, radial_nodes: int, angular_nodes: int,
 # ---------------------------------------------------------------------------
 
 def weight_to_json(spec) -> dict:
-    v = spec.variant
-    if v == "zero":
-        return {"variant": v, "arity": spec.arity}
-    if v == "constant":
-        return {"variant": v, "arity": spec.arity, "value": spec.value}
-    if v == "quadratic":
-        return {
-            "variant": v,
-            "coeffs": list(spec.coeffs),
-            "center": [[c.real, c.imag] for c in spec.center],
-        }
-    if v == "log_monomial":
-        return {"variant": v, "coeffs": list(spec.coeffs)}
-    if v == "log_divisor":
-        return {
-            "variant": v,
-            "c": spec.c,
-            "arity": spec.g.arity,
-            "g": poly_to_json(spec.g),
-        }
-    if v == "sum":
-        return {"variant": v, "parts": [weight_to_json(p) for p in spec.parts]}
-    if v == "joint_zero":
-        return {"variant": v, "zArity": spec.z_arity, "wArity": spec.w_arity}
-    if v == "joint_log_divisor":
-        return {
-            "variant": v,
-            "zArity": spec.z_arity,
-            "c": spec.c,
-            "arity": spec.g.arity,
-            "g": poly_to_json(spec.g),
-        }
-    if v == "joint_quadratic_split":
-        return {"variant": v, "cz": list(spec.cz), "cw": list(spec.cw)}
-    if v == "joint_pair_quadratic":
-        return {"variant": v, "coeffs": list(spec.coeffs)}
-    if v == "w_independent":
-        return {
-            "variant": v,
-            "wArity": spec.w_arity,
-            "base": weight_to_json(spec.base),
-        }
-    raise UnsupportedWeightError(f"cannot serialize weight variant {v!r}")
+    """The JSON object of a weight: the keys of its variant's table in
+    ``WEIGHT``, each the attribute of its name."""
+    table = WEIGHT.tables.get(spec.variant)
+    if table is None:
+        raise UnsupportedWeightError(f"cannot serialize weight variant {spec.variant!r}")
+    return _to_json(spec, table.names)
+
+
+def _to_json(x, names=()):
+    """x as the lab writes it in JSON.  With names, (key, attribute) pairs,
+    the object of each attribute's value under its key; else a PolyW as its
+    terms (``poly_to_json``), a complex number as [re, im], a tuple or list
+    as a list, a weight by ``weight_to_json``, and anything else as it is."""
+    if names:
+        return {k: _to_json(getattr(x, a)) for k, a in names}
+    if isinstance(x, (float, int, str)):  # the commonest, tested first
+        return x
+    if isinstance(x, (tuple, list)):
+        return [_to_json(v) for v in x]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, PolyW):
+        return poly_to_json(x)
+    return weight_to_json(x) if hasattr(type(x), "variant") else x
 
 
 #: the reader of a weight: one key table per variant

@@ -176,6 +176,25 @@ class TestGramAssembly:
         with pytest.raises(ValueError):
             QuadSpec(inner_cutoff=0.5).validate_for(Polydisc((1.0,)))
 
+    def test_inner_cutoff_is_one_domain_on_every_disc(self):
+        # exact moments are those of the whole disc: under "auto" a centered
+        # quadratic ignored the cutoff (K = 0.5035588255089833) while
+        # "quadrature" integrated over the annulus 0.05 < |z| < 1
+        quad = QuadSpec(inner_cutoff=0.05)
+        D, wt = Polydisc((1.0,)), QuadraticWeight((1.0,))
+        K = [xi_kernel(orthonormalize(assemble_gram(D, wt, 6, quad, method)),
+                       DIRAC1, (0j,)) for method in ("auto", "quadrature")]
+        assert K[0] == K[1] == 0.5055557719239062
+        with pytest.raises(UnsupportedWeightError, match="inner cutoff"):
+            assemble_gram(D, wt, 6, quad, "closed")
+        # two discs, one exact and one not: one annulus rule on both
+        D2 = Polydisc((1.0, 0.8))
+        two = QuadraticWeight((1.0, 2.0), (0j, 0.3))
+        auto = assemble_gram(D2, two, 4, quad)
+        assert np.array_equal(auto.gram,
+                              assemble_gram(D2, two, 4, quad, "quadrature").gram)
+        assert not np.array_equal(auto.gram, assemble_gram(D2, two, 4).gram)
+
 
 @st.composite
 def radial_problems(draw):

@@ -72,6 +72,20 @@ class TestKernelCommand:
         out = payload(tmp_path / "kernel.json")
         assert out["K"] == 0.0 and out["logK"] == "-inf"
 
+    def test_inner_cutoff_is_honoured_by_every_method_or_refused(self, tmp_path):
+        # a centered quadratic took exact whole-disc moments under "auto"
+        cfg = {**json.loads((CONFIGS / "kernel_disc_dirac.json").read_text()),
+               "weight": {"variant": "quadratic", "coeffs": [1.0]}, "degree": 6,
+               "quadrature": {"innerCutoff": 0.05}}
+        K = {}
+        for method in ("auto", "quadrature", "closed"):
+            (tmp_path / f"{method}.json").write_text(json.dumps({**cfg, "method": method}))
+            code = run("kernel", tmp_path / f"{method}.json", tmp_path / method)
+            assert code == (2 if method == "closed" else 0)
+            if code == 0:
+                K[method] = payload(tmp_path / method / "kernel.json")["K"]
+        assert K["auto"] == K["quadrature"] == 0.5055557719239062
+
     def test_invalid_schema_exits_2_without_output(self, tmp_path):
         bad = tmp_path / "bad.json"
         cfg = json.loads((CONFIGS / "kernel_disc_dirac.json").read_text())
@@ -245,6 +259,15 @@ class TestScanPshCommand:
         assert code == 1
         reports = payload(tmp_path / "psh_report.json")["reports"]
         assert any(r["verdict"] == "FAIL" for r in reports)
+
+    @pytest.mark.parametrize("name", ["scan_pstar", "scan_control"])
+    def test_report_keys_are_the_camel_case_report_fields(self, tmp_path, name):
+        run("scan-psh", CONFIGS / f"{name}.json", tmp_path)
+        reports = payload(tmp_path / "psh_report.json")["reports"]
+        assert reports and all(r.keys() == {
+            "center", "radius", "samples", "centerValue", "circleAverage",
+            "maxViolation", "infinityCount", "verdict", "tolerance", "diagnostic",
+        } for r in reports)
 
     def test_circle_exceeding_base_domain_exits_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "scan_pstar.json").read_text())

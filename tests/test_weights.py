@@ -445,6 +445,10 @@ def numeric_leaves(x, path=()):
 
 
 class TestJson:
+    def test_unknown_variant_is_refused(self):
+        with pytest.raises(UnsupportedWeightError, match="'odd'"):
+            weight_to_json(type("Odd", (), {"variant": "odd"})())
+
     @given(catalog_weights())
     @settings(max_examples=200, deadline=None)
     def test_round_trip_catalog(self, spec):
