@@ -4,10 +4,12 @@ A GramModel holds a finite monomial (or divisor-factored) basis together
 with the Gram matrix of the weighted inner product.  After eigenvalue
 orthonormalization, the kernel value at z for a functional xi is the squared
 norm of the vector of actions of xi on the orthonormal basis, which equals
-the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.  The
-eigenvalues are those of the equilibrated Gram D^-1/2 G D^-1/2 (D = diag G),
-so the relative cutoff drops the nearly dependent directions of the basis,
-not the elements of small norm.
+the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
+``orthonormal_frame`` is the one orthonormalization of a Gram, for the
+kernels and for the extension solve of ``extension``: the eigenvalues are
+those of the equilibrated Gram D^-1/2 G D^-1/2 (D = diag G), so the
+relative cutoff drops the nearly dependent directions of the basis, not the
+elements of small norm.
 
 Every catalog weight but a divisor has a per-coordinate form
 (``weights.coordinate_form``): its Gram is an entrywise product of one-disc
@@ -109,7 +111,7 @@ QUADRATURE = Table({"radialNodes": (integer, QuadSpec.radial_nodes),
 
 @dataclass
 class GramModel:
-    """A truncated basis, its Gram matrix and (once orthonormalized) V / sqrt(lam).
+    """A truncated basis, its Gram matrix and (once orthonormalized) its frame.
 
     Basis element j is the polynomial sum_t coeffs[t] u^exps[t] over the
     terms t with seg[t] == j, in the local coordinates u = z - center of the
@@ -485,69 +487,51 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
     return model
 
 
-def hermitian_eig(G: np.ndarray):
-    """(lam, V, keep) of a Hermitian G: the eigenvalues ascending, their
-    eigenvectors, and the mask of the kept eigenvalues,
-    lam > EIG_CUTOFF_REL lam_max (none when lam_max <= 0).
+def orthonormal_frame(G: np.ndarray):
+    """(T, lam): the columns of T orthonormalize the basis of the Hermitian
+    Gram G, and lam holds the eigenvalues of the equilibrated s G s,
+    ascending, s = D^-1/2 (D = diag G, s = 0 where D <= 0).
 
     The one eigendecomposition of a Gram matrix: ``orthonormalize`` and the
-    Schur solve of ``extension`` read it on the equilibrated Gram
-    (``equilibrated_eig``), and the KKT scale of ``extension`` on the Gram
-    itself.  On a PSD matrix, whose singular values are its eigenvalues,
-    the cutoff is lstsq's rcond.  A G whose off-diagonal is exactly zero
-    (the closed-form and divisor paths, equilibrated or not) is not passed
-    to ``eigh``: its eigenvalues are its sorted diagonal and V is the
+    Schur solve of ``extension`` read it.  With s G s = V diag(lam) V^H,
+    T = s V / sqrt(lam) on the kept pairs, lam > EIG_CUTOFF_REL lam_max
+    (none when lam_max <= 0), so T^H G T = I and T T^H is the pseudo-inverse
+    of G with the dropped directions removed: lstsq's rcond on the PSD
+    s G s, in the coordinates y / s.  The cutoff is taken on s G s, so that
+    elements whose norms span more than 1 / EIG_CUTOFF_REL, each well
+    conditioned (pi R^(2k + 2) / (k + 1) over k <= 40 on a disc of radius
+    2), are all kept: it drops the nearly dependent directions of the
+    basis, not the elements of small norm.  An s G s whose off-diagonal is
+    exactly zero (the closed-form and divisor paths) is not passed to
+    ``eigh``: its eigenvalues are its sorted diagonal and V is the
     permutation that sorts it.  Tied eigenvalues may then come in another
     order than ``eigh`` gives them.
     """
     d = G.diagonal().real
-    if np.array_equal(G, np.diag(d)):
-        order = np.argsort(d, kind="stable")
-        lam, V = d[order], np.zeros(G.shape, dtype=complex)
-        V[order, np.arange(len(d))] = 1.0
-    else:
-        lam, V = np.linalg.eigh(G)
-    lmax = float(lam[-1]) if len(lam) else 0.0
-    return lam, V, lam > max(EIG_CUTOFF_REL * lmax, 0.0)
-
-
-def unit_scale(G: np.ndarray) -> np.ndarray:
-    """s = D^-1/2, D = diag G (0 where D <= 0): s G s, the Gram of the basis
-    scaled to unit norms, is the equilibrated Gram."""
-    d = G.diagonal().real
     s = np.zeros(len(d))
     s[d > 0] = 1.0 / np.sqrt(d[d > 0])
-    return s
-
-
-def equilibrated_eig(G: np.ndarray):
-    """(lam, W, keep): the ``hermitian_eig`` (lam, V, keep) of the equilibrated
-    s G s, s = ``unit_scale(G)``, with W = s V, so that W^H G W = diag(lam).
-
-    The relative cutoff is taken on s G s, so that elements whose norms span
-    more than 1 / EIG_CUTOFF_REL, each well conditioned (pi R^(2k + 2) /
-    (k + 1) over k <= 40 on a disc of radius 2), are all kept: it drops the
-    nearly dependent directions of the basis, not the elements of small
-    norm.  ``orthonormalize`` and the Schur solve of ``extension`` read it.
-    """
-    s = unit_scale(G)
-    lam, V, keep = hermitian_eig(s[:, None] * G * s)
-    return lam, s[:, None] * V, keep
+    E = s[:, None] * G * s
+    e = E.diagonal().real
+    if np.array_equal(E, np.diag(e)):
+        order = np.argsort(e, kind="stable")
+        lam, V = e[order], np.zeros(G.shape, dtype=complex)
+        V[order, np.arange(len(e))] = 1.0
+    else:
+        lam, V = np.linalg.eigh(E)
+    lmax = float(lam[-1]) if len(lam) else 0.0
+    keep = lam > max(EIG_CUTOFF_REL * lmax, 0.0)
+    return s[:, None] * V[:, keep] / np.sqrt(lam[keep]), lam
 
 
 def orthonormalize(model: GramModel) -> GramModel:
-    """Eigendecompose the equilibrated Gram and retain its stable part.
-
-    The eigenpairs (lam, W) of the Hermitian part of the Gram and the kept
-    ones come from ``equilibrated_eig``, with the exactly diagonal shortcut
-    of ``hermitian_eig``; W / sqrt(lam) on the kept ones orthonormalizes
-    the basis.  ``eigenvalues`` holds lam, which does not move under
-    psi -> psi + c.
+    """Orthonormalize the basis on the Hermitian part of its Gram
+    (``orthonormal_frame``): ``transform`` holds the frame, ``eigenvalues``
+    those of the equilibrated Gram, which do not move under psi -> psi + c,
+    and ``rank`` the number of kept directions.
     """
-    lam, W, keep = equilibrated_eig(0.5 * (model.gram + np.conj(model.gram).T))
-    model.eigenvalues = lam
-    model.transform = W[:, keep] / np.sqrt(lam[keep])[None, :]
-    model.rank = int(keep.sum())
+    model.transform, model.eigenvalues = orthonormal_frame(
+        0.5 * (model.gram + np.conj(model.gram).T))
+    model.rank = model.transform.shape[1]
     return model
 
 
@@ -579,19 +563,11 @@ def _rows(x, arity: int) -> np.ndarray:
     return a
 
 
-def _inside(domain: Polydisc, P: np.ndarray, slack: float = 1e-9) -> np.ndarray:
-    """Row mask of ``domain.contains`` over the points P."""
-    return np.all(
-        np.abs(P - np.array(domain.center)) < np.array(domain.radii) + slack,
-        axis=1,
-    )
-
-
 def _points_in(domain: Polydisc, x, what: str) -> np.ndarray:
     """x as (P, arity) rows (``_rows``); ValueError names the first point
     outside the domain."""
     P = _rows(x, domain.arity)
-    outside = ~_inside(domain, P)
+    outside = ~domain.contains(P)
     if outside.any():
         raise ValueError(f"{what} {tuple(P[outside][0])} outside domain")
     return P
@@ -711,7 +687,7 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
     orthonormalized by model's transform: the model's own basis, or that
     basis times a divisor g(z, w) (``fiberwise``), whose Gram is the same.
     lam_max is the largest eigenvalue of the equilibrated Gram s G s
-    (``orthonormalize``), s = ``unit_scale(G)``, and r bounds the actions u
+    (``orthonormal_frame``), s = D^-1/2, and r bounds the actions u
     on the basis: the actions of max_alpha |X[p, alpha]| on every alpha with
     X[p, alpha] != 0, over the moduli of the terms' z-factors and of w, so
     |u[p, j]| <= r[p, j] for every functional whose coefficients are at most
@@ -729,7 +705,7 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
     X = np.asarray(X)
     top2 = np.abs(X).max(axis=1, initial=0.0) ** 2
     d = model.gram.diagonal().real
-    s2 = np.divide(1.0, d, out=np.zeros(len(d)), where=d > 0)  # unit_scale(G)^2
+    s2 = np.divide(1.0, d, out=np.zeros(len(d)), where=d > 0)  # s^2
 
     def vanish(rows, r):
         return K[rows] * lam_max <= KERNEL_ZERO_TOL * ((r * r) @ s2) * top2[rows]

@@ -32,9 +32,9 @@ log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets,
-the factorization of the free block G_FF (the eigenpairs of the
-equilibrated block above the EIG_CUTOFF_REL cutoff, from
-``bergman.equilibrated_eig``) and the KKT scale.
+the factor T of the free block G_FF (its ``bergman.orthonormal_frame``, the
+frame the kernels use, so T T^H is the pseudo-inverse of G_FF under the
+EIG_CUTOFF_REL cutoff) and the KKT scale ||G||_inf.
 None depends on the datum, so the diagnostic solves its extremal datum
 against the same joint model and factorization (``with_datum``).  The
 result's central fiber model, built once, gives both fiber norms and the
@@ -58,9 +58,8 @@ from .bergman import (
     TaylorShift,
     _recentered,
     assemble_gram,
-    equilibrated_eig,
     extremal_function,
-    hermitian_eig,
+    orthonormal_frame,
 )
 from .family import PolyW
 from .fiberwise import fiber_kernels
@@ -145,7 +144,7 @@ class ExtensionResult:
     """The minimal extension of a problem's datum, and what its solve used.
 
     The Hermitian part of the joint Gram, the fixed and free index sets, the
-    kept eigenpairs of the free block G_FF and the KKT scale depend on the
+    factor of the free block G_FF and the KKT scale depend on the
     problem but not on its datum, so ``with_datum`` solves another datum on
     the same fiber against them, with no second factorization.  The central
     fiber model is built on first use and shared with those results.
@@ -158,8 +157,8 @@ class ExtensionResult:
     gram: np.ndarray  # Hermitian part of the joint Gram
     fixed: dict[MultiIndex, int]  # fiber label alpha -> its k = 0 element
     free: np.ndarray  # the k > 0 elements
-    factor: tuple[np.ndarray, np.ndarray]  # kept eigenpairs (lam, V) of G_FF
-    gram_norm: float  # max |lambda(G)| = ||G||_2, the scale of the KKT residual
+    factor: np.ndarray  # orthonormal frame T of G_FF: T T^H = pinv(G_FF)
+    gram_norm: float  # ||G||_inf >= ||G||_2, the scale of the KKT residual
     fiber: GramModel | None = None  # central fiber model, see fiber_model
 
     def joint_poly(self) -> PolyW:
@@ -198,9 +197,10 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
     coefficients b to those of f in (z - center)^alpha, or of f / g(., w0) on
     a divisor basis g (z - center)^alpha (w - w0)^k.  The free coefficients
     y minimize the norm: G_FF y = -G_FC b (Schur complement), solved on the
-    kept eigenpairs of G_FF (``_pinv_factor``), which the result keeps for
-    ``with_datum``.  The KKT scale is max |lambda(G)|, the largest modulus
-    of the diagonal when G is diagonal.
+    orthonormal frame of G_FF (``bergman.orthonormal_frame``), which the
+    result keeps for ``with_datum``.  The KKT scale is ||G||_inf, the
+    largest absolute row sum: max |lambda(G)| when G is diagonal, and a
+    bound on it otherwise.
     """
     model = _joint_gram(prob)
     fixed = {a[:-1]: j for j, a in enumerate(model.basis_labels) if a[-1] == 0}
@@ -208,35 +208,21 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
         [j for j, a in enumerate(model.basis_labels) if a[-1] != 0], dtype=int
     )
     G = 0.5 * (model.gram + np.conj(model.gram).T)
-    gram_norm = float(np.abs(hermitian_eig(G)[0]).max(initial=0.0))
-    return _solve(prob, model, G, fixed, free, _pinv_factor(G[np.ix_(free, free)]),
-                  gram_norm)
-
-
-def _pinv_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs (lam, W) of a Hermitian G that ``equilibrated_eig`` keeps.
-
-    W diag(1 / lam) W^H is the pseudo-inverse of G with the eigenvalues of
-    the equilibrated s G s at or below EIG_CUTOFF_REL lam_max dropped:
-    lstsq's rcond on the PSD s G s, in the coordinates y / s.
-    """
-    lam, W, keep = equilibrated_eig(G)
-    return lam[keep], W[:, keep]
-
-
-def _pinv_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """The minimum-norm least-squares solution of G y = rhs on G's factor."""
-    lam, V = factor
-    return V @ ((np.conj(V).T @ rhs) / lam)
+    gram_norm = float(np.abs(G).sum(axis=1).max(initial=0.0))
+    return _solve(prob, model, G, fixed, free,
+                  orthonormal_frame(G[np.ix_(free, free)])[0], gram_norm)
 
 
 def _fill_free(c: np.ndarray, G: np.ndarray, free: np.ndarray,
-               factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+               T: np.ndarray) -> np.ndarray:
     """c, zero on the free elements F, with c[F] = y solving G_FF y = -G_FC b
-    for its fixed part b: the joint coefficients of the minimal extension."""
+    for its fixed part b: the joint coefficients of the minimal extension.
+
+    T is the orthonormal frame of G_FF, so y = T T^H (-G_FC b) is the
+    minimum-norm least-squares solution under the frame's cutoff."""
     if len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
-        c[free] = _pinv_solve(factor, -G[free] @ c)
+        c[free] = T @ (np.conj(T).T @ (-G[free] @ c))
     return c
 
 

@@ -50,7 +50,6 @@ from .bergman import (
     QuadSpec,
     TaylorShift,
     _distinct,
-    _inside,
     _kernel_rows,
     _points_in,
     _recentered,
@@ -327,7 +326,7 @@ def _track(problem: FamilyProblem, c: Circle, z: np.ndarray):
             raise ConfigError("a joint circle needs dz and dw")
         dw = _coordinates(c.dw, base.arity, "dw")
         Z = _line(z0, _coordinates(c.dz, fiber.arity, "dz"), tr, ti)
-        if not _inside(fiber, Z).all():
+        if not fiber.contains(Z).all():
             raise ConfigError("line leaves the fiber domain")
     else:
         dw, Z = np.eye(1, base.arity, dtype=complex)[0], None
@@ -440,8 +439,8 @@ def usc_spot_check(
     Z, W, level = [z0[None]], [w0[None]], [-1]
     for k, s in enumerate(scales):
         Zs, Ws = z0 + s * offs[:, :n], w0 + s * offs[:, n:]
-        keep = (_inside(problem.fiber_domain, Zs, slack=0)
-                & _inside(problem.base_domain, Ws, slack=0))
+        keep = (problem.fiber_domain.contains(Zs, slack=0)
+                & problem.base_domain.contains(Ws, slack=0))
         Z.append(Zs[keep])
         W.append(Ws[keep])
         level += [k] * int(keep.sum())

@@ -62,14 +62,18 @@ class Polydisc:
     def arity(self) -> int:
         return len(self.radii)
 
-    def contains(self, z: Sequence[complex], slack: float = 1e-12) -> bool:
-        z = tuple(complex(x) for x in z)
-        if len(z) != self.arity:
+    def contains(self, z, slack: float = 1e-9):
+        """Whether the point z lies in the polydisc widened by slack,
+        |z_i - center_i| < radius_i + slack on every disc; given (count,
+        arity) rows, the row mask.  The one containment rule: the point
+        gates of the kernels read it.
+        """
+        P = np.asarray(z, dtype=complex)
+        if P.ndim > 2 or P.shape[-1:] != (self.arity,):
             raise ArityMismatchError("point arity mismatch")
-        return all(
-            abs(zi - ci) < ri + slack
-            for zi, ci, ri in zip(z, self.center, self.radii)
-        )
+        inside = np.all(np.abs(P - np.array(self.center))
+                        < np.array(self.radii) + slack, axis=-1)
+        return inside if P.ndim == 2 else bool(inside)
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,27 @@ class TestLambdaCommand:
         krull = payload(tmp_path / "o" / "lambda.json")["krull"]
         assert krull["perN"] == {"2": 1, "3": 1, "4": 1}
 
+    def test_lambda_sets_not_nested_disagree_and_exit_1(self, tmp_path, monkeypatch):
+        # Lambda_3 holds a grid point outside Lambda_2 = {0}: the scan at the
+        # truncation agrees with itself, but the Krull check fails
+        from xibergman import ideal
+
+        real_scan = ideal.lambda_scan
+
+        def growing_scan(fam, *args, **kwargs):
+            scan = real_scan(fam, *args, **kwargs)
+            if fam.truncation == 3:
+                scan.lambda_psi = [0] + scan.lambda_psi
+            return scan
+
+        monkeypatch.setattr(ideal, "lambda_scan", growing_scan)
+        assert run("lambda", CONFIGS / "lambda_pstar.json", tmp_path) == 1
+        out = payload(tmp_path / "lambda.json")
+        assert out["agree"] is False and out["mismatches"] == []
+        assert out["krull"]["nested"] is False
+        assert out["krull"]["stabilizedAt"] is None
+        assert out["krull"]["perN"] == {"2": 1, "3": 2}
+
     def test_nmax_builds_each_fiber_model_once(self, tmp_path, monkeypatch):
         # a fiber model depends on neither the jet order nor the grid point
         # under P*: one per jet order (N = 2, 3, 4), shared by the rows of

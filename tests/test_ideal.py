@@ -543,6 +543,31 @@ class TestAnnihilator:
                     s_c = np.linalg.svd(stacked, compute_uv=False)
                     assert int(np.sum(s_c > 1e-9 * s_c[0])) == res.r
 
+    def test_singular_witness_draws_another(self, monkeypatch):
+        # z1 and w z2 at N = 2 have rank 2 wherever w != 0; at the witness
+        # w = 0 the pivot block is singular, and a generic witness serves
+        draws = []
+        real_draw = ideal._generic_point
+        monkeypatch.setattr(ideal, "_generic_point",
+                            lambda *a: draws.append(a) or real_draw(*a))
+        fam = IdealFamily(2, 1, [PolyW(3, {(1, 0, 0): 1.0}),
+                                 PolyW(3, {(0, 1, 1): 1.0})], 2)
+        A = build_coeff_matrix(fam)
+        assert max_rank(A, GRID)[0] == 2
+        res = annihilator(A, 2, (0.0,))
+        assert len(draws) == 1
+        assert res.product_residual < 1e-10
+        assert res.product_residual == reference_product_residual(res)
+        assert res.s == 1 and res.in_U(0.3) and not res.in_U(0.0)
+
+    def test_rank_above_the_maximum_exhausts_the_witnesses(self):
+        # (z1 - z2 w) has rank 1: no 2 x 2 pivot block is nonsingular anywhere
+        A = build_coeff_matrix(IdealFamily(2, 1, [PSTAR_G], 2))
+        r = max_rank(A, GRID)[0]
+        with pytest.raises(DegenerateInputError,
+                           match="no nonsingular pivot block found after 10 witnesses"):
+            annihilator(A, r + 1, (0.3,))
+
     def test_json_dump_structure(self):
         res = build_annihilator(PENCIL, GRID)
         obj = annihilator_to_json(res)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xibergman.bergman import assemble_gram, orthonormalize, xi_kernel
 from xibergman.config import ConfigError
 from xibergman.family import PolyW
-from xibergman.functional import ArityMismatchError
+from xibergman.functional import ArityMismatchError, Functional
 from xibergman.weights import (
     ConstantWeight,
     JointLogDivisor,
@@ -63,6 +64,28 @@ class TestPolydisc:
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             Polydisc((0.0,))
+
+    @pytest.mark.parametrize("x, inside", [(1 + 5e-10, True), (1 + 2e-9, False)])
+    def test_kernels_gate_points_by_contains(self, x, inside):
+        # one containment rule: contains refused 1 + 5e-10 on the unit
+        # disc, where xi_kernel evaluated
+        D = Polydisc((1.0,))
+        assert D.contains((x,)) is inside
+        assert D.contains(np.array([[x], [0.5]])).tolist() == [inside, True]
+        model = orthonormalize(assemble_gram(D, ZeroWeight(1), 4))
+        xi = Functional(1, {(0,): 1.0})
+        if inside:
+            # sum_k (k + 1) / pi |z|^2k over k <= 4, at |z| = 1
+            assert xi_kernel(model, xi, (x,)) == pytest.approx(15 / math.pi, rel=1e-8)
+        else:
+            with pytest.raises(ValueError, match="outside domain"):
+                xi_kernel(model, xi, (x,))
+
+    def test_contains_checks_the_arity(self):
+        with pytest.raises(ArityMismatchError):
+            Polydisc((1.0,)).contains((0.1, 0.1))
+        with pytest.raises(ArityMismatchError):
+            Polydisc((1.0,)).contains(np.zeros((2, 2)))
 
 
 class TestMoments:
