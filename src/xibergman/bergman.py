@@ -9,7 +9,14 @@ the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
 kernels and for the extension solve of ``extension``: the eigenvalues are
 those of the equilibrated Gram D^-1/2 G D^-1/2 (D = diag G), so the
 relative cutoff drops the nearly dependent directions of the basis, not the
-elements of small norm.
+elements of small norm.  It returns a ``Frame`` in one of two forms: for an
+exactly diagonal Gram (the closed-form and divisor paths) the kept column
+indices and their scales, with no eigendecomposition and no p x p array,
+and otherwise the dense matrix of ``eigh``.  The frame applies itself
+wherever it is used (the kernels' actions, the extremal function, the free
+solve of the extension), so no caller reads its form, and
+``GramModel.transform`` is a view of it: the dense p x rank matrix, built
+on request.
 
 Every catalog weight but a divisor has a per-coordinate form
 (``weights.coordinate_form``): its Gram is an entrywise product of one-disc
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -120,8 +127,11 @@ class GramModel:
     exps = labels, coeffs = 1.  These arrays are the only representation of
     the basis: ``basis`` gives global PolyW views of the elements, in powers
     of z, on request, and ``poly_from_coeffs`` the PolyW sum of those views.
-    ``eigenvalues`` are those of the equilibrated Gram, and ``transform``
-    orthonormalizes the basis (``orthonormalize``).
+    ``orthonormalize`` sets ``frame``, the ``Frame`` that orthonormalizes
+    the basis (scaled columns of the identity for an exactly diagonal Gram,
+    a dense matrix otherwise), and ``eigenvalues``, those of the
+    equilibrated Gram.  ``transform`` is a view of the frame: the dense
+    p x rank matrix, built on each read.
     """
 
     domain: Polydisc
@@ -132,8 +142,7 @@ class GramModel:
     coeffs: np.ndarray  # (terms,) complex
     seg: np.ndarray  # (terms,) int
     gram: np.ndarray
-    transform: np.ndarray | None = None
-    rank: int | None = None
+    frame: Frame | None = None
     eigenvalues: np.ndarray | None = None
     quad: QuadSpec | None = None  # the rule assemble_gram was given
 
@@ -144,6 +153,15 @@ class GramModel:
     @property
     def size(self) -> int:
         return len(self.basis_labels)
+
+    @property
+    def transform(self) -> np.ndarray | None:
+        """The frame as a dense p x rank matrix (None before orthonormalize)."""
+        return None if self.frame is None else self.frame.dense()
+
+    @property
+    def rank(self) -> int | None:
+        return None if self.frame is None else self.frame.shape[1]
 
     @cached_property
     def basis(self) -> tuple[PolyW, ...]:
@@ -362,7 +380,8 @@ def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
             f" radii {domain.radii} is {diag[bad][0]}, outside the float range:"
             " lower the degree"
         )
-    return np.diag(G).astype(complex) if diagonal else G
+    # the vector cast first: no real p x p copy beside the complex Gram
+    return np.diag(G.astype(complex)) if diagonal else G
 
 
 def _tensor_quadrature_gram(model: GramModel, quad: QuadSpec) -> np.ndarray:
@@ -487,51 +506,130 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
     return model
 
 
+class Frame:
+    """An orthonormal frame T of a Gram's basis (``orthonormal_frame``), p x
+    rank, in one of two forms that apply themselves alike:
+
+    - dense: ``T`` is the matrix itself (``cols`` None);
+    - scaled columns of the identity, for an exactly diagonal Gram:
+      T[cols[k], k] = T[k], the one nonzero of column k, and no p x p array.
+
+    ``act``, ``coefficients`` and ``solve`` are every use of the frame, so no
+    caller reads its form, and ``dense`` gives the matrix on request.  It
+    also keeps the constants of ``zero_kernels``: the largest eigenvalue
+    lam_max of s G s (0 when there is none) and s2 = 1 / diag G (0 where
+    diag G <= 0), taken on first read: the extension's frames never read it.
+    """
+
+    __slots__ = ("T", "cols", "size", "lam_max", "_d", "_s2")
+
+    def __init__(self, T: np.ndarray, cols: np.ndarray | None, d: np.ndarray,
+                 lam_max: float):
+        self.T, self.cols, self.size = T, cols, len(d)
+        self.lam_max, self._d, self._s2 = lam_max, d, None
+
+    @property
+    def s2(self) -> np.ndarray:
+        if self._s2 is None:
+            d = self._d
+            self._s2 = np.divide(1.0, d, out=np.zeros(len(d)), where=d > 0)
+        return self._s2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.size, self.T.shape[-1]
+
+    def act(self, u: np.ndarray) -> np.ndarray:
+        """u @ T for rows u over the basis: their actions on the frame, C
+        ordered as the product is, so that the kernels' row sums round alike
+        (``u[:, cols]`` comes Fortran ordered)."""
+        if self.cols is None:
+            return _matmul(u, self.T)
+        return u.take(self.cols, axis=1) * self.T
+
+    def coefficients(self, a: np.ndarray) -> np.ndarray:
+        """T @ a: the basis coefficients of sum_k a_k e_k."""
+        if self.cols is None:
+            return self.T @ a
+        c = np.zeros(self.size, dtype=np.result_type(a, complex))
+        c[self.cols] = self.T * a
+        return c
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """T (T^H r): the pseudo-inverse of the Gram, under the frame's
+        cutoff, applied to r."""
+        if self.cols is None:
+            return self.T @ (np.conj(self.T).T @ r)
+        return self.coefficients(self.T * r[self.cols])
+
+    def dense(self) -> np.ndarray:
+        """T as a p x rank complex matrix."""
+        if self.cols is None:
+            return self.T
+        T = np.zeros(self.shape, dtype=complex)
+        T[self.cols, np.arange(len(self.cols))] = self.T
+        return T
+
+
+def _off_diagonal(G: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square G as a strided (p - 1) x p view."""
+    p = len(G)
+    return G.reshape(-1)[1:].reshape(p - 1, p + 1)[:, :p] if p > 1 else G[:0, :0]
+
+
 def orthonormal_frame(G: np.ndarray):
-    """(T, lam): the columns of T orthonormalize the basis of the Hermitian
-    Gram G, and lam holds the eigenvalues of the equilibrated s G s,
-    ascending, s = D^-1/2 (D = diag G, s = 0 where D <= 0).
+    """(frame, lam): the ``Frame`` T orthonormalizes the basis of the Gram G,
+    on its Hermitian part H, and lam holds the eigenvalues of the
+    equilibrated s H s, ascending, s = D^-1/2 (D = diag G, s = 0 where
+    D <= 0).
 
     The one eigendecomposition of a Gram matrix: ``orthonormalize`` and the
-    Schur solve of ``extension`` read it.  With s G s = V diag(lam) V^H,
+    Schur solve of ``extension`` read it.  With s H s = V diag(lam) V^H,
     T = s V / sqrt(lam) on the kept pairs, lam > EIG_CUTOFF_REL lam_max
     (none when lam_max <= 0), so T^H G T = I and T T^H is the pseudo-inverse
     of G with the dropped directions removed: lstsq's rcond on the PSD
-    s G s, in the coordinates y / s.  The cutoff is taken on s G s, so that
+    s H s, in the coordinates y / s.  The cutoff is taken on s H s, so that
     elements whose norms span more than 1 / EIG_CUTOFF_REL, each well
     conditioned (pi R^(2k + 2) / (k + 1) over k <= 40 on a disc of radius
     2), are all kept: it drops the nearly dependent directions of the
-    basis, not the elements of small norm.  An s G s whose off-diagonal is
-    exactly zero (the closed-form and divisor paths) is not passed to
-    ``eigh``: its eigenvalues are its sorted diagonal and V is the
-    permutation that sorts it.  Tied eigenvalues may then come in another
-    order than ``eigh`` gives them.
+    basis, not the elements of small norm.  A G whose off-diagonal is
+    exactly zero (the closed-form and divisor paths), found in one pass over
+    it, is not passed to ``eigh``: lam is its equilibrated diagonal
+    s_j^2 D_j, sorted, and the frame keeps, in that order, the column
+    indices j of the kept entries and their scales s_j / sqrt(lam), the one
+    nonzero of each column of T, with no p x p array.  Tied eigenvalues may
+    then come in another order than ``eigh`` gives them.
     """
-    d = G.diagonal().real
+    diagonal = not _off_diagonal(G).any()
+    H = G if diagonal else 0.5 * (G + np.conj(G).T)
+    d = H.diagonal().real.copy()
     s = np.zeros(len(d))
     s[d > 0] = 1.0 / np.sqrt(d[d > 0])
-    E = s[:, None] * G * s
-    e = E.diagonal().real
-    if np.array_equal(E, np.diag(e)):
+    if diagonal:
+        # (s d) s and s (1 / sqrt(lam)) round as the entries of the dense
+        # s H s and s V / sqrt(lam) do (numpy's complex quotient)
+        e = s * d * s
         order = np.argsort(e, kind="stable")
-        lam, V = e[order], np.zeros(G.shape, dtype=complex)
-        V[order, np.arange(len(e))] = 1.0
+        lam = e[order]
     else:
-        lam, V = np.linalg.eigh(E)
+        lam, V = np.linalg.eigh(s[:, None] * H * s)
     lmax = float(lam[-1]) if len(lam) else 0.0
     keep = lam > max(EIG_CUTOFF_REL * lmax, 0.0)
-    return s[:, None] * V[:, keep] / np.sqrt(lam[keep]), lam
+    if diagonal:
+        cols = order[keep]
+        T = s[cols] * (1.0 / np.sqrt(lam[keep]))
+    else:
+        cols, T = None, s[:, None] * V[:, keep] / np.sqrt(lam[keep])
+    return Frame(T, cols, d, lmax), lam
 
 
 def orthonormalize(model: GramModel) -> GramModel:
     """Orthonormalize the basis on the Hermitian part of its Gram
-    (``orthonormal_frame``): ``transform`` holds the frame, ``eigenvalues``
+    (``orthonormal_frame``): ``frame`` holds the frame, ``eigenvalues``
     those of the equilibrated Gram, which do not move under psi -> psi + c,
-    and ``rank`` the number of kept directions.
+    and ``rank`` (the frame's column count) the number of kept directions.
     """
-    model.transform, model.eigenvalues = orthonormal_frame(
-        0.5 * (model.gram + np.conj(model.gram).T))
-    model.rank = model.transform.shape[1]
+    model.frame, model.eigenvalues = orthonormal_frame(model.gram)
     return model
 
 
@@ -601,14 +699,12 @@ class TaylorShift:
         self.monomial = np.zeros(len(S), dtype=np.intp)  # k of each term
         for i, top in enumerate(self.wtop):
             self.monomial = self.monomial * (top + 1) + self.Ew[:, i]
-        # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha;
-        # exact binomials: scipy's float comb(31, 14) is 265182524.99999997
+        # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha
         self.shifts = []
         for alpha in alphas:
             coef = C.copy()
             for i, a in enumerate(alpha):
-                comb = [math.comb(e, a) for e in range(self.ztop[i] + 1)]
-                coef *= np.array(comb, dtype=float)[self.Ez[:, i]]
+                coef *= _binomials(int(self.ztop[i]), a)[self.Ez[:, i]]
             self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
 
     def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
@@ -658,6 +754,16 @@ class TaylorShift:
         return u
 
 
+@lru_cache(maxsize=256)
+def _binomials(top: int, a: int) -> np.ndarray:
+    """C(e, a) for e <= top, as floats of the exact binomials (scipy's float
+    comb(31, 14) is 265182524.99999997).  Computed once per (top, a): the
+    array is shared, so it is read-only."""
+    b = np.array([math.comb(e, a) for e in range(top + 1)], dtype=float)
+    b.flags.writeable = False
+    return b
+
+
 def _matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """X @ M; BLAS rounds a one-row product otherwise, so it takes two."""
     return X @ M if len(X) != 1 else (np.repeat(X, 2, axis=0) @ M)[:1]
@@ -684,10 +790,11 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
 
     K[p] is the kernel of row p of X at its point, from ``shift.actions(X,
     shift.tables(zf, ...), W, at)`` on a basis whose Gram is that of model,
-    orthonormalized by model's transform: the model's own basis, or that
+    orthonormalized by model's frame: the model's own basis, or that
     basis times a divisor g(z, w) (``fiberwise``), whose Gram is the same.
     lam_max is the largest eigenvalue of the equilibrated Gram s G s
-    (``orthonormal_frame``), s = D^-1/2, and r bounds the actions u
+    (``orthonormal_frame``), s = D^-1/2; both are read from the frame, built
+    once per model.  r bounds the actions u
     on the basis: the actions of max_alpha |X[p, alpha]| on every alpha with
     X[p, alpha] != 0, over the moduli of the terms' z-factors and of w, so
     |u[p, j]| <= r[p, j] for every functional whose coefficients are at most
@@ -701,11 +808,9 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
     every row; the rows this bound does not clear take their own, by the
     one action rule on the ``tables`` of the moduli.
     """
-    lam_max = float(model.eigenvalues[-1]) if model.size else 0.0
+    lam_max, s2 = model.frame.lam_max, model.frame.s2
     X = np.asarray(X)
     top2 = np.abs(X).max(axis=1, initial=0.0) ** 2
-    d = model.gram.diagonal().real
-    s2 = np.divide(1.0, d, out=np.zeros(len(d)), where=d > 0)  # s^2
 
     def vanish(rows, r):
         return K[rows] * lam_max <= KERNEL_ZERO_TOL * ((r * r) @ s2) * top2[rows]
@@ -740,8 +845,7 @@ def _kernel_rows(model: GramModel, shift: TaylorShift, X, U, W=None):
     rows and the ``tables`` of their distinct points (``_distinct``)."""
     points, at = _distinct(U, len(X))
     zf = shift.z_factors(points)
-    a = _matmul(shift.actions(X, shift.tables(zf, len(points)), W, at),
-                model.transform)
+    a = model.frame.act(shift.actions(X, shift.tables(zf, len(points)), W, at))
     K = np.sum(a.real**2 + a.imag**2, axis=1)
     return K, a, zero_kernels(model, shift, K, X, zf, W, at)
 
@@ -751,15 +855,15 @@ def kernels(model: GramModel, alphas, X, z):
 
     z is one point, shared by every row of X, or one point per row.  Returns
     K[p] = sum_k |a[p, k]|^2, the actions a[p, k] = (xi_p . e_k)(z_p) on the
-    orthonormal basis e = b transform, and the mask of the kernels that
-    vanish (``zero_kernels``): one ``_kernel_rows`` call, the fiber kernels'
-    body, at z - center.  Another point count, or a point outside the
+    orthonormal basis e = b T (T the model's ``Frame``), and the mask of the
+    kernels that vanish (``zero_kernels``): one ``_kernel_rows`` call, the
+    fiber kernels' body, at z - center.  Another point count, or a point outside the
     domain, raises ValueError.
     """
     Z = _points_in(model.domain, z, "evaluation point")
     if len(Z) not in (1, len(X)):
         raise ValueError(f"{len(X)} functionals but {len(Z)} evaluation points")
-    if model.transform is None:
+    if model.frame is None:
         orthonormalize(model)
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
@@ -780,7 +884,7 @@ def extremal_function(
     _, a, zero = kernels(model, *_functional_row(model, xi), z)
     if zero[0]:
         raise KernelZeroError("kernel vanishes: functional annihilates the model")
-    return model.transform @ np.conj(a[0])
+    return model.frame.coefficients(np.conj(a[0]))
 
 
 def boundedness_constant(model: GramModel, xi: Functional, grid) -> float:
@@ -793,7 +897,7 @@ def boundedness_constant(model: GramModel, xi: Functional, grid) -> float:
 
 
 def model_summary_json(model: GramModel) -> dict:
-    if model.transform is None:
+    if model.frame is None:
         orthonormalize(model)
     return {
         "arity": model.arity,

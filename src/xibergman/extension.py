@@ -34,7 +34,9 @@ An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets,
 the factor T of the free block G_FF (its ``bergman.orthonormal_frame``, the
 frame the kernels use, so T T^H is the pseudo-inverse of G_FF under the
-EIG_CUTOFF_REL cutoff) and the KKT scale ||G||_inf.
+EIG_CUTOFF_REL cutoff; a ``bergman.Frame``, scaled columns of the identity
+when G_FF is exactly diagonal, which ``Frame.solve`` applies) and the KKT
+scale ||G||_inf.
 None depends on the datum, so the diagnostic solves its extremal datum
 against the same joint model and factorization (``with_datum``).  The
 result's central fiber model, built once, gives both fiber norms and the
@@ -53,6 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .bergman import (
+    Frame,
     GramModel,
     QuadSpec,
     TaylorShift,
@@ -157,7 +160,9 @@ class ExtensionResult:
     gram: np.ndarray  # Hermitian part of the joint Gram
     fixed: dict[MultiIndex, int]  # fiber label alpha -> its k = 0 element
     free: np.ndarray  # the k > 0 elements
-    factor: np.ndarray  # orthonormal frame T of G_FF: T T^H = pinv(G_FF)
+    # orthonormal frame T of G_FF, T T^H = pinv(G_FF): scaled columns of the
+    # identity when G_FF is exactly diagonal, else dense; solve applies it
+    factor: Frame
     gram_norm: float  # ||G||_inf >= ||G||_2, the scale of the KKT residual
     fiber: GramModel | None = None  # central fiber model, see fiber_model
 
@@ -214,7 +219,7 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
 
 
 def _fill_free(c: np.ndarray, G: np.ndarray, free: np.ndarray,
-               T: np.ndarray) -> np.ndarray:
+               T: Frame) -> np.ndarray:
     """c, zero on the free elements F, with c[F] = y solving G_FF y = -G_FC b
     for its fixed part b: the joint coefficients of the minimal extension.
 
@@ -222,7 +227,7 @@ def _fill_free(c: np.ndarray, G: np.ndarray, free: np.ndarray,
     minimum-norm least-squares solution under the frame's cutoff."""
     if len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
-        c[free] = T @ (np.conj(T).T @ (-G[free] @ c))
+        c[free] = T.solve(-G[free] @ c)
     return c
 
 

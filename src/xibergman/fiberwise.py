@@ -215,7 +215,7 @@ def _fiber_models(fiber_domain: Polydisc, joint_weight, degree: int,
     for fw, rows in fibers:
         if given is not None and (given.domain, given.degree, given.quad,
                                   given.weight) == (fiber_domain, degree, quad, fw):
-            model = given if given.transform is not None else orthonormalize(given)
+            model = given if given.frame is not None else orthonormalize(given)
         else:
             model = orthonormalize(assemble_gram(fiber_domain, fw, degree, quad))
         E, C, S = model.exps, model.coeffs, model.seg

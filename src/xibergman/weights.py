@@ -63,16 +63,25 @@ class Polydisc:
         return len(self.radii)
 
     def contains(self, z, slack: float = 1e-9):
-        """Whether the point z lies in the polydisc widened by slack,
-        |z_i - center_i| < radius_i + slack on every disc; given (count,
-        arity) rows, the row mask.  The one containment rule: the point
-        gates of the kernels read it.
+        """Whether the point z lies in the polydisc widened by the relative
+        slack, |z_i - center_i| < radius_i (1 + slack) on every disc; given
+        (count, arity) rows, the row mask.  The one containment rule: the
+        point gates of the kernels read it.
+
+        The slack admits points of the closed polydisc that rounding moved
+        out.  A point put on the circle as center + R e^{it} (or read back
+        from a decimal config) lies at |z - center| = R (1 + delta), with
+        |delta| a few ulps times 1 + |center| / R: an error that scales with
+        R, not a fixed length.  1e-9 is about 4.5e6 ulps (eps = 2.2e-16), so
+        it holds that rounding for |center| / R up to about 1e6, while a
+        point 1 + 1e-9 radii out or further is refused, whatever the radius.
+        slack = 0 is the open polydisc.
         """
         P = np.asarray(z, dtype=complex)
         if P.ndim > 2 or P.shape[-1:] != (self.arity,):
             raise ArityMismatchError("point arity mismatch")
         inside = np.all(np.abs(P - np.array(self.center))
-                        < np.array(self.radii) + slack, axis=-1)
+                        < np.array(self.radii) * (1.0 + slack), axis=-1)
         return inside if P.ndim == 2 else bool(inside)
 
 

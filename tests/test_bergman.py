@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from xibergman.bergman import (
     radial_moments,
     xi_kernel,
 )
+from xibergman.extension import ExtensionProblem, minimal_extension
 from xibergman.family import PolyW
 from xibergman.functional import (
     Functional,
@@ -41,6 +43,7 @@ from xibergman.weights import (
     QuadraticWeight,
     SumWeight,
     UnsupportedWeightError,
+    WIndependentJoint,
     ZeroWeight,
 )
 
@@ -822,14 +825,20 @@ class TestBoundednessAndSummary:
         assert len(s["eigenvalues"]) == 4
 
 
-def reference_orthonormalize(model):
-    """The eigenvalues, transform and rank that ``np.linalg.eigh`` gives under
-    the ``EIG_CUTOFF_REL`` rule on the equilibrated Gram s G s, s = D^-1/2."""
-    G = 0.5 * (model.gram + model.gram.conj().T)
+def reference_frame(G):
+    """The eigenvalues, dense frame and rank that ``np.linalg.eigh`` gives
+    under the ``EIG_CUTOFF_REL`` rule on the equilibrated Gram s G s,
+    s = D^-1/2."""
+    G = 0.5 * (G + G.conj().T)
     s = 1.0 / np.sqrt(G.diagonal().real)
     lam, V = np.linalg.eigh(s[:, None] * G * s[None, :])
     keep = lam > bergman.EIG_CUTOFF_REL * lam[-1]
     return lam, s[:, None] * V[:, keep] / np.sqrt(lam[keep]), int(keep.sum())
+
+
+def close(x, want, rel=1e-14):
+    """x within rel of want, in the 2-norm."""
+    return np.linalg.norm(np.subtract(x, want)) <= rel * np.linalg.norm(want)
 
 
 @st.composite
@@ -872,17 +881,67 @@ class TestOrthonormalize:
         model, xi, z = problem
         G = model.gram
         assert np.array_equal(G, np.diag(np.diag(G)))
-        lam, T, rank = reference_orthonormalize(model)
+        lam, T, rank = reference_frame(model.gram)
         orthonormalize(model)
         assert np.array_equal(model.eigenvalues, lam)
         assert model.rank == rank
         assert np.array_equal(
             np.sort(np.abs(model.transform), axis=1), np.sort(np.abs(T), axis=1)
         )
-        K = xi_kernel(model, xi, z)
-        model.transform = T
-        want = xi_kernel(model, xi, z)
+        # the kernel before its zero test, against the actions on T
+        K = kernels(model, list(xi.coeffs), [list(xi.coeffs.values())], z)[0][0]
+        want = np.sum(np.abs(basis_action(model, xi, z) @ T) ** 2)
         assert abs(K - want) <= 1e-14 * want
+
+    @given(diagonal_gram_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_vector_frame_matches_the_dense_reference(self, problem):
+        """The scaled columns of an exactly diagonal Gram's frame act as the
+        dense eigh frame does: in the kernels, the extremal function and the
+        free solve of the extension, with_datum included."""
+        model, xi, z = problem
+        T = reference_frame(model.gram)[1]
+        orthonormalize(model)
+        assert model.frame.cols is not None and model.frame.shape == T.shape
+        alphas, X = list(xi.coeffs), [list(xi.coeffs.values())]
+        K, a, zero = kernels(model, alphas, X, z)
+        a_ref = basis_action(model, xi, z) @ T
+        want = np.sum(np.abs(a_ref) ** 2)
+        assert abs(K[0] - want) <= 1e-14 * want
+        if not zero[0]:
+            assert close(extremal_function(model, xi, z), T @ np.conj(a_ref))
+
+        f = model.basis[0]
+        prob = ExtensionProblem(model.domain, 1.0, WIndependentJoint(model.weight, 1),
+                                0.0, f, model.degree, 2)
+        res = minimal_extension(prob)
+        for r in (res, res.with_datum(f * (0.5 - 1j) + model.basis[-1])):
+            free = r.free
+            TF = reference_frame(r.gram[np.ix_(free, free)])[1]
+            assert r.factor.cols is not None and r.factor.shape == TF.shape
+            b = r.coeffs.copy()
+            b[free] = 0
+            want = b.copy()
+            want[free] = TF @ (np.conj(TF).T @ (-r.gram[free] @ b))
+            assert close(r.coeffs, want)
+            # G_FC = 0 on a diagonal Gram: the frame's solve of a full rhs
+            rhs = (1.0 + np.arange(len(free))) * np.exp(1j * np.arange(len(free)))
+            assert close(r.factor.solve(rhs), TF @ (np.conj(TF).T @ rhs))
+
+    def test_diagonal_frame_holds_no_square_array(self):
+        # 2-D zero weight at degree 40: p = 861, whose dense frame alone is
+        # 11.3 MiB
+        model = assemble_gram(Polydisc((1.0, 1.0)), ZeroWeight(2), 40)
+        assert model.size == 861
+        tracemalloc.start()
+        try:
+            orthonormalize(model)
+            K = xi_kernel(model, Functional(2, {(0, 0): 1.0}), (0.3, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.rank == 861 and K > 0
+        assert peak < 2**20
 
     def test_diagonal_gram_skips_eigh(self, monkeypatch):
         def no_eigh(G):

@@ -479,7 +479,7 @@ class TestSharedFactorization:
         G, rhs = case
         T = orthonormal_frame(G)[0]
         for b in rhs:
-            y = T @ (np.conj(T).T @ b)
+            y = T.solve(b)
             # lstsq on the equilibrated s G s, in the coordinates y / s; a
             # zero diagonal entry (a zero row and column) takes s = 0
             d = G.diagonal().real
@@ -489,8 +489,7 @@ class TestSharedFactorization:
                                       rcond=EIG_CUTOFF_REL)[0]
             assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
             # a second datum on one factorization is its own solve
-            T2 = orthonormal_frame(G)[0]
-            assert np.array_equal(y, T2 @ (np.conj(T2).T @ b))
+            assert np.array_equal(y, orthonormal_frame(G)[0].solve(b))
 
     def test_steep_gaussian_keeps_every_free_direction(self):
         # the free block's diagonal spans ~60 decades; a cutoff on the

@@ -81,6 +81,23 @@ class TestPolydisc:
             with pytest.raises(ValueError, match="outside domain"):
                 xi_kernel(model, xi, (x,))
 
+    def test_slack_is_relative_to_the_radius(self):
+        # an absolute 1e-9 admitted z = 5e-10, five radii out of a disc of
+        # radius 1e-10, where xi_kernel read 6.1e22
+        D = Polydisc((1e-10,))
+        assert not D.contains((5e-10,))
+        assert D.contains((1e-10 * (1 + 5e-10),))
+        assert not D.contains((1e-10 * (1 + 2e-9),))
+        model = orthonormalize(assemble_gram(D, ZeroWeight(1), 2))
+        with pytest.raises(ValueError, match="outside domain"):
+            xi_kernel(model, Functional(1, {(0,): 1.0}), (5e-10,))
+        # off its center the slack scales with the radius, not |center|
+        D = Polydisc((1e-3,), (5.0,))
+        assert D.contains((5.0 + 1e-3 * (1 + 5e-10),))
+        assert not D.contains((5.0 + 1e-3 * (1 + 1e-6),))
+        # slack = 0 is the open polydisc
+        assert not Polydisc((1.0,)).contains((1.0,), slack=0)
+
     def test_contains_checks_the_arity(self):
         with pytest.raises(ArityMismatchError):
             Polydisc((1.0,)).contains((0.1, 0.1))
