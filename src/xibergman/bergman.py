@@ -54,6 +54,7 @@ test of a kernel: ``kernels`` (so ``xi_kernel``, ``extremal_function`` and
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -581,7 +582,7 @@ def orthonormal_frame(G: np.ndarray):
     """(frame, lam): the ``Frame`` T orthonormalizes the basis of the Gram G,
     on its Hermitian part H, and lam holds the eigenvalues of the
     equilibrated s H s, ascending, s = D^-1/2 (D = diag G, s = 0 where
-    D <= 0).
+    D <= 0).  A 1-D G is the diagonal of an exactly diagonal Gram.
 
     The one eigendecomposition of a Gram matrix: ``orthonormalize`` and the
     Schur solve of ``extension`` read it.  With s H s = V diag(lam) V^H,
@@ -600,9 +601,9 @@ def orthonormal_frame(G: np.ndarray):
     nonzero of each column of T, with no p x p array.  Tied eigenvalues may
     then come in another order than ``eigh`` gives them.
     """
-    diagonal = not _off_diagonal(G).any()
+    diagonal = G.ndim == 1 or not _off_diagonal(G).any()
     H = G if diagonal else 0.5 * (G + np.conj(G).T)
-    d = H.diagonal().real.copy()
+    d = (H if H.ndim == 1 else H.diagonal()).real.copy()
     s = np.zeros(len(d))
     s[d > 0] = 1.0 / np.sqrt(d[d > 0])
     if diagonal:
@@ -706,6 +707,13 @@ class TaylorShift:
             for i, a in enumerate(alpha):
                 coef *= _binomials(int(self.ztop[i]), a)[self.Ez[:, i]]
             self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
+
+    def take(self, cols) -> "TaylorShift":
+        """The shift of the alphas cols alone, on the same basis: its per-alpha
+        arrays are those a shift built over those alphas would hold."""
+        out = copy.copy(self)
+        out.shifts = [self.shifts[c] for c in cols]
+        return out
 
     def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
         """Per alpha, C[t] C(gamma_t, alpha) u^(gamma_t - alpha): rows of Z x terms.

@@ -32,11 +32,12 @@ log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
 joint model, the Hermitian part of its Gram, the fixed and free index sets,
-the factor T of the free block G_FF (its ``bergman.orthonormal_frame``, the
-frame the kernels use, so T T^H is the pseudo-inverse of G_FF under the
-EIG_CUTOFF_REL cutoff; a ``bergman.Frame``, scaled columns of the identity
-when G_FF is exactly diagonal, which ``Frame.solve`` applies) and the KKT
-scale ||G||_inf.
+the free rows G[F] of that Gram (none when it is exactly diagonal, where
+G_FC = 0 and the free coefficients are 0), the factor T of the free block
+G_FF (its ``bergman.orthonormal_frame``, the frame the kernels use, so
+T T^H is the pseudo-inverse of G_FF under the EIG_CUTOFF_REL cutoff; a
+``bergman.Frame``, scaled columns of the identity when G_FF is exactly
+diagonal, which ``Frame.solve`` applies) and the KKT scale ||G||_inf.
 None depends on the datum, so the diagnostic solves its extremal datum
 against the same joint model and factorization (``with_datum``).  The
 result's central fiber model, built once, gives both fiber norms and the
@@ -59,6 +60,7 @@ from .bergman import (
     GramModel,
     QuadSpec,
     TaylorShift,
+    _off_diagonal,
     _recentered,
     assemble_gram,
     extremal_function,
@@ -160,6 +162,9 @@ class ExtensionResult:
     gram: np.ndarray  # Hermitian part of the joint Gram
     fixed: dict[MultiIndex, int]  # fiber label alpha -> its k = 0 element
     free: np.ndarray  # the k > 0 elements
+    # the free rows gram[free], None when the Gram is exactly diagonal: then
+    # G_FC = 0 and the free coefficients of every minimal extension are 0
+    coupling: np.ndarray | None
     # orthonormal frame T of G_FF, T T^H = pinv(G_FF): scaled columns of the
     # identity when G_FF is exactly diagonal, else dense; solve applies it
     factor: Frame
@@ -190,8 +195,8 @@ class ExtensionResult:
     def with_datum(self, f: PolyW) -> ExtensionResult:
         """The minimal extension of the fiber datum f against this joint model."""
         return _solve(replace(self.problem, f=f), self.model, self.gram,
-                      self.fixed, self.free, self.factor, self.gram_norm,
-                      self.fiber_model())
+                      self.fixed, self.free, self.coupling, self.factor,
+                      self.gram_norm, self.fiber_model())
 
 
 def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
@@ -205,38 +210,51 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
     orthonormal frame of G_FF (``bergman.orthonormal_frame``), which the
     result keeps for ``with_datum``.  The KKT scale is ||G||_inf, the
     largest absolute row sum: max |lambda(G)| when G is diagonal, and a
-    bound on it otherwise.
+    bound on it otherwise.  An exactly diagonal joint Gram (the closed-form
+    and divisor paths), found in one pass over it, is its own Hermitian
+    part: G_FC = 0, so y = 0, and only its diagonal is read, for the scale
+    and the frame of G_FF.
     """
     model = _joint_gram(prob)
     fixed = {a[:-1]: j for j, a in enumerate(model.basis_labels) if a[-1] == 0}
     free = np.array(
         [j for j, a in enumerate(model.basis_labels) if a[-1] != 0], dtype=int
     )
-    G = 0.5 * (model.gram + np.conj(model.gram).T)
-    gram_norm = float(np.abs(G).sum(axis=1).max(initial=0.0))
-    return _solve(prob, model, G, fixed, free,
-                  orthonormal_frame(G[np.ix_(free, free)])[0], gram_norm)
+    if _off_diagonal(model.gram).any():
+        G = 0.5 * (model.gram + np.conj(model.gram).T)
+        gram_norm = float(np.abs(G).sum(axis=1).max(initial=0.0))
+        coupling = G[free]
+        factor = orthonormal_frame(coupling[:, free])[0]
+    else:
+        G, coupling = model.gram, None
+        # the diagonal of the Hermitian part, rounded as the dense one is
+        h = G.diagonal()
+        h = 0.5 * (h + np.conj(h))
+        gram_norm = float(np.abs(h).max(initial=0.0))
+        factor = orthonormal_frame(h[free])[0]
+    return _solve(prob, model, G, fixed, free, coupling, factor, gram_norm)
 
 
-def _fill_free(c: np.ndarray, G: np.ndarray, free: np.ndarray,
+def _fill_free(c: np.ndarray, coupling: np.ndarray | None, free: np.ndarray,
                T: Frame) -> np.ndarray:
     """c, zero on the free elements F, with c[F] = y solving G_FF y = -G_FC b
     for its fixed part b: the joint coefficients of the minimal extension.
 
-    T is the orthonormal frame of G_FF, so y = T T^H (-G_FC b) is the
-    minimum-norm least-squares solution under the frame's cutoff."""
-    if len(free):
+    coupling is G[F] (None when G_FC = 0, where y = 0 and c is returned as
+    it is).  T is the orthonormal frame of G_FF, so y = T T^H (-G_FC b) is
+    the minimum-norm least-squares solution under the frame's cutoff."""
+    if coupling is not None and len(free):
         # c is still zero on F, so G[F] @ c is G_FC b
-        c[free] = T.solve(-G[free] @ c)
+        c[free] = T.solve(-coupling @ c)
     return c
 
 
-def _solve(prob, model, G, fixed, free, factor, gram_norm,
+def _solve(prob, model, G, fixed, free, coupling, factor, gram_norm,
            fiber=None) -> ExtensionResult:
     """The Schur-complement solve of ``minimal_extension`` for prob.f."""
     c = _fill_free(
         _datum_coeffs(prob.f, model, fixed, f"joint model span (degree {prob.dz})"),
-        G, free, factor,
+        coupling, free, factor,
     )
     # the residual of c over its largest modulus: the norms of a steep
     # extension (|c| ~ 1e285) overflow
@@ -244,8 +262,8 @@ def _solve(prob, model, G, fixed, free, factor, gram_norm,
     u = c / top if top > 0 else c
     scale = max(1.0, gram_norm * float(np.linalg.norm(u)))
     kkt = float(np.linalg.norm(G[free] @ u)) / scale
-    return ExtensionResult(prob, model, c, kkt, G, fixed, free, factor, gram_norm,
-                           fiber)
+    return ExtensionResult(prob, model, c, kkt, G, fixed, free, coupling, factor,
+                           gram_norm, fiber)
 
 
 def _fiber_gram(prob: ExtensionProblem) -> GramModel:
@@ -402,7 +420,7 @@ def jensen_diagnostic(
     # the fiber model's basis is the joint model's k = 0 elements
     b = _placed(zip(fmodel.basis_labels, c.tolist()), result.fixed,
                 result.model.size, f"joint model span (degree {prob_template.dz})")
-    coeffs = _fill_free(b, result.gram, result.free, result.factor)
+    coeffs = _fill_free(b, result.coupling, result.free, result.factor)
 
     u, da = polar_rule(r, radial_nodes, angular_nodes)
     w = w0 + u

@@ -137,7 +137,9 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
 def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
                   quad: QuadSpec, alphas, X: np.ndarray, W: np.ndarray,
                   Z: np.ndarray, log: bool = False,
-                  model: GramModel | None = None) -> np.ndarray:
+                  model: GramModel | None = None,
+                  columns: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
     """The kernel of each row p of X, the functional
     sum_alpha X[p, alpha] e_alpha, at the fiber point Z[p] (or the one row
     of Z) over the base point W[p]: the core of ``kernel_on_fiber``, on
@@ -154,17 +156,29 @@ def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
     nothing is exponentiated.  model is a fiber model already built by
     ``assemble_gram`` with its default labels and method, which serves in
     place of a new one where it is the same (see ``_fiber_models``).
+    columns, when given, is (masks, of_row): row p of X is the functional
+    over the alphas masks[of_row[p]] (X is 0 on the others), and is taken on
+    those alone, on the same fiber models, so that it rounds as a functional
+    over just those alphas does; a sum over more columns rounds its nonzero
+    products otherwise.
     """
     U = Z - np.array(fiber_domain.center)
     K = np.zeros(len(W))
     models, s = _fiber_models(fiber_domain, joint_weight, degree, quad, alphas,
                               W, model)
     for shift, rows, fiber in models:
-        for lo in range(0, len(rows), ROWS):
-            r = rows[lo:lo + ROWS]
-            k, _, zero = _kernel_rows(fiber, shift, X[r],
-                                      U if len(U) == 1 else U[r], W[r])
-            K[r] = np.where(zero, 0.0, k)
+        if columns is None:
+            groups = [(shift, rows, slice(None))]
+        else:
+            masks, of_row = columns
+            groups = [(shift.take(cols), rows[of_row[rows] == g], cols)
+                      for g, cols in enumerate(map(np.flatnonzero, masks))]
+        for sub, mine, cols in groups:
+            for lo in range(0, len(mine), ROWS):
+                r = mine[lo:lo + ROWS]
+                k, _, zero = _kernel_rows(fiber, sub, X[r][:, cols],
+                                          U if len(U) == 1 else U[r], W[r])
+                K[r] = np.where(zero, 0.0, k)
     if log:
         return np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
     with np.errstate(over="ignore"):

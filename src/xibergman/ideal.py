@@ -20,7 +20,8 @@ locus of the multiplier ideal: ``psi_scan`` tests U and evaluates B(W) once
 over the grid, and hands the s rows of B(w) at every point in U, as the
 coefficient rows over the jet monomials, to one call of the fiber-model
 provider, ``fiberwise.fiber_kernels``, with its zero test: one fiber model
-in all for a joint weight psi(z) + s(w), else one per point in U;
+in all for a joint weight psi(z) + s(w), else one per point in U, and each
+row read on the columns of its functional family, as that family rounds;
 ``psi_at`` reads Psi_N off each point's kernels.  ``lambda_scan`` decides
 membership on the same B(W) before it takes any kernel.  The
 membership check reads the oracle generators of the fiber multiplier ideal
@@ -53,9 +54,14 @@ smallest error bound, eps (r + 1) times the smaller of the row and the
 column Hadamard bound over rho^alpha;
 parts below that bound are rounding noise and set to zero, so exact zeros
 stay zero.  An r x r minor costs O(prod(K_i) * r**3) per torus, polynomial
-in r, where Laplace expansion costs O(2**r); a dense pair at jet order 5
-(r = 14, one bordered row, the zero constant-jet row) samples det C alone,
-on about six tori.
+in r, where Laplace expansion costs O(2**r).  A torus is one pass: one
+sampling of M, one |V|^2 for both Hadamard bounds, one batched det per
+block of minors and one FFT (1-D when m = 1); what does not change between
+tori is taken once.  A dense pair at jet order 5 (r = 14, one bordered row,
+the zero constant-jet row) samples det C alone, on 5 to 8 tori (6.4 on
+average over 30 drawn pairs, 7 for ``configs/annihilate_dense.json``), at
+about 0.15 ms a torus with the block's set-up, of which the fifteen 14 x 14
+determinants take about 0.045 ms (2-core Xeon, one OpenBLAS thread).
 """
 
 from __future__ import annotations
@@ -297,27 +303,33 @@ def _sample_minors(
 
     Minor u keeps rows picks[u] of V, with sign signs[u].  Returns the
     coefficients of w -> minor_u(e^s w) in the C order of the sample grid
-    (shape (samples, minors)), from an m-dimensional FFT; each variable's
-    degree is below its K_i, so there is no aliasing.  Also returns the log
-    of each minor's largest Hadamard bound over the samples, per sample the
-    smaller of the row and the column bound: the LU rounding error of a
-    sampled minor is a small multiple of eps times either.  Partial pivoting
-    scales a column's rounding with the column, so entries far above the
-    diagonal of a triangular block, which inflate its row bound, leave the
-    column bound near |det|.
+    (shape (samples, minors)), from an m-dimensional FFT (1-D when m = 1);
+    each variable's degree is below its K_i, so there is no aliasing.  Also
+    returns the log of each minor's largest Hadamard bound over the samples,
+    per sample the smaller of the row and the column bound: the LU rounding
+    error of a sampled minor is a small multiple of eps times either.
+    Partial pivoting scales a column's rounding with the column, so entries
+    far above the diagonal of a triangular block, which inflate its row
+    bound, leave the column bound near |det|.  Both bounds come from one
+    pass of |V|^2, formed as ``np.linalg.norm`` forms it: its sums along the
+    rows, and its sums over each minor's rows.
     """
     S, n, r = V.shape[0], len(picks), picks.shape[1]
     vals = np.empty((S, n), dtype=complex)
     log_cols = np.empty((S, n))
+    sq = (V.conj() * V).real
     step = max(1, _BLOCK_ENTRIES // max(1, S * r * r))
     with np.errstate(divide="ignore"):
         for t in range(0, n, step):
-            blocks = V[:, picks[t : t + step], :]
-            vals[:, t : t + step] = np.linalg.det(blocks) * signs[t : t + step]
-            log_cols[:, t : t + step] = np.log(np.linalg.norm(blocks, axis=-2)).sum(-1)
-        log_rows = np.log(np.linalg.norm(V, axis=-1))
+            pick = picks[t : t + step]
+            vals[:, t : t + step] = np.linalg.det(V[:, pick]) * signs[t : t + step]
+            log_cols[:, t : t + step] = np.log(np.sqrt(sq[:, pick].sum(axis=-2))).sum(-1)
+        log_rows = np.log(np.sqrt(sq.sum(axis=-1)))
     log_bound = np.minimum(log_rows[:, picks].sum(axis=-1), log_cols).max(axis=0)
-    coeffs = np.fft.fftn(vals.reshape(K + (n,)), axes=tuple(range(len(K))))
+    if len(K) == 1:
+        coeffs = np.fft.fft(vals, axis=0)
+    else:
+        coeffs = np.fft.fftn(vals.reshape(K + (n,)), axes=tuple(range(len(K))))
     return coeffs.reshape(S, n) / S, log_bound
 
 
@@ -341,7 +353,8 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
 
     # per row, the largest total degree and the largest degree in each w_i
     in_row = M.coef.any(axis=2)[:, :, None]  # monomials x p x 1
-    degs = np.where(in_row, np.c_[M.exps.sum(axis=1), M.exps][:, None, :], 0)
+    total = M.exps.sum(axis=1, keepdims=True)
+    degs = np.where(in_row, np.concatenate([total, M.exps], axis=1)[:, None, :], 0)
     degs = degs.max(axis=0, initial=0)  # p x (1 + m)
     D = minor_bound(degs[:, 0])
     K = tuple(1 + minor_bound(degs[:, 1 + i]) for i in range(m))
@@ -354,48 +367,53 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
         )
     ks = np.indices(K).reshape(m, -1).T
     sampler = _torus_sampler(M, ks, K)
-    # minor u keeps rows picks[u]; the first is C itself
-    picks = [list(range(r))]
-    signs = [1.0]
-    for l in range(r, p):
-        for k in range(r):
-            picks.append([i for i in range(r) if i != k] + [l])
-            signs.append(-1.0 if (k + r) % 2 else 1.0)
-    picks = np.array(picks, dtype=np.int64).reshape(len(picks), r)
+    # minor u keeps rows picks[u], with sign signs[u]: C itself, then for
+    # each row l >= r and each k < r the rows of C but k, and l, with sign
+    # (-1)^(k + r)
+    k, j = np.arange(r), np.arange(max(r - 1, 0))
+    but_k = j + (j >= k[:, None])  # r x (r - 1)
+    bordered = np.concatenate(
+        [np.tile(but_k, (p - r, 1)), np.repeat(np.arange(r, p), r)[:, None]], axis=1
+    ).reshape((p - r) * r, r)
+    picks = np.concatenate([k[None], bordered])
+    signs = np.concatenate([[1.0], np.tile(np.where((k + r) % 2, -1.0, 1.0), p - r)])
     # a minor that keeps an identically zero row (the constant-jet row of an
     # ideal inside the maximal ideal) is exactly 0 with Hadamard bound 0, as
     # LU gives it: only the others are sampled
     zero_row = ~M.coef.any(axis=(0, 2))
     live = np.flatnonzero(~zero_row[picks].any(axis=1))
-    picks, signs = picks[live], np.array(signs)[live]
+    picks, signs = picks[live], signs[live]
     n = len(picks)
     keep = np.flatnonzero(ks.sum(axis=1) <= D)
     alpha = ks[keep]
+    if len(keep) == S:  # every sample (m = 1): no copy of the coefficients
+        keep = slice(None)
     log_tau = math.log(DET_NOISE_REL * (r + 1))
     # per coefficient, the estimate with the smallest error bound so far
-    best = np.zeros((len(keep), n), dtype=complex)
-    log_err = np.full((len(keep), n), np.inf)
+    best = np.zeros((len(alpha), n), dtype=complex)
+    log_err = np.full((len(alpha), n), np.inf)
 
-    def sample(s: np.ndarray) -> np.ndarray | None:
-        """Sample on the torus of log radii s; None if out of float range."""
+    def sample(s: np.ndarray, floor: np.ndarray | None) -> np.ndarray | None:
+        """Sample on the torus of log radii s; None if a minor's bound leaves
+        [floor, e^_LOG_RANGE] or a coefficient the float range.  The unit
+        torus (floor None) is always taken."""
         coeffs, log_bound = _sample_minors(sampler(s), picks, signs, K)
-        if s.any() and not (
-            np.all(np.isfinite(coeffs))
-            and np.all(log_bound <= _LOG_RANGE)
-            and np.all((log_bound >= -_LOG_RANGE) | np.isneginf(log_bound0))
+        if floor is not None and not (
+            np.isfinite(coeffs).all()
+            and ((log_bound >= floor) & (log_bound <= _LOG_RANGE)).all()
         ):
             return None
         shift = alpha @ s
-        with np.errstate(invalid="ignore"):
-            err = log_tau + log_bound - shift[:, None]
+        # shift is finite, so no inf - inf: log_bound's -inf stays -inf
+        err = log_tau + log_bound - shift[:, None]
         better = err < log_err
-        best[better] = (coeffs[keep] * np.exp(-shift)[:, None])[better]
-        log_err[better] = err[better]
+        np.copyto(best, coeffs[keep] * np.exp(-shift)[:, None], where=better)
+        np.copyto(log_err, err, where=better)
         return log_bound
 
     def visible() -> np.ndarray:
-        fl = np.exp(log_err)
-        return (np.abs(best.real) > fl) | (np.abs(best.imag) > fl)
+        # fmax keeps a part that is not NaN, as an | of the two tests would
+        return np.fmax(np.abs(best.real), np.abs(best.imag)) > np.exp(log_err)
 
     # A coefficient w^alpha sampled on the torus of log radii s has error
     # bound tau * h(s) * e^(-alpha . s), h the Hadamard bound.  log h is
@@ -407,24 +425,31 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
     # the axis ladders, which coefficients of mixed scale need when m > 1.
     ln_q = math.log(RADIUS_STEP)
     steps = 0 if D == 0 else min(MAX_RADIUS_STEPS, int(_LOG_RANGE / (D * ln_q)))
-    log_bound0 = sample(np.zeros(m))
+    log_bound0 = sample(np.zeros(m), None)
+    # off the unit torus a minor's bound stays within e^+-_LOG_RANGE, unless
+    # it is 0 there (a minor that vanishes identically)
+    floor = np.where(np.isneginf(log_bound0), -np.inf, -_LOG_RANGE)
 
     def walk(axis: int, direction: int) -> int:
         prev = log_bound0
+        # each coefficient's degree in w_axis, offset by the half degree the
+        # slope must pass it by (exact: the degrees are small integers)
+        lim = alpha[:, axis : axis + 1] - 0.5 * direction
+        edge = np.inf if direction < 0 else -np.inf
         for step in range(1, steps + 1):
             s = np.zeros(m)
             s[axis] = direction * step * ln_q
-            cur = sample(s)
+            cur = sample(s, floor)
             if cur is None:
                 return step - 1
             with np.errstate(invalid="ignore"):
                 slope = direction * (cur - prev) / ln_q
-            a = alpha[:, axis : axis + 1]
+            seen = np.where(visible(), lim, edge)
             if direction < 0:
-                more = slope > np.where(visible(), a, np.inf).min(axis=0) + 0.5
+                more = slope > seen.min(axis=0)
             else:
-                more = slope < np.where(visible(), a, -np.inf).max(axis=0) - 0.5
-            if not np.any(more):
+                more = slope < seen.max(axis=0)
+            if not more.any():
                 return step
             prev = cur
         return steps
@@ -437,7 +462,7 @@ def _det_and_cofactors(M: TermMatrix) -> tuple[TermMatrix, TermMatrix]:
             if math.prod(map(len, thinned)) <= budget:
                 for idx in itertools.product(*thinned):
                     if sum(1 for j in idx if j) > 1:  # not on an axis ladder
-                        sample(np.array(idx) * ln_q)
+                        sample(np.array(idx) * ln_q, floor)
                 break
     if not np.all(np.isfinite(best)):
         raise DegenerateInputError("minor coefficients overflow the float range")
@@ -657,7 +682,8 @@ def psi_scan(
 
     U is tested and B(W) evaluated once over the grid (``_in_U``).  The
     log-kernels of every row of B(w) at every point in U come from one
-    ``fiberwise.fiber_kernels`` call at the fiber origin (``_psi_points``).
+    ``fiberwise.fiber_kernels`` call at the fiber origin
+    (``_row_log_kernels``).
     """
     check_joint_weight(phi_joint, fam.z_arity, fam.w_arity)
     res, W, inside, B = _in_U(fam, w_grid, res, seed)
@@ -680,28 +706,39 @@ def _in_U(fam: IdealFamily, w_grid: Sequence, res: AnnihilatorResult | None,
 def _psi_points(res: AnnihilatorResult, phi_joint, W: np.ndarray,
                 inside: np.ndarray, B: np.ndarray, fiber_domain: Polydisc | None,
                 degree: int, quad: QuadSpec | None) -> list[PsiPoint]:
-    """``psi_at`` at every row of W, from B = B(W[inside]).
+    """``psi_at`` at every row of W, from B = B(W[inside]) and the
+    log-kernels of its rows (``_row_log_kernels``)."""
+    logk = _row_log_kernels(res, phi_joint, W[inside], B, fiber_domain, degree,
+                            quad)
+    at = np.cumsum(inside) - 1
+    return [psi_at(res, w, B[i], logk[i]) if ok else psi_at(res, w, None, None)
+            for w, ok, i in zip(W, inside, at)]
 
-    The rows of B(w) over all the points in U are the coefficient rows of
-    one ``fiberwise.fiber_kernels`` call at the fiber origin, each over its
-    own point, on the jet monomials ``res.labels``: its fiber models are
-    those of any other kernel call, one model of psi for a joint weight
-    psi(z) + s(w), else one per point.
+
+def _row_log_kernels(res: AnnihilatorResult, phi_joint, WU: np.ndarray,
+                     B: np.ndarray, fiber_domain: Polydisc | None, degree: int,
+                     quad: QuadSpec | None) -> np.ndarray:
+    """The log-kernels (points x s) of the rows of B = B(WU) at the fiber
+    origin, each row over its own point: one ``fiberwise.fiber_kernels``
+    call on the jet monomials ``res.labels``, each row read on the columns
+    of its functional family (where its array in B's ``TermMatrix`` is not
+    identically zero), so that it rounds as that family does.  The fiber
+    models are those of any other kernel call, one model of psi for a joint
+    weight psi(z) + s(w), else one per point.
     """
     n = res.matrix.fam.z_arity
     if fiber_domain is None:
         fiber_domain = Polydisc((1.0,) * n)
-    WU = W[inside]
     logk = np.zeros((len(WU), res.s))
     if logk.size:
         origin = _points_in(fiber_domain, (0j,) * n, "evaluation point")
+        live = res.b_terms.coef.any(axis=0)  # s x p
         logk = fiber_kernels(
             fiber_domain, phi_joint, degree, quad or QuadSpec(), res.labels,
             B.reshape(-1, res.p), np.repeat(WU, res.s, axis=0), origin, log=True,
+            columns=(live, np.tile(np.arange(res.s), len(WU))),
         ).reshape(logk.shape)
-    at = np.cumsum(inside) - 1
-    return [psi_at(res, w, B[i], logk[i]) if ok else psi_at(res, w, None, None)
-            for w, ok, i in zip(W, inside, at)]
+    return logk
 
 
 @dataclass

@@ -836,6 +836,20 @@ def reference_frame(G):
     return lam, s[:, None] * V[:, keep] / np.sqrt(lam[keep]), int(keep.sum())
 
 
+def kernel_sum(a):
+    """sum_k |a_k|^2 as re^2 + im^2, the kernels' own rounding: np.abs(a)**2
+    rounds |a| first, which moves a subnormal K by an ulp of 5e-324, more
+    than a relative bound allows there."""
+    return np.sum(a.real**2 + a.imag**2)
+
+
+def subnormal_kernel_problem():
+    """A draw whose kernel, ~1.2e-317, is subnormal."""
+    c = 4.303739502171819e-160
+    return (assemble_gram(Polydisc((0.1,)), ZeroWeight(1), 0),
+            Functional(1, {(0,): complex(c, c)}), (0.0,))
+
+
 def close(x, want, rel=1e-14):
     """x within rel of want, in the 2-norm."""
     return np.linalg.norm(np.subtract(x, want)) <= rel * np.linalg.norm(want)
@@ -876,6 +890,7 @@ def diagonal_gram_problems(draw):
 
 class TestOrthonormalize:
     @given(diagonal_gram_problems())
+    @example(subnormal_kernel_problem())
     @settings(max_examples=150, deadline=None)
     def test_diagonal_gram_matches_eigh(self, problem):
         model, xi, z = problem
@@ -890,10 +905,11 @@ class TestOrthonormalize:
         )
         # the kernel before its zero test, against the actions on T
         K = kernels(model, list(xi.coeffs), [list(xi.coeffs.values())], z)[0][0]
-        want = np.sum(np.abs(basis_action(model, xi, z) @ T) ** 2)
+        want = kernel_sum(basis_action(model, xi, z) @ T)
         assert abs(K - want) <= 1e-14 * want
 
     @given(diagonal_gram_problems())
+    @example(subnormal_kernel_problem())
     @settings(max_examples=150, deadline=None)
     def test_vector_frame_matches_the_dense_reference(self, problem):
         """The scaled columns of an exactly diagonal Gram's frame act as the
@@ -906,7 +922,7 @@ class TestOrthonormalize:
         alphas, X = list(xi.coeffs), [list(xi.coeffs.values())]
         K, a, zero = kernels(model, alphas, X, z)
         a_ref = basis_action(model, xi, z) @ T
-        want = np.sum(np.abs(a_ref) ** 2)
+        want = kernel_sum(a_ref)
         assert abs(K[0] - want) <= 1e-14 * want
         if not zero[0]:
             assert close(extremal_function(model, xi, z), T @ np.conj(a_ref))

@@ -583,7 +583,7 @@ def reference_jensen(prob_template, family, z0, radial_nodes, angular_nodes, tol
     res = minimal_extension(prob)
     coeffs = _fill_free(
         _placed(zip(fmodel.basis_labels, c.tolist()), res.fixed, res.model.size, ""),
-        res.gram, res.free, res.factor,
+        res.coupling, res.free, res.factor,
     )
     lhs = math.log(fiber_norm(prob))
     # F = sum_t x_t (z - center)^e_t (w - w0)^k_t, in the joint model's terms

@@ -10,6 +10,7 @@ Frozen oracles (hand expansions):
 """
 
 import contextlib
+import itertools
 import json
 import math
 import time
@@ -57,7 +58,7 @@ from xibergman.ideal import (
     oracle_membership,
     psi_scan,
 )
-from xibergman.family import lub_check, poly_to_json
+from xibergman.family import _live, lub_check, poly_to_json
 from xibergman.weights import (
     ConstantWeight,
     JointLogDivisor,
@@ -991,6 +992,277 @@ class TestDeterminant:
         assert res.product_residual < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# The determinant sampler against its earlier form
+# ---------------------------------------------------------------------------
+
+def reference_torus_sampler(M: TermMatrix, ks: np.ndarray, K: tuple[int, ...]):
+    """``_torus_sampler`` as it was before the one-pass sampler."""
+    rows, cols = M.shape
+    E = M.exps
+    if not len(E):
+        return lambda s: np.zeros((len(ks), rows, cols), dtype=complex)
+    coef = M.coef.reshape(len(E), rows * cols)
+    turns = np.zeros((len(ks), len(E)))
+    for i, Ki in enumerate(K):
+        turns += np.outer(ks[:, i], E[:, i]) % Ki / Ki
+    unit = np.exp(2j * np.pi * turns)
+    return lambda s: ((unit * np.exp(E @ s)) @ coef).reshape(-1, rows, cols)
+
+
+def reference_sample_minors(V, picks, signs, K):
+    """``_sample_minors`` as it was before the one-pass sampler: a norm pass
+    over every minor's block, another over V, and an m-dimensional FFT."""
+    S, n, r = V.shape[0], len(picks), picks.shape[1]
+    vals = np.empty((S, n), dtype=complex)
+    log_cols = np.empty((S, n))
+    step = max(1, ideal._BLOCK_ENTRIES // max(1, S * r * r))
+    with np.errstate(divide="ignore"):
+        for t in range(0, n, step):
+            blocks = V[:, picks[t : t + step], :]
+            vals[:, t : t + step] = np.linalg.det(blocks) * signs[t : t + step]
+            log_cols[:, t : t + step] = np.log(np.linalg.norm(blocks, axis=-2)).sum(-1)
+        log_rows = np.log(np.linalg.norm(V, axis=-1))
+    log_bound = np.minimum(log_rows[:, picks].sum(axis=-1), log_cols).max(axis=0)
+    coeffs = np.fft.fftn(vals.reshape(K + (n,)), axes=tuple(range(len(K))))
+    return coeffs.reshape(S, n) / S, log_bound
+
+
+def reference_det_and_cofactors(M: TermMatrix, radii: list
+                                ) -> tuple[TermMatrix, TermMatrix]:
+    """``_det_and_cofactors`` as it was before the one-pass sampler, which
+    must give the same floats: every torus recomputes what the walk hoists.
+    The log radii of each torus it samples go to radii."""
+    p, r = M.shape
+    m = M.exps.shape[1]
+
+    def minor_bound(row_degs):
+        return int(row_degs[:r].sum() + row_degs[r:].max(initial=0))
+
+    in_row = M.coef.any(axis=2)[:, :, None]
+    degs = np.where(in_row, np.c_[M.exps.sum(axis=1), M.exps][:, None, :], 0)
+    degs = degs.max(axis=0, initial=0)
+    D = minor_bound(degs[:, 0])
+    K = tuple(1 + minor_bound(degs[:, 1 + i]) for i in range(m))
+    S = math.prod(K)
+    if S * max(p * r, len(M.exps)) > ideal.MAX_SAMPLE_ENTRIES:
+        raise DegenerateInputError("pivot block too large to sample")
+    ks = np.indices(K).reshape(m, -1).T
+    sampler = recorded(reference_torus_sampler(M, ks, K), radii)
+    picks = [list(range(r))]
+    signs = [1.0]
+    for l in range(r, p):
+        for k in range(r):
+            picks.append([i for i in range(r) if i != k] + [l])
+            signs.append(-1.0 if (k + r) % 2 else 1.0)
+    picks = np.array(picks, dtype=np.int64).reshape(len(picks), r)
+    zero_row = ~M.coef.any(axis=(0, 2))
+    live = np.flatnonzero(~zero_row[picks].any(axis=1))
+    picks, signs = picks[live], np.array(signs)[live]
+    n = len(picks)
+    keep = np.flatnonzero(ks.sum(axis=1) <= D)
+    alpha = ks[keep]
+    log_tau = math.log(ideal.DET_NOISE_REL * (r + 1))
+    best = np.zeros((len(keep), n), dtype=complex)
+    log_err = np.full((len(keep), n), np.inf)
+
+    def sample(s):
+        coeffs, log_bound = reference_sample_minors(sampler(s), picks, signs, K)
+        if s.any() and not (
+            np.all(np.isfinite(coeffs))
+            and np.all(log_bound <= ideal._LOG_RANGE)
+            and np.all((log_bound >= -ideal._LOG_RANGE) | np.isneginf(log_bound0))
+        ):
+            return None
+        shift = alpha @ s
+        with np.errstate(invalid="ignore"):
+            err = log_tau + log_bound - shift[:, None]
+        better = err < log_err
+        best[better] = (coeffs[keep] * np.exp(-shift)[:, None])[better]
+        log_err[better] = err[better]
+        return log_bound
+
+    def visible():
+        fl = np.exp(log_err)
+        return (np.abs(best.real) > fl) | (np.abs(best.imag) > fl)
+
+    ln_q = math.log(ideal.RADIUS_STEP)
+    steps = 0 if D == 0 else min(ideal.MAX_RADIUS_STEPS,
+                                 int(ideal._LOG_RANGE / (D * ln_q)))
+    log_bound0 = sample(np.zeros(m))
+
+    def walk(axis, direction):
+        prev = log_bound0
+        for step in range(1, steps + 1):
+            s = np.zeros(m)
+            s[axis] = direction * step * ln_q
+            cur = sample(s)
+            if cur is None:
+                return step - 1
+            with np.errstate(invalid="ignore"):
+                slope = direction * (cur - prev) / ln_q
+            a = alpha[:, axis : axis + 1]
+            if direction < 0:
+                more = slope > np.where(visible(), a, np.inf).min(axis=0) + 0.5
+            else:
+                more = slope < np.where(visible(), a, -np.inf).max(axis=0) - 0.5
+            if not np.any(more):
+                return step
+            prev = cur
+        return steps
+
+    ladders = [range(-walk(i, -1), walk(i, 1) + 1) for i in range(m)]
+    if m > 1:
+        budget = ideal.MAX_PRODUCT_ENTRIES // max(1, S * p * r)
+        for stride in range(1, 1 + max(map(len, ladders))):
+            thinned = [lad[::stride] for lad in ladders]
+            if math.prod(map(len, thinned)) <= budget:
+                for idx in itertools.product(*thinned):
+                    if sum(1 for j in idx if j) > 1:
+                        sample(np.array(idx) * ln_q)
+                break
+    if not np.all(np.isfinite(best)):
+        raise DegenerateInputError("minor coefficients overflow the float range")
+    fl = np.exp(log_err)
+    best.real[np.abs(best.real) <= fl] = 0.0
+    best.imag[np.abs(best.imag) <= fl] = 0.0
+    minors = np.zeros((len(alpha), 1 + (p - r) * r), dtype=complex)
+    minors[:, live] = best
+    det_c = _live(alpha, minors[:, :1, None])
+    coef = np.zeros((len(alpha), p - r, p), dtype=complex)
+    coef[:, :, :r] = minors[:, 1:].reshape(len(alpha), p - r, r)
+    j = np.arange(p - r)
+    coef[:, j, r + j] = minors[:, :1]
+    return det_c, TermMatrix(alpha, coef).trimmed()
+
+
+def assert_same_bits(got: TermMatrix, want: TermMatrix):
+    """The same exponents and the same coefficient bits, signed zeros too."""
+    assert got.exps.shape == want.exps.shape and np.array_equal(got.exps, want.exps)
+    assert got.coef.shape == want.coef.shape
+    assert got.coef.tobytes() == want.coef.tobytes()
+
+
+def recorded(sampler, radii: list):
+    """The torus sampler, listing the log radii of each torus it samples."""
+    return lambda s: radii.append(s.tolist()) or sampler(s)
+
+
+def assert_sampler_matches_reference(M: TermMatrix):
+    """det C and B of M bit for bit as the reference gives them, on the same
+    tori, or the same refusal."""
+    want_radii, got_radii = [], []
+    real = ideal._torus_sampler
+    with mock.patch.object(ideal, "_torus_sampler",
+                           lambda *a: recorded(real(*a), got_radii)):
+        try:
+            want = reference_det_and_cofactors(M, want_radii)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                _det_and_cofactors(M)
+            return
+        got = _det_and_cofactors(M)
+    assert got_radii == want_radii
+    for g, ref in zip(got, want):
+        assert_same_bits(g, ref)
+
+
+def pivot_block(fam: IdealFamily, grid=None) -> TermMatrix:
+    """The pivoted p x r matrix that ``annihilator`` hands the sampler."""
+    res = build_annihilator(fam, grid)
+    return res.matrix.terms.take(res.row_perm, res.col_perm[: res.r])
+
+
+@st.composite
+def sampler_ideals(draw):
+    """Ideals with n and m in {1, 2} and 2 <= N <= 4: one or two generators
+    of up to five terms, each a z-monomial of degree <= 2 times a w-monomial
+    of degree <= 2 in each variable, with a small Gaussian integer times a
+    power of two in [2^-6, 2^6], so the radius walks move.  Half the draws
+    have no term of z-degree 0: the ideal is inside the maximal ideal and the
+    constant-jet row is zero."""
+    n, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    zmonos = multi_indices_upto(n, 2)[draw(st.integers(0, 1)):]
+    mono = st.tuples(st.sampled_from(zmonos),
+                     st.tuples(*[st.integers(0, 2)] * m)).map(lambda t: t[0] + t[1])
+    coeff = st.builds(lambda a, b, k: complex(a, b) * 2.0**k, st.integers(-3, 3),
+                      st.integers(-3, 3), st.integers(-6, 6))
+    gen = st.dictionaries(mono, coeff, max_size=5).map(lambda d: PolyW(n + m, d))
+    gens = draw(st.lists(gen, min_size=1, max_size=2))
+    return IdealFamily(n, m, gens, draw(st.integers(2, 4)))
+
+
+#: z1 - z2 w1 and z2^2 + (0.5+0.25i) z1 z2 w2 at N = 3, the command-line
+#: example over two base variables: its minors walk both axes and sample
+#: their product ladder
+TWO_BASE_PAIR = IdealFamily(2, 2, [
+    PolyW(4, {(1, 0, 0, 0): 1.0, (0, 1, 1, 0): -1.0}),
+    PolyW(4, {(0, 2, 0, 0): 1.0, (1, 1, 0, 1): 0.5 + 0.25j}),
+], 3)
+
+
+class TestSamplerOracle:
+    """det C and the cofactor rows B bit for bit as the sampler gave them
+    before it took each torus in one pass."""
+
+    @given(sampler_ideals())
+    @example(TWO_BASE_PAIR)
+    @example(PENCIL)  # two live minors, one of them bordered
+    @example(SHIFT)  # not inside the maximal ideal: r = p
+    @example(IdealFamily(1, 1, [PolyW(2, {(2, 0): 1.0})], 2))  # r = 0
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_ideals(self, fam):
+        try:
+            M = pivot_block(fam)
+        except DegenerateInputError:
+            assume(False)
+        assert_sampler_matches_reference(M)
+
+    @pytest.mark.parametrize(
+        "name", ["annihilate_dense", "annihilate_pencil", "lambda_pstar"]
+    )
+    def test_shipped_ideals(self, name):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        assert_sampler_matches_reference(
+            pivot_block(ideal_from_json(cfg["ideal"]), square_grid(0.6, 5)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_pairs(self, seed):
+        # the benchmark's shape: two generators on every z-monomial of degree
+        # 1 and 2 and z w, at N = 4 and 5 (r = 9 and 14, det C alone sampled)
+        rng = np.random.default_rng(seed)
+        monos = [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 2, 0),
+                 (1, 0, 1), (0, 1, 1)]
+        gens = [PolyW(3, {a: complex(*rng.normal(size=2)) for a in monos})
+                for _ in range(2)]
+        assert_sampler_matches_reference(
+            pivot_block(IdealFamily(2, 1, gens, 4 + seed % 2), square_grid(0.6, 5)))
+
+    @given(sparse_poly_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_matrices(self, case):
+        # r = 0, zero rows and bordered minors in one and two variables
+        assert_sampler_matches_reference(term_matrix(*case))
+
+    @given(wide_range_triangular())
+    @example(_upper_triangular_case())
+    @settings(max_examples=60, deadline=None)
+    def test_wide_range_matrices(self, case):
+        # determinants over up to twelve decades: the walks go out and in
+        M, m, _, _ = case
+        assert_sampler_matches_reference(term_matrix(M, m))
+
+    def test_product_ladder_is_sampled(self):
+        # TWO_BASE_PAIR samples tori off both axes, the product ladder
+        radii = []
+        real = ideal._torus_sampler
+        M = pivot_block(TWO_BASE_PAIR)
+        with mock.patch.object(ideal, "_torus_sampler",
+                               lambda *a: recorded(real(*a), radii)):
+            _det_and_cofactors(M)
+        assert any(np.count_nonzero(s) == 2 for s in radii)
+
+
 class TestMembership:
     def test_spec_examples(self):
         res = build_annihilator(PENCIL, GRID)
@@ -1371,18 +1643,31 @@ FOUND_ROW_CASE = (
 )
 
 
+#: (1+1i) z2 w^2 at N = 2 under g = z1 + (0.125-0.375i) w: B's one row has
+#: one live column of three, whose action at -0.375+0.125i took another last
+#: bit in a product over all three jet monomials (-5.26123510240075 against
+#: the row family's -5.261235102400751)
+FOUND_COLUMN_CASE = (
+    IdealFamily(2, 1, [PolyW(3, {(0, 1, 2): 1 + 1j})], 2),
+    JointLogDivisor(PolyW(3, {(1, 0, 0): 1.0, (0, 0, 1): 0.125 - 0.375j}), 2),
+    [(-0.375 + 0.125j,), (0j,)], 1,
+)
+
+
 class TestStackedRows:
     @settings(max_examples=60, deadline=None)
     @given(stacked_cases())
     @example(FOUND_ROW_CASE)
+    @example(FOUND_COLUMN_CASE)
     def test_match_one_call_per_row(self, case):
         # psi_scan hands the rows of B(w) at every point in U to one
-        # fiber_kernels call.  The reference is the per-row path: one call
-        # per row family of res.functionals(), on its own alphas and its own
-        # fiber models.  On the same values of B(w) the log-kernels are the
-        # same floats, and so they are through log_kernel_on_fiber: a row
-        # family evaluates its view of B's array by TermMatrix.values, as
-        # eval_B does, and a row rounds alike whatever points share the call
+        # fiber_kernels call, each row on the columns of its family.  The
+        # reference is the per-row path: one call per row family of
+        # res.functionals(), on its own alphas and its own fiber models.  On
+        # the same values of B(w) the log-kernels are the same floats, and so
+        # they are through log_kernel_on_fiber: a row family evaluates its
+        # view of B's array by TermMatrix.values, as eval_B does, and a row
+        # rounds alike whatever points and other rows share the call
         fam, weight, grid, degree = case
         n, quad = fam.z_arity, QuadSpec(4, 4)
         try:
@@ -1394,9 +1679,7 @@ class TestStackedRows:
         assume(len(WU) and res.s)
         fiber, origin = Polydisc((1.0,) * n), np.zeros((1, n), dtype=complex)
         B = res.eval_B(WU)
-        got = fiberwise.fiber_kernels(
-            fiber, weight, degree, quad, res.labels, B.reshape(-1, res.p),
-            np.repeat(WU, res.s, axis=0), origin, log=True).reshape(len(WU), res.s)
+        got = ideal._row_log_kernels(res, weight, WU, B, fiber, degree, quad)
         rows = res.functionals()
         cols = [[res.labels.index(al) for al in f.alphas] for f in rows]
         # a row family holds its row of B's array: the same values
