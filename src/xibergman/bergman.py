@@ -44,7 +44,10 @@ only on request, and ``poly_from_coeffs`` sums them.
 ``TaylorShift`` is the one evaluator of functional actions, by one rule: its
 ``tables`` hold the action of each e_alpha on the w^e_k part of each element
 at each point (the binomial Taylor shift), and a row X of functional
-coefficients at point g over w acts by sum_k w^e_k (X @ U[g, k]).
+coefficients at point g over w acts by sum_k w^e_k (X @ U[g, k]), each
+product one ordered sum over alpha (``_products``): a row's actions, and so
+its kernel, are the same floats whatever rows, points or all-zero columns
+share its call.
 ``_kernel_rows`` is the one kernel body, with ``zero_kernels`` the one zero
 test of a kernel: ``kernels`` (so ``xi_kernel``, ``extremal_function`` and
 ``boundedness_constant``) is one call of it, the fiber kernels of
@@ -54,7 +57,6 @@ test of a kernel: ``kernels`` (so ``xi_kernel``, ``extremal_function`` and
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -518,23 +520,17 @@ class Frame:
     ``act``, ``coefficients`` and ``solve`` are every use of the frame, so no
     caller reads its form, and ``dense`` gives the matrix on request.  It
     also keeps the constants of ``zero_kernels``: the largest eigenvalue
-    lam_max of s G s (0 when there is none) and s2 = 1 / diag G (0 where
-    diag G <= 0), taken on first read: the extension's frames never read it.
+    lam_max of s G s (0 when there is none) and the scales s = diag G^-1/2
+    (0 where diag G <= 0), finite for every positive float on the diagonal,
+    where 1 / diag G overflows on a subnormal one.
     """
 
-    __slots__ = ("T", "cols", "size", "lam_max", "_d", "_s2")
+    __slots__ = ("T", "cols", "size", "lam_max", "s")
 
-    def __init__(self, T: np.ndarray, cols: np.ndarray | None, d: np.ndarray,
+    def __init__(self, T: np.ndarray, cols: np.ndarray | None, s: np.ndarray,
                  lam_max: float):
-        self.T, self.cols, self.size = T, cols, len(d)
-        self.lam_max, self._d, self._s2 = lam_max, d, None
-
-    @property
-    def s2(self) -> np.ndarray:
-        if self._s2 is None:
-            d = self._d
-            self._s2 = np.divide(1.0, d, out=np.zeros(len(d)), where=d > 0)
-        return self._s2
+        self.T, self.cols, self.size = T, cols, len(s)
+        self.lam_max, self.s = lam_max, s
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -621,7 +617,7 @@ def orthonormal_frame(G: np.ndarray):
         T = s[cols] * (1.0 / np.sqrt(lam[keep]))
     else:
         cols, T = None, s[:, None] * V[:, keep] / np.sqrt(lam[keep])
-    return Frame(T, cols, d, lmax), lam
+    return Frame(T, cols, s, lmax), lam
 
 
 def orthonormalize(model: GramModel) -> GramModel:
@@ -708,13 +704,6 @@ class TaylorShift:
                 coef *= _binomials(int(self.ztop[i]), a)[self.Ez[:, i]]
             self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
 
-    def take(self, cols) -> "TaylorShift":
-        """The shift of the alphas cols alone, on the same basis: its per-alpha
-        arrays are those a shift built over those alphas would hold."""
-        out = copy.copy(self)
-        out.shifts = [self.shifts[c] for c in cols]
-        return out
-
     def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
         """Per alpha, C[t] C(gamma_t, alpha) u^(gamma_t - alpha): rows of Z x terms.
         Each product is of two arrays of its shape: numpy rounds a complex
@@ -778,16 +767,18 @@ def _matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _products(X: np.ndarray, U0: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """u[p] = X[p] @ U0[at[p]], rounded as ``_matmul`` rounds it."""
-    if len(U0) == 1:
-        return _matmul(X, U0[0])
-    u = np.empty((len(X), U0.shape[2]), dtype=np.result_type(X, U0))
-    counts = np.bincount(at, minlength=len(U0))
-    lone = counts[at] == 1
-    u[lone] = np.matmul(np.repeat(X[lone, None], 2, axis=1), U0[at[lone]])[:, 0]
-    for g in np.flatnonzero(counts > 1):
-        rows = at == g
-        u[rows] = X[rows] @ U0[g]
+    """u[p] = sum_alpha X[p, alpha] U0[at[p], alpha], summed in alpha order
+    by elementwise products and adds on the gathered rows U0[at, alpha]: the
+    one product behind every action.  A row's sum is the same floats
+    whatever rows, points or all-zero columns share its call (a zero term
+    adds a signed zero); a matrix product rounds by its batch shape, and
+    numpy rounds a product against a row broadcast down the batch otherwise
+    than against a full array."""
+    dtype = np.result_type(X, U0)
+    X = X.astype(dtype, copy=False)
+    u = np.zeros((len(X), U0.shape[2]), dtype=dtype)
+    for a in range(X.shape[1]):
+        u += X[:, a, None] * U0[at, a]
     return u
 
 
@@ -816,12 +807,13 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
     every row; the rows this bound does not clear take their own, by the
     one action rule on the ``tables`` of the moduli.
     """
-    lam_max, s2 = model.frame.lam_max, model.frame.s2
+    lam_max, s = model.frame.lam_max, model.frame.s
     X = np.asarray(X)
     top2 = np.abs(X).max(axis=1, initial=0.0) ** 2
 
     def vanish(rows, r):
-        return K[rows] * lam_max <= KERNEL_ZERO_TOL * ((r * r) @ s2) * top2[rows]
+        bound = np.square(r * s).sum(axis=-1)
+        return K[rows] * lam_max <= KERNEL_ZERO_TOL * bound * top2[rows]
 
     peak = sum((np.abs(f).max(axis=0) for f in zf), np.zeros(len(shift.S)))
     if shift.wtop.any():

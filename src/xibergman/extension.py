@@ -256,12 +256,17 @@ def _solve(prob, model, G, fixed, free, coupling, factor, gram_norm,
         _datum_coeffs(prob.f, model, fixed, f"joint model span (degree {prob.dz})"),
         coupling, free, factor,
     )
-    # the residual of c over its largest modulus: the norms of a steep
-    # extension (|c| ~ 1e285) overflow
     top = np.abs(c).max(initial=0.0)
-    u = c / top if top > 0 else c
-    scale = max(1.0, gram_norm * float(np.linalg.norm(u)))
-    kkt = float(np.linalg.norm(G[free] @ u)) / scale
+    if coupling is None:
+        # G_FC = 0 and c is 0 on the free elements, so G[free] @ c is 0, or
+        # NaN where c is not finite
+        kkt = math.nan if len(free) and not np.isfinite(top) else 0.0
+    else:
+        # the residual of c over its largest modulus: the norms of a steep
+        # extension (|c| ~ 1e285) overflow
+        u = c / top if top > 0 else c
+        scale = max(1.0, gram_norm * float(np.linalg.norm(u)))
+        kkt = float(np.linalg.norm(G[free] @ u)) / scale
     return ExtensionResult(prob, model, c, kkt, G, fixed, free, coupling, factor,
                            gram_norm, fiber)
 

@@ -28,7 +28,9 @@ fibers share a Gram matrix, up to a scalar, share one model:
   point in each call.
 
 Each model has one ``bergman.TaylorShift``, and its rows run the kernel
-body of ``bergman.kernels`` at z - center in blocks of at most ``ROWS``.
+body of ``bergman.kernels`` at z - center in blocks of at most ``ROWS``; a
+row's kernel depends on its own coefficients alone, so rows of any number
+of functionals, each zero off its own alphas, share one run.
 ``log_kernel_on_fiber`` returns log K_psi + s(w) without exponentiating, so
 a large shift neither overflows the kernel nor underflows the Gram.  Psi_N
 of ``ideal`` and the Jensen kernels of ``extension`` read the provider too.
@@ -137,9 +139,7 @@ def kernel_on_fiber(problem: FamilyProblem, w, z, log: bool = False,
 def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
                   quad: QuadSpec, alphas, X: np.ndarray, W: np.ndarray,
                   Z: np.ndarray, log: bool = False,
-                  model: GramModel | None = None,
-                  columns: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> np.ndarray:
+                  model: GramModel | None = None) -> np.ndarray:
     """The kernel of each row p of X, the functional
     sum_alpha X[p, alpha] e_alpha, at the fiber point Z[p] (or the one row
     of Z) over the base point W[p]: the core of ``kernel_on_fiber``, on
@@ -148,37 +148,27 @@ def fiber_kernels(fiber_domain: Polydisc, joint_weight, degree: int,
     The rows of each fiber model (``_fiber_models``) run the kernel body of
     ``bergman.kernels`` (``bergman._kernel_rows``), and are rounded as it
     rounds them, in blocks of at most ``ROWS`` rows on the tables of their
-    own fiber points; a kernel is 0 where ``bergman.zero_kernels`` finds it
-    vanishing.  For a joint weight psi(z) + s(w) the kernel is
-    e^{s(w)} K_psi, which is inf where that overflows; with log=True the
-    result is log K_psi + s(w), taken by one ``np.log`` call over the
-    kernels that are positive, -inf exactly where K_psi vanishes, and
-    nothing is exponentiated.  model is a fiber model already built by
-    ``assemble_gram`` with its default labels and method, which serves in
-    place of a new one where it is the same (see ``_fiber_models``).
-    columns, when given, is (masks, of_row): row p of X is the functional
-    over the alphas masks[of_row[p]] (X is 0 on the others), and is taken on
-    those alone, on the same fiber models, so that it rounds as a functional
-    over just those alphas does; a sum over more columns rounds its nonzero
-    products otherwise.
+    own fiber points: a row's kernel is that of its nonzero coefficients
+    alone, whatever shares its block.  A kernel is 0 where
+    ``bergman.zero_kernels`` finds it vanishing.  For a joint weight
+    psi(z) + s(w) the kernel is e^{s(w)} K_psi, which is inf where that
+    overflows; with log=True the result is log K_psi + s(w), taken by one
+    ``np.log`` call over the kernels that are positive, -inf exactly where
+    K_psi vanishes, and nothing is exponentiated.  model is a fiber model
+    already built by ``assemble_gram`` with its default labels and method,
+    which serves in place of a new one where it is the same (see
+    ``_fiber_models``).
     """
     U = Z - np.array(fiber_domain.center)
     K = np.zeros(len(W))
     models, s = _fiber_models(fiber_domain, joint_weight, degree, quad, alphas,
                               W, model)
     for shift, rows, fiber in models:
-        if columns is None:
-            groups = [(shift, rows, slice(None))]
-        else:
-            masks, of_row = columns
-            groups = [(shift.take(cols), rows[of_row[rows] == g], cols)
-                      for g, cols in enumerate(map(np.flatnonzero, masks))]
-        for sub, mine, cols in groups:
-            for lo in range(0, len(mine), ROWS):
-                r = mine[lo:lo + ROWS]
-                k, _, zero = _kernel_rows(fiber, sub, X[r][:, cols],
-                                          U if len(U) == 1 else U[r], W[r])
-                K[r] = np.where(zero, 0.0, k)
+        for lo in range(0, len(rows), ROWS):
+            r = rows[lo:lo + ROWS]
+            k, _, zero = _kernel_rows(fiber, shift, X[r],
+                                      U if len(U) == 1 else U[r], W[r])
+            K[r] = np.where(zero, 0.0, k)
     if log:
         return np.log(K, out=np.full(len(K), -math.inf), where=K > 0) + s
     with np.errstate(over="ignore"):

@@ -20,8 +20,9 @@ locus of the multiplier ideal: ``psi_scan`` tests U and evaluates B(W) once
 over the grid, and hands the s rows of B(w) at every point in U, as the
 coefficient rows over the jet monomials, to one call of the fiber-model
 provider, ``fiberwise.fiber_kernels``, with its zero test: one fiber model
-in all for a joint weight psi(z) + s(w), else one per point in U, and each
-row read on the columns of its functional family, as that family rounds;
+in all for a joint weight psi(z) + s(w), else one per point in U, each
+row over every jet monomial and rounded as its functional family, on that
+row's nonzero columns, rounds it (``bergman._products``);
 ``psi_at`` reads Psi_N off each point's kernels.  ``lambda_scan`` decides
 membership on the same B(W) before it takes any kernel.  The
 membership check reads the oracle generators of the fiber multiplier ideal
@@ -720,9 +721,10 @@ def _row_log_kernels(res: AnnihilatorResult, phi_joint, WU: np.ndarray,
                      quad: QuadSpec | None) -> np.ndarray:
     """The log-kernels (points x s) of the rows of B = B(WU) at the fiber
     origin, each row over its own point: one ``fiberwise.fiber_kernels``
-    call on the jet monomials ``res.labels``, each row read on the columns
-    of its functional family (where its array in B's ``TermMatrix`` is not
-    identically zero), so that it rounds as that family does.  The fiber
+    call on the jet monomials ``res.labels``.  A row is 0 off the columns of
+    its functional family (where its array in B's ``TermMatrix`` is
+    identically zero), and a row's actions are one ordered sum that those
+    zeros leave as it is, so it rounds as that family does.  The fiber
     models are those of any other kernel call, one model of psi for a joint
     weight psi(z) + s(w), else one per point.
     """
@@ -732,11 +734,9 @@ def _row_log_kernels(res: AnnihilatorResult, phi_joint, WU: np.ndarray,
     logk = np.zeros((len(WU), res.s))
     if logk.size:
         origin = _points_in(fiber_domain, (0j,) * n, "evaluation point")
-        live = res.b_terms.coef.any(axis=0)  # s x p
         logk = fiber_kernels(
             fiber_domain, phi_joint, degree, quad or QuadSpec(), res.labels,
             B.reshape(-1, res.p), np.repeat(WU, res.s, axis=0), origin, log=True,
-            columns=(live, np.tile(np.arange(res.s), len(WU))),
         ).reshape(logk.shape)
     return logk
 

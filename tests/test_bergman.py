@@ -561,6 +561,72 @@ class TestSharedPointActions:
         assert np.array_equal(u[0], u[1][:64]) and np.array_equal(u[1], u[2][:65])
 
 
+@st.composite
+def per_row_cases(draw):
+    """A TaylorShift on random terms in (z, w), rows of functional
+    coefficients with zeros among them, and a fiber point and a base point
+    per row; coordinates and coefficients are 0 or at least 1e-30 in
+    modulus, as in ``shared_point_cases``."""
+    n, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    part = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-30)
+    cplx = st.builds(complex, part, part)
+    size = draw(st.integers(1, 5))
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * n),
+                                    st.tuples(*[st.integers(0, 3)] * m), cplx,
+                                    st.integers(0, size - 1)),
+                          min_size=1, max_size=10))
+    E = np.array([ez + ew for ez, ew, _, _ in terms], dtype=int).reshape(-1, n + m)
+    C = np.array([c for _, _, c, _ in terms], dtype=complex)
+    S = np.array([j for _, _, _, j in terms], dtype=int)
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1,
+                           max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = draw(st.sampled_from([1, 2, 5, 17]))
+
+    def cloud(*shape):
+        return rng.uniform(-0.6, 0.6, shape) + 1j * rng.uniform(-0.6, 0.6, shape)
+
+    X = np.where(rng.random((P, len(alphas))) < 0.3, 0, cloud(P, len(alphas)))
+    return alphas, (E, C, S, n, size), X, cloud(P, n), cloud(P, m)
+
+
+class TestPerRowActions:
+    @settings(max_examples=150, deadline=None)
+    @given(per_row_cases())
+    def test_a_row_acts_by_its_own_coefficients_alone(self, case):
+        # each row at its own fiber and base point: its actions are the
+        # Taylor shift of every term, and the same bits alone and over its
+        # nonzero alphas alone, on a shift built over those alphas
+        alphas, basis, X, Z, W = case
+        E, C, S, n, size = basis
+
+        def act(alphas, X, Z, W):
+            shift = bergman.TaylorShift(alphas, *basis)
+            return shift.actions(X, shift.tables(shift.z_factors(Z), len(Z)), W,
+                                 np.arange(len(X)))
+
+        u = act(alphas, X, Z, W)
+        for p in range(len(X)):
+            ref, bound = np.zeros(size, dtype=complex), np.zeros(size)
+            for x, alpha in zip(X[p], alphas):
+                for e, c, j in zip(E, C, S):
+                    ez, ew = e[:n], e[n:]
+                    if any(g < a for g, a in zip(ez, alpha)):
+                        continue
+                    term = x * c * math.prod(
+                        math.comb(int(g), a) * complex(z) ** int(g - a)
+                        for g, a, z in zip(ez, alpha, Z[p]))
+                    term *= math.prod(complex(w) ** int(k) for k, w in zip(ew, W[p]))
+                    ref[j] += term
+                    bound[j] += abs(term)
+            assert np.all(np.abs(u[p] - ref) <= 1e-13 * bound)
+            want = u[p].tobytes()
+            assert act(alphas, X[[p]], Z[[p]], W[[p]])[0].tobytes() == want
+            nz = np.flatnonzero(X[p])
+            mine = act([alphas[k] for k in nz], X[[p]][:, nz], Z[[p]], W[[p]])
+            assert mine[0].tobytes() == want
+
+
 def reference_basis(domain, labels, g=None):
     """g * prod_i (z_i - c_i)^alpha_i for each label, by PolyW products."""
     n = domain.arity
@@ -708,6 +774,16 @@ class TestClassicalKernel:
         assert m.rank == 41
         got = xi_kernel(m, Functional(1, {(alpha,): 1.0}), (0.0,))
         assert abs(got - K) <= 1e-12 * K
+
+    def test_subnormal_moment_keeps_its_kernel(self):
+        # on a disc of radius 1e-10 the degree-15 moment pi R^32 / 16 is the
+        # subnormal 1.96e-321, whose 1 / d overflowed the zero test's bound
+        # to inf: the kernel read 0 and exited 0
+        m = orthonormalize(assemble_gram(Polydisc((1e-10,)), ZeroWeight(1), 15))
+        assert 0 < m.gram[-1, -1] < np.finfo(float).tiny
+        K = xi_kernel(m, DIRAC1, (5e-11,))
+        assert K == pytest.approx(classical_disc_kernel(5e-11, 1e-10), rel=1e-8)
+        assert np.isfinite(m.frame.s).all()
 
     def test_outside_domain_rejected(self):
         m = assemble_gram(Polydisc((1.0,)), ZeroWeight(1), 4)

@@ -684,18 +684,27 @@ class TestOneScanCall:
 
     @pytest.mark.parametrize("alphas, size", [(1, 5), (2, 13), (6, 28)])
     def test_rows_round_alike_whatever_shares_their_point(self, alphas, size):
-        # BLAS rounds a one-row product otherwise than a row of a larger one
-        from xibergman.bergman import _matmul, _products
+        # a row's actions are one ordered sum over its alphas: the same bits
+        # in a batch of 40, alone, tripled and over its nonzero alphas alone,
+        # at one shared point and at points of their own
+        from xibergman.bergman import _products
 
         rng = np.random.default_rng(alphas)
         X = rng.standard_normal((40, alphas)) + 1j * rng.standard_normal((40, alphas))
-        U0 = rng.standard_normal((9, alphas, size)) * (1 + 0.5j)
-        at = rng.integers(0, 9, 40)
-        at[:5] = 8  # a point shared by five rows, the others mostly alone
-        u = _products(X, U0, at)
-        for p in range(40):
-            assert np.array_equal(u[p], (X[[p, p, p]] @ U0[at[p]])[0])
-            assert np.array_equal(u[p], _matmul(X[[p]], U0[at[p]])[0])
+        X[rng.random(X.shape) < 0.3] = 0  # zero columns in some rows
+        for points in (1, 9):
+            U0 = rng.standard_normal((points, alphas, size)) * (1 + 0.5j)
+            at = rng.integers(0, points, 40)
+            at[:5] = points - 1  # a point shared by five rows, the others mostly alone
+            u = _products(X, U0, at)
+            for p in range(40):
+                want = u[p].tobytes()
+                assert _products(X[[p]], U0, at[[p]])[0].tobytes() == want
+                tripled = _products(X[[p] * 3], U0, at[[p] * 3])
+                assert {row.tobytes() for row in tripled} == {want}
+                nz = np.flatnonzero(X[p])
+                alone = _products(X[[p]][:, nz], U0[:, nz], at[[p]])[0]
+                assert alone.tobytes() == want
 
 
 class TestUscSpotCheck:
