@@ -652,7 +652,7 @@ class PsiPoint:
 
 
 def psi_at(res: AnnihilatorResult, w, B: np.ndarray | None,
-           logk: np.ndarray | None) -> PsiPoint:
+           logk: Sequence[float] | None) -> PsiPoint:
     """Psi_N(w), the sup over the annihilator functionals of the log-kernel
     at the fiber origin, from B = B(w) and the log-kernels logk of its rows
     (``psi_scan``).  B is None where w is outside U.  Psi_N is -inf when
@@ -664,7 +664,7 @@ def psi_at(res: AnnihilatorResult, w, B: np.ndarray | None,
     with np.errstate(over="ignore"):
         kernels = np.exp(logk).tolist()
     # with no functionals (s = 0, I_w + m^N is everything) this holds vacuously
-    psi = float(np.max(logk, initial=-math.inf))
+    psi = max(logk, default=-math.inf)
     return PsiPoint(w, "ok" if psi > -math.inf else "minus_inf", psi, kernels, B)
 
 
@@ -712,8 +712,9 @@ def _psi_points(res: AnnihilatorResult, phi_joint, W: np.ndarray,
     logk = _row_log_kernels(res, phi_joint, W[inside], B, fiber_domain, degree,
                             quad)
     at = np.cumsum(inside) - 1
-    return [psi_at(res, w, B[i], logk[i]) if ok else psi_at(res, w, None, None)
-            for w, ok, i in zip(W, inside, at)]
+    rows = logk.tolist()  # Python floats and complexes: no numpy scalars
+    return [psi_at(res, w, B[i], rows[i]) if ok else psi_at(res, w, None, None)
+            for w, ok, i in zip(W.tolist(), inside, at)]
 
 
 def _row_log_kernels(res: AnnihilatorResult, phi_joint, WU: np.ndarray,

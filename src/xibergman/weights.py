@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import Table, integer, list_of, point, real, reals, variants
 from .family import POLY_TERMS, PolyW, poly_to_json
-from .functional import ArityMismatchError, MultiIndex
+from .functional import ArityMismatchError, MultiIndex, multi_indices_upto
 
 
 class UnsupportedWeightError(ValueError):
@@ -517,8 +517,6 @@ def poly_quotient(g: PolyW, f: PolyW, tol: float = 1e-9) -> PolyW | None:
     hdeg = int(f.degree - gmin)
     if hdeg < 0:
         return None
-    from .functional import multi_indices_upto
-
     betas = multi_indices_upto(f.arity, hdeg)
     # rows: exponents appearing in any product; columns: candidate h terms
     rows: dict[MultiIndex, int] = {}

@@ -3,12 +3,14 @@
 import cmath
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaln
 
 from xibergman import bergman
 from xibergman.bergman import (
@@ -333,6 +335,74 @@ class TestRadialMoments:
         with pytest.raises(UnsupportedWeightError,
                            match=re.escape(f"(z - center)^{alpha}")):
             assemble_gram(Polydisc(radii), weight, 118)
+
+
+def scipy_moment(e, q, R):
+    """pi Gamma(e) P(e, qR^2) / q^e from scipy.special; inf where the
+    exponential overflows, None where q or P is subnormal (there the oracle
+    has lost its digits)."""
+    try:
+        if q == 0:
+            return math.exp(2.0 * e * math.log(R) + math.log(math.pi / e))
+        P = gammainc(e, q * R * R)
+        if not min(q, P) >= sys.float_info.min:
+            return None
+        return math.pi * math.exp(gammaln(e) + math.log(P) - e * math.log(q))
+    except OverflowError:
+        return math.inf
+
+
+def assert_meets_scipy(e, q, R):
+    got, want = _radial_moment(e, q, R), scipy_moment(e, q, R)
+    if want is None:
+        return
+    top, low = sys.float_info.max * (1.0 - 1e-12), 2.0 * sys.float_info.min
+    if got > top or want > top:
+        # infinite where scipy's overflows, up to rounding at the float edge
+        assert got > top and want > top, (got, want)
+    elif got >= low or want >= low:
+        assert abs(got / want - 1.0) <= 1e-12, (got, want)
+
+
+class TestRadialMomentSeries:
+    """``_radial_moment`` is one positive series up to its P = 1 switch at
+    x = e + 9 sqrt(e) + 40, and pi Gamma(e) / q^e past it: it meets
+    scipy's incomplete gamma function at every x."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(0.0, 200.0, exclude_min=True), st.floats(0.05, 20.0),
+           st.floats(0.0, 500.0))
+    # near the top of the range past x = e: R^(2e) overflows, and at the
+    # smallest normal e so does pi total / e, but the moment does not
+    @example(159.0, 15.75, 167.0)
+    @example(sys.float_info.min, 1.0, 1.0)
+    def test_matches_scipy(self, e, R, x):
+        # below x = e the series branch reads inf wherever pi R^(2e)
+        # overflows, finite moments included (the xfail below)
+        q = x / (R * R)
+        assume(q * R * R >= e or 2.0 * e * math.log(R)
+               <= math.log(sys.float_info.max / math.pi))
+        assert_meets_scipy(e, q, R)
+
+    @pytest.mark.xfail(strict=True, reason="below x = e the series branch"
+                       " forms R^(2e) before it divides by e")
+    def test_finite_moment_past_the_range_of_its_power(self):
+        # pi 20^238 / 119 = 1.16611633586648e308 (40-digit mpmath) is in
+        # range, yet 20^238 and exp(238 log 20) are not
+        assert _radial_moment(119.0, 0.0, 20.0) == pytest.approx(
+            1.16611633586648e308, rel=1e-12)
+
+    @pytest.mark.parametrize("e", [0.01, 0.5, 1.0, 7.5, 50.0, 119.0, 200.0, 300.0])
+    def test_either_side_of_each_switch(self, e):
+        # R = 1, so x = q: just below, at and just above x = e (where the
+        # sum is taken as one exponential) and the P = 1 switch
+        t = e + 9.0 * math.sqrt(e) + 40.0
+        for x in (math.nextafter(e, 0), e, math.nextafter(e, math.inf),
+                  math.nextafter(t, 0), t, math.nextafter(t, math.inf)):
+            assert_meets_scipy(e, x, 1.0)
+        below, above = (_radial_moment(e, x, 1.0)
+                        for x in (t, math.nextafter(t, math.inf)))
+        assert abs(above / below - 1.0) <= 1e-12
 
 
 @st.composite

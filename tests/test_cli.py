@@ -1127,27 +1127,51 @@ class TestArgumentHandling:
             )
 
 
+#: (config, its exit code) of every shipped kernel, scan-psh and extend
+#: config, and a kernel under a centered quadratic, whose moment x = qR^2 = 1
+#: is not below its exponent e = 1
+STARTUP_CONFIGS = [
+    (CONFIGS / f"{p.stem}.json", {"scan_control": 1, "extend_gaussian_steep": 1}
+     .get(p.stem, 0))
+    for p in sorted(CONFIGS.glob("*.json"))
+    if json.loads(p.read_text())["command"] in ("kernel", "scan-psh", "extend")
+] + [("kernel_quadratic", 0)]
+
+
 class TestStartup:
-    def test_scan_psh_never_loads_scipy_special(self, tmp_path):
-        # scipy.special costs ~0.3 s of start-up; only the incomplete-gamma
-        # branch of the radial moments needs it
+    @pytest.mark.parametrize(
+        "config, exit_code", STARTUP_CONFIGS,
+        ids=[Path(c).stem for c, _ in STARTUP_CONFIGS])
+    def test_never_loads_scipy(self, tmp_path, config, exit_code):
+        # importing scipy.special costs ~0.3 s of start-up, more than
+        # importing xibergman.cli; only the annihilator's QR (annihilate,
+        # lambda) needs scipy
+        if config == "kernel_quadratic":
+            config = tmp_path / "kernel_quadratic.json"
+            config.write_text(json.dumps({
+                **json.loads((CONFIGS / "kernel_disc_dirac.json").read_text()),
+                "weight": {"variant": "quadratic", "coeffs": [1.0]}}))
+        command = json.loads(Path(config).read_text())["command"]
         src = Path(cli.__file__).resolve().parent.parent
-        argv = ["scan-psh", "--config", str(CONFIGS / "scan_pstar.json"),
-                "--out", str(tmp_path)]
-        code = (
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+        script = (
             "import sys\n"
             "import xibergman.cli as cli\n"
-            "assert 'scipy.special' not in sys.modules, 'loaded by the import'\n"
+            "def scipy():\n"
+            "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy'})\n"
+            "assert not scipy(), f'loaded by the import: {scipy()}'\n"
             f"rc = cli.main({argv!r})\n"
-            "assert rc == 0, rc\n"
-            "assert 'scipy.special' not in sys.modules, 'loaded by scan-psh'\n"
+            f"assert rc == {exit_code}, rc\n"
+            f"assert not scipy(), f'loaded by {command}: {{scipy()}}'\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True
         )
         assert proc.returncode == 0, proc.stderr
 
