@@ -1,22 +1,22 @@
 """Truncated models of weighted Bergman spaces and extremal kernels.
 
 A GramModel holds a finite monomial (or divisor-factored) basis together
-with the Gram matrix of the weighted inner product.  After eigenvalue
-orthonormalization, the kernel value at z for a functional xi is the squared
-norm of the vector of actions of xi on the orthonormal basis, which equals
-the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on the truncated space.
-``orthonormal_frame`` is the one orthonormalization of a Gram, for the
-kernels and for the extension solve of ``extension``: the eigenvalues are
-those of the equilibrated Gram D^-1/2 G D^-1/2 (D = diag G), so the
-relative cutoff drops the nearly dependent directions of the basis, not the
-elements of small norm.  It returns a ``Frame`` in one of two forms: for an
-exactly diagonal Gram (the closed-form and divisor paths) the kept column
-indices and their scales, with no eigendecomposition and no p x p array,
-and otherwise the dense matrix of ``eigh``.  The frame applies itself
-wherever it is used (the kernels' actions, the extremal function, the free
-solve of the extension), so no caller reads its form, and
-``GramModel.transform`` is a view of it: the dense p x rank matrix, built
-on request.
+with the Gram G of the weighted inner product: its diagonal where G is
+exactly diagonal (decided once, where the moments are taken), else the
+p x p matrix.  After eigenvalue orthonormalization, the kernel value at z
+for a functional xi is the squared norm of the vector of actions of xi on
+the orthonormal basis, the extremal ratio sup |xi.f(z)|^2 / ||f||^2 on
+the truncated space.  ``orthonormal_frame`` is the one orthonormalization
+of a Gram, for the kernels and the extension solve of ``extension``: the
+eigenvalues are those of the equilibrated Gram D^-1/2 G D^-1/2
+(D = diag G), so the relative cutoff drops the nearly dependent directions
+of the basis, not the elements of small norm.  Its ``Frame`` takes the
+form of G: for a diagonal the kept column indices and their scales, with
+no eigendecomposition and no p x p array, for a matrix the dense matrix of
+``eigh``.  The frame applies itself wherever it is used (the kernels'
+actions, the extremal function, the free solve of the extension), so no
+caller reads its form; ``GramModel.transform`` and ``GramModel.gram`` are
+the dense matrices of the frame and of G, built on request.
 
 Every catalog weight but a divisor has a per-coordinate form
 (``weights.coordinate_form``): its Gram is an entrywise product of one-disc
@@ -121,7 +121,7 @@ QUADRATURE = Table({"radialNodes": (integer, QuadSpec.radial_nodes),
 
 @dataclass
 class GramModel:
-    """A truncated basis, its Gram matrix and (once orthonormalized) its frame.
+    """A truncated basis, its Gram G and (once orthonormalized) its frame.
 
     Basis element j is the polynomial sum_t coeffs[t] u^exps[t] over the
     terms t with seg[t] == j, in the local coordinates u = z - center of the
@@ -131,10 +131,9 @@ class GramModel:
     the basis: ``basis`` gives global PolyW views of the elements, in powers
     of z, on request, and ``poly_from_coeffs`` the PolyW sum of those views.
     ``orthonormalize`` sets ``frame``, the ``Frame`` that orthonormalizes
-    the basis (scaled columns of the identity for an exactly diagonal Gram,
-    a dense matrix otherwise), and ``eigenvalues``, those of the
-    equilibrated Gram.  ``transform`` is a view of the frame: the dense
-    p x rank matrix, built on each read.
+    the basis, and ``eigenvalues``, those of the equilibrated Gram.
+    ``gram`` and ``transform`` are views built on each read: the p x p
+    Gram, read-only, and the dense p x rank frame.
     """
 
     domain: Polydisc
@@ -144,7 +143,7 @@ class GramModel:
     exps: np.ndarray  # (terms, arity) int
     coeffs: np.ndarray  # (terms,) complex
     seg: np.ndarray  # (terms,) int
-    gram: np.ndarray
+    G: np.ndarray  # the Gram: (p,), its diagonal, when exactly diagonal
     frame: Frame | None = None
     eigenvalues: np.ndarray | None = None
     quad: QuadSpec | None = None  # the rule assemble_gram was given
@@ -156,6 +155,10 @@ class GramModel:
     @property
     def size(self) -> int:
         return len(self.basis_labels)
+
+    @property
+    def gram(self) -> np.ndarray:
+        return gram_matrix(self.G)
 
     @property
     def transform(self) -> np.ndarray | None:
@@ -187,7 +190,15 @@ class GramModel:
 
     def norm_sq(self, c: Sequence[complex]) -> float:
         c = np.asarray(c, dtype=complex)
-        return float(np.real(np.conj(c) @ self.gram @ c))
+        cG = np.conj(c) * self.G if self.G.ndim == 1 else np.conj(c) @ self.G
+        return float(np.real(cG @ c))
+
+
+def gram_matrix(G: np.ndarray) -> np.ndarray:
+    """A stored Gram as a read-only p x p matrix, diag(G) for a 1-D G."""
+    M = np.diag(G) if G.ndim == 1 else G.view()
+    M.flags.writeable = False
+    return M
 
 
 def _recentered(p: PolyW, old, new) -> PolyW:
@@ -283,7 +294,7 @@ def _radial_moment(e: float, q: float, R: float) -> float:
     positive terms (DLMF 8.7.1), free of cancellation at any x = q R^2, up
     to x = e + 9 sqrt(e) + 40; past that 1 - P(e, x) < 1e-21 for e <= 300
     and < 1.2e-19 for any e, under half an ulp, so the moment is its P = 1
-    limit pi Gamma(e) / q^e.  Where R^(2e) overflows, or (x >= e) R^(2e)
+    limit pi Gamma(e) / q^e.  Where pi R^(2e) overflows, or (x >= e) R^(2e)
     e^{-x} underflows, the power and the exponential are one exponential.
     """
     if e <= 0:
@@ -299,13 +310,16 @@ def _radial_moment(e: float, q: float, R: float) -> float:
             k += 1
             term *= x / (e + k)
             total += term
-        if x >= e:  # R^(2e) e^{-x} may underflow, and total / e overflow
-            return math.exp(2.0 * e * math.log(R) - x
-                            + math.log(math.pi * total) - math.log(e))
-        try:
-            return math.pi * R ** (2.0 * e) / e * math.exp(-x) * total
-        except OverflowError:  # R^(2e) alone leaves the float range
-            return math.exp(2.0 * e * math.log(R) - x) * math.pi * total / e
+        if x < e:
+            try:
+                m = math.pi * R ** (2.0 * e) / e * math.exp(-x) * total
+            except OverflowError:  # R^(2e) alone leaves the float range
+                m = math.inf
+            if m < math.inf:
+                return m
+        # R^(2e) e^{-x} may underflow, R^(2e) or pi total / e overflow
+        return math.exp(2.0 * e * math.log(R) - x
+                        + math.log(math.pi * total) - math.log(e))
     except OverflowError:
         return math.inf
 
@@ -324,8 +338,7 @@ def radial_moments(weight, domain: Polydisc, labels) -> np.ndarray | None:
     if not all(exact):
         return None
     A = np.array(labels, dtype=int).reshape(len(labels), domain.arity)
-    G = _coordinate_gram(domain, A, form, c, shift, exact, None)
-    return G.diagonal().real.copy()
+    return _coordinate_gram(domain, A, form, c, shift, exact, None).real.copy()
 
 
 def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
@@ -339,9 +352,9 @@ def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
     the ``polar_rule`` nodes of disc i, P_i the Vandermonde matrix of
     z_i - center_i; a node on a pole contributes 0, as on the tensor path.
     When every factor is diagonal the Gram is the diagonal product of the
-    moment vectors.  A diagonal entry that is not finite, or (every factor
-    exact) underflows to 0, is outside the float range:
-    UnsupportedWeightError names its monomial and the radii.
+    moment vectors, returned as that complex vector.  A diagonal entry that
+    is not finite, or (every factor exact) underflows to 0, is outside the
+    float range: UnsupportedWeightError names its monomial and the radii.
     """
     diagonal = all(exact)
     try:
@@ -357,11 +370,12 @@ def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
         for i, (R, (q, a, ci), center) in enumerate(
             zip(domain.radii, form, domain.center)
         ):
-            top = int(A[:, i].max(initial=0))
+            ai = A[:, i]
+            top = int(ai.max(initial=0))
             if exact[i]:
                 m = np.array([_radial_moment(k - c[i] + 1.0, q, R)
-                              for k in range(top + 1)])
-                M = m if diagonal else np.diag(m)
+                              for k in range(top + 1)])[ai]
+                G = G * (m if diagonal else m[:, None] * (ai[:, None] == ai))
             else:
                 u, w = polar_rule(R, quad.radial_nodes,
                                   max(quad.angular_nodes, angular),
@@ -371,7 +385,7 @@ def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
                 dens[~np.isfinite(dens)] = 0.0
                 P = np.vander(u, top + 1, increasing=True)
                 M = np.conj(P).T @ (P * (w * dens)[:, None])
-            G = G * (M[A[:, i]] if diagonal else M[np.ix_(A[:, i], A[:, i])])
+                G = G * M[np.ix_(ai, ai)]
         G = G * scale
     diag = G if diagonal else G.diagonal().real
     bad = ~((diag > 0) & (diag < math.inf)) if diagonal else ~np.isfinite(diag)
@@ -382,8 +396,7 @@ def _coordinate_gram(domain: Polydisc, A, form, c, shift, exact, quad):
             f" radii {domain.radii} is {diag[bad][0]}, outside the float range:"
             " lower the degree"
         )
-    # the vector cast first: no real p x p copy beside the complex Gram
-    return np.diag(G.astype(complex)) if diagonal else G
+    return G.astype(complex, copy=False)
 
 
 def _tensor_quadrature_gram(model: GramModel, quad: QuadSpec) -> np.ndarray:
@@ -471,9 +484,8 @@ def assemble_gram(
         inner = _assemble(domain, rest, degree, quad, method, labels)
         g = _recentered(divisor.g, (0j,) * n, domain.center)
         E, C, S = _times_poly(g, inner.exps)
-        model = GramModel(
-            domain, weight, degree, inner.basis_labels, E, C, S, inner.gram
-        )
+        model = GramModel(domain, weight, degree, inner.basis_labels, E, C, S,
+                          inner.G)
     else:
         model = _assemble(domain, weight, degree, quad, method, labels)
     model.quad = quad
@@ -493,7 +505,7 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
     model = GramModel(domain, weight, degree, labels, E,
                       np.ones(len(E), dtype=complex), np.arange(len(E)), None)
     if not labels:
-        model.gram = np.zeros((0, 0), dtype=complex)
+        model.G = np.zeros(0, dtype=complex)
         return model
 
     if method == "quadrature" or quad.inner_cutoff:
@@ -502,9 +514,9 @@ def _assemble(domain, weight, degree, quad, method, labels) -> GramModel:
         raise UnsupportedWeightError("no closed form for this weight or inner cutoff")
     if form is None:
         _refuse_divisor_zeros(weight, domain)
-        model.gram = _tensor_quadrature_gram(model, quad)
+        model.G = _tensor_quadrature_gram(model, quad)
     else:
-        model.gram = _coordinate_gram(domain, E, form, cvec, shift, exact, quad)
+        model.G = _coordinate_gram(domain, E, form, cvec, shift, exact, quad)
     return model
 
 
@@ -513,7 +525,7 @@ class Frame:
     rank, in one of two forms that apply themselves alike:
 
     - dense: ``T`` is the matrix itself (``cols`` None);
-    - scaled columns of the identity, for an exactly diagonal Gram:
+    - scaled columns of the identity, for a Gram stored as its diagonal:
       T[cols[k], k] = T[k], the one nonzero of column k, and no p x p array.
 
     ``act``, ``coefficients`` and ``solve`` are every use of the frame, so no
@@ -567,17 +579,12 @@ class Frame:
         return T
 
 
-def _off_diagonal(G: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of a square G as a strided (p - 1) x p view."""
-    p = len(G)
-    return G.reshape(-1)[1:].reshape(p - 1, p + 1)[:, :p] if p > 1 else G[:0, :0]
-
-
 def orthonormal_frame(G: np.ndarray):
     """(frame, lam): the ``Frame`` T orthonormalizes the basis of the Gram G,
     on its Hermitian part H, and lam holds the eigenvalues of the
     equilibrated s H s, ascending, s = D^-1/2 (D = diag G, s = 0 where
-    D <= 0).  A 1-D G is the diagonal of an exactly diagonal Gram.
+    D <= 0).  A 1-D G is the diagonal of an exactly diagonal Gram; a
+    p x p G always takes ``eigh``, whatever its entries.
 
     The one eigendecomposition of a Gram matrix: ``orthonormalize`` and the
     Schur solve of ``extension`` read it.  With s H s = V diag(lam) V^H,
@@ -588,17 +595,16 @@ def orthonormal_frame(G: np.ndarray):
     elements whose norms span more than 1 / EIG_CUTOFF_REL, each well
     conditioned (pi R^(2k + 2) / (k + 1) over k <= 40 on a disc of radius
     2), are all kept: it drops the nearly dependent directions of the
-    basis, not the elements of small norm.  A G whose off-diagonal is
-    exactly zero (the closed-form and divisor paths), found in one pass over
-    it, is not passed to ``eigh``: lam is its equilibrated diagonal
-    s_j^2 D_j, sorted, and the frame keeps, in that order, the column
-    indices j of the kept entries and their scales s_j / sqrt(lam), the one
-    nonzero of each column of T, with no p x p array.  Tied eigenvalues may
-    then come in another order than ``eigh`` gives them.
+    basis, not the elements of small norm.  For a 1-D G, its own Hermitian
+    part, lam is the equilibrated diagonal s_j^2 D_j, sorted, and the frame
+    keeps, in that order, the column indices j of the kept entries and their
+    scales s_j / sqrt(lam), the one nonzero of each column of T, with no
+    p x p array.  Tied eigenvalues may then come in another order than
+    ``eigh`` gives them.
     """
-    diagonal = G.ndim == 1 or not _off_diagonal(G).any()
+    diagonal = G.ndim == 1
     H = G if diagonal else 0.5 * (G + np.conj(G).T)
-    d = (H if H.ndim == 1 else H.diagonal()).real.copy()
+    d = (H if diagonal else H.diagonal()).real.copy()
     s = np.zeros(len(d))
     s[d > 0] = 1.0 / np.sqrt(d[d > 0])
     if diagonal:
@@ -625,7 +631,7 @@ def orthonormalize(model: GramModel) -> GramModel:
     those of the equilibrated Gram, which do not move under psi -> psi + c,
     and ``rank`` (the frame's column count) the number of kept directions.
     """
-    model.frame, model.eigenvalues = orthonormal_frame(model.gram)
+    model.frame, model.eigenvalues = orthonormal_frame(model.G)
     return model
 
 

@@ -31,20 +31,19 @@ and one ``fiberwise.fiber_kernels`` call for the log-kernels log K(w), in
 log space throughout.
 
 An ``ExtensionResult`` keeps what its solve used beside the solution: the
-joint model, the Hermitian part of its Gram, the fixed and free index sets,
-the free rows G[F] of that Gram (none when it is exactly diagonal, where
-G_FC = 0 and the free coefficients are 0), the factor T of the free block
-G_FF (its ``bergman.orthonormal_frame``, the frame the kernels use, so
-T T^H is the pseudo-inverse of G_FF under the EIG_CUTOFF_REL cutoff; a
-``bergman.Frame``, scaled columns of the identity when G_FF is exactly
-diagonal, which ``Frame.solve`` applies) and the KKT scale ||G||_inf.
-None depends on the datum, so the diagnostic solves its extremal datum
-against the same joint model and factorization (``with_datum``).  The
-result's central fiber model, built once, gives both fiber norms and the
-extremal function, and serves the Jensen kernels too where their fiber
-weight is its weight (a w-independent weight, or a split quadratic at
-w0 = 0): one joint Gram, one factorization and one central fiber model per
-command.
+joint model, the Hermitian part of its Gram (1-D, as the model stores an
+exactly diagonal Gram), the fixed and free index sets, the free rows G[F]
+of that Gram (none for a diagonal, where G_FC = 0 and the free
+coefficients are 0), the factor T of the free block G_FF (its
+``bergman.orthonormal_frame``, the frame the kernels use, so T T^H is the
+pseudo-inverse of G_FF under the EIG_CUTOFF_REL cutoff; a ``bergman.Frame``,
+which ``Frame.solve`` applies) and the KKT scale ||G||_inf.  None depends
+on the datum, so the diagnostic solves its extremal datum against the same
+joint model and factorization (``with_datum``).  The result's central
+fiber model, built once, gives both fiber norms and the extremal function,
+and serves the Jensen kernels too where their fiber weight is its weight
+(a w-independent weight, or a split quadratic at w0 = 0): one joint Gram,
+one factorization and one central fiber model per command.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ from .bergman import (
     GramModel,
     QuadSpec,
     TaylorShift,
-    _off_diagonal,
     _recentered,
     assemble_gram,
     extremal_function,
+    gram_matrix,
     orthonormal_frame,
 )
 from .family import PolyW
@@ -159,17 +158,17 @@ class ExtensionResult:
     model: GramModel  # joint Gram model
     coeffs: np.ndarray  # joint coefficient vector in the local basis
     kkt_residual: float
-    gram: np.ndarray  # Hermitian part of the joint Gram
+    H: np.ndarray  # Hermitian part of the joint Gram: (p,) or (p, p)
     fixed: dict[MultiIndex, int]  # fiber label alpha -> its k = 0 element
     free: np.ndarray  # the k > 0 elements
-    # the free rows gram[free], None when the Gram is exactly diagonal: then
-    # G_FC = 0 and the free coefficients of every minimal extension are 0
-    coupling: np.ndarray | None
-    # orthonormal frame T of G_FF, T T^H = pinv(G_FF): scaled columns of the
-    # identity when G_FF is exactly diagonal, else dense; solve applies it
-    factor: Frame
+    coupling: np.ndarray | None  # H[free]; None for a 1-D H, where G_FC = 0
+    factor: Frame  # the orthonormal frame T of G_FF: T T^H = pinv(G_FF)
     gram_norm: float  # ||G||_inf >= ||G||_2, the scale of the KKT residual
     fiber: GramModel | None = None  # central fiber model, see fiber_model
+
+    @property
+    def gram(self) -> np.ndarray:
+        return gram_matrix(self.H)
 
     def joint_poly(self) -> PolyW:
         return self.model.poly_from_coeffs(self.coeffs)
@@ -194,7 +193,7 @@ class ExtensionResult:
 
     def with_datum(self, f: PolyW) -> ExtensionResult:
         """The minimal extension of the fiber datum f against this joint model."""
-        return _solve(replace(self.problem, f=f), self.model, self.gram,
+        return _solve(replace(self.problem, f=f), self.model, self.H,
                       self.fixed, self.free, self.coupling, self.factor,
                       self.gram_norm, self.fiber_model())
 
@@ -211,28 +210,22 @@ def minimal_extension(prob: ExtensionProblem) -> ExtensionResult:
     result keeps for ``with_datum``.  The KKT scale is ||G||_inf, the
     largest absolute row sum: max |lambda(G)| when G is diagonal, and a
     bound on it otherwise.  An exactly diagonal joint Gram (the closed-form
-    and divisor paths), found in one pass over it, is its own Hermitian
-    part: G_FC = 0, so y = 0, and only its diagonal is read, for the scale
-    and the frame of G_FF.
+    and divisor paths), stored as its diagonal h, is its own Hermitian part:
+    G_FC = 0, so y = 0, and h gives the scale and the frame of G_FF.
     """
     model = _joint_gram(prob)
     fixed = {a[:-1]: j for j, a in enumerate(model.basis_labels) if a[-1] == 0}
-    free = np.array(
-        [j for j, a in enumerate(model.basis_labels) if a[-1] != 0], dtype=int
-    )
-    if _off_diagonal(model.gram).any():
-        G = 0.5 * (model.gram + np.conj(model.gram).T)
-        gram_norm = float(np.abs(G).sum(axis=1).max(initial=0.0))
-        coupling = G[free]
-        factor = orthonormal_frame(coupling[:, free])[0]
+    free = np.flatnonzero([a[-1] != 0 for a in model.basis_labels])
+    if model.G.ndim == 1:
+        H, coupling = model.G, None
+        gram_norm = float(np.abs(H).max(initial=0.0))
+        factor = orthonormal_frame(H[free])[0]
     else:
-        G, coupling = model.gram, None
-        # the diagonal of the Hermitian part, rounded as the dense one is
-        h = G.diagonal()
-        h = 0.5 * (h + np.conj(h))
-        gram_norm = float(np.abs(h).max(initial=0.0))
-        factor = orthonormal_frame(h[free])[0]
-    return _solve(prob, model, G, fixed, free, coupling, factor, gram_norm)
+        H = 0.5 * (model.G + np.conj(model.G).T)
+        gram_norm = float(np.abs(H).sum(axis=1).max(initial=0.0))
+        coupling = H[free]
+        factor = orthonormal_frame(coupling[:, free])[0]
+    return _solve(prob, model, H, fixed, free, coupling, factor, gram_norm)
 
 
 def _fill_free(c: np.ndarray, coupling: np.ndarray | None, free: np.ndarray,
@@ -249,7 +242,7 @@ def _fill_free(c: np.ndarray, coupling: np.ndarray | None, free: np.ndarray,
     return c
 
 
-def _solve(prob, model, G, fixed, free, coupling, factor, gram_norm,
+def _solve(prob, model, H, fixed, free, coupling, factor, gram_norm,
            fiber=None) -> ExtensionResult:
     """The Schur-complement solve of ``minimal_extension`` for prob.f."""
     c = _fill_free(
@@ -266,8 +259,8 @@ def _solve(prob, model, G, fixed, free, coupling, factor, gram_norm,
         # extension (|c| ~ 1e285) overflow
         u = c / top if top > 0 else c
         scale = max(1.0, gram_norm * float(np.linalg.norm(u)))
-        kkt = float(np.linalg.norm(G[free] @ u)) / scale
-    return ExtensionResult(prob, model, c, kkt, G, fixed, free, coupling, factor,
+        kkt = float(np.linalg.norm(coupling @ u)) / scale
+    return ExtensionResult(prob, model, c, kkt, H, fixed, free, coupling, factor,
                            gram_norm, fiber)
 
 

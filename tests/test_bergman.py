@@ -28,7 +28,11 @@ from xibergman.bergman import (
     radial_moments,
     xi_kernel,
 )
-from xibergman.extension import ExtensionProblem, minimal_extension
+from xibergman.extension import (
+    ExtensionProblem,
+    extension_report,
+    minimal_extension,
+)
 from xibergman.family import PolyW
 from xibergman.functional import (
     Functional,
@@ -377,15 +381,8 @@ class TestRadialMomentSeries:
     @example(159.0, 15.75, 167.0)
     @example(sys.float_info.min, 1.0, 1.0)
     def test_matches_scipy(self, e, R, x):
-        # below x = e the series branch reads inf wherever pi R^(2e)
-        # overflows, finite moments included (the xfail below)
-        q = x / (R * R)
-        assume(q * R * R >= e or 2.0 * e * math.log(R)
-               <= math.log(sys.float_info.max / math.pi))
-        assert_meets_scipy(e, q, R)
+        assert_meets_scipy(e, x / (R * R), R)
 
-    @pytest.mark.xfail(strict=True, reason="below x = e the series branch"
-                       " forms R^(2e) before it divides by e")
     def test_finite_moment_past_the_range_of_its_power(self):
         # pi 20^238 / 119 = 1.16611633586648e308 (40-digit mpmath) is in
         # range, yet 20^238 and exp(238 log 20) are not
@@ -845,6 +842,16 @@ class TestClassicalKernel:
         got = xi_kernel(m, Functional(1, {(alpha,): 1.0}), (0.0,))
         assert abs(got - K) <= 1e-12 * K
 
+    def test_top_moment_at_the_edge_of_the_float_range(self):
+        # on R = 20 at degree 118 the last moment is pi 20^238 / 119 =
+        # 1.166e308, whose power 20^238 overflows: it was refused as
+        # outside the float range
+        m = assemble_gram(Polydisc((20.0,)), ZeroWeight(1), 118)
+        assert m.G[-1].real == pytest.approx(1.16611633586648e308, rel=1e-12)
+        K = xi_kernel(m, DIRAC1, (0.0,))
+        want = 1.0 / (400.0 * math.pi)
+        assert abs(K / want - 1.0) <= 1e-15
+
     def test_subnormal_moment_keeps_its_kernel(self):
         # on a disc of radius 1e-10 the degree-15 moment pi R^32 / 16 is the
         # subnormal 1.96e-321, whose 1 / d overflowed the zero test's bound
@@ -1062,6 +1069,12 @@ class TestOrthonormalize:
         dense eigh frame does: in the kernels, the extremal function and the
         free solve of the extension, with_datum included."""
         model, xi, z = problem
+        # the stored Gram is its diagonal, and the gram view its matrix
+        assert model.G.ndim == 1
+        assert np.array_equal(model.gram, np.diag(model.G))
+        rng = np.random.default_rng(len(model.basis_labels))
+        c = rng.standard_normal(model.size) + 1j * rng.standard_normal(model.size)
+        assert model.norm_sq(c) == float(np.real(np.conj(c) @ model.gram @ c))
         T = reference_frame(model.gram)[1]
         orthonormalize(model)
         assert model.frame.cols is not None and model.frame.shape == T.shape
@@ -1077,6 +1090,7 @@ class TestOrthonormalize:
         prob = ExtensionProblem(model.domain, 1.0, WIndependentJoint(model.weight, 1),
                                 0.0, f, model.degree, 2)
         res = minimal_extension(prob)
+        assert res.H.ndim == 1 and np.array_equal(res.gram, np.diag(res.H))
         for r in (res, res.with_datum(f * (0.5 - 1j) + model.basis[-1])):
             free = r.free
             TF = reference_frame(r.gram[np.ix_(free, free)])[1]
@@ -1091,19 +1105,34 @@ class TestOrthonormalize:
             assert close(r.factor.solve(rhs), TF @ (np.conj(TF).T @ rhs))
 
     def test_diagonal_frame_holds_no_square_array(self):
-        # 2-D zero weight at degree 40: p = 861, whose dense frame alone is
-        # 11.3 MiB
-        model = assemble_gram(Polydisc((1.0, 1.0)), ZeroWeight(2), 40)
-        assert model.size == 861
+        # 2-D zero weight at degree 40: p = 861, whose complex Gram or dense
+        # frame alone is 11.3 MiB
         tracemalloc.start()
         try:
+            model = assemble_gram(Polydisc((1.0, 1.0)), ZeroWeight(2), 40)
             orthonormalize(model)
             K = xi_kernel(model, Functional(2, {(0, 0): 1.0}), (0.3, 0.1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model.rank == 861 and K > 0
+        assert model.size == model.rank == 861 and K > 0
         assert peak < 2**20
+
+    def test_diagonal_extension_holds_no_square_array(self):
+        # a 2-D w-independent zero weight at dz = dw = 12: p = 1183, whose
+        # complex joint Gram alone is 21.4 MiB
+        prob = ExtensionProblem(Polydisc((1.0, 1.0)), 1.0,
+                                WIndependentJoint(ZeroWeight(2), 1), 0.0,
+                                PolyW(2, {(0, 0): 1.0, (2, 1): 0.5}), 12, 12)
+        tracemalloc.start()
+        try:
+            res = minimal_extension(prob)
+            report = extension_report(prob, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.model.size == 1183 and report["ratio"] > 0
+        assert peak < 2 * 2**20
 
     def test_diagonal_gram_skips_eigh(self, monkeypatch):
         def no_eigh(G):

@@ -177,14 +177,14 @@ class TestKernelCommand:
 
 #: a one-dimensional scan-psh of the zero joint weight over a fiber disc of
 #: radius 20, whose moments pi R^(2k + 2) / (k + 1) leave the float range at
-#: k = 118
+#: k = 119
 SCAN_RADIUS_20 = {
     "command": "scan-psh", "fiberDomain": {"radii": [20.0]},
     "baseDomain": {"radii": [1.0]},
     "weight": {"variant": "joint_zero", "zArity": 1, "wArity": 1},
     "family": {"zArity": 1, "wArity": 1, "terms": [
         {"alpha": [0], "poly": [{"beta": [0], "re": 1.0, "im": 0.0}]}]},
-    "degree": 118, "z": [[0.0, 0.0]], "grid": {"halfWidth": 0.1, "count": 2},
+    "degree": 119, "z": [[0.0, 0.0]], "grid": {"halfWidth": 0.1, "count": 2},
 }
 
 
@@ -194,12 +194,12 @@ class TestMomentOutsideTheFloatRange:
     OverflowError, or entered the Gram as 0."""
 
     @pytest.mark.parametrize("command, edits, alpha, radii", [
-        ("kernel", {"domain": {"radii": [20.0]}, "degree": 118}, 118, 20.0),
+        ("kernel", {"domain": {"radii": [20.0]}, "degree": 119}, 119, 20.0),
         # the gammainc branch: exp overflows
         ("kernel", {"domain": {"radii": [20.0]}, "degree": 200,
                     "weight": {"variant": "quadratic", "coeffs": [1.0]}},
          171, 20.0),
-        ("scan-psh", SCAN_RADIUS_20, 118, 20.0),
+        ("scan-psh", SCAN_RADIUS_20, 119, 20.0),
         # 0.01^(2k + 2) underflows to 0 from k = 80
         ("kernel", {"domain": {"radii": [0.01]}, "degree": 100}, 80, 0.01),
         # e^{800} on the quadrature path (the quadratic is off center): it
