@@ -641,7 +641,7 @@ def basis_action(model: GramModel, xi: Functional, z: Sequence[complex]) -> np.n
     shift = TaylorShift(alphas, model.exps, model.coeffs, model.seg, model.arity,
                         model.size)
     U = _rows(z, model.arity) - np.array(model.domain.center)
-    return shift.actions(X, shift.tables(shift.z_factors(U), len(U)))[0]
+    return shift.actions(X, shift.tables(shift.z_factors(U)))[0]
 
 
 def _functional_row(model: GramModel, xi: Functional):
@@ -687,9 +687,11 @@ class TaylorShift:
     is a row X of coefficients over the alphas (a family's values
     xi_alpha(w)).
 
-    ``tables`` sums the terms per point and per w-monomial w^e_k, k the
-    mixed-radix index of e_k on the dense grid up to ``wtop`` (k = 0 alone
-    without Ew terms), and ``actions`` applies the one rule to them.
+    ``coef`` and ``k`` hold each term's shift per alpha, alphas x terms:
+    C[t] C(gamma_t, alpha) and the exponents max(gamma_t - alpha, 0) (x n).
+    ``tables`` sums their ``z_factors`` per point and per w-monomial w^e_k,
+    k the mixed-radix index of e_k on the dense grid up to ``wtop`` (k = 0
+    alone without Ew terms), and ``actions`` applies the one rule to them.
     """
 
     def __init__(self, alphas, E, C, S, n: int, size: int):
@@ -701,38 +703,31 @@ class TaylorShift:
         self.monomial = np.zeros(len(S), dtype=np.intp)  # k of each term
         for i, top in enumerate(self.wtop):
             self.monomial = self.monomial * (top + 1) + self.Ew[:, i]
-        # per alpha: C[t] C(gamma_t, alpha), and the exponents gamma_t - alpha
-        self.shifts = []
-        for alpha in alphas:
-            coef = C.copy()
-            for i, a in enumerate(alpha):
-                coef *= _binomials(int(self.ztop[i]), a)[self.Ez[:, i]]
-            self.shifts.append((coef, np.maximum(self.Ez - np.array(alpha), 0)))
+        A = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
+        self.coef = np.repeat(C[None, :], len(A), axis=0)
+        for i in range(n):
+            binomials = _binomials(int(self.ztop[i]), int(A[:, i].max(initial=0)))
+            self.coef *= binomials[A[:, i, None], self.Ez[:, i]]
+        self.k = np.maximum(self.Ez - A[:, None], 0)
 
-    def z_factors(self, Z: np.ndarray) -> list[np.ndarray]:
-        """Per alpha, C[t] C(gamma_t, alpha) u^(gamma_t - alpha): rows of Z x terms.
-        Each product is of two arrays of its shape: numpy rounds a complex
-        product of one element otherwise when broadcast or in place."""
-        tables = [np.vander(Z[:, i], top + 1, increasing=True)
-                  for i, top in enumerate(self.ztop)]
-        out = []
-        for coef, k in self.shifts:
-            f = coef[None, :] * tables[0][:, k[:, 0]]
-            for i in range(1, len(tables)):
-                f = f * tables[i][:, k[:, i]]
-            out.append(f)
-        return out
+    def z_factors(self, Z: np.ndarray) -> np.ndarray:
+        """f[g, alpha, t] = C[t] C(gamma_t, alpha) u_g^(gamma_t - alpha), u_g
+        the rows of Z.  A one-element product is of two (1, 1, 1) arrays:
+        numpy rounds it otherwise when broadcast, even to more dimensions."""
+        f = self.coef[None]
+        for i, top in enumerate(self.ztop):
+            f = f * np.vander(Z[:, i], top + 1, increasing=True)[:, self.k[..., i]]
+        return f
 
-    def tables(self, zf, count: int) -> np.ndarray:
+    def tables(self, f: np.ndarray) -> np.ndarray:
         """U[g, k, alpha, j]: the action of e_alpha on the w^e_k part of b_j at
-        point g of the ``count`` points whose z-factors are ``zf``, summed
-        over the terms in their order; real when zf is (``zero_kernels``)."""
-        f = np.stack(zf, axis=1) if zf else np.zeros((count, 0, len(self.S)))
+        point g of the z-factors f (``z_factors``), summed over the terms in
+        their order; real when f is (``zero_kernels``)."""
         K, A = self.monomials, f.shape[1]
         # f[g, alpha, t] adds into U[g, k_t, alpha, S_t]
-        bins = (((np.arange(count)[:, None, None] * K + self.monomial) * A
+        bins = (((np.arange(len(f))[:, None, None] * K + self.monomial) * A
                  + np.arange(A)[:, None]) * self.size + self.S).ravel()
-        U = np.empty((count, K, A, self.size), dtype=f.dtype)
+        U = np.empty((len(f), K, A, self.size), dtype=f.dtype)
         for part, into in ([(f.real, U.real), (f.imag, U.imag)]
                            if np.iscomplexobj(f) else [(f, U)]):
             into[...] = np.bincount(bins, part.ravel(), U.size).reshape(U.shape)
@@ -757,11 +752,12 @@ class TaylorShift:
 
 
 @lru_cache(maxsize=256)
-def _binomials(top: int, a: int) -> np.ndarray:
-    """C(e, a) for e <= top, as floats of the exact binomials (a float
-    formula can give 265182524.99999997 for C(31, 14)).  Computed once per
-    (top, a): the array is shared, so it is read-only."""
-    b = np.array([math.comb(e, a) for e in range(top + 1)], dtype=float)
+def _binomials(top: int, amax: int) -> np.ndarray:
+    """B[a, e] = C(e, a) for a <= amax, e <= top, as floats of the exact
+    binomials (a float formula can give 265182524.99999997 for C(31, 14)).
+    Computed once per (top, amax): the table is shared, so it is read-only."""
+    b = np.array([[math.comb(e, a) for e in range(top + 1)]
+                  for a in range(amax + 1)], dtype=float)
     b.flags.writeable = False
     return b
 
@@ -793,7 +789,7 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
     K lam_max <= KERNEL_ZERO_TOL ||s r||^2.
 
     K[p] is the kernel of row p of X at its point, from ``shift.actions(X,
-    shift.tables(zf, ...), W, at)`` on a basis whose Gram is that of model,
+    shift.tables(zf), W, at)`` on a basis whose Gram is that of model,
     orthonormalized by model's frame: the model's own basis, or that
     basis times a divisor g(z, w) (``fiberwise``), whose Gram is the same.
     lam_max is the largest eigenvalue of the equilibrated Gram s G s
@@ -808,9 +804,9 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
     norm of s u on the kept eigenvectors, so only actions that vanish, or
     sit at the rounding noise of the coefficients of xi and of the basis,
     pass.  r is first taken on every alpha, at the largest modulus of each
-    z-factor and |w_i| of the call, where it is termwise at least that of
-    every row; the rows this bound does not clear take their own, by the
-    one action rule on the ``tables`` of the moduli.
+    z-factor in zf (``TaylorShift.z_factors``) and |w_i| of the call, where
+    it is termwise at least that of every row; the rows this bound does not
+    clear take their own, by the one action rule on the ``tables`` of |zf|.
     """
     lam_max, s = model.frame.lam_max, model.frame.s
     X = np.asarray(X)
@@ -820,15 +816,17 @@ def zero_kernels(model: GramModel, shift: TaylorShift, K, X, zf, W=None,
         bound = np.square(r * s).sum(axis=-1)
         return K[rows] * lam_max <= KERNEL_ZERO_TOL * bound * top2[rows]
 
-    peak = sum((np.abs(f).max(axis=0) for f in zf), np.zeros(len(shift.S)))
+    # per term, in alpha order (numpy sums a lone column of alphas pairwise);
+    # integer zeros without alphas, so the w bound is no in-place product
+    zmax, T = np.abs(zf).max(axis=0), zf.shape[2]
+    peak = np.bincount(np.arange(zmax.size) % T, zmax.ravel(), T)
     if shift.wtop.any():
-        peak *= np.prod(np.abs(W).max(axis=0, initial=0.0) ** shift.Ew, axis=1)
+        peak = peak * np.prod(np.abs(W).max(axis=0, initial=0.0) ** shift.Ew, axis=1)
     zero = vanish(slice(None), np.bincount(shift.S, peak, shift.size))
     rows = np.flatnonzero(zero & (K > 0)) if zero.any() else ()
     if len(rows):  # K = 0 vanishes under any r; K > 0 takes an alpha
-        moduli = [np.abs(f) for f in zf]
         zero[rows] = vanish(rows, shift.actions(
-            (X[rows] != 0).astype(float), shift.tables(moduli, len(moduli[0])),
+            (X[rows] != 0).astype(float), shift.tables(np.abs(zf)),
             None if W is None else np.abs(W[rows]), None if at is None else at[rows]))
     return zero
 
@@ -850,7 +848,7 @@ def _kernel_rows(model: GramModel, shift: TaylorShift, X, U, W=None):
     rows and the ``tables`` of their distinct points (``_distinct``)."""
     points, at = _distinct(U, len(X))
     zf = shift.z_factors(points)
-    a = model.frame.act(shift.actions(X, shift.tables(zf, len(points)), W, at))
+    a = model.frame.act(shift.actions(X, shift.tables(zf), W, at))
     K = np.sum(a.real**2 + a.imag**2, axis=1)
     return K, a, zero_kernels(model, shift, K, X, zf, W, at)
 

@@ -182,8 +182,8 @@ class ExtensionResult:
 
     @property
     def null_basis(self) -> np.ndarray:
-        """Columns spanning the free (k > 0) coefficients."""
-        return np.eye(self.model.size, dtype=complex)[:, self.free]
+        """Columns spanning the free (k > 0) coefficients: the identity's at free."""
+        return (np.arange(self.model.size)[:, None] == self.free).astype(complex)
 
     def fiber_model(self) -> GramModel:
         """The model of the fiber weight at w0 in degree dz, built once."""
@@ -379,7 +379,7 @@ def _jensen_actions(model: GramModel, coeffs, alphas, xi: np.ndarray,
     C = c[model.seg[live]] * model.coeffs[live]
     shift = TaylorShift(alphas, model.exps[live], C, np.zeros(len(C), dtype=int),
                         n, 1)
-    U = shift.tables(shift.z_factors(np.array([z0]) - center[:n]), 1)
+    U = shift.tables(shift.z_factors(np.array([z0]) - center[:n]))
     return shift.actions(xi, U, (w - center[n])[:, None])[:, 0]
 
 

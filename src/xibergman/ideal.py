@@ -541,7 +541,6 @@ def annihilator(
     """
     m = A.fam.w_arity
     p, q = A.p, A.q
-    rng = np.random.default_rng(seed)
     w0 = _as_w(witness, m)
     row_perm = col_perm = None
     for attempt in range(10):
@@ -561,6 +560,8 @@ def annihilator(
             row_perm = rsel + [i for i in range(p) if i not in rsel]
             col_perm = csel + [j for j in range(q) if j not in csel]
             break
+        if attempt == 0:  # only a singular witness draws another
+            rng = np.random.default_rng(seed)
         w0 = _generic_point(rng, m)
     else:
         raise DegenerateInputError(

@@ -519,7 +519,7 @@ class TestBasisAction:
         shift = bergman.TaylorShift(
             [(14,)], E, np.array([1.0, 1.0j]), np.array([0, 1]), 1, 2
         )
-        U = shift.tables(shift.z_factors(np.array([[1.0]])), 1)
+        U = shift.tables(shift.z_factors(np.array([[1.0]])))
         assert U.shape == (1, 1, 1, 2)
         assert U[0, 0, 0, 0] == 265182525.0 == math.comb(31, 14)
         assert U[0, 0, 0, 1] == 265182525.0j
@@ -562,10 +562,10 @@ class TestSharedPointActions:
         # every row (plus one, so that a single row also has a point of its
         # own) takes one product per row: the same bits
         shift, X, z = case
-        u = shift.actions(X, shift.tables(shift.z_factors(z), 1))
+        u = shift.actions(X, shift.tables(shift.z_factors(z)))
         rows = np.vstack([X, X[:1]])
         Z = np.repeat(z, len(rows), axis=0)
-        ref = shift.actions(rows, shift.tables(shift.z_factors(Z), len(Z)),
+        ref = shift.actions(rows, shift.tables(shift.z_factors(Z)),
                             at=np.arange(len(rows)))[:-1]
         assert u.shape == ref.shape == (len(X), shift.size)
         assert np.array_equal(u, ref)
@@ -600,7 +600,7 @@ class TestSharedPointActions:
         bincount = np.bincount
         monkeypatch.setattr(np, "bincount",
                             lambda b, x, n: calls.append(x.shape) or bincount(b, x, n))
-        U = shift.tables(shift.z_factors(np.array([[0.5], [0.5]])), 2)
+        U = shift.tables(shift.z_factors(np.array([[0.5], [0.5]])))
         assert calls == [(18,), (18,)]  # 2 points x 3 alphas x 3 terms
         monkeypatch.undo()
         X = np.ones((200, 3), dtype=complex)
@@ -623,7 +623,7 @@ class TestSharedPointActions:
             return rng.uniform(-0.6, 0.6, shape) + 1j * rng.uniform(-0.6, 0.6, shape)
 
         X, Z, W = draw(129, 3), draw(129, 1), draw(129, 1)
-        u = [shift.actions(X[:P], shift.tables(shift.z_factors(Z[:P]), P), W[:P],
+        u = [shift.actions(X[:P], shift.tables(shift.z_factors(Z[:P])), W[:P],
                            np.arange(P)) for P in (64, 65, 129)]
         assert np.array_equal(u[0], u[1][:64]) and np.array_equal(u[1], u[2][:65])
 
@@ -669,7 +669,7 @@ class TestPerRowActions:
 
         def act(alphas, X, Z, W):
             shift = bergman.TaylorShift(alphas, *basis)
-            return shift.actions(X, shift.tables(shift.z_factors(Z), len(Z)), W,
+            return shift.actions(X, shift.tables(shift.z_factors(Z)), W,
                                  np.arange(len(X)))
 
         u = act(alphas, X, Z, W)
@@ -692,6 +692,105 @@ class TestPerRowActions:
             nz = np.flatnonzero(X[p])
             mine = act([alphas[k] for k in nz], X[[p]][:, nz], Z[[p]], W[[p]])
             assert mine[0].tobytes() == want
+
+
+def per_alpha_z_factors(alphas, E, C, n, Z):
+    """The z-factors as a list over alphas: for each alpha, C[t] C(gamma_t,
+    alpha) u^(gamma_t - alpha) (rows of Z x terms), each C(gamma_t, alpha)
+    the float of ``math.comb``, multiplied coordinate by coordinate."""
+    Ez = E[:, :n]
+    ztop = Ez.max(axis=0, initial=0)
+    tables = [np.vander(Z[:, i], top + 1, increasing=True)
+              for i, top in enumerate(ztop)]
+    out = []
+    for alpha in alphas:
+        coef = C.copy()
+        for i, a in enumerate(alpha):
+            coef *= np.array([math.comb(e, a) for e in range(ztop[i] + 1)],
+                             dtype=float)[Ez[:, i]]
+        k = np.maximum(Ez - np.array(alpha), 0)
+        f = coef[None, :] * tables[0][:, k[:, 0]]
+        for i in range(1, n):
+            f = f * tables[i][:, k[:, i]]
+        out.append(f)
+    return out
+
+
+def per_alpha_tables(shift, zf, count):
+    """``TaylorShift.tables`` of the per-alpha z-factors zf at count points:
+    the alphas stacked, and the terms summed per point, w-monomial, alpha
+    and element in their order."""
+    f = np.stack(zf, axis=1) if zf else np.zeros((count, 0, len(shift.S)))
+    K, A = shift.monomials, f.shape[1]
+    bins = (((np.arange(count)[:, None, None] * K + shift.monomial) * A
+             + np.arange(A)[:, None]) * shift.size + shift.S).ravel()
+    U = np.empty((count, K, A, shift.size), dtype=f.dtype)
+    for part, into in ([(f.real, U.real), (f.imag, U.imag)]
+                       if np.iscomplexobj(f) else [(f, U)]):
+        into[...] = np.bincount(bins, part.ravel(), U.size).reshape(U.shape)
+    return U
+
+
+@st.composite
+def taylor_shift_layouts(draw):
+    """Terms in (z, w), n <= 2 and m <= 2, one to four points with repeats,
+    and up to five alphas, some above the degree of the basis, or none;
+    coefficients up to 1e+-200 in modulus."""
+    n, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1, 2]))
+    wide = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e200, 1e200),
+                     st.builds(lambda x, k: x * 10.0 ** k, st.floats(-1.0, 1.0),
+                               st.integers(-200, 0)))
+    cplx = st.builds(complex, wide, wide)
+    size = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * n),
+                                    st.tuples(*[st.integers(0, 2)] * m), cplx,
+                                    st.integers(0, size - 1)),
+                          min_size=1, max_size=1 if draw(st.booleans()) else 10))
+    E = np.array([ez + ew for ez, ew, _, _ in terms], dtype=int).reshape(-1, n + m)
+    C = np.array([c for _, _, c, _ in terms], dtype=complex)
+    S = np.array([j for _, _, _, j in terms], dtype=int)
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=5,
+                           unique=True))
+    part = st.floats(-0.9, 0.9)
+    points = draw(st.lists(st.tuples(*[st.builds(complex, part, part)] * n),
+                           min_size=1, max_size=3))
+    at = draw(st.lists(st.integers(0, len(points) - 1), min_size=len(points),
+                       max_size=4))
+    Z = np.array([points[i] for i in at], dtype=complex).reshape(-1, n)
+    return alphas, (E, C, S, n, size), Z
+
+
+class TestTaylorShiftLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(taylor_shift_layouts())
+    @example(([(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (9,)],
+              (np.array([[4]]), np.array([0.3 - 2e-200j]), np.array([0]), 1, 1),
+              np.array([[0.5 + 0.25j], [-0.1j], [0.5 + 0.25j]])))
+    # one alpha, term and point: one-element products (a broadcast one
+    # rounds -0.274126 - 0.031783j otherwise, and the underflow's sign too)
+    @example(([(0,)], (np.array([[1]]), np.array([-0.376 - 0.153j]),
+                       np.array([0]), 1, 1), np.array([[0.655 - 0.182j]])))
+    @example(([(0,)], (np.array([[1, 0]]), np.array([6.51475265e-192 + 0j]),
+                       np.array([0]), 1, 1), np.array([[complex(0, -4.66398823e-140)]])))
+    @example(([], (np.array([[1, 2], [0, 1]]), np.array([1.0, 2j]),
+                   np.array([0, 0]), 1, 1), np.array([[0.5]])))
+    def test_alpha_axis_matches_the_per_alpha_construction(self, case):
+        # the z-factors and tables are those of one array per alpha, bit for
+        # bit, and so are the tables of their moduli (``zero_kernels``)
+        alphas, basis, Z = case
+        E, C, S, n, size = basis
+        shift = bergman.TaylorShift(alphas, *basis)
+        ref = per_alpha_z_factors(alphas, E, C, n, Z)
+        zf = shift.z_factors(Z)
+        assert zf.shape == (len(Z), len(alphas), len(C))
+        for a, f in enumerate(ref):
+            assert zf[:, a].tobytes() == f.tobytes()
+        U = shift.tables(zf)
+        assert U.shape == (len(Z), shift.monomials, len(alphas), size)
+        assert U.tobytes() == per_alpha_tables(shift, ref, len(Z)).tobytes()
+        moduli = [np.abs(f) for f in ref]
+        assert (shift.tables(np.abs(zf)).tobytes()
+                == per_alpha_tables(shift, moduli, len(Z)).tobytes())
 
 
 def reference_basis(domain, labels, g=None):

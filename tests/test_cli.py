@@ -195,7 +195,7 @@ class TestMomentOutsideTheFloatRange:
 
     @pytest.mark.parametrize("command, edits, alpha, radii", [
         ("kernel", {"domain": {"radii": [20.0]}, "degree": 119}, 119, 20.0),
-        # the gammainc branch: exp overflows
+        # the P = 1 branch: exp overflows
         ("kernel", {"domain": {"radii": [20.0]}, "degree": 200,
                     "weight": {"variant": "quadratic", "coeffs": [1.0]}},
          171, 20.0),

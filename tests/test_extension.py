@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,6 +112,23 @@ class TestMinimalExtension:
             c = res.coeffs + d
             perturbed = float(np.real(np.conj(c) @ G @ c))
             assert perturbed >= base - 1e-12 * max(1.0, base)
+
+    def test_null_basis_holds_no_identity(self):
+        # a 2-D w-independent zero weight at dz = dw = 12: p = 1183, whose
+        # complex identity alone is 21.4 MiB, against a 20.7 MiB null basis
+        prob = ExtensionProblem(Polydisc((1.0, 1.0)), 1.0,
+                                WIndependentJoint(ZeroWeight(2), 1), 0.0,
+                                PolyW(2, {(0, 0): 1.0, (2, 1): 0.5}), 12, 12)
+        res = minimal_extension(prob)
+        tracemalloc.start()
+        try:
+            N = res.null_basis
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.model.size == 1183 and N.shape == (1183, len(res.free))
+        assert peak < 1.25 * N.nbytes
+        assert np.array_equal(N, np.eye(res.model.size, dtype=complex)[:, res.free])
 
     def test_gaussian_beats_or_matches_constant_extension(self):
         prob = problem(weight=GAUSSIAN, f=PolyW(1, {(1,): 1.0}))

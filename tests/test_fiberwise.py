@@ -16,6 +16,7 @@ from xibergman.functional import Functional
 from xibergman.fiberwise import (
     Circle,
     FamilyProblem,
+    fiber_kernels,
     kernel_on_fiber,
     log_kernel_on_fiber,
     psh_verify_base,
@@ -140,6 +141,15 @@ class TestBatchedKernel:
         K = kernel_on_fiber(prob, W, Z)
         for k, w, z in zip(K, W, Z):
             assert k == pytest.approx(reference_kernel(prob, w, z), rel=1e-12)
+
+    def test_no_alphas_on_a_basis_with_w_monomials(self):
+        # the divisor basis g(z, w) z^alpha carries w-monomials; a functional
+        # without terms acts by 0 on it, so every kernel vanishes
+        prob = pstar_problem(4)
+        K = fiber_kernels(prob.fiber_domain, prob.joint_weight, 4, QuadSpec(), [],
+                          np.zeros((2, 0)), np.array([[0.3], [0.1j]]),
+                          np.array([[0.2, 0.1]]), log=True)
+        assert K.tolist() == [-math.inf, -math.inf]
 
     def test_mismatched_point_counts_refused(self):
         with pytest.raises(ValueError):

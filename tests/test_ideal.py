@@ -561,6 +561,20 @@ class TestAnnihilator:
         assert res.product_residual == reference_product_residual(res)
         assert res.s == 1 and res.in_U(0.3) and not res.in_U(0.0)
 
+    def test_nonsingular_witness_seeds_no_generator(self, monkeypatch):
+        # the shipped dense pair's first witness has a nonsingular pivot
+        # block, so no generic witness is drawn and no generator is seeded
+        from xibergman.cli import _grid_points
+
+        def no_rng(seed=None):
+            raise AssertionError("generator seeded")
+
+        cfg = json.loads((CONFIGS / "annihilate_dense.json").read_text())
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        res = build_annihilator(ideal_from_json(cfg["ideal"]),
+                                _grid_points(cfg["wGrid"]))
+        assert res.r == 14 and res.product_residual < 1e-10
+
     def test_rank_above_the_maximum_exhausts_the_witnesses(self):
         # (z1 - z2 w) has rank 1: no 2 x 2 pivot block is nonsingular anywhere
         A = build_coeff_matrix(IdealFamily(2, 1, [PSTAR_G], 2))
