@@ -652,15 +652,28 @@ def _functional_row(model: GramModel, xi: Functional):
 
 
 def _rows(x, arity: int) -> np.ndarray:
-    """Points as (P, arity) complex rows; a scalar or a 1-D sequence is one."""
+    """Points as (P, arity) complex rows: a scalar or a 1-D sequence is one
+    point, a 2-D array P of them.  The one reader of points: any other
+    coordinate count k raises ``ArityMismatchError``, "k coordinates, not
+    arity"."""
     a = np.asarray(x, dtype=complex)
     if a.ndim < 2:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] != arity:
+        k = a.shape[1] if a.ndim == 2 else a.shape[1:]
         raise ArityMismatchError(
-            f"points of arity {arity} expected, got shape {np.shape(x)}"
+            f"{k} coordinates, not {arity} (points of arity {arity})"
         )
     return a
+
+
+def _grid_rows(grid, arity: int) -> np.ndarray:
+    """A grid as (P, arity) rows: a 2-D array whole, else a list of points,
+    each read by ``_rows`` (numbers and 1-tuples may mix when arity is 1)."""
+    if isinstance(grid, np.ndarray) and grid.ndim == 2:
+        return _rows(grid, arity)
+    rows = [_rows(x, arity) for x in grid]  # each one point: a 2-D item is refused
+    return np.array(rows, dtype=complex).reshape(len(rows), arity)
 
 
 def _points_in(domain: Polydisc, x, what: str) -> np.ndarray:

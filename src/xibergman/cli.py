@@ -287,11 +287,12 @@ def _cmd_lambda(cfg: dict, out: Path, seed: int) -> int:
     scan = krull.per_n.get(fam.truncation) if krull else None
     if scan is None:
         scan = ideal.lambda_scan(fam, wt, grid, fiber_domain, degree, quad, seed=seed)
+    lam = set(scan.lambda_psi)
     rows = []
     for i, pt in enumerate(scan.points):
         rows.append(
             tuple(x for c in pt.w for x in (c.real, c.imag))
-            + (int(i in scan.lambda_psi),
+            + (int(i in lam),
                pt.psi if pt.flag != "outside_U" else "nan")
         )
     if fam.w_arity == 1:

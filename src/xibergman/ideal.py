@@ -23,7 +23,9 @@ provider, ``fiberwise.fiber_kernels``, with its zero test: one fiber model
 in all for a joint weight psi(z) + s(w), else one per point in U, each
 row over every jet monomial and rounded as its functional family, on that
 row's nonzero columns, rounds it (``bergman._products``);
-``psi_at`` reads Psi_N off each point's kernels.  ``lambda_scan`` decides
+``psi_at`` builds each point's record from the scan's arrays.  A command
+reads its grid once into rows (``bergman._grid_rows``); every other base
+point goes through ``bergman._rows``, the one reader.  ``lambda_scan`` decides
 membership on the same B(W) before it takes any kernel.  The
 membership check reads the oracle generators of the fiber multiplier ideal
 once, as polynomials in (z, w) (``weights.multiplier_generators``), takes
@@ -74,13 +76,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import QuadSpec, _points_in
+from .bergman import QuadSpec, _grid_rows, _points_in, _rows
 from .config import Table, integer, list_of
 from .family import (
     POLY_TERMS, FunctionalFamily, PolyW, TermMatrix, _live, _terms_to_json,
 )
 from .fiberwise import fiber_kernels
-from .functional import ArityMismatchError, MultiIndex, multi_indices_upto
+from .functional import MultiIndex, multi_indices_upto
 from .weights import (
     JointLogDivisor,
     Polydisc,
@@ -161,7 +163,7 @@ class CoeffMatrixA:
         return self.terms.values(W)
 
     def evaluate(self, w: Sequence[complex]) -> np.ndarray:
-        return self.values([_as_w(w, self.fam.w_arity)])[0]
+        return self.values(_rows(w, self.fam.w_arity))[0]
 
 
 def build_coeff_matrix(fam: IdealFamily) -> CoeffMatrixA:
@@ -219,28 +221,29 @@ def max_rank(
     A: CoeffMatrixA, w_grid: Sequence, seed: int = 0, n_random: int = 12
 ) -> tuple[int, tuple[complex, ...]]:
     """Max numerical rank over the grid plus automatic generic perturbations;
-    the witness is the first point of maximal rank.
+    the witness, a tuple of complex, is the first point of maximal rank.
 
-    A row or column of A that is zero in every coefficient block is zero in
-    A(w) for every w, so no point exceeds min(live rows, live columns).  The
-    first grid point is rank-tested alone, and when it reaches that bound it
-    is the witness.  Otherwise the grid and n_random generic points are
-    evaluated and rank-tested in one batch.
+    The grid is read once (``bergman._grid_rows``).  A row or column of A
+    that is zero in every coefficient block is zero in A(w) for every w, so
+    no point exceeds min(live rows, live columns).  The first grid point is
+    rank-tested alone, and when it reaches that bound it is the witness.
+    Otherwise the grid and n_random generic points are evaluated and
+    rank-tested as one array.
     """
     m = A.fam.w_arity
-    pts = [_as_w(w, m) for w in w_grid]
-    if not pts:
+    W = _grid_rows(w_grid, m)
+    if not len(W):
         raise ValueError("empty grid")
     live = A.terms.coef.any(axis=0)
     bound = min(live.any(axis=1).sum(), live.any(axis=0).sum())
-    r0 = _ranks(A.values(pts[:1]))[0]
+    r0 = _ranks(A.values(W[:1]))[0]
     if r0 == bound:
-        return int(r0), pts[0]
+        return int(r0), tuple(W[0].tolist())
     rng = np.random.default_rng(seed)
-    pts += [_generic_point(rng, m) for _ in range(n_random)]
-    ranks = _ranks(A.values(pts))
+    W = np.vstack([W, *(_generic_point(rng, m) for _ in range(n_random))])
+    ranks = _ranks(A.values(W))
     best = int(np.argmax(ranks))
-    return int(ranks[best]), pts[best]
+    return int(ranks[best]), tuple(W[best].tolist())
 
 
 def _generic_point(rng: np.random.Generator, m: int) -> tuple[complex, ...]:
@@ -254,26 +257,6 @@ def _ranks(M: np.ndarray) -> np.ndarray:
     singular value."""
     s = np.linalg.svd(M, compute_uv=False)
     return np.sum(s > RANK_TOL * s[:, :1], axis=1)
-
-
-def _as_w(w, m: int) -> tuple[complex, ...]:
-    """A base point as an m-tuple; a scalar is the point (w,)."""
-    if np.isscalar(w) or isinstance(w, complex):
-        w = (w,)
-    w = tuple(complex(x) for x in w)
-    if len(w) != m:
-        raise ValueError(f"base point {w} has {len(w)} coordinates, not {m}")
-    return w
-
-
-def _base_rows(w, m: int) -> np.ndarray:
-    """One base point (``_as_w``), or an array (P, m) of them, as rows;
-    ``ArityMismatchError`` for an array of another column count."""
-    if np.ndim(w) != 2:
-        return np.array([_as_w(w, m)])
-    if np.shape(w)[1] != m:
-        raise ArityMismatchError(f"base points of arity {m}, not {np.shape(w)}")
-    return np.asarray(w, dtype=complex)
 
 
 def _torus_sampler(M: TermMatrix, ks: np.ndarray, K: tuple[int, ...]):
@@ -507,13 +490,13 @@ class AnnihilatorResult:
 
     def eval_B(self, w) -> np.ndarray:
         """B(w); at an array (P, m) of base points, P x s x p."""
-        B = self.b_terms.values(_base_rows(w, self.matrix.fam.w_arity))
+        B = self.b_terms.values(_rows(w, self.matrix.fam.w_arity))
         return B if np.ndim(w) == 2 else B[0]
 
     def in_U(self, w):
         """Whether w is in U, |det C(w)| > DETC_TOL max(1, max |C(w)|)^r; at
         an array (P, m) of base points, the mask of those in U."""
-        W = _base_rows(w, self.matrix.fam.w_arity)
+        W = _rows(w, self.matrix.fam.w_arity)
         if self.r == 0:
             inside = np.ones(len(W), dtype=bool)
         else:
@@ -541,7 +524,7 @@ def annihilator(
     """
     m = A.fam.w_arity
     p, q = A.p, A.q
-    w0 = _as_w(witness, m)
+    w0 = _rows(witness, m)
     row_perm = col_perm = None
     for attempt in range(10):
         A0 = A.evaluate(w0)
@@ -593,10 +576,11 @@ def _truncated_coeff_vector(f: PolyW, basis: list[MultiIndex]) -> np.ndarray:
 
 def membership_by_functionals(res: AnnihilatorResult, w, f: PolyW) -> bool:
     """f in I_w + m^N, decided by vanishing of all functional actions at 0."""
-    w = _as_w(w, res.matrix.fam.w_arity)
-    if not res.in_U(w):
-        raise OutsideUError(f"base point {w} outside U (pivot determinant ~ 0)")
-    B = res.eval_B(w)
+    W = _rows(w, res.matrix.fam.w_arity)
+    if not res.in_U(W)[0]:
+        raise OutsideUError(
+            f"base point {tuple(W[0].tolist())} outside U (pivot determinant ~ 0)")
+    B = res.eval_B(W)[0]
     jet = _truncated_coeff_vector(f, res.labels)[:, None]
     return bool(_annihilates(B[None], (B @ jet)[None], np.array([[f.max_coeff()]]))[0])
 
@@ -617,11 +601,11 @@ def membership_oracle(
     """Independent check: is the jet of f in the column span of A(w)?"""
     if A is None:
         A = build_coeff_matrix(fam)
-    w = _as_w(w, fam.w_arity)
+    W = _rows(w, fam.w_arity)  # a point of another arity is refused even at f = 0
     b = _truncated_coeff_vector(f, A.basis)
     if np.linalg.norm(b) == 0:
         return True
-    Aw = A.evaluate(w)
+    Aw = A.evaluate(W)
     x, _, _, _ = np.linalg.lstsq(Aw, b, rcond=None)
     resid = np.linalg.norm(Aw @ x - b)
     return resid <= ORACLE_RESIDUAL_TOL * max(1.0, np.linalg.norm(b))
@@ -652,18 +636,17 @@ class PsiPoint:
     B: np.ndarray | None = field(default=None, repr=False)
 
 
-def psi_at(res: AnnihilatorResult, w, B: np.ndarray | None,
-           logk: Sequence[float] | None) -> PsiPoint:
-    """Psi_N(w), the sup over the annihilator functionals of the log-kernel
-    at the fiber origin, from B = B(w) and the log-kernels logk of its rows
-    (``psi_scan``).  B is None where w is outside U.  Psi_N is -inf when
-    every kernel vanishes, by the one zero test of ``bergman.zero_kernels``.
+def psi_at(res: AnnihilatorResult, w: tuple[complex, ...], B: np.ndarray | None,
+           logk: list[float] | None, kernels: list[float] | None) -> PsiPoint:
+    """The record of Psi_N(w), the sup over the annihilator functionals of
+    the log-kernel at the fiber origin, built from the scan's arrays
+    (``_psi_points``): B = B(w), the log-kernels logk of its rows and their
+    kernels.  It reads no point and makes no numpy call.  B is None where w
+    is outside U.  Psi_N is -inf when every kernel vanishes, by the one zero
+    test of ``bergman.zero_kernels``.
     """
-    w = _as_w(w, res.matrix.fam.w_arity)
     if B is None:
         return PsiPoint(w, "outside_U", math.nan, [])
-    with np.errstate(over="ignore"):
-        kernels = np.exp(logk).tolist()
     # with no functionals (s = 0, I_w + m^N is everything) this holds vacuously
     psi = max(logk, default=-math.inf)
     return PsiPoint(w, "ok" if psi > -math.inf else "minus_inf", psi, kernels, B)
@@ -695,12 +678,11 @@ def psi_scan(
 
 def _in_U(fam: IdealFamily, w_grid: Sequence, res: AnnihilatorResult | None,
           seed: int):
-    """The annihilator (built when res is None), the grid as rows W, the
-    mask of the rows in U, and B(w) at those rows, evaluated once."""
+    """The grid read once as rows W (``bergman._grid_rows``), the annihilator
+    (built on W when res is None), the mask of W in U, and B(W[mask])."""
+    W = _grid_rows(w_grid, fam.w_arity)
     if res is None:
-        res = build_annihilator(fam, w_grid, seed=seed)
-    m = fam.w_arity
-    W = np.array([_as_w(w, m) for w in w_grid], dtype=complex).reshape(-1, m)
+        res = build_annihilator(fam, W, seed=seed)
     inside = res.in_U(W)
     return res, W, inside, res.eval_B(W[inside])
 
@@ -708,13 +690,17 @@ def _in_U(fam: IdealFamily, w_grid: Sequence, res: AnnihilatorResult | None,
 def _psi_points(res: AnnihilatorResult, phi_joint, W: np.ndarray,
                 inside: np.ndarray, B: np.ndarray, fiber_domain: Polydisc | None,
                 degree: int, quad: QuadSpec | None) -> list[PsiPoint]:
-    """``psi_at`` at every row of W, from B = B(W[inside]) and the
-    log-kernels of its rows (``_row_log_kernels``)."""
+    """``psi_at`` at every row of W, from B = B(W[inside]), the log-kernels
+    of its rows (``_row_log_kernels``) and their kernels, one ``np.exp``
+    over the scan."""
     logk = _row_log_kernels(res, phi_joint, W[inside], B, fiber_domain, degree,
                             quad)
+    with np.errstate(over="ignore"):
+        kernels = np.exp(logk).tolist()
     at = np.cumsum(inside) - 1
     rows = logk.tolist()  # Python floats and complexes: no numpy scalars
-    return [psi_at(res, w, B[i], rows[i]) if ok else psi_at(res, w, None, None)
+    return [psi_at(res, tuple(w), B[i], rows[i], kernels[i]) if ok
+            else psi_at(res, tuple(w), None, None, None)
             for w, ok, i in zip(W.tolist(), inside, at)]
 
 
@@ -786,12 +772,10 @@ def lambda_scan(
     if inside.any():
         member[inside] = oracle_membership(res, phi_joint, W[inside], B)
     pts = _psi_points(res, phi_joint, W, inside, B, fiber_domain, degree, quad)
-    skipped = np.flatnonzero(~inside).tolist()
-    in_u = np.flatnonzero(inside).tolist()
-    lam_a = [i for i in in_u if pts[i].flag == "minus_inf"]
-    lam_b = [i for i in in_u if member[i]]
-    mismatches = [i for i in in_u if (pts[i].flag == "minus_inf") != member[i]]
-    return LambdaScanResult(res, pts, lam_a, lam_b, skipped, mismatches)
+    minus_inf = np.array([p.flag == "minus_inf" for p in pts], dtype=bool)
+    # Lambda by Psi_N and by membership, outside U, and disagreeing in U
+    masks = (minus_inf, member, ~inside, inside & (minus_inf != member))
+    return LambdaScanResult(res, pts, *(np.flatnonzero(k).tolist() for k in masks))
 
 
 def oracle_membership(res: AnnihilatorResult, phi_joint, W: np.ndarray,
@@ -862,12 +846,13 @@ def krull_stabilize(
     seed: int = 0,
 ) -> KrullResult:
     """Lambda_N grid sets for N = 2..n_max with the Krull nesting check:
-    one ``lambda_scan``, so one ``psi_scan``, per N."""
+    one ``lambda_scan`` per N, each handed the grid read once as rows."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    W = _grid_rows(w_grid, fam.w_arity)
     per_n = {
         N: lambda_scan(IdealFamily(fam.z_arity, fam.w_arity, fam.generators, N),
-                       phi_joint, w_grid, fiber_domain, degree, quad, seed=seed)
+                       phi_joint, W, fiber_domain, degree, quad, seed=seed)
         for N in range(2, n_max + 1)
     }
     nested = True
